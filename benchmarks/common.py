@@ -106,18 +106,6 @@ def print_expectation(paper: str, measured: str) -> None:
     print(f"  measured: {measured}")
 
 
-def print_gate(name: str, status: str) -> None:
-    """One gate-table row: ``enforced`` or ``skipped(<reason>)``.
-
-    Benchmarks that cannot express an effect on the current host (core
-    count, start method, explicit opt-out) record *why* the wall-clock
-    gate did not run — both here and in their ``BENCH_*.json`` — so a
-    low number on a capped host reads as "not measurable", never as a
-    silent regression.
-    """
-    print(f"  gate [{name}]: {status}")
-
-
 def geomean(values) -> float:
     values = np.asarray(list(values), dtype=float)
     values = values[values > 0]

@@ -17,7 +17,7 @@ counters.  ``verify_cell`` replays it and reports divergences; the
 tier-1 suite runs every committed cell, so a change that shifts the
 analytic envs, the guardrails, or the policy forward pass under these
 known-hard scenarios fails loudly (same policy as the committed
-single-run telemetry digest in ``benchmarks/test_singlerun_perf.py``).
+single-run telemetry digest in ``tests/integration/test_canonical_digest.py``).
 """
 
 from __future__ import annotations

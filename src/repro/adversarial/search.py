@@ -460,7 +460,7 @@ def adversarial_search(
         if workers is not None and workers > 1:
             # Persistent pool: workers outlive candidates, so each
             # worker resolves the protagonist at most once per search.
-            sweep = ParallelRunner(workers=workers, profile=False, pool=True).run(cells)
+            sweep = ParallelRunner(workers=workers, profile=False).run(cells)
         else:
             sweep = run_serial(cells, profile=False)
         for genome, outcome in zip(fresh, sweep.outcomes):

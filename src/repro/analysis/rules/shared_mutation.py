@@ -1,7 +1,7 @@
 """parallel-shared-mutation: fork-state races in worker-reachable code.
 
-``ParallelRunner`` forks one process per cell and merges results through
-two sanctioned paths only: the ``CellOutcome`` payload (telemetry,
+``ParallelRunner`` runs cells in forked pool workers and merges results
+through two sanctioned paths only: the ``CellOutcome`` payload (telemetry,
 result, profile snapshot) and explicit ``absorb``/``merge`` functions in
 the parent.  Any *other* module-level mutable container written by code
 reachable from a registered worker entry point is a fork-state trap:

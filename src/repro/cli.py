@@ -318,9 +318,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.detsan:
         # Set before any worker forks so every child records checkpoints.
         os.environ["REPRO_DETSAN"] = "1"
-    # Like --detsan: exported before any worker starts so forked and
-    # pooled workers alike resolve the same snapshot mode.
-    os.environ["REPRO_SNAPSHOTS"] = "mem" if args.snapshots == "on" else "off"
+    if args.snapshots == "off":
+        # Like --detsan: exported before any worker starts so every pool
+        # worker resolves the same mode.  "on" exports nothing: the
+        # default is already mem, and a user-set REPRO_SNAPSHOTS=disk
+        # must survive.
+        os.environ["REPRO_SNAPSHOTS"] = "off"
     cells = matrix.cells()
     warmed = warm_policy_cache(cells)
     if warmed:
@@ -329,12 +332,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         join_timeout_s=args.cell_timeout,
         max_attempts=args.retries + 1,
-        pool=args.pool,
     )
     print(
         f"sweep: {len(cells)} cells "
         f"({len(policies)} policies x {len(seeds)} seeds), "
-        f"{runner.workers} workers [{'pool/' if args.pool else ''}{runner.start_method}], "
+        f"{runner.workers} workers [pool/{runner.start_method}], "
         f"snapshots {args.snapshots}"
     )
     sweep = runner.run(cells)
@@ -398,11 +400,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         measure_after_s=args.warmup,
         num_channels=args.channels,
     )
-    arena = None if args.arena == "env" else (args.arena == "shm")
     runner = FleetShardRunner(
         shards=args.shards,
         workers=args.workers,
-        arena=arena,
+        arena=args.arena == "shm",
         join_timeout_s=args.cell_timeout,
         max_attempts=args.retries + 1,
     )
@@ -745,12 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reuse warm-state snapshots to skip device build+warm on "
              "repeat cells (off = always cold build, the escape hatch)",
     )
-    sweep.add_argument(
-        "--pool", action="store_true",
-        help="persistent worker pool: long-lived workers drain the cell "
-             "queue and reuse their warm-state snapshot caches, instead "
-             "of one process per cell",
-    )
     sweep.set_defaults(func=cmd_sweep)
 
     fleet = sub.add_parser(
@@ -787,9 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="total SSD channels per device (default: 16, Table 3)",
     )
     fleet.add_argument(
-        "--arena", default="env", choices=("env", "shm", "off"),
-        help="warm-state arena: shm = shared segment, off = per-worker "
-             "snapshots, env = honour REPRO_ARENA (default)",
+        "--arena", default="shm", choices=("shm", "off"),
+        help="warm-state arena: shm = one shared segment (default), "
+             "off = per-worker snapshots (the reference path)",
     )
     fleet.add_argument(
         "--verify-serial", action="store_true",

@@ -320,10 +320,10 @@ def pretrain(
 
     ``envs`` selects the collection engine: 1 is the reference scalar
     path; K > 1 steps K collocations in lockstep with batched inference
-    (same training quality, substantially higher throughput — see
-    ``benchmarks/test_pretrain_perf.py``).  The two engines draw
-    different exploration streams, so their trained policies are
-    equivalent in quality, not bit-identical.
+    (same training quality, substantially higher throughput — the
+    ``pretrain_ppo`` workload of ``BENCHMARK.json`` times both).  The
+    two engines draw different exploration streams, so their trained
+    policies are equivalent in quality, not bit-identical.
     """
     from dataclasses import replace as _replace
 
@@ -460,7 +460,7 @@ def _pretrain_best_parallel(
     # runs several seeds, paying process startup and the training-stack
     # import once instead of per seed.  Selection stays seed-ordered, so
     # the winner is unchanged.
-    sweep = ParallelRunner(workers=workers, pool=True).run(cells)
+    sweep = ParallelRunner(workers=workers).run(cells)
     best: Optional[PretrainResult] = None
     for outcome in sweep.outcomes:
         if isinstance(outcome, CellFailure):

@@ -53,12 +53,6 @@ SEGMENT_PREFIXES = ("repro_arena_", "repro_ring_")
 _SERIAL = itertools.count()
 
 
-def arena_mode() -> str:
-    """Resolve ``REPRO_ARENA`` to ``off`` or ``shm`` (default off)."""
-    value = os.environ.get("REPRO_ARENA", "off").strip().lower()
-    return "shm" if value == "shm" else "off"
-
-
 def new_segment_name(kind: str) -> str:
     """A collision-safe segment name: pid + an in-process serial."""
     return f"repro_{kind}_{os.getpid()}_{next(_SERIAL)}"

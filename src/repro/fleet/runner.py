@@ -3,11 +3,12 @@
 :class:`FleetShardRunner` is the fleet counterpart of
 :class:`repro.parallel.runner.ParallelRunner`: it slices N device specs
 round-robin into K :class:`~repro.fleet.spec.FleetShardCell` work units,
-publishes the warm-state arena (when ``REPRO_ARENA=shm``), creates one
+publishes the warm-state arena (unless ``arena=False``), creates one
 telemetry ring per shard, runs the shards on the persistent worker pool,
 and merges per-device telemetry back **in device-index order** — the
 merged bytes are identical to :func:`run_fleet_serial` over the same
-specs, which is itself just the process-per-cell serial loop.
+specs, which is itself just :func:`~repro.parallel.runner.run_serial`
+over one experiment cell per device.
 
 Segment lifecycle is entirely parent-owned: rings and the arena are
 created before the fan-out and unlinked in a ``finally`` (with an
@@ -17,13 +18,12 @@ worker crashes and watchdog kills cannot leak ``/dev/shm`` entries.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import SSDConfig
-from repro.fleet.arena import SharedArena, arena_mode
+from repro.fleet.arena import SharedArena
 from repro.fleet.ring import DEFAULT_CAPACITY, KIND_RESULTS, KIND_WINDOW_ROWS, TelemetryRing
 from repro.fleet.spec import DeviceSpec, FleetShardCell
 from repro.harness import snapshots
@@ -31,7 +31,7 @@ from repro.harness.experiment import Experiment
 from repro.harness.telemetry import window_header_bytes
 from repro.parallel.matrix import ExperimentCell
 from repro.parallel.policy_cache import warm_policy_cache
-from repro.parallel.runner import CellOutcome, ParallelRunner, run_serial
+from repro.parallel.runner import CellOutcome, ParallelRunner, run_serial, usable_cores
 from repro.profiling import merge_profiles, namespace_profile
 
 
@@ -60,7 +60,7 @@ def build_fleet(
 
 
 def _experiment_cell(spec: DeviceSpec) -> ExperimentCell:
-    """The process-per-cell equivalent of one device spec."""
+    """One device spec as the experiment cell a sweep would run."""
     return ExperimentCell(
         scenario="+".join(spec.workloads),
         workloads=spec.workloads,
@@ -119,10 +119,10 @@ def run_fleet_serial(
 ) -> FleetResult:
     """The reference output: a serial loop of per-device experiments.
 
-    Byte-for-byte, each device contributes exactly what a
-    process-per-cell sweep's worker would have shipped over the pipe
-    (results CSV + window CSV) — this is the baseline the sharded
-    runner's merged telemetry must equal.
+    Byte-for-byte, each device contributes exactly what a sweep over
+    one experiment cell per device would have merged (results CSV +
+    window CSV) — this is the baseline the sharded runner's merged
+    telemetry must equal.
     """
     started = time.perf_counter()
     specs = list(specs)
@@ -155,7 +155,7 @@ class FleetShardRunner:
         self,
         shards: Optional[int] = None,
         workers: Optional[int] = None,
-        arena: Optional[bool] = None,
+        arena: bool = True,
         ring_capacity: int = DEFAULT_CAPACITY,
         join_timeout_s: Optional[float] = 900.0,
         max_attempts: int = 2,
@@ -165,7 +165,9 @@ class FleetShardRunner:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
         self.workers = workers
-        #: None: honour ``REPRO_ARENA``; True/False: explicit override.
+        #: Publish the warm state as a shared segment.  ``False`` is the
+        #: reference path the arena is tested byte-equal against: every
+        #: worker restores from its own snapshot cache.
         self.arena = arena
         self.ring_capacity = ring_capacity
         self.join_timeout_s = join_timeout_s
@@ -203,16 +205,15 @@ class FleetShardRunner:
         specs = list(specs)
         if not specs:
             return FleetResult(mode="fleet/empty")
-        cores = multiprocessing.cpu_count()
+        cores = usable_cores()
         shard_count = self.shards or min(len(specs), max(cores - 1, 1))
         shard_count = max(1, min(shard_count, len(specs)))
 
-        arena_on = self.arena if self.arena is not None else arena_mode() == "shm"
         arena_obj: Optional[SharedArena] = None
-        arena_stats: dict = {"mode": "shm" if arena_on else "off", "published": False}
+        arena_stats: dict = {"mode": "shm" if self.arena else "off", "published": False}
         rings: List[TelemetryRing] = []
         try:
-            if arena_on:
+            if self.arena:
                 arena_obj = self._publish_arena(specs[0])
                 if arena_obj is not None:
                     arena_stats.update(
@@ -241,7 +242,6 @@ class FleetShardRunner:
                 profile=self.profile,
                 join_timeout_s=self.join_timeout_s,
                 max_attempts=self.max_attempts,
-                pool=True,
             )
             sweep = runner.run(cells)
             device_telemetry, errors, ring_bytes, attached = self._merge(

@@ -1,19 +1,27 @@
-"""The parallel sweep runner: fan an experiment matrix across processes.
+"""The sweep runner: fan an experiment matrix across a worker pool.
 
 Design notes:
 
-* **One process per cell.**  A worker process runs exactly one cell and
-  exits.  A cell that segfaults, OOMs, or calls ``os._exit`` kills only
-  its own process; the sweep records a structured :class:`CellFailure`
-  and keeps going.  (A shared pool would poison every queued cell —
-  ``concurrent.futures`` raises ``BrokenProcessPool`` for the lot.)
-* **Bounded concurrency.**  At most ``workers`` processes run at once;
-  cells launch in matrix order as slots free up.
-* **Results over pipes.**  Each child sends one pickled
-  :class:`~repro.parallel.worker.CellOutcome` through its own pipe.  The
-  parent waits on pipes *and* process sentinels simultaneously, so large
-  payloads stream while other children keep running, and a child that
-  dies before sending is detected by its sentinel.
+* **One scheduler: a persistent pool.**  At most ``workers`` long-lived
+  processes each take one cell at a time from the parent over their own
+  pipe; the parent hands out the next cell, in matrix order, as workers
+  free up.  A worker outlives its cells, so its in-process caches — the
+  warm-state snapshot cache above all — serve every cell it runs.
+* **Crash isolation.**  The parent owns the queue, so a worker that
+  segfaults, OOMs, or calls ``os._exit`` takes down only the cell it
+  was running: it leaves the pool, a replacement starts while work
+  remains, and its siblings never notice.  (``concurrent.futures``
+  raises ``BrokenProcessPool`` for every queued cell.)
+* **An assignment ends one of three ways**, decided in one place
+  (:meth:`ParallelRunner._settle`): the worker reported success; the
+  runner raised in-process — deterministic, a :class:`CellFailure`
+  without retry; or the worker died or hung without reporting —
+  environmental, retried with exponential backoff up to
+  ``max_attempts`` and only then a :class:`CellFailure`.
+* **Results over pipes.**  The parent waits on result pipes *and*
+  process sentinels at once, bounded by the nearest hung-worker
+  deadline: large payloads stream while other workers keep running, and
+  a worker that dies before sending is detected by its sentinel.
 * **Fork start method.**  When available (Linux), ``fork`` shares the
   parent's warmed pre-train/classifier caches copy-on-write, so workers
   never redundantly pre-train.  Other platforms fall back to ``spawn``,
@@ -31,13 +39,24 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Optional, Sequence
+from multiprocessing.process import BaseProcess
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 from repro.parallel.worker import CellOutcome, WorkCell, run_cell
 from repro.profiling import merge_profiles
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU-affinity mask where the
+    platform has one (a container pinned to 2 of 64 cores must size its
+    pool for 2), the host's core count otherwise."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return multiprocessing.cpu_count()
 
 
 @dataclass
@@ -124,38 +143,47 @@ class SweepResult:
         }
 
 
-def _child_main(
-    cell: WorkCell, profile: bool, conn: connection.Connection
-) -> None:
-    """Worker process body: run one cell, ship the outcome, exit."""
-    outcome = run_cell(cell, profile=profile)
-    # Results can hold numpy arrays and megabytes of telemetry; if the
-    # pipe buffer fills, send() blocks until the parent drains it (the
-    # parent reads concurrently — see ParallelRunner._drain).
-    conn.send(outcome)
-    conn.close()
+class _Task(NamedTuple):
+    """One launch of one cell: a queue entry, then a worker's assignment."""
+
+    index: int
+    cell: WorkCell
+    #: 1 for the first launch; retries count up to ``max_attempts``.
+    attempt: int = 1
+    #: Earliest ``time.monotonic()`` at which a retry may launch.
+    not_before: float = 0.0
 
 
-def _pool_worker_main(conn: connection.Connection) -> None:
-    """Persistent worker body: drain a queue of cells over one pipe.
+@dataclass(eq=False)
+class _Worker:
+    """One pool process as the parent sees it."""
 
-    The process outlives individual cells, so its in-process caches —
-    the warm-state snapshot cache above all — amortize across every
-    cell it runs.  ``run_cell``'s before/after profiler delta keeps
-    per-cell profiles correct in a long-lived process.  A ``None``
-    message (or a closed pipe) is the shutdown signal.
+    proc: BaseProcess
+    conn: connection.Connection
+    #: The cell in flight; None while the worker is idle.
+    task: Optional[_Task] = None
+    #: ``time.monotonic()`` past which the watchdog condemns ``task``.
+    deadline: Optional[float] = None
+
+
+def _worker_main(conn: connection.Connection, profile: bool) -> None:
+    """Worker process body: run cells sent down the pipe until told to stop.
+
+    ``run_cell``'s before/after profiler delta keeps per-cell profiles
+    correct in a long-lived process.  A ``None`` message (or a closed
+    pipe) is the shutdown signal.
     """
     while True:
         try:
-            message = conn.recv()
+            cell = conn.recv()
         except (EOFError, OSError):
             break
-        if message is None:
+        if cell is None:
             break
-        index, cell, attempt, profile = message
-        outcome = run_cell(cell, profile=profile)
-        outcome.attempts = attempt
-        conn.send((index, outcome))
+        # Results can hold numpy arrays and megabytes of telemetry; if the
+        # pipe buffer fills, send() blocks until the parent drains it (the
+        # parent reads concurrently — see ParallelRunner._drain).
+        conn.send(run_cell(cell, profile=profile))
     conn.close()
 
 
@@ -180,7 +208,7 @@ def run_serial(
 
 
 class ParallelRunner:
-    """Fans cells across worker processes with crash isolation."""
+    """Fans cells across a persistent worker pool with crash isolation."""
 
     def __init__(
         self,
@@ -190,7 +218,6 @@ class ParallelRunner:
         join_timeout_s: Optional[float] = 900.0,
         max_attempts: int = 2,
         retry_backoff_s: float = 0.5,
-        pool: bool = False,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -201,10 +228,10 @@ class ParallelRunner:
         if retry_backoff_s < 0:
             raise ValueError(f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         #: Hung-worker watchdog: a worker that neither reports nor exits
-        #: within this budget is terminated (``None`` disables the
-        #: watchdog).  The sweep then retries or records the cell as a
-        #: hung :class:`CellFailure` and *returns the other cells'
-        #: results* — one wedged worker no longer hangs the whole sweep.
+        #: within this budget of being handed a cell is terminated
+        #: (``None`` disables the watchdog).  The sweep then retries or
+        #: records the cell as a hung :class:`CellFailure` and *returns
+        #: the other cells' results* — one wedged worker hangs nothing.
         self.join_timeout_s = join_timeout_s
         #: Total launches a cell may consume.  Worker *deaths* (crash or
         #: hang — environmental failures) are retried with exponential
@@ -212,13 +239,14 @@ class ParallelRunner:
         #: deterministic and fails immediately without retry.
         self.max_attempts = max_attempts
         self.retry_backoff_s = retry_backoff_s
-        # Cap at the core count: more workers than cores cannot run
-        # concurrently — they just time-slice one another and add process
-        # startup/scheduling overhead, turning "parallel" runs slower
-        # than serial on small hosts (observed 0.73x with 4 workers on a
-        # 1-core box).  An explicit request is still honoured up to the
-        # cap; the default leaves one core for the parent.
-        cores = multiprocessing.cpu_count()
+        # Cap at the usable core count: more workers than cores cannot
+        # run concurrently — they just time-slice one another and add
+        # process startup/scheduling overhead, turning "parallel" runs
+        # slower than serial on small hosts (observed 0.73x with 4
+        # workers on a 1-core box).  An explicit request is still
+        # honoured up to the cap; the default leaves one core for the
+        # parent.
+        cores = usable_cores()
         requested = workers or max(cores - 1, 1)
         self.workers = min(requested, cores)
         self.profile = profile
@@ -227,80 +255,77 @@ class ParallelRunner:
             start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
-        #: Persistent-pool mode: long-lived workers process a queue of
-        #: cells instead of one process per cell.  Each worker's
-        #: in-process warm-state snapshot cache then serves every cell
-        #: it runs, amortizing device build+warm across the sweep.
-        #: Crash isolation, retry-with-backoff, and the hung-worker
-        #: watchdog are preserved: a dead worker takes only its current
-        #: cell down (retried), and a replacement worker rebuilds its
-        #: cache on first use.
-        self.pool = pool
 
     def run(self, cells: Sequence[WorkCell]) -> SweepResult:
-        """Run the cells; returns merged results in matrix order."""
-        if self.pool:
-            return self._run_pool(cells)
+        """Run the cells; returns merged results in matrix order.
+
+        Outcomes are keyed by matrix index and merged in that order, so
+        which worker ran a cell (and in what sequence) never shows in
+        the result bytes.
+        """
         started = time.perf_counter()
-        # index -> [cell, process, conn, payload-or-None, attempt, deadline]
-        slots: dict = {}
-        outcomes: dict = {}  # index -> CellOutcome | CellFailure
         cells = list(cells)
-        # Launch queue entries: (index, cell, attempt, not_before).  The
-        # initial pass launches in matrix order; crashed/hung workers
+        outcomes: dict = {}  # index -> CellOutcome | CellFailure
+        # The initial pass launches in matrix order; crashed/hung cells
         # re-enter at the back with a backoff-delayed not_before.
-        pending: list = [(i, cell, 1, 0.0) for i, cell in enumerate(cells)]
-        while pending or slots:
-            now = time.monotonic()
-            i = 0
-            while i < len(pending) and len(slots) < self.workers:
-                index, cell, attempt, not_before = pending[i]
-                if not_before > now:
-                    i += 1
+        pending = [_Task(i, cell) for i, cell in enumerate(cells)]
+        workers: List[_Worker] = []
+        spawned = 0
+        target = min(self.workers, max(len(cells), 1))
+        try:
+            while pending or any(w.task is not None for w in workers):
+                now = time.monotonic()
+                idle = [w for w in workers if w.task is None]
+                for task in [t for t in pending if t.not_before <= now]:
+                    if idle:
+                        worker = idle.pop(0)
+                    elif len(workers) < target:
+                        # Also how a dead worker is replaced: it left the
+                        # pool in _drain, so the pool is below target.
+                        worker = self._spawn(spawned)
+                        workers.append(worker)
+                        spawned += 1
+                    else:
+                        break
+                    pending.remove(task)
+                    worker.conn.send(task.cell)
+                    worker.task = task
+                    if self.join_timeout_s is not None:
+                        worker.deadline = time.monotonic() + self.join_timeout_s
+                if all(w.task is None for w in workers):
+                    # Every queued cell is waiting out its retry backoff.
+                    wake = min(t.not_before for t in pending)
+                    time.sleep(max(wake - time.monotonic(), 0.0) + 0.001)
                     continue
-                pending.pop(i)
-                parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-                proc = self._ctx.Process(
-                    target=_child_main,
-                    args=(cell, self.profile, child_conn),
-                    name=f"repro-cell-{cell.cell_id}",
-                )
-                proc.start()
-                child_conn.close()
-                deadline = (
-                    None
-                    if self.join_timeout_s is None
-                    else time.monotonic() + self.join_timeout_s
-                )
-                slots[index] = [cell, proc, parent_conn, None, attempt, deadline]
-            if not slots:
-                # Every queued cell is waiting out its retry backoff.
-                wake = min(entry[3] for entry in pending)
-                time.sleep(max(wake - time.monotonic(), 0.0) + 0.001)
-                continue
-            self._drain(slots, outcomes, pending)
+                self._drain(workers, pending, outcomes)
+        finally:
+            for worker in workers:
+                try:
+                    worker.conn.send(None)
+                except (BrokenPipeError, OSError):
+                    pass  # already dead; _reap below collects it
+                worker.conn.close()
+                self._reap(worker.proc)
         return SweepResult(
             outcomes=[outcomes[i] for i in range(len(cells))],
             wall_s=time.perf_counter() - started,
             workers=self.workers,
-            mode=f"parallel/{self.start_method}",
+            mode=f"pool/{self.start_method}",
         )
 
-    def _wait_timeout(self, slots: dict, pending: list) -> Optional[float]:
-        """How long ``connection.wait`` may block before the runner must
-        act: the nearest watchdog deadline or retry wake-up."""
-        now = time.monotonic()
-        horizons = [
-            deadline
-            for _c, _p, _conn, _payload, _a, deadline in slots.values()
-            if deadline is not None
-        ]
-        horizons.extend(entry[3] for entry in pending)
-        if not horizons:
-            return None
-        return max(min(horizons) - now, 0.0)
+    def _spawn(self, serial: int) -> _Worker:
+        """Start one long-lived worker, idle until handed a cell."""
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(child_conn, self.profile),
+            name=f"repro-pool-{serial}",
+        )
+        proc.start()
+        child_conn.close()
+        return _Worker(proc, parent_conn)
 
-    def _reap(self, proc) -> None:
+    def _reap(self, proc: BaseProcess) -> None:
         """Bounded shutdown of a finished or condemned worker process.
 
         ``join`` with a timeout instead of an unbounded join: a child
@@ -316,272 +341,80 @@ class ParallelRunner:
             proc.kill()
             proc.join()
 
-    def _retry_or_fail(
+    def _drain(
+        self, workers: List[_Worker], pending: List[_Task], outcomes: dict
+    ) -> None:
+        """Wait for at least one worker event; settle whatever ended.
+
+        Also the hung-worker watchdog: a worker still silent past its
+        deadline is terminated.  Dead and condemned workers just leave
+        the pool — ``run`` starts replacements while work remains.
+        """
+        handles: list = [w.proc.sentinel for w in workers]
+        handles.extend(w.conn for w in workers if w.task is not None)
+        # Block until the nearest watchdog deadline or retry wake-up.  A
+        # queued cell that is already due is waiting for a free worker,
+        # which arrives as a pipe event: it must not bound the wait, or
+        # the parent spins for as long as anything is queued.
+        now = time.monotonic()
+        horizons = [w.deadline for w in workers if w.deadline is not None]
+        horizons.extend(t.not_before for t in pending if t.not_before > now)
+        timeout = max(min(horizons) - now, 0.0) if horizons else None
+        ready = set(connection.wait(handles, timeout=timeout))
+        now = time.monotonic()
+        for worker in list(workers):
+            task = worker.task
+            payload: Optional[CellOutcome] = None
+            dead = worker.proc.sentinel in ready
+            if task is not None:
+                # poll(), not membership in ``ready``: a result buffered
+                # in the pipe may have raced the worker's death or its
+                # watchdog deadline, and a result in hand wins.
+                try:
+                    if worker.conn.poll():
+                        payload = worker.conn.recv()
+                except (EOFError, OSError):
+                    dead = True  # pipe closed with nothing sent: dying
+            expired = worker.deadline is not None and now >= worker.deadline
+            hung = expired and payload is None and not dead
+            if dead or hung:
+                workers.remove(worker)
+                if hung:
+                    worker.proc.terminate()
+                self._reap(worker.proc)
+                worker.conn.close()
+            if task is not None and (payload is not None or dead or hung):
+                worker.task = worker.deadline = None
+                verdict = self._settle(task, payload, worker.proc.exitcode, hung)
+                if isinstance(verdict, _Task):
+                    pending.append(verdict)
+                else:
+                    outcomes[task.index] = verdict
+
+    def _settle(
         self,
-        index: int,
-        cell: WorkCell,
-        attempt: int,
-        pending: list,
-        outcomes: dict,
+        task: _Task,
+        payload: Optional[CellOutcome],
         exitcode: Optional[int],
         hung: bool,
-    ) -> None:
-        """Queue a dead worker's cell for retry, or record the failure."""
-        if attempt < self.max_attempts:
-            not_before = time.monotonic() + self.retry_backoff_s * (
-                2.0 ** (attempt - 1)
+    ) -> Union[CellOutcome, CellFailure, _Task]:
+        """What a finished assignment becomes: the outcome, a failure,
+        or the retry to queue — the only place that is decided."""
+        if payload is None:
+            # The worker died or hung without reporting — environmental
+            # (crash, OOM kill, wedge), so worth retrying with backoff.
+            if task.attempt < self.max_attempts:
+                backoff = self.retry_backoff_s * 2.0 ** (task.attempt - 1)
+                return task._replace(
+                    attempt=task.attempt + 1, not_before=time.monotonic() + backoff
+                )
+            return CellFailure(
+                cell=task.cell, exitcode=exitcode, attempts=task.attempt, hung=hung
             )
-            pending.append((index, cell, attempt + 1, not_before))
-        else:
-            outcomes[index] = CellFailure(
-                cell=cell, exitcode=exitcode, attempts=attempt, hung=hung
+        if not payload.ok:
+            # The runner raised in-process: deterministic, no retry.
+            return CellFailure(
+                cell=task.cell, error=payload.error, attempts=task.attempt
             )
-
-    def _drain(self, slots: dict, outcomes: dict, pending: list) -> None:
-        """Wait for at least one child event; collect whatever is ready.
-
-        Also the hung-worker watchdog: waiting is bounded by the nearest
-        slot deadline, and a worker still silent past its deadline is
-        terminated and retried/failed, so the sweep always returns the
-        surviving cells' results.
-        """
-        handles = []
-        for cell, proc, conn, payload, attempt, deadline in slots.values():
-            if payload is None:
-                handles.append(conn)
-            handles.append(proc.sentinel)
-        ready = set(
-            connection.wait(handles, timeout=self._wait_timeout(slots, pending))
-        )
-        finished = []
-        for index, slot in slots.items():
-            cell, proc, conn, payload, attempt, deadline = slot
-            if payload is None and conn in ready:
-                try:
-                    slot[3] = conn.recv()
-                except EOFError:
-                    # Child closed the pipe without sending — it is dead
-                    # or dying; the sentinel path below classifies it.
-                    pass
-            if proc.sentinel in ready:
-                finished.append(index)
-        for index in finished:
-            cell, proc, conn, payload, attempt, _deadline = slots.pop(index)
-            # The child may have exited between wait() and recv(); pull
-            # any payload that is already buffered in the pipe.
-            if payload is None and conn.poll():
-                try:
-                    payload = conn.recv()
-                except EOFError:
-                    payload = None
-            self._reap(proc)
-            conn.close()
-            if payload is None:
-                # The worker died without reporting — an environmental
-                # failure (crash, OOM kill); worth retrying.
-                self._retry_or_fail(
-                    index, cell, attempt, pending, outcomes, proc.exitcode, False
-                )
-            elif payload.ok:
-                payload.attempts = attempt
-                outcomes[index] = payload
-            else:
-                # The runner raised in-process: deterministic, no retry.
-                outcomes[index] = CellFailure(
-                    cell=cell, error=payload.error, attempts=attempt
-                )
-        now = time.monotonic()
-        expired = [
-            index
-            for index, slot in slots.items()
-            if slot[5] is not None and now >= slot[5]
-        ]
-        for index in expired:
-            cell, proc, conn, payload, attempt, _deadline = slots.pop(index)
-            proc.terminate()
-            self._reap(proc)
-            conn.close()
-            if payload is not None and payload.ok:
-                # Reported but wedged on exit — the result is in hand.
-                payload.attempts = attempt
-                outcomes[index] = payload
-            elif payload is not None:
-                outcomes[index] = CellFailure(
-                    cell=cell, error=payload.error, attempts=attempt
-                )
-            else:
-                self._retry_or_fail(
-                    index, cell, attempt, pending, outcomes, proc.exitcode, True
-                )
-
-    # ------------------------------------------------------------------
-    # Persistent pool
-    # ------------------------------------------------------------------
-    def _spawn_pool_worker(self, serial: int) -> list:
-        """Start one long-lived worker; returns its mutable slot.
-
-        Slot layout: ``[proc, conn, assignment, deadline]`` where
-        ``assignment`` is ``(index, cell, attempt)`` while the worker is
-        busy and None while idle.
-        """
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_pool_worker_main,
-            args=(child_conn,),
-            name=f"repro-pool-{serial}",
-        )
-        proc.start()
-        child_conn.close()
-        return [proc, parent_conn, None, None]
-
-    def _run_pool(self, cells: Sequence[WorkCell]) -> SweepResult:
-        """Queue the cells through persistent workers, matrix order.
-
-        Determinism is unchanged from fork mode: outcomes are keyed by
-        matrix index and merged in that order, so which worker ran a
-        cell (and in what sequence) never shows in the result bytes.
-        """
-        started = time.perf_counter()
-        cells = list(cells)
-        outcomes: dict = {}  # index -> CellOutcome | CellFailure
-        pending: list = [(i, cell, 1, 0.0) for i, cell in enumerate(cells)]
-        workers: dict = {}  # wid -> [proc, conn, assignment, deadline]
-        next_wid = 0
-        target = min(self.workers, max(len(cells), 1))
-        while pending or any(slot[2] is not None for slot in workers.values()):
-            now = time.monotonic()
-            i = 0
-            while i < len(pending):
-                index, cell, attempt, not_before = pending[i]
-                if not_before > now:
-                    i += 1
-                    continue
-                wid = next(
-                    (w for w, slot in workers.items() if slot[2] is None), None
-                )
-                if wid is None:
-                    if len(workers) >= target:
-                        break
-                    wid = next_wid
-                    next_wid += 1
-                    workers[wid] = self._spawn_pool_worker(wid)
-                pending.pop(i)
-                slot = workers[wid]
-                slot[1].send((index, cell, attempt, self.profile))
-                slot[2] = (index, cell, attempt)
-                slot[3] = (
-                    None
-                    if self.join_timeout_s is None
-                    else time.monotonic() + self.join_timeout_s
-                )
-            if all(slot[2] is None for slot in workers.values()):
-                if pending:
-                    # Every queued cell is waiting out its retry backoff.
-                    wake = min(entry[3] for entry in pending)
-                    time.sleep(max(wake - time.monotonic(), 0.0) + 0.001)
-                continue
-            self._drain_pool(workers, outcomes, pending)
-        for slot in workers.values():
-            proc, conn = slot[0], slot[1]
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass  # already dead; _reap below collects it
-            conn.close()
-            self._reap(proc)
-        return SweepResult(
-            outcomes=[outcomes[i] for i in range(len(cells))],
-            wall_s=time.perf_counter() - started,
-            workers=self.workers,
-            mode=f"pool/{self.start_method}",
-        )
-
-    def _pool_wait_timeout(self, workers: dict, pending: list) -> Optional[float]:
-        """Bound on blocking: nearest assignment deadline or retry wake."""
-        horizons = [slot[3] for slot in workers.values() if slot[3] is not None]
-        horizons.extend(entry[3] for entry in pending)
-        if not horizons:
-            return None
-        return max(min(horizons) - time.monotonic(), 0.0)
-
-    def _drain_pool(self, workers: dict, outcomes: dict, pending: list) -> None:
-        """Collect results, dead workers, and watchdog expiries.
-
-        Mirrors :meth:`_drain`'s semantics on long-lived workers: a
-        worker death is environmental (its cell is retried with
-        backoff), an in-process runner error is deterministic (no
-        retry), and a worker silent past its deadline is terminated.
-        Dead and condemned workers just leave the pool — the assignment
-        loop spawns replacements while work remains.
-        """
-        handles = []
-        for slot in workers.values():
-            if slot[2] is not None:
-                handles.append(slot[1])
-            handles.append(slot[0].sentinel)
-        ready = set(
-            connection.wait(
-                handles, timeout=self._pool_wait_timeout(workers, pending)
-            )
-        )
-        dead = []
-        for wid, slot in workers.items():
-            proc, conn, assignment, _deadline = slot
-            if assignment is not None and conn in ready:
-                try:
-                    index, payload = conn.recv()
-                except (EOFError, OSError):
-                    dead.append(wid)  # closed pipe: sentinel path handles it
-                    continue
-                if payload.ok:
-                    outcomes[index] = payload
-                else:
-                    # In-process raise: deterministic, fail without retry.
-                    outcomes[index] = CellFailure(
-                        cell=assignment[1],
-                        error=payload.error,
-                        attempts=assignment[2],
-                    )
-                slot[2] = None
-                slot[3] = None
-            if proc.sentinel in ready and wid not in dead:
-                dead.append(wid)
-        for wid in dead:
-            proc, conn, assignment, _deadline = workers.pop(wid)
-            # A buffered result may have raced the worker's death.
-            payload = None
-            if assignment is not None and conn.poll():
-                try:
-                    index, payload = conn.recv()
-                except (EOFError, OSError):
-                    payload = None
-            self._reap(proc)
-            conn.close()
-            if assignment is None:
-                continue
-            index, cell, attempt = assignment
-            if payload is not None and payload.ok:
-                outcomes[index] = payload
-            elif payload is not None:
-                outcomes[index] = CellFailure(
-                    cell=cell, error=payload.error, attempts=attempt
-                )
-            else:
-                self._retry_or_fail(
-                    index, cell, attempt, pending, outcomes, proc.exitcode, False
-                )
-        now = time.monotonic()
-        expired = [
-            wid
-            for wid, slot in workers.items()
-            if slot[3] is not None and now >= slot[3]
-        ]
-        for wid in expired:
-            proc, conn, assignment, _deadline = workers.pop(wid)
-            proc.terminate()
-            self._reap(proc)
-            conn.close()
-            index, cell, attempt = assignment
-            self._retry_or_fail(
-                index, cell, attempt, pending, outcomes, proc.exitcode, True
-            )
+        payload.attempts = task.attempt
+        return payload

@@ -22,8 +22,8 @@ or, for coarse phases::
 
 Snapshots are plain dictionaries so worker processes can ship them back
 to a parent over a pipe and the parent can :func:`merge_profiles` them
-into one per-subsystem view (the ``repro profile`` CLI and
-``BENCH_parallel.json`` both render these).
+into one per-subsystem view (``repro profile`` and
+``repro sweep --show-profile`` both render these).
 """
 
 from repro.profiling.profiler import (

@@ -21,6 +21,7 @@ from repro.fleet import (
     run_fleet_serial,
 )
 from repro.fleet.shard import shard_device_count
+from repro.harness import snapshots
 from repro.parallel.worker import RUNNERS
 
 SPECS = build_fleet(
@@ -66,12 +67,18 @@ def test_sharded_fleet_matches_serial_arena_off(serial):
 
 
 def test_sharded_fleet_matches_serial_arena_on(serial):
+    # The serial fixture left every device's warm state in this process's
+    # snapshot cache, which forked workers inherit and consult first:
+    # start cold so they miss it and restore from the arena instead.
+    snapshots.clear_memory_cache()
     fleet = FleetShardRunner(shards=2, arena=True).run(SPECS)
     assert fleet.ok, fleet.errors
     assert fleet.telemetry == serial.telemetry
     assert fleet.arena["published"]
     assert fleet.arena["attached_shards"] == 2
     assert fleet.profile["counters"]["arena.attach"] >= 1
+    # ...and devices were actually restored from the shared segment.
+    assert fleet.profile["counters"]["arena.hits"] > 0
     assert leaked_segments() == []
     # Per-shard profiler namespaces surface in the merged profile.
     assert any(
@@ -143,6 +150,18 @@ def test_crashing_every_attempt_reports_errors_without_leaks(monkeypatch):
     assert not fleet.ok
     assert fleet.errors
     assert fleet.device_telemetry == {}
+    assert leaked_segments() == []
+
+
+def test_default_shard_count_follows_cpu_affinity(monkeypatch, serial):
+    """Pinned to one core of a 64-core host, the default is one shard on
+    one worker — not 63 workers time-slicing that core."""
+    monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    fleet = FleetShardRunner().run(SPECS)
+    assert fleet.ok, fleet.errors
+    assert (fleet.shards, fleet.workers) == (1, 1)
+    assert fleet.telemetry == serial.telemetry
     assert leaked_segments() == []
 
 

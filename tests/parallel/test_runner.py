@@ -1,9 +1,12 @@
 """Tests for the parallel sweep runner.
 
 The heavy guarantee — merged serial-vs-parallel telemetry is
-byte-identical — is asserted here on a small matrix; the benchmark suite
-repeats it at full scale.
+byte-identical — is asserted here on a small matrix; CI repeats it
+through ``repro sweep --verify-serial``.
 """
+
+import multiprocessing
+import os
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.parallel import (
     run_cell,
     run_serial,
 )
+from repro.parallel import runner as runner_module
 
 #: A small but non-trivial matrix: two policies x two seeds, short runs.
 MATRIX = ExperimentMatrix.from_workloads(
@@ -60,6 +64,7 @@ def test_run_cell_catches_exceptions():
 
 def test_serial_and_parallel_telemetry_byte_equal(serial_result, parallel_result):
     assert serial_result.ok and parallel_result.ok
+    assert parallel_result.mode.startswith("pool/")
     assert len(serial_result.succeeded) == len(MATRIX)
     assert serial_result.telemetry == parallel_result.telemetry
     assert serial_result.telemetry_digest == parallel_result.telemetry_digest
@@ -167,25 +172,6 @@ def _good_cell(scenario, seed=0):
     )
 
 
-def test_crashed_worker_retried_then_succeeds(tmp_path):
-    """A worker that hard-crashes once comes back on attempt 2."""
-    marker = tmp_path / "flaky-marker"
-    cells = [
-        _good_cell("good"),
-        ExperimentCell(str(marker), ("ycsb",), "hardware", 0, runner="flaky"),
-    ]
-    result = ParallelRunner(
-        workers=2, max_attempts=2, retry_backoff_s=0.05
-    ).run(cells)
-    assert result.ok
-    flaky = result.outcomes[1]
-    assert isinstance(flaky, CellOutcome)
-    assert flaky.attempts == 2
-    assert flaky.telemetry == b"flaky-ok\n"
-    assert result.outcomes[0].attempts == 1
-    assert marker.exists()
-
-
 def test_crash_every_attempt_fails_with_attempt_count():
     cells = [ExperimentCell("boom", ("ycsb",), "hardware", 0, runner="crash")]
     result = ParallelRunner(
@@ -197,15 +183,6 @@ def test_crash_every_attempt_fails_with_attempt_count():
     assert failure.exitcode == 13
     assert not failure.hung
     assert "after 2 attempts" in failure.describe()
-
-
-def test_deterministic_exception_is_not_retried():
-    """A runner that raises fails on attempt 1 even with retries allowed."""
-    cells = [ExperimentCell("bad", ("no-such-workload",), "hardware", 0)]
-    result = ParallelRunner(workers=1, max_attempts=3).run(cells)
-    (failure,) = result.failures
-    assert failure.error["type"] == "KeyError"
-    assert failure.attempts == 1
 
 
 def test_hung_worker_terminated_with_partial_results():
@@ -274,21 +251,11 @@ def test_retried_worker_profile_absorbed_once(tmp_path):
 # ----------------------------------------------------------------------
 # Persistent worker pool
 # ----------------------------------------------------------------------
-def test_pool_telemetry_byte_equal_to_serial(serial_result):
-    result = ParallelRunner(workers=2, pool=True).run(MATRIX.cells())
-    assert result.ok
-    assert result.mode.startswith("pool/")
-    assert result.telemetry == serial_result.telemetry
-    assert result.telemetry_digest == serial_result.telemetry_digest
-    ids = [o.cell.cell_id for o in result.outcomes]
-    assert ids == [c.cell_id for c in MATRIX.cells()]
-
-
 def test_pool_reuses_workers_across_cells():
     """More cells than workers: the pool must reuse processes rather
     than forking one per cell."""
     cells = [_good_cell(f"s{i}", seed=i % 2) for i in range(4)]
-    result = ParallelRunner(workers=2, pool=True).run(cells)
+    result = ParallelRunner(workers=2).run(cells)
     assert result.ok
     pids = {o.pid for o in result.outcomes}
     assert len(pids) <= 2
@@ -305,7 +272,7 @@ def test_pool_worker_snapshot_cache_amortizes_warm(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_SNAPSHOTS", "mem")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     cells = [_good_cell("a", seed=0), _good_cell("b", seed=0)]
-    result = ParallelRunner(workers=1, pool=True, profile=True).run(cells)
+    result = ParallelRunner(workers=1, profile=True).run(cells)
     assert result.ok
     merged = result.profile
     assert merged["counters"].get("snapshot.misses", 0) == 1
@@ -315,6 +282,8 @@ def test_pool_worker_snapshot_cache_amortizes_warm(monkeypatch, tmp_path):
 
 
 def test_pool_dead_worker_respawned_and_cell_retried(tmp_path):
+    """A worker that hard-crashes once is replaced and its cell comes
+    back on attempt 2; the cells around it are untouched."""
     marker = tmp_path / "pool-flaky-marker"
     cells = [
         _good_cell("good"),
@@ -322,51 +291,79 @@ def test_pool_dead_worker_respawned_and_cell_retried(tmp_path):
         _good_cell("also-good", seed=1),
     ]
     result = ParallelRunner(
-        workers=2, pool=True, max_attempts=2, retry_backoff_s=0.05
+        workers=2, max_attempts=2, retry_backoff_s=0.05
     ).run(cells)
     assert result.ok
     flaky = result.outcomes[1]
     assert isinstance(flaky, CellOutcome)
     assert flaky.attempts == 2
     assert flaky.telemetry == b"flaky-ok\n"
+    assert result.outcomes[0].attempts == 1
     assert marker.exists()
 
 
-def test_pool_crash_every_attempt_fails_with_attempt_count():
-    cells = [ExperimentCell("boom", ("ycsb",), "hardware", 0, runner="crash")]
-    result = ParallelRunner(
-        workers=1, pool=True, max_attempts=2, retry_backoff_s=0.05
-    ).run(cells)
-    (failure,) = result.failures
-    assert isinstance(failure, CellFailure)
-    assert failure.attempts == 2
-    assert not failure.hung
-
-
 def test_pool_deterministic_exception_not_retried():
+    """A runner that raises fails on attempt 1 even with retries allowed."""
     cells = [
         _good_cell("good"),
         ExperimentCell("bad", ("no-such-workload",), "hardware", 0),
     ]
-    result = ParallelRunner(workers=1, pool=True, max_attempts=3).run(cells)
+    result = ParallelRunner(workers=1, max_attempts=3).run(cells)
     assert len(result.succeeded) == 1
     (failure,) = result.failures
     assert failure.error["type"] == "KeyError"
     assert failure.attempts == 1
 
 
-def test_pool_hung_worker_terminated_with_partial_results():
-    good = [_good_cell("good", 0), _good_cell("also-good", 1)]
+def test_crash_does_not_cost_a_busy_sibling_its_process():
+    """One worker dies while its sibling is mid-cell: the sibling's cell
+    is not relaunched and only the dead worker is replaced."""
+    slow = ExperimentCell(
+        "slow", ("ycsb",), "hardware", 0, duration_s=2.0, measure_after_s=0.1
+    )
     cells = [
-        good[0],
-        ExperimentCell("wedge", ("ycsb",), "hardware", 0, runner="hang"),
-        good[1],
+        slow,
+        ExperimentCell("boom", ("ycsb",), "hardware", 0, runner="crash"),
+        _good_cell("after-a", 1),
+        _good_cell("after-b", 2),
     ]
-    result = ParallelRunner(
-        workers=3, pool=True, join_timeout_s=1.5, max_attempts=1
-    ).run(cells)
-    assert not result.ok
+    result = ParallelRunner(workers=2, max_attempts=1).run(cells)
     (failure,) = result.failures
-    assert failure.hung
-    assert len(result.succeeded) == 2
-    assert result.telemetry == run_serial(good).telemetry
+    assert failure.cell.scenario == "boom" and failure.exitcode == 13
+    assert [o.cell.scenario for o in result.succeeded] == [
+        "slow", "after-a", "after-b"
+    ]
+    assert all(o.attempts == 1 for o in result.succeeded)
+    # The sibling plus one replacement for the dead worker — never a
+    # third process, which a torn-down-and-rebuilt pool would need.
+    assert len({o.pid for o in result.succeeded}) <= 2
+
+
+def test_parent_blocks_while_cells_wait_for_a_free_worker(monkeypatch):
+    """Queued-but-due cells must not turn the parent's wait into a poll:
+    with one worker and four cells the parent wakes once per result
+    (plus the bounded join at shutdown), not thousands of times."""
+    waits = []
+    real_wait = runner_module.connection.wait
+
+    def counting_wait(handles, timeout=None):
+        waits.append(timeout)
+        return real_wait(handles, timeout=timeout)
+
+    monkeypatch.setattr(runner_module.connection, "wait", counting_wait)
+    cells = [_good_cell(f"s{i}", seed=i % 2) for i in range(4)]
+    result = ParallelRunner(workers=1).run(cells)
+    assert result.ok
+    assert len(waits) <= 3 * len(cells)
+
+
+def test_worker_cap_follows_cpu_affinity_not_host_core_count(monkeypatch):
+    """Pinned to 2 of 64 cores, the pool is sized for 2."""
+    monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 7}, raising=False)
+    assert ParallelRunner(workers=63).workers == 2
+    assert ParallelRunner().workers == 1
+    assert runner_module.usable_cores() == 2
+    # Platforms without an affinity mask fall back to the host count.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert runner_module.usable_cores() == 64

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import os
 
 from repro.cli import build_parser, main
 
@@ -121,3 +122,25 @@ def test_adversarial_command_smoke(capsys, tmp_path):
     from repro.adversarial import load_cell, verify_cell
 
     assert verify_cell(load_cell(cells[0])) == []
+
+
+_TINY_SWEEP = [
+    "sweep", "ycsb", "--policies", "hardware", "--seeds", "0",
+    "--duration", "0.5", "--warmup", "0.1", "--channels", "4", "--workers", "1",
+]
+
+
+def test_sweep_leaves_user_snapshot_mode_alone(monkeypatch, tmp_path):
+    """``REPRO_SNAPSHOTS=disk repro sweep`` reaches the disk layer: the
+    default ``--snapshots on`` must not rewrite it to ``mem``."""
+    from repro.harness import snapshots
+
+    snapshots.clear_memory_cache()  # a forked worker must miss, then persist
+    monkeypatch.setenv("REPRO_SNAPSHOTS", "disk")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(_TINY_SWEEP) == 0
+    assert os.environ["REPRO_SNAPSHOTS"] == "disk"
+    assert list(tmp_path.glob("warmstate_*.npz"))
+    # The explicit escape hatch still overrides the environment.
+    assert main(_TINY_SWEEP + ["--snapshots", "off"]) == 0
+    assert os.environ["REPRO_SNAPSHOTS"] == "off"
