@@ -356,8 +356,7 @@ class Experiment:
                 * self.config.pages_per_block
             )
             target_writes = int(owned_pages * WARM_FRACTION)
-            lpns = (lpn % working_set for lpn in range(target_writes))
-            vssd.ftl.warm_fill(lpns)
+            vssd.ftl.warm_fill(np.arange(target_writes) % working_set)
 
     def _build_fleetio(self) -> None:
         if self.pretrained_net is None:

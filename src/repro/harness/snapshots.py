@@ -1,10 +1,16 @@
 """Warm-state snapshot cache: amortize device build+warm across runs.
 
-A single run spends ~23% of its wall clock constructing the device and
-warm-filling every vSSD to :data:`~repro.harness.experiment.WARM_FRACTION`
-occupancy, and the high-volume consumers (``repro sweep``, adversarial
-candidate evaluation, ``pretrain_best`` seed fan-out) repeat a
-near-identical warm phase for every cell.  This module captures the
+Every experiment constructs the device and warm-fills each vSSD to
+:data:`~repro.harness.experiment.WARM_FRACTION` occupancy before its first
+measured window, and the high-volume consumers (``repro sweep``,
+adversarial candidate evaluation, ``pretrain_best`` seed fan-out) repeat a
+near-identical warm phase for every cell.  What that costs, from a traced
+round of the ``sweep_cold_build`` benchmark workload (8 one-second cells on
+the full-size device, 4 cache misses and 4 hits): the 8 ``warm_fill``
+calls of the 4 cold builds take 0.06 s (72 089 pages each, ~7 ms; they
+took 0.68 s, 31% of the round, while the fill placed one page per loop
+iteration), device construction 0.07 s for all 8 builds, the 4 captures
+0.003 s and the 4 restores 0.005 s.  This module captures the
 post-warm simulator state — BlockStore/ChannelArrays columns, per-vSSD
 FTL state, engine clock, and RNG draw positions — as cheap numpy copies
 plus plain lists, and restores it into a freshly constructed (but
@@ -383,9 +389,9 @@ def decode_snapshot_entries(get, meta: dict, copy: bool = True) -> dict:
         "state": [_BLOCK_STATES[i] for i in get("state")],
         "owner": _decode_optional(get("owner")),
         "writer": _decode_optional(get("writer")),
-        "harvested": [bool(v) for v in get("harvested")],
-        "write_ptr": [int(v) for v in get("write_ptr")],
-        "valid_count": [int(v) for v in get("valid_count")],
+        "harvested": get("harvested").tolist(),
+        "write_ptr": get("write_ptr").tolist(),
+        "valid_count": get("valid_count").tolist(),
     }
     ftls = {}
     for index, name in enumerate(meta["plan_names"]):
@@ -398,8 +404,8 @@ def decode_snapshot_entries(get, meta: dict, copy: bool = True) -> dict:
         region = ftl["own_region"]
         region["free"] = {int(ch): gids for ch, gids in region["free"].items()}
         region["open"] = {int(ch): gids for ch, gids in region["open"].items()}
-        ftl["l2p_gid"] = [int(v) for v in get(f"l2p_gid_{index}")]
-        ftl["l2p_page"] = [int(v) for v in get(f"l2p_page_{index}")]
+        ftl["l2p_gid"] = get(f"l2p_gid_{index}").tolist()
+        ftl["l2p_page"] = get(f"l2p_page_{index}").tolist()
         ftls[name] = ftl
     snap = {
         "engine": meta["engine"],

@@ -26,13 +26,22 @@ once at device construction:
 Layout note — why not *all* numpy: per-element access cost on this
 interpreter was measured at ~10–27 ns for plain-list reads/writes versus
 ~55–177 ns for numpy scalar indexing (boxing an ``np.int32`` per access).
-Columns that hot loops touch one element at a time (busy horizons, write
-pointers, valid counts, block state) are therefore Python lists; numpy is
-reserved for the state that benefits from preallocation and vectorized
-scans — the page→LPN matrix (the dominant per-page memory) and the
-erase-count vector (wear summaries).  Both representations are
+Columns that the event loop touches one element at a time (busy horizons,
+write pointers, valid counts, block state) are therefore Python lists;
+the page→LPN matrix (the dominant per-page memory) and the erase-count
+vector (wear summaries) are numpy.  Both representations are
 preallocated once and mutated in place, so hot loops can hoist a local
 reference and never see a rebind.
+
+Two paths handle enough same-shaped work per call to cross the boundary
+in bulk instead.  ``VssdFtl.warm_fill`` places a whole striping epoch
+(thousands of pages) through :meth:`BlockStore.program_pages` and
+:meth:`BlockStore.invalidate_pages`: one scatter into the matrix, one
+``bincount``, then a list update per *touched block* — the list columns
+are crossed once per block, not once per page.  The snapshot codec
+(:mod:`repro.harness.snapshots`) converts whole list columns to arrays
+and back with ``np.array`` / ``ndarray.tolist``.  Per-request paths
+(``write_span``, ``read_span``, GC) stay per-element on the lists.
 
 ``FlashBlock`` (:mod:`repro.ssd.geometry`) remains the object API —
 tests, the gSB pool, and the ZNS adapter keep their block handles — but
@@ -43,7 +52,7 @@ write these columns.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -140,6 +149,46 @@ class BlockStore:
         self.harvested[:] = snapshot["harvested"]
         self.write_ptr[:] = snapshot["write_ptr"]
         self.valid_count[:] = snapshot["valid_count"]
+
+    def program_pages(
+        self, gids: np.ndarray, pages: np.ndarray, lpns: np.ndarray
+    ) -> None:
+        """``FlashBlock.program`` for many pages in one scatter.
+
+        ``pages`` must continue each block's write pointer without gaps;
+        the caller (``VssdFtl.warm_fill``) derives them from it.
+        """
+        ppb = self.pages_per_block
+        if len(pages) and pages.max() >= ppb:
+            full = self.blocks[int(gids[pages.argmax()])]
+            raise RuntimeError(f"block {full.block_id} is full")
+        self.page_lpns[gids, pages] = lpns
+        for gid, n in self._pages_per_block(gids):
+            self.valid_count[gid] += n
+            self.write_ptr[gid] += n
+            self.state[gid] = (
+                BlockState.FULL if self.write_ptr[gid] == ppb else BlockState.OPEN
+            )
+
+    def invalidate_pages(self, gids: np.ndarray, pages: np.ndarray) -> None:
+        """``FlashBlock.invalidate`` for many distinct pages at once;
+        raises before changing anything if one is already invalid."""
+        stale = np.flatnonzero(self.page_lpns[gids, pages] == NO_LPN)
+        if stale.size:
+            first = int(stale[0])
+            raise RuntimeError(
+                f"double invalidate of page {int(pages[first])} in block "
+                f"{self.blocks[int(gids[first])].block_id}"
+            )
+        self.page_lpns[gids, pages] = NO_LPN
+        for gid, n in self._pages_per_block(gids):
+            self.valid_count[gid] -= n
+
+    def _pages_per_block(self, gids: np.ndarray) -> Iterator[Tuple[int, int]]:
+        """``(gid, occurrences)`` as Python ints, for the list columns."""
+        counts = np.bincount(gids, minlength=self.n_blocks)
+        hit = np.flatnonzero(counts)
+        return zip(hit.tolist(), counts[hit].tolist())
 
     def column_nbytes(self) -> int:
         """Size of the numpy-backed columns (page→LPN matrix + erase

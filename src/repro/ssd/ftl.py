@@ -30,6 +30,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
+import numpy as np
+
 from repro.config import SSDConfig
 from repro.profiling import PROFILER
 from repro.ssd.geometry import BlockState, FlashBlock, PagePointer
@@ -199,20 +201,33 @@ class WriteRegion:
         chips.  Returns None when the channel is exhausted.
         """
         open_queue = self._open.get(channel_id)
-        if open_queue is None:
-            open_queue = self._open[channel_id] = deque()
         # Steady-state fast path (one hit per programmed page): a full
         # rotation of open frontiers with a non-FULL head needs no
         # drop/refill bookkeeping — identical to falling through below.
-        elif (
+        if not (
             open_queue
             and open_queue[0].state is not BlockState.FULL
             and len(open_queue) >= self.max_open_per_channel
         ):
-            block = open_queue[0]
-            open_queue.rotate(-1)
-            return block
-        # Drop filled frontiers.
+            open_queue = self.refresh_frontier(channel_id, writer)
+            if not open_queue:
+                self.version += 1  # channel exhausted: striping order changed
+                return None
+        block = open_queue[0]
+        open_queue.rotate(-1)
+        return block
+
+    def refresh_frontier(self, channel_id: int, writer: int) -> deque:
+        """Drop filled frontier heads on ``channel_id``, open free blocks
+        up to ``max_open_per_channel``, and return the open queue.
+
+        The non-rotating half of :meth:`frontier_block`.  Idempotent, and
+        it touches only this channel's two queues, so a caller that knows
+        the channel's next program is imminent may run it ahead of time.
+        """
+        open_queue = self._open.get(channel_id)
+        if open_queue is None:
+            open_queue = self._open[channel_id] = deque()
         while open_queue and open_queue[0].state is BlockState.FULL:
             open_queue.popleft()
         free_queue = self._free.get(channel_id)
@@ -225,12 +240,7 @@ class WriteRegion:
             self._free_pages -= block.pages_per_block
             block.writer = writer
             open_queue.append(block)
-        if not open_queue:
-            self.version += 1  # channel exhausted: striping order changed
-            return None
-        block = open_queue[0]
-        open_queue.rotate(-1)
-        return block
+        return open_queue
 
     def frontier_blocks(self) -> set:
         """Identity set of currently open blocks (GC must skip them)."""
@@ -945,119 +955,132 @@ class VssdFtl:
         Used to warm a vSSD before an experiment (the paper warms each
         vSSD until at least 50% of its free blocks are consumed so GC is
         exercised during measurement).  Mapping and block state change;
-        channel timing and host-write statistics do not.
+        channel timing and host-write statistics do not, no randomness is
+        drawn and no event is scheduled.  Returns the pages programmed.
+
+        Placement is the per-page rule of ``write_page``, applied an
+        *epoch* at a time.  Nothing here moves the clock or a bus
+        horizon, so the eligible ``(region, channel)`` slots and the order
+        ``_write_rr`` visits them in are fixed, and a slot's open queue
+        rotates one block per page: with ``width`` slots and ``depth``
+        open blocks each, page ``i`` of an epoch lands on slot ``i % width``,
+        on block ``turn % depth`` of its queue (``turn = i // width``), at
+        that block's write pointer plus ``turn // depth``.  An epoch ends where
+        that stops holding — a filled block reaches a queue head, a
+        channel runs out of blocks, an LPN repeats (its earlier copy must
+        be invalidated first) or the input ends.  The round-robin scan
+        skips ineligible slots, so one pass over the eligible ones moves
+        ``_write_rr`` by ``len(slots)``; with none eligible every page
+        takes the least-busy slot and moves it by one.
+
+        An epoch costs one scatter into ``page_lpns``, one gather/scatter
+        invalidating the previous copies and one update per touched
+        block.  Frontier upkeep is :meth:`WriteRegion.refresh_frontier`
+        on exactly the slots the epoch writes; a slot that comes back
+        empty is left to ``_allocate_and_program``, which owns channel
+        exhaustion, urgent GC and :class:`OutOfSpaceError`.  The L2P
+        lists are mirrored in numpy between such pages and written back
+        through a table of the block views' own ``gid`` ints: every entry
+        of a block shares one int object, as the per-page path stored it,
+        not a fresh one per LPN for each snapshot copy to keep alive.
+        The per-page loop this replaced is ``tests/ssd/warm_fill_oracle.py``.
         """
+        todo = np.asarray(
+            lpns if isinstance(lpns, np.ndarray) else list(lpns), dtype=np.int64
+        )
+        total = len(todo)
+        if total and todo.min() < 0:
+            raise ValueError(f"vSSD {self.vssd_id}: negative LPN in warm fill")
         store = self._store
-        arrays = self._arrays
-        state_col = store.state
         wp_col = store.write_ptr
-        vc_col = store.valid_count
-        lpns2d = store.page_lpns
-        bus_busy = arrays.bus_busy
-        offline = arrays.offline
-        full_state = BlockState.FULL
-        open_state = BlockState.OPEN
+        bus_busy = self._arrays.bus_busy
+        offline = self._arrays.offline
         ppb = self.config.pages_per_block
         now = self.ssd.sim.now
         bound = self._qd_bound_us
-        own_region = self.own_region
-        harvest_regions = self.harvest_regions
-        vssd = self.vssd_id
         l2p_gid = self._l2p_gid
         l2p_page = self._l2p_page
+        # Indexed by gid; -1 (unmapped) wraps round to the trailing -1.
+        gid_ints = np.array([b.gid for b in store.blocks] + [-1], dtype=object)
+        # ``m_*[:length]`` mirror the L2P lists; past it, unmapped.
+        m_gid = np.full(max(len(l2p_gid), int(todo.max(initial=-1)) + 1), -1, dtype=np.int64)
+        m_page = np.zeros(len(m_gid), dtype=np.int64)
         count = 0
-        for lpn in lpns:
-            # Same fused pick+program sequence as ``write_span`` (which
-            # see), minus channel timing, host statistics, and GC checks —
-            # warming changes mapping and block state only.
-            if lpn >= len(l2p_gid):
-                grow = lpn + 1 - len(l2p_gid)
-                l2p_gid.extend([-1] * grow)
-                l2p_page.extend([0] * grow)
-            old_gid = l2p_gid[lpn]
-            old_page = l2p_page[lpn]
-            rv = own_region.version
-            for hregion in harvest_regions:
-                rv += hregion.version + (1000003 if hregion.reclaiming else 0)
-            if self._slots_version != rv:
-                self._rebuild_slots()
-            slots = self._slots
-            block = None
-            if slots:
-                n = len(slots)
-                start = self._write_rr
-                idx = start % n
-                choice = None
-                for k in range(n):
-                    region, channel_id = slots[idx]
-                    idx += 1
-                    if idx == n:
-                        idx = 0
-                    if (
-                        not offline[channel_id]
-                        and bus_busy[channel_id] - now < bound
-                    ):
-                        choice = (region, channel_id, k)
-                        break
-                if choice is None:
-                    best = slots[0]
-                    best_key = bus_busy[best[1]] - now
-                    if best_key < 0.0:
-                        best_key = 0.0
-                    for slot in slots:
-                        horizon = bus_busy[slot[1]] - now
-                        if horizon < 0.0:
-                            horizon = 0.0
-                        if horizon < best_key:
-                            best, best_key = slot, horizon
-                    region, channel_id = best
-                    self._write_rr = start + 1
-                else:
-                    region, channel_id, k = choice
-                    self._write_rr = start + k + 1
-                open_queue = region._open.get(channel_id)
-                if (
-                    open_queue
-                    and len(open_queue) >= region.max_open_per_channel
-                ):
-                    head = open_queue[0]
-                    if state_col[head.gid] is not full_state:
-                        open_queue.rotate(-1)
-                        block = head
-                if block is None:
-                    block = region.frontier_block(channel_id, vssd)
-            if block is None:
-                block = self._pick_frontier()
-                if block is None:
-                    if not self._in_gc:
-                        self._urgent_gc()
-                        block = self._pick_frontier()
-                    if block is None:
-                        raise OutOfSpaceError(
-                            f"vSSD {self.vssd_id}: no programmable block available"
+        while count < total:
+            length = len(l2p_gid)
+            m_gid[:length] = l2p_gid
+            m_page[:length] = l2p_page
+            try:
+                while count < total:
+                    if self._slots_version != self._regions_version():
+                        self._rebuild_slots()
+                    slots = self._slots
+                    n = len(slots)
+                    start = self._write_rr
+                    ring = [slots[(start + k) % n] for k in range(n)]
+                    offsets = [
+                        k for k, (_, channel_id) in enumerate(ring)
+                        if not offline[channel_id] and bus_busy[channel_id] - now < bound
+                    ]
+                    visit = [ring[k] for k in offsets]
+                    stride = n
+                    if slots and not visit:
+                        visit = [min(slots, key=lambda s: max(0.0, bus_busy[s[1]] - now))]
+                        offsets, stride = [0], 1
+                    width = len(visit)
+                    # Slot v takes min_j(free pages of queue[j] * depth + j)
+                    # pages before a filled block reaches its head.
+                    take = total - count if visit else 0
+                    rows = []
+                    for v, (region, channel_id) in enumerate(visit[:take]):
+                        queue = region.refresh_frontier(channel_id, self.vssd_id)
+                        row = [b.gid for b in queue]
+                        room = min(
+                            ((ppb - wp_col[gid]) * len(row) + j for j, gid in enumerate(row)),
+                            default=0,
                         )
-            gid = block.gid
-            page = wp_col[gid]
-            if page >= ppb:
-                raise RuntimeError(f"block {block.block_id} is full")
-            lpns2d[gid, page] = lpn
-            vc_col[gid] += 1
-            nxt = page + 1
-            wp_col[gid] = nxt
-            state_col[gid] = full_state if nxt == ppb else open_state
-            l2p_gid[lpn] = gid
-            l2p_page[lpn] = page
-            if old_gid >= 0:
-                if lpns2d[old_gid, old_page] == -1:
-                    raise RuntimeError(
-                        f"double invalidate of page {old_page} in block "
-                        f"{store.blocks[old_gid].block_id}"
-                    )
-                lpns2d[old_gid, old_page] = -1
-                vc_col[old_gid] -= 1
-            else:
-                self._mapped += 1
-            count += 1
+                        take = min(take, room * width + v)
+                        if take <= v:
+                            break
+                        rows.append(row)
+                    if take <= 0:
+                        break  # no slot, or the next one is exhausted
+                    chunk = todo[count:count + take]
+                    order = chunk.argsort(kind="stable")
+                    ranked = chunk[order]
+                    repeats = order[1:][ranked[1:] == ranked[:-1]]
+                    if repeats.size:
+                        take = int(repeats.min())
+                        chunk = chunk[:take]
+                    del rows[take:]
+                    depths = np.array([len(row) for row in rows])
+                    gids = np.array([gid for row in rows for gid in row])
+                    turn, slot = np.divmod(np.arange(take), width)
+                    lap, pick = np.divmod(turn, depths[slot])
+                    pick += (np.cumsum(depths) - depths)[slot]
+                    dest_gid = gids[pick]
+                    dest_page = np.array([wp_col[gid] for gid in gids.tolist()])[pick] + lap
+                    old_gid = m_gid[chunk]
+                    had = old_gid >= 0
+                    store.invalidate_pages(old_gid[had], m_page[chunk][had])
+                    store.program_pages(dest_gid, dest_page, chunk)
+                    m_gid[chunk] = dest_gid
+                    m_page[chunk] = dest_page
+                    length = max(length, int(chunk.max()) + 1)
+                    self._mapped += take - int(had.sum())
+                    for v, (region, channel_id) in enumerate(visit[:len(rows)]):
+                        region._open[channel_id].rotate(-((take - v + width - 1) // width))
+                    last = take - 1
+                    self._write_rr = start + last // width * stride + offsets[last % width] + 1
+                    count += take
+            finally:
+                l2p_gid[:] = gid_ints[m_gid[:length]].tolist()
+                l2p_page[:] = m_page[:length].tolist()
+            if count < total:
+                # One page down the per-page path, which may GC (and so
+                # rewrite any L2P entry) or raise for want of space.
+                self._allocate_and_program(int(todo[count]))
+                count += 1
         return count
 
     def trim_all(self) -> int:

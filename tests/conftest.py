@@ -9,6 +9,15 @@ from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
 from repro.ssd.hbt import HarvestedBlockTable
 
+try:  # the CI smoke jobs install pytest without hypothesis
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # ``--hypothesis-profile ci``: the same 300 examples on every run, so
+    # a divergence in a differential suite names one reproducible case.
+    settings.register_profile("ci", max_examples=300, deadline=None, derandomize=True)
+
 
 @pytest.fixture
 def small_config() -> SSDConfig:

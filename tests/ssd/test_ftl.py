@@ -7,6 +7,7 @@ from repro.config import SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
 from repro.ssd.ftl import OutOfSpaceError, WriteRegion
+from tests.test_hotpath_equivalence import _ftl_state
 
 
 def test_write_then_read_same_page(ftl):
@@ -57,6 +58,17 @@ def test_warm_fill_consumes_no_time(ftl, sim):
     assert sim.now == 0.0
     assert ftl.mapped_pages() == 64
     assert ftl.stats.host_writes == 0
+
+
+def test_warm_fill_rejects_negative_lpn_before_touching_state(ftl):
+    """``l2p[-1]`` is the *last* LPN's mapping: a negative LPN used to
+    invalidate that page and store NO_LPN (-1) as live data."""
+    ftl.warm_fill(range(6))
+    before = _ftl_state(ftl)
+    with pytest.raises(ValueError, match="negative LPN"):
+        ftl.warm_fill([5, -1])
+    assert _ftl_state(ftl) == before
+    assert ftl.page_location(5).block.page_lpns[ftl.page_location(5).page] == 5
 
 
 def test_free_pages_decrease_with_writes(ftl, small_config):

@@ -203,7 +203,7 @@ def test_zipf_sample_matches_generator_choice():
 # A randomized mixed workload (overwrites, unmapped reads, trims, enough
 # churn to trigger GC) must leave twin devices in bit-identical state.
 
-def _twin_ftls():
+def _twin_ftls(**config_overrides):
     from repro.config import SSDConfig
     from repro.ssd import Ssd, VssdFtl
     from repro.ssd.hbt import HarvestedBlockTable
@@ -214,6 +214,7 @@ def _twin_ftls():
         blocks_per_chip=8,
         pages_per_block=16,
         min_superblock_blocks=2,
+        **config_overrides,
     )
     twins = []
     for _ in range(2):
@@ -239,7 +240,7 @@ def _ref_span(ftl, op, lpn, num_pages, front):
 
 
 def _ftl_state(ftl):
-    """Every piece of mutable state the span paths touch, bit-exact."""
+    """Every piece of mutable state the span and warm paths touch, bit-exact."""
     store = ftl._store
     arrays = ftl._arrays
     stats = ftl.stats
@@ -256,6 +257,9 @@ def _ftl_state(ftl):
         "valid_count": list(store.valid_count),
         "bus_busy": _bits(arrays.bus_busy),
         "chip_busy": _bits(arrays.chip_busy),
+        # Region snapshots: free/open deque orders, _free_pages, version.
+        "own_region": ftl.own_region.snapshot(),
+        "harvest_regions": [region.snapshot() for region in ftl.harvest_regions],
         "mapped": ftl._mapped,
         "write_rr": ftl._write_rr,
         "unmapped_rr": ftl._unmapped_rr,
