@@ -41,7 +41,11 @@ in bulk instead.  ``VssdFtl.warm_fill`` places a whole striping epoch
 are crossed once per block, not once per page.  The snapshot codec
 (:mod:`repro.harness.snapshots`) converts whole list columns to arrays
 and back with ``np.array`` / ``ndarray.tolist``.  Per-request paths
-(``write_span``, ``read_span``, GC) stay per-element on the lists.
+(``write_span``, ``read_span``) and GC copy-back (``VssdFtl._relocate``,
+a few to a few dozen pages per victim, each choosing its destination
+from the horizons the previous one moved) stay per-element on the lists;
+GC crosses in bulk only to read a victim's row
+(``FlashBlock.valid_lpns``: one ``flatnonzero`` + ``tolist``).
 
 ``FlashBlock`` (:mod:`repro.ssd.geometry`) remains the object API —
 tests, the gSB pool, and the ZNS adapter keep their block handles — but

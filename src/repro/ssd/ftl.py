@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
@@ -158,7 +159,7 @@ class WriteRegion:
         """Channels that can currently accept a program."""
         return [ch for ch in sorted(self._channels) if self.can_write(ch)]
 
-    def free_pages(self, pages_per_block: Optional[int] = None) -> int:
+    def free_pages(self) -> int:
         """Free (unprogrammed) pages in the region, including open space."""
         open_space = sum(
             block.free_pages for queue in self._open.values() for block in queue
@@ -248,26 +249,6 @@ class WriteRegion:
             id(block) for queue in self._open.values() for block in queue
         }
 
-    def frontier_gids(self) -> set:
-        """Gid set of currently open blocks, for column-scan GC paths."""
-        return {
-            block.gid for queue in self._open.values() for block in queue
-        }
-
-    def frontier_gids_into(self, out: set) -> set:
-        """Refill ``out`` with the open-block gids and return it.
-
-        Scratch-set variant of :meth:`frontier_gids` for per-collection
-        GC paths: the caller owns ``out`` and must be done with the
-        previous fill (the frontier is *not* cacheable across calls —
-        ``frontier_block`` pops free->open without bumping ``version``).
-        """
-        out.clear()
-        for queue in self._open.values():
-            for block in queue:
-                out.add(block.gid)
-        return out
-
     def release_erased(self, block: FlashBlock) -> None:
         """Route a freshly erased block per region policy."""
         self._discard_open(block)
@@ -278,12 +259,14 @@ class WriteRegion:
             self.on_block_released(block)
 
     def _discard_open(self, block: FlashBlock) -> None:
+        # Identity scan, not ``deque.remove``: threshold-GC victims are
+        # never open, and a miss there formats the block into a ValueError.
         queue = self._open.get(block.channel_id)
         if queue:
-            try:
-                queue.remove(block)
-            except ValueError:
-                pass
+            for position, candidate in enumerate(queue):
+                if candidate is block:
+                    del queue[position]
+                    return
 
     def drain_free_blocks(self) -> list:
         """Remove and return every FREE block (used by gSB reclaim).
@@ -429,10 +412,6 @@ class VssdFtl:
         # Queue-depth busy-horizon bound, hoisted off the per-page frontier
         # scan (the SSD config is fixed for the device's lifetime).
         self._qd_bound_us = self.config.max_queue_depth * self.config.bus_transfer_us
-        # GC scratch containers, refilled per collection so the GC paths
-        # allocate nothing per call (victim gids + frontier snapshot).
-        self._gc_victims: list = []
-        self._frontier_scratch: set = set()
 
     # ------------------------------------------------------------------
     # Block population
@@ -648,9 +627,11 @@ class VssdFtl:
         steady-state step inlined against the structure-of-arrays columns
         so the common case touches no method calls and no per-page
         objects.  Uncommon steps (frontier refill, channel exhaustion,
-        urgent GC) fall back to the original methods mid-span.  The
-        byte-identical telemetry gate and the differential test in
-        ``tests/test_hotpath_equivalence.py`` hold the two paths together.
+        urgent GC) fall back to the original methods mid-span; GC itself
+        is the one column routine (:meth:`_relocate`) whichever path
+        triggers it.  The byte-identical telemetry gate and the
+        differential test in ``tests/test_hotpath_equivalence.py`` hold
+        the two host-write paths together.
         """
         store = self._store
         arrays = self._arrays
@@ -691,11 +672,6 @@ class VssdFtl:
         host_writes = 0
         try:
             for cur in range(lpn, end):
-                # Prior mapping is read *before* frontier picking (urgent
-                # GC during picking may touch the L2P), matching
-                # ``_allocate_and_program``.
-                old_gid = l2p_gid[cur]
-                old_page = l2p_page[cur]
                 # -- _pick_frontier, inlined ---------------------------
                 rv = own_region.version
                 for hregion in harvest_regions:
@@ -749,21 +725,15 @@ class VssdFtl:
                     if block is None:
                         block = region.frontier_block(channel_id, vssd)
                 if block is None:
-                    # Channel exhausted or no slots: retry through the
-                    # full picking loop, then urgent GC, exactly as the
-                    # per-page object path does.
-                    block = self._pick_frontier()
-                    if block is None:
-                        if not self._in_gc:
-                            self._urgent_gc()
-                            block = self._pick_frontier()
-                        if block is None:
-                            raise OutOfSpaceError(
-                                f"vSSD {self.vssd_id}: no programmable block available"
-                            )
+                    # Channel exhausted or no slots: the full picking
+                    # loop, then urgent GC, as the per-page path does.
+                    block = self._frontier_or_urgent_gc()
                 gid = block.gid
                 channel_id = block.channel_id
                 chip_id = block.chip_id
+                # Read with the frontier in hand: urgent GC may move ``cur``.
+                old_gid = l2p_gid[cur]
+                old_page = l2p_page[cur]
                 # -- FlashBlock.program, inlined -----------------------
                 page = wp_col[gid]
                 if page >= ppb:
@@ -1115,29 +1085,17 @@ class VssdFtl:
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
-    def _allocate_and_program(
-        self,
-        lpn: int,
-        for_gc: bool = False,
-        target_region: Optional[WriteRegion] = None,
-    ) -> tuple:
+    def _allocate_and_program(self, lpn: int) -> tuple:
         """Place ``lpn`` on a frontier block; returns ``(block, page)``."""
         l2p_gid = self._l2p_gid
         if lpn >= len(l2p_gid):
             grow = lpn + 1 - len(l2p_gid)
             l2p_gid.extend([-1] * grow)
             self._l2p_page.extend([0] * grow)
+        block = self._frontier_or_urgent_gc()
+        # Read with the frontier in hand: urgent GC may move ``lpn``.
         old_gid = l2p_gid[lpn]
         old_page = self._l2p_page[lpn]
-        block = self._pick_frontier(for_gc=for_gc, target_region=target_region)
-        if block is None:
-            if not for_gc and not self._in_gc:
-                self._urgent_gc()
-                block = self._pick_frontier(for_gc=for_gc)
-            if block is None:
-                raise OutOfSpaceError(
-                    f"vSSD {self.vssd_id}: no programmable block available"
-                )
         page = block.program(lpn)
         l2p_gid[lpn] = block.gid
         self._l2p_page[lpn] = page
@@ -1146,6 +1104,16 @@ class VssdFtl:
         else:
             self._mapped += 1
         return block, page
+
+    def _frontier_or_urgent_gc(self) -> FlashBlock:
+        """The next frontier block, after urgent GC if need be, or raise."""
+        block = self._pick_frontier()
+        if block is None and not self._in_gc:
+            self._urgent_gc()
+            block = self._pick_frontier()
+        if block is None:
+            raise OutOfSpaceError(f"vSSD {self.vssd_id}: no programmable block available")
+        return block
 
     def _regions_version(self) -> int:
         version = self.own_region.version
@@ -1164,36 +1132,9 @@ class VssdFtl:
         self._slots = slots
         self._slots_version = self._regions_version()
 
-    def _pick_frontier(
-        self,
-        for_gc: bool = False,
-        target_region: Optional[WriteRegion] = None,
-    ) -> Optional[FlashBlock]:
-        """Round-robin over writable (region, channel) pairs.
-
-        GC copy-back writes only target the own region (Figure 9: valid
-        data of harvested blocks is written to the harvest vSSD's blocks)
-        unless ``target_region`` pins them — capacity-region compaction
-        stays inside its region.
-        """
-        if target_region is not None:
-            for channel_id in target_region.writable_channels():
-                block = target_region.frontier_block(channel_id, self.vssd_id)
-                if block is not None:
-                    return block
-            return None
-        if for_gc:
-            # Copy-back writes spread across the least-busy own channels
-            # so a GC batch does not bury one channel in backlog.
-            channels = sorted(
-                self.own_region.writable_channels(),
-                key=lambda ch: self.ssd.channels[ch].busy_horizon_us(),
-            )
-            for channel_id in channels:
-                block = self.own_region.frontier_block(channel_id, self.vssd_id)
-                if block is not None:
-                    return block
-            return None
+    def _pick_frontier(self) -> Optional[FlashBlock]:
+        """Round-robin over writable (region, channel) pairs, for host
+        writes (GC copy-back picks its own destinations, :meth:`_relocate`)."""
         # Each miss bumps the region version (the channel exhausted), so
         # the rebuild-and-retry loop strictly shrinks the slot list and
         # terminates; the guard bounds pathological cases.
@@ -1214,12 +1155,9 @@ class VssdFtl:
             n = len(slots)
             start = self._write_rr
             choice = None
-            # Inlined Channel.has_capacity(): this scan runs per written
-            # page over up to num_channels slots, and two method calls
-            # per slot dominated the write path (measured ~15% of the
-            # event loop before inlining).  max(0, busy - now) < bound
-            # reduces to busy - now < bound because bound > 0.  The scan
-            # reads the flat channel arrays, not channel objects.
+            # Channel.has_capacity() against the flat channel arrays:
+            # max(0, busy - now) < bound reduces to busy - now < bound
+            # because bound > 0.
             arrays = self._arrays
             bus_busy = arrays.bus_busy
             offline = arrays.offline
@@ -1325,41 +1263,25 @@ class VssdFtl:
             # writer, and HBT filters as in _harvest_region_blocks (which
             # see for why membership must come from the region).
             store = self._store
-            state_col = store.state
-            writer_col = store.writer
-            harvested_col = store.harvested
             vc_col = store.valid_count
             views = store.blocks
-            member_ids = region._member_ids
-            frontier_gids = region.frontier_gids_into(self._frontier_scratch)
             in_region = region.purpose == "capacity"
-            vssd = self.vssd_id
-            full = BlockState.FULL
-            ppb = store.pages_per_block
-            bpc = self._blocks_per_channel
-            base = channel_id * bpc
-            # Victims are collected as gids into a per-FTL scratch list
-            # (cleared per call); the sort key and the batch slice both
-            # stay allocation-free.  Stable sort over gid-ordered appends
-            # matches the old block-view sort exactly.
-            victims = self._gc_victims
-            victims.clear()
-            for gid in range(base, base + bpc):
-                if (
-                    writer_col[gid] == vssd
-                    and harvested_col[gid]
-                    and state_col[gid] is full
-                    and gid not in frontier_gids
-                    and not (in_region and vc_col[gid] >= ppb)
-                    and id(views[gid]) in member_ids
-                ):
-                    victims.append(gid)
-            victims.sort(key=vc_col.__getitem__)
-            for idx in range(min(len(victims), self.GC_BATCH_BLOCKS)):
+            frontier = {block.gid for block in region._open.get(channel_id, ())}
+            base = channel_id * self._blocks_per_channel
+            victims = [
+                gid
+                for gid in range(base, base + self._blocks_per_channel)
+                if store.writer[gid] == self.vssd_id
+                and store.harvested[gid]
+                and store.state[gid] is BlockState.FULL
+                and gid not in frontier
+                and not (in_region and vc_col[gid] >= store.pages_per_block)
+                and region.contains(views[gid])
+            ]
+            victims.sort(key=vc_col.__getitem__)  # stable: ties keep gid order
+            for gid in victims[: self.GC_BATCH_BLOCKS]:
                 erased += self._collect_block(
-                    views[victims[idx]],
-                    region,
-                    target_region=region if in_region else None,
+                    views[gid], region, region if in_region else None
                 )
             if erased:
                 self.stats.gc_runs += 1
@@ -1373,44 +1295,38 @@ class VssdFtl:
         """Best own-pool victim: HBT-flagged first, then fewest valid.
 
         Column scan over the channel's contiguous gid slice (blocks are
-        gid-dense per channel); runs once per collected block, and the
-        per-block property chain it replaces was the bulk of ``ftl.gc``.
-        The ``(hbt, valid)`` tuple key is packed into one int —
-        harvested keys occupy ``[0, ppb]``, regular keys
-        ``[ppb + 1, 2 * ppb + 1]`` — preserving the exact tuple order.
+        gid-dense per channel), once per collected block.  The
+        ``(hbt, valid)`` tuple key is packed into one int — harvested
+        keys occupy ``[0, ppb]``, regular keys ``[ppb + 1, 2 * ppb + 1]``
+        — preserving the exact tuple order; the first gid with the least
+        key wins.  Blocks are ranked before they are vetted (owner,
+        writer, not an open frontier): most lose on the key alone.
         """
         store = self._store
-        state_col = store.state
-        owner_col = store.owner
-        writer_col = store.writer
         harvested_col = store.harvested
-        vc_col = store.valid_count
-        frontier_gids = self.own_region.frontier_gids_into(self._frontier_scratch)
         vssd = self.vssd_id
-        full = BlockState.FULL
+        full = BlockState.FULL  # an enum member lookup costs ~10 list reads
         ppb = store.pages_per_block
-        bpc = self._blocks_per_channel
-        base = channel_id * bpc
+        base = channel_id * self._blocks_per_channel
+        end = base + self._blocks_per_channel
+        frontier = {block.gid for block in self.own_region._open.get(channel_id, ())}
         best = -1
         best_key = 2 * ppb + 2  # above any packed key: first hit wins
-        for gid in range(base, base + bpc):
-            if state_col[gid] is not full:
+        for gid, state, valid in zip(
+            range(base, end), store.state[base:end], store.valid_count[base:end]
+        ):
+            if state is not full:
                 continue
-            if owner_col[gid] != vssd:
-                continue
-            writer = writer_col[gid]
-            if writer is not None and writer != vssd:
-                continue
-            if gid in frontier_gids:
-                continue
-            valid = vc_col[gid]
             if harvested_col[gid]:
                 key = valid
-            else:
-                if valid >= ppb:
-                    continue
+            elif valid < ppb:
                 key = ppb + 1 + valid
-            if key < best_key:
+            else:
+                continue
+            if key >= best_key or gid in frontier or store.owner[gid] != vssd:
+                continue
+            writer = store.writer[gid]
+            if writer is None or writer == vssd:
                 best, best_key = gid, key
         return store.blocks[best] if best >= 0 else None
 
@@ -1463,25 +1379,20 @@ class VssdFtl:
         region: Optional[WriteRegion],
         target_region: Optional[WriteRegion] = None,
     ) -> int:
-        """Migrate valid pages out of ``victim``, erase it, route it."""
+        """Migrate valid pages out of ``victim``, erase it, route it.
+
+        Valid data goes to this vSSD's own blocks (Figure 9) unless
+        ``target_region`` pins it — capacity-region compaction stays
+        inside its region.
+        """
         valid = victim.valid_lpns()
-        if target_region is not None and valid:
+        if target_region is not None and target_region.free_pages() < len(valid):
             # In-region compaction needs somewhere inside the region to
             # put the data; bail out rather than deadlock.
-            if target_region.free_pages() < len(valid):
-                return 0
+            return 0
+        if valid:
+            self._relocate(valid, target_region)
         channel = self.ssd.channels[victim.channel_id]
-        for _page, lpn in valid:
-            dest_block, _dest_page = self._allocate_and_program(
-                lpn, for_gc=True, target_region=target_region
-            )
-            # Copy-back programs consume destination channel time just
-            # like host writes; this is the GC interference the RL state's
-            # In_GC flag lets agents react to.
-            dest = self.ssd.channels[dest_block.channel_id]
-            dest.service_write(dest_block.chip_id, background=True)
-            self.stats.gc_reads += 1
-            self.stats.gc_writes += 1
         channel.occupy_for_gc(victim.chip_id, migrate_reads=len(valid), erases=1)
         was_harvested = victim.harvested_flag
         victim.erase()
@@ -1498,3 +1409,92 @@ class VssdFtl:
             self.own_region._discard_open(victim)
             self.own_region.add_block(victim)
         return 1
+
+    def _relocate(self, valid: list, target_region: Optional[WriteRegion]) -> None:
+        """Copy a victim's ``(page, lpn)`` pairs back in one fused pass.
+
+        Per page: pick a destination, program it, remap the LPN,
+        invalidate the old copy and charge the destination channel a
+        background program — copy-back costs channel time like a host
+        write, the interference the RL state's In_GC flag reports.
+        ``FlashBlock.program`` / ``invalidate`` and ``Channel.service_write``
+        are inlined against the columns as in :meth:`write_span`.
+
+        Each page goes to the own channel that can still write with the
+        least bus work queued, ``max(0, bus_busy - now)``, ties to the
+        lowest id; a copy-back pushes its channel out by one GC transfer,
+        so a batch spreads over the channels.  A ``target_region`` pins
+        pages to its first writable channel in id order instead.  Nothing
+        here moves the clock or adds blocks to a region, so one heap of
+        ``(horizon, channel)`` per victim holds the candidates, and a
+        channel whose frontier comes back empty leaves it.
+        """
+        store = self._store
+        wp_col = store.write_ptr
+        vc_col = store.valid_count
+        lpns2d = store.page_lpns
+        arrays = self._arrays
+        bus_busy = arrays.bus_busy
+        chip_busy = arrays.chip_busy
+        l2p_gid = self._l2p_gid
+        l2p_page = self._l2p_page
+        ppb = store.pages_per_block
+        full_state, open_state = BlockState.FULL, BlockState.OPEN
+        now = self.ssd.sim.now
+        own = target_region is None
+        dest = self.own_region if target_region is None else target_region
+        heap = [
+            (max(0.0, bus_busy[channel_id] - now) if own else 0.0, channel_id)
+            for channel_id in dest.writable_channels()
+        ]
+        heapify(heap)
+        for _page, lpn in valid:
+            while heap:
+                channel_id = heap[0][1]
+                block = dest.frontier_block(channel_id, self.vssd_id)
+                if block is not None:
+                    break
+                heappop(heap)
+            else:
+                raise OutOfSpaceError(f"vSSD {self.vssd_id}: no programmable block available")
+            gid = block.gid
+            old_gid = l2p_gid[lpn]
+            old_page = l2p_page[lpn]
+            # -- FlashBlock.program, inlined ---------------------------
+            page = wp_col[gid]
+            if page >= ppb:
+                raise RuntimeError(f"block {block.block_id} is full")
+            lpns2d[gid, page] = lpn
+            vc_col[gid] += 1
+            wp_col[gid] = page + 1
+            store.state[gid] = full_state if page + 1 == ppb else open_state
+            l2p_gid[lpn] = gid
+            l2p_page[lpn] = page
+            if old_gid >= 0:
+                # -- FlashBlock.invalidate, inlined --------------------
+                if lpns2d[old_gid, old_page] == -1:
+                    raise RuntimeError(
+                        f"double invalidate of page {old_page} in block "
+                        f"{store.blocks[old_gid].block_id}"
+                    )
+                lpns2d[old_gid, old_page] = -1
+                vc_col[old_gid] -= 1
+            else:
+                self._mapped += 1
+            # -- Channel.service_write(background=True), inlined -------
+            xfer = arrays.eff_gc_xfer_us[channel_id]
+            b = bus_busy[channel_id]
+            xfer_done = (now if now > b else b) + xfer
+            bus_busy[channel_id] = xfer_done
+            ci = channel_id * arrays.chips_per_channel + block.chip_id
+            write_us = arrays.eff_write_us[channel_id]
+            extra = arrays.extra_latency_us[channel_id]
+            ps = chip_busy[ci]
+            chip_busy[ci] = (xfer_done if xfer_done > ps else ps) + write_us + extra
+            chan_stats = self._chan_stats[channel_id]
+            chan_stats.pages_written += 1
+            chan_stats.busy_us += write_us + xfer + extra
+            self.stats.gc_reads += 1
+            self.stats.gc_writes += 1
+            if own:
+                heapreplace(heap, (max(0.0, xfer_done - now), channel_id))

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.ssd.blockstate import NO_LPN, BlockState, BlockStore
 
 __all__ = ["BlockState", "PagePointer", "FlashBlock"]
@@ -216,13 +218,9 @@ class FlashBlock:
     def valid_lpns(self) -> List[Tuple[int, int]]:
         """Pairs of (page index, lpn) for all still-valid pages."""
         store = self.store
-        gid = self.gid
-        row = store.page_lpns[gid]
-        return [
-            (page, int(row[page]))
-            for page in range(store.write_ptr[gid])
-            if row[page] != NO_LPN
-        ]
+        row = store.page_lpns[self.gid, : store.write_ptr[self.gid]]
+        pages = np.flatnonzero(row != NO_LPN)
+        return list(zip(pages.tolist(), row[pages].tolist()))
 
     def erase(self) -> None:
         """Erase the block, returning it to FREE with no owner of data."""

@@ -311,6 +311,27 @@ class TestWriteRegion:
         region.release_erased(block)
         assert returned == [block]
 
+    def test_discard_open_present_absent_and_empty_queue(self, ssd, monkeypatch):
+        region = WriteRegion("r", max_open_per_channel=2)
+        region.add_blocks(ssd.channels[0].blocks[:2])
+        outsider = ssd.channels[0].blocks[5]
+        # A miss must not cost a repr of the block (what ``deque.remove``
+        # pays to build its ValueError): GC discards per erased block.
+        monkeypatch.setattr(
+            type(outsider), "__repr__", lambda self: pytest.fail("formatted a block")
+        )
+        region._discard_open(outsider)  # no open queue on the channel yet
+        first = region.frontier_block(0, writer=1)
+        second = region.frontier_block(0, writer=1)
+        assert list(region._open[0]) == [first, second]
+        region._discard_open(outsider)  # absent
+        assert list(region._open[0]) == [first, second]
+        region._discard_open(second)  # present, and not at the head
+        assert list(region._open[0]) == [first]
+        region._discard_open(first)
+        region._discard_open(first)  # queue now empty
+        assert not region._open[0]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             WriteRegion("r", kind="weird")

@@ -146,3 +146,35 @@ def test_urgent_gc_recovers_space(gc_setup):
     for i in range(int(total_pages * 1.5)):
         ftl.write_page(i % ws)
     assert ftl.mapped_pages() == ws
+
+
+@pytest.mark.parametrize("path", ["write_page", "write_span"])
+def test_overwriting_an_lpn_that_urgent_gc_relocates(path):
+    """The prior mapping is read with the frontier in hand, not before.
+
+    Five 4-page blocks, all full: one all-invalid, one holding LPNs 6 and
+    7 beside two stale pages.  Overwriting LPN 6 finds no frontier, and
+    urgent GC erases the first block, copies 6 and 7 into it and erases
+    their old block — so a pointer to LPN 6 taken before picking names an
+    erased page ("double invalidate", or a live page lost had the block
+    been reopened).
+    """
+    config = SSDConfig(
+        num_channels=1, chips_per_channel=1, blocks_per_chip=5, pages_per_block=4
+    )
+    ssd = Ssd(config, Simulator())
+    ftl = VssdFtl(0, ssd)
+    ftl.adopt_blocks(ssd.allocate_channels(0, [0]))
+    ftl.warm_fill(list(range(12)) + [0, 1, 2, 3] + [4, 5, 12, 13])
+    assert ftl.free_pages() == 0
+    home = ftl.page_location(6).block
+    assert home.valid_lpns() == [(2, 6), (3, 7)]
+    if path == "write_page":
+        ftl.write_page(6)
+    else:
+        ftl.write_span(6, 1)
+    assert home.is_free and ftl.stats.gc_writes == 2
+    pointer = ftl.page_location(6)
+    assert pointer.block.page_lpns[pointer.page] == 6
+    assert ftl.mapped_pages() == 14
+    assert sum(block.valid_count for block in ssd.channels[0].blocks) == 14

@@ -58,6 +58,20 @@ def test_valid_lpns_lists_live_pages(block):
     assert block.valid_lpns() == [(1, 11)]
 
 
+def test_valid_lpns_skips_interleaved_invalid_pages_and_stops_at_write_ptr(block):
+    for lpn in (10, 11, 12, 13, 14, 15):
+        block.program(lpn)
+    for page in (0, 2, 3, 5):
+        block.invalidate(page)
+    live = block.valid_lpns()
+    assert live == [(1, 11), (4, 14)]
+    # Plain ints: the pairs go into list columns and f-strings.
+    assert {type(value) for pair in live for value in pair} == {int}
+    block.invalidate(1)
+    block.invalidate(4)
+    assert block.valid_lpns() == []
+
+
 def test_erase_requires_no_valid_data(block):
     block.program(5)
     with pytest.raises(RuntimeError):

@@ -67,10 +67,7 @@ def _fill_both(fast, ref, lpns):
     for fill in (fast.warm_fill, lambda pages: warm_fill_per_page(ref, pages)):
         try:
             outcomes.append(("ok", fill(list(lpns))))
-        # RuntimeError: urgent GC can relocate the very LPN being
-        # overwritten after its prior mapping was read, and the stale
-        # pointer then trips "double invalidate" — on both paths alike.
-        except (OutOfSpaceError, RuntimeError) as exc:
+        except OutOfSpaceError as exc:
             outcomes.append((type(exc).__name__, str(exc)))
     assert outcomes[0] == outcomes[1]
     assert _ftl_state(fast) == _ftl_state(ref)

@@ -44,8 +44,6 @@ def warm_fill_per_page(ftl: VssdFtl, lpns: Iterable[int]) -> int:
             grow = lpn + 1 - len(l2p_gid)
             l2p_gid.extend([-1] * grow)
             l2p_page.extend([0] * grow)
-        old_gid = l2p_gid[lpn]
-        old_page = l2p_page[lpn]
         rv = own_region.version
         for hregion in harvest_regions:
             rv += hregion.version + (1000003 if hregion.reclaiming else 0)
@@ -107,6 +105,9 @@ def warm_fill_per_page(ftl: VssdFtl, lpns: Iterable[int]) -> int:
                         f"vSSD {ftl.vssd_id}: no programmable block available"
                     )
         gid = block.gid
+        # Read with the frontier in hand: urgent GC may have moved ``lpn``.
+        old_gid = l2p_gid[lpn]
+        old_page = l2p_page[lpn]
         page = wp_col[gid]
         if page >= ppb:
             raise RuntimeError(f"block {block.block_id} is full")

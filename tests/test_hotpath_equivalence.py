@@ -202,6 +202,10 @@ def test_zipf_sample_matches_generator_choice():
 # ``write_page``/``read_page`` are the retained per-page object reference.
 # A randomized mixed workload (overwrites, unmapped reads, trims, enough
 # churn to trigger GC) must leave twin devices in bit-identical state.
+# GC itself is *shared*: both twins collect through ``VssdFtl._relocate``,
+# so this test pins when each host-write path triggers GC, not what GC
+# does — ``tests/ssd/test_gc_differential.py`` holds copy-back to its own
+# per-page oracle.
 
 def _twin_ftls(**config_overrides):
     from repro.config import SSDConfig
@@ -278,7 +282,7 @@ def _ftl_state(ftl):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_span_paths_match_per_page_object_paths(seed):
-    """Differential: SoA spans vs the per-page reference, GC included."""
+    """Differential: SoA spans vs the per-page reference, GC triggers included."""
     rng = np.random.default_rng(seed)
     (sim_fast, fast), (sim_ref, ref) = _twin_ftls()
     working_set = 96  # < owned capacity, so overwrites force GC churn
