@@ -11,11 +11,17 @@ Findings are warnings, not errors: an allocation can be the right call
 (cold sub-branch, bounded size).  Each kept site carries a
 suppress-with-reason marker, which doubles as the written-down worklist
 for structure-of-arrays round three.
+
+A root that names no function is an *error*: the walk would silently
+skip it, and the ratchet would guard less than :data:`HOT_ROOTS` says.
+Only roots whose module is part of the linted program are checked, so
+linting a sub-tree stays quiet.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import replace
 from typing import Iterator, List, Set
 
 from repro.analysis.callgraph import ProjectContext
@@ -28,10 +34,20 @@ from repro.analysis.registry import ProjectRule, register
 HOT_ROOTS = (
     "repro.sim.engine.Simulator.run_until",
     "repro.sim.engine.Simulator.schedule",
-    "repro.sim.engine.Simulator.cancel",
+    "repro.sim.engine.Event.cancel",
     "repro.sched.dispatcher.IoDispatcher.submit",
     "repro.sched.dispatcher.IoDispatcher._pump",
     "repro.sched.dispatcher.IoDispatcher._can_dispatch",
+    "repro.sched.dispatcher.IoDispatcher._dispatch_inner",
+    "repro.sched.dispatcher.IoDispatcher._complete",
+    "repro.sched.policies.FifoPolicy.select",
+    "repro.sched.policies.PriorityPolicy.select",
+    "repro.sched.policies.TokenBucketStridePolicy.select",
+    "repro.workloads.drivers.OpenLoopDriver._arrive",
+    "repro.workloads.drivers.ClosedLoopDriver.on_complete",
+    "repro.workloads.model.WorkloadModel.sample_request",
+    "repro.workloads.model.WorkloadModel.interarrival_us",
+    "repro.core.monitor.VssdMonitor.on_complete",
     "repro.ssd.ftl.VssdFtl.write_span",
     "repro.ssd.ftl.VssdFtl.read_span",
     "repro.ssd.ftl.VssdFtl._maybe_gc",
@@ -70,6 +86,7 @@ class HotpathAllocRule(ProjectRule):
     severity = Severity.WARNING
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        yield from self._stale_roots(project)
         reachable = project.reachable(HOT_ROOTS)
         for qualname in sorted(reachable):
             fn = project.functions[qualname]
@@ -93,6 +110,26 @@ class HotpathAllocRule(ProjectRule):
                     "reuse a preallocated buffer, or suppress with the SoA "
                     "worklist reason",
                 )
+
+    def _stale_roots(self, project: ProjectContext) -> Iterator[Finding]:
+        """An error per root whose module is linted but defines no such function."""
+        for root in HOT_ROOTS:
+            if root in project.functions:
+                continue
+            module = root
+            while module and module not in project.by_module:
+                module = module.rpartition(".")[0]
+            if not module:
+                continue  # the root's module is not part of this lint run
+            stale = self.finding(
+                project.by_module[module],
+                1,
+                1,
+                f"hot root {root} names no function in {module}; fix or "
+                "drop the HOT_ROOTS entry (an unresolved root is skipped, "
+                "so the rule guards less than it says)",
+            )
+            yield replace(stale, severity=Severity.ERROR)
 
     @staticmethod
     def _allocation(node: ast.AST) -> "str | None":

@@ -42,9 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.clustering.classifier import WorkloadTypeClassifier
     from repro.faults.injector import FaultSpec
     from repro.rl.nets import PolicyValueNet
-    from repro.sched.request import IoRequest
     from repro.virt.vssd import Vssd
-    from repro.workloads.drivers import _DriverBase
     from repro.workloads.spec import WorkloadSpec
 
 PROFILER.declare("harness.build", "harness.warm", "harness.collect")  # report rows even when this section never fires
@@ -325,17 +323,8 @@ class Experiment:
         )
         self.drivers[plan.name] = driver
 
-        def route_completion(
-            request: "IoRequest",
-            driver: "_DriverBase" = driver,
-            vssd_id: int = vssd.vssd_id,
-        ) -> None:
-            """Forward this vSSD's completions to its workload driver."""
-            if request.vssd_id == vssd_id:
-                driver.on_complete(request)
-
         self.virt.dispatcher.add_completion_callback(
-            route_completion, vssd_id=vssd.vssd_id
+            driver.on_complete, vssd_id=vssd.vssd_id
         )
 
     def _working_set_pages(self, spec: "WorkloadSpec", vssd: "Vssd") -> int:
@@ -478,17 +467,8 @@ class Experiment:
             )
             self.drivers[plan_name] = driver
 
-            def route_completion(
-                request: "IoRequest",
-                driver: "_DriverBase" = driver,
-                vssd_id: int = vssd.vssd_id,
-            ) -> None:
-                """Forward this vSSD's completions to its workload driver."""
-                if request.vssd_id == vssd_id:
-                    driver.on_complete(request)
-
             self.virt.dispatcher.add_completion_callback(
-                route_completion, vssd_id=vssd.vssd_id
+                driver.on_complete, vssd_id=vssd.vssd_id
             )
             driver.start()
 

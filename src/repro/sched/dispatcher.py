@@ -47,6 +47,11 @@ class IoDispatcher:
         #: rebuilt lazily after any registration change.
         self._notify_cache: dict = {}
         self._retry_event = None
+        #: Requests waiting across all virtual queues.  The pump runs only
+        #: while this is non-zero: with every queue empty each policy's
+        #: ``select`` returns ``None`` without side effects and there is
+        #: nothing to arm a retry for, so a pump with no backlog is a no-op.
+        self._queued = 0
         self._inflight_pages: dict = {}
         self.failed_requests = 0
         self._dispatch_seq = 0
@@ -57,6 +62,9 @@ class IoDispatcher:
         self._bus_transfer_us = config.bus_transfer_us
         self._inflight_per_channel = config.inflight_pages_per_channel
         self._channels = ssd.channels
+        # ``Set_Priority`` exists only on the priority policy; resolved
+        # here, not per dispatch.
+        self._get_priority = getattr(policy, "get_priority", None)
         # Flat per-channel busy horizons (mutated in place, never rebound)
         # for the per-pump capacity scan.
         self._bus_busy = ssd.arrays.bus_busy
@@ -75,7 +83,7 @@ class IoDispatcher:
     def unregister_vssd(self, vssd_id: int) -> None:
         """Detach a vSSD (its queue is dropped)."""
         self.ftls.pop(vssd_id, None)
-        self.queues.pop(vssd_id, None)
+        self._queued -= len(self.queues.pop(vssd_id, ()))
         self.policy.unregister_vssd(vssd_id)
         self._notify_cache.clear()
 
@@ -103,9 +111,11 @@ class IoDispatcher:
     # ------------------------------------------------------------------
     def submit(self, request: IoRequest) -> None:
         """Enqueue a request and dispatch as far as policy allows."""
-        if request.vssd_id not in self.queues:
+        queue = self.queues.get(request.vssd_id)
+        if queue is None:
             raise KeyError(f"vSSD {request.vssd_id} not registered")
-        self.queues[request.vssd_id].append(request)
+        queue.append(request)
+        self._queued += 1
         self._pump()
 
     def queue_length(self, vssd_id: int) -> int:
@@ -134,20 +144,25 @@ class IoDispatcher:
         return inflight + request.num_pages <= budget
 
     def _pump(self) -> None:
-        """Dispatch as many requests as the policy and channels allow."""
-        # Hot loop (every submit and completion lands here): bind the
-        # select/queue lookups once per pump, not per dispatched request.
+        """Dispatch as many queued requests as the policy and channels allow.
+
+        Runs only while something is queued; a backlog the policy will
+        not serve now (tokens, in-flight budget) arms a retry.
+        """
         select = self.policy.select
         queues = self.queues
         can_dispatch = self._can_dispatch
         sim = self.sim
-        while True:
+        while self._queued:
             choice = select(sim.now, queues, can_dispatch)
             if choice is None:
-                break
+                self._schedule_retry_if_blocked()
+                return
             request = queues[choice].popleft()
+            # Before _dispatch: a failed request's completion callbacks
+            # may re-enter submit() and pump again.
+            self._queued -= 1
             self._dispatch(request)
-        self._schedule_retry_if_blocked()
 
     def _schedule_retry_if_blocked(self) -> None:
         """Arrange a future pump when heads are blocked on time.
@@ -205,6 +220,9 @@ class IoDispatcher:
         return soonest
 
     def _dispatch(self, request: IoRequest) -> None:
+        if not PROFILER.enabled:
+            self._dispatch_inner(request)
+            return
         seq = self._dispatch_seq = self._dispatch_seq + 1
         if seq % self.DISPATCH_SAMPLE:
             PROFILER.count("ftl.io_requests")
@@ -223,7 +241,12 @@ class IoDispatcher:
         request.dispatch_time = now
         vssd_id = request.vssd_id
         ftl = self.ftls[vssd_id]
-        front = self._is_high_priority(vssd_id)
+        # HIGH-priority vSSDs get bus-front arbitration for their pages.
+        get_priority = self._get_priority
+        try:
+            front = get_priority is not None and get_priority(vssd_id) >= 2
+        except KeyError:
+            front = False
         try:
             # Fused span paths: one call places every page of the request
             # against the structure-of-arrays columns (see
@@ -255,22 +278,25 @@ class IoDispatcher:
 
     def _complete(self, request: IoRequest, pages_by_channel: dict) -> None:
         request.complete_time = self.sim.now
+        channels = self._channels
         for channel_id, pages in pages_by_channel.items():
-            self._channels[channel_id].release(pages)
-        if request.vssd_id in self._inflight_pages:
-            self._inflight_pages[request.vssd_id] -= request.num_pages
-        self._notify(request)
-        self._pump()
-
-    def _is_high_priority(self, vssd_id: int) -> bool:
-        """HIGH-priority vSSDs get bus-front arbitration for their pages."""
-        get_priority = getattr(self.policy, "get_priority", None)
-        if get_priority is None:
-            return False
-        try:
-            return int(get_priority(vssd_id)) >= 2
-        except KeyError:
-            return False
+            channel = channels[channel_id]
+            channel.outstanding -= pages  # inlined release()
+            if channel.outstanding < 0:
+                raise RuntimeError(f"channel {channel_id} outstanding went negative")
+        vssd_id = request.vssd_id
+        inflight = self._inflight_pages
+        if vssd_id in inflight:
+            inflight[vssd_id] -= request.num_pages
+        # Inlined _notify() (its cached-tuple leg).
+        callbacks = self._notify_cache.get(vssd_id)
+        if callbacks is None:
+            self._notify(request)
+        else:
+            for callback in callbacks:
+                callback(request)
+        if self._queued:
+            self._pump()
 
     def _notify(self, request: IoRequest) -> None:
         vssd_id = request.vssd_id

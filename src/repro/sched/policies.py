@@ -37,7 +37,11 @@ class SchedulingPolicy(abc.ABC):
         """Return the vssd_id whose head request should dispatch, or None.
 
         Implementations must also charge any internal accounting (tokens,
-        stride passes) for the selected request before returning.
+        stride passes) for the selected request before returning — and
+        must charge nothing when they return ``None``.  The dispatcher
+        pumps only while a request is queued, on the invariant that a
+        pump with no backlog is a no-op for every policy: with every
+        queue empty ``select`` returns ``None`` and leaves no trace.
         """
 
     def next_eligible_time(self, now: float, queues: dict) -> Optional[float]:

@@ -269,6 +269,8 @@ class Simulator:
         fired = 0
         heap = self._heap
         heappop = heapq.heappop
+        pool = self._pool  # only ever mutated in place
+        pool_max = self.POOL_MAX
         try:
             while heap:
                 time, _seq, event = heap[0]
@@ -285,7 +287,11 @@ class Simulator:
                     heappop(heap)
                     event.sim = None
                     event.callback(*event.args)
-                    self._release(event)
+                    if len(pool) < pool_max:  # inlined _release()
+                        event.time = _DEAD
+                        event.callback = None
+                        event.args = ()
+                        pool.append(event)
                     fired += 1
                     # Advance to the next live head; extend the batch
                     # while its timestamp is bit-equal to the current

@@ -24,10 +24,12 @@ class AddressPattern(abc.ABC):
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, num_pages: int) -> int:
-        """Return a starting LPN such that the request stays in bounds."""
+        """Return a starting LPN such that the request stays in bounds.
 
-    def _clamp(self, lpn: int, num_pages: int) -> int:
-        return int(min(max(lpn, 0), max(self.working_set_pages - num_pages, 0)))
+        In bounds means ``min(lpn, max(working_set_pages - num_pages, 0))``;
+        no pattern draws a negative LPN, so each ``sample`` applies just
+        that upper clamp inline (one call per request lands here).
+        """
 
 
 class UniformPattern(AddressPattern):
@@ -66,12 +68,15 @@ class ZipfPattern(AddressPattern):
         shuffle_rng = np.random.default_rng(seed)
         self._bucket_order = shuffle_rng.permutation(self.BUCKETS)
         self._bucket_pages = max(working_set_pages // self.BUCKETS, 1)
+        #: First page of each rank's bucket, as Python ints.
+        self._bucket_base = (self._bucket_order * self._bucket_pages).tolist()
 
     def sample(self, rng: np.random.Generator, num_pages: int) -> int:
         """Zipf-weighted bucket, uniform offset within it."""
-        bucket = int(self._bucket_order[self._cdf.searchsorted(rng.random(), side="right")])
-        offset = int(rng.integers(0, self._bucket_pages))
-        return self._clamp(bucket * self._bucket_pages + offset, num_pages)
+        base = self._bucket_base[self._cdf.searchsorted(rng.random(), side="right")]
+        lpn = base + int(rng.integers(0, self._bucket_pages))
+        limit = self.working_set_pages - num_pages
+        return min(lpn, limit) if limit > 0 else 0
 
 
 class SequentialPattern(AddressPattern):
@@ -94,7 +99,8 @@ class SequentialPattern(AddressPattern):
             self._cursor = int(rng.integers(0, max(self.working_set_pages - num_pages, 1)))
         lpn = self._cursor
         self._cursor += num_pages
-        return self._clamp(lpn, num_pages)
+        limit = self.working_set_pages - num_pages
+        return min(lpn, limit) if limit > 0 else 0
 
 
 class HotspotPattern(AddressPattern):
@@ -113,12 +119,14 @@ class HotspotPattern(AddressPattern):
             raise ValueError("hot_probability must be in (0, 1)")
         self.hot_fraction = hot_fraction
         self.hot_probability = hot_probability
+        self._hot_pages = max(int(working_set_pages * hot_fraction), 1)
 
     def sample(self, rng: np.random.Generator, num_pages: int) -> int:
         """Hot region with the configured probability, else the cold rest."""
-        hot_pages = max(int(self.working_set_pages * self.hot_fraction), 1)
+        hot_pages = self._hot_pages
+        limit = self.working_set_pages - num_pages
         if rng.random() < self.hot_probability:
             lpn = int(rng.integers(0, max(hot_pages - num_pages, 1)))
         else:
-            lpn = int(rng.integers(hot_pages, max(self.working_set_pages - num_pages, hot_pages + 1)))
-        return self._clamp(lpn, num_pages)
+            lpn = int(rng.integers(hot_pages, max(limit, hot_pages + 1)))
+        return min(lpn, limit) if limit > 0 else 0

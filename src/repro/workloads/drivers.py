@@ -58,20 +58,12 @@ class _DriverBase:
         """Completion hook; closed loops use it to refill the window."""
         self.completed += 1
 
-    def _make_request(self) -> IoRequest:
-        op, lpn, pages = self.model.sample_request()
-        return IoRequest(
-            vssd_id=self.vssd_id,
-            op=op,
-            lpn=lpn,
-            num_pages=pages,
-            page_size=self.page_size,
-            submit_time=self.sim.now,
-        )
-
     def _submit_one(self) -> None:
         self.submitted += 1
-        self.submit(self._make_request())
+        op, lpn, pages = self.model.sample_request()
+        self.submit(
+            IoRequest(self.vssd_id, op, lpn, pages, self.page_size, self.sim.now)
+        )
 
 
 class OpenLoopDriver(_DriverBase):
@@ -80,17 +72,25 @@ class OpenLoopDriver(_DriverBase):
     def start(self) -> None:
         """Begin Poisson arrivals."""
         super().start()
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        delay = self.model.interarrival_us(self.sim.now_seconds)
-        self.sim.schedule(delay, self._arrive)
+        sim = self.sim
+        sim.schedule(self.model.interarrival_us(sim.now / 1_000_000.0), self._arrive)
 
     def _arrive(self) -> None:
+        """One arrival, one frame: submit a request, schedule the next.
+
+        ``_submit_one`` is written out here — this fires once per
+        open-loop request, and the frames between the engine and
+        ``sample_request`` / ``submit`` / ``interarrival_us`` were a
+        measurable slice of the arrival.
+        """
         if not self.running:
             return
-        self._submit_one()
-        self._schedule_next()
+        sim = self.sim
+        model = self.model
+        self.submitted += 1
+        op, lpn, pages = model.sample_request()
+        self.submit(IoRequest(self.vssd_id, op, lpn, pages, self.page_size, sim.now))
+        sim.schedule(model.interarrival_us(sim.now / 1_000_000.0), self._arrive)
 
 
 class ClosedLoopDriver(_DriverBase):
@@ -108,8 +108,8 @@ class ClosedLoopDriver(_DriverBase):
 
     def target_outstanding(self) -> int:
         """The phase-scaled in-flight target right now."""
-        scale = self.spec.scale_at(self.sim.now_seconds)
-        return int(round(self.spec.outstanding * scale))
+        spec = self.model.spec
+        return int(round(spec.outstanding * spec.scale_at(self.sim.now / 1_000_000.0)))
 
     def _top_up(self) -> None:
         target = self.target_outstanding()
@@ -119,7 +119,7 @@ class ClosedLoopDriver(_DriverBase):
 
     def on_complete(self, request: IoRequest) -> None:
         """Refill the closed-loop window after a completion."""
-        super().on_complete(request)
+        self.completed += 1
         self.in_flight -= 1
         if self.running:
             self._top_up()

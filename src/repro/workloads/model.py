@@ -25,7 +25,7 @@ class WorkloadModel:
         self.rng = rng
         self.working_set_pages = working_set_pages
         self.pattern = spec.pattern_factory(working_set_pages)
-        self._sizes = np.asarray(spec.io_sizes_pages, dtype=np.int64)
+        self._size_pages = tuple(int(size) for size in spec.io_sizes_pages)
         self._size_probs = np.asarray(spec.io_size_probs, dtype=np.float64)
         # Precomputed inverse-CDF for sample_size_pages: exactly the
         # cdf Generator.choice builds per call (cumsum then normalize),
@@ -34,26 +34,37 @@ class WorkloadModel:
         # skipping its per-call p validation and cumsum.
         self._size_cdf = self._size_probs.cumsum()
         self._size_cdf /= self._size_cdf[-1]
+        # Per-request constants bound once (the spec is frozen).
+        self._read_ratio = spec.read_ratio
+        self._base_iops = spec.base_iops
 
     def sample_op(self) -> str:
         """Draw 'read' or 'write' per the spec's read ratio."""
-        return "read" if self.rng.random() < self.spec.read_ratio else "write"
+        return "read" if self.rng.random() < self._read_ratio else "write"
 
     def sample_size_pages(self) -> int:
         """Draw a request size from the spec's distribution."""
-        idx = self._size_cdf.searchsorted(self.rng.random(), side="right")
-        return int(self._sizes[idx])
+        return self._size_pages[
+            self._size_cdf.searchsorted(self.rng.random(), side="right")
+        ]
 
     def sample_lpn(self, num_pages: int) -> int:
         """Draw a starting address from the spec's pattern."""
         return self.pattern.sample(self.rng, num_pages)
 
     def sample_request(self) -> tuple:
-        """Return (op, lpn, num_pages)."""
-        op = self.sample_op()
-        pages = self.sample_size_pages()
-        lpn = self.sample_lpn(pages)
-        return op, lpn, pages
+        """Return (op, lpn, num_pages).
+
+        One frame per request: the draws of :meth:`sample_op`,
+        :meth:`sample_size_pages` and :meth:`sample_lpn`, in that order,
+        on the one generator (``tests/workloads/test_draw_order.py``
+        holds this to the composed public samplers bit for bit).
+        """
+        rng = self.rng
+        random = rng.random
+        op = "read" if random() < self._read_ratio else "write"
+        pages = self._size_pages[self._size_cdf.searchsorted(random(), side="right")]
+        return op, self.pattern.sample(rng, pages), pages
 
     def interarrival_us(self, time_s: float) -> float:
         """Exponential interarrival at the phase-scaled rate.
@@ -61,8 +72,7 @@ class WorkloadModel:
         For closed-loop specs this is the *nominal* rate, used only for
         offline trace synthesis; the DES driver paces by completions.
         """
-        scale = self.spec.scale_at(time_s)
-        rate = self.spec.base_iops * scale
+        rate = self._base_iops * self.spec.scale_at(time_s)
         if rate <= 0:
             # Idle phase: skip to the next phase boundary.
             return self._time_to_next_phase_us(time_s)

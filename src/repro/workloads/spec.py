@@ -90,6 +90,12 @@ class WorkloadSpec:
             raise ValueError("outstanding must be positive")
         if not 0.0 < self.working_set_fraction <= 1.0:
             raise ValueError("working_set_fraction must be in (0, 1]")
+        # ``scale_at`` runs once per arrival / completion, so the cycle
+        # length it takes the modulus by is summed once, here (phases are
+        # frozen; the left-to-right float sum fixes ``time_s % cycle``).
+        object.__setattr__(
+            self, "_cycle_duration_s", sum(phase.duration_s for phase in self.phases)
+        )
 
     @property
     def is_latency_sensitive(self) -> bool:
@@ -106,13 +112,13 @@ class WorkloadSpec:
     @property
     def cycle_duration_s(self) -> float:
         """Length of one full phase cycle in seconds."""
-        return sum(phase.duration_s for phase in self.phases)
+        return self._cycle_duration_s
 
     def scale_at(self, time_s: float) -> float:
         """Intensity multiplier at absolute time ``time_s``."""
         if not self.phases:
             return 1.0
-        offset = time_s % self.cycle_duration_s
+        offset = time_s % self._cycle_duration_s
         for phase in self.phases:
             if offset < phase.duration_s:
                 return phase.scale

@@ -8,7 +8,12 @@ graph and dataflow passes without touching the filesystem.  Paths under
 what the rules key their ownership checks on.
 """
 
-from repro.analysis import lint_sources
+from pathlib import Path
+
+from repro.analysis import Severity, lint_paths, lint_sources
+
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src" / "repro"
 
 # The streams hub the stream-leak rule recognizes; fixtures that need a
 # RandomStreams receiver include this stub under its canonical path.
@@ -244,6 +249,18 @@ class TestSharedMutation:
 # ----------------------------------------------------------------------
 # hotpath-alloc
 # ----------------------------------------------------------------------
+# Fixture FTLs define every ``VssdFtl`` hot root: a root whose module is
+# linted but which names no function there is itself an error finding.
+FTL_OTHER_ROOTS = (
+    "\n"
+    "    def read_span(self, lpns):\n"
+    "        pass\n"
+    "\n"
+    "    def _maybe_gc(self):\n"
+    "        pass\n"
+)
+
+
 class TestHotpathAlloc:
     def test_flags_comprehension_in_hot_loop(self):
         sources = {
@@ -259,7 +276,7 @@ class TestHotpathAlloc:
                 "\n"
                 "    def _commit(self, pages):\n"
                 "        pass\n"
-            ),
+            ) + FTL_OTHER_ROOTS,
         }
         hits = findings_for(sources, "hotpath-alloc")
         assert len(hits) == 1
@@ -273,7 +290,7 @@ class TestHotpathAlloc:
                 "class VssdFtl:\n"
                 "    def write_span(self, lpns):\n"
                 "        return pick_block(lpns)\n"
-            ),
+            ) + FTL_OTHER_ROOTS,
             "src/repro/ssd/alloc.py": (
                 "def pick_block(lpns):\n"
                 "    out = None\n"
@@ -296,9 +313,43 @@ class TestHotpathAlloc:
                 "        for page in pages:\n"
                 "            total += page\n"
                 "        return total\n"
-            ),
+            ) + FTL_OTHER_ROOTS,
         }
         assert "hotpath-alloc" not in rules_hit(sources)
+
+    def test_stale_root_is_an_error(self):
+        # The module is linted, the class exists, the method does not:
+        # the walk would skip the root and guard nothing behind it.
+        sources = {
+            "src/repro/sim/engine.py": (
+                "class Event:\n"
+                "    def cancel(self):\n"
+                "        pass\n"
+                "\n"
+                "class Simulator:\n"
+                "    def run_until(self, time_us):\n"
+                "        pass\n"
+            ),
+        }
+        hits = findings_for(sources, "hotpath-alloc")
+        assert [h.severity for h in hits] == [Severity.ERROR]
+        assert "repro.sim.engine.Simulator.schedule" in hits[0].message
+        assert hits[0].path == "src/repro/sim/engine.py"
+
+    def test_bogus_root_fails_the_real_tree(self, monkeypatch):
+        from repro.analysis.rules import hotpath_alloc
+
+        bogus = "repro.sim.engine.Simulator.cancel"  # the root PR 16 found stale
+        monkeypatch.setattr(
+            hotpath_alloc, "HOT_ROOTS", hotpath_alloc.HOT_ROOTS + (bogus,)
+        )
+        result = lint_paths([SRC / "sim"], rules=["hotpath-alloc"], root=REPO)
+        assert [f.message.split()[2] for f in result.findings] == [bogus]
+        assert result.findings[0].severity is Severity.ERROR
+
+    def test_every_root_resolves_in_the_real_tree(self):
+        result = lint_paths([SRC], rules=["hotpath-alloc"], root=REPO)
+        assert not [f for f in result.findings if f.severity is Severity.ERROR]
 
     def test_clean_cold_function(self):
         sources = {
