@@ -68,7 +68,7 @@ def main() -> None:
 
     # Enough overwrite traffic to exercise GC, then fleet-health reports.
     for lpn in range(110_000):
-        standard.ftl.write_page(lpn % 40_000)
+        standard.ftl.write_span(lpn % 40_000, 1)
     for name, monitor in monitors.items():
         monitor.snapshot_window(virt.sim.now_seconds + 1.0)
     workdir = Path(tempfile.mkdtemp(prefix="repro-ops-"))

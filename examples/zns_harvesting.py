@@ -57,7 +57,7 @@ def main() -> None:
 
     lpns = list(range(30_000))
     for lpn in lpns:
-        block_tenant.ftl.write_page(lpn)
+        block_tenant.ftl.write_span(lpn, 1)
     zone_channels = {gsb.channel_ids[0] for gsb in harvested}
     landed = sum(
         1

@@ -44,9 +44,8 @@ from repro.adversarial.genome import ScenarioGenome, mutate, crossover, random_g
 from repro.config import RLConfig, SSDConfig
 from repro.core.actionspace import ActionSpace
 from repro.core.fast_env import FastFleetEnv
-from repro.core.pretrain import _merge_buffers, pretrain
+from repro.core.pretrain import _merge_buffers, collect_vector_episode, pretrain
 from repro.core.vector_env import VectorFastFleetEnv
-from repro.rl.buffer import RolloutBuffer
 from repro.rl.nets import PolicyValueNet
 from repro.rl.policy import CategoricalPolicy
 from repro.rl.ppo import PpoTrainer
@@ -98,6 +97,11 @@ def _tiny_cache_path(seed: int, iterations: int) -> Any:
     return _cache_dir() / f"tiny_protagonist_{digest}.npz"
 
 
+def _load_params(path: Any) -> Dict[str, np.ndarray]:
+    with np.load(path, allow_pickle=False) as data:
+        return {name: data[name].copy() for name in data.files}
+
+
 def tiny_protagonist_params(
     seed: int = 7, iterations: int = 2
 ) -> Dict[str, np.ndarray]:
@@ -114,10 +118,11 @@ def tiny_protagonist_params(
     if key in _TINY_CACHE:
         _count_protagonist("hits")
         return _TINY_CACHE[key]
+    from repro.harness.pretrained import _atomic_replace, _load_or_miss
+
     path = _tiny_cache_path(seed, iterations)
-    if path.exists():
-        with np.load(path, allow_pickle=False) as data:
-            params = {name: data[name].copy() for name in data.files}
+    params = _load_or_miss(path, _load_params)
+    if params is not None:
         _count_protagonist("hits")
         _count_protagonist("disk_hits")
     else:
@@ -130,8 +135,6 @@ def tiny_protagonist_params(
             envs=1,
         )
         params = {k: v.copy() for k, v in result.net.params.items()}
-        from repro.harness.pretrained import _atomic_replace
-
         _atomic_replace(lambda tmp: np.savez(tmp, **params), path)
     _TINY_CACHE[key] = params  # fleetlint: disable=parallel-shared-mutation  deterministic per-key memo; a forked worker refills its private copy with identical bytes, nothing needs merging
     return _TINY_CACHE[key]
@@ -244,49 +247,7 @@ def _finetune_antagonist(
             episode_windows=genome.episode_windows,
             fault_profiles=[profile] * envs,
         )
-        pairs = [
-            (k, i)
-            for k in range(env.num_envs)
-            for i in range(int(env.n_per_env[k]))
-        ]
-        act_rngs = [
-            np.random.default_rng(child) for child in act_seq.spawn(len(pairs))
-        ]
-        states = env.reset()
-        traj_states: List[List[np.ndarray]] = [[] for _ in pairs]
-        traj_actions: List[List[int]] = [[] for _ in pairs]
-        traj_logps: List[List[float]] = [[] for _ in pairs]
-        traj_rewards: List[List[float]] = [[] for _ in pairs]
-        traj_values: List[List[float]] = [[] for _ in pairs]
-        done = False
-        while not done:
-            flat = states[env.mask]
-            logits, values = net.forward_batch(flat)
-            padded = np.zeros((env.num_envs, env.n_max), dtype=np.int64)
-            for m, (k, i) in enumerate(pairs):
-                action, logp, value = policy.act_from_logits(
-                    logits[m], float(values[m]), act_rngs[m]
-                )
-                padded[k, i] = action
-                traj_states[m].append(flat[m])
-                traj_actions[m].append(action)
-                traj_logps[m].append(logp)
-                traj_values[m].append(value)
-            states, rewards, done, _info = env.step(padded)
-            for m, (k, i) in enumerate(pairs):
-                traj_rewards[m].append(float(rewards[k, i]))
-        buffers: List[RolloutBuffer] = []
-        for m in range(len(pairs)):
-            buf = RolloutBuffer(rl_config.discount_factor, rl_config.gae_lambda)
-            buf.add_batch(
-                np.asarray(traj_states[m], dtype=np.float64),
-                traj_actions[m],
-                traj_logps[m],
-                traj_rewards[m],
-                traj_values[m],
-            )
-            buf.finish_path(0.0)
-            buffers.append(buf)
+        buffers, _rewards = collect_vector_episode(env, net, policy, act_seq, rl_config)
         trainer.update(_merge_buffers(buffers, rl_config))
     return policy
 

@@ -428,21 +428,3 @@ class ProjectContext:
                 if callee not in seen and callee in self.functions
             )
         return seen
-
-    def enclosing_function(
-        self, ctx: ModuleContext, node: ast.AST
-    ) -> Optional[FunctionInfo]:
-        """The indexed function whose span contains ``node``, innermost wins."""
-        lineno = getattr(node, "lineno", None)
-        if lineno is None or ctx.module is None:
-            return None
-        best: Optional[FunctionInfo] = None
-        best_span = 1 << 30
-        for fn in self.functions.values():
-            if fn.context is not ctx:
-                continue
-            start = fn.node.lineno
-            end = fn.node.end_lineno or start
-            if start <= lineno <= end and (end - start) < best_span:
-                best, best_span = fn, end - start
-        return best

@@ -33,14 +33,6 @@ DETERMINISTIC_CORE = frozenset(
     }
 )
 
-#: Packages allowed to touch the host: CLI progress timing, harness
-#: wall-clock reporting, the profiler (which reads the monotonic clock by
-#: design), and the multi-process runner.  ``analysis`` is the linter
-#: itself.
-HOST_FACING = frozenset(
-    {"__main__", "analysis", "cli", "harness", "parallel", "profiling"}
-)
-
 
 def module_package(path: str) -> Optional[str]:
     """The top-level ``repro`` subpackage a file belongs to.

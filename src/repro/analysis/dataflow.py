@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 Env = Dict[str, FrozenSet[str]]
 
@@ -311,15 +311,3 @@ def literal_str(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
-
-
-def call_name_chain(call: ast.Call) -> Tuple[str, ...]:
-    """The attribute chain of a call target: ``a.b.c(...)`` -> (a, b, c)."""
-    parts: List[str] = []
-    cursor: ast.expr = call.func
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-    if isinstance(cursor, ast.Name):
-        parts.append(cursor.id)
-    return tuple(reversed(parts))

@@ -124,19 +124,6 @@ def _select_rules(only: Optional[Sequence[str]]) -> List[Rule]:
     return all_rules()
 
 
-def lint_module(module: ModuleContext, rules: Iterable[Rule]) -> LintReport:
-    """Lint one pre-parsed module (per-module rules only)."""
-    report = LintReport(files=1)
-    markers = parse_suppressions(module.path, module.lines, module.tree)
-    report.findings.extend(markers.problems)
-    for finding in check_module(module, rules):
-        if markers.is_suppressed(finding):
-            report.suppressed.append(finding)
-        else:
-            report.findings.append(finding)
-    return report
-
-
 def lint_source(
     source: str,
     path: str = "src/repro/sim/snippet.py",

@@ -93,12 +93,6 @@ def get_rule(name: str) -> Rule:
     return _RULES[name]()
 
 
-def rule_names() -> List[str]:
-    """Sorted names of every registered rule."""
-    _load_builtin_rules()
-    return sorted(_RULES)
-
-
 def is_known_rule(name: str) -> bool:
     """Whether ``name`` is a registered rule (for suppression validation)."""
     _load_builtin_rules()

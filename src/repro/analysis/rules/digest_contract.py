@@ -24,9 +24,8 @@ from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import ProjectRule, register
 
-#: The telemetry row type and its accumulator's owner.
+#: The telemetry row type.
 _WINDOWSTATS = "repro.core.monitor.WindowStats"
-_MONITOR = "repro.core.monitor.VssdMonitor"
 
 #: Modules allowed to construct WindowStats: the monitor itself plus the
 #: analytic envs whose rows are gated bit-exact against it.

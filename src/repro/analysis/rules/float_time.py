@@ -42,10 +42,6 @@ def _is_time_expr(node: ast.AST) -> bool:
     return name in _TIME_NAMES or name.endswith("_time") or name.startswith("time_")
 
 
-def _is_int_literal(node: ast.AST) -> bool:
-    return isinstance(node, ast.Constant) and type(node.value) is int
-
-
 @register
 class FloatTimeEqualityRule(Rule):
     name = "float-time-equality"

@@ -50,7 +50,6 @@ HOT_ROOTS = (
     "repro.core.monitor.VssdMonitor.on_complete",
     "repro.ssd.ftl.VssdFtl.write_span",
     "repro.ssd.ftl.VssdFtl.read_span",
-    "repro.ssd.ftl.VssdFtl._maybe_gc",
     "repro.core.fast_env.FastFleetEnv._simulate_window",
     "repro.core.vector_env.VectorFastFleetEnv._simulate_window",
 )

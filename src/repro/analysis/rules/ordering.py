@@ -22,11 +22,6 @@ from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, register
 
-#: Reductions whose result does not depend on iteration order.
-_ORDER_INSENSITIVE = frozenset(
-    {"len", "sum", "min", "max", "any", "all", "set", "frozenset", "sorted"}
-)
-
 
 def _is_set_expr(node: ast.AST, set_vars: Set[str]) -> bool:
     """Whether ``node`` is statically known to evaluate to a set."""

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 KIB = 1024
 MIB = 1024 * KIB
-GIB = 1024 * MIB
 
 #: Microseconds per second — the simulator clock ticks in microseconds.
 US_PER_SEC = 1_000_000
@@ -203,6 +202,3 @@ FINETUNE_SLO_THRESHOLD = 0.05
 
 #: Admission-control batching interval (Section 3.5): 50 milliseconds.
 ADMISSION_BATCH_INTERVAL_S = 0.05
-
-DEFAULT_SSD_CONFIG = SSDConfig()
-DEFAULT_RL_CONFIG = RLConfig()

@@ -61,11 +61,6 @@ class PretrainResult:
     best_reward: float = float("-inf")
     best_iteration: int = -1
 
-    @property
-    def final_reward(self) -> float:
-        """Mean episode reward of the last training iteration."""
-        return self.mean_rewards[-1] if self.mean_rewards else 0.0
-
 
 def coef_at(
     iteration: int,
@@ -193,6 +188,71 @@ def _collect_scalar(
     return buffers, episode_rewards
 
 
+def collect_vector_episode(
+    env: VectorFastFleetEnv,
+    net: PolicyValueNet,
+    policy: CategoricalPolicy,
+    act_seq: np.random.SeedSequence,
+    rl_config: RLConfig,
+) -> Tuple[List[RolloutBuffer], List[np.ndarray]]:
+    """Run one episode of a lockstep env fleet under a shared policy.
+
+    Per window, one ``forward_batch`` over every live agent's state
+    replaces per-agent ``forward`` calls; each agent then samples from
+    its own logits row with its own stream spawned from ``act_seq``
+    (``act_from_logits``, bit-identical to the unbatched ``act``).
+    Returns one finished :class:`~repro.rl.buffer.RolloutBuffer` per
+    agent, env-major, filled by a single ``add_batch``, and each
+    window's ``(K, n_max)`` reward array.
+    """
+    pairs = [
+        (k, i)
+        for k in range(env.num_envs)
+        for i in range(int(env.n_per_env[k]))
+    ]
+    act_rngs = [
+        np.random.default_rng(child) for child in act_seq.spawn(len(pairs))
+    ]
+    states = env.reset()
+    traj_states: List[List[np.ndarray]] = [[] for _ in pairs]
+    traj_actions: List[List[int]] = [[] for _ in pairs]
+    traj_logps: List[List[float]] = [[] for _ in pairs]
+    traj_rewards: List[List[float]] = [[] for _ in pairs]
+    traj_values: List[List[float]] = [[] for _ in pairs]
+    window_rewards: List[np.ndarray] = []
+    done = False
+    while not done:
+        flat = states[env.mask]  # (agents, state_dim), pair order
+        logits, values = net.forward_batch(flat)
+        padded = np.zeros((env.num_envs, env.n_max), dtype=np.int64)
+        for m, (k, i) in enumerate(pairs):
+            action, logp, value = policy.act_from_logits(
+                logits[m], float(values[m]), act_rngs[m]
+            )
+            padded[k, i] = action
+            traj_states[m].append(flat[m])
+            traj_actions[m].append(action)
+            traj_logps[m].append(logp)
+            traj_values[m].append(value)
+        states, rewards, done, _info = env.step(padded)
+        for m, (k, i) in enumerate(pairs):
+            traj_rewards[m].append(float(rewards[k, i]))
+        window_rewards.append(rewards)
+    buffers: List[RolloutBuffer] = []
+    for m in range(len(pairs)):
+        buf = RolloutBuffer(rl_config.discount_factor, rl_config.gae_lambda)
+        buf.add_batch(
+            np.asarray(traj_states[m], dtype=np.float64),
+            traj_actions[m],
+            traj_logps[m],
+            traj_rewards[m],
+            traj_values[m],
+        )
+        buf.finish_path(0.0)
+        buffers.append(buf)
+    return buffers, window_rewards
+
+
 def _collect_vectorized(
     net: PolicyValueNet,
     policy: CategoricalPolicy,
@@ -207,15 +267,8 @@ def _collect_vectorized(
     interference_coef: float,
     alpha_override: Optional[float],
 ) -> Tuple[List[RolloutBuffer], List[float]]:
-    """Vectorized rollout collection over a lockstep env fleet.
-
-    Per window, one ``forward_batch`` over every live agent's state
-    replaces per-agent ``forward`` calls; each agent then samples from
-    its own logits row with its own spawned RNG stream
-    (``act_from_logits``, bit-identical to the unbatched ``act``).
-    Transitions accumulate per agent and land in the rollout buffers via
-    one :meth:`~repro.rl.buffer.RolloutBuffer.add_batch` per episode.
-    """
+    """Vectorized rollout collection: :func:`collect_vector_episode` over
+    freshly sampled collocations until ``rollout_batch`` transitions."""
     buffers: List[RolloutBuffer] = []
     episode_rewards: List[float] = []
     collected = 0
@@ -234,56 +287,19 @@ def _collect_vectorized(
             episode_windows=episode_windows,
             interference_coef=interference_coef,
         )
-        pairs = [
-            (k, i)
-            for k in range(env.num_envs)
-            for i in range(int(env.n_per_env[k]))
-        ]
-        act_rngs = [
-            np.random.default_rng(child) for child in act_seq.spawn(len(pairs))
-        ]
-        states = env.reset()
-        agents = len(pairs)
-        traj_states: List[List[np.ndarray]] = [[] for _ in pairs]
-        traj_actions: List[List[int]] = [[] for _ in pairs]
-        traj_logps: List[List[float]] = [[] for _ in pairs]
-        traj_rewards: List[List[float]] = [[] for _ in pairs]
-        traj_values: List[List[float]] = [[] for _ in pairs]
-        done = False
-        while not done:
-            flat = states[env.mask]  # (agents, state_dim), pair order
-            logits, values = net.forward_batch(flat)
-            padded = np.zeros((env.num_envs, env.n_max), dtype=np.int64)
-            for m, (k, i) in enumerate(pairs):
-                action, logp, value = policy.act_from_logits(
-                    logits[m], float(values[m]), act_rngs[m]
-                )
-                padded[k, i] = action
-                traj_states[m].append(flat[m])
-                traj_actions[m].append(action)
-                traj_logps[m].append(logp)
-                traj_values[m].append(value)
-            states, rewards, done, _info = env.step(padded)
-            for m, (k, i) in enumerate(pairs):
-                traj_rewards[m].append(float(rewards[k, i]))
+        episode, window_rewards = collect_vector_episode(
+            env, net, policy, act_seq, rl_config
+        )
+        buffers.extend(episode)
+        for rewards in window_rewards:
             for k in range(env.num_envs):
                 live = int(env.n_per_env[k])
                 episode_rewards.append(float(np.mean(rewards[k, :live])))
-            collected += agents
-            PROFILER.count("rl.batched_decisions", agents)
-            PROFILER.count("pretrain.windows", env.num_envs)
-            PROFILER.count("pretrain.transitions", agents)
-        for m in range(agents):
-            buf = RolloutBuffer(rl_config.discount_factor, rl_config.gae_lambda)
-            buf.add_batch(
-                np.asarray(traj_states[m], dtype=np.float64),
-                traj_actions[m],
-                traj_logps[m],
-                traj_rewards[m],
-                traj_values[m],
-            )
-            buf.finish_path(0.0)
-            buffers.append(buf)
+        transitions = len(episode) * len(window_rewards)
+        collected += transitions
+        PROFILER.count("rl.batched_decisions", transitions)
+        PROFILER.count("pretrain.windows", env.num_envs * len(window_rewards))
+        PROFILER.count("pretrain.transitions", transitions)
     return buffers, episode_rewards
 
 

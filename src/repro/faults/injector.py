@@ -147,7 +147,6 @@ class FaultInjector:
         #: vSSD name -> :class:`VssdMonitor` for monitor-targeted faults.
         self.monitors: dict = dict(monitors or {})
         self.event_log: list = []
-        self._armed: list = []
         self._active: list = []
         self._active_by_channel: dict = {}
         # gc_storm bookkeeping: vssd_id -> [original_threshold, count].
@@ -177,18 +176,8 @@ class FaultInjector:
             if spec.kind in CHANNEL_KINDS:
                 if not 0 <= spec.channel < self.virt.config.num_channels:
                     raise ValueError(f"channel {spec.channel} out of range")
-            self._armed.append(spec)
             self.virt.sim.schedule_at(spec.start_s * 1_000_000.0, self._on_start, spec)
             self.virt.sim.schedule_at(spec.end_s * 1_000_000.0, self._on_end, spec)
-
-    @property
-    def armed_specs(self) -> list:
-        """All specs armed so far (fired or not)."""
-        return list(self._armed)
-
-    def active_faults(self) -> list:
-        """Specs currently in effect."""
-        return list(self._active)
 
     # ------------------------------------------------------------------
     # Fire / clear

@@ -7,7 +7,8 @@ by a hash of everything that shapes the artifact — iteration count,
 seed, reward variant, and the :class:`~repro.config.RLConfig` defaults —
 so a config change invalidates stale caches instead of silently reusing
 them.  Writes are atomic (temp file + ``os.replace``) so concurrent
-workers racing on a cold cache can never observe a half-written file.
+workers racing on a cold cache can never observe a half-written file;
+a file torn some other way (a partial copy, a full disk) reads as a miss.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import hashlib
 import json
 import os
 import pickle
-from typing import Callable, Optional
+import zipfile
+from typing import Callable, Optional, TypeVar
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,6 +35,8 @@ DEFAULT_SEED = 7
 
 _net_cache: dict = {}
 _classifier_cache: dict = {}
+
+_T = TypeVar("_T")
 
 
 def _cache_dir() -> Path:
@@ -56,6 +60,30 @@ def _atomic_replace(write: Callable[[Path], None], final_path: Path) -> None:
         os.replace(tmp, final_path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _load_or_miss(path: Path, load: Callable[[Path], _T]) -> Optional[_T]:
+    """``load(path)``, or ``None`` if the file is missing, torn or stale.
+
+    The rule for every keyed file under ``REPRO_CACHE_DIR``: one that
+    cannot be read back is a miss, and the caller rebuilds the artifact
+    and overwrites the file through :func:`_atomic_replace`.  A file that
+    loads but holds the wrong thing (say, another architecture's weights)
+    is not covered, and fails where it is used.
+    """
+    if not path.exists():
+        return None
+    try:
+        return load(path)
+    except (
+        OSError,
+        EOFError,  # empty file, or a pickle that stops short
+        ValueError,  # bad .npy header, unknown format version, bad JSON
+        KeyError,  # an entry the current code expects is not in the file
+        zipfile.BadZipFile,  # truncated .npz: no central directory
+        pickle.UnpicklingError,
+    ):
+        return None
 
 
 #: Reward-ablation variants (Figure 15).  ``custom-local`` keeps the
@@ -116,9 +144,10 @@ def get_pretrained_net(
     if key in _net_cache:
         return _net_cache[key]
     cache_file = pretrained_cache_path(iterations, seed, variant, envs)
-    if use_disk_cache and cache_file.exists():
-        net = PolicyValueNet.load(str(cache_file))
-    else:
+    net = None
+    if use_disk_cache:
+        net = _load_or_miss(cache_file, lambda path: PolicyValueNet.load(str(path)))
+    if net is None:
         net = pretrain_best(
             seeds=(seed, seed + 4, seed + 16, seed + 24, seed + 40),
             iterations=iterations,
@@ -145,10 +174,12 @@ def get_classifier(seed: int = 0, use_disk_cache: bool = True) -> WorkloadTypeCl
     if seed in _classifier_cache:
         return _classifier_cache[seed]
     cache_file = classifier_cache_path(seed)
-    if use_disk_cache and cache_file.exists():
-        with cache_file.open("rb") as handle:
-            classifier = pickle.load(handle)
-    else:
+    classifier = None
+    if use_disk_cache:
+        classifier = _load_or_miss(
+            cache_file, lambda path: pickle.loads(path.read_bytes())
+        )
+    if classifier is None:
         classifier = fit_default_classifier(
             seed=seed, windows_per_workload=4, requests_per_window=2000
         )

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import os
-import zipfile
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -282,23 +281,14 @@ def cache_get(key: str, mode: str) -> Optional[dict]:
         _bump("hits")
         return snap
     if mode == "disk":
-        path = _snapshot_path(key)
-        if path.exists():
-            try:
-                snap = _decode_npz(path)
-            except (
-                OSError,
-                ValueError,
-                KeyError,
-                json.JSONDecodeError,
-                zipfile.BadZipFile,  # torn download/copy: not a valid zip
-            ):
-                snap = None  # corrupt/stale file: fall through to a miss
-            if snap is not None:
-                _memory_put(key, snap)
-                _bump("hits")
-                _bump("disk_hits")
-                return snap
+        from repro.harness.pretrained import _load_or_miss
+
+        snap = _load_or_miss(_snapshot_path(key), _decode_npz)
+        if snap is not None:
+            _memory_put(key, snap)
+            _bump("hits")
+            _bump("disk_hits")
+            return snap
     _bump("misses")
     return None
 
@@ -310,9 +300,10 @@ def cache_put(key: str, snap: dict, mode: str) -> None:
     if mode == "disk":
         from repro.harness.pretrained import _atomic_replace
 
-        path = _snapshot_path(key)
-        if not path.exists():
-            _atomic_replace(lambda tmp: _encode_npz(snap, tmp), path)
+        # Only a miss gets here, so a file already at the path is one
+        # that could not be read back (or a racing writer's identical
+        # bytes): replace it.
+        _atomic_replace(lambda tmp: _encode_npz(snap, tmp), _snapshot_path(key))
 
 
 def _memory_put(key: str, snap: dict) -> None:

@@ -230,14 +230,14 @@ class PolicyValueNet:
     @classmethod
     def load(cls, path: str) -> "PolicyValueNet":
         """Reconstruct a network from an .npz file written by save()."""
-        data = np.load(path)
-        net = cls(
-            int(data["input_dim"]),
-            int(data["num_actions"]),
-            tuple(int(s) for s in data["hidden_sizes"]),
-        )
-        for key in net.params:
-            net.params[key] = data[key]
+        with np.load(path) as data:
+            net = cls(
+                int(data["input_dim"]),
+                int(data["num_actions"]),
+                tuple(int(s) for s in data["hidden_sizes"]),
+            )
+            for key in net.params:
+                net.params[key] = data[key]
         return net
 
 

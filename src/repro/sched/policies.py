@@ -139,15 +139,9 @@ class TokenBucketStridePolicy(SchedulingPolicy):
     :meth:`next_eligible_time`).
     """
 
-    def __init__(
-        self,
-        rate_bytes_per_us: float,
-        burst_bytes: float,
-        work_conserving: bool = True,
-    ) -> None:
+    def __init__(self, rate_bytes_per_us: float, burst_bytes: float) -> None:
         self._default_rate = rate_bytes_per_us
         self._default_burst = burst_bytes
-        self._work_conserving = work_conserving
         self._buckets: dict = {}
         self._stride = StrideScheduler()
         #: Scratch list reused across ``select`` calls (one call per

@@ -79,7 +79,3 @@ class StrideScheduler:
             return None
         passes[best] += self._stride[best]
         return best
-
-    def peek_pass(self, client: Hashable) -> float:
-        """The client's current pass value (for tests/diagnostics)."""
-        return self._pass[client]

@@ -194,13 +194,6 @@ class BlockStore:
         hit = np.flatnonzero(counts)
         return zip(hit.tolist(), counts[hit].tolist())
 
-    def column_nbytes(self) -> int:
-        """Size of the numpy-backed columns (page→LPN matrix + erase
-        counts) — the payload a shared-memory warm-state arena holds
-        per device, and the per-restore credit behind the fleet
-        runner's ``ipc.bytes_saved`` counter."""
-        return int(self.page_lpns.nbytes) + int(self.erase_count.nbytes)
-
 
 class ChannelArrays:
     """Flattened per-channel timing/fault state for ``num_channels``.

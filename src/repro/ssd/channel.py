@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import SSDConfig
 from repro.ssd.blockstate import BlockStore, ChannelArrays
-from repro.ssd.geometry import BlockState, FlashBlock
+from repro.ssd.geometry import FlashBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -222,16 +222,6 @@ class Channel:
         """Queued bus work ahead of a newly dispatched page (us)."""
         return max(0.0, self.arrays.bus_busy[self.channel_id] - self.sim.now)
 
-    @property
-    def bus_busy_until(self) -> float:
-        """Absolute sim time (us) until which queued bus work extends.
-
-        Exposed for hot-path capacity scans; flat-array callers read
-        ``ssd.arrays.bus_busy`` directly instead (see
-        ``IoDispatcher._next_capacity_time`` / ``VssdFtl.write_span``).
-        """
-        return self.arrays.bus_busy[self.channel_id]
-
     def has_capacity(self) -> bool:
         """True if the channel can absorb another page within its queue
         depth.
@@ -270,12 +260,6 @@ class Channel:
     # ------------------------------------------------------------------
     # Page service (timing only; mapping is the FTL's business)
     # ------------------------------------------------------------------
-    def next_write_chip(self) -> int:
-        """Round-robin chip selection for write striping within the channel."""
-        chip = self._next_write_chip
-        self._next_write_chip = (chip + 1) % self.config.chips_per_channel
-        return chip
-
     def service_read(self, chip_id: int, front: bool = False) -> float:
         """Serve a page read on ``chip_id``; returns absolute finish time.
 
@@ -392,21 +376,6 @@ class Channel:
     def _maybe_clear_gc(self) -> None:
         if self.sim.now >= self._gc_until:
             self.in_gc = False
-
-    # ------------------------------------------------------------------
-    # Block accounting
-    # ------------------------------------------------------------------
-    def blocks_owned_by(self, vssd_id: Optional[int]) -> list:
-        """All blocks on this channel owned by ``vssd_id``."""
-        return [b for b in self.blocks if b.owner == vssd_id]
-
-    def free_fraction_for(self, vssd_id: int) -> float:
-        """Fraction of this vSSD's blocks on the channel that are FREE."""
-        owned = self.blocks_owned_by(vssd_id)
-        if not owned:
-            return 0.0
-        free = sum(1 for b in owned if b.state is BlockState.FREE)
-        return free / len(owned)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -134,11 +134,6 @@ class Ssd:
         """Aggregate nominal write bandwidth of all channels (MB/s)."""
         return self.config.num_channels * self.config.channel_write_bandwidth_mbps
 
-    @property
-    def total_read_bandwidth_mbps(self) -> float:
-        """Aggregate nominal read bandwidth of all channels (MB/s)."""
-        return self.config.num_channels * self.config.channel_read_bandwidth_mbps
-
     def aggregate_stats(self) -> ChannelStats:
         """Device-wide sum of all per-channel counters."""
         total = ChannelStats()
@@ -202,10 +197,6 @@ class Ssd:
     def clear_channel_fault(self, channel_id: int) -> None:
         """Restore one channel to healthy timing and capacity."""
         self.channels[channel_id].clear_fault()
-
-    def is_degraded(self, channel_id: int) -> bool:
-        """True while an injected fault affects ``channel_id``."""
-        return self.channels[channel_id].degraded
 
     def degraded_channels(self) -> list:
         """Ids of all channels currently carrying an injected fault."""

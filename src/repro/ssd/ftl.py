@@ -6,9 +6,14 @@ Each vSSD runs its own FTL over the blocks it may write:
 * zero or more **harvest regions** — blocks of ghost superblocks (gSBs)
   it has harvested from collocated vSSDs (Section 3.6).
 
-Writes stripe round-robin across every channel the FTL can currently
-write, which is how harvesting converts into extra bandwidth.  Reads go
-wherever the page lives, including harvested channels.
+Host I/O has one route, :meth:`VssdFtl.write_span` /
+:meth:`VssdFtl.read_span`: one call per request, every page run against
+the device's block and channel columns.  Writes stripe round-robin across
+every channel the FTL can currently write, which is how harvesting
+converts into extra bandwidth.  Reads go wherever the page lives,
+including harvested channels.  The spans, :meth:`VssdFtl.warm_fill` and
+GC copy-back are each held to a per-page twin under ``tests/ssd/``
+(``span_oracle.py``, ``warm_fill_oracle.py``, ``gc_oracle.py``).
 
 Garbage collection follows Figure 9: victim selection prioritizes
 harvested/reclaimed blocks (HBT bit = 1); their valid data is copied back
@@ -17,19 +22,16 @@ again.  Blocks of a *live* gSB are recycled back into the gSB so a
 harvested channel keeps providing write bandwidth, while blocks of a
 *reclaiming* gSB are handed back to their home vSSD.
 
-The write path is on the simulator's critical path, so the region
-bookkeeping is O(1) per page: free blocks are per-channel deques
-(interleaved by chip so consecutive opens hit different chips), open
-frontiers rotate per channel, and the FTL caches its channel round-robin
-list, rebuilding it only when a region's capacity shape changes.
+The write path is on the simulator's critical path, so the FTL caches
+its channel round-robin list, rebuilding it only when a region's capacity
+shape changes, and :class:`repro.ssd.region.WriteRegion` is O(1) per page.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -37,9 +39,9 @@ from repro.config import SSDConfig
 from repro.profiling import PROFILER
 from repro.ssd.geometry import BlockState, FlashBlock, PagePointer
 from repro.ssd.hbt import HarvestedBlockTable
+from repro.ssd.region import WriteRegion
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.ssd.blockstate import BlockStore
     from repro.ssd.device import Ssd
 
 PROFILER.declare("ftl.gc")  # report rows even when this section never fires
@@ -69,286 +71,6 @@ class FtlStats:
         return (self.host_writes + self.gc_writes) / self.host_writes
 
 
-class WriteRegion:
-    """A pool of programmable blocks grouped by channel.
-
-    ``kind`` is ``"own"`` for the vSSD's own blocks or ``"harvest"`` for a
-    harvested gSB's blocks.  A harvest region flips ``reclaiming`` when its
-    gSB is being lazily reclaimed; from then on erased blocks leave the
-    region through ``on_block_released`` instead of being recycled.
-
-    Within a channel up to ``chips_per_channel`` blocks are open at once,
-    rotated per program so writes exploit chip parallelism.
-    """
-
-    def __init__(
-        self,
-        region_id: str,
-        kind: str = "own",
-        on_block_released: Optional[Callable[[FlashBlock], None]] = None,
-        max_open_per_channel: int = 4,
-        purpose: str = "bandwidth",
-        wear_aware: bool = False,
-    ) -> None:
-        if kind not in ("own", "harvest"):
-            raise ValueError(f"unknown region kind {kind!r}")
-        if purpose not in ("bandwidth", "capacity"):
-            raise ValueError(f"unknown region purpose {purpose!r}")
-        #: Pick the least-erased free block when opening a frontier, so
-        #: erase wear spreads evenly (FlashBlox's uniform-lifetime goal).
-        self.wear_aware = wear_aware
-        self.region_id = region_id
-        self.kind = kind
-        #: "bandwidth" regions recycle by copying data back to the
-        #: harvester's own blocks (Figure 9); "capacity" regions hold
-        #: data long-term, so their GC stays inside the region
-        #: (Section 5's capacity-harvesting extension).
-        self.purpose = purpose
-        self.reclaiming = False
-        self.on_block_released = on_block_released
-        self.max_open_per_channel = max_open_per_channel
-        self._free: dict = {}   # channel -> deque[FlashBlock]
-        self._open: dict = {}   # channel -> deque[FlashBlock] (rotated)
-        self._channels: set = set()
-        #: Identity set of every block ever added and not yet routed away.
-        #: Needed to scope GC: two harvest regions of the same vSSD can
-        #: share a channel, and writer/HBT flags alone cannot tell their
-        #: blocks apart.
-        self._member_ids: set = set()
-        self._free_pages = 0
-        #: Bumped whenever the set of writable channels may have changed;
-        #: the FTL uses it to invalidate its cached striping order.
-        self.version = 0
-
-    # -- population ----------------------------------------------------
-    def add_block(self, block: FlashBlock) -> None:
-        """Add one FREE block to the region's free pool."""
-        if not block.is_free:
-            raise ValueError(f"region only accepts FREE blocks, got {block!r}")
-        queue = self._free.get(block.channel_id)
-        if queue is None:
-            queue = self._free[block.channel_id] = deque()
-        # Interleave chips: append so that consecutive pops alternate chips
-        # when blocks were adopted in chip-sorted batches.
-        queue.append(block)
-        self._channels.add(block.channel_id)
-        self._member_ids.add(id(block))
-        self._free_pages += block.pages_per_block
-        self.version += 1
-
-    def add_blocks(self, blocks: Iterable[FlashBlock]) -> None:
-        """Add FREE blocks, chip-interleaved for write parallelism."""
-        # Sort so chips interleave in the free queues.
-        ordered = sorted(blocks, key=lambda b: (b.index, b.chip_id, b.channel_id))
-        for block in ordered:
-            self.add_block(block)
-
-    # -- inspection ------------------------------------------------------
-    def channels(self) -> list:
-        """All channel ids this region has blocks on."""
-        return sorted(self._channels)
-
-    def can_write(self, channel_id: int) -> bool:
-        """True if the channel has an open or openable block."""
-        if self._free.get(channel_id):
-            return True
-        open_queue = self._open.get(channel_id)
-        return bool(open_queue)
-
-    def writable_channels(self) -> list:
-        """Channels that can currently accept a program."""
-        return [ch for ch in sorted(self._channels) if self.can_write(ch)]
-
-    def free_pages(self) -> int:
-        """Free (unprogrammed) pages in the region, including open space."""
-        open_space = sum(
-            block.free_pages for queue in self._open.values() for block in queue
-        )
-        return self._free_pages + open_space
-
-    def free_block_count(self) -> int:
-        """FREE blocks across all channels of the region."""
-        return sum(len(q) for q in self._free.values())
-
-    def free_block_count_on(self, channel_id: int) -> int:
-        """FREE blocks on one channel of the region."""
-        queue = self._free.get(channel_id)
-        return len(queue) if queue else 0
-
-    def contains(self, block: FlashBlock) -> bool:
-        """True while ``block`` belongs to this region (any state)."""
-        return id(block) in self._member_ids
-
-    def take_free_blocks(self, channel_id: int, count: int) -> list:
-        """Remove up to ``count`` FREE blocks on ``channel_id`` from the
-        region (used when carving a gSB out of a vSSD's free space)."""
-        queue = self._free.get(channel_id)
-        taken: list = []
-        while queue and len(taken) < count:
-            block = queue.pop()
-            taken.append(block)
-            self._member_ids.discard(id(block))
-            self._free_pages -= block.pages_per_block
-        if taken:
-            self.version += 1
-        return taken
-
-    # -- frontier --------------------------------------------------------
-    def frontier_block(self, channel_id: int, writer: int) -> Optional[FlashBlock]:
-        """Return an OPEN block on ``channel_id`` to program next.
-
-        Rotates across up to ``max_open_per_channel`` open blocks (one per
-        chip in steady state) so writes within a channel pipeline across
-        chips.  Returns None when the channel is exhausted.
-        """
-        open_queue = self._open.get(channel_id)
-        # Steady-state fast path (one hit per programmed page): a full
-        # rotation of open frontiers with a non-FULL head needs no
-        # drop/refill bookkeeping — identical to falling through below.
-        if not (
-            open_queue
-            and open_queue[0].state is not BlockState.FULL
-            and len(open_queue) >= self.max_open_per_channel
-        ):
-            open_queue = self.refresh_frontier(channel_id, writer)
-            if not open_queue:
-                self.version += 1  # channel exhausted: striping order changed
-                return None
-        block = open_queue[0]
-        open_queue.rotate(-1)
-        return block
-
-    def refresh_frontier(self, channel_id: int, writer: int) -> deque:
-        """Drop filled frontier heads on ``channel_id``, open free blocks
-        up to ``max_open_per_channel``, and return the open queue.
-
-        The non-rotating half of :meth:`frontier_block`.  Idempotent, and
-        it touches only this channel's two queues, so a caller that knows
-        the channel's next program is imminent may run it ahead of time.
-        """
-        open_queue = self._open.get(channel_id)
-        if open_queue is None:
-            open_queue = self._open[channel_id] = deque()
-        while open_queue and open_queue[0].state is BlockState.FULL:
-            open_queue.popleft()
-        free_queue = self._free.get(channel_id)
-        while len(open_queue) < self.max_open_per_channel and free_queue:
-            if self.wear_aware:
-                block = min(free_queue, key=lambda b: b.erase_count)
-                free_queue.remove(block)
-            else:
-                block = free_queue.popleft()
-            self._free_pages -= block.pages_per_block
-            block.writer = writer
-            open_queue.append(block)
-        return open_queue
-
-    def frontier_blocks(self) -> set:
-        """Identity set of currently open blocks (GC must skip them)."""
-        return {
-            id(block) for queue in self._open.values() for block in queue
-        }
-
-    def release_erased(self, block: FlashBlock) -> None:
-        """Route a freshly erased block per region policy."""
-        self._discard_open(block)
-        if self.kind == "harvest" and not self.reclaiming:
-            self.add_block(block)
-        elif self.on_block_released is not None:
-            self._member_ids.discard(id(block))
-            self.on_block_released(block)
-
-    def _discard_open(self, block: FlashBlock) -> None:
-        # Identity scan, not ``deque.remove``: threshold-GC victims are
-        # never open, and a miss there formats the block into a ValueError.
-        queue = self._open.get(block.channel_id)
-        if queue:
-            for position, candidate in enumerate(queue):
-                if candidate is block:
-                    del queue[position]
-                    return
-
-    def drain_free_blocks(self) -> list:
-        """Remove and return every FREE block (used by gSB reclaim).
-
-        This includes blocks that were popped into an open-frontier queue
-        but never programmed — they are still physically erased.
-        """
-        drained: list = []
-        for queue in self._free.values():
-            drained.extend(queue)
-            self._free_pages -= sum(b.pages_per_block for b in queue)
-            queue.clear()
-        for open_queue in self._open.values():
-            untouched = [b for b in open_queue if b.is_free]
-            for block in untouched:
-                open_queue.remove(block)
-                block.writer = None
-                drained.append(block)
-        for block in drained:
-            self._member_ids.discard(id(block))
-        self.version += 1
-        return drained
-
-    def snapshot(self) -> dict:
-        """Capture membership and frontier order as plain gid lists.
-
-        Blocks are encoded by gid (their identity in the device's
-        :class:`~repro.ssd.blockstate.BlockStore`), preserving per-channel
-        deque order exactly — frontier rotation is order-sensitive, so a
-        restored region must pop and rotate the same blocks in the same
-        sequence.
-        """
-        return {
-            "free": {
-                channel: [block.gid for block in queue]
-                for channel, queue in self._free.items()
-            },
-            "open": {
-                channel: [block.gid for block in queue]
-                for channel, queue in self._open.items()
-            },
-            "channels": sorted(self._channels),
-            "free_pages": self._free_pages,
-            "version": self.version,
-            "reclaiming": self.reclaiming,
-        }
-
-    def restore(self, snapshot: dict, store: "BlockStore") -> None:
-        """Rebuild queues and the identity set from a :meth:`snapshot`.
-
-        ``store.blocks`` views are identity-stable per gid, so the
-        rebuilt ``_member_ids`` set matches what incremental updates
-        would have produced.  Block *state* (writer, write pointer, page
-        map) is the store's to restore; this only rebuilds the region's
-        bookkeeping around it.
-        """
-        views = store.blocks
-        self._free = {
-            channel: deque(views[gid] for gid in gids)
-            for channel, gids in snapshot["free"].items()
-        }
-        self._open = {
-            channel: deque(views[gid] for gid in gids)
-            for channel, gids in snapshot["open"].items()
-        }
-        self._channels = set(snapshot["channels"])
-        self._member_ids = {
-            id(block)
-            for queue in list(self._free.values()) + list(self._open.values())
-            for block in queue
-        }
-        self._free_pages = snapshot["free_pages"]
-        self.version = snapshot["version"]
-        self.reclaiming = snapshot["reclaiming"]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"WriteRegion({self.region_id}, kind={self.kind}, "
-            f"free_blocks={self.free_block_count()}, reclaiming={self.reclaiming})"
-        )
-
-
 class VssdFtl:
     """Flash translation layer for one vSSD."""
 
@@ -369,12 +91,10 @@ class VssdFtl:
         self.gc_threshold = (
             gc_threshold if gc_threshold is not None else self.config.gc_free_block_threshold
         )
-        # L2P mapping as parallel arrays indexed by LPN (grown on demand):
-        # the dict-of-PagePointer layout paid a hash probe plus a
-        # PagePointer allocation per programmed page, which dominated the
-        # write path.  Physical locations are stored as block gids into
-        # the device's BlockStore (``_l2p_gid[lpn] < 0`` marks an
-        # unmapped LPN), so the hot paths never touch block objects.
+        # L2P mapping as parallel lists indexed by LPN (grown on demand).
+        # Physical locations are block gids into the device's BlockStore
+        # (``_l2p_gid[lpn] < 0`` marks an unmapped LPN), so the hot paths
+        # never touch block objects.
         self._l2p_gid: list = []
         self._l2p_page: list = []
         self._mapped = 0
@@ -382,7 +102,6 @@ class VssdFtl:
         # lifetime; all mutated in place, never rebound).
         self._store = ssd.store
         self._arrays = ssd.arrays
-        self._blocks_per_chip = self.config.blocks_per_chip
         self._blocks_per_channel = (
             self.config.chips_per_channel * self.config.blocks_per_chip
         )
@@ -577,61 +296,35 @@ class VssdFtl:
         self._chan_count_version = -1
 
     # ------------------------------------------------------------------
-    # Host I/O
-    # ------------------------------------------------------------------
-    def write_page(self, lpn: int, front: bool = False) -> tuple:
-        """Write one logical page.
-
-        Returns ``(completion_time_us, channel_id)`` so callers can track
-        per-channel outstanding operations.  ``front`` requests priority
-        arbitration on the channel bus (Set_Priority HIGH).
-        """
-        block, _page = self._allocate_and_program(lpn)
-        channel_id = block.channel_id
-        done = self.ssd.channels[channel_id].service_write(block.chip_id, front=front)
-        self.stats.host_writes += 1
-        self._maybe_gc(channel_id)
-        return done, channel_id
-
-    def read_page(self, lpn: int, front: bool = False) -> tuple:
-        """Read one logical page.
-
-        Returns ``(completion_time_us, channel_id)``.  ``front`` requests
-        priority arbitration on the channel bus (Set_Priority HIGH).
-        """
-        l2p = self._l2p_gid
-        gid = l2p[lpn] if lpn < len(l2p) else -1
-        if gid < 0:
-            return self._read_unmapped()
-        block = self._store.blocks[gid]
-        channel_id = block.channel_id
-        done = self.ssd.channels[channel_id].service_read(block.chip_id, front=front)
-        self.stats.host_reads += 1
-        return done, channel_id
-
-    # ------------------------------------------------------------------
-    # Fused span I/O (the dispatcher's batch path)
+    # Host I/O: the fused spans are the only way a host page reaches flash
     # ------------------------------------------------------------------
     def write_span(self, lpn: int, num_pages: int, front: bool = False) -> tuple:
         """Write ``num_pages`` consecutive logical pages in one fused pass.
 
-        Returns ``(done_us, pages_by_channel)`` where ``done_us`` is the
-        completion time of the slowest page and ``pages_by_channel`` maps
-        channel id → pages placed there (insertion-ordered by first use,
-        exactly as the per-page loop built it).
+        Returns ``(done_us, pages_by_channel)``: the completion time of
+        the slowest page, and channel id → pages placed there (insertion-
+        ordered by first use) for the dispatcher's per-channel accounting.
+        ``front`` requests priority bus arbitration (Set_Priority HIGH).
 
-        This is a transliteration of ``write_page`` per page —
-        ``_pick_frontier`` round-robin + capacity scan,
-        ``WriteRegion.frontier_block`` steady state, ``FlashBlock.program``,
-        ``Channel.service_write``, then ``_maybe_gc`` — with every
-        steady-state step inlined against the structure-of-arrays columns
-        so the common case touches no method calls and no per-page
-        objects.  Uncommon steps (frontier refill, channel exhaustion,
-        urgent GC) fall back to the original methods mid-span; GC itself
-        is the one column routine (:meth:`_relocate`) whichever path
-        triggers it.  The byte-identical telemetry gate and the
-        differential test in ``tests/test_hotpath_equivalence.py`` hold
-        the two host-write paths together.
+        Per page: pick a frontier block, program it, remap the LPN and
+        invalidate its previous copy, charge the channel a page program,
+        check the GC trigger.  The steady state of each step — one turn of
+        :meth:`_pick_frontier`'s round-robin, ``WriteRegion.frontier_block``,
+        ``FlashBlock.program`` / ``invalidate``, ``Channel.service_write`` —
+        is inlined against the structure-of-arrays columns: no method call,
+        no per-page object.  A frontier refill calls ``frontier_block``; an
+        exhausted channel, urgent GC and :class:`OutOfSpaceError` belong to
+        :meth:`_frontier_or_urgent_gc`.
+
+        GC trigger, after every page unless a collection is already
+        running: if this vSSD owns blocks on the page's channel and fewer
+        than ``gc_threshold`` of them are FREE, :meth:`run_gc` there.
+        Otherwise (a harvested channel, or an own one not below threshold)
+        the first live harvest region on that channel with no FREE block
+        left is recycled, so the harvested channel keeps taking writes.
+
+        Held to the per-page twin in ``tests/ssd/span_oracle.py`` by
+        ``tests/ssd/test_span_differential.py``.
         """
         store = self._store
         arrays = self._arrays
@@ -672,7 +365,7 @@ class VssdFtl:
         host_writes = 0
         try:
             for cur in range(lpn, end):
-                # -- _pick_frontier, inlined ---------------------------
+                # -- _pick_frontier's round-robin, inlined -------------
                 rv = own_region.version
                 for hregion in harvest_regions:
                     rv += hregion.version + (1000003 if hregion.reclaiming else 0)
@@ -726,7 +419,7 @@ class VssdFtl:
                         block = region.frontier_block(channel_id, vssd)
                 if block is None:
                     # Channel exhausted or no slots: the full picking
-                    # loop, then urgent GC, as the per-page path does.
+                    # loop, then urgent GC, then out of space.
                     block = self._frontier_or_urgent_gc()
                 gid = block.gid
                 channel_id = block.channel_id
@@ -786,7 +479,7 @@ class VssdFtl:
                 cnt = pages_by_channel.get(channel_id)
                 pages_by_channel[channel_id] = 1 if cnt is None else cnt + 1
                 host_writes += 1
-                # -- _maybe_gc, inlined (see the method for the policy) --
+                # -- GC trigger (policy in the docstring) --------------
                 if not self._in_gc:
                     owned = own_bpc.get(channel_id, 0)
                     ran_gc = False
@@ -808,8 +501,8 @@ class VssdFtl:
         finally:
             # Host-write counters are read only at window boundaries, so
             # one exact integer add per span replaces one per page; the
-            # finally keeps partially-placed spans (out-of-space) counted
-            # exactly as the per-page path would have.
+            # finally keeps the pages a span placed before it ran out of
+            # space counted.
             if host_writes:
                 self.stats.host_writes += host_writes
         return done, pages_by_channel
@@ -818,10 +511,16 @@ class VssdFtl:
         """Read ``num_pages`` consecutive logical pages in one fused pass.
 
         Returns ``(done_us, pages_by_channel)``; see :meth:`write_span`.
-        Transliterates ``read_page`` per page — mapped reads inline
-        ``Channel.service_read``; unmapped reads inline
-        ``_read_unmapped`` (own-channel round-robin, chip round-robin,
-        and no ``front`` arbitration, as ever).
+        A mapped page is read where it lives, own or harvested channel
+        (``Channel.service_read``, inlined); ``front`` puts its transfer at
+        the head of the bus queue.
+
+        A never-written LPN still costs a page read, so reads of a cold
+        address space load the device: the vSSD's own channels take turns
+        (``_unmapped_rr`` over the sorted own channels; the writable
+        channels if it owns none), on the channel's next chip in turn,
+        always at normal priority — ``front`` does not apply.  With no
+        channel at all it raises :class:`OutOfSpaceError`.
         """
         store = self._store
         arrays = self._arrays
@@ -845,7 +544,7 @@ class VssdFtl:
             for cur in range(lpn, lpn + num_pages):
                 gid = l2p_gid[cur] if cur < length else -1
                 if gid < 0:
-                    # -- _read_unmapped, inlined -----------------------
+                    # -- unmapped read (rule in the docstring) ---------
                     chs = self._own_channels_sorted() or self.write_channels()
                     if not chs:
                         raise OutOfSpaceError(
@@ -928,7 +627,7 @@ class VssdFtl:
         channel timing and host-write statistics do not, no randomness is
         drawn and no event is scheduled.  Returns the pages programmed.
 
-        Placement is the per-page rule of ``write_page``, applied an
+        Placement is :meth:`write_span`'s per-page rule, applied an
         *epoch* at a time.  Nothing here moves the clock or a bus
         horizon, so the eligible ``(region, channel)`` slots and the order
         ``_write_rr`` visits them in are fixed, and a slot's open queue
@@ -951,7 +650,7 @@ class VssdFtl:
         exhaustion, urgent GC and :class:`OutOfSpaceError`.  The L2P
         lists are mirrored in numpy between such pages and written back
         through a table of the block views' own ``gid`` ints: every entry
-        of a block shares one int object, as the per-page path stored it,
+        of a block shares one int object, as :meth:`write_span` stores it,
         not a fresh one per LPN for each snapshot copy to keep alive.
         The per-page loop this replaced is ``tests/ssd/warm_fill_oracle.py``.
         """
@@ -1047,8 +746,8 @@ class VssdFtl:
                 l2p_gid[:] = gid_ints[m_gid[:length]].tolist()
                 l2p_page[:] = m_page[:length].tolist()
             if count < total:
-                # One page down the per-page path, which may GC (and so
-                # rewrite any L2P entry) or raise for want of space.
+                # One page through the slow-path picker, which may GC (and
+                # so rewrite any L2P entry) or raise for want of space.
                 self._allocate_and_program(int(todo[count]))
                 count += 1
         return count
@@ -1068,25 +767,12 @@ class VssdFtl:
         self._mapped = 0
         return count
 
-    def _read_unmapped(self) -> tuple:
-        """Serve a read of a never-written LPN from an owned channel."""
-        channels = self.own_region.channels() or self.write_channels()
-        if not channels:
-            raise OutOfSpaceError(f"vSSD {self.vssd_id} has no channels to read from")
-        channel_id = channels[self._unmapped_rr % len(channels)]
-        self._unmapped_rr += 1
-        channel = self.ssd.channels[channel_id]
-        chip = channel.next_write_chip()
-        done = channel.service_read(chip)
-        self.stats.unmapped_reads += 1
-        self.stats.host_reads += 1
-        return done, channel_id
-
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
-    def _allocate_and_program(self, lpn: int) -> tuple:
-        """Place ``lpn`` on a frontier block; returns ``(block, page)``."""
+    def _allocate_and_program(self, lpn: int) -> None:
+        """Place ``lpn`` on a frontier block through the slow-path picker
+        (:meth:`warm_fill`'s one page between epochs)."""
         l2p_gid = self._l2p_gid
         if lpn >= len(l2p_gid):
             grow = lpn + 1 - len(l2p_gid)
@@ -1103,7 +789,6 @@ class VssdFtl:
             self._store.blocks[old_gid].invalidate(old_page)
         else:
             self._mapped += 1
-        return block, page
 
     def _frontier_or_urgent_gc(self) -> FlashBlock:
         """The next frontier block, after urgent GC if need be, or raise."""
@@ -1134,7 +819,12 @@ class VssdFtl:
 
     def _pick_frontier(self) -> Optional[FlashBlock]:
         """Round-robin over writable (region, channel) pairs, for host
-        writes (GC copy-back picks its own destinations, :meth:`_relocate`)."""
+        writes (GC copy-back picks its own destinations, :meth:`_relocate`).
+
+        The slow-path picker: :meth:`write_span` inlines one turn of the
+        round-robin below and comes here, through
+        :meth:`_frontier_or_urgent_gc`, when that turn found no block.
+        """
         # Each miss bumps the region version (the channel exhausted), so
         # the rebuild-and-retry loop strictly shrinks the slot list and
         # terminates; the guard bounds pathological cases.
@@ -1189,27 +879,6 @@ class VssdFtl:
     # ------------------------------------------------------------------
     # Garbage collection (Figure 9 semantics)
     # ------------------------------------------------------------------
-    def _maybe_gc(self, channel_id: int) -> None:
-        if self._in_gc:
-            return
-        owned = self._own_blocks_per_channel.get(channel_id, 0)
-        if owned > 0:
-            # Inlined free_fraction(channel_id): this check runs once per
-            # host-written page.  Same division, bit-identical threshold.
-            queue = self.own_region._free.get(channel_id)
-            free = len(queue) if queue else 0
-            if free / owned < self.gc_threshold:
-                self.run_gc(channel_id)
-                return
-        for region in self.harvest_regions:
-            if (
-                not region.reclaiming
-                and channel_id in region._channels
-                and region.free_block_count_on(channel_id) == 0
-            ):
-                self.recycle_region(region, channel_id)
-                break
-
     def _urgent_gc(self) -> None:
         """Out-of-space fallback: GC every channel we own."""
         for channel_id in list(self._own_blocks_per_channel):
@@ -1259,9 +928,11 @@ class VssdFtl:
         erased = 0
         token = PROFILER.begin()
         try:
-            # Column scan over the one channel's gid slice; membership,
-            # writer, and HBT filters as in _harvest_region_blocks (which
-            # see for why membership must come from the region).
+            # Column scan over the one channel's gid slice.  Membership
+            # must come from the region itself: two harvest regions of the
+            # same vSSD can share a channel, and writer/HBT flags alone
+            # would let one region's GC erase the other's blocks and
+            # re-add them to the wrong free pool.
             store = self._store
             vc_col = store.valid_count
             views = store.blocks
@@ -1329,31 +1000,6 @@ class VssdFtl:
             if writer is None or writer == vssd:
                 best, best_key = gid, key
         return store.blocks[best] if best >= 0 else None
-
-    def _harvest_region_blocks(self, region: WriteRegion) -> list:
-        """All OPEN/FULL blocks this FTL wrote inside a harvest region.
-
-        Membership must come from the region itself: two harvest regions
-        of the same vSSD can share a channel, and writer/HBT flags alone
-        would let one region's GC erase the other's blocks and re-add
-        them to the wrong free pool.
-        """
-        store = self._store
-        writer_col = store.writer
-        harvested_col = store.harvested
-        views = store.blocks
-        member_ids = region._member_ids
-        vssd = self.vssd_id
-        bpc = self._blocks_per_channel
-        blocks = []
-        for channel_id in region.channels():
-            base = channel_id * bpc
-            for gid in range(base, base + bpc):
-                if writer_col[gid] == vssd and harvested_col[gid]:
-                    view = views[gid]
-                    if id(view) in member_ids:
-                        blocks.append(view)
-        return blocks
 
     def collect_blocks(self, blocks: list, region: WriteRegion) -> int:
         """Force-collect specific region blocks (lazy gSB reclamation).

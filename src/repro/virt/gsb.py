@@ -15,7 +15,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.ssd.ftl import WriteRegion
+    from repro.ssd.region import WriteRegion
 
 _gsb_ids = itertools.count()
 

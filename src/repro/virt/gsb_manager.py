@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.config import SSDConfig
 from repro.profiling import PROFILER
-from repro.ssd.ftl import WriteRegion
+from repro.ssd.region import WriteRegion
 from repro.virt.gsb import GhostSuperblock, GsbPool
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.ssd.ftl import WriteRegion
+from repro.ssd.region import WriteRegion
 from repro.virt.gsb import GhostSuperblock, GsbPool
 from repro.zns.namespace import ZnsError, ZonedNamespace
 from repro.zns.zone import Zone, ZoneState

@@ -122,10 +122,6 @@ class ZonedNamespace:
         """Close an open zone, freeing an open-zone slot."""
         self.zone(zone_id).close()
 
-    def finish_zone(self, zone_id: int) -> None:
-        """Transition a zone to FULL."""
-        self.zone(zone_id).finish()
-
     def reset_zone(self, zone_id: int) -> float:
         """Reset a zone: erase its blocks; returns the finish time (us).
 

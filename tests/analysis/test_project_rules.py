@@ -255,9 +255,6 @@ FTL_OTHER_ROOTS = (
     "\n"
     "    def read_span(self, lpns):\n"
     "        pass\n"
-    "\n"
-    "    def _maybe_gc(self):\n"
-    "        pass\n"
 )
 
 

@@ -235,6 +235,26 @@ def test_corrupt_disk_entry_degrades_to_miss(monkeypatch, tmp_path):
     assert snapshots.STATS["disk_hits"] == 0
 
 
+def test_truncated_disk_entry_is_rebuilt_and_replaced(monkeypatch):
+    monkeypatch.setenv("REPRO_SNAPSHOTS", "disk")
+    cold = _experiment(snapshots_flag=False).build()
+    exp = _experiment()
+    path = snapshots._snapshot_path(_key_of(exp))
+    exp.build()  # miss: writes the .npz
+    whole = path.read_bytes()
+    path.write_bytes(whole[: len(whole) // 2])
+    snapshots.clear_memory_cache()
+    _experiment().build()  # the torn file is a miss, and is overwritten
+    assert snapshots.STATS["misses"] == 2 and snapshots.STATS["disk_hits"] == 0
+    assert len(path.read_bytes()) == len(whole)  # (zip entries carry a timestamp)
+    snapshots.clear_memory_cache()
+    restored = _experiment().build()
+    assert snapshots.STATS["disk_hits"] == 1
+    _assert_fingerprints_equal(
+        _state_fingerprint(cold), _state_fingerprint(restored)
+    )
+
+
 # ---------------------------------------------------------------------
 # Engine + RNG snapshot primitives
 # ---------------------------------------------------------------------

@@ -47,7 +47,7 @@ def test_action_thrash_does_not_corrupt_state(fast_config):
         # Writes keep landing wherever legal (working set well under
         # b's 2048-page capacity so GC always has invalid pages to free).
         for i in range(20):
-            b.ftl.write_page(int(rng.integers(0, 1200)))
+            b.ftl.write_span(int(rng.integers(0, 1200)), 1)
     total_blocks = 4 * fast_config.blocks_per_channel
     accounted = 0
     for channel in virt.ssd.channels:
@@ -74,7 +74,7 @@ def test_harvester_survives_home_capacity_crunch(fast_config):
     # its own 2048-page capacity once the gSB is reclaimed.
     lpns = list(range(1500))
     for lpn in lpns:
-        harvester.ftl.write_page(lpn)
+        harvester.ftl.write_span(lpn, 1)
     # Home suddenly needs its space back.
     virt.gsb_manager.reclaim_excess(home, 0)
     virt.gsb_manager.pump_reclaims()
@@ -108,7 +108,7 @@ def test_single_vssd_whole_device(fast_config):
     virt = StorageVirtualizer(config=fast_config)
     vssd = virt.create_vssd("only", list(range(4)))
     for i in range(500):
-        vssd.ftl.write_page(i)
+        vssd.ftl.write_span(i, 1)
     assert multi_agent_rewards({vssd.vssd_id: 0.42}, 0.6) == {
         vssd.vssd_id: pytest.approx(0.42)
     }
@@ -121,5 +121,5 @@ def test_sixteen_tenants_one_channel_each():
     virt = StorageVirtualizer(config=config)
     for i in range(16):
         vssd = virt.create_vssd(f"v{i}", [i])
-        vssd.ftl.write_page(0)
+        vssd.ftl.write_span(0, 1)
     assert len(virt.vssds) == 16

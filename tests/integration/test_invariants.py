@@ -85,7 +85,7 @@ def test_block_ownership_conserved_under_harvest_churn(actions, writes):
         virt.admission.process_batch()
         virt.gsb_manager.pump_reclaims()
         for _ in range(writes // len(actions) + 1):
-            vssds[int(rng.integers(2))].ftl.write_page(int(rng.integers(0, 300)))
+            vssds[int(rng.integers(2))].ftl.write_span(int(rng.integers(0, 300)), 1)
     owners = {}
     for channel in virt.ssd.channels:
         for block in channel.blocks:
@@ -141,7 +141,7 @@ def test_valid_pages_equal_mapped_pages_device_wide():
     virt.gsb_manager.harvest(b, per + 1)
     for _ in range(600):
         vssd = (a, b)[int(rng.integers(2))]
-        vssd.ftl.write_page(int(rng.integers(0, 250)))
+        vssd.ftl.write_span(int(rng.integers(0, 250)), 1)
     total_valid = sum(
         block.valid_count for ch in virt.ssd.channels for block in ch.blocks
     )

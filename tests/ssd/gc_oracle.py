@@ -15,8 +15,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from repro.ssd.ftl import OutOfSpaceError, VssdFtl, WriteRegion
+from repro.ssd.ftl import OutOfSpaceError, VssdFtl
 from repro.ssd.geometry import FlashBlock
+from repro.ssd.region import WriteRegion
 
 
 def _pick_gc_frontier(

@@ -6,50 +6,51 @@ from hypothesis import given, settings, strategies as st
 from repro.config import SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
-from repro.ssd.ftl import OutOfSpaceError, WriteRegion
+from repro.ssd.ftl import OutOfSpaceError
+from repro.ssd.region import WriteRegion
 from tests.test_hotpath_equivalence import _ftl_state
 
 
 def test_write_then_read_same_page(ftl):
-    ftl.write_page(42)
+    ftl.write_span(42, 1)
     pointer = ftl.page_location(42)
     assert pointer is not None
-    done, channel = ftl.read_page(42)
-    assert channel == pointer.block.channel_id
+    _done, pages_by_channel = ftl.read_span(42, 1)
+    assert pages_by_channel == {pointer.block.channel_id: 1}
 
 
 def test_overwrite_invalidates_old_page(ftl):
-    ftl.write_page(7)
+    ftl.write_span(7, 1)
     old = ftl.page_location(7)
-    ftl.write_page(7)
+    ftl.write_span(7, 1)
     new = ftl.page_location(7)
     assert new != old
     assert old.block.page_lpns[old.page] is None
 
 
 def test_writes_stripe_across_channels(ftl):
-    channels = {ftl.write_page(lpn)[1] for lpn in range(16)}
-    assert channels == {0, 1}
+    _done, pages_by_channel = ftl.write_span(0, 16)
+    assert set(pages_by_channel) == {0, 1}
 
 
 def test_writes_stripe_across_chips(ftl, ssd):
     for lpn in range(16):
-        ftl.write_page(lpn)
+        ftl.write_span(lpn, 1)
     chips = {ftl.page_location(lpn).block.chip_id for lpn in range(16)}
     assert len(chips) == 2
 
 
 def test_unmapped_read_serviced(ftl):
-    done, channel = ftl.read_page(999)
+    done, _pages_by_channel = ftl.read_span(999, 1)
     assert done > 0
     assert ftl.stats.unmapped_reads == 1
 
 
 def test_mapped_pages_counter(ftl):
     for lpn in range(10):
-        ftl.write_page(lpn)
+        ftl.write_span(lpn, 1)
     assert ftl.mapped_pages() == 10
-    ftl.write_page(0)
+    ftl.write_span(0, 1)
     assert ftl.mapped_pages() == 10
 
 
@@ -99,7 +100,7 @@ def test_out_of_space_raises(small_config, sim):
     with pytest.raises(OutOfSpaceError):
         # Unique LPNs: nothing invalidates, so GC cannot help.
         for lpn in range(total_pages + 1):
-            ftl.write_page(lpn)
+            ftl.write_span(lpn, 1)
 
 
 def test_trim_all_invalidates_everything(ftl):
@@ -150,41 +151,20 @@ def test_writes_flow_into_harvest_region(ftl, ssd):
     region = WriteRegion("gsb:test", kind="harvest")
     region.add_blocks(blocks[:4])
     ftl.add_harvest_region(region)
-    channels = {ftl.write_page(lpn)[1] for lpn in range(30)}
-    assert 3 in channels
+    _done, pages_by_channel = ftl.write_span(0, 30)
+    assert 3 in pages_by_channel
     # Data written into the harvest region carries the writer's id.
     used = [b for b in blocks[:4] if not b.is_free]
     assert used and all(b.writer == ftl.vssd_id for b in used)
 
 
-def test_harvest_gc_scoped_to_region_membership(ftl, ssd, hbt):
-    """Two harvest regions sharing a channel must not swap blocks via GC.
-
-    Regression: ``_harvest_region_blocks`` used to select every block the
-    vSSD wrote with the HBT flag set on the region's channels, so one
-    region's recycle could erase the *other* region's block and re-add it
-    to the wrong free pool.
-    """
-    blocks = ssd.allocate_channels(9, [3])
-    r1 = WriteRegion("gsb:1", kind="harvest")
-    r1.add_blocks(blocks[:2])
-    r2 = WriteRegion("gsb:2", kind="harvest")
-    r2.add_blocks(blocks[2:4])
-    for block in blocks[:4]:
-        hbt.mark_harvested(block)
-    ftl.add_harvest_region(r1)
-    ftl.add_harvest_region(r2)
-    for region in (r1, r2):
-        for lpn in range(4):
-            region.frontier_block(3, writer=ftl.vssd_id).program(lpn)
-    got1 = {id(b) for b in ftl._harvest_region_blocks(r1)}
-    got2 = {id(b) for b in ftl._harvest_region_blocks(r2)}
-    assert got1 and got1 <= {id(b) for b in blocks[:2]}
-    assert got2 and got2 <= {id(b) for b in blocks[2:4]}
-
-
 def test_recycle_returns_blocks_to_their_own_region(ftl, ssd, hbt):
-    """Recycling one harvest region leaves a co-channel sibling intact."""
+    """Recycling one harvest region leaves a co-channel sibling intact.
+
+    Regression: victims used to be every block the vSSD wrote with the
+    HBT flag set on the region's channels, so one region's recycle could
+    erase the *other* region's block and re-add it to the wrong free pool.
+    """
     blocks = ssd.allocate_channels(9, [3])
     r1 = WriteRegion("gsb:1", kind="harvest")
     r1.add_blocks(blocks[:2])
@@ -215,8 +195,8 @@ def test_reclaiming_region_not_written(ftl, ssd):
     region.add_blocks(blocks[:4])
     region.reclaiming = True
     ftl.add_harvest_region(region)
-    channels = {ftl.write_page(lpn)[1] for lpn in range(30)}
-    assert 3 not in channels
+    _done, pages_by_channel = ftl.write_span(0, 30)
+    assert 3 not in pages_by_channel
 
 
 class TestWriteRegion:
@@ -349,7 +329,7 @@ def test_page_map_invariant_under_random_writes(lpns):
     ftl = VssdFtl(0, ssd)
     ftl.adopt_blocks(ssd.allocate_channels(0, [0, 1]))
     for lpn in lpns:
-        ftl.write_page(lpn)
+        ftl.write_span(lpn, 1)
     for lpn, pointer in ftl.page_map.items():
         assert pointer.block.page_lpns[pointer.page] == lpn
     total_valid = sum(

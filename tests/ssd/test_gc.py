@@ -5,7 +5,8 @@ import pytest
 from repro.config import SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
-from repro.ssd.ftl import WriteRegion
+from repro.ssd.region import WriteRegion
+from tests.ssd.span_oracle import write_page
 from repro.ssd.geometry import BlockState
 
 
@@ -23,7 +24,7 @@ def gc_setup():
 
 def _overwrite(ftl, working_set, writes):
     for i in range(writes):
-        ftl.write_page(i % working_set)
+        ftl.write_span(i % working_set, 1)
 
 
 def test_gc_triggers_under_overwrite(gc_setup):
@@ -85,7 +86,7 @@ def test_victim_priority_prefers_hbt_flagged(gc_setup):
     regular, flagged = full_blocks[0], full_blocks[1]
     # Invalidate most of the regular block (prime victim by valid count).
     for page, lpn in regular.valid_lpns()[:-1]:
-        ftl.write_page(lpn)
+        ftl.write_span(lpn, 1)
     ftl.hbt.mark_harvested(flagged)
     victim = ftl._select_own_victim(flagged.channel_id)
     if victim is not None and victim.channel_id == flagged.channel_id:
@@ -120,8 +121,8 @@ def test_recycle_region_returns_blocks_to_gsb():
     lpns = list(range(10_000, 10_000 + 4 * config.pages_per_block))
     wrote_region = False
     for lpn in lpns * 3:
-        _done, channel = ftl.write_page(lpn)
-        wrote_region = wrote_region or channel == 2
+        _done, pages_by_channel = ftl.write_span(lpn, 1)
+        wrote_region = wrote_region or 2 in pages_by_channel
     assert wrote_region
     # Recycled blocks stay in the gSB: flagged harvested or freshly free.
     assert all(b.harvested_flag or b.is_free for b in usable)
@@ -144,7 +145,7 @@ def test_urgent_gc_recovers_space(gc_setup):
     ws = int(total_pages * 0.7)
     # Consume nearly everything, then overwrite: urgent GC must reclaim.
     for i in range(int(total_pages * 1.5)):
-        ftl.write_page(i % ws)
+        ftl.write_span(i % ws, 1)
     assert ftl.mapped_pages() == ws
 
 
@@ -170,7 +171,7 @@ def test_overwriting_an_lpn_that_urgent_gc_relocates(path):
     home = ftl.page_location(6).block
     assert home.valid_lpns() == [(2, 6), (3, 7)]
     if path == "write_page":
-        ftl.write_page(6)
+        write_page(ftl, 6)  # the reference must get this right too
     else:
         ftl.write_span(6, 1)
     assert home.is_free and ftl.stats.gc_writes == 2

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
-from repro.ssd.ftl import WriteRegion
+from repro.ssd.region import WriteRegion
 from repro.ssd.geometry import BlockState
 from repro.ssd.hbt import HarvestedBlockTable
 from tests.ssd.gc_oracle import use_per_page_gc

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ssd.ftl import OutOfSpaceError, WriteRegion
+from repro.ssd.ftl import OutOfSpaceError
+from repro.ssd.region import WriteRegion
 from tests.ssd.warm_fill_oracle import warm_fill_per_page
 from tests.test_hotpath_equivalence import _ftl_state, _twin_ftls
 

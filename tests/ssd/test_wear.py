@@ -21,7 +21,7 @@ def _churn(config, ftl, rounds=6):
     total_pages = 2 * config.blocks_per_channel * config.pages_per_block
     working_set = total_pages // 3
     for i in range(total_pages * rounds):
-        ftl.write_page(i % working_set)
+        ftl.write_span(i % working_set, 1)
 
 
 def test_wear_summary_counts_erases():

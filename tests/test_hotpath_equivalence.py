@@ -195,17 +195,12 @@ def test_zipf_sample_matches_generator_choice():
     assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
 
-# -- SoA span paths vs per-page object paths ------------------------------
+# -- twin FTLs for the differential suites --------------------------------
 #
-# ``write_span``/``read_span`` inline frontier picking, programming, bus
-# arbitration, and GC triggering against the structure-of-arrays columns;
-# ``write_page``/``read_page`` are the retained per-page object reference.
-# A randomized mixed workload (overwrites, unmapped reads, trims, enough
-# churn to trigger GC) must leave twin devices in bit-identical state.
-# GC itself is *shared*: both twins collect through ``VssdFtl._relocate``,
-# so this test pins when each host-write path triggers GC, not what GC
-# does — ``tests/ssd/test_gc_differential.py`` holds copy-back to its own
-# per-page oracle.
+# ``tests/ssd/test_span_differential.py``, ``test_warm_fill_differential.py``
+# and ``test_gc_differential.py`` hold the FTL's fused passes to their
+# per-page oracles; the twin devices and the bit-exact state capture they
+# compare live here.
 
 def _twin_ftls(**config_overrides):
     from repro.config import SSDConfig
@@ -228,19 +223,6 @@ def _twin_ftls(**config_overrides):
         ftl.adopt_blocks(ssd.allocate_channels(0, [0, 1]))
         twins.append((sim, ftl))
     return twins
-
-
-def _ref_span(ftl, op, lpn, num_pages, front):
-    """The retired dispatcher loop: one ``*_page`` call per page."""
-    page_io = ftl.write_page if op == "write" else ftl.read_page
-    done = ftl.ssd.sim.now
-    pages_by_channel: dict = {}
-    for cur in range(lpn, lpn + num_pages):
-        page_done, channel_id = page_io(cur, front=front)
-        if page_done > done:
-            done = page_done
-        pages_by_channel[channel_id] = pages_by_channel.get(channel_id, 0) + 1
-    return done, pages_by_channel
 
 
 def _ftl_state(ftl):
@@ -278,40 +260,6 @@ def _ftl_state(ftl):
             for s in ftl._chan_stats
         ],
     }
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_span_paths_match_per_page_object_paths(seed):
-    """Differential: SoA spans vs the per-page reference, GC triggers included."""
-    rng = np.random.default_rng(seed)
-    (sim_fast, fast), (sim_ref, ref) = _twin_ftls()
-    working_set = 96  # < owned capacity, so overwrites force GC churn
-    for _ in range(500):
-        roll = rng.random()
-        lpn = int(rng.integers(0, working_set))
-        num_pages = int(rng.integers(1, 9))
-        front = bool(rng.random() < 0.25)
-        if roll < 0.70:
-            got = fast.write_span(lpn, num_pages, front=front)
-            want = _ref_span(ref, "write", lpn, num_pages, front)
-        elif roll < 0.98:
-            got = fast.read_span(lpn, num_pages, front=front)
-            want = _ref_span(ref, "read", lpn, num_pages, front)
-        else:
-            assert fast.trim_all() == ref.trim_all()
-            got = want = None
-        if got is not None:
-            assert _bits([got[0]]) == _bits([want[0]])  # completion time
-            assert got[1] == want[1]  # pages per channel
-            assert list(got[1]) == list(want[1])  # same insertion order
-        # Advance both clocks identically so busy horizons drain.
-        step = float(rng.integers(0, 60))
-        sim_fast.now += step
-        sim_ref.now += step
-    # The sequence must actually have exercised the uncommon paths.
-    assert ref.stats.gc_runs > 0
-    assert ref.stats.unmapped_reads > 0
-    assert _ftl_state(fast) == _ftl_state(ref)
 
 
 @pytest.mark.parametrize("workload", ["ycsb", "terasort", "vdi-web"])

@@ -68,7 +68,7 @@ def test_capacity_region_holds_more_data_than_own_space(world):
     manager.make_harvestable(home, per + 1)
     manager.harvest(harvester, per + 1, purpose="capacity")
     for lpn in range(working_set):
-        harvester.ftl.write_page(lpn)
+        harvester.ftl.write_span(lpn, 1)
     assert harvester.ftl.mapped_pages() == working_set
     for lpn in (0, working_set // 2, working_set - 1):
         pointer = harvester.ftl.page_location(lpn)
@@ -87,7 +87,7 @@ def test_capacity_region_compacts_in_place(world):
     lpns = list(range(90_000, 90_000 + capacity // 2))
     for _round in range(6):
         for lpn in lpns:
-            harvester.ftl.write_page(lpn)
+            harvester.ftl.write_span(lpn, 1)
     # Data written into the region stays in the region's channel space
     # for at least part of the set (compaction kept it there).
     region_channels = set(gsb.channel_ids)
@@ -111,11 +111,11 @@ def test_capacity_exhaustion_raises(world):
     ) * config.pages_per_block
     with pytest.raises(OutOfSpaceError):
         for lpn in range(raw_total + 100):
-            harvester.ftl.write_page(lpn)
+            harvester.ftl.write_span(lpn, 1)
 
 
 def test_region_purpose_validation():
-    from repro.ssd.ftl import WriteRegion
+    from repro.ssd.region import WriteRegion
 
     with pytest.raises(ValueError):
         WriteRegion("r", purpose="latency")

@@ -138,10 +138,9 @@ def test_lazy_reclaim_of_in_use_gsb(world):
     lpn = 50_000
     wrote = 0
     while wrote < config.pages_per_block:
-        _done, channel = harvester.ftl.write_page(lpn)
+        _done, pages_by_channel = harvester.ftl.write_span(lpn, 1)
         lpn += 1
-        if channel == target_channel:
-            wrote += 1
+        wrote += pages_by_channel.get(target_channel, 0)
     free_before = home.ftl.own_region.free_block_count()
     capacity = gsb.capacity_blocks
     manager.reclaim_excess(home, 0)
@@ -163,7 +162,7 @@ def test_lazy_reclaim_preserves_harvester_data(world):
     manager.harvest(harvester, per + 1)
     lpns = list(range(80_000, 80_000 + 3 * config.pages_per_block))
     for lpn in lpns:
-        harvester.ftl.write_page(lpn)
+        harvester.ftl.write_span(lpn, 1)
     manager.reclaim_excess(home, 0)
     manager.pump_reclaims()
     for lpn in lpns:

@@ -65,8 +65,8 @@ def test_harvest_installs_region(world):
     channel = ns.zone(0).channel_id
     assert channel in harvester.ftl.write_channels()
     # The harvester's writes can land on the zoned tenant's channel.
-    channels = {harvester.ftl.write_page(lpn)[1] for lpn in range(40)}
-    assert channel in channels
+    _done, pages_by_channel = harvester.ftl.write_span(0, 40)
+    assert channel in pages_by_channel
 
 
 def test_reclaim_unused_resets_zone(world):
@@ -85,7 +85,7 @@ def test_reclaim_in_use_migrates_and_resets(world):
     adapter.harvest(harvester)
     lpns = list(range(5000, 5000 + 2 * config.pages_per_block))
     for lpn in lpns:
-        harvester.ftl.write_page(lpn)
+        harvester.ftl.write_span(lpn, 1)
     adapter.reclaim(gsb, harvester)
     assert ns.zone(0).state is ZoneState.EMPTY
     assert adapter.zones_lent == 0
