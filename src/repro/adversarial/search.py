@@ -35,16 +35,22 @@ isolation, retry, and the hung-worker watchdog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.adversarial.genome import ScenarioGenome, mutate, crossover, random_genome
+from repro.cache import cache_dir, config_hash, read_through
 from repro.config import RLConfig, SSDConfig
 from repro.core.actionspace import ActionSpace
 from repro.core.fast_env import FastFleetEnv
-from repro.core.pretrain import _merge_buffers, collect_vector_episode, pretrain
+from repro.core.pretrain import (
+    SAMPLER_VERSION,
+    _merge_buffers,
+    collect_vector_episode,
+    pretrain,
+)
 from repro.core.vector_env import VectorFastFleetEnv
 from repro.rl.nets import PolicyValueNet
 from repro.rl.policy import CategoricalPolicy
@@ -78,12 +84,7 @@ def _tiny_cache_path(seed: int, iterations: int) -> Any:
     sampler version) so a training-stack change invalidates stale
     params instead of silently reusing them.
     """
-    from dataclasses import asdict
-
-    from repro.core.pretrain import SAMPLER_VERSION
-    from repro.harness.pretrained import _cache_dir, _config_hash
-
-    digest = _config_hash(
+    digest = config_hash(
         {
             "seed": seed,
             "iterations": iterations,
@@ -94,7 +95,7 @@ def _tiny_cache_path(seed: int, iterations: int) -> Any:
             "sampler_version": SAMPLER_VERSION,
         }
     )
-    return _cache_dir() / f"tiny_protagonist_{digest}.npz"
+    return cache_dir() / f"tiny_protagonist_{digest}.npz"
 
 
 def _load_params(path: Any) -> Dict[str, np.ndarray]:
@@ -114,19 +115,8 @@ def tiny_protagonist_params(
     process and cached on disk beside the pre-trained policy, so
     spawned workers and later invocations skip the training too.
     """
-    key = (seed, iterations)
-    if key in _TINY_CACHE:
-        _count_protagonist("hits")
-        return _TINY_CACHE[key]
-    from repro.harness.pretrained import _atomic_replace, _load_or_miss
 
-    path = _tiny_cache_path(seed, iterations)
-    params = _load_or_miss(path, _load_params)
-    if params is not None:
-        _count_protagonist("hits")
-        _count_protagonist("disk_hits")
-    else:
-        _count_protagonist("misses")
+    def train() -> Dict[str, np.ndarray]:
         result = pretrain(
             iterations=iterations,
             seed=seed,
@@ -134,10 +124,17 @@ def tiny_protagonist_params(
             rollout_batch=96,
             envs=1,
         )
-        params = {k: v.copy() for k, v in result.net.params.items()}
-        _atomic_replace(lambda tmp: np.savez(tmp, **params), path)
-    _TINY_CACHE[key] = params  # fleetlint: disable=parallel-shared-mutation  deterministic per-key memo; a forked worker refills its private copy with identical bytes, nothing needs merging
-    return _TINY_CACHE[key]
+        return {k: v.copy() for k, v in result.net.params.items()}
+
+    return read_through(
+        _TINY_CACHE,
+        (seed, iterations),
+        _tiny_cache_path(seed, iterations),
+        load=_load_params,
+        build=train,
+        save=lambda params, tmp: np.savez(tmp, **params),
+        count=_count_protagonist,
+    )
 
 
 def resolve_protagonist(spec: Mapping[str, Any]) -> Dict[str, np.ndarray]:

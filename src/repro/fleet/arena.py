@@ -48,7 +48,7 @@ _MAGIC = b"RARENA01"
 _ALIGN = 64
 #: Name prefixes of every segment this package creates (the leak check
 #: in tests and CI scans /dev/shm for these).
-SEGMENT_PREFIXES = ("repro_arena_", "repro_ring_")
+SEGMENT_PREFIXES = ("repro_arena_",)
 
 _SERIAL = itertools.count()
 

@@ -3,35 +3,32 @@
 :class:`FleetShardRunner` is the fleet counterpart of
 :class:`repro.parallel.runner.ParallelRunner`: it slices N device specs
 round-robin into K :class:`~repro.fleet.spec.FleetShardCell` work units,
-publishes the warm-state arena (unless ``arena=False``), creates one
-telemetry ring per shard, runs the shards on the persistent worker pool,
-and merges per-device telemetry back **in device-index order** — the
-merged bytes are identical to :func:`run_fleet_serial` over the same
-specs, which is itself just :func:`~repro.parallel.runner.run_serial`
-over one experiment cell per device.
+publishes the warm-state arena (unless ``arena=False``), runs the shards
+on the persistent worker pool, and merges the per-device telemetry each
+shard sends back **in device-index order**.  Every device runs through
+the one experiment cell runner, so the merged bytes are identical to
+:func:`run_fleet_serial` over the same specs, which is itself just
+:func:`~repro.parallel.runner.run_serial` over :meth:`DeviceSpec.cell`
+of each device.
 
-Segment lifecycle is entirely parent-owned: rings and the arena are
-created before the fan-out and unlinked in a ``finally`` (with an
-``atexit`` backstop inside :class:`~repro.fleet.arena.SharedArena`), so
-worker crashes and watchdog kills cannot leak ``/dev/shm`` entries.
+The arena segment is parent-owned: created before the fan-out and
+unlinked in a ``finally`` (with an ``atexit`` backstop inside
+:class:`~repro.fleet.arena.SharedArena`), so worker crashes and watchdog
+kills cannot leak ``/dev/shm`` entries.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import SSDConfig
 from repro.fleet.arena import SharedArena
-from repro.fleet.ring import DEFAULT_CAPACITY, KIND_RESULTS, KIND_WINDOW_ROWS, TelemetryRing
 from repro.fleet.spec import DeviceSpec, FleetShardCell
 from repro.harness import snapshots
-from repro.harness.experiment import Experiment
-from repro.harness.telemetry import window_header_bytes
-from repro.parallel.matrix import ExperimentCell
 from repro.parallel.policy_cache import warm_policy_cache
 from repro.parallel.runner import CellOutcome, ParallelRunner, run_serial, usable_cores
+from repro.parallel.worker import experiment_for
 from repro.profiling import merge_profiles, namespace_profile
 
 
@@ -57,19 +54,6 @@ def build_fleet(
         )
         for i in range(devices)
     ]
-
-
-def _experiment_cell(spec: DeviceSpec) -> ExperimentCell:
-    """One device spec as the experiment cell a sweep would run."""
-    return ExperimentCell(
-        scenario="+".join(spec.workloads),
-        workloads=spec.workloads,
-        policy=spec.policy,
-        seed=spec.seed,
-        duration_s=spec.duration_s,
-        measure_after_s=spec.measure_after_s,
-        num_channels=spec.num_channels,
-    )
 
 
 @dataclass
@@ -126,7 +110,7 @@ def run_fleet_serial(
     """
     started = time.perf_counter()
     specs = list(specs)
-    sweep = run_serial([_experiment_cell(spec) for spec in specs], profile=profile)
+    sweep = run_serial([spec.cell() for spec in specs], profile=profile)
     device_telemetry: Dict[int, bytes] = {}
     errors: List[str] = []
     for spec, outcome in zip(specs, sweep.outcomes):
@@ -156,7 +140,6 @@ class FleetShardRunner:
         shards: Optional[int] = None,
         workers: Optional[int] = None,
         arena: bool = True,
-        ring_capacity: int = DEFAULT_CAPACITY,
         join_timeout_s: Optional[float] = 900.0,
         max_attempts: int = 2,
         profile: bool = True,
@@ -169,7 +152,6 @@ class FleetShardRunner:
         #: reference path the arena is tested byte-equal against: every
         #: worker restores from its own snapshot cache.
         self.arena = arena
-        self.ring_capacity = ring_capacity
         self.join_timeout_s = join_timeout_s
         self.max_attempts = max_attempts
         self.profile = profile
@@ -185,13 +167,7 @@ class FleetShardRunner:
         stripped of stream states — serves every device of the
         homogeneous fleet regardless of per-device seeds.
         """
-        config = (
-            SSDConfig(num_channels=spec.num_channels)
-            if spec.num_channels is not None
-            else SSDConfig()
-        )
-        probe = Experiment(spec.plans(), spec.policy, ssd_config=config, seed=spec.seed)
-        probe.build()
+        probe = experiment_for(spec.cell()).build()
         snap = snapshots.capture_experiment(probe)
         if snap is None:
             return None
@@ -211,7 +187,6 @@ class FleetShardRunner:
 
         arena_obj: Optional[SharedArena] = None
         arena_stats: dict = {"mode": "shm" if self.arena else "off", "published": False}
-        rings: List[TelemetryRing] = []
         try:
             if self.arena:
                 arena_obj = self._publish_arena(specs[0])
@@ -222,21 +197,17 @@ class FleetShardRunner:
                         payload_nbytes=arena_obj.manifest.payload_nbytes,
                         segment=arena_obj.manifest.name,
                     )
-            rings = [
-                TelemetryRing.create(self.ring_capacity) for _ in range(shard_count)
-            ]
             cells = [
                 FleetShardCell(
                     shard_index=k,
                     devices=tuple(specs[k::shard_count]),
-                    ring_name=rings[k].name,
                     arena=arena_obj.manifest if arena_obj is not None else None,
                 )
                 for k in range(shard_count)
             ]
             # FleetIO policies need the pre-trained net + classifier; warm
             # once in the parent so fork children inherit the memo caches.
-            warm_policy_cache([_experiment_cell(spec) for spec in specs])
+            warm_policy_cache([spec.cell() for spec in specs])
             runner = ParallelRunner(
                 workers=self.workers or shard_count,
                 profile=self.profile,
@@ -244,27 +215,11 @@ class FleetShardRunner:
                 max_attempts=self.max_attempts,
             )
             sweep = runner.run(cells)
-            device_telemetry, errors, ring_bytes, attached = self._merge(
-                cells, sweep.outcomes, rings
-            )
         finally:
-            for ring in rings:
-                ring.close()
             if arena_obj is not None:
                 arena_obj.unlink()
+        device_telemetry, errors, attached = self._merge(sweep.outcomes)
         arena_stats["attached_shards"] = attached
-        profile = merge_profiles(
-            namespace_profile(outcome.profile, f"fleet.shard{k}.")
-            for k, outcome in enumerate(sweep.outcomes)
-            if isinstance(outcome, CellOutcome) and outcome.ok
-        )
-        if ring_bytes:
-            counters = profile.setdefault("counters", {})
-            # Telemetry recovered from rings never crossed the result
-            # pipe: credit it next to the arena's per-restore savings.
-            counters["ipc.bytes_saved"] = (
-                counters.get("ipc.bytes_saved", 0) + ring_bytes
-            )
         return FleetResult(
             specs=specs,
             shards=shard_count,
@@ -273,59 +228,25 @@ class FleetShardRunner:
             outcomes=sweep.outcomes,
             device_telemetry=device_telemetry,
             wall_s=time.perf_counter() - started,
-            profile=profile,
+            profile=merge_profiles(
+                namespace_profile(outcome.profile, f"fleet.shard{k}.")
+                for k, outcome in enumerate(sweep.outcomes)
+                if isinstance(outcome, CellOutcome) and outcome.ok
+            ),
             arena=arena_stats,
             errors=errors,
         )
 
     # -- merge -----------------------------------------------------------
-    def _merge(self, cells, outcomes, rings):
-        """Reassemble per-device telemetry from rings + pipe fallbacks."""
+    def _merge(self, outcomes: list) -> Tuple[Dict[int, bytes], List[str], int]:
+        """Per-device telemetry in shard order; failed shards by name."""
         device_telemetry: Dict[int, bytes] = {}
         errors: List[str] = []
-        ring_bytes = 0
         attached = 0
-        for k, outcome in enumerate(outcomes):
-            cell = cells[k]
-            if not (isinstance(outcome, CellOutcome) and outcome.ok):
+        for outcome in outcomes:
+            if isinstance(outcome, CellOutcome) and outcome.ok:
+                device_telemetry.update(outcome.result["telemetry"])
+                attached += bool(outcome.result["arena_attached"])
+            else:
                 errors.append(outcome.describe())
-                continue
-            payload = outcome.result or {}
-            if payload.get("arena_attached"):
-                attached += 1
-            overflow_from = payload.get("overflow_from")
-            fallback = payload.get("fallback") or {}
-            by_device: Dict[int, dict] = {}
-            for kind, dev, slot, data in rings[k].drain():
-                if overflow_from is not None and dev >= overflow_from:
-                    # Partial records from the device that hit overflow
-                    # (and any later ones); their complete bytes arrive
-                    # via the pipe fallback instead.
-                    continue
-                entry = by_device.setdefault(dev, {"results": b"", "slots": {}})
-                if kind == KIND_RESULTS:
-                    entry["results"] = data
-                elif kind == KIND_WINDOW_ROWS:
-                    entry["slots"].setdefault(slot, []).append(data)
-            for spec in cell.devices:
-                if spec.index in fallback:
-                    device_telemetry[spec.index] = fallback[spec.index]
-                    continue
-                entry = by_device.get(spec.index)
-                if entry is None or not entry["results"]:
-                    errors.append(
-                        f"{cell.cell_id}: device {spec.index} missing from "
-                        "ring and pipe fallback"
-                    )
-                    continue
-                slots = entry["slots"]
-                data = (
-                    entry["results"]
-                    + window_header_bytes()
-                    + b"".join(
-                        b"".join(slots[slot]) for slot in sorted(slots)
-                    )
-                )
-                device_telemetry[spec.index] = data
-                ring_bytes += len(data)
-        return device_telemetry, errors, ring_bytes, attached
+        return device_telemetry, errors, attached

@@ -1,136 +1,53 @@
 """Worker-side shard executor.
 
 Runs one :class:`~repro.fleet.spec.FleetShardCell` — a device-ordered
-slice of the fleet — inside a pool worker.  Each device is a full
-harness :class:`~repro.harness.experiment.Experiment`; the shard streams
-its telemetry into the shard's shared ring once per decision window (and
-once more for the final results CSV), so the returned
-:class:`~repro.parallel.worker.CellOutcome` carries no telemetry bytes
-at all.
+slice of the fleet — inside a pool worker.  A fleet device is an
+experiment cell: each one goes through the registered ``experiment``
+runner, the same function :func:`~repro.parallel.runner.run_serial` (and
+so :func:`~repro.fleet.runner.run_fleet_serial`) runs, which is what
+makes sharded bytes equal serial bytes by construction.  Per-device
+telemetry rides home in the outcome's ``result`` over the result pipe.
 
-Degradation ladder, strictly in order of preference:
+If the cell carries an arena manifest the worker attaches it first, so
+its devices restore their warm state from the shared segment; a failed
+attach degrades to the regular snapshot cache (or a cold build+warm).
+A device that raises fails its whole shard: the exception propagates to
+:func:`~repro.parallel.worker.run_cell`, which reports it as a
+deterministic, not-retried failure.
 
-1. ring + arena — zero-copy restore, telemetry via shared memory;
-2. ring only — arena attach failed, devices restore via the regular
-   snapshot cache (or cold build+warm);
-3. pipe fallback — the ring filled up (or was never given): every
-   affected device's full telemetry bytes ship inside ``result``.
-
-The fallback is *per device from the overflow point on*: devices fully
-flushed before the ring filled stay in the ring, and the parent stitches
-ring + fallback back together in device order.
+The runner registers itself on import.  ``repro/fleet/__init__.py``
+imports this module, and unpickling a shard cell imports that package,
+so a pool worker always has the runner before ``run_cell`` looks it up.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.config import SSDConfig
 from repro.fleet.arena import install_manifest
-from repro.fleet.ring import KIND_RESULTS, KIND_WINDOW_ROWS, TelemetryRing
 from repro.fleet.spec import DeviceSpec, FleetShardCell
-from repro.harness.experiment import Experiment
-from repro.harness.report import results_csv_bytes
-from repro.harness.telemetry import window_rows_bytes, windows_csv_bytes
-from repro.parallel.worker import CellOutcome
+from repro.parallel.worker import RUNNERS, CellOutcome, register_runner
 from repro.profiling import PROFILER
 
 
-def _device_experiment(spec: DeviceSpec) -> Experiment:
-    """Build the (unrun) experiment for one device spec."""
-    config = (
-        SSDConfig(num_channels=spec.num_channels)
-        if spec.num_channels is not None
-        else SSDConfig()
-    )
-    return Experiment(spec.plans(), spec.policy, ssd_config=config, seed=spec.seed)
-
-
 def run_fleet_shard(cell: FleetShardCell) -> CellOutcome:
-    """Run every device of the shard; telemetry goes to the ring.
+    """Run every device of the shard through the experiment cell runner.
 
-    The outcome's ``result`` is a plain dict (cheap to pickle):
-    ``overflow_from`` (first fleet device index whose telemetry did NOT
-    fully fit in the ring, or None), ``fallback`` (device index →
-    complete telemetry bytes for those devices), ``device_wall_s``
-    (device index → seconds), and attach diagnostics.
+    The outcome's ``result`` is a plain dict: ``shard``, ``devices``
+    (fleet indices, shard order), ``arena_attached``, ``telemetry``
+    (device index → results CSV + window CSV bytes) and
+    ``device_wall_s`` (device index → seconds).
     """
-    ring: Optional[TelemetryRing] = None
-    if cell.ring_name is not None:
-        ring = TelemetryRing.attach(cell.ring_name)
-        if ring is not None:
-            # A retried shard attempt must not append after a dead
-            # attempt's records.  The pool reaps the previous worker
-            # before re-dispatching, so the producer is still unique.
-            ring.reset()
-    arena_attached = False
-    if cell.arena is not None:
-        arena_attached = install_manifest(cell.arena)
-
-    overflow_from: Optional[int] = None
-    fallback: Dict[int, bytes] = {}
+    arena_attached = cell.arena is not None and install_manifest(cell.arena)
+    telemetry: Dict[int, bytes] = {}
     device_wall_s: Dict[int, float] = {}
-    ring_bytes = 0
-
-    def push(kind: int, device_index: int, slot: int, payload: bytes) -> bool:
-        """Append to the ring, latching overflow on the first failure."""
-        nonlocal overflow_from, ring_bytes
-        if ring is None or overflow_from is not None:
-            return False
-        if not ring.append(kind, device_index, slot, payload):
-            overflow_from = device_index
-            return False
-        ring_bytes += len(payload)
-        return True
-
     for spec in cell.devices:
         started = time.perf_counter()
-        experiment = _device_experiment(spec)
-        use_ring = ring is not None and overflow_from is None
-        emitted: Dict[int, int] = {}
-
-        def flush(window: int) -> None:
-            """Ship window rows completed since the previous flush."""
-            for slot, (label, monitor) in enumerate(experiment.monitors.items()):
-                history = monitor.window_history
-                done = emitted.get(slot, 0)
-                if len(history) <= done:
-                    continue
-                payload = window_rows_bytes(label, history[done:])
-                if not push(KIND_WINDOW_ROWS, spec.index, slot, payload):
-                    return
-                emitted[slot] = len(history)
-
+        device = spec.cell()
         with PROFILER.timer("fleet.device"):
-            result = experiment.run(
-                spec.duration_s,
-                spec.measure_after_s,
-                on_window=flush if use_ring else None,
-            )
-        results_bytes = results_csv_bytes({spec.policy: result})
-        if use_ring and overflow_from is None:
-            # The final window callback fired at the end boundary, but a
-            # flush that hit overflow mid-device leaves partial rows; a
-            # last sweep is free when there is nothing new.
-            flush(-1)
-        if use_ring and overflow_from is None:
-            push(KIND_RESULTS, spec.index, 0, results_bytes)
-        if ring is None or (overflow_from is not None and spec.index >= overflow_from):
-            # Ring rows for this device (if any) are partial; the parent
-            # ignores ring records at indices >= overflow_from and uses
-            # these complete bytes instead.
-            fallback[spec.index] = results_bytes + windows_csv_bytes(
-                {
-                    name: monitor.window_history
-                    for name, monitor in experiment.monitors.items()
-                }
-            )
+            telemetry[spec.index] = RUNNERS[device.runner](device).telemetry
         device_wall_s[spec.index] = time.perf_counter() - started
-
-    if ring is not None:
-        PROFILER.count("fleet.ring_bytes", ring_bytes)
-        ring.close()
     return CellOutcome(
         cell=cell,
         ok=True,
@@ -138,15 +55,15 @@ def run_fleet_shard(cell: FleetShardCell) -> CellOutcome:
             "shard": cell.shard_index,
             "devices": [spec.index for spec in cell.devices],
             "arena_attached": arena_attached,
-            "overflow_from": overflow_from,
-            "fallback": fallback,
-            "ring_bytes": ring_bytes,
+            "telemetry": telemetry,
             "device_wall_s": device_wall_s,
         },
-        telemetry=b"",
     )
 
 
 def shard_device_count(devices: List[DeviceSpec], shards: int) -> List[int]:
     """Round-robin shard sizes (diagnostic helper for sizing docs)."""
     return [len(devices[k::shards]) for k in range(max(shards, 1))]
+
+
+register_runner("fleet_shard", run_fleet_shard)

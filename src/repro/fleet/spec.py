@@ -3,9 +3,8 @@
 A fleet run is N :class:`DeviceSpec` rows — one simulated SSD each —
 partitioned round-robin into K :class:`FleetShardCell` work units that
 the persistent pool of ``repro.parallel`` executes like any other cell.
-Registering the shard runner happens at import time, and because
-unpickling a cell imports this module, a pool worker that receives a
-fleet cell always has the runner before ``run_cell`` looks it up.
+A device *is* an experiment cell (:meth:`DeviceSpec.cell`) plus its
+position in the fleet; a shard is a device-ordered tuple of them.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.fleet.arena import ArenaManifest
-from repro.parallel.matrix import plans_for
-from repro.parallel.worker import CellOutcome, register_runner
+from repro.parallel.matrix import ExperimentCell
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,17 @@ class DeviceSpec:
             f"{self.policy}/s{self.seed}"
         )
 
-    def plans(self) -> list:
-        """The device's vSSD plans (built fresh — plans are mutable)."""
-        return plans_for(self.workloads)
+    def cell(self) -> ExperimentCell:
+        """The device as the experiment cell a sweep would run."""
+        return ExperimentCell(
+            scenario="+".join(self.workloads),
+            workloads=self.workloads,
+            policy=self.policy,
+            seed=self.seed,
+            duration_s=self.duration_s,
+            measure_after_s=self.measure_after_s,
+            num_channels=self.num_channels,
+        )
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,6 @@ class FleetShardCell:
 
     shard_index: int
     devices: Tuple[DeviceSpec, ...]
-    #: Shared ring segment for telemetry (None: ship over the pipe).
-    ring_name: Optional[str] = None
     #: Shared warm-state arena (None: regular snapshot path).
     arena: Optional[ArenaManifest] = None
     #: Name of the registered cell runner (``repro.parallel.worker``).
@@ -64,18 +68,3 @@ class FleetShardCell:
     def cell_id(self) -> str:
         """Stable human-readable identity, e.g. ``fleet/shard3(x8)``."""
         return f"fleet/shard{self.shard_index}(x{len(self.devices)})"
-
-
-def _run_fleet_shard_cell(cell: FleetShardCell) -> CellOutcome:
-    """Thin registry wrapper: the executor lives in ``repro.fleet.shard``.
-
-    Deferred import keeps cell *unpickling* (which imports this module)
-    from dragging the whole harness stack into workers that only route
-    other cell types.
-    """
-    from repro.fleet.shard import run_fleet_shard
-
-    return run_fleet_shard(cell)
-
-
-register_runner("fleet_shard", _run_fleet_shard_cell)

@@ -16,7 +16,8 @@ The five systems of Section 4.1 are expressed as policies:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from functools import partial
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -94,7 +95,6 @@ class Experiment:
         fleetio_kwargs: Optional[dict] = None,
         faults: Optional["list[FaultSpec]"] = None,
         guardrails: Union[bool, GuardrailConfig, Guardrails, None] = None,
-        snapshots: Optional[bool] = None,
     ) -> None:
         if not plans:
             raise ValueError("need at least one vSSD plan")
@@ -126,10 +126,6 @@ class Experiment:
         elif isinstance(guardrails, GuardrailConfig):
             guardrails = Guardrails(guardrails)
         self.guardrails: Optional[Guardrails] = guardrails
-        # Warm-state snapshot reuse: None defers to REPRO_SNAPSHOTS (the
-        # ``repro sweep --snapshots on|off`` escape hatch sets the env),
-        # True/False force it per experiment.
-        self.snapshots = snapshots
         self.injector: Optional[FaultInjector] = None
         self.virt: Optional[StorageVirtualizer] = None
         self.monitors: dict = {}
@@ -164,7 +160,7 @@ class Experiment:
         )
         self.virt = StorageVirtualizer(config=self.config, policy=sched_policy)
         allocation = self._plan_allocation()
-        mode = self._snapshots_mode()
+        mode = snapshots.snapshots_mode()
         cached = None
         key = None
         if mode != "off":
@@ -227,15 +223,6 @@ class Experiment:
             self.injector = FaultInjector(self.virt, monitors=self._fault_monitors())
             self.injector.arm(self.faults)
         self._built = True
-
-    def _snapshots_mode(self) -> str:
-        """Effective warm-snapshot mode: constructor flag over env."""
-        if self.snapshots is False:
-            return "off"
-        mode = snapshots.snapshots_mode()
-        if self.snapshots is True and mode == "off":
-            mode = "mem"
-        return mode
 
     def _fault_monitors(self) -> dict:
         """Name -> monitor map for monitor-targeted faults.
@@ -389,7 +376,6 @@ class Experiment:
         duration_s: float = 30.0,
         measure_after_s: float = 6.0,
         detsan: Optional["DetsanRecorder"] = None,
-        on_window: Optional["Callable[[int], None]"] = None,
     ) -> ExperimentResult:
         """Run the experiment and collect per-vSSD and device metrics.
 
@@ -401,12 +387,6 @@ class Experiment:
         lands exactly on every boundary either way, events with
         timestamps inside a chunk fire in the same (time, seq) order,
         and checkpoints neither draw randomness nor schedule events.
-
-        ``on_window`` hooks the same chunk boundaries without a
-        recorder: the fleet runner uses it to flush freshly completed
-        telemetry windows into its shared ring buffer.  The callback
-        must be read-only with respect to simulated state — it runs
-        between windows, outside the event loop.
         """
         self.build()
         sim = self.virt.sim
@@ -426,22 +406,16 @@ class Experiment:
 
             if detsan_enabled():
                 detsan = DetsanRecorder(label=f"{self.policy}/s{self.seed}")
-        if detsan is None and on_window is None:
+        if detsan is None:
             sim.run_until_seconds(end_s)
         else:
-
-            def at_boundary(window: int) -> None:
-                """Per-window hooks: detsan checkpoint, then telemetry flush."""
-                if detsan is not None:
-                    detsan.checkpoint(window, self)
-                if on_window is not None:
-                    on_window(window)
-
             sim.run_windows(
-                start_s, end_s, self.rl_config.decision_interval_s, at_boundary
+                start_s,
+                end_s,
+                self.rl_config.decision_interval_s,
+                partial(detsan.checkpoint, experiment=self),
             )
-            if detsan is not None:
-                self.detsan = detsan
+            self.detsan = detsan
         return self._collect(end_s)
 
     def schedule_workload_switch(self, plan_name: str, new_workload: str, at_s: float) -> None:

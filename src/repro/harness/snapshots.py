@@ -19,14 +19,19 @@ build+warm run.
 
 Cache layers, selected by the ``REPRO_SNAPSHOTS`` environment variable:
 
-* ``off``/``0`` — disabled (the escape hatch behind
-  ``repro sweep --snapshots off``).
-* default (``mem``) — in-process dict only; hits come from repeated
-  cells inside one process (serial sweeps, persistent pool workers).
+* ``off`` (or ``0``/``no``/``false``) — disabled (the escape hatch
+  behind ``repro sweep --snapshots off``).
+* ``mem`` (or ``on``/``1``/``yes``/``true``; the default when unset) —
+  in-process dict only, bounded at 16 entries with the oldest-inserted
+  evicted first; hits come from repeated cells inside one process
+  (serial sweeps, persistent pool workers).
 * ``disk`` — additionally persists ``warmstate_<key>.npz`` beside the
   pretrained policy/classifier caches, so separate processes and later
   invocations skip the warm too.  Opt-in so test runs never write
   cache files as a side effect.
+
+Any other value is a ``ValueError`` (:func:`snapshots_mode`), not a
+silent ``mem``.
 
 Keys cover everything that shapes the warm state: the full SSD config,
 the root seed (stream states are seed-derived), the warm fraction, the
@@ -44,6 +49,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.cache import atomic_replace, cache_dir, config_hash, load_or_miss
 from repro.profiling import PROFILER
 from repro.ssd.blockstate import BlockState
 
@@ -62,7 +68,8 @@ STATS = {"hits": 0, "misses": 0, "disk_hits": 0, "stores": 0}
 #: restore copies *out* of them), so one entry serves many experiments.
 _MEMORY_CACHE: dict = {}
 #: Bound on distinct warm states held in memory; a sweep over one plan
-#: matrix needs one entry per (allocation, seed) pair.
+#: matrix needs one entry per (allocation, seed) pair.  Past the bound the
+#: oldest-inserted entry goes (insertion order: a hit does not refresh it).
 _MEMORY_CACHE_MAX = 16
 
 #: ``BlockState`` column encoding for the on-disk layer (int8 index).
@@ -74,14 +81,26 @@ _BLOCK_STATE_INDEX = {state: i for i, state in enumerate(_BLOCK_STATES)}
 _NONE = int(np.iinfo(np.int32).min)
 
 
+#: Accepted ``REPRO_SNAPSHOTS`` spellings (case-insensitive) per mode.
+_MODE_SPELLINGS = {
+    "off": ("off", "0", "no", "false"),
+    "mem": ("mem", "on", "1", "yes", "true"),
+    "disk": ("disk",),
+}
+
+
 def snapshots_mode() -> str:
-    """Resolve ``REPRO_SNAPSHOTS`` to ``off``, ``mem``, or ``disk``."""
+    """Resolve ``REPRO_SNAPSHOTS`` to ``off``, ``mem``, or ``disk``.
+
+    Unset means ``mem``.  Anything else unrecognised raises: a typo such
+    as ``dsik`` must not silently run without the disk layer.
+    """
     value = os.environ.get("REPRO_SNAPSHOTS", "mem").strip().lower()
-    if value in ("off", "0", "no", "false"):
-        return "off"
-    if value == "disk":
-        return "disk"
-    return "mem"
+    for mode, spellings in _MODE_SPELLINGS.items():
+        if value in spellings:
+            return mode
+    accepted = ", ".join("|".join(spellings) for spellings in _MODE_SPELLINGS.values())
+    raise ValueError(f"REPRO_SNAPSHOTS={value!r} is not one of {accepted}")
 
 
 def reset_stats() -> None:
@@ -153,9 +172,7 @@ def warm_cache_key(experiment: "Experiment", allocation: list) -> str:
     snapshot.  The manager/controller built after the warm never feeds
     back into it.
     """
-    from repro.harness.pretrained import _config_hash
-
-    return _config_hash(_warm_key_payload(experiment, allocation))
+    return config_hash(_warm_key_payload(experiment, allocation))
 
 
 def warm_columns_key(experiment: "Experiment", allocation: list) -> str:
@@ -170,12 +187,10 @@ def warm_columns_key(experiment: "Experiment", allocation: list) -> str:
     indirectly where it matters: ssdkeeper-style allocators fold it into
     ``allocation``, which is hashed via the per-plan specs.
     """
-    from repro.harness.pretrained import _config_hash
-
     payload = _warm_key_payload(experiment, allocation)
     del payload["seed"]
     payload["columns_only"] = True
-    return _config_hash(payload)
+    return config_hash(payload)
 
 
 def _warm_key_payload(experiment: "Experiment", allocation: list) -> dict:
@@ -281,9 +296,7 @@ def cache_get(key: str, mode: str) -> Optional[dict]:
         _bump("hits")
         return snap
     if mode == "disk":
-        from repro.harness.pretrained import _load_or_miss
-
-        snap = _load_or_miss(_snapshot_path(key), _decode_npz)
+        snap = load_or_miss(_snapshot_path(key), _decode_npz)
         if snap is not None:
             _memory_put(key, snap)
             _bump("hits")
@@ -298,24 +311,20 @@ def cache_put(key: str, snap: dict, mode: str) -> None:
     _memory_put(key, snap)
     _bump("stores")
     if mode == "disk":
-        from repro.harness.pretrained import _atomic_replace
-
         # Only a miss gets here, so a file already at the path is one
         # that could not be read back (or a racing writer's identical
         # bytes): replace it.
-        _atomic_replace(lambda tmp: _encode_npz(snap, tmp), _snapshot_path(key))
+        atomic_replace(lambda tmp: _encode_npz(snap, tmp), _snapshot_path(key))
 
 
 def _memory_put(key: str, snap: dict) -> None:
     if key not in _MEMORY_CACHE and len(_MEMORY_CACHE) >= _MEMORY_CACHE_MAX:
-        _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))  # fleetlint: disable=parallel-shared-mutation  fork-private LRU eviction of a deterministic read-through cache; nothing to merge back
+        _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))  # fleetlint: disable=parallel-shared-mutation  fork-private eviction of the oldest-inserted entry of a deterministic read-through cache; nothing to merge back
     _MEMORY_CACHE[key] = snap  # fleetlint: disable=parallel-shared-mutation  read-through cache keyed by a config hash; pool workers fill their fork-private copy, contents are deterministic per key
 
 
 def _snapshot_path(key: str) -> "Path":
-    from repro.harness.pretrained import _cache_dir
-
-    return _cache_dir() / f"warmstate_{key}.npz"
+    return cache_dir() / f"warmstate_{key}.npz"
 
 
 # ---------------------------------------------------------------------

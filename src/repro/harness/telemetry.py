@@ -38,33 +38,6 @@ WINDOW_COLUMNS = (
 )
 
 
-def window_row_values(label: str, window: WindowStats) -> list:
-    """One window's CSV field list, with the canonical decimal formats.
-
-    Every exporter of per-window telemetry — the in-process CSV writers
-    below and the fleet runner's shared-memory ring encoder — builds its
-    rows through this one function, so "byte-identical telemetry" is
-    guaranteed by construction rather than by parallel format strings.
-    """
-    return [
-        label,
-        f"{window.window_start_s:.3f}",
-        f"{window.window_end_s:.3f}",
-        f"{window.avg_bw_mbps:.3f}",
-        f"{window.avg_iops:.1f}",
-        f"{window.avg_latency_us:.1f}",
-        f"{window.slo_violation_frac:.5f}",
-        f"{window.queue_delay_us:.1f}",
-        f"{window.rw_ratio:.4f}",
-        f"{window.avail_capacity_frac:.4f}",
-        int(window.in_gc),
-        window.cur_priority,
-        window.completed,
-        window.reads,
-        window.writes,
-    ]
-
-
 def _write_window_rows(
     writer: Any, histories: Mapping[str, Iterable[WindowStats]]
 ) -> int:
@@ -72,31 +45,27 @@ def _write_window_rows(
     rows = 0
     for label, history in histories.items():
         for window in history:
-            writer.writerow(window_row_values(label, window))
+            writer.writerow(
+                [
+                    label,
+                    f"{window.window_start_s:.3f}",
+                    f"{window.window_end_s:.3f}",
+                    f"{window.avg_bw_mbps:.3f}",
+                    f"{window.avg_iops:.1f}",
+                    f"{window.avg_latency_us:.1f}",
+                    f"{window.slo_violation_frac:.5f}",
+                    f"{window.queue_delay_us:.1f}",
+                    f"{window.rw_ratio:.4f}",
+                    f"{window.avail_capacity_frac:.4f}",
+                    int(window.in_gc),
+                    window.cur_priority,
+                    window.completed,
+                    window.reads,
+                    window.writes,
+                ]
+            )
             rows += 1
     return rows
-
-
-def window_header_bytes() -> bytes:
-    """The window-CSV header line alone, encoded exactly as
-    :func:`windows_csv_bytes` emits it (csv dialect, ``\\r\\n``)."""
-    buffer = io.StringIO(newline="")
-    csv.writer(buffer).writerow(WINDOW_COLUMNS)
-    return buffer.getvalue().encode("utf-8")
-
-
-def window_rows_bytes(label: str, windows: Iterable[WindowStats]) -> bytes:
-    """Encoded data rows (no header) for one vSSD label.
-
-    ``window_header_bytes() + window_rows_bytes(a) + window_rows_bytes(b)``
-    over the same histories equals ``windows_csv_bytes({a, b})`` byte for
-    byte — the property the fleet ring merge relies on.
-    """
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    for window in windows:
-        writer.writerow(window_row_values(label, window))
-    return buffer.getvalue().encode("utf-8")
 
 
 def windows_to_csv(

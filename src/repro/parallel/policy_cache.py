@@ -9,7 +9,7 @@ work per worker.  Warming in the *parent* before the fan-out means:
   copy-on-write — zero per-worker cost;
 * under ``spawn`` (or a later cold run), children hit the on-disk cache,
   which is keyed by config hash and written atomically
-  (:mod:`repro.harness.pretrained`), so concurrent cold workers can race
+  (:mod:`repro.cache`), so concurrent cold workers can race
   on the same key without corrupting it.
 """
 

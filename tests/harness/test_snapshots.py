@@ -11,6 +11,7 @@ warm states from ever sharing an entry.
 import numpy as np
 import pytest
 
+from repro.cache import atomic_replace
 from repro.config import SSDConfig
 from repro.harness import Experiment, VssdPlan
 from repro.harness import snapshots
@@ -45,14 +46,21 @@ def _clean_cache(monkeypatch, tmp_path):
     snapshots.reset_stats()
 
 
-def _experiment(policy="hardware", config=FAST, seed=7, snapshots_flag=None):
+def _experiment(policy="hardware", config=FAST, seed=7):
     return Experiment(
         [VssdPlan(p.workload, slo_latency_us=p.slo_latency_us) for p in PLANS],
         policy,
         ssd_config=config,
         seed=seed,
-        snapshots=snapshots_flag,
     )
+
+
+def _cold_build(monkeypatch, **kwargs):
+    """Built with ``REPRO_SNAPSHOTS=off`` — the env var is the one switch,
+    read at build time — and the caller's mode put back afterwards."""
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_SNAPSHOTS", "off")
+        return _experiment(**kwargs).build()
 
 
 def _state_fingerprint(exp):
@@ -85,20 +93,19 @@ def _assert_fingerprints_equal(a, b):
 # ---------------------------------------------------------------------
 # Restore-vs-cold bit-exactness
 # ---------------------------------------------------------------------
-def test_restored_build_state_equals_cold_build():
-    cold = _experiment(snapshots_flag=False).build()
-    _experiment(snapshots_flag=True).build()  # miss: warms + captures
+def test_restored_build_state_equals_cold_build(monkeypatch):
+    cold = _cold_build(monkeypatch)
+    _experiment().build()  # miss: warms + captures
     assert snapshots.STATS["misses"] == 1 and snapshots.STATS["stores"] == 1
-    restored = _experiment(snapshots_flag=True).build()  # hit: restores
+    restored = _experiment().build()  # hit: restores
     assert snapshots.STATS["hits"] == 1
     _assert_fingerprints_equal(
         _state_fingerprint(cold), _state_fingerprint(restored)
     )
 
 
-def test_restored_run_telemetry_identical_to_cold(tmp_path):
-    def run(tag, flag):
-        exp = _experiment(snapshots_flag=flag)
+def test_restored_run_telemetry_identical_to_cold(tmp_path, monkeypatch):
+    def run(tag, exp):
         exp.run(2.0, 0.5)
         histories = {
             plan.name: exp.monitors[plan.name].window_history
@@ -108,18 +115,18 @@ def test_restored_run_telemetry_identical_to_cold(tmp_path):
         windows_to_csv(histories, path)
         return path.read_bytes()
 
-    cold = run("cold", False)
-    run("prime", True)  # populates the cache
-    warm = run("warm", True)
+    cold = run("cold", _cold_build(monkeypatch))
+    run("prime", _experiment())  # populates the cache
+    warm = run("warm", _experiment())
     assert snapshots.STATS["hits"] == 1
     assert cold == warm
 
 
-def test_rng_positions_identical_after_restored_run():
-    _experiment(snapshots_flag=True).build()
-    cold = _experiment(snapshots_flag=False)
+def test_rng_positions_identical_after_restored_run(monkeypatch):
+    _experiment().build()
+    cold = _cold_build(monkeypatch)
     cold.run(1.0, 0.25)
-    warm = _experiment(snapshots_flag=True)
+    warm = _experiment()
     warm.run(1.0, 0.25)
     assert snapshots.STATS["hits"] == 1
     assert cold.streams.snapshot() == warm.streams.snapshot()
@@ -151,6 +158,32 @@ def test_snapshots_off_never_touches_cache(monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOTS", "off")
     _experiment().build()
     _experiment().build()
+    assert snapshots.STATS == {
+        "hits": 0, "misses": 0, "disk_hits": 0, "stores": 0
+    }
+
+
+def test_snapshots_mode_accepts_the_documented_values(monkeypatch):
+    assert snapshots.snapshots_mode() == "mem"  # unset
+    accepted = {
+        "off": ("off", "0", "no", "False"),
+        "mem": ("mem", "ON", "1", "yes", "true"),
+        "disk": ("disk", " Disk "),
+    }
+    for mode, values in accepted.items():
+        for value in values:
+            monkeypatch.setenv("REPRO_SNAPSHOTS", value)
+            assert snapshots.snapshots_mode() == mode, value
+
+
+def test_snapshots_mode_rejects_a_typo_instead_of_dropping_the_disk_layer(
+    monkeypatch,
+):
+    monkeypatch.setenv("REPRO_SNAPSHOTS", "dsik")
+    with pytest.raises(ValueError, match="dsik.*off.*mem.*disk"):
+        snapshots.snapshots_mode()
+    with pytest.raises(ValueError, match="REPRO_SNAPSHOTS"):
+        _experiment().build()
     assert snapshots.STATS == {
         "hits": 0, "misses": 0, "disk_hits": 0, "stores": 0
     }
@@ -202,8 +235,8 @@ def test_policies_with_identical_warm_share_a_key():
 
 
 def test_distinct_configs_do_not_hit_each_others_entries():
-    _experiment(seed=7, snapshots_flag=True).build()
-    _experiment(seed=8, snapshots_flag=True).build()
+    _experiment(seed=7).build()
+    _experiment(seed=8).build()
     assert snapshots.STATS["hits"] == 0
     assert snapshots.STATS["misses"] == 2
 
@@ -213,7 +246,7 @@ def test_distinct_configs_do_not_hit_each_others_entries():
 # ---------------------------------------------------------------------
 def test_disk_roundtrip_restores_identical_state(monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOTS", "disk")
-    cold = _experiment(snapshots_flag=False).build()
+    cold = _cold_build(monkeypatch)
     _experiment().build()  # miss: warms, captures, writes the .npz
     assert snapshots.STATS["stores"] == 1
     snapshots.clear_memory_cache()  # force the next hit through the disk
@@ -237,7 +270,7 @@ def test_corrupt_disk_entry_degrades_to_miss(monkeypatch, tmp_path):
 
 def test_truncated_disk_entry_is_rebuilt_and_replaced(monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOTS", "disk")
-    cold = _experiment(snapshots_flag=False).build()
+    cold = _cold_build(monkeypatch)
     exp = _experiment()
     path = snapshots._snapshot_path(_key_of(exp))
     exp.build()  # miss: writes the .npz
@@ -331,16 +364,14 @@ def _hammer_atomic_replace(path_str: str, fill: int, rounds: int) -> None:
     """Child body: repeatedly replace ``path`` with a ``fill``-valued npz."""
     from pathlib import Path
 
-    from repro.harness.pretrained import _atomic_replace
-
     path = Path(path_str)
     payload = np.full(60_000, fill, dtype=np.int64)
     for _ in range(rounds):
-        _atomic_replace(lambda tmp: np.savez(tmp, payload=payload), path)
+        atomic_replace(lambda tmp: np.savez(tmp, payload=payload), path)
 
 
 def test_atomic_replace_race_never_tears(tmp_path):
-    """Two processes racing ``_atomic_replace`` on the same warmstate
+    """Two processes racing ``atomic_replace`` on the same warmstate
     path: every read — concurrent or final — decodes a complete file
     written entirely by one of them, and no tmp litter survives.
 

@@ -32,10 +32,11 @@ def built(request):
             "fleetio_kwargs": {"unified_alpha_only": True},
         }
     experiment = Experiment(
-        plans_for_pair("ycsb", "terasort"), request.param,
-        seed=SEED, snapshots=False, **kwargs,
+        plans_for_pair("ycsb", "terasort"), request.param, seed=SEED, **kwargs
     )
-    return experiment.build()
+    with pytest.MonkeyPatch.context() as patch:  # a cold build, not a restore
+        patch.setenv("REPRO_SNAPSHOTS", "off")
+        return experiment.build()
 
 
 def test_warm_draws_nothing_and_schedules_nothing(built):
