@@ -439,8 +439,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     )
     print(
         f"state plane: arena.attach={counters.get('arena.attach', 0)} "
-        f"arena.hits={counters.get('arena.hits', 0)} "
-        f"ipc.bytes_saved={counters.get('ipc.bytes_saved', 0)}"
+        f"snapshot.hits={counters.get('snapshot.hits', 0)} "
+        f"snapshot.misses={counters.get('snapshot.misses', 0)}"
     )
     if args.show_profile:
         print()

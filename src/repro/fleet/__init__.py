@@ -16,14 +16,16 @@ package only decides how many of them share a worker and a warm state:
 * :class:`~repro.fleet.arena.SharedArena` places the warm-snapshot numpy
   columns (``BlockStore.page_lpns``/``erase_count``, ``ChannelArrays``
   horizons, L2P tables) into a named ``multiprocessing.shared_memory``
-  segment keyed without the seed, so one probe build in the parent
-  serves every device of a homogeneous fleet; shard workers restore from
-  a zero-copy view (on by default; ``FleetShardRunner(arena=False)`` is
-  the reference path it is tested byte-equal against).
+  segment under the seed-free warm cache key, so one probe build in the
+  parent serves every device of a homogeneous fleet; a shard worker
+  installs the zero-copy view into its snapshot store and its devices
+  hit it like any other entry (on by default;
+  ``FleetShardRunner(arena=False)`` is the reference path it is tested
+  byte-equal against).
 
 Shard timings appear in ``repro profile`` under ``fleet.shard<k>.*``;
-the ``arena.attach``, ``arena.hits`` and ``ipc.bytes_saved`` counters
-say how often the shared segment was used.
+the ``arena.attach`` counter says how many workers attached the segment,
+and ``snapshot.hits`` / ``snapshot.misses`` how the devices were built.
 """
 
 from repro.fleet.arena import ArenaManifest, SharedArena, leaked_segments

@@ -3,11 +3,14 @@
 One arena segment holds one warm snapshot's numpy columns — the
 page→LPN matrix, erase counts, encoded BlockStore columns, and per-plan
 L2P tables — plus a JSON meta block (engine clock, ChannelArrays
-horizons, FTL region state).  Shard workers attach the segment and
-restore devices from zero-copy views instead of unpickling a snapshot
-per device; the segment is keyed by the *seed-independent*
-:func:`repro.harness.snapshots.warm_columns_key`, so one segment serves
-every device of a homogeneous fleet regardless of per-device seeds.
+horizons, FTL region state).  It is a transport, not a store: a shard
+worker attaches the segment and installs the decoded zero-copy views
+into the one in-process snapshot store
+(:func:`repro.harness.snapshots.install`) under the one
+:func:`~repro.harness.snapshots.warm_cache_key`.  That key has no seed
+in it, so the one entry serves every device of a homogeneous fleet
+regardless of per-device seeds, through the same ``cache_get`` every
+other build uses.
 
 Lifecycle: the parent (the fleet runner) creates and — always — unlinks
 the segment; workers only ever attach.  A worker crash or watchdog kill
@@ -15,7 +18,8 @@ therefore cannot leak a segment: the parent's ``finally`` (with an
 ``atexit`` backstop for harder exits) unlinks regardless of how the
 shard workers died.  Attaching is defensive end to end — a bad magic,
 truncated meta, or malformed layout makes :func:`attach_arena` return
-``None`` and the worker falls back to the regular snapshot/pickle path.
+``None`` and the worker's store stays as it was (a miss, then a cold
+build+warm, at worst).
 
 Segment layout::
 
@@ -132,16 +136,14 @@ class ArenaManifest:
     name: str
     size: int
     columns_key: str
-    #: Total bytes of the array payload — the per-restore credit behind
-    #: the ``ipc.bytes_saved`` counter (what a pickled snapshot of the
-    #: same columns would have shipped over the pipe instead).
+    #: Total bytes of the array payload in the segment.
     payload_nbytes: int
 
 
 class SharedArena:
     """Parent-side owner of one warm-snapshot segment.
 
-    Create with the (streams-less) snapshot to publish, hand
+    Create with the snapshot to publish, hand
     :attr:`manifest` to the shard cells, and call :meth:`unlink` in a
     ``finally`` when the fleet run ends.  ``unlink`` is idempotent and
     registered with ``atexit`` as a backstop, so even an exception path
@@ -149,11 +151,6 @@ class SharedArena:
     """
 
     def __init__(self, columns_key: str, snap: dict) -> None:
-        if "streams" in snap:
-            # Stream states are seed-dependent; the arena is shared
-            # across seeds.  Publishing them would be wrong, not just
-            # wasteful.
-            snap = {k: v for k, v in snap.items() if k != "streams"}
         entries, meta = snapshots.encode_snapshot_entries(snap)
         layout = {}
         offset = 0  # relative to the payload base (after header+meta)
@@ -229,8 +226,7 @@ def attach_arena(manifest: ArenaManifest) -> Optional[dict]:
     The decoded snapshot's big matrices are read-only views into the
     shared segment (restore copies *out* of them), small columns are
     plain Python lists.  Defensive by design: any validation or decode
-    failure degrades to ``None`` and the caller's regular snapshot
-    (pickle/rebuild) path — a corrupt arena can cost time, never
+    failure degrades to ``None`` — a corrupt arena can cost time, never
     correctness.
     """
     cached = _ATTACHED.get(manifest.name)
@@ -302,16 +298,14 @@ def _decode_segment(
 
 
 def install_manifest(manifest: ArenaManifest) -> bool:
-    """Attach ``manifest`` and register it with the snapshot layer.
+    """Attach ``manifest`` and put its snapshot in the snapshot store.
 
-    Returns True when devices in this process will restore from the
-    arena; False means graceful degradation (regular snapshot cache or
-    cold build+warm).
+    Returns True when devices in this process will hit the installed
+    entry; False means graceful degradation (whatever the store already
+    held, or a cold build+warm).
     """
     snap = attach_arena(manifest)
     if snap is None:
         return False
-    snapshots.install_arena_snapshot(
-        manifest.columns_key, snap, nbytes=manifest.payload_nbytes
-    )
+    snapshots.install(manifest.columns_key, snap)
     return True

@@ -71,7 +71,7 @@ class FleetResult:
     wall_s: float = 0.0
     profile: dict = field(default_factory=dict)
     #: Arena diagnostics: mode, whether a segment was published, its
-    #: key/size, and how many shards actually restored from it.
+    #: key/size, and how many shards installed it into their store.
     arena: dict = field(default_factory=dict)
     #: Human-readable reconstruction/shard failures.
     errors: List[str] = field(default_factory=list)
@@ -148,9 +148,10 @@ class FleetShardRunner:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
         self.workers = workers
-        #: Publish the warm state as a shared segment.  ``False`` is the
-        #: reference path the arena is tested byte-equal against: every
-        #: worker restores from its own snapshot cache.
+        #: Publish the warm state as a shared segment that pre-fills each
+        #: worker's snapshot store.  ``False`` is the reference path the
+        #: arena is tested byte-equal against: a worker's store holds
+        #: only what it inherited or built itself.
         self.arena = arena
         self.join_timeout_s = join_timeout_s
         self.max_attempts = max_attempts
@@ -161,18 +162,16 @@ class FleetShardRunner:
         """Build one probe device in the parent and publish its warm
         columns as a shared segment.
 
-        The probe's warm state is seed-independent (deterministic
-        sequential warm fill, no engine events or RNG draws before
-        capture), so the segment — keyed by ``warm_columns_key`` and
-        stripped of stream states — serves every device of the
+        The warm state is seed-independent (deterministic sequential
+        warm fill, no engine events or RNG draws before capture), so the
+        segment, keyed by ``warm_cache_key``, serves every device of the
         homogeneous fleet regardless of per-device seeds.
         """
         probe = experiment_for(spec.cell()).build()
         snap = snapshots.capture_experiment(probe)
         if snap is None:
             return None
-        key = snapshots.warm_columns_key(probe, probe._plan_allocation())
-        snap.pop("streams", None)
+        key = snapshots.warm_cache_key(probe, probe._plan_allocation())
         return SharedArena(key, snap)
 
     # -- run -------------------------------------------------------------
@@ -188,7 +187,9 @@ class FleetShardRunner:
         arena_obj: Optional[SharedArena] = None
         arena_stats: dict = {"mode": "shm" if self.arena else "off", "published": False}
         try:
-            if self.arena:
+            # With snapshots off no build looks anything up: nothing
+            # would read the segment.
+            if self.arena and snapshots.snapshots_mode() != "off":
                 arena_obj = self._publish_arena(specs[0])
                 if arena_obj is not None:
                     arena_stats.update(

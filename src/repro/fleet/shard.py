@@ -8,9 +8,10 @@ so :func:`~repro.fleet.runner.run_fleet_serial`) runs, which is what
 makes sharded bytes equal serial bytes by construction.  Per-device
 telemetry rides home in the outcome's ``result`` over the result pipe.
 
-If the cell carries an arena manifest the worker attaches it first, so
-its devices restore their warm state from the shared segment; a failed
-attach degrades to the regular snapshot cache (or a cold build+warm).
+If the cell carries an arena manifest the worker attaches it first and
+installs the shared segment's snapshot into its snapshot store, so its
+devices hit it; a failed attach leaves the store as it was (at worst a
+cold build+warm).
 A device that raises fails its whole shard: the exception propagates to
 :func:`~repro.parallel.worker.run_cell`, which reports it as a
 deterministic, not-retried failure.

@@ -39,11 +39,14 @@ from repro.workloads.drivers import make_driver
 from repro.workloads.model import WorkloadModel
 
 if TYPE_CHECKING:  # pragma: no cover
+    from collections.abc import Iterator
+
     from repro.analysis.detsan import DetsanRecorder
     from repro.clustering.classifier import WorkloadTypeClassifier
     from repro.faults.injector import FaultSpec
     from repro.rl.nets import PolicyValueNet
     from repro.virt.vssd import Vssd
+    from repro.workloads.drivers import _DriverBase
     from repro.workloads.spec import WorkloadSpec
 
 PROFILER.declare("harness.build", "harness.warm", "harness.collect")  # report rows even when this section never fires
@@ -166,45 +169,29 @@ class Experiment:
         if mode != "off":
             key = snapshots.warm_cache_key(self, allocation)
             cached = snapshots.cache_get(key, mode)
-        if cached is None and snapshots.arena_available():
-            # Fleet shard workers hold attached shared-memory arena
-            # segments; a zero-copy view of the warm columns beats both
-            # the disk layer and a cold build+warm.  The key is
-            # seed-independent (see warm_columns_key) so one segment
-            # serves every device of a homogeneous fleet.
-            cached = snapshots.arena_get(
-                snapshots.warm_columns_key(self, allocation)
-            )
-        for plan, channels in zip(self.plans, allocation):
-            isolation = self._plan_isolation(plan)
-            kwargs = {}
-            if isolation == "software":
-                sharers = sum(
-                    1 for p in self.plans if self._plan_isolation(p) == "software"
-                )
-                kwargs["blocks_per_channel"] = (
-                    self.config.blocks_per_channel // max(sharers, 1)
-                )
+        for plan, channels, isolation, blocks_per_channel in self._vssd_specs(
+            allocation
+        ):
             vssd = self.virt.create_vssd(
                 plan.name,
                 channels,
                 isolation=isolation,
+                blocks_per_channel=blocks_per_channel,
                 slo_latency_us=plan.slo_latency_us,
-                **kwargs,
             )
             monitor = VssdMonitor(vssd)
             self.virt.dispatcher.add_completion_callback(
                 monitor.on_complete, vssd_id=vssd.vssd_id
             )
             self.monitors[plan.name] = monitor
-            self._attach_driver(plan, vssd)
+            self._make_driver(plan.name, plan.workload, f"workload:{plan.name}")
             if cached is None:
                 self._warm(plan, vssd)
         if cached is not None:
             # A restored device is bit-identical to a cold build+warm: the
-            # snapshot holds every column the warm mutated plus the RNG
-            # draw positions, and nothing before this point scheduled an
-            # engine event or drew randomness.
+            # snapshot holds every column the warm mutated, and neither
+            # the warm nor anything before this point scheduled an engine
+            # event or drew randomness.
             snapshots.restore_experiment(self, cached)
         elif key is not None:
             snap = snapshots.capture_experiment(self)
@@ -296,11 +283,35 @@ class Experiment:
                 allocation.append(shared)
         return allocation
 
-    def _attach_driver(self, plan: VssdPlan, vssd: "Vssd") -> None:
-        spec = get_spec(plan.workload)
-        working_set = self._working_set_pages(spec, vssd)
-        rng = self.streams.get(f"workload:{plan.name}")
-        model = WorkloadModel(spec, rng, working_set)
+    def _vssd_specs(self, allocation: list) -> "Iterator[tuple]":
+        """``(plan, channels, isolation, blocks_per_channel)`` per plan.
+
+        What ``create_vssd`` is called with, and so what the warm cache
+        key hashes: software-isolated plans split each channel's blocks
+        evenly between them, hardware plans take whole channels (None).
+        """
+        isolations = [self._plan_isolation(plan) for plan in self.plans]
+        shared_blocks = self.config.blocks_per_channel // max(
+            isolations.count("software"), 1
+        )
+        for plan, channels, isolation in zip(self.plans, allocation, isolations):
+            yield (
+                plan,
+                channels,
+                isolation,
+                shared_blocks if isolation == "software" else None,
+            )
+
+    def _make_driver(
+        self, plan_name: str, workload: str, stream_name: str
+    ) -> "_DriverBase":
+        """Wire ``workload``'s driver to the named vSSD, drawing from
+        ``stream_name``; it becomes the plan's current driver."""
+        vssd = self.virt.vssd_by_name(plan_name)
+        spec = get_spec(workload)
+        model = WorkloadModel(
+            spec, self.streams.get(stream_name), self._working_set_pages(spec, vssd)
+        )
         driver = make_driver(
             model,
             vssd.vssd_id,
@@ -308,30 +319,27 @@ class Experiment:
             self.virt.dispatcher.submit,
             self.config.page_size,
         )
-        self.drivers[plan.name] = driver
-
+        self.drivers[plan_name] = driver
         self.virt.dispatcher.add_completion_callback(
             driver.on_complete, vssd_id=vssd.vssd_id
         )
+        return driver
 
-    def _working_set_pages(self, spec: "WorkloadSpec", vssd: "Vssd") -> int:
-        owned_pages = (
+    def _owned_pages(self, vssd: "Vssd") -> int:
+        return (
             sum(vssd.ftl._own_blocks_per_channel.values())
             * self.config.pages_per_block
         )
-        logical = int(owned_pages * (1.0 - self.config.overprovision_ratio))
+
+    def _working_set_pages(self, spec: "WorkloadSpec", vssd: "Vssd") -> int:
+        logical = int(self._owned_pages(vssd) * (1.0 - self.config.overprovision_ratio))
         return max(int(logical * spec.working_set_fraction), 1024)
 
     def _warm(self, plan: VssdPlan, vssd: "Vssd") -> None:
         """Consume >=50% of the vSSD's blocks before measurement."""
         with PROFILER.timer("harness.warm"):
-            spec = get_spec(plan.workload)
-            working_set = self._working_set_pages(spec, vssd)
-            owned_pages = (
-                sum(vssd.ftl._own_blocks_per_channel.values())
-                * self.config.pages_per_block
-            )
-            target_writes = int(owned_pages * WARM_FRACTION)
+            working_set = self._working_set_pages(get_spec(plan.workload), vssd)
+            target_writes = int(self._owned_pages(vssd) * WARM_FRACTION)
             vssd.ftl.warm_fill(np.arange(target_writes) % working_set)
 
     def _build_fleetio(self) -> None:
@@ -424,27 +432,12 @@ class Experiment:
 
         def do_switch() -> None:
             """Stop the old driver and start the new workload's driver."""
-            old_driver = self.drivers[plan_name]
-            old_driver.stop()
-            vssd = self.virt.vssd_by_name(plan_name)
+            self.drivers[plan_name].stop()
             plan = next(p for p in self.plans if p.name == plan_name)
             plan.workload = new_workload
-            spec = get_spec(new_workload)
-            rng = self.streams.get(f"workload:{plan_name}:switched")
-            model = WorkloadModel(spec, rng, self._working_set_pages(spec, vssd))
-            driver = make_driver(
-                model,
-                vssd.vssd_id,
-                self.virt.sim,
-                self.virt.dispatcher.submit,
-                self.config.page_size,
-            )
-            self.drivers[plan_name] = driver
-
-            self.virt.dispatcher.add_completion_callback(
-                driver.on_complete, vssd_id=vssd.vssd_id
-            )
-            driver.start()
+            self._make_driver(
+                plan_name, new_workload, f"workload:{plan_name}:switched"
+            ).start()
 
         self.virt.sim.schedule_at(at_s * 1_000_000.0, do_switch)
 

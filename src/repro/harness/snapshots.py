@@ -6,16 +6,23 @@ measured window, and the high-volume consumers (``repro sweep``,
 adversarial candidate evaluation, ``pretrain_best`` seed fan-out) repeat a
 near-identical warm phase for every cell.  What that costs, from a traced
 round of the ``sweep_cold_build`` benchmark workload (8 one-second cells on
-the full-size device, 4 cache misses and 4 hits): the 8 ``warm_fill``
-calls of the 4 cold builds take 0.06 s (72 089 pages each, ~7 ms; they
-took 0.68 s, 31% of the round, while the fill placed one page per loop
-iteration), device construction 0.07 s for all 8 builds, the 4 captures
-0.003 s and the 4 restores 0.005 s.  This module captures the
-post-warm simulator state — BlockStore/ChannelArrays columns, per-vSSD
-FTL state, engine clock, and RNG draw positions — as cheap numpy copies
-plus plain lists, and restores it into a freshly constructed (but
-unwarmed) experiment so the restored run is bit-identical to a cold
-build+warm run.
+the full-size device, 2 cache misses and 6 hits): the 4 ``warm_fill``
+calls of the 2 cold builds take 0.03 s (72 089 pages each, ~8 ms; they
+took 31% of the round while the fill placed one page per loop
+iteration), device construction 0.11 s for all 8 builds, the 2 captures
+0.002 s and the 6 restores 0.009 s.  This module captures the post-warm
+simulator state — BlockStore/ChannelArrays columns, per-vSSD FTL state
+and the engine clock — as cheap numpy copies plus plain lists, and
+restores it into a freshly constructed (but unwarmed) experiment so the
+restored run is bit-identical to a cold build+warm run.
+
+The warm fill draws no randomness and schedules nothing
+(``tests/harness/test_warm_contract.py``), so the warm state is a
+function of the device config, the plans and the allocation — not of
+the seed.  A snapshot therefore holds no RNG state: a freshly built
+experiment's streams already sit where a cold build+warm leaves them.
+:func:`capture_experiment` checks exactly that and declines to cache a
+build that broke it.
 
 Cache layers, selected by the ``REPRO_SNAPSHOTS`` environment variable:
 
@@ -34,11 +41,14 @@ Any other value is a ``ValueError`` (:func:`snapshots_mode`), not a
 silent ``mem``.
 
 Keys cover everything that shapes the warm state: the full SSD config,
-the root seed (stream states are seed-derived), the warm fraction, the
-pretraining ``SAMPLER_VERSION``, and each plan's derived warm spec
-(workload, name, channel allocation, isolation, blocks-per-channel).
-Policies that derive identical allocations (hardware/adaptive/fleetio
-over the same plans and seed) share one snapshot.
+the warm fraction, the pretraining ``SAMPLER_VERSION``, and each plan's
+derived warm spec (workload, name, channel allocation, isolation,
+blocks-per-channel).  The root seed is absent; a seeded allocator
+(``ssdkeeper``) reaches the key through the hashed channels.  Policies
+that derive identical allocations (hardware/adaptive/fleetio over the
+same plans, at any seed) share one snapshot, and the fleet's
+shared-memory arena (``repro.fleet.arena``) is a transport that fills
+this same store under this same key.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ import numpy as np
 
 from repro.cache import atomic_replace, cache_dir, config_hash, load_or_miss
 from repro.profiling import PROFILER
+from repro.sim.random import RandomStreams
 from repro.ssd.blockstate import BlockState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,8 +78,8 @@ STATS = {"hits": 0, "misses": 0, "disk_hits": 0, "stores": 0}
 #: In-process snapshot store.  Entries are fully detached copies (every
 #: restore copies *out* of them), so one entry serves many experiments.
 _MEMORY_CACHE: dict = {}
-#: Bound on distinct warm states held in memory; a sweep over one plan
-#: matrix needs one entry per (allocation, seed) pair.  Past the bound the
+#: Bound on distinct warm states held in memory: one entry per distinct
+#: (config, plans, allocation).  Past the bound the
 #: oldest-inserted entry goes (insertion order: a hit does not refresh it).
 _MEMORY_CACHE_MAX = 16
 
@@ -126,108 +137,43 @@ def clear_memory_cache() -> None:
 
 
 # ---------------------------------------------------------------------
-# Shared-memory arena layer (repro.fleet)
-# ---------------------------------------------------------------------
-#: Warm snapshots decoded from an attached shared-memory arena segment,
-#: keyed by the seed-independent :func:`warm_columns_key`.  Filled by
-#: fleet shard workers (``repro.fleet.arena.attach_arena``); consulted by
-#: ``Experiment._build_inner`` after a regular cache miss.
-_ARENA_CACHE: dict = {}
-
-
-def arena_available() -> bool:
-    """True when this process has at least one attached arena snapshot."""
-    return bool(_ARENA_CACHE)
-
-
-def install_arena_snapshot(columns_key: str, snap: dict, nbytes: int = 0) -> None:
-    """Register an arena-served snapshot for :func:`arena_get` lookups.
-
-    ``nbytes`` is the shared segment's payload size — the bytes each hit
-    would otherwise have crossed the process boundary as a pickle, which
-    is what the ``ipc.bytes_saved`` counter credits.
-    """
-    _ARENA_CACHE[columns_key] = (snap, nbytes)  # fleetlint: disable=parallel-shared-mutation  worker-private view registry filled once per attached segment; contents are deterministic per key
-
-
-def arena_get(columns_key: str) -> Optional[dict]:
-    """A warm snapshot served zero-copy from an attached arena, or None."""
-    entry = _ARENA_CACHE.get(columns_key)
-    if entry is None:
-        return None
-    snap, nbytes = entry
-    PROFILER.count("arena.hits")
-    PROFILER.count("ipc.bytes_saved", nbytes)
-    return snap
-
-
-# ---------------------------------------------------------------------
 # Cache key
 # ---------------------------------------------------------------------
 def warm_cache_key(experiment: "Experiment", allocation: list) -> str:
     """Hash everything that shapes the post-warm state.
 
-    The *policy* is deliberately absent: two policies that derive the
-    same allocation and isolation warm identically, so they share a
-    snapshot.  The manager/controller built after the warm never feeds
-    back into it.
+    The *policy* and the *seed* are deliberately absent.  Two policies
+    that derive the same allocation and isolation warm identically, and
+    the manager/controller built after the warm never feeds back into
+    it.  The warm fill writes deterministic sequential LPNs and draws no
+    randomness, so every seed produces the same post-warm columns; a
+    seeded allocator (ssdkeeper) folds the seed into ``allocation``,
+    which is hashed through the per-plan channels.
     """
-    return config_hash(_warm_key_payload(experiment, allocation))
-
-
-def warm_columns_key(experiment: "Experiment", allocation: list) -> str:
-    """Hash of the post-warm *column* state: the cache key minus the seed.
-
-    The warm fill writes deterministic sequential LPNs and draws no
-    randomness, so every seed produces identical post-warm BlockStore /
-    ChannelArrays / L2P columns — only the RNG stream states differ.  An
-    arena snapshot omits the streams (each device keeps its own fresh,
-    draw-position-zero streams), so one shared segment serves fleet
-    devices with different seeds.  The seed still reaches the key
-    indirectly where it matters: ssdkeeper-style allocators fold it into
-    ``allocation``, which is hashed via the per-plan specs.
-    """
-    payload = _warm_key_payload(experiment, allocation)
-    del payload["seed"]
-    payload["columns_only"] = True
-    return config_hash(payload)
-
-
-def _warm_key_payload(experiment: "Experiment", allocation: list) -> dict:
     from dataclasses import asdict
 
     from repro.core.pretrain import SAMPLER_VERSION
     from repro.harness.experiment import WARM_FRACTION
 
-    plans = []
-    for plan, channels in zip(experiment.plans, allocation):
-        isolation = experiment._plan_isolation(plan)
-        blocks_per_channel = None
-        if isolation == "software":
-            sharers = sum(
-                1
-                for p in experiment.plans
-                if experiment._plan_isolation(p) == "software"
-            )
-            blocks_per_channel = experiment.config.blocks_per_channel // max(
-                sharers, 1
-            )
-        plans.append(
-            {
-                "workload": plan.workload,
-                "name": plan.name,
-                "channels": list(channels),
-                "isolation": isolation,
-                "blocks_per_channel": blocks_per_channel,
-            }
-        )
-    return {
-        "config": asdict(experiment.config),
-        "seed": experiment.seed,
-        "warm_fraction": WARM_FRACTION,
-        "sampler_version": SAMPLER_VERSION,
-        "plans": plans,
-    }
+    return config_hash(
+        {
+            "config": asdict(experiment.config),
+            "warm_fraction": WARM_FRACTION,
+            "sampler_version": SAMPLER_VERSION,
+            "plans": [
+                {
+                    "workload": plan.workload,
+                    "name": plan.name,
+                    "channels": list(channels),
+                    "isolation": isolation,
+                    "blocks_per_channel": blocks_per_channel,
+                }
+                for plan, channels, isolation, blocks_per_channel in (
+                    experiment._vssd_specs(allocation)
+                )
+            ],
+        }
+    )
 
 
 # ---------------------------------------------------------------------
@@ -237,13 +183,21 @@ def capture_experiment(experiment: "Experiment") -> Optional[dict]:
     """Snapshot a just-built, just-warmed experiment; None if unsafe.
 
     Unsafe means the build deviated from the plain warm contract — a
-    pending engine event (callbacks cannot be copied) or an attached
-    harvest region (blocks shared with the gSB manager).  Neither can
-    happen in the stock build path; returning None instead of raising
-    keeps exotic future builds correct-but-uncached.
+    pending engine event (callbacks cannot be copied), an attached
+    harvest region (blocks shared with the gSB manager), or a random
+    stream that is no longer at its seed-derived initial state (the
+    snapshot holds no RNG state, so a warm that drew could not be
+    restored).  None can happen in the stock build path; returning None
+    instead of raising keeps exotic future builds correct-but-uncached.
     """
     virt = experiment.virt
     token = PROFILER.begin()
+    fresh = RandomStreams(experiment.seed)
+    if any(
+        state != fresh.get(name).bit_generator.state
+        for name, state in experiment.streams.detsan_states().items()
+    ):
+        return None
     try:
         engine = virt.sim.snapshot()
         ftls = {
@@ -254,7 +208,6 @@ def capture_experiment(experiment: "Experiment") -> Optional[dict]:
         return None
     snap = {
         "engine": engine,
-        "streams": experiment.streams.snapshot(),
         "store": virt.ssd.store.snapshot(),
         "arrays": virt.ssd.arrays.snapshot(),
         "ftls": ftls,
@@ -268,17 +221,13 @@ def restore_experiment(experiment: "Experiment", snap: dict) -> None:
 
     Everything restores in place (hot loops hoist references to the SoA
     columns) and the restore only reads from ``snap``, so one cached
-    snapshot can be restored into any number of experiments.
+    snapshot can be restored into any number of experiments, at any
+    seed: the RNG is not part of the warm state (see
+    :func:`capture_experiment`).
     """
     token = PROFILER.begin()
     virt = experiment.virt
     virt.sim.restore(snap["engine"])
-    # Arena snapshots carry no stream states (they are seed-dependent;
-    # the columns are not).  A freshly built experiment's streams sit at
-    # draw position zero, which is exactly the post-warm position — the
-    # warm fill draws nothing — so skipping the restore is identical.
-    if "streams" in snap:
-        experiment.streams.restore(snap["streams"])
     virt.ssd.store.restore(snap["store"])
     virt.ssd.arrays.restore(snap["arrays"])
     for plan in experiment.plans:
@@ -317,6 +266,12 @@ def cache_put(key: str, snap: dict, mode: str) -> None:
         atomic_replace(lambda tmp: _encode_npz(snap, tmp), _snapshot_path(key))
 
 
+def install(key: str, snap: dict) -> None:
+    """Pre-fill the in-process store (the fleet arena's zero-copy views):
+    no disk write, and not a ``stores`` event — nothing was captured."""
+    _memory_put(key, snap)
+
+
 def _memory_put(key: str, snap: dict) -> None:
     if key not in _MEMORY_CACHE and len(_MEMORY_CACHE) >= _MEMORY_CACHE_MAX:
         _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))  # fleetlint: disable=parallel-shared-mutation  fork-private eviction of the oldest-inserted entry of a deterministic read-through cache; nothing to merge back
@@ -335,10 +290,7 @@ def encode_snapshot_entries(snap: dict) -> "tuple[dict, dict]":
 
     The page->LPN matrix and L2P arrays dominate (one int32 per page);
     they become named arrays.  Everything structured-but-small (engine
-    clock, RNG states, region deque orders, stats) rides in the meta
-    dict — Python's JSON keeps the 128-bit PCG64 state integers exact.
-    The ``streams`` field is optional: arena snapshots omit it (stream
-    states are seed-dependent, the columns are not).
+    clock, region deque orders, stats) rides in the meta dict.
     """
     store = snap["store"]
     entries = {
@@ -367,8 +319,6 @@ def encode_snapshot_entries(snap: dict) -> "tuple[dict, dict]":
         "ftls": ftl_meta,
         "plan_names": plan_names,
     }
-    if "streams" in snap:
-        meta["streams"] = snap["streams"]
     return entries, meta
 
 
@@ -407,15 +357,12 @@ def decode_snapshot_entries(get, meta: dict, copy: bool = True) -> dict:
         ftl["l2p_gid"] = get(f"l2p_gid_{index}").tolist()
         ftl["l2p_page"] = get(f"l2p_page_{index}").tolist()
         ftls[name] = ftl
-    snap = {
+    return {
         "engine": meta["engine"],
         "store": store,
         "arrays": meta["arrays"],
         "ftls": ftls,
     }
-    if "streams" in meta:
-        snap["streams"] = meta["streams"]
-    return snap
 
 
 # ---------------------------------------------------------------------

@@ -201,7 +201,7 @@ def namespace_profile(snapshot: dict, prefix: str) -> dict:
 
     The fleet runner files each shard's timings under
     ``fleet.shard<k>.*`` so ``repro profile`` shows per-shard skew,
-    while counters (cache hits, ``ipc.bytes_saved``) remain global names
+    while counters (cache hits, ``arena.attach``) remain global names
     that :func:`merge_profiles` sums across shards.
     """
     return {

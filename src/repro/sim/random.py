@@ -56,51 +56,6 @@ class RandomStreams:
             for name, gen in self._streams.items()
         }
 
-    def snapshot(self) -> dict:
-        """Capture every stream's exact draw position.
-
-        The returned value is a plain dict of bit-generator state dicts
-        (ints and strings only) — cheap to hold in memory and JSON-
-        serializable for the on-disk warm-state cache.  ``restore`` of
-        this snapshot reproduces each stream bit-for-bit, so draws after
-        a restore are identical to draws after the capture point.
-        """
-        return {
-            "seed": self._seed,
-            "streams": {
-                name: _copy_state(gen.bit_generator.state)
-                for name, gen in self._streams.items()
-            },
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Reset every stream in ``snapshot`` to its captured position.
-
-        Streams are created (in snapshot order) if the factory has not
-        handed them out yet, so a restored factory serves the same set
-        of streams in the same dict order as the captured one.
-        """
-        if snapshot["seed"] != self._seed:
-            raise ValueError(
-                f"snapshot was taken under seed {snapshot['seed']}, "
-                f"this factory uses seed {self._seed}"
-            )
-        for name, state in snapshot["streams"].items():
-            self.get(name).bit_generator.state = _copy_state(state)
-
-
-def _copy_state(state: dict) -> dict:
-    """A one-level-nested copy of a bit-generator state dict.
-
-    Generator states are ``{"bit_generator": str, "state": {...ints},
-    "has_uint32": int, "uinteger": int}`` — leaves are immutable, so
-    copying the two dict levels fully detaches snapshot from generator.
-    """
-    return {
-        key: dict(value) if isinstance(value, dict) else value
-        for key, value in state.items()
-    }
-
 
 def _stable_hash(text: str) -> int:
     """A deterministic 63-bit hash (Python's ``hash`` is salted per run)."""

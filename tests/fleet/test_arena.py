@@ -1,10 +1,11 @@
 """Shared-memory arena: roundtrip fidelity and defensive attachment.
 
 The arena may only exist because it provably changes nothing: a snapshot
-decoded from a segment must equal the captured one (minus the
-seed-dependent stream states), and *any* defect — missing segment, bad
-magic, truncated or garbage meta, a key mismatch — must degrade to the
-regular snapshot path, never crash a worker or leak a segment.
+decoded from a segment must equal the captured one, installing it must
+make a build at any seed hit it and come out as a cold build would, and
+*any* defect — missing segment, bad magic, truncated or garbage meta, a
+key mismatch — must leave the snapshot store untouched, never crash a
+worker or leak a segment.
 """
 
 import dataclasses
@@ -28,6 +29,10 @@ from repro.fleet.arena import (
 from repro.harness import snapshots
 from repro.harness.experiment import Experiment
 from repro.parallel.matrix import plans_for
+from tests.harness.test_snapshots import (
+    _assert_fingerprints_equal,
+    _state_fingerprint,
+)
 
 FAST = SSDConfig(
     num_channels=4,
@@ -41,40 +46,26 @@ FAST = SSDConfig(
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch, tmp_path):
     snapshots.clear_memory_cache()
-    snapshots._ARENA_CACHE.clear()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_SNAPSHOTS", raising=False)
     yield
     snapshots.clear_memory_cache()
-    snapshots._ARENA_CACHE.clear()
 
 
 def _probe(seed=7):
-    exp = Experiment(
+    return Experiment(
         plans_for(("ycsb", "terasort")), "hardware", ssd_config=FAST, seed=seed
     )
-    exp.build()
-    return exp
 
 
 @pytest.fixture(scope="module")
 def captured():
-    """One built probe's snapshot + its seed-independent columns key."""
-    exp = _probe()
+    """One built probe's snapshot + its (seed-free) warm cache key."""
+    exp = _probe().build()
     snap = snapshots.capture_experiment(exp)
     assert snap is not None
-    key = snapshots.warm_columns_key(exp, exp._plan_allocation())
+    key = snapshots.warm_cache_key(exp, exp._plan_allocation())
     return snap, key
-
-
-def test_columns_key_is_seed_independent():
-    a, b = _probe(seed=3), _probe(seed=9)
-    alloc_a, alloc_b = a._plan_allocation(), b._plan_allocation()
-    assert snapshots.warm_cache_key(a, alloc_a) != snapshots.warm_cache_key(
-        b, alloc_b
-    )
-    assert snapshots.warm_columns_key(a, alloc_a) == snapshots.warm_columns_key(
-        b, alloc_b
-    )
 
 
 def test_arena_roundtrip_matches_capture(captured):
@@ -85,9 +76,6 @@ def test_arena_roundtrip_matches_capture(captured):
         assert arena.manifest.payload_nbytes > 0
         decoded = attach_arena(arena.manifest)
         assert decoded is not None
-        # Stream states are seed-dependent and must not ride in a
-        # cross-seed segment.
-        assert "streams" not in decoded
         assert decoded["engine"] == snap["engine"]
         assert decoded["arrays"] == snap["arrays"]
         assert decoded["ftls"] == snap["ftls"]
@@ -104,17 +92,29 @@ def test_arena_roundtrip_matches_capture(captured):
     assert leaked_segments() == []
 
 
-def test_install_manifest_registers_with_snapshot_layer(captured):
+def test_install_manifest_registers_with_snapshot_layer(captured, monkeypatch):
+    """The arena fills the one store under the one key: after
+    ``install_manifest`` a build at a seed other than the probe's is a
+    plain snapshot hit, and its state is a cold build's."""
     snap, key = captured
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_SNAPSHOTS", "off")
+        cold = _probe(seed=9).build()
     arena = SharedArena(key, snap)
     try:
-        assert not snapshots.arena_available()
+        assert snapshots._MEMORY_CACHE == {}
+        snapshots.reset_stats()
         assert install_manifest(arena.manifest)
-        assert snapshots.arena_available()
-        assert snapshots.arena_get(key) is not None
-        assert snapshots.arena_get("0" * 12) is None
+        restored = _probe(seed=9).build()
+        assert snapshots.STATS == {
+            "hits": 1, "misses": 0, "disk_hits": 0, "stores": 0
+        }
+        _assert_fingerprints_equal(
+            _state_fingerprint(cold), _state_fingerprint(restored)
+        )
     finally:
         arena.unlink()
+    assert leaked_segments() == []
 
 
 def test_unlink_is_idempotent(captured):
@@ -143,7 +143,7 @@ def test_attach_missing_segment_degrades():
     ["bad_magic", "huge_meta_len", "zero_meta_len", "garbage_meta_json"],
 )
 def test_attach_corrupt_segment_degrades(corruption):
-    """Every corruption mode degrades to None + no registration."""
+    """Every corruption mode degrades to None + nothing installed."""
     shm = create_segment(new_segment_name("arena"), 4096)
     try:
         if corruption == "bad_magic":
@@ -161,7 +161,7 @@ def test_attach_corrupt_segment_degrades(corruption):
         manifest = _manifest(shm.name)
         assert attach_arena(manifest) is None
         assert not install_manifest(manifest)
-        assert not snapshots.arena_available()
+        assert snapshots._MEMORY_CACHE == {}
     finally:
         shm.close()
         tracked_unlink(shm)
@@ -176,6 +176,7 @@ def test_attach_wrong_columns_key_degrades(captured):
         stale = dataclasses.replace(arena.manifest, columns_key="0" * 12)
         assert attach_arena(stale) is None
         assert not install_manifest(stale)
+        assert snapshots._MEMORY_CACHE == {}
     finally:
         arena.unlink()
 

@@ -22,7 +22,6 @@ from repro.fleet import (
     run_fleet_serial,
 )
 from repro.fleet.shard import run_fleet_shard, shard_device_count
-from repro.harness import snapshots
 from repro.parallel.runner import CellFailure
 from repro.parallel.worker import RUNNERS, run_cell
 
@@ -63,24 +62,20 @@ def test_sharded_fleet_matches_serial_arena_off(serial):
     assert fleet.telemetry == serial.telemetry
     assert fleet.arena == {"mode": "off", "published": False,
                            "attached_shards": 0}
-    # Only an arena restore credits pipe bytes saved.
-    assert fleet.profile["counters"].get("ipc.bytes_saved", 0) == 0
+    assert fleet.profile["counters"].get("arena.attach", 0) == 0
     assert leaked_segments() == []
 
 
 def test_sharded_fleet_matches_serial_arena_on(serial):
-    # The serial fixture left every device's warm state in this process's
-    # snapshot cache, which forked workers inherit and consult first:
-    # start cold so they miss it and restore from the arena instead.
-    snapshots.clear_memory_cache()
     fleet = FleetShardRunner(shards=2, arena=True).run(SPECS)
     assert fleet.ok, fleet.errors
     assert fleet.telemetry == serial.telemetry
     assert fleet.arena["published"]
     assert fleet.arena["attached_shards"] == 2
     assert fleet.profile["counters"]["arena.attach"] >= 1
-    # ...and devices were actually restored from the shared segment.
-    assert fleet.profile["counters"]["arena.hits"] > 0
+    # Every device of every shard hit the store the arena filled.
+    assert fleet.profile["counters"].get("snapshot.misses", 0) == 0
+    assert fleet.profile["counters"]["snapshot.hits"] == len(SPECS)
     assert leaked_segments() == []
     # Per-shard profiler namespaces surface in the merged profile.
     assert any(
@@ -89,6 +84,20 @@ def test_sharded_fleet_matches_serial_arena_on(serial):
     assert any(
         name.startswith("fleet.shard1.") for name in fleet.profile["timers"]
     )
+
+
+def test_snapshots_off_publishes_nothing_and_restores_nothing(serial, monkeypatch):
+    """``REPRO_SNAPSHOTS=off`` is the escape hatch for the arena too: no
+    segment, every device a cold build+warm, same bytes."""
+    monkeypatch.setenv("REPRO_SNAPSHOTS", "off")
+    fleet = FleetShardRunner(shards=2, arena=True).run(SPECS)
+    assert fleet.ok, fleet.errors
+    assert fleet.arena["mode"] == "shm"
+    assert fleet.arena["published"] is False
+    assert fleet.arena["attached_shards"] == 0
+    assert fleet.profile["counters"].get("snapshot.hits", 0) == 0
+    assert fleet.telemetry == serial.telemetry
+    assert leaked_segments() == []
 
 
 def test_shard_devices_run_through_the_cell_runner():

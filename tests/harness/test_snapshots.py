@@ -1,11 +1,11 @@
 """Warm-state snapshot/restore: bit-exactness and cache-key coverage.
 
 The snapshot layer may only exist because it provably changes nothing:
-an experiment restored from a warm snapshot must be indistinguishable —
-telemetry rows, RNG draw positions, engine scalars, detsan checkpoints —
-from one that paid the cold build+warm.  These tests pin that contract
-on a small device, plus the cache-key sensitivity that keeps distinct
-warm states from ever sharing an entry.
+an experiment restored from a warm snapshot — captured at any seed —
+must be indistinguishable (telemetry rows, RNG draw positions, engine
+scalars, detsan checkpoints) from one that paid the cold build+warm.
+These tests pin that contract on a small device, plus the cache-key
+sensitivity that keeps distinct warm states from ever sharing an entry.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from repro.harness import snapshots
 from repro.harness.telemetry import windows_to_csv
 from repro.parallel import ExperimentCell, run_cell
 from repro.sim.engine import Simulator
-from repro.sim.random import RandomStreams
 
 FAST = SSDConfig(
     num_channels=4,
@@ -46,9 +45,9 @@ def _clean_cache(monkeypatch, tmp_path):
     snapshots.reset_stats()
 
 
-def _experiment(policy="hardware", config=FAST, seed=7):
+def _experiment(policy="hardware", config=FAST, seed=7, plans=PLANS):
     return Experiment(
-        [VssdPlan(p.workload, slo_latency_us=p.slo_latency_us) for p in PLANS],
+        [VssdPlan(p.workload, slo_latency_us=p.slo_latency_us) for p in plans],
         policy,
         ssd_config=config,
         seed=seed,
@@ -68,7 +67,7 @@ def _state_fingerprint(exp):
     virt = exp.virt
     return {
         "engine": virt.sim.snapshot(),
-        "streams": exp.streams.snapshot(),
+        "streams": exp.streams.detsan_states(),
         "store": virt.ssd.store.snapshot(),
         "arrays": virt.ssd.arrays.snapshot(),
         "ftls": {
@@ -104,22 +103,45 @@ def test_restored_build_state_equals_cold_build(monkeypatch):
     )
 
 
-def test_restored_run_telemetry_identical_to_cold(tmp_path, monkeypatch):
-    def run(tag, exp):
-        exp.run(2.0, 0.5)
-        histories = {
-            plan.name: exp.monitors[plan.name].window_history
-            for plan in exp.plans
-        }
-        path = tmp_path / f"windows-{tag}.csv"
-        windows_to_csv(histories, path)
-        return path.read_bytes()
+def _run_windows_csv(tmp_path, tag, exp):
+    exp.run(2.0, 0.5)
+    histories = {
+        plan.name: exp.monitors[plan.name].window_history for plan in exp.plans
+    }
+    path = tmp_path / f"windows-{tag}.csv"
+    windows_to_csv(histories, path)
+    return path.read_bytes()
 
-    cold = run("cold", _cold_build(monkeypatch))
-    run("prime", _experiment())  # populates the cache
-    warm = run("warm", _experiment())
+
+def test_restored_run_telemetry_identical_to_cold(tmp_path, monkeypatch):
+    cold = _run_windows_csv(tmp_path, "cold", _cold_build(monkeypatch))
+    _run_windows_csv(tmp_path, "prime", _experiment())  # populates the cache
+    warm = _run_windows_csv(tmp_path, "warm", _experiment())
     assert snapshots.STATS["hits"] == 1
     assert cold == warm
+
+
+def _engine_scalars(exp):
+    # The heap still holds live events post-run, so compare the engine's
+    # scalars directly rather than through snapshot().
+    sim = exp.virt.sim
+    return sim.now, sim._next_seq, sim.events_processed
+
+
+@pytest.mark.parametrize("policy", ["hardware", "software"])
+def test_snapshot_captured_at_one_seed_restores_exactly_at_another(
+    policy, tmp_path, monkeypatch
+):
+    """The warm state is seed-free: seed 8 hits seed 7's entry and then
+    runs exactly as a seed-8 experiment that never saw a snapshot."""
+    cold = _cold_build(monkeypatch, policy=policy, seed=8)
+    cold_csv = _run_windows_csv(tmp_path, "cold", cold)
+    _experiment(policy, seed=7).build()  # miss: warms + captures
+    warm = _experiment(policy, seed=8).build()  # hit, across seeds
+    assert snapshots.STATS["misses"] == 1 and snapshots.STATS["hits"] == 1
+    assert _run_windows_csv(tmp_path, "warm", warm) == cold_csv
+    assert warm.streams.detsan_states() == cold.streams.detsan_states()
+    assert _engine_scalars(warm) == _engine_scalars(cold)
 
 
 def test_rng_positions_identical_after_restored_run(monkeypatch):
@@ -129,12 +151,8 @@ def test_rng_positions_identical_after_restored_run(monkeypatch):
     warm = _experiment()
     warm.run(1.0, 0.25)
     assert snapshots.STATS["hits"] == 1
-    assert cold.streams.snapshot() == warm.streams.snapshot()
-    # The heap still holds live events post-run, so compare the engine's
-    # scalars directly rather than through snapshot().
-    assert cold.virt.sim.now == warm.virt.sim.now
-    assert cold.virt.sim._next_seq == warm.virt.sim._next_seq
-    assert cold.virt.sim.events_processed == warm.virt.sim.events_processed
+    assert cold.streams.detsan_states() == warm.streams.detsan_states()
+    assert _engine_scalars(cold) == _engine_scalars(warm)
 
 
 def test_detsan_checkpoints_identical_after_restore(monkeypatch):
@@ -224,8 +242,25 @@ def test_cache_key_sensitive_to_warm_spec():
     assert _key_of(other) != _key_of(base)
 
 
-def test_cache_key_sensitive_to_seed():
-    assert _key_of(_experiment(seed=8)) != _key_of(_experiment(seed=7))
+def test_cache_key_ignores_seed():
+    assert _key_of(_experiment(seed=8)) == _key_of(_experiment(seed=7))
+
+
+def test_ssdkeeper_seed_reaches_the_key_only_through_the_allocation():
+    """Two ssdkeeper experiments share a key exactly when their seeded
+    allocators hand out the same channels."""
+    plans = [VssdPlan("ycsb"), VssdPlan("terasort"), VssdPlan("mlprep")]
+    experiments = [
+        _experiment("ssdkeeper", config=SSDConfig(), seed=seed, plans=plans)
+        for seed in range(4)
+    ]
+    allocations = [exp._plan_allocation() for exp in experiments]
+    keys = [_key_of(exp) for exp in experiments]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert (keys[i] == keys[j]) == (allocations[i] == allocations[j]), (i, j)
+    # Three tenants on 16 channels: these seeds split both ways.
+    assert 1 < len(set(keys)) < 4
 
 
 def test_policies_with_identical_warm_share_a_key():
@@ -235,10 +270,22 @@ def test_policies_with_identical_warm_share_a_key():
 
 
 def test_distinct_configs_do_not_hit_each_others_entries():
-    _experiment(seed=7).build()
-    _experiment(seed=8).build()
+    _experiment().build()
+    _experiment(plans=[VssdPlan("searchengine"), VssdPlan("terasort")]).build()
     assert snapshots.STATS["hits"] == 0
     assert snapshots.STATS["misses"] == 2
+
+
+def test_build_that_drew_randomness_is_not_captured():
+    """The snapshot holds no RNG state, so capture refuses a build whose
+    streams have left their seed-derived start: correct but uncached."""
+    drawn = _experiment()
+    drawn.streams.get("workload:ycsb").random()
+    drawn.build()
+    assert drawn._built
+    assert snapshots.capture_experiment(drawn) is None
+    assert snapshots.STATS["misses"] == 1 and snapshots.STATS["stores"] == 0
+    assert snapshots.capture_experiment(_experiment().build()) is not None
 
 
 # ---------------------------------------------------------------------
@@ -289,7 +336,7 @@ def test_truncated_disk_entry_is_rebuilt_and_replaced(monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# Engine + RNG snapshot primitives
+# Engine snapshot primitives
 # ---------------------------------------------------------------------
 def test_engine_snapshot_rejects_pending_events():
     sim = Simulator()
@@ -331,24 +378,6 @@ def test_engine_restore_replays_pool_recycling_identically():
     twin.restore(snap)
     assert len(twin._pool) == len(origin._pool)
     assert churn(origin) == churn(twin)
-
-
-def test_random_streams_snapshot_restores_draw_positions():
-    streams = RandomStreams(42)
-    streams.get("a").random(5)
-    streams.get("b").integers(0, 100, 7)
-    snap = streams.snapshot()
-    expected_a = streams.get("a").random(3).tolist()
-    expected_b = streams.get("b").integers(0, 100, 3).tolist()
-    streams.restore(snap)
-    assert streams.get("a").random(3).tolist() == expected_a
-    assert streams.get("b").integers(0, 100, 3).tolist() == expected_b
-
-
-def test_random_streams_restore_rejects_seed_mismatch():
-    snap = RandomStreams(1).snapshot()
-    with pytest.raises(ValueError, match="seed"):
-        RandomStreams(2).restore(snap)
 
 
 def test_memory_cache_bounded():

@@ -1,11 +1,13 @@
 """The warm fill's contract, asserted instead of commented.
 
-``warm_columns_key`` (one arena segment for every seed of a fleet) and the
-snapshot cache both rest on "the warm fill draws nothing and schedules
-nothing": the post-warm columns depend on the plans and the device, not
-on the seed or on anything that ran before.  Checked here after a cold
-``Experiment.build()`` on the full-size device, for the four policies the
-benchmark runs, together with the page conservation the fill must keep.
+The seed-free ``warm_cache_key`` (one snapshot, and one arena segment,
+for every seed of a fleet) rests on "the warm fill draws nothing and
+schedules nothing": the post-warm columns depend on the plans and the
+device, not on the seed or on anything that ran before.
+``capture_experiment`` makes the same stream comparison before it caches
+a build.  Checked here after a cold ``Experiment.build()`` on the
+full-size device, for the four policies the benchmark runs, together
+with the page conservation the fill must keep.
 """
 
 import numpy as np
