@@ -12,7 +12,6 @@ RNGs, no iteration over unordered containers, no unit mixing between
 Run it with ``python -m repro lint`` or through :func:`run_lint`.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.context import DETERMINISTIC_CORE, ModuleContext, module_package
 from repro.analysis.engine import (
     LintReport,
@@ -26,7 +25,6 @@ from repro.analysis.registry import Rule, all_rules, get_rule, register
 from repro.analysis.suppressions import Suppression, parse_suppressions
 
 __all__ = [
-    "Baseline",
     "DETERMINISTIC_CORE",
     "Finding",
     "LintReport",

@@ -16,12 +16,13 @@ Two traces of the same cell (serial vs parallel, scalar vs vector,
 before vs after an optimization) then :func:`compare` to the *first*
 divergent (subsystem, window) instead of a terminal digest mismatch.
 
-Recording is off by default and costs nothing when off; the
-``REPRO_DETSAN`` environment variable (inherited by forked sweep
-workers) or an explicit recorder passed to ``Experiment.run`` turns it
-on.  Checkpoints only *read* state — no events are scheduled, no draws
-are taken — so an instrumented run is event-for-event identical to a
-bare one.
+Recording is off by default and costs nothing when off.  A recorder
+passed to ``Experiment.run`` turns it on; the cell runner
+(``repro.parallel.worker``) passes one, labelled with the cell id, when
+the ``REPRO_DETSAN`` environment variable (inherited by forked sweep
+workers) is on.  Checkpoints only *read* state — no events are
+scheduled, no draws are taken — so an instrumented run is
+event-for-event identical to a bare one.
 """
 
 from __future__ import annotations
@@ -32,19 +33,19 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
+from repro.flags import env_flag
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.experiment import Experiment
-
-#: Environment variable that switches recording on ("" / "0" = off).
-ENV_VAR = "REPRO_DETSAN"
 
 #: Trace file format version.
 TRACE_VERSION = 1
 
 
 def detsan_enabled() -> bool:
-    """Whether the environment asks for detsan recording."""
-    return os.environ.get(ENV_VAR, "") not in ("", "0")
+    """Whether ``REPRO_DETSAN`` asks for detsan recording (unset: off;
+    an unrecognised value raises, see :func:`repro.flags.env_flag`)."""
+    return env_flag("REPRO_DETSAN", default=False)
 
 
 def digest_state(payload: object) -> str:

@@ -1,7 +1,7 @@
 """The fleetlint engine: file discovery, rule dispatch, reporting.
 
-``lint_paths`` is the library entry point; ``run_lint`` adds baseline
-handling, output formatting, and exit-code policy for the CLI.
+``lint_paths`` is the library entry point; ``run_lint`` adds output
+formatting and exit-code policy for the CLI.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ import json
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, TextIO, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import (
@@ -32,17 +31,12 @@ _SKIP_DIRS = {"__pycache__", ".git", ".ruff_cache", ".mypy_cache", "build", "dis
 class LintReport:
     """The outcome of one lint run."""
 
-    #: Findings that survived suppressions and the baseline.
+    #: Findings that survived suppressions.
     findings: List[Finding] = field(default_factory=list)
     #: Findings silenced by an inline suppression.
     suppressed: List[Finding] = field(default_factory=list)
-    #: Findings silenced by the baseline file.
-    baselined: List[Finding] = field(default_factory=list)
     #: Files analysed.
     files: int = 0
-    #: Baseline entries that point into the deterministic core (policy
-    #: violation: the core must be clean, not baselined).
-    core_baseline_entries: int = 0
 
     @property
     def errors(self) -> List[Finding]:
@@ -57,10 +51,10 @@ class LintReport:
     def exit_code(self, strict: bool = False) -> int:
         """0 when clean; 1 when findings gate the build.
 
-        Non-strict runs fail on errors and on core baseline entries;
-        ``--strict`` (what CI uses) also fails on warnings.
+        Non-strict runs fail on errors; ``--strict`` (what CI uses)
+        also fails on warnings.
         """
-        if self.errors or self.core_baseline_entries:
+        if self.errors:
             return 1
         if strict and self.warnings:
             return 1
@@ -75,12 +69,9 @@ class LintReport:
                 "errors": len(self.errors),
                 "warnings": len(self.warnings),
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
-                "core_baseline_entries": self.core_baseline_entries,
             },
             "findings": [f.to_json() for f in self.findings],
             "suppressed": [f.to_json() for f in self.suppressed],
-            "baselined": [f.to_json() for f in self.baselined],
         }
 
     def render_text(self, verbose: bool = False) -> str:
@@ -88,17 +79,11 @@ class LintReport:
         lines = [f.render() for f in self.findings]
         if verbose:
             lines.extend(f"{f.render()}  (suppressed)" for f in self.suppressed)
-            lines.extend(f"{f.render()}  (baselined)" for f in self.baselined)
         lines.append(
             f"fleetlint: {self.files} files, {len(self.errors)} errors, "
             f"{len(self.warnings)} warnings "
-            f"({len(self.suppressed)} suppressed, {len(self.baselined)} baselined)"
+            f"({len(self.suppressed)} suppressed)"
         )
-        if self.core_baseline_entries:
-            lines.append(
-                f"fleetlint: {self.core_baseline_entries} baseline entries point "
-                "into the deterministic core — fix or inline-suppress them instead"
-            )
         return "\n".join(lines)
 
 
@@ -151,19 +136,26 @@ def lint_sources(
     for path in sorted(sources):
         module = ModuleContext.from_source(path, sources[path])
         contexts.append(module)
-        markers_by_path[module.path] = parse_suppressions(
-            module.path, module.lines, module.tree
-        )
-        report.files += 1
-        report.findings.extend(markers_by_path[module.path].problems)
-        for finding in check_module(module, selected):
-            if markers_by_path[module.path].is_suppressed(finding):
-                report.suppressed.append(finding)
-            else:
-                report.findings.append(finding)
-    _run_project_rules(report, contexts, markers_by_path, selected, Baseline())
+        markers_by_path[module.path] = _lint_module(report, module, selected)
+    _run_project_rules(report, contexts, markers_by_path, selected)
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
+
+
+def _lint_module(
+    report: LintReport, module: ModuleContext, rules: List[Rule]
+) -> SuppressionSet:
+    """Run the per-module rules over one parsed file into ``report``;
+    returns the file's suppression markers for the project pass."""
+    markers = parse_suppressions(module.path, module.lines, module.tree)
+    report.files += 1
+    report.findings.extend(markers.problems)
+    for finding in check_module(module, rules):
+        if markers.is_suppressed(finding):
+            report.suppressed.append(finding)
+        else:
+            report.findings.append(finding)
+    return markers
 
 
 def _run_project_rules(
@@ -171,10 +163,9 @@ def _run_project_rules(
     contexts: List[ModuleContext],
     markers_by_path: Dict[str, SuppressionSet],
     rules: Iterable[Rule],
-    baseline: Baseline,
 ) -> None:
     """Run the whole-program pass, routing findings through suppressions
-    and the baseline exactly like per-module findings."""
+    exactly like per-module findings."""
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     if not project_rules or not contexts:
         return
@@ -189,8 +180,6 @@ def _run_project_rules(
             markers = markers_by_path.get(finding.path)
             if markers is not None and markers.is_suppressed(finding):
                 report.suppressed.append(finding)
-            elif baseline.contains(finding):
-                report.baselined.append(finding)
             else:
                 report.findings.append(finding)
 
@@ -198,7 +187,6 @@ def _run_project_rules(
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
     root: Optional[Path] = None,
     changed_only: bool = False,
 ) -> LintReport:
@@ -216,7 +204,6 @@ def lint_paths(
     unchanged files too); CI always runs the full pass.
     """
     selected = _select_rules(rules)
-    base = baseline or Baseline()
     root_path = (root or Path.cwd()).resolve()
     changed = _changed_files(root_path) if changed_only else None
     report = LintReport()
@@ -245,24 +232,9 @@ def lint_paths(
             report.files += 1
             continue
         contexts.append(module)
-        markers_by_path[rel] = parse_suppressions(rel, module.lines, module.tree)
-        partial = LintReport(files=1)
-        partial.findings.extend(markers_by_path[rel].problems)
-        for finding in check_module(module, selected):
-            if markers_by_path[rel].is_suppressed(finding):
-                partial.suppressed.append(finding)
-            else:
-                partial.findings.append(finding)
-        report.files += 1
-        report.suppressed.extend(partial.suppressed)
-        for finding in partial.findings:
-            if base.contains(finding):
-                report.baselined.append(finding)
-            else:
-                report.findings.append(finding)
+        markers_by_path[rel] = _lint_module(report, module, selected)
     if changed is None:
-        _run_project_rules(report, contexts, markers_by_path, selected, base)
-    report.core_baseline_entries = len(base.core_entries())
+        _run_project_rules(report, contexts, markers_by_path, selected)
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
 
@@ -294,37 +266,16 @@ def _changed_files(root: Path) -> Optional[Set[str]]:
 
 def run_lint(
     paths: Sequence[Union[str, Path]],
-    baseline_path: Optional[Union[str, Path]] = None,
-    write_baseline: bool = False,
     output_format: str = "text",
     strict: bool = False,
     rules: Optional[Sequence[str]] = None,
     verbose: bool = False,
-    stream: Optional[TextIO] = None,
     changed_only: bool = False,
 ) -> int:
     """CLI workhorse: lint, print, return the process exit code."""
-    import sys
-
-    out = stream if stream is not None else sys.stdout
-    baseline = Baseline.load(baseline_path) if baseline_path else Baseline()
-    if write_baseline:
-        # Build the new baseline from a run that ignores the old one.
-        report = lint_paths(paths, rules=rules, baseline=None)
-        new_baseline = Baseline.from_findings(report.findings)
-        if baseline_path is None:
-            raise ValueError("--write-baseline requires a baseline path")
-        new_baseline.save(baseline_path)
-        print(
-            f"fleetlint: wrote {len(new_baseline)} entries to {baseline_path}",
-            file=out,
-        )
-        return 0
-    report = lint_paths(
-        paths, rules=rules, baseline=baseline, changed_only=changed_only
-    )
+    report = lint_paths(paths, rules=rules, changed_only=changed_only)
     if output_format == "json":
-        print(json.dumps(report.to_json(), indent=2), file=out)
+        print(json.dumps(report.to_json(), indent=2))
     else:
-        print(report.render_text(verbose=verbose), file=out)
+        print(report.render_text(verbose=verbose))
     return report.exit_code(strict=strict)

@@ -40,11 +40,11 @@ class Finding:
     source_line: str = field(default="", compare=False)
 
     def fingerprint(self) -> str:
-        """A line-number-independent identity for baseline matching.
+        """A line-number-independent identity (``to_json`` emits it).
 
         Hashing (path, rule, stripped source text) instead of the line
-        number lets unrelated edits above a baselined finding move it
-        without invalidating the baseline entry.
+        number lets unrelated edits above a finding move it without
+        changing its identity between two JSON reports.
         """
         payload = f"{self.path}\0{self.rule}\0{self.source_line.strip()}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

@@ -2,7 +2,7 @@
 
 Each rule is a class with a stable ``name``, a default :class:`Severity`,
 and a ``check(module)`` generator.  The registry keeps rules sorted by
-name so output order — and therefore baselines and test expectations —
+name so output order — and therefore test expectations —
 is stable regardless of import order.
 """
 
@@ -20,7 +20,7 @@ if TYPE_CHECKING:
 class Rule:
     """Base class for fleetlint rules."""
 
-    #: Stable rule identifier used in suppressions and baselines.
+    #: Stable rule identifier used in suppressions.
     name: str = ""
     #: One-line description shown by ``repro lint --list-rules``.
     description: str = ""
@@ -52,8 +52,8 @@ class ProjectRule(Rule):
     Project rules run once per lint invocation over a
     :class:`~repro.analysis.callgraph.ProjectContext` holding every
     parsed module, after the per-module pass.  They still emit ordinary
-    :class:`Finding`s anchored to a (path, line), so suppressions and
-    the baseline apply unchanged.
+    :class:`Finding`s anchored to a (path, line), so suppressions
+    apply unchanged.
     """
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:

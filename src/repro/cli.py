@@ -21,15 +21,17 @@ import argparse
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from repro.config import RLConfig, SSDConfig
-from repro.harness import POLICIES, Experiment, run_policy_comparison
+from repro.harness import POLICIES, Experiment, run_policy_comparison, snapshots
 from repro.parallel.matrix import plans_for
 from repro.workloads import WORKLOAD_CATALOG, get_spec
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.fleet import FleetResult
     from repro.harness.metrics import ExperimentResult
+    from repro.parallel import SweepResult
 
 
 def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
@@ -46,6 +48,31 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--channels", type=int, default=None,
         help="total SSD channels (default: 16, Table 3)",
+    )
+
+
+def _add_pool_run_args(parser: argparse.ArgumentParser) -> None:
+    """The flags ``sweep`` and ``fleet`` share: the pool's self-healing
+    budget, and what ``_print_pool_totals`` / ``_verify_serial`` read."""
+    parser.add_argument(
+        "--verify-serial", action="store_true",
+        help="re-run serially and assert byte-identical merged telemetry",
+    )
+    parser.add_argument(
+        "--telemetry-out", default=None, help="write merged telemetry bytes here"
+    )
+    parser.add_argument(
+        "--show-profile", action="store_true",
+        help="print the merged per-subsystem profile "
+             "(fleet: per-shard fleet.shard<k>.* timers)",
+    )
+    parser.add_argument(
+        "--cell-timeout", type=float, default=900.0,
+        help="terminate a worker silent for this many seconds (hung-worker watchdog)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=1,
+        help="relaunches granted to a crashed or hung worker (0 = fail fast)",
     )
 
 
@@ -295,6 +322,56 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_pool_totals(
+    args: argparse.Namespace,
+    result: "Union[SweepResult, FleetResult]",
+    totals: str,
+    note: str = "",
+    telemetry_name: str = "telemetry",
+) -> None:
+    """The totals + sha line (then ``note``), ``--show-profile`` and
+    ``--telemetry-out``."""
+    from repro.profiling import format_profile
+
+    print(
+        f"\n{totals}  telemetry: {len(result.telemetry)} bytes "
+        f"(sha256 {result.telemetry_digest[:16]})"
+    )
+    if note:
+        print(note)
+    if args.show_profile:
+        print()
+        # A fleet profile namespaces its timers per shard, so the label
+        # matches (and adds a share column) only for a sweep.
+        print(format_profile(result.profile, total_label="sim.event_loop"))
+    if args.telemetry_out:
+        with open(args.telemetry_out, "wb") as handle:
+            handle.write(result.telemetry)
+        print(f"wrote merged {telemetry_name} to {args.telemetry_out}")
+
+
+def _verify_serial(
+    args: argparse.Namespace,
+    result: "Union[SweepResult, FleetResult]",
+    rerun_serial: Callable[[], "Union[SweepResult, FleetResult]"],
+    versus: str,
+) -> int:
+    """Under ``--verify-serial`` re-run serially and require byte-equal
+    telemetry; returns the command's exit code either way."""
+    if args.verify_serial:
+        serial = rerun_serial()
+        match = serial.telemetry == result.telemetry
+        speedup = serial.wall_s / result.wall_s if result.wall_s else 0.0
+        print(
+            f"serial wall: {serial.wall_s:.1f}s  speedup: {speedup:.2f}x  "
+            f"telemetry byte-equal: {match}"
+        )
+        if not match:
+            print(f"error: serial and {versus} telemetry diverge", file=sys.stderr)
+            return 1
+    return 0 if result.ok else 1
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Fan a policies × seeds matrix across worker processes."""
     from repro.parallel import (
@@ -303,7 +380,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run_serial,
         warm_policy_cache,
     )
-    from repro.profiling import format_profile
 
     policies = tuple(args.policies.split(",")) if args.policies else POLICIES
     seeds = tuple(int(s) for s in args.seeds.split(","))
@@ -320,9 +396,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         os.environ["REPRO_DETSAN"] = "1"
     if args.snapshots == "off":
         # Like --detsan: exported before any worker starts so every pool
-        # worker resolves the same mode.  "on" exports nothing: the
-        # default is already mem, and a user-set REPRO_SNAPSHOTS=disk
-        # must survive.
+        # worker resolves the same flag.  "on" is the default already.
         os.environ["REPRO_SNAPSHOTS"] = "off"
     cells = matrix.cells()
     warmed = warm_policy_cache(cells)
@@ -333,11 +407,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         join_timeout_s=args.cell_timeout,
         max_attempts=args.retries + 1,
     )
+    # Resolved in the parent, so a bad REPRO_SNAPSHOTS fails the command
+    # on stderr here rather than every cell in a worker.
+    snapshots_on = snapshots.snapshots_enabled()
     print(
         f"sweep: {len(cells)} cells "
         f"({len(policies)} policies x {len(seeds)} seeds), "
         f"{runner.workers} workers [pool/{runner.start_method}], "
-        f"snapshots {args.snapshots}"
+        f"snapshots {'on' if snapshots_on else 'off'}"
     )
     sweep = runner.run(cells)
     print(f"\n{'cell':>32s} {'status':>8s} {'wall(s)':>8s} {'util':>7s}")
@@ -352,33 +429,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"{outcome.cell.cell_id:>32s} {'FAILED':>8s}")
     for failure in sweep.failures:
         print(f"  {failure.describe()}")
-    print(f"\nparallel wall: {sweep.wall_s:.1f}s  "
-          f"telemetry: {len(sweep.telemetry)} bytes "
-          f"(sha256 {sweep.telemetry_digest[:16]})")
-    if args.show_profile:
-        print()
-        print(format_profile(sweep.profile, total_label="sim.event_loop"))
-    if args.telemetry_out:
-        with open(args.telemetry_out, "wb") as handle:
-            handle.write(sweep.telemetry)
-        print(f"wrote merged telemetry to {args.telemetry_out}")
+    _print_pool_totals(args, sweep, f"parallel wall: {sweep.wall_s:.1f}s")
     if args.detsan:
         from repro.analysis.detsan import write_traces
 
         paths = write_traces(sweep.detsan_traces(), args.detsan)
         print(f"wrote {len(paths)} detsan traces to {args.detsan}")
-    if args.verify_serial:
-        serial = run_serial(cells)
-        match = serial.telemetry == sweep.telemetry
-        speedup = serial.wall_s / sweep.wall_s if sweep.wall_s else 0.0
-        print(
-            f"serial wall: {serial.wall_s:.1f}s  speedup: {speedup:.2f}x  "
-            f"telemetry byte-equal: {match}"
-        )
-        if not match:
-            print("error: serial and parallel telemetry diverge", file=sys.stderr)
-            return 1
-    return 0 if sweep.ok else 1
+    return _verify_serial(args, sweep, lambda: run_serial(cells), "parallel")
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
@@ -389,7 +446,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         leaked_segments,
         run_fleet_serial,
     )
-    from repro.profiling import format_profile
 
     specs = build_fleet(
         args.devices,
@@ -431,40 +487,22 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     for error in fleet.errors:
         print(f"  {error}")
     counters = fleet.profile.get("counters", {})
-    print(
-        f"\nfleet wall: {fleet.wall_s:.1f}s  "
-        f"{fleet.devices_per_sec:.2f} devices/s  "
-        f"telemetry: {len(fleet.telemetry)} bytes "
-        f"(sha256 {fleet.telemetry_digest[:16]})"
+    _print_pool_totals(
+        args,
+        fleet,
+        f"fleet wall: {fleet.wall_s:.1f}s  {fleet.devices_per_sec:.2f} devices/s",
+        note=(
+            f"state plane: arena.attach={counters.get('arena.attach', 0)} "
+            f"snapshot.hits={counters.get('snapshot.hits', 0)} "
+            f"snapshot.misses={counters.get('snapshot.misses', 0)}"
+        ),
+        telemetry_name="fleet telemetry",
     )
-    print(
-        f"state plane: arena.attach={counters.get('arena.attach', 0)} "
-        f"snapshot.hits={counters.get('snapshot.hits', 0)} "
-        f"snapshot.misses={counters.get('snapshot.misses', 0)}"
-    )
-    if args.show_profile:
-        print()
-        print(format_profile(fleet.profile))
-    if args.telemetry_out:
-        with open(args.telemetry_out, "wb") as handle:
-            handle.write(fleet.telemetry)
-        print(f"wrote merged fleet telemetry to {args.telemetry_out}")
     leaked = leaked_segments()
     if leaked:
         print(f"error: leaked shared-memory segments: {leaked}", file=sys.stderr)
         return 1
-    if args.verify_serial:
-        serial = run_fleet_serial(specs)
-        match = serial.telemetry == fleet.telemetry
-        speedup = serial.wall_s / fleet.wall_s if fleet.wall_s else 0.0
-        print(
-            f"serial wall: {serial.wall_s:.1f}s  speedup: {speedup:.2f}x  "
-            f"telemetry byte-equal: {match}"
-        )
-        if not match:
-            print("error: serial and sharded telemetry diverge", file=sys.stderr)
-            return 1
-    return 0 if fleet.ok else 1
+    return _verify_serial(args, fleet, lambda: run_fleet_serial(specs), "sharded")
 
 
 def cmd_adversarial(args: argparse.Namespace) -> int:
@@ -566,8 +604,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 0
     return run_lint(
         args.paths,
-        baseline_path=args.baseline,
-        write_baseline=args.write_baseline,
         output_format=args.format,
         strict=args.strict,
         rules=args.rules.split(",") if args.rules else None,
@@ -717,25 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="worker processes (default: cores - 1)",
     )
-    sweep.add_argument(
-        "--verify-serial", action="store_true",
-        help="re-run serially and assert byte-identical merged telemetry",
-    )
-    sweep.add_argument(
-        "--telemetry-out", default=None, help="write merged telemetry bytes here"
-    )
-    sweep.add_argument(
-        "--show-profile", action="store_true",
-        help="print the merged per-subsystem profile",
-    )
-    sweep.add_argument(
-        "--cell-timeout", type=float, default=900.0,
-        help="terminate a worker silent for this many seconds (hung-worker watchdog)",
-    )
-    sweep.add_argument(
-        "--retries", type=int, default=1,
-        help="relaunches granted to a crashed or hung worker (0 = fail fast)",
-    )
+    _add_pool_run_args(sweep)
     sweep.add_argument(
         "--detsan", default=None, metavar="DIR",
         help="record determinism-sanitizer checkpoints and write per-cell "
@@ -786,26 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm-state arena: shm = one shared segment (default), "
              "off = per-worker snapshots (the reference path)",
     )
-    fleet.add_argument(
-        "--verify-serial", action="store_true",
-        help="re-run as a serial device loop and assert byte-identical "
-             "merged telemetry",
-    )
-    fleet.add_argument(
-        "--telemetry-out", default=None, help="write merged telemetry bytes here"
-    )
-    fleet.add_argument(
-        "--show-profile", action="store_true",
-        help="print the merged profile (per-shard fleet.shard<k>.* timers)",
-    )
-    fleet.add_argument(
-        "--cell-timeout", type=float, default=900.0,
-        help="terminate a shard worker silent for this many seconds",
-    )
-    fleet.add_argument(
-        "--retries", type=int, default=1,
-        help="relaunches granted to a crashed or hung shard (0 = fail fast)",
-    )
+    _add_pool_run_args(fleet)
     fleet.set_defaults(func=cmd_fleet)
 
     adversarial = sub.add_parser(
@@ -870,18 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="*", default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
     )
-    lint.add_argument(
-        "--baseline", default=".fleetlint-baseline.json",
-        help="baseline file of accepted findings",
-    )
-    lint.add_argument(
-        "--no-baseline", dest="baseline", action="store_const", const=None,
-        help="ignore the baseline file",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept all current findings into the baseline file",
-    )
     lint.add_argument("--format", choices=("text", "json"), default="text")
     lint.add_argument(
         "--strict", action="store_true",
@@ -895,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "-v", "--verbose", action="store_true",
-        help="also show suppressed and baselined findings",
+        help="also show suppressed findings",
     )
     lint.add_argument(
         "--changed-only", action="store_true",

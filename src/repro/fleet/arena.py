@@ -27,8 +27,10 @@ Segment layout::
     [ pad to 64B ][ arrays back to back, each 64B-aligned ]
 
 The meta JSON carries the snapshot's structured-but-small state (the
-same dict the ``.npz`` disk layer stores) plus a layout table mapping
-array names to (dtype, shape, offset).
+``meta`` half of :func:`encode_snapshot_entries`, with its format
+``version``) plus a layout table mapping array names to (dtype, shape,
+offset).  The column codec lives here because the segment is its only
+user: the wire format is a fact this one module knows.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import numpy as np
 
 from repro.harness import snapshots
 from repro.profiling import PROFILER
+from repro.ssd.blockstate import BlockState
 
 _MAGIC = b"RARENA01"
 _ALIGN = 64
@@ -55,6 +58,14 @@ _ALIGN = 64
 SEGMENT_PREFIXES = ("repro_arena_",)
 
 _SERIAL = itertools.count()
+
+#: ``BlockState`` column encoding in the segment (int8 index).
+_BLOCK_STATES = tuple(BlockState)
+_BLOCK_STATE_INDEX = {state: i for i, state in enumerate(_BLOCK_STATES)}
+#: ``None`` sentinel for Optional[int] columns (owner/writer).  Real
+#: values are small non-negative ids plus the -1 placeholder vSSD, so
+#: int32-min can never collide.
+_NONE = int(np.iinfo(np.int32).min)
 
 
 def new_segment_name(kind: str) -> str:
@@ -129,6 +140,99 @@ def leaked_segments(shm_dir: str = "/dev/shm") -> list:
     )
 
 
+def encode_snapshot_entries(snap: dict) -> "tuple[dict, dict]":
+    """Split a snapshot into ``(numpy entries, JSON-safe meta dict)``.
+
+    The page->LPN matrix and L2P arrays dominate (one int32 per page);
+    they become named arrays.  Everything structured-but-small (engine
+    clock, region deque orders, stats) rides in the meta dict.
+    """
+    store = snap["store"]
+    entries = {
+        "page_lpns": store["page_lpns"],
+        "erase_count": store["erase_count"],
+        "state": np.array(
+            [_BLOCK_STATE_INDEX[s] for s in store["state"]], dtype=np.int8
+        ),
+        "owner": _encode_optional(store["owner"]),
+        "writer": _encode_optional(store["writer"]),
+        "harvested": np.array(store["harvested"], dtype=bool),
+        "write_ptr": np.array(store["write_ptr"], dtype=np.int32),
+        "valid_count": np.array(store["valid_count"], dtype=np.int32),
+    }
+    plan_names = sorted(snap["ftls"])
+    ftl_meta = {}
+    for index, name in enumerate(plan_names):
+        ftl = dict(snap["ftls"][name])
+        entries[f"l2p_gid_{index}"] = np.array(ftl.pop("l2p_gid"), dtype=np.int32)
+        entries[f"l2p_page_{index}"] = np.array(ftl.pop("l2p_page"), dtype=np.int32)
+        ftl_meta[name] = ftl
+    meta = {
+        "version": 1,
+        "engine": snap["engine"],
+        "arrays": snap["arrays"],
+        "ftls": ftl_meta,
+        "plan_names": plan_names,
+    }
+    return entries, meta
+
+
+def decode_snapshot_entries(get, meta: dict, copy: bool = True) -> dict:
+    """Inverse of :func:`encode_snapshot_entries`.
+
+    ``get(name)`` returns the named array (an arena view, or a plain
+    dict lookup in tests).  With ``copy=False`` the big matrices
+    (``page_lpns``, ``erase_count``) are passed through as-is — the
+    zero-copy arena path, safe because
+    :func:`~repro.harness.snapshots.restore_experiment` only ever copies
+    *out* of a snapshot.  Small columns always decode to plain Python lists
+    (the live structures hold Python ints, and a numpy scalar leaking
+    into them would poison downstream arithmetic).
+    """
+    store = {
+        "page_lpns": get("page_lpns").copy() if copy else get("page_lpns"),
+        "erase_count": get("erase_count").copy() if copy else get("erase_count"),
+        "state": [_BLOCK_STATES[i] for i in get("state")],
+        "owner": _decode_optional(get("owner")),
+        "writer": _decode_optional(get("writer")),
+        "harvested": get("harvested").tolist(),
+        "write_ptr": get("write_ptr").tolist(),
+        "valid_count": get("valid_count").tolist(),
+    }
+    ftls = {}
+    for index, name in enumerate(meta["plan_names"]):
+        ftl = dict(meta["ftls"][name])
+        # JSON stringifies int dict keys; the live dicts use ints.
+        ftl["own_blocks_per_channel"] = {
+            int(ch): count
+            for ch, count in ftl["own_blocks_per_channel"].items()
+        }
+        region = ftl["own_region"]
+        region["free"] = {int(ch): gids for ch, gids in region["free"].items()}
+        region["open"] = {int(ch): gids for ch, gids in region["open"].items()}
+        ftl["l2p_gid"] = get(f"l2p_gid_{index}").tolist()
+        ftl["l2p_page"] = get(f"l2p_page_{index}").tolist()
+        ftls[name] = ftl
+    return {
+        "engine": meta["engine"],
+        "store": store,
+        "arrays": meta["arrays"],
+        "ftls": ftls,
+    }
+
+
+def _encode_optional(column: list) -> np.ndarray:
+    """Optional[int] list -> int32 array with an int32-min None mark."""
+    return np.array(
+        [_NONE if value is None else value for value in column], dtype=np.int32
+    )
+
+
+def _decode_optional(array: np.ndarray) -> list:
+    """Inverse of :func:`_encode_optional`."""
+    return [None if value == _NONE else int(value) for value in array]
+
+
 @dataclass(frozen=True)
 class ArenaManifest:
     """Everything a worker needs to attach: rides inside the shard cell."""
@@ -151,7 +255,7 @@ class SharedArena:
     """
 
     def __init__(self, columns_key: str, snap: dict) -> None:
-        entries, meta = snapshots.encode_snapshot_entries(snap)
+        entries, meta = encode_snapshot_entries(snap)
         layout = {}
         offset = 0  # relative to the payload base (after header+meta)
         arrays = {}
@@ -294,7 +398,7 @@ def _decode_segment(
         view.flags.writeable = False
         return view
 
-    return snapshots.decode_snapshot_entries(get, meta, copy=False)
+    return decode_snapshot_entries(get, meta, copy=False)
 
 
 def install_manifest(manifest: ArenaManifest) -> bool:

@@ -189,7 +189,7 @@ class FleetShardRunner:
         try:
             # With snapshots off no build looks anything up: nothing
             # would read the segment.
-            if self.arena and snapshots.snapshots_mode() != "off":
+            if self.arena and snapshots.snapshots_enabled():
                 arena_obj = self._publish_arena(specs[0])
                 if arena_obj is not None:
                     arena_stats.update(

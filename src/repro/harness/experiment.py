@@ -137,8 +137,6 @@ class Experiment:
         self.manager: Optional[AdaptiveManager] = None
         self._built = False
         self._measure_start_s = 0.0
-        #: Recorder attached by the last detsan-instrumented run().
-        self.detsan: Optional["DetsanRecorder"] = None
 
     # ------------------------------------------------------------------
     # Build
@@ -163,12 +161,11 @@ class Experiment:
         )
         self.virt = StorageVirtualizer(config=self.config, policy=sched_policy)
         allocation = self._plan_allocation()
-        mode = snapshots.snapshots_mode()
-        cached = None
         key = None
-        if mode != "off":
+        cached = None
+        if snapshots.snapshots_enabled():
             key = snapshots.warm_cache_key(self, allocation)
-            cached = snapshots.cache_get(key, mode)
+            cached = snapshots.cache_get(key)
         for plan, channels, isolation, blocks_per_channel in self._vssd_specs(
             allocation
         ):
@@ -196,7 +193,7 @@ class Experiment:
         elif key is not None:
             snap = snapshots.capture_experiment(self)
             if snap is not None:
-                snapshots.cache_put(key, snap, mode)
+                snapshots.cache_put(key, snap)
         if uses_fleetio:
             self._build_fleetio()
         elif self.policy == "adaptive":
@@ -387,10 +384,10 @@ class Experiment:
     ) -> ExperimentResult:
         """Run the experiment and collect per-vSSD and device metrics.
 
-        With a :class:`~repro.analysis.detsan.DetsanRecorder` (passed
-        explicitly or implied by the ``REPRO_DETSAN`` environment
-        variable), the run is chunked at decision-window boundaries and
-        a read-only checkpoint is recorded at each.  Chunking is
+        With a :class:`~repro.analysis.detsan.DetsanRecorder` (the cell
+        runner passes one when ``REPRO_DETSAN`` is on) the run is
+        chunked at decision-window boundaries and a read-only
+        checkpoint is recorded at each.  Chunking is
         behavior-identical to one straight ``run_until``: the clock
         lands exactly on every boundary either way, events with
         timestamps inside a chunk fire in the same (time, seq) order,
@@ -410,11 +407,6 @@ class Experiment:
         start_s = sim.now_seconds
         end_s = start_s + duration_s
         if detsan is None:
-            from repro.analysis.detsan import DetsanRecorder, detsan_enabled
-
-            if detsan_enabled():
-                detsan = DetsanRecorder(label=f"{self.policy}/s{self.seed}")
-        if detsan is None:
             sim.run_until_seconds(end_s)
         else:
             sim.run_windows(
@@ -423,7 +415,6 @@ class Experiment:
                 self.rl_config.decision_interval_s,
                 partial(detsan.checkpoint, experiment=self),
             )
-            self.detsan = detsan
         return self._collect(end_s)
 
     def schedule_workload_switch(self, plan_name: str, new_workload: str, at_s: float) -> None:

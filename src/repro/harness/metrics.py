@@ -121,19 +121,6 @@ class ExperimentResult:
         ]
         return float(np.mean(values)) if values else None
 
-    def mean_p99_of(self, category: str) -> Optional[float]:
-        """Deprecated alias of :meth:`mean_of_p99s` (misleading name: the
-        value is a mean of p99s, not a p99)."""
-        import warnings
-
-        warnings.warn(
-            "mean_p99_of is deprecated: the value is a mean of per-vSSD "
-            "p99s, not a p99; use mean_of_p99s",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.mean_of_p99s(category)
-
     def admission_summary(self) -> str:
         """One-line denied/submitted action summary (empty if no stats)."""
         stats = self.admission_stats

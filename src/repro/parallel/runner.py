@@ -214,7 +214,6 @@ class ParallelRunner:
         self,
         workers: Optional[int] = None,
         profile: bool = True,
-        start_method: Optional[str] = None,
         join_timeout_s: Optional[float] = 900.0,
         max_attempts: int = 2,
         retry_backoff_s: float = 0.5,
@@ -250,11 +249,9 @@ class ParallelRunner:
         requested = workers or max(cores - 1, 1)
         self.workers = min(requested, cores)
         self.profile = profile
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        methods = multiprocessing.get_all_start_methods()
+        self.start_method = "fork" if "fork" in methods else "spawn"
+        self._ctx = multiprocessing.get_context(self.start_method)
 
     def run(self, cells: Sequence[WorkCell]) -> SweepResult:
         """Run the cells; returns merged results in matrix order.

@@ -88,9 +88,9 @@ def _run_experiment_cell(cell: ExperimentCell) -> CellOutcome:
     # constructor calls and annotations only, still follows run() from
     # this worker entry point into the harness.
     experiment: Experiment = experiment_for(cell)
-    recorder = None
-    if detsan_enabled():
-        recorder = DetsanRecorder(label=cell.cell_id)
+    # The one place REPRO_DETSAN is consulted: Experiment.run records
+    # only when handed a recorder, and the label must be the cell id.
+    recorder = DetsanRecorder(label=cell.cell_id) if detsan_enabled() else None
     result = experiment.run(cell.duration_s, cell.measure_after_s, detsan=recorder)
     telemetry = results_csv_bytes({cell.policy: result}) + windows_csv_bytes(
         {name: monitor.window_history for name, monitor in experiment.monitors.items()}

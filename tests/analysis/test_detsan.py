@@ -196,12 +196,30 @@ class TestEnabledFlag:
         monkeypatch.setenv("REPRO_DETSAN", "0")
         assert not detsan_enabled()
 
+    @pytest.mark.parametrize("value", ["off", "false", "no", "", " OFF "])
+    def test_off_spellings_are_off(self, monkeypatch, value):
+        """``REPRO_DETSAN=off`` used to read as "set, therefore on"."""
+        monkeypatch.setenv("REPRO_DETSAN", value)
+        assert not detsan_enabled()
+
     def test_on_when_set(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DETSAN", "1")
-        assert detsan_enabled()
+        for value in ("1", "on", "true", "Yes"):
+            monkeypatch.setenv("REPRO_DETSAN", value)
+            assert detsan_enabled(), value
+
+    def test_typo_raises_naming_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DETSAN", "ture")
+        with pytest.raises(ValueError, match="REPRO_DETSAN='ture'.*on.*off"):
+            detsan_enabled()
 
     def test_experiment_records_nothing_when_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DETSAN", raising=False)
-        exp = _experiment()
-        exp.run(1.0, 0.5)
-        assert exp.detsan is None
+        """``Experiment.run`` records when handed a recorder and never
+        reads the variable itself — the cell runner is its one reader —
+        so a value the parser rejects fails a cell, not a direct run."""
+        from repro.parallel import ExperimentCell, run_cell
+
+        monkeypatch.setenv("REPRO_DETSAN", "ture")
+        _experiment().run(1.0, 0.5)
+        cell = ExperimentCell("s", ("ycsb",), "hardware", 0, 0.5, 0.1, num_channels=4)
+        outcome = run_cell(cell, profile=False)
+        assert not outcome.ok and "REPRO_DETSAN" in outcome.error["message"]

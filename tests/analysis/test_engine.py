@@ -1,4 +1,4 @@
-"""Engine behavior: suppressions, baseline round-trip, JSON output, CLI."""
+"""Engine behavior: suppressions, JSON output, CLI."""
 
 import json
 import os
@@ -6,12 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import (
-    Baseline,
-    lint_paths,
-    lint_source,
-    run_lint,
-)
+from repro.analysis import lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -85,63 +80,6 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        findings = lint_source(FLAGGED, path="src/repro/harness/snip.py").findings
-        assert findings
-        baseline = Baseline.from_findings(findings)
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == len(baseline)
-        assert all(loaded.contains(f) for f in findings)
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "nope.json")) == 0
-
-    def test_fingerprint_survives_line_moves(self):
-        before = lint_source(FLAGGED, path="src/repro/harness/snip.py").findings
-        shifted = "\n\n\ndef f(items=[]):\n    return items\n"
-        after = lint_source(shifted, path="src/repro/harness/snip.py").findings
-        assert before[0].fingerprint() == after[0].fingerprint()
-        assert before[0].line != after[0].line
-
-    def test_baselined_findings_do_not_fail(self, tmp_path):
-        target = tmp_path / "snip.py"
-        target.write_text(FLAGGED)
-        # Outside the repo root, the path stays absolute and is not a core
-        # package, so a baseline entry is allowed to silence it.
-        first = lint_paths([target], root=tmp_path)
-        assert first.findings and first.exit_code() == 1
-        baseline = Baseline.from_findings(first.findings)
-        second = lint_paths([target], baseline=baseline, root=tmp_path)
-        assert not second.findings
-        assert second.baselined
-        assert second.exit_code() == 0
-
-    def test_core_baseline_entries_fail_the_build(self, tmp_path):
-        findings = lint_source(FLAGGED).findings  # default path is sim/ => core
-        baseline = Baseline.from_findings(findings)
-        assert baseline.core_entries()
-        report = lint_paths([tmp_path], baseline=baseline, root=tmp_path)
-        assert report.exit_code() == 1
-
-    def test_write_baseline_then_clean_run(self, tmp_path):
-        target = tmp_path / "snip.py"
-        target.write_text(FLAGGED)
-        baseline_path = tmp_path / "baseline.json"
-        wrote = run_lint(
-            [target], baseline_path=baseline_path, write_baseline=True
-        )
-        assert wrote == 0 and baseline_path.exists()
-        # The baselined finding lives outside the deterministic core
-        # (absolute tmp path), so the follow-up run is clean.
-        assert run_lint([target], baseline_path=baseline_path) == 0
-
-
-# ----------------------------------------------------------------------
 # Output formats
 # ----------------------------------------------------------------------
 class TestOutput:
@@ -158,6 +96,13 @@ class TestOutput:
         assert entry["line"] == 1
         assert entry["fingerprint"]
         json.dumps(doc)  # must be serializable
+
+    def test_fingerprint_survives_line_moves(self):
+        before = lint_source(FLAGGED, path="src/repro/harness/snip.py").findings
+        shifted = "\n\n\ndef f(items=[]):\n    return items\n"
+        after = lint_source(shifted, path="src/repro/harness/snip.py").findings
+        assert before[0].fingerprint() == after[0].fingerprint()
+        assert before[0].line != after[0].line
 
     def test_text_summary_line(self, tmp_path):
         target = tmp_path / "clean.py"
@@ -179,16 +124,8 @@ class TestOutput:
 # ----------------------------------------------------------------------
 class TestSelfLint:
     def test_repo_lints_clean(self):
-        report = lint_paths(
-            [REPO_ROOT / "src" / "repro"],
-            baseline=Baseline.load(REPO_ROOT / ".fleetlint-baseline.json"),
-            root=REPO_ROOT,
-        )
+        report = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
         assert report.exit_code(strict=True) == 0, report.render_text()
-
-    def test_baseline_has_no_core_entries(self):
-        baseline = Baseline.load(REPO_ROOT / ".fleetlint-baseline.json")
-        assert baseline.core_entries() == []
 
     def test_every_suppression_has_a_reason(self):
         # parse_suppressions already turns reasonless markers into

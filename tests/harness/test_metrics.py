@@ -81,15 +81,6 @@ def test_mean_of_p99s_empty_category_is_none():
     assert result.mean_of_p99s("latency") is None
 
 
-def test_mean_p99_of_alias_deprecated():
-    result = ExperimentResult(
-        policy="x", duration_s=1.0, measure_start_s=0.0, total_bandwidth_mbps=1.0
-    )
-    result.vssds["lat"] = _vssd_result("lat", "latency", p99=800.0)
-    with pytest.warns(DeprecationWarning):
-        assert result.mean_p99_of("latency") == pytest.approx(800.0)
-
-
 def test_summary_row_format():
     row = _vssd_result().summary_row()
     assert "bw=" in row and "p99=" in row and "slo_vio=" in row

@@ -11,7 +11,6 @@ sensitivity that keeps distinct warm states from ever sharing an entry.
 import numpy as np
 import pytest
 
-from repro.cache import atomic_replace
 from repro.config import SSDConfig
 from repro.harness import Experiment, VssdPlan
 from repro.harness import snapshots
@@ -35,7 +34,8 @@ PLANS = [
 
 @pytest.fixture(autouse=True)
 def _clean_cache(monkeypatch, tmp_path):
-    """Every test starts from an empty cache and its own disk root."""
+    """Every test starts from an empty store (and, for the pre-trained
+    artifacts a fleetio key comparison may touch, its own cache dir)."""
     snapshots.clear_memory_cache()
     snapshots.reset_stats()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -176,35 +176,31 @@ def test_snapshots_off_never_touches_cache(monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOTS", "off")
     _experiment().build()
     _experiment().build()
-    assert snapshots.STATS == {
-        "hits": 0, "misses": 0, "disk_hits": 0, "stores": 0
-    }
+    assert snapshots.STATS == {"hits": 0, "misses": 0, "stores": 0}
 
 
 def test_snapshots_mode_accepts_the_documented_values(monkeypatch):
-    assert snapshots.snapshots_mode() == "mem"  # unset
+    assert snapshots.snapshots_enabled()  # unset
     accepted = {
-        "off": ("off", "0", "no", "False"),
-        "mem": ("mem", "ON", "1", "yes", "true"),
-        "disk": ("disk", " Disk "),
+        False: ("off", "0", "no", "False"),
+        True: ("mem", "ON", "1", "yes", " true "),
     }
-    for mode, values in accepted.items():
+    for enabled, values in accepted.items():
         for value in values:
             monkeypatch.setenv("REPRO_SNAPSHOTS", value)
-            assert snapshots.snapshots_mode() == mode, value
+            assert snapshots.snapshots_enabled() is enabled, value
 
 
-def test_snapshots_mode_rejects_a_typo_instead_of_dropping_the_disk_layer(
-    monkeypatch,
-):
-    monkeypatch.setenv("REPRO_SNAPSHOTS", "dsik")
-    with pytest.raises(ValueError, match="dsik.*off.*mem.*disk"):
-        snapshots.snapshots_mode()
+@pytest.mark.parametrize("value", ["disk", "ofd"])
+def test_snapshots_flag_rejects_disk_and_typos(monkeypatch, value):
+    """``disk`` is a retired mode, not a spelling of on: it must fail
+    loudly rather than run without the tier the user asked for."""
+    monkeypatch.setenv("REPRO_SNAPSHOTS", value)
+    with pytest.raises(ValueError, match=f"REPRO_SNAPSHOTS='{value}'.*on.*off"):
+        snapshots.snapshots_enabled()
     with pytest.raises(ValueError, match="REPRO_SNAPSHOTS"):
         _experiment().build()
-    assert snapshots.STATS == {
-        "hits": 0, "misses": 0, "disk_hits": 0, "stores": 0
-    }
+    assert snapshots.STATS == {"hits": 0, "misses": 0, "stores": 0}
 
 
 # ---------------------------------------------------------------------
@@ -289,53 +285,6 @@ def test_build_that_drew_randomness_is_not_captured():
 
 
 # ---------------------------------------------------------------------
-# Disk layer
-# ---------------------------------------------------------------------
-def test_disk_roundtrip_restores_identical_state(monkeypatch):
-    monkeypatch.setenv("REPRO_SNAPSHOTS", "disk")
-    cold = _cold_build(monkeypatch)
-    _experiment().build()  # miss: warms, captures, writes the .npz
-    assert snapshots.STATS["stores"] == 1
-    snapshots.clear_memory_cache()  # force the next hit through the disk
-    restored = _experiment().build()
-    assert snapshots.STATS["disk_hits"] == 1
-    _assert_fingerprints_equal(
-        _state_fingerprint(cold), _state_fingerprint(restored)
-    )
-
-
-def test_corrupt_disk_entry_degrades_to_miss(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_SNAPSHOTS", "disk")
-    exp = _experiment()
-    key = _key_of(exp)
-    path = snapshots._snapshot_path(key)
-    path.write_bytes(b"not an npz")
-    exp.build()
-    assert snapshots.STATS["misses"] == 1
-    assert snapshots.STATS["disk_hits"] == 0
-
-
-def test_truncated_disk_entry_is_rebuilt_and_replaced(monkeypatch):
-    monkeypatch.setenv("REPRO_SNAPSHOTS", "disk")
-    cold = _cold_build(monkeypatch)
-    exp = _experiment()
-    path = snapshots._snapshot_path(_key_of(exp))
-    exp.build()  # miss: writes the .npz
-    whole = path.read_bytes()
-    path.write_bytes(whole[: len(whole) // 2])
-    snapshots.clear_memory_cache()
-    _experiment().build()  # the torn file is a miss, and is overwritten
-    assert snapshots.STATS["misses"] == 2 and snapshots.STATS["disk_hits"] == 0
-    assert len(path.read_bytes()) == len(whole)  # (zip entries carry a timestamp)
-    snapshots.clear_memory_cache()
-    restored = _experiment().build()
-    assert snapshots.STATS["disk_hits"] == 1
-    _assert_fingerprints_equal(
-        _state_fingerprint(cold), _state_fingerprint(restored)
-    )
-
-
-# ---------------------------------------------------------------------
 # Engine snapshot primitives
 # ---------------------------------------------------------------------
 def test_engine_snapshot_rejects_pending_events():
@@ -382,68 +331,6 @@ def test_engine_restore_replays_pool_recycling_identically():
 
 def test_memory_cache_bounded():
     for i in range(snapshots._MEMORY_CACHE_MAX + 4):
-        snapshots._memory_put(f"key{i}", {"i": i})
+        snapshots.install(f"key{i}", {"i": i})
     assert len(snapshots._MEMORY_CACHE) == snapshots._MEMORY_CACHE_MAX
-
-
-# ---------------------------------------------------------------------
-# Disk-layer concurrency
-# ---------------------------------------------------------------------
-def _hammer_atomic_replace(path_str: str, fill: int, rounds: int) -> None:
-    """Child body: repeatedly replace ``path`` with a ``fill``-valued npz."""
-    from pathlib import Path
-
-    path = Path(path_str)
-    payload = np.full(60_000, fill, dtype=np.int64)
-    for _ in range(rounds):
-        atomic_replace(lambda tmp: np.savez(tmp, payload=payload), path)
-
-
-def test_atomic_replace_race_never_tears(tmp_path):
-    """Two processes racing ``atomic_replace`` on the same warmstate
-    path: every read — concurrent or final — decodes a complete file
-    written entirely by one of them, and no tmp litter survives.
-
-    The pid-suffixed tmp names keep the writers off each other's
-    scratch files, and ``os.replace`` swaps whole inodes, so a reader
-    can never observe a half-written ``warmstate_<key>.npz``.
-    """
-    import multiprocessing
-
-    path = tmp_path / "warmstate_deadbeef0123.npz"
-    rounds = 60
-    ctx = multiprocessing.get_context("fork")
-    writers = [
-        ctx.Process(
-            target=_hammer_atomic_replace, args=(str(path), fill, rounds)
-        )
-        for fill in (1, 2)
-    ]
-    for proc in writers:
-        proc.start()
-    try:
-        while any(proc.is_alive() for proc in writers):
-            if not path.exists():
-                continue  # raced the very first replace
-            with np.load(path, allow_pickle=False) as data:
-                payload = data["payload"]
-            assert payload.shape == (60_000,)
-            values = np.unique(payload)
-            assert len(values) == 1 and int(values[0]) in (1, 2), values
-    finally:
-        for proc in writers:
-            proc.join(timeout=120)
-    assert [proc.exitcode for proc in writers] == [0, 0]
-    with np.load(path, allow_pickle=False) as data:
-        values = np.unique(data["payload"])
-    assert len(values) == 1 and int(values[0]) in (1, 2)
-    assert list(tmp_path.glob(".*.tmp*")) == []
-
-
-def test_cache_get_survives_corrupt_disk_snapshot(tmp_path, monkeypatch):
-    """A torn/garbage ``warmstate_<key>.npz`` is a miss, not a crash."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    path = snapshots._snapshot_path("feedface4242")
-    path.write_bytes(b"PK\x03\x04 definitely not a complete zip")
-    assert snapshots.cache_get("feedface4242", "disk") is None
-    assert snapshots.STATS["misses"] == 1
+    assert "key0" not in snapshots._MEMORY_CACHE  # oldest-inserted goes first

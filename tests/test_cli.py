@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -130,17 +132,15 @@ _TINY_SWEEP = [
 ]
 
 
-def test_sweep_leaves_user_snapshot_mode_alone(monkeypatch, tmp_path):
-    """``REPRO_SNAPSHOTS=disk repro sweep`` reaches the disk layer: the
-    default ``--snapshots on`` must not rewrite it to ``mem``."""
-    from repro.harness import snapshots
-
-    snapshots.clear_memory_cache()  # a forked worker must miss, then persist
-    monkeypatch.setenv("REPRO_SNAPSHOTS", "disk")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    assert main(_TINY_SWEEP) == 0
-    assert os.environ["REPRO_SNAPSHOTS"] == "disk"
-    assert list(tmp_path.glob("warmstate_*.npz"))
-    # The explicit escape hatch still overrides the environment.
+def test_sweep_snapshots_off_exports_off(monkeypatch):
+    """The explicit escape hatch overrides the environment, and is set
+    process-wide so every pool worker resolves the same flag."""
+    monkeypatch.setenv("REPRO_SNAPSHOTS", "mem")
     assert main(_TINY_SWEEP + ["--snapshots", "off"]) == 0
     assert os.environ["REPRO_SNAPSHOTS"] == "off"
+
+
+def test_sweep_rejects_the_retired_disk_mode(monkeypatch):
+    monkeypatch.setenv("REPRO_SNAPSHOTS", "disk")
+    with pytest.raises(ValueError, match="REPRO_SNAPSHOTS"):
+        main(_TINY_SWEEP)
