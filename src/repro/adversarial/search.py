@@ -74,7 +74,7 @@ PROTAGONIST_STATS = {"hits": 0, "misses": 0, "disk_hits": 0}
 
 def _count_protagonist(name: str) -> None:
     """Per-process reuse bookkeeping (smoke tests read it profiler-free)."""
-    PROTAGONIST_STATS[name] += 1  # fleetlint: disable=parallel-shared-mutation  per-process observability counter; candidate outcomes, not this dict, carry the search's results across workers
+    PROTAGONIST_STATS[name] += 1
 
 
 def _tiny_cache_path(seed: int, iterations: int) -> Any:

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple, Type
 #: unordered iteration are errors here.
 DETERMINISTIC_CORE = frozenset(
     {
+        "adversarial",
         "baselines",
         "clustering",
         "config",
@@ -54,26 +55,6 @@ def module_package(path: str) -> Optional[str]:
     if len(rest) == 1:  # a top-level module like cli.py
         return PurePosixPath(rest[0]).stem
     return rest[0]
-
-
-def module_name(path: str) -> Optional[str]:
-    """The dotted module name a file defines, for call-graph identity.
-
-    >>> module_name("src/repro/sim/engine.py")
-    'repro.sim.engine'
-    >>> module_name("src/repro/sim/__init__.py")
-    'repro.sim'
-    >>> module_name("scripts/tool.py") is None
-    True
-    """
-    parts = PurePosixPath(path.replace("\\", "/")).parts
-    if "repro" not in parts:
-        return None
-    idx = parts.index("repro")
-    rest = [PurePosixPath(p).stem for p in parts[idx:]]
-    if rest and rest[-1] == "__init__":
-        rest = rest[:-1]
-    return ".".join(rest) if rest else None
 
 
 class _ImportMap(ast.NodeVisitor):
@@ -162,11 +143,6 @@ class ModuleContext:
     def package(self) -> Optional[str]:
         """The ``repro`` subpackage this module belongs to, if any."""
         return module_package(self.path)
-
-    @property
-    def module(self) -> Optional[str]:
-        """The dotted module name this file defines, if it is in-tree."""
-        return module_name(self.path)
 
     @property
     def is_core(self) -> bool:

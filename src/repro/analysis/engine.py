@@ -7,21 +7,14 @@ formatting and exit-code policy for the CLI.
 from __future__ import annotations
 
 import json
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import (
-    ProjectRule,
-    Rule,
-    all_rules,
-    check_module,
-    get_rule,
-)
-from repro.analysis.suppressions import SuppressionSet, parse_suppressions
+from repro.analysis.registry import Rule, all_rules, check_module, get_rule
+from repro.analysis.suppressions import parse_suppressions
 
 #: Directories never descended into during file discovery.
 _SKIP_DIRS = {"__pycache__", ".git", ".ruff_cache", ".mypy_cache", "build", "dist"}
@@ -115,38 +108,15 @@ def lint_source(
     rules: Optional[Sequence[str]] = None,
 ) -> LintReport:
     """Lint a source string as if it lived at ``path`` (test helper)."""
-    return lint_sources({path: source}, rules=rules)
-
-
-def lint_sources(
-    sources: Dict[str, str],
-    rules: Optional[Sequence[str]] = None,
-) -> LintReport:
-    """Lint several source strings as one program (test helper).
-
-    Unlike :func:`lint_source` this runs the whole-program
-    :class:`~repro.analysis.registry.ProjectRule` pass too, so
-    cross-module rules (stream leaks, fork-state races) can be exercised
-    from fixtures without touching the filesystem.
-    """
-    selected = _select_rules(rules)
     report = LintReport()
-    contexts: List[ModuleContext] = []
-    markers_by_path: Dict[str, SuppressionSet] = {}
-    for path in sorted(sources):
-        module = ModuleContext.from_source(path, sources[path])
-        contexts.append(module)
-        markers_by_path[module.path] = _lint_module(report, module, selected)
-    _run_project_rules(report, contexts, markers_by_path, selected)
+    _lint_module(report, ModuleContext.from_source(path, source), _select_rules(rules))
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
 
 
-def _lint_module(
-    report: LintReport, module: ModuleContext, rules: List[Rule]
-) -> SuppressionSet:
-    """Run the per-module rules over one parsed file into ``report``;
-    returns the file's suppression markers for the project pass."""
+def _lint_module(report: LintReport, module: ModuleContext, rules: List[Rule]) -> None:
+    """Run ``rules`` over one parsed file into ``report``, routing each
+    finding through the file's suppression markers."""
     markers = parse_suppressions(module.path, module.lines, module.tree)
     report.files += 1
     report.findings.extend(markers.problems)
@@ -155,67 +125,28 @@ def _lint_module(
             report.suppressed.append(finding)
         else:
             report.findings.append(finding)
-    return markers
-
-
-def _run_project_rules(
-    report: LintReport,
-    contexts: List[ModuleContext],
-    markers_by_path: Dict[str, SuppressionSet],
-    rules: Iterable[Rule],
-) -> None:
-    """Run the whole-program pass, routing findings through suppressions
-    exactly like per-module findings."""
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    if not project_rules or not contexts:
-        return
-    from repro.analysis.callgraph import ProjectContext
-
-    project = ProjectContext(contexts)
-    for rule in project_rules:
-        for finding in sorted(
-            rule.check_project(project),
-            key=lambda f: (f.path, f.line, f.col, f.rule),
-        ):
-            markers = markers_by_path.get(finding.path)
-            if markers is not None and markers.is_suppressed(finding):
-                report.suppressed.append(finding)
-            else:
-                report.findings.append(finding)
 
 
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     rules: Optional[Sequence[str]] = None,
     root: Optional[Path] = None,
-    changed_only: bool = False,
 ) -> LintReport:
     """Lint every Python file under ``paths``.
 
     Paths in findings are made relative to ``root`` (default: the current
     directory) so fingerprints are checkout-independent.  Each file is
-    parsed exactly once; the resulting :class:`ModuleContext` (with its
-    cached AST walk) is shared by the per-module rules and then by the
-    whole-program :class:`ProjectRule` pass.
-
-    ``changed_only`` restricts per-module rules to files ``git status``
-    reports as modified or untracked — a fast pre-commit mode.  The
-    whole-program pass is skipped in that mode (its verdicts depend on
-    unchanged files too); CI always runs the full pass.
+    parsed exactly once and checked on its own: no rule looks across
+    modules.
     """
     selected = _select_rules(rules)
     root_path = (root or Path.cwd()).resolve()
-    changed = _changed_files(root_path) if changed_only else None
     report = LintReport()
-    contexts: List[ModuleContext] = []
-    markers_by_path: Dict[str, SuppressionSet] = {}
     for file_path in discover_files(paths):
         try:
             rel = file_path.resolve().relative_to(root_path).as_posix()
         except ValueError:
             rel = file_path.as_posix()
-        if changed is not None and rel not in changed:
-            continue
         try:
             module = ModuleContext.from_source(rel, file_path.read_text())
         except SyntaxError as error:
@@ -231,37 +162,9 @@ def lint_paths(
             )
             report.files += 1
             continue
-        contexts.append(module)
-        markers_by_path[rel] = _lint_module(report, module, selected)
-    if changed is None:
-        _run_project_rules(report, contexts, markers_by_path, selected)
+        _lint_module(report, module, selected)
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
-
-
-def _changed_files(root: Path) -> Optional[Set[str]]:
-    """Repo-relative paths ``git status`` reports as touched, or ``None``
-    (lint everything) when git is unavailable."""
-    try:
-        out = subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=30,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.SubprocessError):
-        return None
-    changed: Set[str] = set()
-    for line in out.splitlines():
-        if len(line) < 4:
-            continue
-        path = line[3:]
-        if " -> " in path:  # rename: keep the new side
-            path = path.split(" -> ", 1)[1]
-        changed.add(path.strip().strip('"'))
-    return changed
 
 
 def run_lint(
@@ -270,10 +173,9 @@ def run_lint(
     strict: bool = False,
     rules: Optional[Sequence[str]] = None,
     verbose: bool = False,
-    changed_only: bool = False,
 ) -> int:
     """CLI workhorse: lint, print, return the process exit code."""
-    report = lint_paths(paths, rules=rules, changed_only=changed_only)
+    report = lint_paths(paths, rules=rules)
     if output_format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:

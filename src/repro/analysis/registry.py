@@ -8,13 +8,10 @@ is stable regardless of import order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Type
+from typing import Dict, Iterable, Iterator, List, Type
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding, Severity
-
-if TYPE_CHECKING:
-    from repro.analysis.callgraph import ProjectContext
 
 
 class Rule:
@@ -44,25 +41,6 @@ class Rule:
             message=message,
             source_line=module.line_text(line),
         )
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program (interprocedural) rules.
-
-    Project rules run once per lint invocation over a
-    :class:`~repro.analysis.callgraph.ProjectContext` holding every
-    parsed module, after the per-module pass.  They still emit ordinary
-    :class:`Finding`s anchored to a (path, line), so suppressions
-    apply unchanged.
-    """
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        """Project rules have no per-module pass."""
-        return iter(())
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        """Yield findings over the whole program."""
-        raise NotImplementedError
 
 
 _RULES: Dict[str, Type[Rule]] = {}

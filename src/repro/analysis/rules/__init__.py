@@ -2,13 +2,9 @@
 
 from repro.analysis.rules import (  # noqa: F401
     defaults,
-    digest_contract,
     float_time,
-    hotpath_alloc,
     ordering,
     rng,
-    shared_mutation,
-    stream_leak,
     units,
     wall_clock,
 )

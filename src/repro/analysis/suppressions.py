@@ -69,7 +69,7 @@ class Suppression:
         """Whether this suppression silences ``rule`` on ``line``."""
         if not (self.start <= line <= self.end):
             return False
-        return rule in self.rules or "all" in self.rules
+        return rule in self.rules
 
 
 @dataclass
@@ -164,7 +164,7 @@ def parse_suppressions(
             continue
         rules = tuple(r.strip() for r in match.group("rules").split(",") if r.strip())
         reason = match.group("reason").strip()
-        unknown = [r for r in rules if r != "all" and not is_known_rule(r)]
+        unknown = [r for r in rules if not is_known_rule(r)]
         if unknown:
             result.problems.append(
                 _problem(

@@ -608,7 +608,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         strict=args.strict,
         rules=args.rules.split(",") if args.rules else None,
         verbose=args.verbose,
-        changed_only=args.changed_only,
     )
 
 
@@ -883,11 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "-v", "--verbose", action="store_true",
         help="also show suppressed findings",
-    )
-    lint.add_argument(
-        "--changed-only", action="store_true",
-        help="lint only files git reports as changed (module rules only; "
-             "the whole-program pass needs the full file set)",
     )
     lint.set_defaults(func=cmd_lint)
 

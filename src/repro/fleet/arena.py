@@ -346,7 +346,7 @@ def attach_arena(manifest: ArenaManifest) -> Optional[dict]:
     if snap is None:
         _close_quietly(shm)
         return None
-    _ATTACHED[manifest.name] = (shm, snap)  # fleetlint: disable=parallel-shared-mutation  worker-private handle registry; one deterministic entry per attached segment
+    _ATTACHED[manifest.name] = (shm, snap)
     PROFILER.count("arena.attach")
     return snap
 

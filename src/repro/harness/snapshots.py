@@ -87,7 +87,7 @@ def snapshots_enabled() -> bool:
 def reset_stats() -> None:
     """Zero the hit/miss counters (per-measurement bookkeeping)."""
     for name in STATS:
-        STATS[name] = 0  # fleetlint: disable=parallel-shared-mutation  test/bench bookkeeping reset, never called from a worker
+        STATS[name] = 0
 
 
 def _bump(name: str) -> None:
@@ -97,7 +97,7 @@ def _bump(name: str) -> None:
     without enabling profiling); the PROFILER counter is the channel that
     crosses process boundaries via each cell's absorbed profile delta.
     """
-    STATS[name] += 1  # fleetlint: disable=parallel-shared-mutation  per-process observability only; the cross-process channel is the profiler counter absorbed per cell
+    STATS[name] += 1
     PROFILER.count(f"snapshot.{name}")
 
 
@@ -224,6 +224,8 @@ def cache_put(key: str, snap: dict) -> None:
 def install(key: str, snap: dict) -> None:
     """Put ``snap`` in the bounded store without counting a ``stores``
     event (the fleet arena's pre-fill: nothing was captured)."""
+    # Pool workers fill and evict their fork-private copy of the store;
+    # its contents are deterministic per key, so nothing merges back.
     if key not in _MEMORY_CACHE and len(_MEMORY_CACHE) >= _MEMORY_CACHE_MAX:
-        _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))  # fleetlint: disable=parallel-shared-mutation  fork-private eviction of the oldest-inserted entry of a deterministic read-through cache; nothing to merge back
-    _MEMORY_CACHE[key] = snap  # fleetlint: disable=parallel-shared-mutation  read-through cache keyed by a config hash; pool workers fill their fork-private copy, contents are deterministic per key
+        _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))
+    _MEMORY_CACHE[key] = snap

@@ -84,10 +84,7 @@ def experiment_for(cell: ExperimentCell) -> Experiment:
 
 def _run_experiment_cell(cell: ExperimentCell) -> CellOutcome:
     """The default runner: build and run one harness experiment."""
-    # Annotated so fleetlint's call graph, which types locals from
-    # constructor calls and annotations only, still follows run() from
-    # this worker entry point into the harness.
-    experiment: Experiment = experiment_for(cell)
+    experiment = experiment_for(cell)
     # The one place REPRO_DETSAN is consulted: Experiment.run records
     # only when handed a recorder, and the label must be the cell id.
     recorder = DetsanRecorder(label=cell.cell_id) if detsan_enabled() else None
@@ -198,7 +195,9 @@ def register_runner(name: str, fn: Callable[..., CellOutcome]) -> None:
     worker that receives such a cell always has the runner registered
     before :func:`run_cell` looks it up.
     """
-    RUNNERS[name] = fn  # fleetlint: disable=parallel-shared-mutation  import-time registry write, deterministic per module; workers populate their own copy on cell unpickle
+    # An import-time write, deterministic per module: each worker fills
+    # its own copy when it unpickles the cell, so nothing merges back.
+    RUNNERS[name] = fn
 
 
 def _profile_delta(before: dict, after: dict) -> dict:

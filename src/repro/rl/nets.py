@@ -44,7 +44,9 @@ def _gemm_rows_stable(n: int, d: int, k: int) -> bool:
                     break
             if not hit:
                 break
-        _ROW_STABLE_CACHE[key] = hit  # fleetlint: disable=parallel-shared-mutation  per-shape BLAS probe result is a pure function of (shape, BLAS build); every process computes the same bit
+        # A pure function of (shape, BLAS build): every process, forked
+        # worker or not, caches the same bit.
+        _ROW_STABLE_CACHE[key] = hit
     return hit
 
 

@@ -1,5 +1,6 @@
 """Engine behavior: suppressions, JSON output, CLI."""
 
+import ast
 import json
 import os
 import subprocess
@@ -56,9 +57,11 @@ class TestSuppressions:
         assert "bad-suppression" in rules
 
     def test_unknown_rule_is_an_error(self):
-        src = "x = 1  # fleetlint: disable=no-such-rule  because\n"
-        report = lint_source(src)
-        assert {f.rule for f in report.findings} == {"bad-suppression"}
+        # ``all`` is not a blanket spelling: a marker names its rules.
+        for rule in ("no-such-rule", "all"):
+            src = f"x = 1  # fleetlint: disable={rule}  because\n"
+            report = lint_source(src)
+            assert {f.rule for f in report.findings} == {"bad-suppression"}, rule
 
     def test_marker_in_string_literal_is_ignored(self):
         src = 'msg = "# fleetlint: disable=bogus"\n'
@@ -142,6 +145,25 @@ class TestSelfLint:
                     f"{path}:{suppression.line} suppression without a reason"
                 )
 
+    def test_every_marker_silences_a_finding(self):
+        # A marker that covers no finding is stale: the code it excused
+        # changed, or the rule it names no longer looks there.
+        from repro.analysis import parse_suppressions
+
+        report = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+        stale = []
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            rel = path.relative_to(REPO_ROOT).as_posix()
+            source = path.read_text()
+            markers = parse_suppressions(rel, source.splitlines(), ast.parse(source))
+            for marker in markers.suppressions:
+                if not any(
+                    f.path == rel and marker.covers(f.rule, f.line)
+                    for f in report.suppressed
+                ):
+                    stale.append(f"{rel}:{marker.line}")
+        assert not stale, stale
+
     def test_cli_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "lint", "src/repro"],
@@ -210,62 +232,3 @@ class TestSuppressionSpans:
         assert not report.findings
         assert [f.rule for f in report.suppressed] == ["sim-wall-clock"]
 
-
-# ----------------------------------------------------------------------
-# --changed-only
-# ----------------------------------------------------------------------
-class TestChangedOnly:
-    def _git(self, cwd, *argv):
-        subprocess.run(
-            ["git", *argv],
-            cwd=cwd,
-            check=True,
-            capture_output=True,
-            env={
-                **os.environ,
-                "GIT_AUTHOR_NAME": "t",
-                "GIT_AUTHOR_EMAIL": "t@t",
-                "GIT_COMMITTER_NAME": "t",
-                "GIT_COMMITTER_EMAIL": "t@t",
-            },
-        )
-
-    def test_lints_only_git_dirty_files(self, tmp_path):
-        src = tmp_path / "src" / "repro" / "sim"
-        src.mkdir(parents=True)
-        (src / "clean.py").write_text(FLAGGED)
-        (src / "dirty.py").write_text("x = 1\n")
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        (src / "dirty.py").write_text(FLAGGED)
-
-        full = lint_paths([tmp_path / "src"], root=tmp_path)
-        assert full.files == 2
-        changed = lint_paths([tmp_path / "src"], root=tmp_path, changed_only=True)
-        assert changed.files == 1
-        assert {f.path for f in changed.findings} == {"src/repro/sim/dirty.py"}
-
-    def test_untracked_files_count_as_changed(self, tmp_path):
-        src = tmp_path / "src" / "repro" / "sim"
-        src.mkdir(parents=True)
-        (src / "old.py").write_text("x = 1\n")
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        (src / "new.py").write_text(FLAGGED)
-
-        changed = lint_paths([tmp_path / "src"], root=tmp_path, changed_only=True)
-        assert changed.files == 1
-        assert {f.path for f in changed.findings} == {"src/repro/sim/new.py"}
-
-    def test_outside_git_falls_back_to_everything(self, tmp_path, monkeypatch):
-        # /tmp is not a repo; _changed_files must return None and the
-        # lint must cover all files rather than silently skipping them.
-        src = tmp_path / "src" / "repro" / "sim"
-        src.mkdir(parents=True)
-        (src / "a.py").write_text(FLAGGED)
-        (src / "b.py").write_text("x = 1\n")
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-such-git-dir"))
-        report = lint_paths([tmp_path / "src"], root=tmp_path, changed_only=True)
-        assert report.files == 2

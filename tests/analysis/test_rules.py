@@ -29,6 +29,12 @@ class TestSimWallClock:
         src = "import datetime\nd = datetime.datetime.now()\n"
         assert "sim-wall-clock" in rules_hit(src)
 
+    def test_flags_time_time_in_adversarial(self):
+        # Regret search promises serial == parallel bytes, so it is core.
+        src = "import time\nnow = time.time()\n"
+        hits = rules_hit(src, path="src/repro/adversarial/x.py")
+        assert "sim-wall-clock" in hits
+
     def test_clean_simulated_clock(self):
         src = "def advance(sim):\n    return sim.now + 5.0\n"
         assert "sim-wall-clock" not in rules_hit(src)
