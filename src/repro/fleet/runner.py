@@ -168,10 +168,13 @@ class FleetShardRunner:
         homogeneous fleet regardless of per-device seeds.
         """
         probe = experiment_for(spec.cell()).build()
-        snap = snapshots.capture_experiment(probe)
-        if snap is None:
-            return None
-        key = snapshots.warm_cache_key(probe, probe._plan_allocation())
+        try:
+            snap = snapshots.capture_experiment(probe)
+            if snap is None:
+                return None
+            key = snapshots.warm_cache_key(probe, probe._plan_allocation())
+        finally:
+            probe.close()
         return SharedArena(key, snap)
 
     # -- run -------------------------------------------------------------

@@ -84,7 +84,7 @@ def plans_for_pair(latency_workload: str, bandwidth_workload: str) -> list:
 
 
 class Experiment:
-    """Builds and runs one policy over one collocation plan."""
+    """Builds, runs and closes one policy over one collocation plan."""
 
     def __init__(
         self,
@@ -136,6 +136,7 @@ class Experiment:
         self.controller: Optional[FleetIoController] = None
         self.manager: Optional[AdaptiveManager] = None
         self._built = False
+        self._closed = False
         self._measure_start_s = 0.0
 
     # ------------------------------------------------------------------
@@ -143,6 +144,8 @@ class Experiment:
     # ------------------------------------------------------------------
     def build(self) -> "Experiment":
         """Construct the virtualizer, tenants, drivers, and manager."""
+        if self._closed:
+            raise RuntimeError("experiment is closed")
         if self._built:
             return self
         with PROFILER.timer("harness.build"):
@@ -450,6 +453,20 @@ class Experiment:
 
         self.virt.sim.schedule_at(at_s * 1_000_000.0, do_reset)
 
+    def close(self) -> None:
+        """End the lifecycle (build → run → close): free the built stack.
+
+        A built stack is cyclic (pending events, completion callbacks,
+        block views, harvest hooks), so without this it outlives the
+        run until a full garbage collection; closed, it dies with its
+        last reference.  Results and telemetry already taken stay
+        valid; ``build``/``run`` afterwards raise ``RuntimeError``.
+        Idempotent.
+        """
+        self._closed = True
+        if self.virt is not None:
+            self.virt.close()
+
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
@@ -530,6 +547,7 @@ def run_policy_comparison(
             fleetio_kwargs=fleetio_kwargs if policy.startswith("fleetio") else None,
         )
         results[policy] = experiment.run(duration_s, measure_after_s)
+        experiment.close()
         if policy == "hardware" and calibrate_slo:
             for plan in plans:
                 if plan.slo_latency_us is None:

@@ -83,15 +83,23 @@ def experiment_for(cell: ExperimentCell) -> Experiment:
 
 
 def _run_experiment_cell(cell: ExperimentCell) -> CellOutcome:
-    """The default runner: build and run one harness experiment."""
+    """The default runner: build, run and close one harness experiment.
+
+    Closing in ``finally`` frees the simulator when this returns, even
+    when the run raised, so a worker's memory does not grow with the
+    cells it has run.
+    """
     experiment = experiment_for(cell)
-    # The one place REPRO_DETSAN is consulted: Experiment.run records
-    # only when handed a recorder, and the label must be the cell id.
-    recorder = DetsanRecorder(label=cell.cell_id) if detsan_enabled() else None
-    result = experiment.run(cell.duration_s, cell.measure_after_s, detsan=recorder)
-    telemetry = results_csv_bytes({cell.policy: result}) + windows_csv_bytes(
-        {name: monitor.window_history for name, monitor in experiment.monitors.items()}
-    )
+    try:
+        # The one place REPRO_DETSAN is consulted: Experiment.run records
+        # only when handed a recorder, and the label must be the cell id.
+        recorder = DetsanRecorder(label=cell.cell_id) if detsan_enabled() else None
+        result = experiment.run(cell.duration_s, cell.measure_after_s, detsan=recorder)
+        telemetry = results_csv_bytes({cell.policy: result}) + windows_csv_bytes(
+            {name: monitor.window_history for name, monitor in experiment.monitors.items()}
+        )
+    finally:
+        experiment.close()
     return CellOutcome(
         cell=cell,
         ok=True,

@@ -106,6 +106,17 @@ class IoDispatcher:
         self._completion_callbacks.append((vssd_id, callback))
         self._notify_cache.clear()
 
+    def close(self) -> None:
+        """Drop the completion callbacks and the retry handle.
+
+        Drivers hold :meth:`submit` and the callbacks hold the drivers'
+        ``on_complete``, a cycle through every tenant; a closed
+        dispatcher notifies nobody.  Idempotent.
+        """
+        self._completion_callbacks.clear()
+        self._notify_cache.clear()
+        self._retry_event = None
+
     # ------------------------------------------------------------------
     # Submission / queue inspection
     # ------------------------------------------------------------------

@@ -399,6 +399,24 @@ class Simulator:
             dead.callback = None
             self._pool.append(dead)
 
+    def close(self) -> None:
+        """Drop every pending event: the end of the engine's life.
+
+        Pending events hold bound methods of the components they call
+        back (channels, dispatcher, FTLs, monitors, drivers), and those
+        components hold the engine, so a finished stack with a non-empty
+        heap is cyclic and waits for a full collection.  Each dropped
+        event is parked dead, so a handle still held elsewhere cancels
+        as a no-op.  Idempotent.
+        """
+        for _time, _seq, event in self._heap:
+            event.time = _DEAD
+            event.callback = None
+            event.args = ()
+            event.sim = None
+        self._heap.clear()
+        self._cancelled_in_heap = 0
+
     def detsan_state(self) -> dict:
         """A read-only engine snapshot for the determinism sanitizer.
 

@@ -96,6 +96,7 @@ class BlockStore:
         "write_ptr",
         "valid_count",
         "blocks",
+        "__weakref__",  # the teardown suite watches the store die with its cell
     )
 
     def __init__(self, n_blocks: int, pages_per_block: int) -> None:

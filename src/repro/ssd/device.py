@@ -47,6 +47,11 @@ class Ssd:
             for c in range(config.num_channels)
         ]
 
+    def close(self) -> None:
+        """Drop the store's gid → view list, whose views each hold the
+        store back.  Channels keep their own view lists.  Idempotent."""
+        self.store.blocks.clear()
+
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------

@@ -183,6 +183,17 @@ class GsbManager:
         """Let the manager resolve vssd ids during reclamation."""
         self._vssd_by_id[vssd.vssd_id] = vssd
 
+    def close(self) -> None:
+        """Unhook every harvest region still attached.
+
+        A region's ``on_block_released`` hook holds this manager and its
+        gSB, and both lead back to the region (the manager through the
+        harvester's vSSD, the gSB through ``gsb.region``).  Idempotent.
+        """
+        for vssd in self._vssd_by_id.values():
+            for gsb in vssd.harvested_gsbs:
+                gsb.region.on_block_released = None
+
     def _healthy_gsb(self, gsb: GhostSuperblock) -> bool:
         """True when none of the gSB's channels carry an injected fault."""
         return not any(self.ssd.channels[c].degraded for c in gsb.channel_ids)
@@ -259,6 +270,9 @@ class GsbManager:
         home = self._vssd_of(gsb.home_vssd)
         if gsb.region in harvester.ftl.harvest_regions:
             harvester.ftl.remove_harvest_region(gsb.region)
+        # The detached region releases nothing more; unhooked, it and
+        # its gSB are freed without a garbage collection.
+        gsb.region.on_block_released = None
         if gsb in harvester.harvested_gsbs:
             harvester.harvested_gsbs.remove(gsb)
         if gsb in home.harvestable_gsbs:

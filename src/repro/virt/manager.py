@@ -43,10 +43,18 @@ class StorageVirtualizer:
         self.dispatcher = IoDispatcher(self.sim, self.ssd, self.policy)
         self.hbt = HarvestedBlockTable()
         self.gsb_manager = GsbManager(self.ssd, self.hbt)
+        # Set_Priority reaches the scheduler only under the priority
+        # policy.  The policy's own bound method, not one of ours, so
+        # admission holds no edge back to the virtualizer.
+        self._set_priority_fn = (
+            self.policy.set_priority
+            if isinstance(self.policy, PriorityPolicy)
+            else None
+        )
         self.admission = AdmissionController(
             self.sim,
             self.gsb_manager,
-            set_priority_fn=self._apply_priority,
+            set_priority_fn=self._set_priority_fn,
         )
         self.vssds: dict = {}
         self._next_id = 0
@@ -158,13 +166,22 @@ class StorageVirtualizer:
         bandwidth = per_channel * max(len(placeholder.channel_ids), 1)
         self.gsb_manager.make_harvestable(placeholder, bandwidth)
 
+    def close(self) -> None:
+        """Sever the stack's back-edges so reference counting frees it.
+
+        The engine drops its pending events, the dispatcher its
+        completion callbacks, the device its block views and the gSB
+        manager its harvest hooks.  Nothing may run on a closed stack.
+        Idempotent.
+        """
+        self.sim.close()
+        self.dispatcher.close()
+        self.ssd.close()
+        self.gsb_manager.close()
+
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _apply_priority(self, vssd_id: int, level: int) -> None:
-        if isinstance(self.policy, PriorityPolicy):
-            self.policy.set_priority(vssd_id, level)
-
     def set_priority(self, vssd_id: int, level: int) -> None:
         """Set a vSSD's scheduling priority outside the admission path.
 
@@ -177,7 +194,8 @@ class StorageVirtualizer:
         if vssd is None:
             raise KeyError(f"vSSD {vssd_id} not found")
         vssd.priority = level
-        self._apply_priority(vssd_id, level)
+        if self._set_priority_fn is not None:
+            self._set_priority_fn(vssd_id, level)
 
     def vssd_by_name(self, name: str) -> Vssd:
         """Look up a live vSSD by its name."""

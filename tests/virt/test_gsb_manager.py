@@ -1,5 +1,8 @@
 """Tests for the gSB manager: create, harvest, reclaim lifecycles."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import SSDConfig
@@ -153,6 +156,25 @@ def test_lazy_reclaim_of_in_use_gsb(world):
     assert gsb not in harvester.harvested_gsbs
     # Migrated data must still be readable from the harvester.
     assert harvester.ftl.page_location(50_000) is not None
+
+
+def test_finalized_reclaim_frees_its_region_without_gc(world):
+    config, _sim, _ssd, manager, home, harvester = world
+    per = config.channel_write_bandwidth_mbps
+    manager.make_harvestable(home, per + 1)
+    gsb = manager.harvest(harvester, per + 1)
+    region = weakref.ref(gsb.region)
+    gc.collect()
+    gc.disable()
+    try:
+        manager.reclaim_excess(home, 0)
+        assert manager.reclaiming_gsbs() == []
+        del gsb
+        # The release hook held the gSB, and the gSB its region: once the
+        # reclaim finalizes nothing may keep that pair alive.
+        assert region() is None
+    finally:
+        gc.enable()
 
 
 def test_lazy_reclaim_preserves_harvester_data(world):
