@@ -2,10 +2,11 @@
 
 Each vSSD has a *virtual queue* of pending requests (the paper's QDelay
 state is derived from it).  A :class:`SchedulingPolicy` orders dispatch
-across queues; queue-depth limits on the channels provide backpressure.
+across queues; per-vSSD in-flight page budgets provide backpressure.
 A dispatched request's page operations are served by the vSSD's FTL, one
 completion event fires when the slowest page finishes, and completion
-frees channel slots and re-pumps the queues.
+frees channel slots and re-pumps the queues.  The only other wake-up is a
+retry for a head waiting on its token bucket.
 """
 
 from __future__ import annotations
@@ -47,27 +48,28 @@ class IoDispatcher:
         #: rebuilt lazily after any registration change.
         self._notify_cache: dict = {}
         self._retry_event = None
+        #: The token instant the pending retry was armed for (its event
+        #: time can differ from it by an ulp of clock arithmetic).
+        self._retry_at = 0.0
         #: Requests waiting across all virtual queues.  The pump runs only
         #: while this is non-zero: with every queue empty each policy's
         #: ``select`` returns ``None`` without side effects and there is
         #: nothing to arm a retry for, so a pump with no backlog is a no-op.
         self._queued = 0
+        #: Set when a pump ends blocked (a blocked pump leaves no trace);
+        #: cleared by every pump, completion release and unregistration.
+        #: While set, a completion's trailing pump would select nothing.
+        self._settled = False
         self._inflight_pages: dict = {}
         self.failed_requests = 0
         self._dispatch_seq = 0
         # Dispatch-loop invariants hoisted off the per-request path (the
         # SSD config is fixed for the device's lifetime).
-        config = ssd.config
-        self._qd_bound_us = config.max_queue_depth * config.bus_transfer_us
-        self._bus_transfer_us = config.bus_transfer_us
-        self._inflight_per_channel = config.inflight_pages_per_channel
+        self._inflight_per_channel = ssd.config.inflight_pages_per_channel
         self._channels = ssd.channels
         # ``Set_Priority`` exists only on the priority policy; resolved
         # here, not per dispatch.
         self._get_priority = getattr(policy, "get_priority", None)
-        # Flat per-channel busy horizons (mutated in place, never rebound)
-        # for the per-pump capacity scan.
-        self._bus_busy = ssd.arrays.bus_busy
 
     # ------------------------------------------------------------------
     # Registration
@@ -86,6 +88,7 @@ class IoDispatcher:
         self._queued -= len(self.queues.pop(vssd_id, ()))
         self.policy.unregister_vssd(vssd_id)
         self._notify_cache.clear()
+        self._settled = False
 
     def add_completion_callback(
         self,
@@ -155,11 +158,12 @@ class IoDispatcher:
         return inflight + request.num_pages <= budget
 
     def _pump(self) -> None:
-        """Dispatch as many queued requests as the policy and channels allow.
+        """Dispatch as many queued requests as the policy and budgets allow.
 
         Runs only while something is queued; a backlog the policy will
-        not serve now (tokens, in-flight budget) arms a retry.
+        not serve now settles, and arms a retry if a head waits on tokens.
         """
+        self._settled = False
         select = self.policy.select
         queues = self.queues
         can_dispatch = self._can_dispatch
@@ -167,6 +171,7 @@ class IoDispatcher:
         while self._queued:
             choice = select(sim.now, queues, can_dispatch)
             if choice is None:
+                self._settled = True
                 self._schedule_retry_if_blocked()
                 return
             request = queues[choice].popleft()
@@ -176,26 +181,24 @@ class IoDispatcher:
             self._dispatch(request)
 
     def _schedule_retry_if_blocked(self) -> None:
-        """Arrange a future pump when heads are blocked on time.
+        """Arrange a future pump when a head waits on its token bucket.
 
-        Two time-based blockers exist: token buckets (the policy knows
-        when tokens suffice) and channel busy horizons (capacity frees as
-        queued bus work drains).  Without this, a queue could sit blocked
-        forever once nothing is in flight to trigger a completion pump.
+        Refills are the only blocker that lifts with time alone: a head
+        held by the in-flight budget has a request in flight whose
+        completion pumps, one with nothing in flight passes
+        :meth:`_can_dispatch`, and one above its burst never fits.  The
+        retry fires at the first instant the policy would take a head, so
+        no earlier pump could dispatch.
         """
         when = self.policy.next_eligible_time(self.sim.now, self.queues)
-        capacity_when = self._next_capacity_time()
-        if when is None or (capacity_when is not None and capacity_when < when):
-            when = capacity_when
         if when is None:
             return
-        if self._retry_event is not None and not self._retry_event.cancelled:
-            if self._retry_event.time <= when:
+        if self._retry_event is not None:
+            if self._retry_at <= when:
                 return
             self._retry_event.cancel()
-        self._retry_event = self.sim.schedule(
-            max(1.0, when - self.sim.now), self._retry_fire
-        )
+        self._retry_at = when
+        self._retry_event = self.sim.schedule(when - self.sim.now, self._retry_fire)
 
     def _retry_fire(self) -> None:
         """A scheduled retry: clear the handle first so a still-blocked
@@ -203,32 +206,6 @@ class IoDispatcher:
         for a pending one)."""
         self._retry_event = None
         self._pump()
-
-    def _next_capacity_time(self) -> Optional[float]:
-        """Earliest time a channel regains queue headroom, if any head is
-        waiting on capacity."""
-        if not any(self.queues.values()):
-            return None
-        bound = self._qd_bound_us
-        xfer = self._bus_transfer_us
-        soonest = None
-        # Inlined busy_horizon_us(): this scan visits every channel on
-        # every pump (each submit and each completion), so the method
-        # call per channel was measurable.  A channel is over its bound
-        # iff bus_busy_until - now >= bound (bound > 0 makes the
-        # max(0, .) in busy_horizon_us irrelevant); headroom returns at
-        # bus_busy_until - bound + one transfer slot.
-        threshold = self.sim.now + bound
-        for busy_until in self._bus_busy:
-            if busy_until >= threshold:
-                when = busy_until - bound + xfer
-                if soonest is None or when < soonest:
-                    soonest = when
-        if soonest is None and not any(self._inflight_pages.values()):
-            # Nothing in flight to trigger a completion pump; take one
-            # small tick rather than risk a permanent stall.
-            soonest = self.sim.now + xfer
-        return soonest
 
     def _dispatch(self, request: IoRequest) -> None:
         if not PROFILER.enabled:
@@ -299,6 +276,7 @@ class IoDispatcher:
         inflight = self._inflight_pages
         if vssd_id in inflight:
             inflight[vssd_id] -= request.num_pages
+        self._settled = False
         # Inlined _notify() (its cached-tuple leg).
         callbacks = self._notify_cache.get(vssd_id)
         if callbacks is None:
@@ -306,7 +284,7 @@ class IoDispatcher:
         else:
             for callback in callbacks:
                 callback(request)
-        if self._queued:
+        if self._queued and not self._settled:
             self._pump()
 
     def _notify(self, request: IoRequest) -> None:

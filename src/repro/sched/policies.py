@@ -14,6 +14,7 @@ request dispatches next.  Three policies cover the paper's systems:
 from __future__ import annotations
 
 import abc
+import math
 from typing import Callable, Optional
 
 from repro.sched.request import IoRequest, Priority
@@ -47,7 +48,10 @@ class SchedulingPolicy(abc.ABC):
     def next_eligible_time(self, now: float, queues: dict) -> Optional[float]:
         """Absolute time at which a currently blocked request becomes
         eligible (used to schedule a retry), or None if nothing is
-        time-blocked."""
+        time-blocked.  The instant is the first at which ``select`` would
+        take the head, and it must not move with ``now``: the dispatcher
+        keeps a pending retry unless a later call returns a strictly
+        earlier instant."""
         return None
 
 
@@ -133,10 +137,10 @@ class TokenBucketStridePolicy(SchedulingPolicy):
     Each vSSD gets a token bucket sized to its bandwidth share; among
     vSSDs whose head fits their budget, a stride scheduler provides
     proportional sharing so high-intensity tenants cannot starve
-    low-intensity ones.  Work conservation: when no queue fits its
-    budget but capacity is idle, the oldest head dispatches anyway once
-    its bucket refills (the dispatcher retries at
-    :meth:`next_eligible_time`).
+    low-intensity ones.  The throttle is not work-conserving: a head
+    waits for its own bucket to refill even while the channels idle (the
+    dispatcher retries at :meth:`next_eligible_time`), and a head larger
+    than its bucket's burst never dispatches.
     """
 
     def __init__(self, rate_bytes_per_us: float, burst_bytes: float) -> None:
@@ -191,7 +195,7 @@ class TokenBucketStridePolicy(SchedulingPolicy):
         return choice
 
     def next_eligible_time(self, now: float, queues: dict) -> Optional[float]:
-        """Earliest time a blocked head's bucket refills, if any."""
+        """First instant a token-blocked head's bucket covers it, if any."""
         soonest = None
         for vssd_id, queue in queues.items():
             if not queue:
@@ -199,11 +203,10 @@ class TokenBucketStridePolicy(SchedulingPolicy):
             bucket = self._buckets.get(vssd_id)
             if bucket is None:
                 continue
-            wait = bucket.time_until_available(queue[0].size_bytes, now)
-            # An infinite wait (request larger than the burst ceiling)
-            # must not poison the retry schedule.
-            if wait > 0 and wait != float("inf"):
-                when = now + wait
-                if soonest is None or when < soonest:
-                    soonest = when
+            when = bucket.available_at(queue[0].size_bytes)
+            # A head covered now waits on something else; an infinite
+            # wait (request larger than the burst ceiling) must not
+            # poison the retry schedule.
+            if now < when < math.inf and (soonest is None or when < soonest):
+                soonest = when
         return soonest

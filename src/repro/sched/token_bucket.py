@@ -14,7 +14,9 @@ class TokenBucket:
     """A lazily refilled token bucket.
 
     Tokens are bytes.  ``rate_bytes_per_us`` tokens accrue per microsecond
-    up to ``burst_bytes``.
+    up to ``burst_bytes``.  The stored pair is the level at the last
+    consume and its time; reads compute the refilled level from it and
+    never write it, so only :meth:`consume` changes the bucket.
     """
 
     def __init__(self, rate_bytes_per_us: float, burst_bytes: float, now: float = 0.0) -> None:
@@ -25,16 +27,12 @@ class TokenBucket:
         self.rate = rate_bytes_per_us
         self.burst = burst_bytes
         self._tokens = burst_bytes
-        self._last_refill = now
-
-    def _refill(self, now: float) -> None:
-        if now > self._last_refill:
-            self._tokens = min(self.burst, self._tokens + (now - self._last_refill) * self.rate)
-            self._last_refill = now
+        self._last = now
 
     def tokens(self, now: float) -> float:
-        """Current token level after lazy refill at ``now``."""
-        self._refill(now)
+        """Token level at ``now``: the stored level plus the refill since."""
+        if now > self._last:
+            return min(self.burst, self._tokens + (now - self._last) * self.rate)
         return self._tokens
 
     def can_consume(self, amount: float, now: float) -> bool:
@@ -43,24 +41,38 @@ class TokenBucket:
 
     def consume(self, amount: float, now: float) -> bool:
         """Take ``amount`` tokens if available; returns success."""
-        self._refill(now)
-        if self._tokens >= amount:
-            self._tokens -= amount
-            return True
-        return False
+        level = self.tokens(now)
+        if level < amount:
+            return False
+        self._tokens = level - amount
+        self._last = max(now, self._last)
+        return True
 
-    def time_until_available(self, amount: float, now: float) -> float:
-        """Microseconds until ``amount`` tokens will be available.
+    def available_at(self, amount: float) -> float:
+        """The first instant ``t`` with ``can_consume(amount, t)``.
 
-        An ``amount`` above ``burst_bytes`` can never be satisfied — the
-        bucket caps at the burst — so the wait is ``math.inf``, not the
-        finite refill time a naive deficit/rate division would suggest.
-        Callers scheduling retries must skip infinite waits.
+        A function of the stored pair alone, so it reads the same until
+        the next consume.  ``math.inf`` above ``burst_bytes``: the bucket
+        caps at the burst.
         """
         if amount > self.burst:
             return math.inf
-        self._refill(now)
-        deficit = amount - self._tokens
-        if deficit <= 0:
-            return 0.0
-        return deficit / self.rate
+        tokens, last, rate = self._tokens, self._last, self.rate
+        if tokens >= amount:
+            return last
+        # Below the burst, ``tokens + (t - last) * rate >= amount`` is the
+        # test and it is monotone in t: widen a bracket around the closed
+        # form by doubling steps, then bisect it down to adjacent floats.
+        guess = last + (amount - tokens) / rate
+        short, covered, step = guess, guess, math.ulp(guess)
+        while tokens + (covered - last) * rate < amount:
+            short, covered, step = covered, covered + step, 2 * step
+        step = math.ulp(guess)
+        while short == covered or tokens + (short - last) * rate >= amount:
+            covered, short, step = short, max(last, short - step), 2 * step
+        while short < (mid := short + (covered - short) / 2) < covered:
+            if tokens + (mid - last) * rate >= amount:
+                covered = mid
+            else:
+                short = mid
+        return covered

@@ -18,10 +18,9 @@ once at device construction:
   scans walk a slice instead of chasing object pointers.
 
 * :class:`ChannelArrays` — per-channel bus/chip busy horizons and the
-  fault-scaled effective op timings, flattened so hot capacity scans
-  (``IoDispatcher._next_capacity_time``, ``VssdFtl`` frontier picking)
-  iterate one flat list instead of reading an attribute per channel
-  object.
+  fault-scaled effective op timings, flattened so the hot capacity scan
+  (``VssdFtl`` frontier picking) iterates one flat list instead of
+  reading an attribute per channel object.
 
 Layout note — why not *all* numpy: per-element access cost on this
 interpreter was measured at ~10–27 ns for plain-list reads/writes versus

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.config import SSDConfig
-from repro.sched import FifoPolicy, IoDispatcher, IoRequest, PriorityPolicy, Priority
+from repro.sched import (
+    FifoPolicy,
+    IoDispatcher,
+    IoRequest,
+    Priority,
+    PriorityPolicy,
+    TokenBucketStridePolicy,
+)
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
 
@@ -160,3 +167,47 @@ def test_no_deadlock_when_gc_saturates(small_config):
     sim.run()
     assert len(done) == total_pages * 3
     assert dispatcher.failed_requests == 0
+
+
+def test_head_larger_than_burst_arms_no_retry(small_config):
+    """Regression: a head that can never fit its bucket used to be woken
+    every bus-transfer slot (nothing in flight), 4 166 times a simulated
+    second, although no wake could ever dispatch it."""
+    page = small_config.page_size
+    sim = Simulator()
+    ssd = Ssd(small_config, sim)
+    policy = TokenBucketStridePolicy(rate_bytes_per_us=page / 400.0, burst_bytes=2.0 * page)
+    dispatcher = IoDispatcher(sim, ssd, policy)
+    ftl = VssdFtl(0, ssd)
+    ftl.adopt_blocks(ssd.allocate_channels(0, [0, 1]))
+    dispatcher.register_vssd(0, ftl)
+    dispatcher.submit(IoRequest(0, "read", 0, 3, page, 0.0))
+    sim.run_until(1e6)
+    assert sim.events_processed == 0
+    assert sim.pending_events == 0
+    assert dispatcher.queue_length(0) == 1
+
+
+def test_token_wait_is_not_deferred_by_a_blocked_neighbour(small_config):
+    """Regression: a head that can never fit its bucket used to arm a tick
+    every bus-transfer slot on the one retry handle, and the tick that
+    landed just before another tenant's refill pushed that tenant's
+    dispatch to one microsecond after it (801.99.. instead of 801)."""
+    page = small_config.page_size
+    sim = Simulator()
+    ssd = Ssd(small_config, sim)
+    policy = TokenBucketStridePolicy(rate_bytes_per_us=page / 400.0, burst_bytes=2.0 * page)
+    dispatcher = IoDispatcher(sim, ssd, policy)
+    for vssd_id, channels in ((0, [0, 1]), (1, [2, 3])):
+        ftl = VssdFtl(vssd_id, ssd)
+        ftl.adopt_blocks(ssd.allocate_channels(vssd_id, channels))
+        dispatcher.register_vssd(vssd_id, ftl)
+    dispatcher.submit(IoRequest(0, "read", 0, 3, page, 0.0))
+    sim.run_until(1.0)
+    first, second = (IoRequest(1, "write", lpn, 2, page, 1.0) for lpn in (0, 2))
+    dispatcher.submit(first)
+    dispatcher.submit(second)
+    sim.run_until(5000.0)
+    # The burst pays for the first write; the second waits 800 us of refill.
+    assert (first.dispatch_time, second.dispatch_time) == (1.0, 801.0)
+    assert sim.events_processed == 3  # two completions and one token retry

@@ -1,23 +1,28 @@
 """Differential suite: backlog-gated pump vs the always-pump oracle.
 
 ``IoDispatcher`` pumps only while ``_queued`` (requests waiting across all
-virtual queues) is non-zero, and arms a retry only when the policy refuses
-a backlog; the loop it replaced — pump on every submit, completion and
-retry, gate or no gate — lives on in ``pump_oracle.py``.  Twin stacks
-(engine, small device, three single-channel vSSDs, one policy each of
-Fifo / Priority / TokenBucketStride) take the same hypothesis-drawn steps:
-submit bursts, clock advances, priority flips, ``unregister_vssd`` with
-requests still queued, writes past a tenant's capacity whose failure
-callback re-submits from inside the pump, and heads blocked on tokens or
-on the in-flight budget.  After *every* step both twins must agree on the
-dispatch order and times, each request's timestamps and outcome, the
-engine's pending ``(time, seq)`` heap (retry events included) and
-scheduling position, the armed retry, token levels and stride passes down
-to the float bits, queue contents, in-flight budgets and channel slots —
-and the gated twin must hold ``_queued == sum(len(q))``, which its
-completion callbacks also check from inside a failing dispatch.  Example
-counts come from the active hypothesis profile (``--hypothesis-profile
-ci`` in CI: derandomized, 300 examples).
+virtual queues) is non-zero, skips a completion's trailing pump when a
+callback's submit already pumped to a blocked end (``_settled``), and arms
+a retry only for a head waiting on its token bucket.  The loop it replaced
+— pump on every submit, completion and retry, gate or no gate, plus the
+old capacity wake and nothing-in-flight tick on a handle of their own —
+lives on in ``pump_oracle.py``.  Twin stacks (engine, small device, three
+single-channel vSSDs, one policy each of Fifo / Priority /
+TokenBucketStride) take the same hypothesis-drawn steps: submit bursts,
+clock advances, priority flips, ``unregister_vssd`` with requests still
+queued, writes past a tenant's capacity whose failure callback re-submits
+from inside the pump, and heads blocked on tokens or on the in-flight
+budget.  After *every* step both twins must agree on the dispatch order
+and times, each request's timestamps and outcome, the clock, token pairs
+and stride passes down to the float bits, queue contents, in-flight
+budgets and channel slots; the gated twin must never have fired more
+events than the oracle, and must hold ``_queued == sum(len(q))``, which
+its completion callbacks also check from inside a failing dispatch.  The
+retry bookkeeping itself (pending heap, sequence numbers, the retry
+handle) is not compared: the oracle arms wakes the gated twin never needs,
+and none of them dispatches.  Example counts come from the active
+hypothesis profile (``--hypothesis-profile ci`` in CI: derandomized, 300
+examples).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from repro.sched import (
     IoRequest,
     Priority,
     PriorityPolicy,
+    TokenBucket,
     TokenBucketStridePolicy,
 )
 from repro.sim import Simulator
@@ -79,6 +85,15 @@ def pump_decrementing_late(dispatcher: IoDispatcher) -> None:
             return
         dispatcher._dispatch(queues[choice].popleft())
         dispatcher._queued -= 1
+
+
+def tokens_refilled_on_read(bucket: TokenBucket, now: float) -> float:
+    """Mutant of ``TokenBucket.tokens``: a read stores the refill, so when
+    a bucket is read depends on how often the dispatcher pumps."""
+    if now > bucket._last:
+        bucket._tokens = min(bucket.burst, bucket._tokens + (now - bucket._last) * bucket.rate)
+        bucket._last = now
+    return bucket._tokens
 
 
 class Twin:
@@ -150,8 +165,6 @@ class Twin:
 
     def state(self) -> dict:
         dispatcher = self.dispatcher
-        engine = self.sim.detsan_state()
-        retry = dispatcher._retry_event
         state = {
             "dispatched": list(self.dispatched),
             "completed": list(self.completed),
@@ -160,11 +173,7 @@ class Twin:
                  r.dispatch_time, r.complete_time, r.failed)
                 for r in self.requests
             ],
-            "now": _bits(engine["now"]),
-            "events": engine["events_processed"],
-            "pending": engine["pending"],
-            "next_seq": self.sim._next_seq,
-            "retry": None if retry is None else (retry.time, retry.seq, retry.cancelled),
+            "now": _bits(self.sim.now),
             "queues": {
                 vssd_id: [self.index[r.req_id] for r in queue]
                 for vssd_id, queue in dispatcher.queues.items()
@@ -176,7 +185,7 @@ class Twin:
         }
         if isinstance(self.policy, TokenBucketStridePolicy):
             state["tokens"] = {
-                vssd_id: (_bits(bucket._tokens), _bits(bucket._last_refill))
+                vssd_id: (_bits(bucket._tokens), _bits(bucket._last))
                 for vssd_id, bucket in self.policy._buckets.items()
             }
             state["passes"] = {
@@ -203,6 +212,7 @@ def _check(policy: str, steps, pump=None) -> Twin:
         assert _outcome(fast, step) == _outcome(ref, step), step
         fast.check_queued()
         assert fast.state() == ref.state(), step
+        assert fast.sim.events_processed <= ref.sim.events_processed, step
     return fast
 
 
@@ -274,3 +284,50 @@ def test_token_blocked_heads_drain_through_identical_retries():
 def test_mutant_decrementing_after_dispatch_is_caught():
     with pytest.raises(AssertionError):
         _check("fifo", _OVERFILL + [("advance", 50_000.0)], pump=pump_decrementing_late)
+
+
+def test_mutant_refilling_on_read_is_caught(monkeypatch):
+    """Ten 2-page writes from one tenant: the oracle's nothing-in-flight
+    ticks read the bucket at instants the gated twin never pumps, which
+    only a stored refill can turn into a different dispatch time."""
+    monkeypatch.setattr(TokenBucket, "tokens", tokens_refilled_on_read)
+    fill = [(0, "write", 2 * i, 2) for i in range(10)]
+    with pytest.raises(AssertionError):
+        _check("software", [("submit", fill), ("advance", 50_000.0)])
+
+
+#: Tenant 0's second 3-page write waits on its 4-page in-flight budget;
+#: under the software policy tenants 1 and 2 spend their 2-page burst on
+#: the first write and wait on refills for the second.
+_BLOCKED = [
+    (0, "write", 0, 3), (0, "write", 4, 3),
+    (1, "write", 0, 2), (1, "write", 2, 2),
+    (2, "write", 0, 2), (2, "write", 2, 2),
+]
+
+
+def _trace(twin: Twin) -> tuple:
+    state = twin.state()
+    retry = twin.dispatcher._retry_event
+    return (
+        state.get("tokens"),
+        state.get("passes"),
+        state["queues"],
+        twin.sim.detsan_state()["pending"],
+        None if retry is None else (retry.time, retry.seq, retry.cancelled),
+    )
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_blocked_pump_leaves_no_trace(policy):
+    """A pump that selects nothing, later but before the next wake, leaves
+    the buckets, stride passes, queues, heap and retry handle as they were."""
+    twin = Twin(policy, oracle=False)
+    twin.apply(("submit", _BLOCKED))
+    assert twin.dispatcher._queued
+    before = _trace(twin)
+    next_wake = before[3][0][0]
+    twin.sim.run_until(next_wake / 2)
+    assert twin.sim.events_processed == 0 and twin.sim.now > 0
+    twin.dispatcher._pump()
+    assert _trace(twin) == before

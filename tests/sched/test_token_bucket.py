@@ -1,5 +1,7 @@
 """Tests for the token-bucket rate limiter."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,11 +36,30 @@ def test_refill_caps_at_burst():
     assert bucket.tokens(1_000_000.0) == 100.0
 
 
-def test_time_until_available():
+def test_available_at():
     bucket = TokenBucket(2.0, 100.0)
     bucket.consume(100.0, now=0.0)
-    assert bucket.time_until_available(50.0, now=0.0) == pytest.approx(25.0)
-    assert bucket.time_until_available(0.0, now=0.0) == 0.0
+    assert bucket.available_at(50.0) == 25.0
+    assert bucket.available_at(0.0) == 0.0
+
+
+@given(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=0.0, max_value=1e9),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_available_at_is_the_first_covering_instant(rate, last, spent, wanted):
+    """The retry instant is exact: the bucket covers the amount there and
+    one ulp earlier it does not."""
+    burst = 64 * 1024.0
+    bucket = TokenBucket(rate, burst, now=last)
+    bucket.consume(spent * burst, now=last)
+    amount = wanted * burst
+    when = bucket.available_at(amount)
+    assert bucket.can_consume(amount, when)
+    if when > last:
+        assert not bucket.can_consume(amount, math.nextafter(when, -math.inf))
 
 
 def test_invalid_params_rejected():
@@ -75,22 +96,21 @@ def test_zero_byte_request_always_passes():
     bucket.consume(100.0, now=0.0)
     assert bucket.can_consume(0.0, now=0.0)
     assert bucket.consume(0.0, now=0.0)
-    assert bucket.time_until_available(0.0, now=0.0) == 0.0
+    assert bucket.available_at(0.0) == 0.0
     assert bucket.tokens(0.0) == pytest.approx(0.0)
 
 
 def test_request_exceeding_burst_never_available():
     """Regression: a request larger than the burst ceiling used to get a
     finite wait estimate although the bucket can never hold that much."""
-    import math
-
     bucket = TokenBucket(rate_bytes_per_us=2.0, burst_bytes=100.0)
-    assert bucket.time_until_available(101.0, now=0.0) == math.inf
+    assert bucket.available_at(101.0) == math.inf
     # Even after arbitrarily long refill the request stays unserviceable.
     assert not bucket.can_consume(101.0, now=1e12)
-    assert bucket.time_until_available(101.0, now=1e12) == math.inf
+    assert bucket.available_at(101.0) == math.inf
     # Exactly-burst requests remain satisfiable.
-    assert bucket.time_until_available(100.0, now=1e12) == 0.0
+    assert bucket.can_consume(100.0, now=1e12)
+    assert bucket.available_at(100.0) <= 1e12
 
 
 def test_oversized_head_does_not_poison_retry_schedule():
@@ -115,7 +135,8 @@ def test_oversized_head_does_not_poison_retry_schedule():
 
 
 def test_refill_no_float_drift_over_long_horizon():
-    """Many small refills must accumulate like one large refill."""
+    """Many reads leave the bucket exactly as one read would: a read
+    computes the refill and never stores it."""
     rate, burst = 0.1, 1e9
     stepped = TokenBucket(rate, burst)
     jumped = TokenBucket(rate, burst)
@@ -125,9 +146,10 @@ def test_refill_no_float_drift_over_long_horizon():
     for _ in range(10_000):
         now += 123.456
         stepped.tokens(now)
-    drift = abs(stepped.tokens(now) - jumped.tokens(now))
-    # Relative drift stays within float round-off of the total refilled.
-    assert drift <= 1e-6 * jumped.tokens(now)
+        stepped.can_consume(burst, now)
+        stepped.available_at(burst)
+    assert stepped.tokens(now) == jumped.tokens(now)
+    assert (stepped._tokens, stepped._last) == (jumped._tokens, jumped._last)
 
 
 def test_refill_is_monotone_under_repeated_queries():
