@@ -24,6 +24,7 @@ DETERMINISTIC_CORE = frozenset(
         "config",
         "core",
         "faults",
+        "profiling",
         "rl",
         "sched",
         "sim",

@@ -4,7 +4,7 @@ Simulation time is ``Simulator.now`` (microseconds).  A ``time.time()``
 or ``datetime.now()`` inside ``sim``/``ssd``/``virt``/... leaks the
 host's wall clock into results, silently breaking the serial/parallel
 byte-equality contract.  Host-facing packages (``cli``, ``harness``,
-``profiling``, ``parallel``) report wall time by design and are exempt.
+``parallel``) report wall time by design and are exempt.
 """
 
 from __future__ import annotations

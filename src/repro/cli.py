@@ -8,7 +8,7 @@ Commands:
 * ``classify`` — synthesize a trace for a workload and classify its type.
 * ``pretrain`` — (re)build the cached pre-trained policy.
 * ``overheads`` — print the Section 4.7 overhead microbenchmarks.
-* ``profile`` — run one policy with per-subsystem wall-clock profiling.
+* ``profile`` — run one policy with the profiler counters on.
 * ``sweep`` — fan a policies × seeds matrix across worker processes.
 * ``adversarial`` — regret-driven scenario search (policy hardening).
 * ``lint`` — fleetlint determinism & unit-safety static analysis.
@@ -63,8 +63,7 @@ def _add_pool_run_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--show-profile", action="store_true",
-        help="print the merged per-subsystem profile "
-             "(fleet: per-shard fleet.shard<k>.* timers)",
+        help="print the merged profiler counters",
     )
     parser.add_argument(
         "--cell-timeout", type=float, default=900.0,
@@ -286,7 +285,8 @@ def cmd_overheads(_args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Run one policy with per-subsystem wall-clock profiling."""
+    """Run one policy with the profiler counters on, then print them
+    and the run's wall time."""
     import json
 
     from repro.profiling import PROFILER, format_profile
@@ -305,7 +305,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     snapshot = PROFILER.snapshot()
     _print_result(args.policy, result)
     print()
-    print(format_profile(snapshot, total_label="sim.event_loop"))
+    print(format_profile(snapshot))
     print(f"\n({args.duration:.0f} simulated seconds in {wall_s:.1f} wall seconds)")
     if args.json:
         payload = {
@@ -341,9 +341,7 @@ def _print_pool_totals(
         print(note)
     if args.show_profile:
         print()
-        # A fleet profile namespaces its timers per shard, so the label
-        # matches (and adds a share column) only for a sweep.
-        print(format_profile(result.profile, total_label="sim.event_loop"))
+        print(format_profile(result.profile))
     if args.telemetry_out:
         with open(args.telemetry_out, "wb") as handle:
             handle.write(result.telemetry)
@@ -718,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     pretrain.add_argument("--fresh", action="store_true", help="ignore the disk cache")
     pretrain.add_argument(
         "--profile", action="store_true",
-        help="print per-phase collect/update/eval timings",
+        help="print the profiler counters (windows, transitions, updates)",
     )
     pretrain.set_defaults(func=cmd_pretrain)
 
@@ -726,14 +724,14 @@ def build_parser() -> argparse.ArgumentParser:
     overheads.set_defaults(func=cmd_overheads)
 
     profile = sub.add_parser(
-        "profile", help="run one policy with per-subsystem profiling"
+        "profile", help="run one policy with the profiler counters on"
     )
     _add_common_run_args(profile)
     profile.add_argument(
         "--policy", default="fleetio",
         choices=list(POLICIES) + ["mixed", "fleetio-mixed"],
     )
-    profile.add_argument("--json", default=None, help="also write the profile as JSON")
+    profile.add_argument("--json", default=None, help="also write the counters as JSON")
     profile.set_defaults(func=cmd_profile)
 
     sweep = sub.add_parser(

@@ -41,8 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.virt.manager import StorageVirtualizer
     from repro.virt.vssd import Vssd
 
-PROFILER.declare("rl.decision_window")  # report rows even when this section never fires
-
 
 class FleetIoController:
     """Glues per-vSSD RL agents to the storage virtualizer."""
@@ -136,14 +134,7 @@ class FleetIoController:
 
     def run_window(self) -> dict:
         """Execute one decision window; returns per-vSSD window stats."""
-        token = PROFILER.begin()
-        try:
-            return self._run_window_inner()
-        finally:
-            PROFILER.end("rl.decision_window", token)
-            PROFILER.count("rl.decision_windows")
-
-    def _run_window_inner(self) -> dict:
+        PROFILER.count("rl.decision_windows")
         now_s = self.virt.sim.now_seconds
         stats = {
             vssd_id: monitor.snapshot_window(now_s)

@@ -18,13 +18,10 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.profiling import PROFILER
 from repro.sched.request import IoRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.virt.vssd import Vssd
-
-PROFILER.declare("monitor.window")  # report rows even when this section never fires
 
 
 @dataclass(frozen=True)
@@ -130,13 +127,6 @@ class VssdMonitor:
     # ------------------------------------------------------------------
     def snapshot_window(self, now_s: float) -> WindowStats:
         """Summarize the window ending now, then reset window counters."""
-        token = PROFILER.begin()
-        try:
-            return self._snapshot_window_inner(now_s)
-        finally:
-            PROFILER.end("monitor.window", token)
-
-    def _snapshot_window_inner(self, now_s: float) -> WindowStats:
         duration = max(now_s - self._window_start_s, 1e-9)
         completed = self._completed
         ftl = self.vssd.ftl

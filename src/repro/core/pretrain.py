@@ -43,8 +43,6 @@ from repro.rl.policy import CategoricalPolicy
 from repro.rl.ppo import PpoTrainer
 from repro.workloads.catalog import CLUSTER_GROUND_TRUTH, TRAINING_WORKLOADS, get_spec
 
-PROFILER.declare("pretrain.collect", "pretrain.update", "pretrain.eval")  # report rows even when this section never fires
-
 #: Version of the collocation sampler.  Part of the pre-trained policy's
 #: cache key: a change to how training mixes are drawn (e.g. the v2
 #: remainder-channel fix) produces a different artifact from the same
@@ -373,43 +371,40 @@ def pretrain(
 
     for iteration in range(iterations):
         coef = coef_at(iteration, iterations, interference_schedule)
-        with PROFILER.timer("pretrain.collect"):
-            if envs > 1:
-                buffers, episode_rewards = _collect_vectorized(
-                    net,
-                    policy,
-                    colloc_rng,
-                    env_seq,
-                    act_seq,
-                    rl_config,
-                    ssd_config,
-                    envs,
-                    episode_windows,
-                    rollout_batch,
-                    coef,
-                    alpha_override,
-                )
-            else:
-                buffers, episode_rewards = _collect_scalar(
-                    policy,
-                    rng,
-                    rl_config,
-                    ssd_config,
-                    episode_windows,
-                    rollout_batch,
-                    coef,
-                    alpha_override,
-                )
+        if envs > 1:
+            buffers, episode_rewards = _collect_vectorized(
+                net,
+                policy,
+                colloc_rng,
+                env_seq,
+                act_seq,
+                rl_config,
+                ssd_config,
+                envs,
+                episode_windows,
+                rollout_batch,
+                coef,
+                alpha_override,
+            )
+        else:
+            buffers, episode_rewards = _collect_scalar(
+                policy,
+                rng,
+                rl_config,
+                ssd_config,
+                episode_windows,
+                rollout_batch,
+                coef,
+                alpha_override,
+            )
         merged = _merge_buffers(buffers, rl_config)
-        with PROFILER.timer("pretrain.update"):
-            trainer.update(merged)
+        trainer.update(merged)
         result.mean_rewards.append(float(np.mean(episode_rewards)))
         # Periodically evaluate greedily on fixed scenarios and keep the
         # best checkpoint, so a late plateau wobble cannot degrade the
         # deployed policy.
         if iteration % 20 == 19 or iteration == iterations - 1:
-            with PROFILER.timer("pretrain.eval"):
-                score = _evaluate_greedy(policy, rl_config, ssd_config)
+            score = _evaluate_greedy(policy, rl_config, ssd_config)
             if score > result.best_reward:
                 result.best_reward = score
                 result.best_iteration = iteration
@@ -481,9 +476,8 @@ def _pretrain_best_parallel(
     for outcome in sweep.outcomes:
         if isinstance(outcome, CellFailure):
             continue
-        # Fold each worker's collect/update/eval timers into this
-        # process, so a profiled parallel search reports like a serial
-        # one.
+        # Fold each worker's counters into this process, so a profiled
+        # parallel search reports like a serial one.
         PROFILER.absorb(outcome.profile)
         result = outcome.result
         assert isinstance(result, PretrainResult)

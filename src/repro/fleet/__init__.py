@@ -23,9 +23,10 @@ package only decides how many of them share a worker and a warm state:
   ``FleetShardRunner(arena=False)`` is the reference path it is tested
   byte-equal against).
 
-Shard timings appear in ``repro profile`` under ``fleet.shard<k>.*``;
-the ``arena.attach`` counter says how many workers attached the segment,
-and ``snapshot.hits`` / ``snapshot.misses`` how the devices were built.
+Each shard's result carries per-device wall seconds
+(``device_wall_s``); in the merged profile the ``arena.attach`` counter
+says how many workers attached the segment, and ``snapshot.hits`` /
+``snapshot.misses`` how the devices were built.
 """
 
 from repro.fleet.arena import ArenaManifest, SharedArena, leaked_segments

@@ -29,7 +29,6 @@ from repro.harness import snapshots
 from repro.parallel.policy_cache import warm_policy_cache
 from repro.parallel.runner import CellOutcome, ParallelRunner, run_serial, usable_cores
 from repro.parallel.worker import experiment_for
-from repro.profiling import merge_profiles, namespace_profile
 
 
 def build_fleet(
@@ -232,11 +231,7 @@ class FleetShardRunner:
             outcomes=sweep.outcomes,
             device_telemetry=device_telemetry,
             wall_s=time.perf_counter() - started,
-            profile=merge_profiles(
-                namespace_profile(outcome.profile, f"fleet.shard{k}.")
-                for k, outcome in enumerate(sweep.outcomes)
-                if isinstance(outcome, CellOutcome) and outcome.ok
-            ),
+            profile=sweep.profile,
             arena=arena_stats,
             errors=errors,
         )

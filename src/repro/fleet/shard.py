@@ -29,7 +29,6 @@ from typing import Dict, List
 from repro.fleet.arena import install_manifest
 from repro.fleet.spec import DeviceSpec, FleetShardCell
 from repro.parallel.worker import RUNNERS, CellOutcome, register_runner
-from repro.profiling import PROFILER
 
 
 def run_fleet_shard(cell: FleetShardCell) -> CellOutcome:
@@ -46,8 +45,7 @@ def run_fleet_shard(cell: FleetShardCell) -> CellOutcome:
     for spec in cell.devices:
         started = time.perf_counter()
         device = spec.cell()
-        with PROFILER.timer("fleet.device"):
-            telemetry[spec.index] = RUNNERS[device.runner](device).telemetry
+        telemetry[spec.index] = RUNNERS[device.runner](device).telemetry
         device_wall_s[spec.index] = time.perf_counter() - started
     return CellOutcome(
         cell=cell,

@@ -30,7 +30,6 @@ from repro.baselines.adaptive import AdaptiveManager
 from repro.baselines.ssdkeeper import SsdKeeperAllocator
 from repro.harness import snapshots
 from repro.harness.metrics import ExperimentResult, VssdResult, bandwidth_series
-from repro.profiling import PROFILER
 from repro.sched.policies import PriorityPolicy, TokenBucketStridePolicy
 from repro.sim.random import RandomStreams
 from repro.virt.manager import StorageVirtualizer
@@ -48,8 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.virt.vssd import Vssd
     from repro.workloads.drivers import _DriverBase
     from repro.workloads.spec import WorkloadSpec
-
-PROFILER.declare("harness.build", "harness.warm", "harness.collect")  # report rows even when this section never fires
 
 POLICIES = ("hardware", "ssdkeeper", "adaptive", "software", "fleetio")
 
@@ -148,11 +145,6 @@ class Experiment:
             raise RuntimeError("experiment is closed")
         if self._built:
             return self
-        with PROFILER.timer("harness.build"):
-            self._build_inner()
-        return self
-
-    def _build_inner(self) -> None:
         uses_fleetio = self.policy.startswith("fleetio")
         sched_policy = (
             TokenBucketStridePolicy(
@@ -210,6 +202,7 @@ class Experiment:
             self.injector = FaultInjector(self.virt, monitors=self._fault_monitors())
             self.injector.arm(self.faults)
         self._built = True
+        return self
 
     def _fault_monitors(self) -> dict:
         """Name -> monitor map for monitor-targeted faults.
@@ -337,10 +330,9 @@ class Experiment:
 
     def _warm(self, plan: VssdPlan, vssd: "Vssd") -> None:
         """Consume >=50% of the vSSD's blocks before measurement."""
-        with PROFILER.timer("harness.warm"):
-            working_set = self._working_set_pages(get_spec(plan.workload), vssd)
-            target_writes = int(self._owned_pages(vssd) * WARM_FRACTION)
-            vssd.ftl.warm_fill(np.arange(target_writes) % working_set)
+        working_set = self._working_set_pages(get_spec(plan.workload), vssd)
+        target_writes = int(self._owned_pages(vssd) * WARM_FRACTION)
+        vssd.ftl.warm_fill(np.arange(target_writes) % working_set)
 
     def _build_fleetio(self) -> None:
         if self.pretrained_net is None:
@@ -471,10 +463,6 @@ class Experiment:
     # Collection
     # ------------------------------------------------------------------
     def _collect(self, end_s: float) -> ExperimentResult:
-        with PROFILER.timer("harness.collect"):
-            return self._collect_inner(end_s)
-
-    def _collect_inner(self, end_s: float) -> ExperimentResult:
         elapsed = max(end_s - self._measure_start_s, 1e-9)
         result = ExperimentResult(
             policy=self.policy,

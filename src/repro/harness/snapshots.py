@@ -63,8 +63,6 @@ from repro.sim.random import RandomStreams
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.experiment import Experiment
 
-PROFILER.declare("snapshot.save", "snapshot.restore")
-
 #: Module-level hit/miss counters, readable even when profiling is off
 #: (the adversarial smoke test asserts hits > 0 without a profiler).
 STATS = {"hits": 0, "misses": 0, "stores": 0}
@@ -161,7 +159,6 @@ def capture_experiment(experiment: "Experiment") -> Optional[dict]:
     instead of raising keeps exotic future builds correct-but-uncached.
     """
     virt = experiment.virt
-    token = PROFILER.begin()
     fresh = RandomStreams(experiment.seed)
     if any(
         state != fresh.get(name).bit_generator.state
@@ -176,14 +173,12 @@ def capture_experiment(experiment: "Experiment") -> Optional[dict]:
         }
     except ValueError:
         return None
-    snap = {
+    return {
         "engine": engine,
         "store": virt.ssd.store.snapshot(),
         "arrays": virt.ssd.arrays.snapshot(),
         "ftls": ftls,
     }
-    PROFILER.end("snapshot.save", token)
-    return snap
 
 
 def restore_experiment(experiment: "Experiment", snap: dict) -> None:
@@ -195,14 +190,12 @@ def restore_experiment(experiment: "Experiment", snap: dict) -> None:
     seed: the RNG is not part of the warm state (see
     :func:`capture_experiment`).
     """
-    token = PROFILER.begin()
     virt = experiment.virt
     virt.sim.restore(snap["engine"])
     virt.ssd.store.restore(snap["store"])
     virt.ssd.arrays.restore(snap["arrays"])
     for plan in experiment.plans:
         virt.vssd_by_name(plan.name).ftl.restore(snap["ftls"][plan.name])
-    PROFILER.end("snapshot.restore", token)
 
 
 # ---------------------------------------------------------------------

@@ -123,7 +123,7 @@ class SweepResult:
 
     @property
     def profile(self) -> dict:
-        """Per-subsystem timings/counters merged across all cells."""
+        """Profiler counters merged across all cells."""
         return merge_profiles(o.profile for o in self.succeeded)
 
     def results(self) -> dict:

@@ -7,7 +7,7 @@ vs-parallel byte-equality guarantee checkable rather than aspirational.
 
 A cell's outcome carries its telemetry as *bytes* (results CSV + window
 CSV) so equality is a trivial comparison, plus a profiler snapshot so
-per-subsystem timings aggregate across workers.  ``run_cell`` never
+the work counters aggregate across workers.  ``run_cell`` never
 raises: a failing experiment becomes ``ok=False`` with a structured
 error.  Hard process deaths (signal, ``os._exit``) are the runner's
 job to detect.
@@ -209,28 +209,19 @@ def register_runner(name: str, fn: Callable[..., CellOutcome]) -> None:
 
 
 def _profile_delta(before: dict, after: dict) -> dict:
-    """The profiler activity between two snapshots of one process.
+    """The profiler counts between two snapshots of one process.
 
     Serial sweeps run many cells against the same process-global
     profiler; diffing isolates each cell's share so serial and parallel
     sweeps merge to the same per-subsystem totals.
     """
-    timers = {}
-    for name, entry in after.get("timers", {}).items():
-        prior = before.get("timers", {}).get(name, {"calls": 0, "total_ns": 0})
-        calls = entry["calls"] - prior["calls"]
-        total_ns = entry["total_ns"] - prior["total_ns"]
-        # Zero-delta rows are kept on purpose: a declared timer that never
-        # fired in this cell (e.g. harness.warm on a snapshot hit) must
-        # still appear with calls=0, so A/B profile tables (snapshots on
-        # vs off, serial vs pool) keep identical row sets and diff cleanly.
-        timers[name] = {"calls": calls, "total_ns": total_ns}
+    prior = before.get("counters", {})
     counters = {}
     for name, value in after.get("counters", {}).items():
-        delta = value - before.get("counters", {}).get(name, 0)
+        delta = value - prior.get(name, 0)
         if delta:
             counters[name] = delta
-    return {"timers": timers, "counters": counters}
+    return {"counters": counters}
 
 
 def run_cell(cell: WorkCell, profile: bool = True) -> CellOutcome:

@@ -1,45 +1,39 @@
-"""Lightweight profiling for the simulator's hot paths.
+"""Event counters for the simulator's hot paths.
 
-The profiler answers "where does simulation wall time go" without
-perturbing simulated behaviour: it only reads the host's monotonic
-clock, never the simulation clock, so enabling it cannot change any
-experiment result.  It is disabled by default and instrumented call
-sites pay two attribute lookups and one predictable branch when it is
-off, which keeps the I/O critical path unencumbered.
+The profiler answers "how much work did this run do" — events fired,
+requests dispatched, blocks erased, decisions batched, snapshot hits —
+without perturbing simulated behaviour: it reads neither the host clock
+nor the simulation clock, so enabling it cannot change any experiment
+result.  It is disabled by default; a per-request call site pays one
+attribute test while it is off.
 
 Usage::
 
     from repro.profiling import PROFILER
 
-    token = PROFILER.begin()
-    ...hot work...
-    PROFILER.end("ftl.gc", token)
+    if PROFILER.enabled:
+        PROFILER.count("ftl.io_requests")
 
-or, for coarse phases::
-
-    with PROFILER.timer("experiment.build"):
-        experiment.build()
+Per-layer *time* is measured outside the program, by the span tracer
+of ``benchmarks/perf/run.py --trace 1``, whose self times sum to the
+round's wall.
 
 Snapshots are plain dictionaries so worker processes can ship them back
 to a parent over a pipe and the parent can :func:`merge_profiles` them
-into one per-subsystem view (``repro profile`` and
-``repro sweep --show-profile`` both render these).
+into one view (``repro profile`` and ``repro sweep --show-profile`` both
+render these).
 """
 
 from repro.profiling.profiler import (
     PROFILER,
     Profiler,
-    SectionStats,
     format_profile,
     merge_profiles,
-    namespace_profile,
 )
 
 __all__ = [
     "PROFILER",
     "Profiler",
-    "SectionStats",
     "format_profile",
     "merge_profiles",
-    "namespace_profile",
 ]

@@ -20,8 +20,6 @@ from repro.rl.nets import PolicyValueNet
 from repro.rl.optim import Adam
 from repro.rl.policy import log_softmax
 
-PROFILER.declare("rl.ppo_update")  # report rows even when this section never fires
-
 
 @dataclass
 class PpoUpdateStats:
@@ -58,14 +56,7 @@ class PpoTrainer:
         Epochs stop early when the policy drifts too far (mean KL above
         :data:`KL_STOP`), which keeps the clipped objective honest.
         """
-        token = PROFILER.begin()
-        try:
-            return self._update_inner(buffer)
-        finally:
-            PROFILER.end("rl.ppo_update", token)
-            PROFILER.count("rl.ppo_updates")
-
-    def _update_inner(self, buffer: RolloutBuffer) -> PpoUpdateStats:
+        PROFILER.count("rl.ppo_updates")
         data = buffer.get()
         states = data["states"]
         actions = data["actions"]

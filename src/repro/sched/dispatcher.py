@@ -24,17 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ssd.device import Ssd
     from repro.ssd.ftl import VssdFtl
 
-PROFILER.declare("ftl.io")  # report rows even when this section never fires
-
 
 class IoDispatcher:
     """Connects per-vSSD virtual queues to the shared SSD's channels."""
-
-    #: Time one in every N dispatches for the ``ftl.io`` profiler section
-    #: (totals are scaled back up — see ``Profiler.end_sampled``).  At
-    #: tens of thousands of requests per run, exact per-call timing was
-    #: itself a visible slice of the section it measured.
-    DISPATCH_SAMPLE = 16
 
     def __init__(self, sim: "Simulator", ssd: "Ssd", policy: SchedulingPolicy) -> None:
         self.sim = sim
@@ -62,7 +54,6 @@ class IoDispatcher:
         self._settled = False
         self._inflight_pages: dict = {}
         self.failed_requests = 0
-        self._dispatch_seq = 0
         # Dispatch-loop invariants hoisted off the per-request path (the
         # SSD config is fixed for the device's lifetime).
         self._inflight_per_channel = ssd.config.inflight_pages_per_channel
@@ -208,22 +199,8 @@ class IoDispatcher:
         self._pump()
 
     def _dispatch(self, request: IoRequest) -> None:
-        if not PROFILER.enabled:
-            self._dispatch_inner(request)
-            return
-        seq = self._dispatch_seq = self._dispatch_seq + 1
-        if seq % self.DISPATCH_SAMPLE:
+        if PROFILER.enabled:
             PROFILER.count("ftl.io_requests")
-            self._dispatch_inner(request)
-            return
-        token = PROFILER.begin()
-        try:
-            self._dispatch_inner(request)
-        finally:
-            PROFILER.end_sampled("ftl.io", token, self.DISPATCH_SAMPLE)
-            PROFILER.count("ftl.io_requests")
-
-    def _dispatch_inner(self, request: IoRequest) -> None:
         sim = self.sim
         now = sim.now
         request.dispatch_time = now

@@ -33,8 +33,6 @@ from typing import Any, Callable, Optional
 
 from repro.profiling import PROFILER
 
-PROFILER.declare("sim.event_loop")  # report rows even when this section never fires
-
 #: Park time for pooled (fired/cancelled-and-collected) events.  Negative
 #: times are unschedulable, so no live event can ever carry this value.
 _DEAD = -1.0
@@ -74,9 +72,6 @@ class Event:
         sim = self.sim
         if sim is not None:
             sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "cancelled" if self.cancelled else "pending"
@@ -246,9 +241,8 @@ class Simulator:
         (decision windows, admission batches) observe aligned boundaries.
 
         The loop body is inlined (no :meth:`step`/:meth:`_pop` calls) and
-        the profiler is touched once per *call*, not per event — with tens
-        of thousands of events per decision window, per-event begin/end
-        bookkeeping was pure overhead.
+        the ``sim.events`` counter is bumped once per *call*, not per
+        event.
 
         Events sharing a timestamp fire as one *batch*: the clock is
         written once per distinct time, then every live head carrying
@@ -265,7 +259,6 @@ class Simulator:
             raise ValueError(
                 f"run_until({time_us}) is before current time {self.now}"
             )
-        token = PROFILER.begin()
         fired = 0
         heap = self._heap
         heappop = heapq.heappop
@@ -316,9 +309,7 @@ class Simulator:
         finally:
             self.now = time_us
             self._events_processed += fired
-            if token:
-                PROFILER.end("sim.event_loop", token)
-                PROFILER.count("sim.events", fired)
+            PROFILER.count("sim.events", fired)
         return fired
 
     def run_until_seconds(self, time_s: float) -> int:

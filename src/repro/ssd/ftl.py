@@ -44,8 +44,6 @@ from repro.ssd.region import WriteRegion
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ssd.device import Ssd
 
-PROFILER.declare("ftl.gc")  # report rows even when this section never fires
-
 
 class OutOfSpaceError(RuntimeError):
     """Raised when a write cannot be placed even after urgent GC."""
@@ -113,7 +111,7 @@ class VssdFtl:
         self.own_region = WriteRegion(
             f"own:{vssd_id}", kind="own",
             max_open_per_channel=self.config.chips_per_channel,
-            wear_aware=getattr(self.config, "wear_aware_allocation", False),
+            wear_aware=self.config.wear_aware_allocation,
         )
         self.harvest_regions: list = []
         self.stats = FtlStats()
@@ -896,7 +894,6 @@ class VssdFtl:
         """
         self._in_gc = True
         erased = 0
-        token = PROFILER.begin()
         try:
             limit = self.GC_BATCH_BLOCKS * (2 if urgent else 1)
             while erased < limit:
@@ -910,7 +907,6 @@ class VssdFtl:
                 self.stats.gc_runs += 1
         finally:
             self._in_gc = False
-            PROFILER.end("ftl.gc", token)
             PROFILER.count("ftl.gc_blocks_erased", erased)
         return erased
 
@@ -926,7 +922,6 @@ class VssdFtl:
         """
         self._in_gc = True
         erased = 0
-        token = PROFILER.begin()
         try:
             # Column scan over the one channel's gid slice.  Membership
             # must come from the region itself: two harvest regions of the
@@ -958,7 +953,6 @@ class VssdFtl:
                 self.stats.gc_runs += 1
         finally:
             self._in_gc = False
-            PROFILER.end("ftl.gc", token)
             PROFILER.count("ftl.gc_blocks_erased", erased)
         return erased
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import SSDConfig
-from repro.profiling import PROFILER
 from repro.ssd.region import WriteRegion
 from repro.virt.gsb import GhostSuperblock, GsbPool
 
@@ -31,8 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ssd.geometry import FlashBlock
     from repro.ssd.hbt import HarvestedBlockTable
     from repro.virt.vssd import Vssd
-
-PROFILER.declare("gsb.pool")  # report rows even when this section never fires
 
 
 @dataclass
@@ -79,12 +76,8 @@ class GsbManager:
         Returns the created gSB, or None when the request rounds to zero
         channels or no channel passes the free-block floor.
         """
-        with PROFILER.timer("gsb.pool"):
-            n_chls = self.bandwidth_to_channels(gsb_bw_mbps)
-            self.reclaim_excess(home, n_chls)
-            return self._make_harvestable_inner(home, n_chls)
-
-    def _make_harvestable_inner(self, home: "Vssd", n_chls: int) -> Optional[GhostSuperblock]:
+        n_chls = self.bandwidth_to_channels(gsb_bw_mbps)
+        self.reclaim_excess(home, n_chls)
         already_offered = home.offered_channel_count()
         wanted = n_chls - already_offered
         if wanted <= 0:
@@ -145,15 +138,6 @@ class GsbManager:
         data lives in the gSB long-term and GC compacts in place,
         growing the harvester's usable space by the gSB's capacity).
         """
-        with PROFILER.timer("gsb.pool"):
-            return self._harvest_inner(harvester, gsb_bw_mbps, purpose)
-
-    def _harvest_inner(
-        self,
-        harvester: "Vssd",
-        gsb_bw_mbps: float,
-        purpose: str,
-    ) -> Optional[GhostSuperblock]:
         n_chls = max(1, self.bandwidth_to_channels(gsb_bw_mbps))
         gsb = self.pool.acquire(
             n_chls,
@@ -289,17 +273,16 @@ class GsbManager:
         drain even if the harvester stopped writing to those channels.
         Returns blocks collected this pump.
         """
-        with PROFILER.timer("gsb.pool"):
-            collected = 0
-            for gsb in list(self._reclaiming):
-                harvester = self._vssd_of(gsb.harvest_vssd)
-                pending = [
-                    b for b in gsb.blocks
-                    if not b.is_free and b.writer == gsb.harvest_vssd
-                ]
-                if pending:
-                    collected += harvester.ftl.collect_blocks(pending, gsb.region)
-            return collected
+        collected = 0
+        for gsb in list(self._reclaiming):
+            harvester = self._vssd_of(gsb.harvest_vssd)
+            pending = [
+                b for b in gsb.blocks
+                if not b.is_free and b.writer == gsb.harvest_vssd
+            ]
+            if pending:
+                collected += harvester.ftl.collect_blocks(pending, gsb.region)
+        return collected
 
     def reclaim_degraded(self) -> int:
         """Pull gSBs off fault-degraded channels back to their homes.

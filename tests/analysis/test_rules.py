@@ -31,9 +31,13 @@ class TestSimWallClock:
 
     def test_flags_time_time_in_adversarial(self):
         # Regret search promises serial == parallel bytes, so it is core.
-        src = "import time\nnow = time.time()\n"
-        hits = rules_hit(src, path="src/repro/adversarial/x.py")
-        assert "sim-wall-clock" in hits
+        # The profiler only counts (layer time is the benchmark tracer's
+        # job), so it is core too.
+        for path, src in (
+            ("src/repro/adversarial/x.py", "import time\nnow = time.time()\n"),
+            ("src/repro/profiling/profiler.py", "import time\nt = time.perf_counter_ns()\n"),
+        ):
+            assert "sim-wall-clock" in rules_hit(src, path=path), path
 
     def test_clean_simulated_clock(self):
         src = "def advance(sim):\n    return sim.now + 5.0\n"

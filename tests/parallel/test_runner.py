@@ -50,7 +50,7 @@ def test_run_cell_returns_result_and_telemetry():
     assert outcome.result is not None
     assert outcome.result.policy == "hardware"
     assert outcome.telemetry.startswith(b"policy,")
-    assert outcome.profile["timers"]["sim.event_loop"]["calls"] == 1
+    assert outcome.profile["counters"]["sim.events"] > 0
     assert outcome.wall_s > 0
 
 
@@ -77,31 +77,33 @@ def test_parallel_outcomes_in_matrix_order(parallel_result):
 
 
 def test_profiles_merge_across_workers(parallel_result):
-    profile = parallel_result.profile
-    assert profile["timers"]["sim.event_loop"]["calls"] == len(MATRIX)
-    assert profile["counters"]["sim.events"] > 0
+    outcomes = parallel_result.succeeded
+    assert len(outcomes) == len(MATRIX)
+    # Every cell ran its event loop, and the merge is the per-cell sum.
+    assert all(o.profile["counters"]["sim.events"] > 0 for o in outcomes)
+    assert parallel_result.profile["counters"]["sim.events"] == sum(
+        o.profile["counters"]["sim.events"] for o in outcomes
+    )
 
 
-#: Warm-amortization timers whose call counts legitimately depend on the
-#: snapshot-cache state each process starts from (a serial sweep warms
-#: once per key and restores the rest; a forked worker inherits whatever
-#: the parent had cached).  Telemetry stays byte-equal either way — only
-#: where the *fixed cost* was paid moves.
-WARM_AMORTIZED_TIMERS = frozenset(
-    {"harness.warm", "snapshot.save", "snapshot.restore"}
-)
+def _without_snapshot_counters(profile):
+    """Counters minus ``snapshot.*``, which legitimately depend on the
+    snapshot-cache state each process starts from (a serial sweep warms
+    once per key and restores the rest; a forked worker inherits whatever
+    the parent had cached).  Telemetry stays byte-equal either way — only
+    where the warm's fixed cost was paid moves."""
+    return {
+        name: value
+        for name, value in profile["counters"].items()
+        if not name.startswith("snapshot.")
+    }
 
 
 def test_serial_parallel_profile_call_counts_match(serial_result, parallel_result):
-    serial_timers = serial_result.profile["timers"]
-    parallel_timers = parallel_result.profile["timers"]
-    # Declared zero-call rows keep the row sets identical even when a
-    # timer fired in one topology and not the other.
-    assert set(serial_timers) == set(parallel_timers)
-    for name, entry in serial_timers.items():
-        if name in WARM_AMORTIZED_TIMERS:
-            continue
-        assert entry["calls"] == parallel_timers[name]["calls"], name
+    serial = _without_snapshot_counters(serial_result.profile)
+    assert serial["sim.events"] > 0
+    assert serial["ftl.io_requests"] > 0
+    assert serial == _without_snapshot_counters(parallel_result.profile)
 
 
 def test_results_keyed_by_cell_id(parallel_result):
@@ -277,8 +279,6 @@ def test_pool_worker_snapshot_cache_amortizes_warm(monkeypatch, tmp_path):
     merged = result.profile
     assert merged["counters"].get("snapshot.misses", 0) == 1
     assert merged["counters"].get("snapshot.hits", 0) == 1
-    assert merged["timers"]["harness.warm"]["calls"] == 1
-    assert merged["timers"]["snapshot.restore"]["calls"] == 1
 
 
 def test_pool_dead_worker_respawned_and_cell_retried(tmp_path):

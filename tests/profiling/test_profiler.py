@@ -7,25 +7,20 @@ from repro.profiling import Profiler, format_profile, merge_profiles
 
 def test_disabled_profiler_records_nothing():
     profiler = Profiler()
-    token = profiler.begin()
-    assert token == 0
-    profiler.end("x", token)
     profiler.count("hits")
-    assert profiler.timers() == {}
     assert profiler.counters() == {}
+    assert profiler.snapshot() == {"counters": {}}
 
 
 def test_enabled_scope_records_and_restores():
     profiler = Profiler()
     with profiler.enabled_scope():
         assert profiler.enabled
-        with profiler.timer("section"):
-            pass
         profiler.count("hits", 3)
+        profiler.count("hits")
     assert not profiler.enabled
-    assert profiler.timers()["section"].calls == 1
-    assert profiler.timers()["section"].total_ns >= 0
-    assert profiler.counters()["hits"] == 3
+    profiler.count("hits")  # disabled again: dropped
+    assert profiler.counters()["hits"] == 4
 
 
 def test_enabled_scope_restores_prior_enabled_state():
@@ -36,98 +31,48 @@ def test_enabled_scope_restores_prior_enabled_state():
     assert profiler.enabled
 
 
-def test_begin_end_accumulates_calls():
-    profiler = Profiler()
-    profiler.enable()
-    for _ in range(5):
-        token = profiler.begin()
-        profiler.end("hot", token)
-    assert profiler.timers()["hot"].calls == 5
-
-
 def test_reset_clears_data():
     profiler = Profiler()
     profiler.enable()
     profiler.count("c")
-    with profiler.timer("t"):
-        pass
     profiler.reset()
-    assert profiler.snapshot() == {"timers": {}, "counters": {}}
+    assert profiler.snapshot() == {"counters": {}}
 
 
 def test_snapshot_is_picklable():
     profiler = Profiler()
     profiler.enable()
-    with profiler.timer("t"):
-        pass
     profiler.count("c", 2)
     snap = pickle.loads(pickle.dumps(profiler.snapshot()))
-    assert snap["timers"]["t"]["calls"] == 1
-    assert snap["counters"]["c"] == 2
-
-
-def test_declared_timer_appears_with_zero_calls():
-    profiler = Profiler()
-    profiler.declare("never.fired", "also.never")
-    profiler.enable()
-    with profiler.timer("hit"):
-        pass
-    snap = profiler.snapshot()
-    assert snap["timers"]["never.fired"] == {"calls": 0, "total_ns": 0}
-    assert snap["timers"]["also.never"] == {"calls": 0, "total_ns": 0}
-    assert snap["timers"]["hit"]["calls"] == 1
-
-
-def test_declared_timer_that_fires_reports_real_data():
-    profiler = Profiler()
-    profiler.declare("section")
-    profiler.enable()
-    with profiler.timer("section"):
-        pass
-    entry = profiler.snapshot()["timers"]["section"]
-    assert entry["calls"] == 1
-    assert entry["total_ns"] >= 0
-
-
-def test_declared_names_survive_reset():
-    profiler = Profiler()
-    profiler.declare("sticky")
-    profiler.enable()
-    profiler.count("c")
-    profiler.reset()
-    snap = profiler.snapshot()
-    assert snap["timers"] == {"sticky": {"calls": 0, "total_ns": 0}}
-    assert snap["counters"] == {}
+    assert snap == {"counters": {"c": 2}}
 
 
 def test_format_profile_renders_zero_call_rows():
+    # A counter bumped by zero (e.g. ``sim.events`` for a run_until that
+    # fired nothing) still gets its row.
     profiler = Profiler()
-    profiler.declare("quiet.section")
+    profiler.enable()
+    profiler.count("quiet.counter", 0)
     text = format_profile(profiler.snapshot())
-    assert "quiet.section" in text
-    assert "         0" in text  # calls column
+    assert text.split() == ["quiet.counter", "0"]
 
 
 def test_merge_profiles_sums():
-    a = {"timers": {"t": {"calls": 2, "total_ns": 100}}, "counters": {"c": 1}}
-    b = {"timers": {"t": {"calls": 3, "total_ns": 50},
-                    "u": {"calls": 1, "total_ns": 7}},
-         "counters": {"c": 4, "d": 2}}
+    a = {"counters": {"c": 1}}
+    b = {"counters": {"c": 4, "d": 2}}
     merged = merge_profiles([a, b, {}, None])
-    assert merged["timers"]["t"] == {"calls": 5, "total_ns": 150}
-    assert merged["timers"]["u"] == {"calls": 1, "total_ns": 7}
-    assert merged["counters"] == {"c": 5, "d": 2}
+    assert merged == {"counters": {"c": 5, "d": 2}}
 
 
 def test_format_profile_renders_sections_and_counters():
-    snap = {
-        "timers": {"loop": {"calls": 2, "total_ns": 2_000_000}},
-        "counters": {"events": 9},
-    }
-    text = format_profile(snap, total_label="loop")
-    assert "loop" in text
-    assert "events" in text
-    assert "100.0%" in text
+    snap = {"counters": {"sim.events": 9, "ftl.io_requests": 12}}
+    lines = format_profile(snap).splitlines()
+    # One aligned row per counter, sorted by name.
+    assert [line.split() for line in lines] == [
+        ["ftl.io_requests", "12"],
+        ["sim.events", "9"],
+    ]
+    assert len({len(line) for line in lines}) == 1
 
 
 def test_format_profile_empty():

@@ -119,13 +119,13 @@ class Twin:
         self.dispatched: list = []
         self.completed: list = []
         self.resubmitted: set = set()
-        inner = self.dispatcher._dispatch_inner
+        dispatch = self.dispatcher._dispatch
 
         def logged_dispatch(request: IoRequest) -> None:
             self.dispatched.append((self.index[request.req_id], _bits(self.sim.now)))
-            inner(request)
+            dispatch(request)
 
-        self.dispatcher._dispatch_inner = logged_dispatch
+        self.dispatcher._dispatch = logged_dispatch
         self.dispatcher.add_completion_callback(self._on_complete)
 
     def _submit(self, vssd_id: int, op: str, lpn: int, pages: int) -> None:

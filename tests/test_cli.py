@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -89,6 +90,25 @@ def test_faults_command_smoke(capsys, monkeypatch, tmp_path):
     assert "agent_corruption:start" in out
     assert csv_path.exists()
     assert "time_s,source,kind" in csv_path.read_text().splitlines()[0]
+
+
+def test_profile_command_writes_counters(capsys, tmp_path):
+    out_path = tmp_path / "profile.json"
+    code = main([
+        "profile", "ycsb", "--policy", "hardware",
+        "--duration", "1", "--warmup", "0.2", "--channels", "4",
+        "--json", str(out_path),
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "sim.events" in out
+    assert "wall seconds" in out
+    payload = json.loads(out_path.read_text())
+    counters = payload["profile"]["counters"]
+    assert counters["sim.events"] > 0
+    assert counters["ftl.io_requests"] > 0
+    assert "timers" not in payload["profile"]
+    assert payload["wall_s"] > 0
 
 
 def test_parser_covers_all_commands():
