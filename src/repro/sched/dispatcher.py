@@ -39,10 +39,13 @@ class IoDispatcher:
         #: vssd_id -> tuple of callbacks that want its completions,
         #: rebuilt lazily after any registration change.
         self._notify_cache: dict = {}
-        self._retry_event = None
-        #: The token instant the pending retry was armed for (its event
-        #: time can differ from it by an ulp of clock arithmetic).
-        self._retry_at = 0.0
+        #: The token instant the live retry was armed for (its event time
+        #: can differ from it by an ulp of clock arithmetic), or ``None``
+        #: while no retry is pending.
+        self._retry_at: Optional[float] = None
+        #: Bumped by every arm; a fired retry carrying an older number was
+        #: superseded by an earlier one and does nothing.
+        self._retry_gen = 0
         #: Requests waiting across all virtual queues.  The pump runs only
         #: while this is non-zero: with every queue empty each policy's
         #: ``select`` returns ``None`` without side effects and there is
@@ -101,7 +104,7 @@ class IoDispatcher:
         self._notify_cache.clear()
 
     def close(self) -> None:
-        """Drop the completion callbacks and the retry handle.
+        """Drop the completion callbacks.
 
         Drivers hold :meth:`submit` and the callbacks hold the drivers'
         ``on_complete``, a cycle through every tenant; a closed
@@ -109,7 +112,6 @@ class IoDispatcher:
         """
         self._completion_callbacks.clear()
         self._notify_cache.clear()
-        self._retry_event = None
 
     # ------------------------------------------------------------------
     # Submission / queue inspection
@@ -179,23 +181,27 @@ class IoDispatcher:
         completion pumps, one with nothing in flight passes
         :meth:`_can_dispatch`, and one above its burst never fits.  The
         retry fires at the first instant the policy would take a head, so
-        no earlier pump could dispatch.
+        no earlier pump could dispatch.  A strictly earlier instant
+        supersedes the pending retry, which stays on the heap and fires as
+        a no-op.
         """
         when = self.policy.next_eligible_time(self.sim.now, self.queues)
         if when is None:
             return
-        if self._retry_event is not None:
-            if self._retry_at <= when:
-                return
-            self._retry_event.cancel()
+        retry_at = self._retry_at
+        if retry_at is not None and retry_at <= when:
+            return
         self._retry_at = when
-        self._retry_event = self.sim.schedule(when - self.sim.now, self._retry_fire)
+        self._retry_gen += 1
+        self.sim.schedule(when - self.sim.now, self._retry_fire, self._retry_gen)
 
-    def _retry_fire(self) -> None:
-        """A scheduled retry: clear the handle first so a still-blocked
-        pump can arm the next one (a fired event must not be mistaken
-        for a pending one)."""
-        self._retry_event = None
+    def _retry_fire(self, gen: int) -> None:
+        """A scheduled retry: a superseded one does nothing; the live one
+        clears ``_retry_at`` first so a still-blocked pump can arm the
+        next."""
+        if gen != self._retry_gen:
+            return
+        self._retry_at = None
         self._pump()
 
     def _dispatch(self, request: IoRequest) -> None:

@@ -29,7 +29,7 @@ arrays of the same shape, so the timing math is identical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.config import SSDConfig
 from repro.ssd.blockstate import BlockStore, ChannelArrays
@@ -130,22 +130,8 @@ class Channel:
         arrays.eff_gc_xfer_us[cid] = cfg.bus_transfer_us * cfg.gc_bus_share * slowdown
 
     # ------------------------------------------------------------------
-    # Array-backed state (compatibility properties)
+    # Array-backed state
     # ------------------------------------------------------------------
-    @property
-    def _bus_busy_until(self) -> float:
-        return self.arrays.bus_busy[self.channel_id]
-
-    @_bus_busy_until.setter
-    def _bus_busy_until(self, value: float) -> None:
-        self.arrays.bus_busy[self.channel_id] = value
-
-    @property
-    def _chip_busy_until(self) -> List[float]:
-        """Per-chip busy horizons (a copy of this channel's slice)."""
-        base = self._chip_base
-        return self.arrays.chip_busy[base : base + self.config.chips_per_channel]
-
     @property
     def fault_slowdown(self) -> float:
         return self.arrays.slowdown[self.channel_id]

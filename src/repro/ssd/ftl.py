@@ -85,7 +85,7 @@ class VssdFtl:
         self.vssd_id = vssd_id
         self.ssd = ssd
         self.config: SSDConfig = ssd.config
-        self.hbt = hbt if hbt is not None else HarvestedBlockTable()
+        self.hbt = hbt if hbt is not None else HarvestedBlockTable(ssd.store)
         self.gc_threshold = (
             gc_threshold if gc_threshold is not None else self.config.gc_free_block_threshold
         )

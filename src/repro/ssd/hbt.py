@@ -5,45 +5,49 @@ harvested or reclaimed blocks.  GC prioritizes ``1`` blocks as victims and
 copies their valid data back to the harvesting vSSD's own blocks; erasing
 a block resets its bit to regular.
 
-The table mirrors the per-block ``harvested_flag`` so that components that
-only know PBAs (the admission controller, benchmarks measuring metadata
-footprint) never need to touch block objects.
+The bits are the device's ``BlockStore.harvested`` column, indexed by
+block gid; the table holds no copy of them, so an erase or a snapshot
+restore that writes the column is seen here at once.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
+from repro.ssd.blockstate import BlockStore
 from repro.ssd.geometry import FlashBlock
 
 
 class HarvestedBlockTable:
-    """Tracks which physical blocks are harvested/reclaimed."""
+    """Tracks which physical blocks are harvested/reclaimed.
 
-    def __init__(self) -> None:
-        self._harvested: set = set()
+    ``store`` is the device whose column :meth:`is_harvested` and
+    ``len()`` read; a table built without one marks blocks all the same
+    and reads as empty.
+    """
+
+    def __init__(self, store: Optional[BlockStore] = None) -> None:
+        self.store = store
 
     def mark_harvested(self, block: FlashBlock) -> None:
         """Set the block's HBT bit to harvested/reclaimed (1)."""
         block.harvested_flag = True
-        self._harvested.add(block.block_id)
 
     def mark_regular(self, block: FlashBlock) -> None:
         """Reset the block's HBT bit to regular (0) — done after erase."""
         block.harvested_flag = False
-        self._harvested.discard(block.block_id)
 
-    def is_harvested(self, block_id: tuple) -> bool:
-        """Whether the PBA's HBT bit is set (harvested/reclaimed)."""
-        return block_id in self._harvested
+    def is_harvested(self, gid: int) -> bool:
+        """Whether block ``gid``'s HBT bit is set (harvested/reclaimed)."""
+        return self.store is not None and self.store.harvested[gid]
 
     def mark_many(self, blocks: Iterable[FlashBlock]) -> None:
         """Set the HBT bit on every given block."""
         for block in blocks:
-            self.mark_harvested(block)
+            block.harvested_flag = True
 
     def __len__(self) -> int:
-        return len(self._harvested)
+        return 0 if self.store is None else sum(self.store.harvested)
 
     def footprint_bits(self, total_blocks: int) -> int:
         """Storage cost in bits for a device with ``total_blocks`` blocks.

@@ -41,7 +41,7 @@ class StorageVirtualizer:
         self.ssd = Ssd(self.config, self.sim)
         self.policy = policy or PriorityPolicy()
         self.dispatcher = IoDispatcher(self.sim, self.ssd, self.policy)
-        self.hbt = HarvestedBlockTable()
+        self.hbt = HarvestedBlockTable(self.ssd.store)
         self.gsb_manager = GsbManager(self.ssd, self.hbt)
         # Set_Priority reaches the scheduler only under the priority
         # policy.  The policy's own bound method, not one of ours, so

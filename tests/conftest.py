@@ -47,8 +47,8 @@ def ssd(small_config, sim) -> Ssd:
 
 
 @pytest.fixture
-def hbt() -> HarvestedBlockTable:
-    return HarvestedBlockTable()
+def hbt(ssd) -> HarvestedBlockTable:
+    return HarvestedBlockTable(ssd.store)
 
 
 @pytest.fixture

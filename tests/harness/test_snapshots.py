@@ -304,31 +304,6 @@ def test_engine_restore_rejects_pending_events():
         target.restore(snap)
 
 
-def test_engine_restore_replays_pool_recycling_identically():
-    """A restored engine recycles pooled Event objects on the original's
-    schedule: same (time, seq) order, same now, same pool growth."""
-
-    def churn(sim):
-        fired = []
-        for i in range(8):
-            sim.schedule(float(i + 1), fired.append, i)
-        keep = sim.schedule(20.0, fired.append, 99)
-        sim.schedule(3.5, keep.cancel)
-        sim.run_until(30.0)
-        return fired, sim.now, sim._next_seq, len(sim._pool)
-
-    origin = Simulator()
-    for i in range(4):  # build up a non-empty free list before capture
-        origin.schedule(float(i + 1), lambda: None)
-    origin.run_until(10.0)
-    snap = origin.snapshot()
-
-    twin = Simulator()
-    twin.restore(snap)
-    assert len(twin._pool) == len(origin._pool)
-    assert churn(origin) == churn(twin)
-
-
 def test_memory_cache_bounded():
     for i in range(snapshots._MEMORY_CACHE_MAX + 4):
         snapshots.install(f"key{i}", {"i": i})

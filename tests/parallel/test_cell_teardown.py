@@ -143,14 +143,3 @@ def test_run_after_close_raises(finished):
     unbuilt.close()
     with pytest.raises(RuntimeError, match="closed"):
         unbuilt.run(0.2, 0.05)
-
-
-def test_held_event_handle_cancels_as_no_op_after_close(finished):
-    sim = finished.virt.sim
-    fired = []
-    handle = sim.schedule(1_000_000.0, fired.append, "late")
-    finished.close()
-    handle.cancel()
-    assert sim.pending_events == 0
-    assert handle.callback is None and handle.sim is None
-    assert fired == []

@@ -14,8 +14,8 @@ can dispatch; ``test_pump_differential.py`` puts this loop under one of
 two twin dispatchers with :func:`use_always_pump` and requires identical
 behaviour.  It never reads or writes ``_queued`` or ``_settled``.
 
-The capacity wake has a handle of its own here.  On the one shared retry
-handle it replaced an armed token retry whenever it was sooner, and the
+The capacity wake has a generation number of its own here.  On the one
+shared retry it replaced an armed token retry whenever it was sooner, and the
 one-microsecond floor on a re-armed delay then let a tick landing just
 before a refill push that dispatch past it
 (``test_token_wait_is_not_deferred_by_a_blocked_neighbour`` in
@@ -56,23 +56,27 @@ def next_capacity_time(dispatcher: IoDispatcher) -> Optional[float]:
 
 def arm_capacity_wake(dispatcher: IoDispatcher) -> None:
     """The capacity wake and nothing-in-flight tick the retry rule used to
-    arm, on a handle of their own beside the token retry."""
+    arm, beside the token retry with a generation number of their own: a
+    sooner wake supersedes the pending one, which then fires as a no-op,
+    so at most one capacity wake is live at a time."""
     sim = dispatcher.sim
     when = next_capacity_time(dispatcher)
     if when is None:
         return
-    wake = dispatcher._capacity_wake  # type: ignore[attr-defined]
-    if wake is not None and not wake.cancelled:
-        if wake.time <= when:
-            return
-        wake.cancel()
-    dispatcher._capacity_wake = sim.schedule(  # type: ignore[attr-defined]
-        max(1.0, when - sim.now), capacity_wake_fire, dispatcher
-    )
+    wake_at = dispatcher._capacity_wake_at  # type: ignore[attr-defined]
+    if wake_at is not None and wake_at <= when:
+        return
+    delay = max(1.0, when - sim.now)
+    dispatcher._capacity_wake_at = sim.now + delay  # type: ignore[attr-defined]
+    gen = dispatcher._capacity_wake_gen + 1  # type: ignore[attr-defined]
+    dispatcher._capacity_wake_gen = gen  # type: ignore[attr-defined]
+    sim.schedule(delay, capacity_wake_fire, dispatcher, gen)
 
 
-def capacity_wake_fire(dispatcher: IoDispatcher) -> None:
-    dispatcher._capacity_wake = None  # type: ignore[attr-defined]
+def capacity_wake_fire(dispatcher: IoDispatcher, gen: int) -> None:
+    if gen != dispatcher._capacity_wake_gen:  # type: ignore[attr-defined]
+        return
+    dispatcher._capacity_wake_at = None  # type: ignore[attr-defined]
     dispatcher._pump()
 
 
@@ -109,6 +113,7 @@ def use_always_pump(dispatcher: IoDispatcher) -> None:
     """Route every pump and completion of ``dispatcher`` through the
     ungated loop above (``submit``, ``_retry_fire`` and the completion
     events all look ``_pump`` / ``_complete`` up on the instance)."""
-    dispatcher._capacity_wake = None  # type: ignore[attr-defined]
+    dispatcher._capacity_wake_at = None  # type: ignore[attr-defined]
+    dispatcher._capacity_wake_gen = 0  # type: ignore[attr-defined]
     dispatcher._pump = partial(pump_always, dispatcher)  # type: ignore[method-assign]
     dispatcher._complete = partial(complete_always, dispatcher)  # type: ignore[method-assign]

@@ -211,3 +211,59 @@ def test_token_wait_is_not_deferred_by_a_blocked_neighbour(small_config):
     # The burst pays for the first write; the second waits 800 us of refill.
     assert (first.dispatch_time, second.dispatch_time) == (1.0, 801.0)
     assert sim.events_processed == 3  # two completions and one token retry
+
+
+def test_superseded_token_retry_fires_as_a_no_op(small_config):
+    """A strictly earlier token instant supersedes the pending retry.  The
+    superseded event stays on the heap and fires with no ``select`` and
+    no dispatch; the live retries dispatch at exactly each bucket's
+    ``available_at``."""
+    page = small_config.page_size
+    sim = Simulator()
+    ssd = Ssd(small_config, sim)
+    policy = TokenBucketStridePolicy(rate_bytes_per_us=page / 400.0, burst_bytes=2.0 * page)
+    dispatcher = IoDispatcher(sim, ssd, policy)
+    for vssd_id, channels, rate in ((0, [0, 1], page / 400.0), (1, [2, 3], page / 100.0)):
+        ftl = VssdFtl(vssd_id, ssd)
+        ftl.adopt_blocks(ssd.allocate_channels(vssd_id, channels))
+        dispatcher.register_vssd(vssd_id, ftl, rate_bytes_per_us=rate)
+    selects, dispatches, fires = [], [], []
+    select, dispatch, retry_fire = policy.select, dispatcher._dispatch, dispatcher._retry_fire
+
+    def counting_select(*args):
+        selects.append(sim.now)
+        return select(*args)
+
+    def counting_dispatch(request):
+        dispatches.append(request)
+        dispatch(request)
+
+    def traced_retry_fire(gen):
+        before = (len(selects), len(dispatches))
+        retry_fire(gen)
+        fires.append((sim.now, gen, len(selects) - before[0], len(dispatches) - before[1]))
+
+    policy.select = counting_select
+    dispatcher._dispatch = counting_dispatch
+    dispatcher._retry_fire = traced_retry_fire
+
+    slow = [IoRequest(0, "write", lpn, 2, page, 0.0) for lpn in (0, 2)]
+    for request in slow:
+        dispatcher.submit(request)
+    slow_at = policy._buckets[0].available_at(2 * page)
+    assert (dispatcher._retry_at, dispatcher._retry_gen) == (slow_at, 1)
+    sim.run_until(1.0)
+    fast = [IoRequest(1, "write", lpn, 2, page, 1.0) for lpn in (0, 2)]
+    for request in fast:
+        dispatcher.submit(request)
+    fast_at = policy._buckets[1].available_at(2 * page)
+    assert fast_at < slow_at
+    assert (dispatcher._retry_at, dispatcher._retry_gen) == (fast_at, 2)
+
+    sim.run_until(5000.0)
+    assert (fast[1].dispatch_time, slow[1].dispatch_time) == (fast_at, slow_at)
+    superseded = [fire for fire in fires if fire[1] == 1]
+    assert superseded == [(slow_at, 1, 0, 0)]
+    live = [(time, gen, dispatched) for time, gen, _selects, dispatched in fires if gen != 1]
+    assert live == [(fast_at, 2, 1), (slow_at, 3, 1)]
+    assert dispatcher._retry_at is None

@@ -19,7 +19,7 @@ budgets and channel slots; the gated twin must never have fired more
 events than the oracle, and must hold ``_queued == sum(len(q))``, which
 its completion callbacks also check from inside a failing dispatch.  The
 retry bookkeeping itself (pending heap, sequence numbers, the retry
-handle) is not compared: the oracle arms wakes the gated twin never needs,
+generation) is not compared: the oracle arms wakes the gated twin never needs,
 and none of them dispatches.  Example counts come from the active
 hypothesis profile (``--hypothesis-profile ci`` in CI: derandomized, 300
 examples).
@@ -308,20 +308,19 @@ _BLOCKED = [
 
 def _trace(twin: Twin) -> tuple:
     state = twin.state()
-    retry = twin.dispatcher._retry_event
     return (
         state.get("tokens"),
         state.get("passes"),
         state["queues"],
         twin.sim.detsan_state()["pending"],
-        None if retry is None else (retry.time, retry.seq, retry.cancelled),
+        (twin.dispatcher._retry_at, twin.dispatcher._retry_gen),
     )
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_blocked_pump_leaves_no_trace(policy):
     """A pump that selects nothing, later but before the next wake, leaves
-    the buckets, stride passes, queues, heap and retry handle as they were."""
+    the buckets, stride passes, queues, heap and retry state as they were."""
     twin = Twin(policy, oracle=False)
     twin.apply(("submit", _BLOCKED))
     assert twin.dispatcher._queued

@@ -34,21 +34,6 @@ def test_clock_advances_to_event_time(sim):
     assert sim.now == 42.0
 
 
-def test_cancelled_event_does_not_fire(sim):
-    fired = []
-    event = sim.schedule(5.0, fired.append, "x")
-    event.cancel()
-    sim.run()
-    assert fired == []
-
-
-def test_cancelled_event_not_counted_processed(sim):
-    event = sim.schedule(5.0, lambda: None)
-    event.cancel()
-    sim.run()
-    assert sim.events_processed == 0
-
-
 def test_negative_delay_rejected(sim):
     with pytest.raises(ValueError):
         sim.schedule(-1.0, lambda: None)
@@ -120,24 +105,6 @@ def test_step_returns_false_when_empty(sim):
     assert sim.step() is False
 
 
-def test_pending_events_ignores_cancelled(sim):
-    sim.schedule(1.0, lambda: None)
-    drop = sim.schedule(2.0, lambda: None)
-    drop.cancel()
-    assert sim.pending_events == 1
-
-
-def test_cancel_after_fire_is_harmless(sim):
-    fired = []
-    event = sim.schedule(5.0, fired.append, "x")
-    sim.run()
-    assert fired == ["x"]
-    event.cancel()  # must not raise or corrupt the heap
-    sim.schedule(1.0, fired.append, "y")
-    sim.run()
-    assert fired == ["x", "y"]
-
-
 def test_run_until_at_current_time_is_noop(sim):
     sim.run_until(10.0)
     assert sim.run_until(10.0) == 0
@@ -169,142 +136,3 @@ def test_equal_timestamp_ordering_survives_earlier_event(sim):
     sim.schedule(5.0, fired.append, "early")
     sim.run()
     assert fired == ["early", "a", "b"]
-
-
-def test_cancelled_events_compact_heap(sim):
-    """Cancelled entries outnumbering live ones trigger compaction."""
-    keep = [sim.schedule(1000.0 + i, lambda: None) for i in range(10)]
-    doomed = [sim.schedule(2000.0 + i, lambda: None) for i in range(500)]
-    for event in doomed:
-        event.cancel()
-    assert sim.pending_events == 10
-    # The heap must not retain the 500 cancelled entries: below the
-    # compaction floor, or at most half-cancelled above it.
-    assert sim.heap_size <= 64
-    assert sim.heap_compactions >= 1
-    assert all(not e.cancelled for e in keep)
-
-
-def test_compaction_preserves_fire_order(sim):
-    """Compaction (filter + heapify) must not change firing order."""
-    fired = []
-    survivors = []
-    for i in range(200):
-        event = sim.schedule(float(100 + i), fired.append, i)
-        if i % 3 == 0:
-            event.cancel()
-        else:
-            survivors.append(i)
-    sim.run()
-    assert fired == survivors
-
-
-def test_pending_events_is_live_count_after_cancels(sim):
-    events = [sim.schedule(10.0 + i, lambda: None) for i in range(30)]
-    for event in events[:12]:
-        event.cancel()
-    assert sim.pending_events == 18
-    # Double-cancel must not decrement twice.
-    events[0].cancel()
-    assert sim.pending_events == 18
-    sim.run()
-    assert sim.pending_events == 0
-    assert sim.events_processed == 18
-
-
-def test_long_cancel_churn_keeps_heap_bounded(sim):
-    """The dispatcher's cancel/reschedule pattern must not grow the heap."""
-    for round_ in range(50):
-        batch = [sim.schedule(1e6 + round_ * 100 + i, lambda: None) for i in range(10)]
-        for event in batch:
-            event.cancel()
-    assert sim.pending_events == 0
-    assert sim.heap_size <= 64
-    assert sim.heap_compactions >= 1
-
-
-def test_cancelled_head_discarded_by_run_until(sim):
-    fired = []
-    head = sim.schedule(1.0, fired.append, "cancelled")
-    sim.schedule(2.0, fired.append, "live")
-    head.cancel()
-    sim.run_until(5.0)
-    assert fired == ["live"]
-    assert sim.pending_events == 0
-
-
-def test_stale_cancel_after_compaction_is_noop(sim):
-    """Handles to compaction-collected events are inert until reuse.
-
-    Compaction parks cancelled events in the free list with
-    ``time = _DEAD`` (or, past the pool cap, leaves them to the GC with
-    ``cancelled`` still set); a second ``cancel()`` through a retained
-    handle must not decrement the live count again or touch any live
-    event.
-    """
-    doomed = [sim.schedule(100.0 + i, lambda: None) for i in range(200)]
-    keep = sim.schedule(5000.0, lambda: None)
-    for event in doomed:
-        event.cancel()
-    assert sim.heap_compactions >= 1
-    for event in doomed:  # stale handles: parked or collected objects
-        event.cancel()
-    # pending_events is heap size minus the cancelled count, so a
-    # double-decrement would show up here as a value above 1.
-    assert sim.pending_events == 1
-    assert not keep.cancelled
-    sim.run()
-    assert sim.events_processed == 1
-
-
-def test_pool_recycling_stress_no_aliasing(sim):
-    """Randomized churn across all three Event release paths.
-
-    Drives fired-event recycling, cancelled-head discards inside
-    ``run_until``'s batch drain, and mid-callback compactions against
-    heavy free-list reuse, with callbacks cancelling pending events and
-    scheduling same-instant followers (which join the running batch and
-    recycle freshly parked objects).  A recycled Event whose stale heap
-    tuple survived — the aliasing the free list must never produce —
-    would fire the wrong id, fire twice, or skew the counts.
-    """
-    import random
-
-    rng = random.Random(1234)
-    fired = []
-    expected = set()  # ids that must fire exactly once
-    pending = {}  # id -> Event handle, dropped on fire/cancel
-    next_id = [0]
-
-    def spawn(delay):
-        i = next_id[0]
-        next_id[0] += 1
-        pending[i] = sim.schedule(delay, on_fire, i)
-        expected.add(i)
-
-    def on_fire(i):
-        fired.append(i)
-        pending.pop(i, None)  # drop the handle as it is recycled
-        # Cancel a few random pending events (can trigger compaction
-        # mid-batch) ...
-        count = min(len(pending), rng.randrange(3))
-        for victim in rng.sample(sorted(pending), count):
-            pending.pop(victim).cancel()
-            expected.discard(victim)
-        # ... and schedule followers, half at this exact instant.
-        if next_id[0] < 1500:
-            for _ in range(rng.randrange(3)):
-                spawn(0.0 if rng.random() < 0.5 else rng.uniform(1.0, 50.0))
-
-    for _ in range(300):
-        spawn(rng.uniform(0.0, 100.0))
-    # A cancel storm with the heap hot forces early compactions.
-    for victim in rng.sample(sorted(pending), 150):
-        pending.pop(victim).cancel()
-        expected.discard(victim)
-    sim.run_until(1_000_000.0)
-    assert len(fired) == len(set(fired))  # nothing fired twice
-    assert sorted(fired) == sorted(expected)  # cancelled never fire
-    assert sim.pending_events == 0
-    assert sim.events_processed == len(fired)
-    assert sim.heap_compactions >= 1

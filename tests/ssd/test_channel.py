@@ -74,9 +74,9 @@ def test_front_write_not_slower_when_idle(cfg):
 
 def test_front_insertion_conserves_bus_work(channel, cfg):
     channel.service_write(0)
-    before = channel._bus_busy_until
+    before = channel.arrays.bus_busy[0]
     channel.service_read(1, front=True)
-    assert channel._bus_busy_until == pytest.approx(before + cfg.bus_transfer_us)
+    assert channel.arrays.bus_busy[0] == pytest.approx(before + cfg.bus_transfer_us)
 
 
 def test_busy_horizon_grows_with_queued_work(channel, cfg):
@@ -106,9 +106,9 @@ def test_gc_occupies_chip_and_sets_flag(channel, cfg):
 
 
 def test_gc_background_bus_charge_is_discounted(channel, cfg):
-    before = channel._bus_busy_until
+    before = channel.arrays.bus_busy[0]
     channel.occupy_for_gc(0, migrate_reads=10, erases=0)
-    charged = channel._bus_busy_until - max(before, 0.0)
+    charged = channel.arrays.bus_busy[0] - max(before, 0.0)
     assert charged == pytest.approx(10 * cfg.bus_transfer_us * cfg.gc_bus_share)
 
 
@@ -117,7 +117,7 @@ def test_background_write_discounts_bus(cfg):
     a.service_write(0, background=True)
     b = Channel(0, cfg, Simulator())
     b.service_write(0)
-    assert a._bus_busy_until < b._bus_busy_until
+    assert a.arrays.bus_busy[0] < b.arrays.bus_busy[0]
 
 
 def test_stats_accumulate(channel):

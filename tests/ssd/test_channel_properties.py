@@ -55,10 +55,10 @@ def test_timing_invariants(ops):
             expected_transfer_work += charged
         assert done > 0
         if chip in last_chip_done:
-            assert channel._chip_busy_until[chip] >= last_chip_done[chip] - 1e-9
-        last_chip_done[chip] = channel._chip_busy_until[chip]
+            assert channel.arrays.chip_busy[chip] >= last_chip_done[chip] - 1e-9
+        last_chip_done[chip] = channel.arrays.chip_busy[chip]
     assert channel.stats.busy_us == pytest.approx(expected_busy)
-    assert channel._bus_busy_until >= expected_transfer_work - 1e-9
+    assert channel.arrays.bus_busy[0] >= expected_transfer_work - 1e-9
 
 
 @settings(max_examples=30, deadline=None)

@@ -102,7 +102,6 @@ class Twin:
             (channel.in_gc, _bits([channel._gc_until])) for channel in self.ssd.channels
         ]
         state["pending_events"] = self.sim.pending_events
-        state["hbt"] = sorted(self.ftl.hbt._harvested)
         state["released"] = list(self.released)
         state["in_gc"] = self.ftl._in_gc
         return state

@@ -1,39 +1,36 @@
 """Tests for the Harvested Block Table."""
 
-from repro.ssd.geometry import FlashBlock
+from repro.ssd.hbt import HarvestedBlockTable
 
 
-def _block(index=0):
-    return FlashBlock(0, 0, index, pages_per_block=4)
-
-
-def test_mark_harvested_sets_flag_and_tracks(hbt):
-    block = _block()
+def test_mark_harvested_sets_flag_and_tracks(hbt, ssd):
+    block = ssd.store.blocks[3]
     hbt.mark_harvested(block)
     assert block.harvested_flag is True
-    assert hbt.is_harvested(block.block_id)
+    assert hbt.is_harvested(block.gid)
     assert len(hbt) == 1
 
 
-def test_mark_regular_clears(hbt):
-    block = _block()
+def test_mark_regular_clears(hbt, ssd):
+    block = ssd.store.blocks[3]
     hbt.mark_harvested(block)
     hbt.mark_regular(block)
     assert block.harvested_flag is False
-    assert not hbt.is_harvested(block.block_id)
+    assert not hbt.is_harvested(block.gid)
     assert len(hbt) == 0
 
 
-def test_mark_regular_idempotent(hbt):
-    block = _block()
+def test_mark_regular_idempotent(hbt, ssd):
+    block = ssd.store.blocks[0]
     hbt.mark_regular(block)
     assert len(hbt) == 0
 
 
-def test_mark_many(hbt):
-    blocks = [_block(i) for i in range(5)]
+def test_mark_many(hbt, ssd):
+    blocks = ssd.store.blocks[:5]
     hbt.mark_many(blocks)
     assert len(hbt) == 5
+    assert [hbt.is_harvested(b.gid) for b in ssd.store.blocks[:6]] == [True] * 5 + [False]
 
 
 def test_footprint_is_one_bit_per_block(hbt):
@@ -43,9 +40,28 @@ def test_footprint_is_one_bit_per_block(hbt):
     assert bits / 8 / (1 << 20) <= 0.5
 
 
-def test_erase_then_hbt_stays_consistent(hbt):
-    block = _block()
+def test_erase_then_hbt_stays_consistent(hbt, ssd):
+    """The table reads the store's column, so a bare erase clears the bit
+    without a ``mark_regular``."""
+    block = ssd.store.blocks[2]
     hbt.mark_harvested(block)
-    block.erase()  # erase clears the block-side flag
-    hbt.mark_regular(block)
-    assert not hbt.is_harvested(block.block_id)
+    block.erase()
+    assert not hbt.is_harvested(block.gid)
+    assert len(hbt) == 0
+
+
+def test_store_restore_is_seen_by_the_table(hbt, ssd):
+    snap = ssd.store.snapshot()
+    hbt.mark_many(ssd.store.blocks[:3])
+    ssd.store.restore(snap)
+    assert len(hbt) == 0
+    assert not hbt.is_harvested(0)
+
+
+def test_table_without_a_store_marks_blocks_and_reads_empty(ssd):
+    table = HarvestedBlockTable()
+    block = ssd.store.blocks[1]
+    table.mark_harvested(block)
+    assert block.harvested_flag is True
+    assert len(table) == 0
+    assert not table.is_harvested(block.gid)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.nets import PolicyValueNet
@@ -134,51 +135,54 @@ def test_finish_path_multiple_segments_accumulate():
     assert _bits(buffer.returns) == _bits(all_ret)
 
 
-# -- event pool -----------------------------------------------------------
+# -- event engine ---------------------------------------------------------
 
-def test_event_pool_preserves_fire_order_under_churn():
-    """Recycled Event objects and heap compaction must not perturb the
-    (time, schedule-order) total order, even under heavy cancel churn."""
+_ENGINE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["schedule", "schedule_at", "run_until"]),
+        st.integers(0, 7),  # coarse times force plenty of (time, seq) ties
+        st.integers(0, 2),  # zero-delay followers the callback schedules
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_ENGINE_OPS)
+def test_engine_fires_in_time_seq_order(ops):
+    """Random ``schedule``/``schedule_at``/``run_until`` mixes, with
+    callbacks scheduling zero-delay followers, fire in sorted
+    ``(time, seq)`` order, each at its own time, and the clock lands on
+    every boundary with exactly the events at or before it fired."""
     sim = Simulator()
-    rng = np.random.default_rng(11)
+    times: list = []  # times[seq]: the engine numbers schedules 0, 1, 2, ...
     fired: list = []
-    expected: list = []
-    serial = 0
-    for _round in range(40):
-        handles = []
-        for _ in range(25):
-            # Coarse times force plenty of (time, seq) ties.
-            delay = float(rng.integers(0, 8))
-            label = serial
-            serial += 1
-            handles.append((sim.schedule(delay, fired.append, label),
-                            sim.now + delay, label))
-        keep = rng.random(len(handles)) > 0.5
-        for (handle, time_us, label), kept in zip(handles, keep):
-            if kept:
-                expected.append((time_us, label))
-            else:
-                handle.cancel()
-        sim.run_until(sim.now + float(rng.integers(1, 6)))
-    sim.run()
-    expected.sort(key=lambda pair: (pair[0], pair[1]))
-    assert fired == [label for _time, label in expected]
-    # The stress must actually exercise the machinery it guards.
-    assert sim.heap_compactions > 0
-    assert len(sim._pool) > 0
 
+    def add(delay, followers, absolute=False):
+        seq = len(times)
+        times.append(sim.now + delay)
+        if absolute:
+            sim.schedule_at(times[seq], on_fire, seq, followers)
+        else:
+            sim.schedule(delay, on_fire, seq, followers)
 
-def test_event_pool_recycles_objects():
-    sim = Simulator()
-    first = sim.schedule(1.0, lambda: None)
+    def on_fire(seq, followers):
+        fired.append((sim.now, seq))
+        for _ in range(followers):
+            add(0.0, followers - 1)
+
+    for kind, value, followers in ops:
+        if kind == "run_until":
+            boundary = sim.now + float(value)
+            sim.run_until(boundary)
+            assert sim.now == boundary
+            done = {seq for _time, seq in fired}
+            assert done == {seq for seq, time in enumerate(times) if time <= boundary}
+        else:
+            add(float(value), followers, absolute=kind == "schedule_at")
     sim.run()
-    recycled = sim.schedule(1.0, lambda: None)
-    assert recycled is first  # same object, pulled back off the free list
-    # A stale handle to the fired event aliases the new one by design;
-    # cancelling *before* recycling must be a no-op on pooled events.
-    sim.run()
-    first.cancel()
-    assert sim.pending_events == 0
+    assert fired == sorted((time, seq) for seq, time in enumerate(times))
+    assert sim.events_processed == len(times) and sim.pending_events == 0
 
 
 # -- cdf-searchsorted sampling --------------------------------------------
