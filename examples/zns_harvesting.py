@@ -13,7 +13,6 @@ Run:  python examples/zns_harvesting.py
 from repro.config import SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
-from repro.ssd.hbt import HarvestedBlockTable
 from repro.virt.gsb import GsbPool
 from repro.virt.vssd import Vssd
 from repro.zns import ZnsHarvestAdapter, ZonedNamespace, ZoneState
@@ -23,13 +22,12 @@ def main() -> None:
     config = SSDConfig()
     sim = Simulator()
     ssd = Ssd(config, sim)
-    hbt = HarvestedBlockTable()
 
     # A zoned tenant on channels 0-7, a block tenant on channels 8-15.
     namespace = ZonedNamespace(
         ssd, owner_id=100, channel_ids=list(range(8)), blocks_per_zone=16
     )
-    ftl = VssdFtl(1, ssd, hbt=hbt)
+    ftl = VssdFtl(1, ssd)
     ftl.adopt_blocks(ssd.allocate_channels(1, list(range(8, 16))))
     block_tenant = Vssd(1, "block-tenant", ftl, list(range(8, 16)))
 
@@ -44,7 +42,7 @@ def main() -> None:
 
     # ...and lends three EMPTY zones into the shared harvest pool.
     pool = GsbPool(config.num_channels)
-    adapter = ZnsHarvestAdapter(namespace, pool, hbt)
+    adapter = ZnsHarvestAdapter(namespace, pool)
     offered = adapter.offer_empty_zones(3)
     print(f"offered {len(offered)} zones as ghost superblocks "
           f"(pool now holds {pool.available()})")

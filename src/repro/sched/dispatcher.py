@@ -5,8 +5,8 @@ state is derived from it).  A :class:`SchedulingPolicy` orders dispatch
 across queues; per-vSSD in-flight page budgets provide backpressure.
 A dispatched request's page operations are served by the vSSD's FTL, one
 completion event fires when the slowest page finishes, and completion
-frees channel slots and re-pumps the queues.  The only other wake-up is a
-retry for a head waiting on its token bucket.
+returns the vSSD's in-flight budget and re-pumps the queues.  The only
+other wake-up is a retry for a head waiting on its token bucket.
 """
 
 from __future__ import annotations
@@ -55,12 +55,13 @@ class IoDispatcher:
         #: cleared by every pump, completion release and unregistration.
         #: While set, a completion's trailing pump would select nothing.
         self._settled = False
+        #: vssd_id -> pages dispatched and not yet completed; the budget
+        #: :meth:`_can_dispatch` reads.
         self._inflight_pages: dict = {}
         self.failed_requests = 0
-        # Dispatch-loop invariants hoisted off the per-request path (the
+        # Dispatch-loop invariant hoisted off the per-request path (the
         # SSD config is fixed for the device's lifetime).
         self._inflight_per_channel = ssd.config.inflight_pages_per_channel
-        self._channels = ssd.channels
         # ``Set_Priority`` exists only on the priority policy; resolved
         # here, not per dispatch.
         self._get_priority = getattr(policy, "get_priority", None)
@@ -224,41 +225,32 @@ class IoDispatcher:
             # ``VssdFtl.write_span``) instead of one FTL round-trip per
             # page.
             if request.op == "write":
-                done, pages_by_channel = ftl.write_span(
-                    request.lpn, request.num_pages, front=front
-                )
+                done = ftl.write_span(request.lpn, request.num_pages, front=front)
             else:
-                done, pages_by_channel = ftl.read_span(
-                    request.lpn, request.num_pages, front=front
-                )
+                done = ftl.read_span(request.lpn, request.num_pages, front=front)
         except OutOfSpaceError:
-            # Slots are acquired only after all pages are placed, so there
-            # is nothing to release here.
+            # The budget is charged only after all pages are placed, so
+            # there is nothing to return here.
             request.failed = True
             request.complete_time = sim.now
             self.failed_requests += 1
             self._notify(request)
             return
-        channels = self._channels
-        for channel_id, pages in pages_by_channel.items():
-            channels[channel_id].outstanding += pages  # inlined acquire()
         self._inflight_pages[vssd_id] = (
             self._inflight_pages.get(vssd_id, 0) + request.num_pages
         )
-        sim.schedule(done - now, self._complete, request, pages_by_channel)
+        sim.schedule(done - now, self._complete, request)
 
-    def _complete(self, request: IoRequest, pages_by_channel: dict) -> None:
-        request.complete_time = self.sim.now
-        channels = self._channels
-        for channel_id, pages in pages_by_channel.items():
-            channel = channels[channel_id]
-            channel.outstanding -= pages  # inlined release()
-            if channel.outstanding < 0:
-                raise RuntimeError(f"channel {channel_id} outstanding went negative")
+    def _complete(self, request: IoRequest) -> None:
         vssd_id = request.vssd_id
         inflight = self._inflight_pages
-        if vssd_id in inflight:
-            inflight[vssd_id] -= request.num_pages
+        left = inflight.get(vssd_id, 0) - request.num_pages
+        if left < 0:
+            # A request completed twice (or never dispatched) would hand
+            # its tenant budget it never charged.
+            raise RuntimeError(f"vSSD {vssd_id} in-flight pages went negative")
+        inflight[vssd_id] = left
+        request.complete_time = self.sim.now
         self._settled = False
         # Inlined _notify() (its cached-tuple leg).
         callbacks = self._notify_cache.get(vssd_id)

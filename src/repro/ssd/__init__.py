@@ -7,19 +7,16 @@ with page-level mapping, and reclaims space with lazy garbage collection.
 """
 
 from repro.ssd.geometry import BlockState, FlashBlock, PagePointer
-from repro.ssd.channel import Channel, ChannelStats
+from repro.ssd.channel import Channel
 from repro.ssd.device import Ssd
 from repro.ssd.ftl import VssdFtl, FtlStats
-from repro.ssd.hbt import HarvestedBlockTable
 
 __all__ = [
     "BlockState",
     "FlashBlock",
     "PagePointer",
     "Channel",
-    "ChannelStats",
     "Ssd",
     "VssdFtl",
     "FtlStats",
-    "HarvestedBlockTable",
 ]

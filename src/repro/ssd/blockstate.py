@@ -111,6 +111,12 @@ class BlockStore:
         self.state: List[BlockState] = [BlockState.FREE] * n_blocks
         self.owner: List[Optional[int]] = [None] * n_blocks
         self.writer: List[Optional[int]] = [None] * n_blocks
+        #: The Harvested Block Table (Section 3.7, Figure 9): one bit per
+        #: block, set for harvested or reclaimed blocks.  GC prefers set
+        #: blocks as victims and copies their valid data back to the
+        #: harvesting vSSD's own blocks; erasing a block clears its bit.
+        #: A device of ``n`` blocks spends ``n`` bits on it (0.5 MB for a
+        #: 1 TB SSD with 4 MB blocks).
         self.harvested: List[bool] = [False] * n_blocks
         self.write_ptr: List[int] = [0] * n_blocks
         self.valid_count: List[int] = [0] * n_blocks

@@ -24,11 +24,15 @@ for the layout and its rationale).  The methods below are the object API
 over those columns; hot loops in the FTL and dispatcher index the flat
 arrays directly.  A channel constructed standalone (tests) builds private
 arrays of the same shape, so the timing math is identical either way.
+
+A channel keeps no counters.  Its state is its columns in those arrays
+plus the ``in_gc`` flag; backpressure is the bus busy horizon
+(:meth:`Channel.has_capacity`) and, in the dispatcher, each vSSD's
+in-flight page budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import SSDConfig
@@ -39,31 +43,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-@dataclass
-class ChannelStats:
-    """Cumulative per-channel counters, used for utilization metrics."""
-
-    pages_read: int = 0
-    pages_written: int = 0
-    gc_pages_migrated: int = 0
-    gc_erases: int = 0
-    busy_us: float = 0.0
-    gc_busy_us: float = 0.0
-
-    def snapshot(self) -> "ChannelStats":
-        """An independent copy of the counters (for windowed deltas)."""
-        return ChannelStats(
-            pages_read=self.pages_read,
-            pages_written=self.pages_written,
-            gc_pages_migrated=self.gc_pages_migrated,
-            gc_erases=self.gc_erases,
-            busy_us=self.busy_us,
-            gc_busy_us=self.gc_busy_us,
-        )
-
-
 class Channel:
-    """One flash channel: chips, blocks, a bus, and outstanding-op limits."""
+    """One flash channel: its blocks, and the object API over its columns.
+
+    Timing and fault state live in ``arrays`` at index ``channel_id``;
+    the channel itself holds only the GC flag and the chip round-robin
+    used by unmapped reads.  ``gid_base`` is the gid of the channel's
+    first block in a device-shared ``store``.
+    """
 
     def __init__(
         self,
@@ -86,7 +73,6 @@ class Channel:
             store = BlockStore(blocks_per_channel, config.pages_per_block)
             gid_base = 0
         self.store = store
-        self.gid_base = gid_base
         self.blocks: list[FlashBlock] = [
             FlashBlock(
                 channel_id,
@@ -104,10 +90,8 @@ class Channel:
         # at their gid offsets.
         store.blocks.extend(self.blocks)
         self._next_write_chip = 0
-        self.outstanding = 0
         self.in_gc = False
         self._gc_until = 0.0
-        self.stats = ChannelStats()
         self._recompute_timing()
 
     def _recompute_timing(self) -> None:
@@ -223,26 +207,6 @@ class Channel:
         horizon = self.config.max_queue_depth * self.config.bus_transfer_us
         return self.busy_horizon_us() < horizon
 
-    def queue_headroom(self) -> int:
-        """How many more pages fit under the busy-horizon queue bound."""
-        if self.offline:
-            return 0
-        remaining = (
-            self.config.max_queue_depth * self.config.bus_transfer_us
-            - self.busy_horizon_us()
-        )
-        return max(0, int(remaining / self.config.bus_transfer_us))
-
-    def acquire(self, pages: int) -> None:
-        """Count ``pages`` as outstanding on this channel."""
-        self.outstanding += pages
-
-    def release(self, pages: int) -> None:
-        """Return ``pages`` previously acquired."""
-        self.outstanding -= pages
-        if self.outstanding < 0:
-            raise RuntimeError(f"channel {self.channel_id} outstanding went negative")
-
     # ------------------------------------------------------------------
     # Page service (timing only; mapping is the FTL's business)
     # ------------------------------------------------------------------
@@ -283,8 +247,6 @@ class Channel:
             arrays.bus_busy[cid] = done
         if done > chip_busy[ci]:
             chip_busy[ci] = done
-        self.stats.pages_read += 1
-        self.stats.busy_us += read_us + xfer_us + extra_us
         return done
 
     def service_write(
@@ -323,8 +285,6 @@ class Channel:
             program_start = xfer_done
         done = program_start + write_us + extra_us
         chip_busy[ci] = done
-        self.stats.pages_written += 1
-        self.stats.busy_us += write_us + xfer_time + extra_us
         return done
 
     def occupy_for_gc(self, chip_id: int, migrate_reads: int, erases: int) -> float:
@@ -350,10 +310,6 @@ class Channel:
         bus_time = migrate_reads * cfg.bus_transfer_us * cfg.gc_bus_share * slowdown
         arrays.bus_busy[cid] = max(self.sim.now, arrays.bus_busy[cid]) + bus_time
         done = max(erase_done, arrays.bus_busy[cid])
-        self.stats.gc_pages_migrated += migrate_reads
-        self.stats.gc_erases += erases
-        self.stats.busy_us += erase_us + bus_time
-        self.stats.gc_busy_us += erase_us + bus_time
         self.in_gc = True
         self._gc_until = max(self._gc_until, done)
         self.sim.schedule(done - self.sim.now, self._maybe_clear_gc)
@@ -365,6 +321,5 @@ class Channel:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"Channel({self.channel_id}, outstanding={self.outstanding}, "
-            f"in_gc={self.in_gc})"
+            f"Channel({self.channel_id}, in_gc={self.in_gc})"
         )

@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.config import SSDConfig
 from repro.ssd.blockstate import BlockStore, ChannelArrays
-from repro.ssd.channel import Channel, ChannelStats
+from repro.ssd.channel import Channel
 from repro.ssd.geometry import BlockState, FlashBlock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,19 +138,6 @@ class Ssd:
     def total_write_bandwidth_mbps(self) -> float:
         """Aggregate nominal write bandwidth of all channels (MB/s)."""
         return self.config.num_channels * self.config.channel_write_bandwidth_mbps
-
-    def aggregate_stats(self) -> ChannelStats:
-        """Device-wide sum of all per-channel counters."""
-        total = ChannelStats()
-        for channel in self.channels:
-            stats = channel.stats
-            total.pages_read += stats.pages_read
-            total.pages_written += stats.pages_written
-            total.gc_pages_migrated += stats.gc_pages_migrated
-            total.gc_erases += stats.gc_erases
-            total.busy_us += stats.busy_us
-            total.gc_busy_us += stats.gc_busy_us
-        return total
 
     def wear_summary(self, vssd_id: Optional[int] = None) -> dict:
         """Erase-wear statistics across blocks (optionally one tenant's).

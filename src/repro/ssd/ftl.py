@@ -38,7 +38,6 @@ import numpy as np
 from repro.config import SSDConfig
 from repro.profiling import PROFILER
 from repro.ssd.geometry import BlockState, FlashBlock, PagePointer
-from repro.ssd.hbt import HarvestedBlockTable
 from repro.ssd.region import WriteRegion
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,13 +78,11 @@ class VssdFtl:
         self,
         vssd_id: int,
         ssd: "Ssd",
-        hbt: Optional[HarvestedBlockTable] = None,
         gc_threshold: Optional[float] = None,
     ) -> None:
         self.vssd_id = vssd_id
         self.ssd = ssd
         self.config: SSDConfig = ssd.config
-        self.hbt = hbt if hbt is not None else HarvestedBlockTable(ssd.store)
         self.gc_threshold = (
             gc_threshold if gc_threshold is not None else self.config.gc_free_block_threshold
         )
@@ -103,7 +100,6 @@ class VssdFtl:
         self._blocks_per_channel = (
             self.config.chips_per_channel * self.config.blocks_per_chip
         )
-        self._chan_stats = [channel.stats for channel in ssd.channels]
         # Sorted own-region channel list for unmapped reads, keyed by the
         # region version (sorted() per unmapped read was measurable).
         self._unmapped_channels: list = []
@@ -296,13 +292,11 @@ class VssdFtl:
     # ------------------------------------------------------------------
     # Host I/O: the fused spans are the only way a host page reaches flash
     # ------------------------------------------------------------------
-    def write_span(self, lpn: int, num_pages: int, front: bool = False) -> tuple:
+    def write_span(self, lpn: int, num_pages: int, front: bool = False) -> float:
         """Write ``num_pages`` consecutive logical pages in one fused pass.
 
-        Returns ``(done_us, pages_by_channel)``: the completion time of
-        the slowest page, and channel id → pages placed there (insertion-
-        ordered by first use) for the dispatcher's per-channel accounting.
-        ``front`` requests priority bus arbitration (Set_Priority HIGH).
+        Returns the completion time of the slowest page (us).  ``front``
+        requests priority bus arbitration (Set_Priority HIGH).
 
         Per page: pick a frontier block, program it, remap the LPN and
         invalidate its previous copy, charge the channel a page program,
@@ -336,7 +330,6 @@ class VssdFtl:
         eff_write = arrays.eff_write_us
         eff_xfer = arrays.eff_xfer_us
         extra_lat = arrays.extra_latency_us
-        chan_stats = self._chan_stats
         chips = self.config.chips_per_channel
         ppb = self.config.pages_per_block
         full_state = BlockState.FULL
@@ -358,7 +351,6 @@ class VssdFtl:
             grow = end - len(l2p_gid)
             l2p_gid.extend([-1] * grow)
             l2p_page.extend([0] * grow)
-        pages_by_channel: dict = {}
         done = now
         host_writes = 0
         try:
@@ -469,13 +461,8 @@ class VssdFtl:
                 extra = extra_lat[channel_id]
                 fin = ps + write_us + extra
                 chip_busy[ci] = fin
-                st = chan_stats[channel_id]
-                st.pages_written += 1
-                st.busy_us += write_us + xfer + extra
                 if fin > done:
                     done = fin
-                cnt = pages_by_channel.get(channel_id)
-                pages_by_channel[channel_id] = 1 if cnt is None else cnt + 1
                 host_writes += 1
                 # -- GC trigger (policy in the docstring) --------------
                 if not self._in_gc:
@@ -503,13 +490,13 @@ class VssdFtl:
             # space counted.
             if host_writes:
                 self.stats.host_writes += host_writes
-        return done, pages_by_channel
+        return done
 
-    def read_span(self, lpn: int, num_pages: int, front: bool = False) -> tuple:
+    def read_span(self, lpn: int, num_pages: int, front: bool = False) -> float:
         """Read ``num_pages`` consecutive logical pages in one fused pass.
 
-        Returns ``(done_us, pages_by_channel)``; see :meth:`write_span`.
-        A mapped page is read where it lives, own or harvested channel
+        Returns the completion time of the slowest page (us).  A mapped
+        page is read where it lives, own or harvested channel
         (``Channel.service_read``, inlined); ``front`` puts its transfer at
         the head of the bus queue.
 
@@ -528,13 +515,11 @@ class VssdFtl:
         eff_read = arrays.eff_read_us
         eff_xfer = arrays.eff_xfer_us
         extra_lat = arrays.extra_latency_us
-        chan_stats = self._chan_stats
         chips = self.config.chips_per_channel
         now = self.ssd.sim.now
         channels = self.ssd.channels
         l2p_gid = self._l2p_gid
         length = len(l2p_gid)
-        pages_by_channel: dict = {}
         done = now
         host_reads = 0
         unmapped = 0
@@ -583,20 +568,15 @@ class VssdFtl:
                     bus_busy[channel_id] = fin
                 if fin > chip_busy[ci]:
                     chip_busy[ci] = fin
-                st = chan_stats[channel_id]
-                st.pages_read += 1
-                st.busy_us += read_us + xfer + extra
                 host_reads += 1
                 if fin > done:
                     done = fin
-                cnt = pages_by_channel.get(channel_id)
-                pages_by_channel[channel_id] = 1 if cnt is None else cnt + 1
         finally:
             if host_reads:
                 self.stats.host_reads += host_reads
             if unmapped:
                 self.stats.unmapped_reads += unmapped
-        return done, pages_by_channel
+        return done
 
     def _own_channels_sorted(self) -> list:
         """Sorted own-region channels, cached by region version."""
@@ -1035,13 +1015,12 @@ class VssdFtl:
         channel = self.ssd.channels[victim.channel_id]
         channel.occupy_for_gc(victim.chip_id, migrate_reads=len(valid), erases=1)
         was_harvested = victim.harvested_flag
-        victim.erase()
-        self.hbt.mark_regular(victim)
+        victim.erase()  # clears the HBT bit
         self.stats.blocks_erased += 1
         if region is not None and region.kind == "harvest":
             if not region.reclaiming:
                 # Live gSB: keep the block harvestable for continued use.
-                self.hbt.mark_harvested(victim)
+                victim.harvested_flag = True
             region.release_erased(victim)
         else:
             if was_harvested and victim.owner != self.vssd_id:
@@ -1131,9 +1110,6 @@ class VssdFtl:
             extra = arrays.extra_latency_us[channel_id]
             ps = chip_busy[ci]
             chip_busy[ci] = (xfer_done if xfer_done > ps else ps) + write_us + extra
-            chan_stats = self._chan_stats[channel_id]
-            chan_stats.pages_written += 1
-            chan_stats.busy_us += write_us + xfer + extra
             self.stats.gc_reads += 1
             self.stats.gc_writes += 1
             if own:

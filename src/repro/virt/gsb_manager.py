@@ -28,7 +28,6 @@ from repro.virt.gsb import GhostSuperblock, GsbPool
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ssd.device import Ssd
     from repro.ssd.geometry import FlashBlock
-    from repro.ssd.hbt import HarvestedBlockTable
     from repro.virt.vssd import Vssd
 
 
@@ -49,10 +48,9 @@ class GsbManagerStats:
 class GsbManager:
     """Owns the gSB pool and executes harvesting state transitions."""
 
-    def __init__(self, ssd: "Ssd", hbt: "HarvestedBlockTable") -> None:
+    def __init__(self, ssd: "Ssd") -> None:
         self.ssd = ssd
         self.config: SSDConfig = ssd.config
-        self.hbt = hbt
         self.pool = GsbPool(self.config.num_channels)
         self.stats = GsbManagerStats()
         self._reclaiming: list = []
@@ -94,7 +92,7 @@ class GsbManager:
         if not blocks:
             return None
         for block in blocks:
-            self.hbt.mark_harvested(block)
+            block.harvested_flag = True
         gsb = GhostSuperblock(n_chls=len(channels), blocks=blocks, home_vssd=home.vssd_id)
         self.pool.insert(gsb)
         home.harvestable_gsbs.append(gsb)
@@ -211,7 +209,7 @@ class GsbManager:
     def _destroy_unused(self, home: "Vssd", gsb: GhostSuperblock) -> None:
         self.pool.remove(gsb)
         for block in gsb.blocks:
-            self.hbt.mark_regular(block)
+            block.harvested_flag = False
         home.ftl.adopt_blocks(gsb.blocks)
         home.harvestable_gsbs.remove(gsb)
         self.stats.gsbs_destroyed_unused += 1
@@ -237,7 +235,7 @@ class GsbManager:
         list empties, the reclaim finalizes.
         """
         home = self._vssd_of(gsb.home_vssd)
-        self.hbt.mark_regular(block)
+        block.harvested_flag = False
         try:
             gsb.blocks.remove(block)
         except ValueError:

@@ -1,11 +1,10 @@
 """The storage virtualization framework tying the pieces together.
 
 :class:`StorageVirtualizer` owns the simulator, the physical SSD, the
-dispatcher, the harvested-block table, the gSB manager, and admission
-control.  It creates hardware-isolated vSSDs (dedicated channels) and
-software-isolated vSSDs (a block slice on shared channels), and handles
-deallocation through a placeholder vSSD that keeps freed resources
-harvestable (Section 3.7).
+dispatcher, the gSB manager, and admission control.  It creates
+hardware-isolated vSSDs (dedicated channels) and software-isolated vSSDs
+(a block slice on shared channels), and handles deallocation through a
+placeholder vSSD that keeps freed resources harvestable (Section 3.7).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.sched.policies import PriorityPolicy, SchedulingPolicy
 from repro.sim.engine import Simulator
 from repro.ssd.device import Ssd
 from repro.ssd.ftl import VssdFtl
-from repro.ssd.hbt import HarvestedBlockTable
 from repro.virt.admission import AdmissionController
 from repro.virt.gsb_manager import GsbManager
 from repro.virt.vssd import Vssd
@@ -41,8 +39,7 @@ class StorageVirtualizer:
         self.ssd = Ssd(self.config, self.sim)
         self.policy = policy or PriorityPolicy()
         self.dispatcher = IoDispatcher(self.sim, self.ssd, self.policy)
-        self.hbt = HarvestedBlockTable(self.ssd.store)
-        self.gsb_manager = GsbManager(self.ssd, self.hbt)
+        self.gsb_manager = GsbManager(self.ssd)
         # Set_Priority reaches the scheduler only under the priority
         # policy.  The policy's own bound method, not one of ours, so
         # admission holds no edge back to the virtualizer.
@@ -81,7 +78,7 @@ class StorageVirtualizer:
         """
         vssd_id = self._next_id
         self._next_id += 1
-        ftl = VssdFtl(vssd_id, self.ssd, hbt=self.hbt)
+        ftl = VssdFtl(vssd_id, self.ssd)
         if isolation == "hardware":
             blocks = self.ssd.allocate_channels(vssd_id, channel_ids)
             if not blocks:
@@ -132,7 +129,7 @@ class StorageVirtualizer:
                         raise RuntimeError("trim_all left valid data behind")
                     if not block.is_free:
                         block.erase()
-                    self.hbt.mark_regular(block)
+                    block.harvested_flag = False
                     block.owner = PLACEHOLDER_VSSD_ID
                     moved.append(block)
         placeholder.ftl.adopt_blocks(moved)
@@ -142,7 +139,7 @@ class StorageVirtualizer:
 
     def _ensure_placeholder(self) -> Vssd:
         if self._placeholder is None:
-            ftl = VssdFtl(PLACEHOLDER_VSSD_ID, self.ssd, hbt=self.hbt)
+            ftl = VssdFtl(PLACEHOLDER_VSSD_ID, self.ssd)
             self._placeholder = Vssd(
                 PLACEHOLDER_VSSD_ID,
                 "placeholder",

@@ -25,7 +25,6 @@ from repro.zns.zone import Zone, ZoneState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ssd.geometry import FlashBlock
-    from repro.ssd.hbt import HarvestedBlockTable
     from repro.virt.vssd import Vssd
 
 
@@ -39,15 +38,9 @@ def zone_to_gsb(zone: Zone, home_id: int) -> GhostSuperblock:
 class ZnsHarvestAdapter:
     """Bridges a zoned namespace into FleetIO's gSB machinery."""
 
-    def __init__(
-        self,
-        namespace: ZonedNamespace,
-        pool: GsbPool,
-        hbt: "HarvestedBlockTable",
-    ) -> None:
+    def __init__(self, namespace: ZonedNamespace, pool: GsbPool) -> None:
         self.namespace = namespace
         self.pool = pool
-        self.hbt = hbt
         #: gsb_id -> zone, for every zone currently lent out or pooled.
         self._lent: dict = {}
         self.zones_offered = 0
@@ -64,7 +57,7 @@ class ZnsHarvestAdapter:
         # FULL zone rejects appends by the ZNS state machine itself.
         zone.finish()
         for block in gsb.blocks:
-            self.hbt.mark_harvested(block)
+            block.harvested_flag = True
         self.pool.insert(gsb)
         self._lent[gsb.gsb_id] = zone
         self.zones_offered += 1
@@ -125,7 +118,7 @@ class ZnsHarvestAdapter:
         if not gsb.in_use:
             self.pool.remove(gsb)
             for block in gsb.blocks:
-                self.hbt.mark_regular(block)
+                block.harvested_flag = False
             gsb.blocks.clear()
             self._finish_return(gsb)
             return
@@ -144,7 +137,7 @@ class ZnsHarvestAdapter:
             harvester.harvested_gsbs.remove(gsb)
 
     def _block_home(self, gsb: GhostSuperblock, block: "FlashBlock") -> None:
-        self.hbt.mark_regular(block)
+        block.harvested_flag = False
         try:
             gsb.blocks.remove(block)
         except ValueError:

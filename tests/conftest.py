@@ -7,7 +7,6 @@ import pytest
 from repro.config import RLConfig, SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
-from repro.ssd.hbt import HarvestedBlockTable
 
 try:  # the CI smoke jobs install pytest without hypothesis
     from hypothesis import settings
@@ -47,13 +46,14 @@ def ssd(small_config, sim) -> Ssd:
 
 
 @pytest.fixture
-def hbt(ssd) -> HarvestedBlockTable:
-    return HarvestedBlockTable(ssd.store)
+def hbt(ssd) -> list:
+    """The device's Harvested Block Table: its ``harvested`` column."""
+    return ssd.store.harvested
 
 
 @pytest.fixture
-def ftl(ssd, hbt) -> VssdFtl:
+def ftl(ssd) -> VssdFtl:
     """An FTL owning channels 0-1 of the small SSD."""
-    ftl = VssdFtl(0, ssd, hbt=hbt)
+    ftl = VssdFtl(0, ssd)
     ftl.adopt_blocks(ssd.allocate_channels(0, [0, 1]))
     return ftl

@@ -61,11 +61,10 @@ def test_bandwidth_levels_round_trip(space):
     from repro.config import SSDConfig
     from repro.ssd import Ssd
     from repro.sim import Simulator
-    from repro.ssd.hbt import HarvestedBlockTable
     from repro.virt.gsb_manager import GsbManager
 
     config = SSDConfig()
-    manager = GsbManager(Ssd(config, Simulator()), HarvestedBlockTable())
+    manager = GsbManager(Ssd(config, Simulator()))
     space = ActionSpace(config.channel_write_bandwidth_mbps)
     for k, index in zip(HARVEST_LEVELS, space.indices_of("harvest")):
         command = space.to_command(index, 0)

@@ -5,7 +5,6 @@ import pytest
 from repro.config import SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
-from repro.ssd.hbt import HarvestedBlockTable
 from repro.virt import StorageVirtualizer
 from repro.virt.actions import HarvestAction, MakeHarvestableAction, SetPriorityAction
 from repro.virt.gsb_manager import GsbManager
@@ -23,11 +22,10 @@ def world():
     )
     sim = Simulator()
     ssd = Ssd(config, sim)
-    hbt = HarvestedBlockTable()
-    manager = GsbManager(ssd, hbt)
+    manager = GsbManager(ssd)
 
     def make_vssd(vssd_id, channels):
-        ftl = VssdFtl(vssd_id, ssd, hbt=hbt)
+        ftl = VssdFtl(vssd_id, ssd)
         ftl.adopt_blocks(ssd.allocate_channels(vssd_id, channels))
         vssd = Vssd(vssd_id, f"v{vssd_id}", ftl, channels)
         manager.register_vssd(vssd)

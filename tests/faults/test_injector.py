@@ -128,7 +128,6 @@ def test_outage_refuses_capacity(virt):
     virt.sim.run_until_seconds(1.5)
     assert channel.offline
     assert not channel.has_capacity()
-    assert channel.queue_headroom() == 0
     virt.sim.run_until_seconds(2.5)
     assert channel.has_capacity()
 

@@ -9,33 +9,40 @@ from repro.virt import StorageVirtualizer
 from repro.virt.actions import HarvestAction, MakeHarvestableAction
 
 
-def _small_world():
+def _small_world(shared: bool = False):
+    """Two tenants on a small device: hardware-isolated on channels 0-1
+    and 2-3, or (``shared``) software-isolated on every channel."""
     config = SSDConfig(
         num_channels=4, chips_per_channel=2, blocks_per_chip=8,
         pages_per_block=16, min_superblock_blocks=2,
     )
     virt = StorageVirtualizer(config=config)
-    a = virt.create_vssd("a", [0, 1])
-    b = virt.create_vssd("b", [2, 3])
+    if shared:
+        every = list(range(config.num_channels))
+        a = virt.create_vssd("a", every, isolation="software", blocks_per_channel=8)
+        b = virt.create_vssd("b", every, isolation="software", blocks_per_channel=8)
+    else:
+        a = virt.create_vssd("a", [0, 1])
+        b = virt.create_vssd("b", [2, 3])
     return config, virt, a, b
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(
-            st.integers(0, 1),          # vssd index
-            st.booleans(),              # read?
-            st.integers(0, 400),        # lpn
-            st.integers(1, 4),          # pages
-        ),
-        min_size=1,
-        max_size=200,
-    )
+_REQUESTS = st.lists(
+    st.tuples(
+        st.integers(0, 1),          # vssd index
+        st.booleans(),              # read?
+        st.integers(0, 400),        # lpn
+        st.integers(1, 4),          # pages
+    ),
+    min_size=1,
+    max_size=200,
 )
-def test_every_submitted_request_completes_exactly_once(ops):
-    """Conservation: submissions == completions, no double-delivery."""
-    config, virt, a, b = _small_world()
+
+
+def _check_completes_exactly_once(ops, shared: bool) -> None:
+    """Conservation: submissions == completions, no double-delivery, and
+    once the device drains every tenant's in-flight budget is whole."""
+    config, virt, a, b = _small_world(shared)
     seen = {}
     virt.dispatcher.add_completion_callback(
         lambda r: seen.__setitem__(r.req_id, seen.get(r.req_id, 0) + 1)
@@ -57,6 +64,20 @@ def test_every_submitted_request_completes_exactly_once(ops):
     virt.sim.run()
     assert len(seen) == submitted
     assert all(count == 1 for count in seen.values())
+    inflight = virt.dispatcher._inflight_pages
+    assert all(inflight.get(v.vssd_id, 0) == 0 for v in (a, b)), inflight
+
+
+@settings(deadline=None)
+@given(ops=_REQUESTS)
+def test_every_submitted_request_completes_exactly_once(ops):
+    _check_completes_exactly_once(ops, shared=False)
+
+
+@settings(deadline=None)
+@given(ops=_REQUESTS)
+def test_every_submitted_request_completes_exactly_once_on_shared_channels(ops):
+    _check_completes_exactly_once(ops, shared=True)
 
 
 @settings(max_examples=10, deadline=None)

@@ -3,9 +3,9 @@
 Before the pump was gated on a backlog counter (``IoDispatcher._queued``),
 ``_pump`` ran on every submit, completion and retry whether or not a
 request was waiting: it asked the policy to ``select`` at least once and
-always evaluated the retry rule afterwards, and ``_complete`` released
-channel slots through ``Channel.release``, fanned out through ``_notify``
-and pumped again.  The retry rule was wider then, too: besides the token
+always evaluated the retry rule afterwards, and ``_complete`` returned
+the vSSD's in-flight budget, fanned out through ``_notify`` and pumped
+again.  The retry rule was wider then, too: besides the token
 wait it armed a wake for when a channel's bus fell back under its
 queue-depth bound, and a one-transfer tick whenever nothing was in flight
 (:func:`arm_capacity_wake`).  With every queue empty those calls do
@@ -96,15 +96,15 @@ def pump_always(dispatcher: IoDispatcher) -> None:
     arm_capacity_wake(dispatcher)
 
 
-def complete_always(
-    dispatcher: IoDispatcher, request: IoRequest, pages_by_channel: dict
-) -> None:
-    """``IoDispatcher._complete`` as it was: release, notify, always pump."""
+def complete_always(dispatcher: IoDispatcher, request: IoRequest) -> None:
+    """``IoDispatcher._complete`` as it was: return the budget, notify,
+    always pump."""
+    inflight = dispatcher._inflight_pages
+    left = inflight.get(request.vssd_id, 0) - request.num_pages
+    if left < 0:
+        raise RuntimeError(f"vSSD {request.vssd_id} in-flight pages went negative")
+    inflight[request.vssd_id] = left
     request.complete_time = dispatcher.sim.now
-    for channel_id, pages in pages_by_channel.items():
-        dispatcher._channels[channel_id].release(pages)
-    if request.vssd_id in dispatcher._inflight_pages:
-        dispatcher._inflight_pages[request.vssd_id] -= request.num_pages
     dispatcher._notify(request)
     dispatcher._pump()
 

@@ -67,6 +67,28 @@ def test_all_requests_eventually_complete(stack):
     assert dispatcher.failed_requests == 0
 
 
+def test_double_completion_raises_and_spares_the_other_budget(stack):
+    """A request completed twice would hand its tenant budget it never
+    charged; the guard sits on the counter admission reads."""
+    sim, _ssd, dispatcher, *_ = stack
+    done = []
+    dispatcher.add_completion_callback(done.append)
+    first = _req(0, pages=2)
+    dispatcher.submit(first)
+    sim.run()
+    assert done == [first]
+    other = _req(1, lpn=8, pages=3)
+    dispatcher.submit(other)
+    assert dispatcher._inflight_pages == {0: 0, 1: 3}
+    with pytest.raises(RuntimeError, match="in-flight"):
+        dispatcher._complete(first)
+    assert dispatcher._inflight_pages == {0: 0, 1: 3}
+    assert done == [first]
+    sim.run()
+    assert done == [first, other]
+    assert dispatcher._inflight_pages == {0: 0, 1: 0}
+
+
 def test_inflight_budget_limits_dispatch(stack, small_config):
     sim, ssd, dispatcher, ftl_a, _ = stack
     budget = small_config.inflight_pages_per_channel * ftl_a.channel_count()

@@ -179,7 +179,6 @@ class Twin:
                 for vssd_id, queue in dispatcher.queues.items()
             },
             "inflight": dict(dispatcher._inflight_pages),
-            "outstanding": [channel.outstanding for channel in self.ssd.channels],
             "bus_busy": [_bits(busy) for busy in self.ssd.arrays.bus_busy],
             "failed": dispatcher.failed_requests,
         }

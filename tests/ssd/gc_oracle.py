@@ -94,13 +94,12 @@ def collect_block_per_page(
         ftl.stats.gc_writes += 1
     channel.occupy_for_gc(victim.chip_id, migrate_reads=len(valid), erases=1)
     was_harvested = victim.harvested_flag
-    victim.erase()
-    ftl.hbt.mark_regular(victim)
+    victim.erase()  # clears the HBT bit
     ftl.stats.blocks_erased += 1
     if region is not None and region.kind == "harvest":
         if not region.reclaiming:
             # Live gSB: keep the block harvestable for continued use.
-            ftl.hbt.mark_harvested(victim)
+            victim.harvested_flag = True
         region.release_erased(victim)
     else:
         if was_harvested and victim.owner != ftl.vssd_id:

@@ -80,8 +80,8 @@ def _maybe_gc(ftl: VssdFtl, channel_id: int) -> None:
             break
 
 
-def write_page(ftl: VssdFtl, lpn: int, front: bool = False) -> tuple:
-    """Write one logical page; returns ``(completion_time_us, channel_id)``."""
+def write_page(ftl: VssdFtl, lpn: int, front: bool = False) -> float:
+    """Write one logical page; returns its completion time (us)."""
     l2p_gid = ftl._l2p_gid
     l2p_page = ftl._l2p_page
     if lpn >= len(l2p_gid):
@@ -103,10 +103,10 @@ def write_page(ftl: VssdFtl, lpn: int, front: bool = False) -> tuple:
     done = ftl.ssd.channels[channel_id].service_write(block.chip_id, front=front)
     ftl.stats.host_writes += 1
     _maybe_gc(ftl, channel_id)
-    return done, channel_id
+    return done
 
 
-def _read_unmapped(ftl: VssdFtl) -> tuple:
+def _read_unmapped(ftl: VssdFtl) -> float:
     """Serve a read of a never-written LPN from an owned channel."""
     channel_ids = ftl.own_region.channels() or ftl.write_channels()
     if not channel_ids:
@@ -119,24 +119,24 @@ def _read_unmapped(ftl: VssdFtl) -> tuple:
     done = channel.service_read(chip_id)  # never ``front``
     ftl.stats.unmapped_reads += 1
     ftl.stats.host_reads += 1
-    return done, channel_id
+    return done
 
 
-def read_page(ftl: VssdFtl, lpn: int, front: bool = False) -> tuple:
-    """Read one logical page; returns ``(completion_time_us, channel_id)``."""
+def read_page(ftl: VssdFtl, lpn: int, front: bool = False) -> float:
+    """Read one logical page; returns its completion time (us)."""
     pointer = ftl.page_location(lpn)
     if pointer is None:
         return _read_unmapped(ftl)
     block = pointer.block
     done = ftl.ssd.channels[block.channel_id].service_read(block.chip_id, front=front)
     ftl.stats.host_reads += 1
-    return done, block.channel_id
+    return done
 
 
-def span(ftl: VssdFtl, op: str, lpn: int, num_pages: int, front: bool = False) -> tuple:
+def span(ftl: VssdFtl, op: str, lpn: int, num_pages: int, front: bool = False) -> float:
     """One request the way the dispatcher served it before the spans: a
     ``write_page`` / ``read_page`` call per page, folded into the
-    ``(done_us, pages_by_channel)`` a span returns."""
+    completion time of the slowest page, as a span returns."""
     page_io = write_page if op == "write" else read_page
     if op == "write" and lpn + num_pages > len(ftl._l2p_gid):
         # ``write_span`` sizes the map for the whole span up front; match
@@ -145,10 +145,8 @@ def span(ftl: VssdFtl, op: str, lpn: int, num_pages: int, front: bool = False) -
         ftl._l2p_gid.extend([-1] * grow)
         ftl._l2p_page.extend([0] * grow)
     done = ftl.ssd.sim.now
-    pages_by_channel: dict = {}
     for cur in range(lpn, lpn + num_pages):
-        page_done, channel_id = page_io(ftl, cur, front)
+        page_done = page_io(ftl, cur, front)
         if page_done > done:
             done = page_done
-        pages_by_channel[channel_id] = pages_by_channel.get(channel_id, 0) + 1
-    return done, pages_by_channel
+    return done

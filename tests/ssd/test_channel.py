@@ -91,12 +91,6 @@ def test_has_capacity_false_past_horizon(channel, cfg):
     assert channel.busy_horizon_us() >= cfg.max_queue_depth * cfg.bus_transfer_us
 
 
-def test_queue_headroom_decreases(channel):
-    start = channel.queue_headroom()
-    channel.service_write(0)
-    assert channel.queue_headroom() < start
-
-
 def test_gc_occupies_chip_and_sets_flag(channel, cfg):
     done = channel.occupy_for_gc(0, migrate_reads=4, erases=1)
     assert channel.in_gc is True
@@ -119,20 +113,3 @@ def test_background_write_discounts_bus(cfg):
     b.service_write(0)
     assert a.arrays.bus_busy[0] < b.arrays.bus_busy[0]
 
-
-def test_stats_accumulate(channel):
-    channel.service_read(0)
-    channel.service_write(1)
-    channel.occupy_for_gc(0, migrate_reads=2, erases=1)
-    assert channel.stats.pages_read == 1
-    assert channel.stats.pages_written == 1
-    assert channel.stats.gc_pages_migrated == 2
-    assert channel.stats.gc_erases == 1
-    assert channel.stats.gc_busy_us > 0
-
-
-def test_release_below_zero_raises(channel):
-    channel.acquire(2)
-    channel.release(2)
-    with pytest.raises(RuntimeError):
-        channel.release(1)

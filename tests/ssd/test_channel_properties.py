@@ -1,6 +1,5 @@
 """Property tests for channel timing under random operation mixes."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SSDConfig
@@ -24,9 +23,8 @@ def test_timing_invariants(ops):
 
     * completions respect the physical service floor;
     * per-chip busy horizons never go backwards;
-    * the charged busy time (``stats.busy_us``) exactly accounts every
-      operation's read/write/transfer components, including the GC
-      background discount;
+    * each chip's horizon is at least the sense/program work charged to
+      that chip;
     * the bus horizon is at least the charged transfer work (nothing
       rides for free) — idle gaps may push it later, never earlier.
     """
@@ -34,30 +32,31 @@ def test_timing_invariants(ops):
     sim = Simulator()
     channel = Channel(0, config, sim)
     last_chip_done = {}
-    expected_busy = 0.0
+    chip_work = {}
     expected_transfer_work = 0.0
     floor_read = config.page_read_us + config.bus_transfer_us
     for op, chip in ops:
         if op in ("read", "front_read"):
             done = channel.service_read(chip, front=op.startswith("front"))
             assert done >= floor_read - 1e-9
-            expected_busy += config.page_read_us + config.bus_transfer_us
+            chip_work[chip] = chip_work.get(chip, 0.0) + config.page_read_us
             expected_transfer_work += config.bus_transfer_us
         elif op in ("write", "front_write"):
             done = channel.service_write(chip, front=op.startswith("front"))
             assert done >= config.bus_transfer_us + config.page_write_us - 1e-9
-            expected_busy += config.page_write_us + config.bus_transfer_us
+            chip_work[chip] = chip_work.get(chip, 0.0) + config.page_write_us
             expected_transfer_work += config.bus_transfer_us
         else:
             done = channel.service_write(chip, background=True)
             charged = config.bus_transfer_us * config.gc_bus_share
-            expected_busy += config.page_write_us + charged
+            chip_work[chip] = chip_work.get(chip, 0.0) + config.page_write_us
             expected_transfer_work += charged
         assert done > 0
         if chip in last_chip_done:
             assert channel.arrays.chip_busy[chip] >= last_chip_done[chip] - 1e-9
         last_chip_done[chip] = channel.arrays.chip_busy[chip]
-    assert channel.stats.busy_us == pytest.approx(expected_busy)
+    for chip, work in chip_work.items():
+        assert channel.arrays.chip_busy[chip] >= work - 1e-9
     assert channel.arrays.bus_busy[0] >= expected_transfer_work - 1e-9
 
 

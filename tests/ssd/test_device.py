@@ -67,14 +67,6 @@ def test_total_bandwidth_scales_with_channels(ssd, small_config):
     )
 
 
-def test_aggregate_stats_sums_channels(ssd):
-    ssd.channels[0].service_read(0)
-    ssd.channels[1].service_write(0)
-    agg = ssd.aggregate_stats()
-    assert agg.pages_read == 1
-    assert agg.pages_written == 1
-
-
 def test_any_in_gc_scoped_to_channels(ssd):
     ssd.channels[2].occupy_for_gc(0, migrate_reads=1, erases=1)
     assert ssd.any_in_gc([2]) is True

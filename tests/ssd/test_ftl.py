@@ -11,12 +11,22 @@ from repro.ssd.region import WriteRegion
 from tests.test_hotpath_equivalence import _ftl_state
 
 
+def _channels_of(ftl, lpns) -> set:
+    """The channels the given LPNs are mapped to."""
+    return {ftl.page_location(lpn).block.channel_id for lpn in lpns}
+
+
 def test_write_then_read_same_page(ftl):
     ftl.write_span(42, 1)
     pointer = ftl.page_location(42)
     assert pointer is not None
-    _done, pages_by_channel = ftl.read_span(42, 1)
-    assert pages_by_channel == {pointer.block.channel_id: 1}
+    bus_busy = ftl.ssd.arrays.bus_busy
+    before = list(bus_busy)
+    done = ftl.read_span(42, 1)
+    # Only the page's own channel is charged, and the read ends its bus.
+    moved = [c for c, horizon in enumerate(bus_busy) if horizon != before[c]]
+    assert moved == [pointer.block.channel_id]
+    assert done == bus_busy[pointer.block.channel_id]
 
 
 def test_overwrite_invalidates_old_page(ftl):
@@ -29,8 +39,8 @@ def test_overwrite_invalidates_old_page(ftl):
 
 
 def test_writes_stripe_across_channels(ftl):
-    _done, pages_by_channel = ftl.write_span(0, 16)
-    assert set(pages_by_channel) == {0, 1}
+    ftl.write_span(0, 16)
+    assert _channels_of(ftl, range(16)) == {0, 1}
 
 
 def test_writes_stripe_across_chips(ftl, ssd):
@@ -41,7 +51,7 @@ def test_writes_stripe_across_chips(ftl, ssd):
 
 
 def test_unmapped_read_serviced(ftl):
-    done, _pages_by_channel = ftl.read_span(999, 1)
+    done = ftl.read_span(999, 1)
     assert done > 0
     assert ftl.stats.unmapped_reads == 1
 
@@ -125,7 +135,7 @@ def test_surrender_more_than_available(ftl, small_config):
     assert len(taken) == available
 
 
-def test_channel_count_includes_harvest_regions(ftl, ssd, hbt):
+def test_channel_count_includes_harvest_regions(ftl, ssd):
     assert ftl.channel_count() == 2
     blocks = ssd.allocate_channels(9, [2])
     region = WriteRegion("gsb:test", kind="harvest")
@@ -151,14 +161,14 @@ def test_writes_flow_into_harvest_region(ftl, ssd):
     region = WriteRegion("gsb:test", kind="harvest")
     region.add_blocks(blocks[:4])
     ftl.add_harvest_region(region)
-    _done, pages_by_channel = ftl.write_span(0, 30)
-    assert 3 in pages_by_channel
+    ftl.write_span(0, 30)
+    assert 3 in _channels_of(ftl, range(30))
     # Data written into the harvest region carries the writer's id.
     used = [b for b in blocks[:4] if not b.is_free]
     assert used and all(b.writer == ftl.vssd_id for b in used)
 
 
-def test_recycle_returns_blocks_to_their_own_region(ftl, ssd, hbt):
+def test_recycle_returns_blocks_to_their_own_region(ftl, ssd):
     """Recycling one harvest region leaves a co-channel sibling intact.
 
     Regression: victims used to be every block the vSSD wrote with the
@@ -171,7 +181,7 @@ def test_recycle_returns_blocks_to_their_own_region(ftl, ssd, hbt):
     r2 = WriteRegion("gsb:2", kind="harvest")
     r2.add_blocks(blocks[2:4])
     for block in blocks[:4]:
-        hbt.mark_harvested(block)
+        block.harvested_flag = True
     ftl.add_harvest_region(r1)
     ftl.add_harvest_region(r2)
     # Exhaust r1 on the shared channel, then invalidate everything so its
@@ -195,8 +205,8 @@ def test_reclaiming_region_not_written(ftl, ssd):
     region.add_blocks(blocks[:4])
     region.reclaiming = True
     ftl.add_harvest_region(region)
-    _done, pages_by_channel = ftl.write_span(0, 30)
-    assert 3 not in pages_by_channel
+    ftl.write_span(0, 30)
+    assert 3 not in _channels_of(ftl, range(30))
 
 
 class TestWriteRegion:

@@ -9,9 +9,8 @@ own), clock advances, and explicit ``run_gc`` / ``_urgent_gc`` /
 each, and every operation must return or raise the same thing and leave
 *everything* mutable equal: ``_ftl_state`` (block columns, page matrix,
 L2P, region deque orders and versions, stats, and the float *bits* of
-``bus_busy``, ``chip_busy`` and ``ChannelStats.busy_us``) plus the
-channels' GC flags, the scheduled-event count, the HBT and the blocks
-released to their home.  Example counts come from the active hypothesis
+``bus_busy`` and ``chip_busy``) plus the channels' GC flags, the
+scheduled-event count and the blocks released to their home.  Example counts come from the active hypothesis
 profile (``--hypothesis-profile ci`` in CI: derandomized, 300 examples).
 """
 
@@ -25,7 +24,6 @@ from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
 from repro.ssd.region import WriteRegion
 from repro.ssd.geometry import BlockState
-from repro.ssd.hbt import HarvestedBlockTable
 from tests.ssd.gc_oracle import use_per_page_gc
 from tests.test_hotpath_equivalence import _bits, _ftl_state
 
@@ -47,7 +45,7 @@ class Twin:
         )
         self.sim = Simulator()
         self.ssd = Ssd(config, self.sim)
-        self.ftl = VssdFtl(0, self.ssd, hbt=HarvestedBlockTable())
+        self.ftl = VssdFtl(0, self.ssd)
         self.ftl.adopt_blocks(self.ssd.allocate_channels(0, OWN_CHANNELS))
         self.per_page_gc = per_page_gc
         if per_page_gc:
@@ -68,7 +66,8 @@ class Twin:
                     name, kind="harvest", purpose=purpose, max_open_per_channel=2,
                     on_block_released=lambda block: self.released.append(block.gid),
                 )
-                self.ftl.hbt.mark_many(blocks)
+                for block in blocks:
+                    block.harvested_flag = True
                 region.add_blocks(blocks)
                 self.ftl.add_harvest_region(region)
                 self.regions.append((region, blocks))

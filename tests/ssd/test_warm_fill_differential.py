@@ -50,7 +50,7 @@ def _attach_harvest_regions(ftl) -> None:
         donated = ftl.ssd.allocate_channels(9, [channel_id])[:3]
         region = WriteRegion(f"gsb:{channel_id}", kind="harvest", max_open_per_channel=2)
         for block in donated:
-            ftl.hbt.mark_harvested(block)
+            block.harvested_flag = True
         region.add_blocks(donated)
         region.reclaiming = reclaiming
         ftl.add_harvest_region(region)

@@ -209,7 +209,6 @@ def test_zipf_sample_matches_generator_choice():
 def _twin_ftls(**config_overrides):
     from repro.config import SSDConfig
     from repro.ssd import Ssd, VssdFtl
-    from repro.ssd.hbt import HarvestedBlockTable
 
     config = SSDConfig(
         num_channels=4,
@@ -223,7 +222,7 @@ def _twin_ftls(**config_overrides):
     for _ in range(2):
         sim = Simulator()
         ssd = Ssd(config, sim)
-        ftl = VssdFtl(0, ssd, hbt=HarvestedBlockTable())
+        ftl = VssdFtl(0, ssd)
         ftl.adopt_blocks(ssd.allocate_channels(0, [0, 1]))
         twins.append((sim, ftl))
     return twins
@@ -258,11 +257,6 @@ def _ftl_state(ftl):
             stats.gc_reads, stats.gc_writes, stats.gc_runs,
             stats.blocks_erased,
         ),
-        "chan_stats": [
-            (s.pages_read, s.pages_written, s.gc_pages_migrated,
-             s.gc_erases, _bits([s.busy_us]), _bits([s.gc_busy_us]))
-            for s in ftl._chan_stats
-        ],
     }
 
 

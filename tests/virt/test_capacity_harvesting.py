@@ -6,7 +6,6 @@ from repro.config import SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
 from repro.ssd.ftl import OutOfSpaceError
-from repro.ssd.hbt import HarvestedBlockTable
 from repro.virt.gsb_manager import GsbManager
 from repro.virt.vssd import Vssd
 
@@ -21,11 +20,10 @@ def world():
         min_superblock_blocks=4,
     )
     ssd = Ssd(config, Simulator())
-    hbt = HarvestedBlockTable()
-    manager = GsbManager(ssd, hbt)
+    manager = GsbManager(ssd)
 
     def make(vssd_id, channels):
-        ftl = VssdFtl(vssd_id, ssd, hbt=hbt)
+        ftl = VssdFtl(vssd_id, ssd)
         ftl.adopt_blocks(ssd.allocate_channels(vssd_id, channels))
         vssd = Vssd(vssd_id, f"v{vssd_id}", ftl, channels)
         manager.register_vssd(vssd)

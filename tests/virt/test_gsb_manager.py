@@ -8,7 +8,6 @@ import pytest
 from repro.config import SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
-from repro.ssd.hbt import HarvestedBlockTable
 from repro.virt.gsb_manager import GsbManager
 from repro.virt.vssd import Vssd
 
@@ -24,11 +23,10 @@ def world():
     )
     sim = Simulator()
     ssd = Ssd(config, sim)
-    hbt = HarvestedBlockTable()
-    manager = GsbManager(ssd, hbt)
+    manager = GsbManager(ssd)
 
     def make_vssd(vssd_id, channels):
-        ftl = VssdFtl(vssd_id, ssd, hbt=hbt)
+        ftl = VssdFtl(vssd_id, ssd)
         ftl.adopt_blocks(ssd.allocate_channels(vssd_id, channels))
         vssd = Vssd(vssd_id, f"v{vssd_id}", ftl, channels)
         manager.register_vssd(vssd)
@@ -141,9 +139,9 @@ def test_lazy_reclaim_of_in_use_gsb(world):
     lpn = 50_000
     wrote = 0
     while wrote < config.pages_per_block:
-        _done, pages_by_channel = harvester.ftl.write_span(lpn, 1)
+        harvester.ftl.write_span(lpn, 1)
+        wrote += harvester.ftl.page_location(lpn).block.channel_id == target_channel
         lpn += 1
-        wrote += pages_by_channel.get(target_channel, 0)
     free_before = home.ftl.own_region.free_block_count()
     capacity = gsb.capacity_blocks
     manager.reclaim_excess(home, 0)

@@ -39,11 +39,20 @@ def test_no_unowned_blocks_rejected(world):
 
 
 def test_append_charges_channel_time(world):
-    _config, sim, ssd, ns = world
+    config, sim, ssd, ns = world
     done = ns.append(0, pages=4)
     assert done > 0
     assert ns.zone(0).write_pointer == 4
-    assert ssd.channels[ns.zone(0).channel_id].stats.pages_written == 4
+    # The clock never moved: four transfers sit on the zone's bus and
+    # four programs on its chips, and the append ends with the last one.
+    channel_id = ns.zone(0).channel_id
+    arrays = ssd.arrays
+    cpc = config.chips_per_channel
+    chips = arrays.chip_busy[channel_id * cpc:(channel_id + 1) * cpc]
+    assert arrays.bus_busy[channel_id] >= 4 * config.bus_transfer_us - 1e-9
+    assert sum(chips) >= 4 * config.page_write_us - 1e-9
+    assert done == max(chips)
+    assert not any(arrays.bus_busy[c] for c in range(config.num_channels) if c != channel_id)
 
 
 def test_append_is_strictly_sequential(world):
