@@ -244,8 +244,8 @@ class FastFleetEnv:
         t0, t1 = self.time_s, self.time_s + window_s
         self.time_s = t1
         stats = []
-        shared_out = self.harvested.sum(axis=0)  # channels lent, per home
-        shared_in = self.harvested.sum(axis=1)   # channels borrowed, per harvester
+        shared_out = self.harvested.sum(axis=0).tolist()  # channels lent, per home
+        shared_in = self.harvested.sum(axis=1).tolist()   # channels borrowed, per harvester
         # Scratch-buffer refills: each element stores the same python
         # float the old list-comprehension + np.array path produced, so
         # the window arithmetic (and telemetry digests) are unchanged.
@@ -270,22 +270,31 @@ class FastFleetEnv:
                 capacities[i] *= fault_fx[i][0]
         achieved = np.minimum(demands, np.maximum(capacities, 1e-6))
         utilizations = achieved / np.maximum(capacities, 1e-6)
+        # Python floats and ints for the per-agent loop: indexing a numpy
+        # array per agent pair yields numpy scalars, whose arithmetic
+        # rounds identically but costs several times a float's.
+        demands_l = demands.tolist()
+        capacities_l = capacities.tolist()
+        achieved_l = achieved.tolist()
+        utilizations_l = utilizations.tolist()
+        harvested_l = self.harvested.tolist()
+        offered_l = self.offered.tolist()
         for i in range(self.n):
             spec = self.specs[i]
-            congestion = float(utilizations[i])
-            overhang = float(demands[i] / max(capacities[i], 1e-6))
+            congestion = utilizations_l[i]
+            overhang = demands_l[i] / max(capacities_l[i], 1e-6)
             # Foreign traffic flowing through my channels: each channel a
             # harvester borrowed from me carries up to HARVEST_SHARE of a
             # channel's bandwidth, scaled by how hard the harvester is
             # actually driving its capacity.
             foreign_bw = 0.0
             for h in range(self.n):
-                if self.harvested[h, i] > 0:
+                if harvested_l[h][i] > 0:
                     foreign_bw += (
                         HARVEST_SHARE
                         * effective_bw
-                        * float(self.harvested[h, i])
-                        * float(utilizations[h])
+                        * float(harvested_l[h][i])
+                        * utilizations_l[h]
                     )
             foreign = foreign_bw / max(spec.channels * effective_bw, 1e-6)
             tail = BASE_TAIL_US * (
@@ -312,24 +321,24 @@ class FastFleetEnv:
                 queue_delay = max(overhang - 1.0, 0.0) * BI_QDELAY_SCALE_US + tail
                 avg_lat = queue_delay + 4.0 * BASE_TAIL_US
                 lat_for_slo = avg_lat
-            violation = float(
-                np.clip(0.6 * (lat_for_slo / spec.slo_latency_us - 1.0), 0.0, 1.0)
+            violation = min(
+                max(0.6 * (lat_for_slo / spec.slo_latency_us - 1.0), 0.0), 1.0
             )
             mean_io_bytes = spec.workload.mean_io_pages * self.ssd_config.page_size
-            iops = achieved[i] * 1024.0 * 1024.0 / max(mean_io_bytes, 1.0)
+            iops = achieved_l[i] * 1024.0 * 1024.0 / max(mean_io_bytes, 1.0)
             stats.append(
                 WindowStats(
                     vssd_id=i,
                     window_start_s=t0,
                     window_end_s=t1,
-                    avg_bw_mbps=float(achieved[i]),
+                    avg_bw_mbps=achieved_l[i],
                     avg_iops=float(iops),
                     avg_latency_us=float(avg_lat),
                     slo_violation_frac=violation,
                     queue_delay_us=float(queue_delay),
                     rw_ratio=spec.workload.read_ratio,
-                    avail_capacity_frac=float(
-                        np.clip(0.5 - 0.05 * self.offered[i], 0.05, 1.0)
+                    avail_capacity_frac=min(
+                        max(0.5 - 0.05 * offered_l[i], 0.05), 1.0
                     ),
                     in_gc=in_gc,
                     cur_priority=int(self.priority[i]),

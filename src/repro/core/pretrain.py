@@ -135,6 +135,7 @@ def apply_reward_ablation(
 
 
 def _collect_scalar(
+    net: PolicyValueNet,
     policy: CategoricalPolicy,
     rng: np.random.Generator,
     rl_config: RLConfig,
@@ -144,7 +145,8 @@ def _collect_scalar(
     interference_coef: float,
     alpha_override: Optional[float],
 ) -> Tuple[List[RolloutBuffer], List[float]]:
-    """Reference rollout collection: one scalar env at a time."""
+    """Reference rollout collection: one scalar env at a time, one
+    batched forward per window over that env's agents."""
     buffers: List[RolloutBuffer] = []
     episode_rewards: List[float] = []
     collected = 0
@@ -161,29 +163,46 @@ def _collect_scalar(
             interference_coef=interference_coef,
         )
         states = env.reset()
-        traj: Dict[int, RolloutBuffer] = {
-            i: RolloutBuffer(rl_config.discount_factor, rl_config.gae_lambda)
-            for i in states
-        }
+        windows: List[Tuple[np.ndarray, ...]] = []
         done = False
         while not done:
-            actions: Dict[int, int] = {}
-            meta: Dict[int, Tuple[np.ndarray, int, float, float]] = {}
-            for i, state in states.items():
-                action, logp, value = policy.act(state, rng)
-                actions[i] = action
-                meta[i] = (state, action, logp, value)
-            states, rewards, done, _info = env.step(actions)
-            for i, (state, action, logp, value) in meta.items():
-                traj[i].add(state, action, logp, rewards[i], value)
+            # One batched forward and one rng.random(M) per window: the M
+            # uniforms are the draws M per-agent act() calls consumed, in
+            # agent order and ahead of env.step's own draws.
+            ids = list(states)
+            batch = np.array([states[i] for i in ids], dtype=np.float64)
+            logits, values = net.forward_batch(batch)
+            actions, logps = policy.sample_batch(logits, rng.random(len(ids)))
+            states, rewards, done, _info = env.step(dict(zip(ids, actions.tolist())))
+            windows.append(
+                (batch, actions, logps, np.array([rewards[i] for i in ids]), values)
+            )
             episode_rewards.append(float(np.mean(list(rewards.values()))))
-            collected += len(actions)
+            collected += len(ids)
             PROFILER.count("pretrain.windows")
-            PROFILER.count("pretrain.transitions", len(actions))
-        for buf in traj.values():
-            buf.finish_path(0.0)
-            buffers.append(buf)
+            PROFILER.count("pretrain.transitions", len(ids))
+        buffers.extend(_agent_buffers(windows, rl_config))
     return buffers, episode_rewards
+
+
+def _agent_buffers(
+    windows: List[Tuple[np.ndarray, ...]], rl_config: RLConfig
+) -> List[RolloutBuffer]:
+    """One finished buffer per agent from an episode's window batches.
+
+    ``windows`` holds one ``(states, actions, log_probs, rewards,
+    values)`` tuple of arrays per window, one row per agent in a fixed
+    order; agent ``m``'s buffer takes row ``m`` of every window in one
+    ``add_batch`` (bit-identical to per-step ``add``).
+    """
+    columns = [np.stack(field) for field in zip(*windows)]  # (T, M, ...)
+    buffers = []
+    for m in range(columns[1].shape[1]):
+        buf = RolloutBuffer(rl_config.discount_factor, rl_config.gae_lambda)
+        buf.add_batch(*(column[:, m] for column in columns))
+        buf.finish_path(0.0)
+        buffers.append(buf)
+    return buffers
 
 
 def collect_vector_episode(
@@ -196,58 +215,32 @@ def collect_vector_episode(
     """Run one episode of a lockstep env fleet under a shared policy.
 
     Per window, one ``forward_batch`` over every live agent's state
-    replaces per-agent ``forward`` calls; each agent then samples from
-    its own logits row with its own stream spawned from ``act_seq``
-    (``act_from_logits``, bit-identical to the unbatched ``act``).
+    replaces per-agent ``forward`` calls; each agent draws one uniform
+    from its own stream spawned from ``act_seq``, and one inverse CDF
+    over the whole logits batch turns them into actions
+    (``sample_batch``, bit-identical to per-agent ``act_from_logits``).
     Returns one finished :class:`~repro.rl.buffer.RolloutBuffer` per
     agent, env-major, filled by a single ``add_batch``, and each
     window's ``(K, n_max)`` reward array.
     """
-    pairs = [
-        (k, i)
-        for k in range(env.num_envs)
-        for i in range(int(env.n_per_env[k]))
-    ]
     act_rngs = [
-        np.random.default_rng(child) for child in act_seq.spawn(len(pairs))
+        np.random.default_rng(child) for child in act_seq.spawn(env.num_agents)
     ]
     states = env.reset()
-    traj_states: List[List[np.ndarray]] = [[] for _ in pairs]
-    traj_actions: List[List[int]] = [[] for _ in pairs]
-    traj_logps: List[List[float]] = [[] for _ in pairs]
-    traj_rewards: List[List[float]] = [[] for _ in pairs]
-    traj_values: List[List[float]] = [[] for _ in pairs]
+    windows: List[Tuple[np.ndarray, ...]] = []
     window_rewards: List[np.ndarray] = []
     done = False
     while not done:
-        flat = states[env.mask]  # (agents, state_dim), pair order
+        flat = states[env.mask]  # (agents, state_dim), env-major
         logits, values = net.forward_batch(flat)
+        uniforms = np.array([act_rng.random() for act_rng in act_rngs])
+        actions, logps = policy.sample_batch(logits, uniforms)
         padded = np.zeros((env.num_envs, env.n_max), dtype=np.int64)
-        for m, (k, i) in enumerate(pairs):
-            action, logp, value = policy.act_from_logits(
-                logits[m], float(values[m]), act_rngs[m]
-            )
-            padded[k, i] = action
-            traj_states[m].append(flat[m])
-            traj_actions[m].append(action)
-            traj_logps[m].append(logp)
-            traj_values[m].append(value)
+        padded[env.mask] = actions
         states, rewards, done, _info = env.step(padded)
-        for m, (k, i) in enumerate(pairs):
-            traj_rewards[m].append(float(rewards[k, i]))
+        windows.append((flat, actions, logps, rewards[env.mask], values))
         window_rewards.append(rewards)
-    buffers: List[RolloutBuffer] = []
-    for m in range(len(pairs)):
-        buf = RolloutBuffer(rl_config.discount_factor, rl_config.gae_lambda)
-        buf.add_batch(
-            np.asarray(traj_states[m], dtype=np.float64),
-            traj_actions[m],
-            traj_logps[m],
-            traj_rewards[m],
-            traj_values[m],
-        )
-        buf.finish_path(0.0)
-        buffers.append(buf)
+    buffers = _agent_buffers(windows, rl_config)
     return buffers, window_rewards
 
 
@@ -388,6 +381,7 @@ def pretrain(
             )
         else:
             buffers, episode_rewards = _collect_scalar(
+                net,
                 policy,
                 rng,
                 rl_config,
@@ -525,7 +519,13 @@ def _evaluate_greedy(
         states = env.reset()
         done = False
         while not done:
-            actions = {i: policy.act_deterministic(s) for i, s in states.items()}
+            # One forward_batch per window (bit-identical rows, so the
+            # argmax equals per-agent act_deterministic).
+            ids = list(states)
+            logits, _values = policy.net.forward_batch(
+                np.array([states[i] for i in ids], dtype=np.float64)
+            )
+            actions = dict(zip(ids, np.argmax(logits, axis=1).tolist()))
             states, rewards, done, _info = env.step(actions)
             totals.append(float(np.mean(list(rewards.values()))))
     return float(np.mean(totals))

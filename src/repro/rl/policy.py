@@ -18,6 +18,37 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
+def inverse_cdf(probs: np.ndarray, u: float) -> int:
+    """The action ``rng.choice(len(probs), p=probs)`` picks for uniform ``u``.
+
+    ``Generator.choice`` with ``p`` draws one ``rng.random()``, normalises
+    the cumulative sum of ``p`` by its last entry and returns
+    ``searchsorted(u, side="right")`` on it; this is that computation
+    without the call's argument checks, so the caller draws ``u`` itself
+    (one ``rng.random()``, the same stream position).
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    if cdf[-1] != 1.0:  # x / x is exactly 1 unless the sum is 0 or NaN
+        raise ValueError("probabilities do not form a distribution")
+    return int(cdf.searchsorted(u, side="right"))
+
+
+def inverse_cdf_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """:func:`inverse_cdf` for every row of an ``(M, A)`` batch at once.
+
+    On a non-decreasing CDF, ``searchsorted(u, side="right")`` is the
+    number of entries at or below ``u``, which one comparison counts for
+    all rows; each row's cumulative sum is the same sequential sum a 1-D
+    ``cumsum`` takes.
+    """
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    if not (cdf[:, -1] == 1.0).all():
+        raise ValueError("probabilities do not form a distribution")
+    return (cdf <= uniforms[:, None]).sum(axis=1)
+
+
 class CategoricalPolicy:
     """Samples discrete actions and reports log-probabilities/values."""
 
@@ -36,7 +67,7 @@ class CategoricalPolicy:
         """
         logits, values, _ = self.net.forward(state)
         probs = softmax(logits)[0]
-        action = int(rng.choice(self.num_actions, p=probs))
+        action = inverse_cdf(probs, rng.random())
         logp = float(np.log(max(probs[action], 1e-12)))
         return action, logp, float(values[0])
 
@@ -47,13 +78,28 @@ class CategoricalPolicy:
 
         Bit-identical to :meth:`act`: log-softmax on a 1-D row reduces
         along the same contiguous axis as row 0 of a (1, A) matrix, and
-        the action draw consumes this agent's RNG stream exactly as the
-        unbatched call would.
+        the draw takes one ``rng.random()`` from this agent's stream, as
+        the unbatched call does.  Both equal ``rng.choice(A, p=probs)``
+        (see :func:`inverse_cdf`).
         """
         probs = softmax(logits_row)
-        action = int(rng.choice(self.num_actions, p=probs))
+        action = inverse_cdf(probs, rng.random())
         logp = float(np.log(max(probs[action], 1e-12)))
         return action, logp, float(value)
+
+    @staticmethod
+    def sample_batch(logits: np.ndarray, uniforms: np.ndarray) -> tuple:
+        """Sample one action per row of an ``(M, A)`` logits batch.
+
+        ``uniforms[m]`` is the ``rng.random()`` that row ``m``'s agent
+        drew from its own stream, so row ``m`` of the result equals
+        :meth:`act_from_logits` on ``logits[m]`` with that stream.
+        Returns ``(actions, log_probs)`` as ``(M,)`` arrays.
+        """
+        probs = softmax(logits)
+        actions = inverse_cdf_rows(probs, uniforms)
+        picked = probs[np.arange(len(actions)), actions]
+        return actions, np.log(np.maximum(picked, 1e-12))
 
     def act_greedy_from_logits(self, logits_row: np.ndarray, value: float) -> tuple:
         """Greedy pick from a precomputed logits row (batched path).

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.config import RLConfig
+from repro.config import CLUSTER_ALPHAS
+from repro.core.actionspace import ActionSpace
+from repro.core.fast_env import FastFleetEnv, FastVssdSpec
 from repro.core.pretrain import (
+    _EVAL_SCENARIOS,
     PretrainResult,
     _evaluate_greedy,
     _merge_buffers,
@@ -15,8 +19,9 @@ from repro.core.pretrain import (
     pretrain_best,
 )
 from repro.config import SSDConfig
-from repro.rl import RolloutBuffer
+from repro.rl import PolicyValueNet, RolloutBuffer
 from repro.rl.policy import CategoricalPolicy
+from repro.workloads.catalog import CLUSTER_GROUND_TRUTH, get_spec
 
 
 def test_pretrain_returns_trained_net():
@@ -111,6 +116,46 @@ def test_merge_buffers_normalizes_per_agent():
     # Both halves contribute unit-scale advantages after normalization.
     assert np.abs(adv[:16]).max() == pytest.approx(np.abs(adv[16:]).max(), rel=2.0)
     assert len(merged) == 32
+
+
+def _evaluate_greedy_per_agent(policy, rl_config, ssd_config):
+    """The greedy evaluation with one ``act_deterministic`` per agent."""
+    totals = []
+    for index, names in enumerate(_EVAL_SCENARIOS):
+        channels = ssd_config.num_channels // len(names)
+        specs = [
+            FastVssdSpec(
+                workload=get_spec(name),
+                channels=channels,
+                alpha=CLUSTER_ALPHAS[CLUSTER_GROUND_TRUTH.get(name, "LC-1")],
+            )
+            for name in names
+        ]
+        env = FastFleetEnv(
+            specs, rl_config, ssd_config, np.random.default_rng(1000 + index),
+            episode_windows=30,
+        )
+        states = env.reset()
+        done = False
+        while not done:
+            actions = {i: policy.act_deterministic(s) for i, s in states.items()}
+            states, rewards, done, _info = env.step(actions)
+            totals.append(float(np.mean(list(rewards.values()))))
+    return float(np.mean(totals))
+
+
+def test_batched_greedy_eval_matches_per_agent():
+    """One forward_batch + argmax per window scores exactly what
+    per-agent act_deterministic calls score."""
+    rl, ssd = RLConfig(), SSDConfig()
+    num_actions = ActionSpace(ssd.channel_write_bandwidth_mbps).num_actions
+    net = PolicyValueNet(
+        rl.state_dim, num_actions, rl.hidden_layer_sizes, rng=np.random.default_rng(3)
+    )
+    # A sharper policy head than the init gain, so the greedy actions vary.
+    net.params["Wp"] *= 300.0
+    policy = CategoricalPolicy(net)
+    assert _evaluate_greedy(policy, rl, ssd) == _evaluate_greedy_per_agent(policy, rl, ssd)
 
 
 def test_interference_curriculum_applies():
