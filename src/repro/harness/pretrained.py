@@ -19,7 +19,7 @@ from typing import Optional
 from repro.cache import cache_dir, config_hash, read_through
 from repro.clustering.classifier import WorkloadTypeClassifier, fit_default_classifier
 from repro.config import RLConfig
-from repro.core.pretrain import SAMPLER_VERSION, pretrain_best
+from repro.core.pretrain import LOCKSTEP_VERSION, SAMPLER_VERSION, pretrain_best
 from repro.rl.nets import PolicyValueNet
 
 #: Default pre-training effort; below the paper's 2,000 iterations
@@ -54,19 +54,23 @@ def pretrained_cache_path(
 
     ``envs`` is part of the key because the vectorized engine draws
     different exploration streams than the scalar reference, so each
-    fleet width is its own artifact.  The worker count is *not*: a
-    parallel seed search selects the identical winner as a serial one.
+    fleet width is its own artifact, and a vectorized artifact also
+    carries the lockstep collector's version (the scalar key does not, so
+    a change to that collector leaves ``envs=1`` caches valid).  The
+    worker count is *not* in the key: a parallel seed search selects the
+    identical winner as a serial one.
     """
-    digest = config_hash(
-        {
-            "iterations": iterations,
-            "seed": seed,
-            "variant": variant,
-            "rl_config": asdict(RLConfig()),
-            "sampler_version": SAMPLER_VERSION,
-            "envs": envs,
-        }
-    )
+    key = {
+        "iterations": iterations,
+        "seed": seed,
+        "variant": variant,
+        "rl_config": asdict(RLConfig()),
+        "sampler_version": SAMPLER_VERSION,
+        "envs": envs,
+    }
+    if envs > 1:
+        key["lockstep_version"] = LOCKSTEP_VERSION
+    digest = config_hash(key)
     return cache_dir() / f"pretrained_{digest}.npz"
 
 

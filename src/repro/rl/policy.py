@@ -23,9 +23,10 @@ def inverse_cdf(probs: np.ndarray, u: float) -> int:
 
     ``Generator.choice`` with ``p`` draws one ``rng.random()``, normalises
     the cumulative sum of ``p`` by its last entry and returns
-    ``searchsorted(u, side="right")`` on it; this is that computation
-    without the call's argument checks, so the caller draws ``u`` itself
-    (one ``rng.random()``, the same stream position).
+    ``searchsorted(u, side="right")`` on it.  This is that computation
+    without the call's per-draw validation of ``p`` (a softmax output is
+    a distribution; only a zero or NaN sum is caught), and the caller
+    draws ``u`` itself: one ``rng.random()``, the same stream position.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]

@@ -200,6 +200,52 @@ def test_pretrain_vectorized_deterministic_given_seed():
     assert a.mean_rewards == b.mean_rewards
 
 
+def _collection_spy(monkeypatch):
+    """Record each iteration's merged transition count and each lockstep
+    episode's env count."""
+    import sys
+
+    pretrain_module = sys.modules["repro.core.pretrain"]
+
+    sizes, widths = [], []
+    merge = pretrain_module._merge_buffers
+    vector_env = pretrain_module.VectorFastFleetEnv
+
+    def spy_merge(buffers, rl_config):
+        merged = merge(buffers, rl_config)
+        sizes.append(len(merged))
+        return merged
+
+    class SpyEnv(vector_env):
+        def __init__(self, spec_lists, *args, **kwargs):
+            widths.append(len(spec_lists))
+            super().__init__(spec_lists, *args, **kwargs)
+
+    monkeypatch.setattr(pretrain_module, "_merge_buffers", spy_merge)
+    monkeypatch.setattr(pretrain_module, "VectorFastFleetEnv", SpyEnv)
+    return sizes, widths
+
+
+@pytest.mark.parametrize("rollout_batch", [64, 8])
+def test_pretrain_vectorized_overshoots_less_than_one_episode(monkeypatch, rollout_batch):
+    """An iteration's last lockstep episode steps only the envs it needs:
+    it collects at least ``rollout_batch`` transitions and fewer than one
+    largest env's episode (8 tenants x 5 windows) more."""
+    sizes, widths = _collection_spy(monkeypatch)
+    result = pretrain(
+        iterations=3, seed=0, rollout_batch=rollout_batch, episode_windows=5, envs=4
+    )
+    assert len(sizes) == 3
+    assert all(rollout_batch <= n < rollout_batch + 8 * 5 for n in sizes), sizes
+    # Some episode stepped fewer than the 4 envs asked for; with
+    # rollout_batch = 8 every env (>= 2 tenants x 5 windows) suffices
+    # alone, so every episode has K' = 1.
+    assert min(widths) < 4 and max(widths) <= 4
+    if rollout_batch == 8:
+        assert widths == [1, 1, 1]
+    assert all(np.isfinite(r) for r in result.mean_rewards)
+
+
 def test_pretrain_vectorized_quality_matches_scalar():
     """The two engines explore different streams but must land in the
     same place: greedy-eval scores agree within a small tolerance."""

@@ -40,6 +40,26 @@ def test_cache_path_keyed_by_config(tmp_path, monkeypatch):
     assert a == pretrained_cache_path(iterations=2, seed=1)
 
 
+def test_scalar_cache_names_are_pinned(tmp_path, monkeypatch):
+    """The envs=1 key is a function of what the scalar engine trains on
+    and nothing else: these names only move with the RL config
+    defaults, the sampler version, or a change to the key itself."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert pretrained_cache_path().name == "pretrained_fa9271a5daaf.npz"
+    assert pretrained_cache_path(envs=1).name == "pretrained_fa9271a5daaf.npz"
+    assert pretrained_cache_path(iterations=2, seed=1).name == "pretrained_14d190dd27f8.npz"
+
+
+def test_lockstep_version_keys_only_vectorized_artifacts(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    import repro.harness.pretrained as module
+
+    scalar, vector = pretrained_cache_path(), pretrained_cache_path(envs=8)
+    monkeypatch.setattr(module, "LOCKSTEP_VERSION", module.LOCKSTEP_VERSION + 1)
+    assert pretrained_cache_path() == scalar
+    assert pretrained_cache_path(envs=8) != vector
+
+
 def test_memo_cache_returns_same_object(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     a = get_pretrained_net(iterations=2, seed=2)

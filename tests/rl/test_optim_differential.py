@@ -14,9 +14,12 @@ import pytest
 
 from repro.rl import Adam
 from tests.rl.optim_oracle import PerKeyAdam
-from tests.test_hotpath_equivalence import _bits
 
 STEPS = 50
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
 
 
 def _random_params(rng: np.random.Generator) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.rl import CategoricalPolicy, PolicyValueNet
-from repro.rl.policy import inverse_cdf, softmax
+from repro.rl.policy import inverse_cdf, inverse_cdf_rows, softmax
 from tests.rl.sampler_oracle import choice_from_logits
 
 SEEDS = 2000
@@ -35,7 +35,6 @@ def _logits(rng: np.random.Generator, rows: int) -> np.ndarray:
 
 @pytest.mark.parametrize("rows", [1, 4])
 def test_batched_inverse_cdf_matches_choice(rows):
-    policy = CategoricalPolicy(PolicyValueNet(4, ACTIONS, (8,)))
     for seed in range(SEEDS):
         data = np.random.default_rng([seed, rows])
         oracle_rngs = [np.random.default_rng([seed, m]) for m in range(rows)]
@@ -44,7 +43,7 @@ def test_batched_inverse_cdf_matches_choice(rows):
             logits = _logits(data, rows)
             expected = [choice_from_logits(logits[m], oracle_rngs[m]) for m in range(rows)]
             uniforms = np.array([rng.random() for rng in rngs])
-            actions, logps = policy.sample_batch(logits, uniforms)
+            actions, logps = CategoricalPolicy.sample_batch(logits, uniforms)
             got = list(zip(actions.tolist(), logps.tolist()))
             assert got == expected, seed
         for m in range(rows):
@@ -70,6 +69,19 @@ def test_near_one_hot_rows_hit_the_log_prob_floor():
     assert probs[0] == pytest.approx(1.0) and probs[1:].max() < 1e-12
     # A uniform that lands past the spike picks a floored action.
     assert inverse_cdf(softmax(np.array([0.0] * (ACTIONS - 1) + [60.0])), 0.5) == ACTIONS - 1
+
+
+def test_uniform_on_a_cdf_entry_goes_right():
+    """``Generator.choice`` searches with ``side="right"``: a uniform equal
+    to a CDF entry picks the next action.  Random draws never land on a
+    CDF entry, so the tie is checked on exactly representable values."""
+    probs = np.array([0.25, 0.25, 0.5])
+    cdf = probs.cumsum()
+    for u in (0.0, 0.25, 0.5, 0.75):
+        expected = int(cdf.searchsorted(u, side="right"))
+        assert inverse_cdf(probs, u) == expected
+        assert inverse_cdf_rows(probs[None], np.array([u]))[0] == expected
+    assert inverse_cdf(probs, 0.25) == 1
 
 
 def test_invalid_distribution_raises():
