@@ -12,6 +12,7 @@ Run:  python examples/harvesting_lifecycle.py
 import numpy as np
 
 from repro.sched.request import Priority
+from repro.ssd import BlockState
 from repro.virt import StorageVirtualizer
 from repro.virt.actions import HarvestAction, MakeHarvestableAction, SetPriorityAction
 from repro.workloads import WorkloadModel, get_spec, make_driver
@@ -71,7 +72,8 @@ def main() -> None:
     # 3. Run with harvested bandwidth for a while.
     virt.sim.run_until_seconds(6.0)
     gsb = harvester.harvested_gsbs[0]
-    used = sum(1 for block in gsb.blocks if not block.is_free)
+    state = virt.ssd.store.state
+    used = sum(1 for gid in gsb.blocks if state[gid] is not BlockState.FREE)
     print(
         f"    ... 6 s of traffic later: gSB #{gsb.gsb_id} has "
         f"{used}/{len(gsb.blocks)} blocks holding {harvester.name} data, "

@@ -57,10 +57,11 @@ def main() -> None:
     for lpn in lpns:
         block_tenant.ftl.write_span(lpn, 1)
     zone_channels = {gsb.channel_ids[0] for gsb in harvested}
+    store = ssd.store
     landed = sum(
         1
         for lpn in lpns
-        if block_tenant.ftl.page_location(lpn).block.channel_id in zone_channels
+        if store.locate(block_tenant.ftl.page_location(lpn)[0])[0] in zone_channels
     )
     print(f"{landed} of {len(lpns)} pages landed in harvested zones")
 
@@ -69,7 +70,7 @@ def main() -> None:
         adapter.reclaim(gsb, block_tenant)
     empty = len(namespace.zones_in(ZoneState.EMPTY))
     intact = all(
-        block_tenant.ftl.page_location(lpn).block.owner == block_tenant.vssd_id
+        store.owner[block_tenant.ftl.page_location(lpn)[0]] == block_tenant.vssd_id
         for lpn in lpns[:100]
     )
     print(f"reclaimed: {empty} zones EMPTY again; block tenant data intact: {intact}")

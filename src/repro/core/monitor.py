@@ -185,8 +185,8 @@ class VssdMonitor:
             if channels[channel_id].in_gc:
                 return True
         for gsb in self.vssd.harvested_gsbs:
-            for block in gsb.blocks:
-                if channels[block.channel_id].in_gc:
+            for channel_id in gsb.channel_ids:
+                if channels[channel_id].in_gc:
                     return True
         return False
 

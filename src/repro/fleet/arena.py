@@ -144,8 +144,9 @@ def encode_snapshot_entries(snap: dict) -> "tuple[dict, dict]":
     """Split a snapshot into ``(numpy entries, JSON-safe meta dict)``.
 
     The page->LPN matrix and L2P arrays dominate (one int32 per page);
-    they become named arrays.  Everything structured-but-small (engine
-    clock, region deque orders, stats) rides in the meta dict.
+    they become named arrays, as do the own regions' member gids (one
+    int32 per block).  Everything structured-but-small (engine clock,
+    region deque orders, stats) rides in the meta dict.
     """
     store = snap["store"]
     entries = {
@@ -166,6 +167,8 @@ def encode_snapshot_entries(snap: dict) -> "tuple[dict, dict]":
         ftl = dict(snap["ftls"][name])
         entries[f"l2p_gid_{index}"] = np.array(ftl.pop("l2p_gid"), dtype=np.int32)
         entries[f"l2p_page_{index}"] = np.array(ftl.pop("l2p_page"), dtype=np.int32)
+        region = ftl["own_region"] = dict(ftl["own_region"])
+        entries[f"members_{index}"] = np.array(region.pop("members"), dtype=np.int32)
         ftl_meta[name] = ftl
     meta = {
         "version": 1,
@@ -210,6 +213,7 @@ def decode_snapshot_entries(get, meta: dict, copy: bool = True) -> dict:
         region = ftl["own_region"]
         region["free"] = {int(ch): gids for ch, gids in region["free"].items()}
         region["open"] = {int(ch): gids for ch, gids in region["open"].items()}
+        region["members"] = get(f"members_{index}").tolist()
         ftl["l2p_gid"] = get(f"l2p_gid_{index}").tolist()
         ftl["l2p_page"] = get(f"l2p_page_{index}").tolist()
         ftls[name] = ftl

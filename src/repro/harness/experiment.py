@@ -449,7 +449,7 @@ class Experiment:
         """End the lifecycle (build → run → close): free the built stack.
 
         A built stack is cyclic (pending events, completion callbacks,
-        block views, harvest hooks), so without this it outlives the
+        harvest hooks), so without this it outlives the
         run until a full garbage collection; closed, it dies with its
         last reference.  Results and telemetry already taken stay
         valid; ``build``/``run`` afterwards raise ``RuntimeError``.

@@ -152,7 +152,8 @@ def capture_experiment(experiment: "Experiment") -> Optional[dict]:
 
     Unsafe means the build deviated from the plain warm contract — a
     pending engine event (callbacks cannot be copied), an attached
-    harvest region (blocks shared with the gSB manager), or a random
+    harvest region (its gSB lives in the gSB manager, which is not
+    captured), or a random
     stream that is no longer at its seed-derived initial state (the
     snapshot holds no RNG state, so a warm that drew could not be
     restored).  None can happen in the stock build path; returning None

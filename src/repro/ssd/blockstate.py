@@ -1,21 +1,21 @@
 """Structure-of-arrays state for the SSD simulator core.
 
-The simulator used to keep every piece of flash state behind one Python
-object per block (``FlashBlock``) and per channel (``Channel``): a page
-program touched half a dozen heap objects through attribute loads.  This
-module flattens that state into two device-wide stores that are allocated
-once at device construction:
+A flash block is a row of device metadata, and a channel is its timing
+columns.  This module holds both, allocated once at device construction:
 
 * :class:`BlockStore` — per-block columns (state, owner, writer,
   harvested bit, write pointer, valid-page count) plus a preallocated
   ``(n_blocks, pages_per_block)`` page→LPN matrix and an erase-count
-  vector.  Blocks are addressed by a dense global id (*gid*) laid out
-  ``channel-major, chip-major``::
+  vector.  A block is its dense global id (*gid*), laid out
+  channel-major, chip-major::
 
       gid = channel_id * blocks_per_channel + chip_id * blocks_per_chip + index
 
-  which makes one channel's blocks a contiguous gid range — GC victim
-  scans walk a slice instead of chasing object pointers.
+  so ``gid // blocks_per_channel`` is the block's channel, ``gid //
+  blocks_per_chip`` its slot in :attr:`ChannelArrays.chip_busy`, and one
+  channel's blocks are a contiguous gid range (GC victim scans walk a
+  slice).  Regions, ghost superblocks, zones, GC and the allocator hold
+  and pass gids; nothing wraps a block in an object.
 
 * :class:`ChannelArrays` — per-channel bus/chip busy horizons and the
   fault-scaled effective op timings, flattened so the hot capacity scan
@@ -42,25 +42,18 @@ are crossed once per block, not once per page.  The snapshot codec
 and back with ``np.array`` / ``ndarray.tolist``.  Per-request paths
 (``write_span``, ``read_span``) and GC copy-back (``VssdFtl._relocate``,
 a few to a few dozen pages per victim, each choosing its destination
-from the horizons the previous one moved) stay per-element on the lists;
-GC crosses in bulk only to read a victim's row
-(``FlashBlock.valid_lpns``: one ``flatnonzero`` + ``tolist``).
-
-``FlashBlock`` (:mod:`repro.ssd.geometry`) remains the object API —
-tests, the gSB pool, and the ZNS adapter keep their block handles — but
-it is now a *view*: a ``(store, gid)`` pair whose properties read and
-write these columns.
+from the horizons the previous one moved) inline :meth:`BlockStore.program`
+and :meth:`BlockStore.invalidate` on the lists; GC crosses in bulk only
+to read a victim's row (:meth:`BlockStore.valid_lpns`: one
+``flatnonzero`` + ``tolist``).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.ssd.geometry import FlashBlock
 
 #: Sentinel in :attr:`BlockStore.page_lpns` for an invalid/unwritten page.
 NO_LPN = -1
@@ -75,15 +68,28 @@ class BlockState(enum.Enum):
 
 
 class BlockStore:
-    """Columnar per-block state for ``n_blocks`` blocks.
+    """Columnar per-block state for a device of ``num_channels`` channels.
 
-    All columns are indexed by gid and allocated once; hot paths index
-    them directly, cold paths go through the :class:`FlashBlock` view in
-    ``blocks`` (populated by the device/channel constructors in gid
-    order).
+    Every column is indexed by gid and allocated once; hot paths index
+    them directly, cold paths call the per-gid methods below.  Pages of a
+    block are programmed sequentially, mirroring NAND constraints.
+
+    Ownership model (Section 3.6/3.7 of the paper):
+
+    * ``owner`` — the vSSD that owns the physical resource (the *home*
+      vSSD for harvested blocks).
+    * ``writer`` — the vSSD whose data currently occupies the block.  For
+      a block inside a harvested gSB this is the *harvest* vSSD; otherwise
+      it equals ``owner``.
+    * ``harvested`` — the Harvested Block Table bit: set for blocks that
+      are harvested or reclaimed, which GC prioritizes as victims and
+      whose valid data is copied back to the writer's own blocks.
     """
 
     __slots__ = (
+        "chips_per_channel",
+        "blocks_per_chip",
+        "blocks_per_channel",
         "n_blocks",
         "pages_per_block",
         "page_lpns",
@@ -94,12 +100,20 @@ class BlockStore:
         "harvested",
         "write_ptr",
         "valid_count",
-        "blocks",
         "__weakref__",  # the teardown suite watches the store die with its cell
     )
 
-    def __init__(self, n_blocks: int, pages_per_block: int) -> None:
-        self.n_blocks = n_blocks
+    def __init__(
+        self,
+        num_channels: int,
+        chips_per_channel: int,
+        blocks_per_chip: int,
+        pages_per_block: int,
+    ) -> None:
+        self.chips_per_channel = chips_per_channel
+        self.blocks_per_chip = blocks_per_chip
+        self.blocks_per_channel = chips_per_channel * blocks_per_chip
+        self.n_blocks = n_blocks = num_channels * self.blocks_per_channel
         self.pages_per_block = pages_per_block
         #: ``page_lpns[gid, page]`` is the LPN stored at ``page`` or
         #: :data:`NO_LPN`.  One preallocated matrix replaces a per-block
@@ -120,16 +134,17 @@ class BlockStore:
         self.harvested: List[bool] = [False] * n_blocks
         self.write_ptr: List[int] = [0] * n_blocks
         self.valid_count: List[int] = [0] * n_blocks
-        #: gid → :class:`FlashBlock` view, appended in gid order as the
-        #: owning channels construct their block lists.
-        self.blocks: List["FlashBlock"] = []
+
+    def locate(self, gid: int) -> Tuple[int, int, int]:
+        """The block's ``(channel, chip, index)`` physical address."""
+        chip_slot, index = divmod(gid, self.blocks_per_chip)
+        channel, chip = divmod(chip_slot, self.chips_per_channel)
+        return channel, chip, index
 
     def snapshot(self) -> dict:
         """Copy every mutable column (cheap: two array copies + lists).
 
-        The ``blocks`` view list is deliberately excluded — views are
-        identity-stable ``(store, gid)`` pairs recreated by construction,
-        not state.  List elements are immutable (ints, bools, ``None``,
+        List elements are immutable (ints, bools, ``None``,
         ``BlockState`` singletons), so shallow list copies fully detach
         the snapshot from the live store.
         """
@@ -160,18 +175,66 @@ class BlockStore:
         self.write_ptr[:] = snapshot["write_ptr"]
         self.valid_count[:] = snapshot["valid_count"]
 
+    # -- one block (cold paths; the spans and GC copy-back inline these) --
+    def program(self, gid: int, lpn: int) -> int:
+        """Program block ``gid``'s next sequential page with ``lpn``;
+        returns the page index written.  Raises if the block is full."""
+        page = self.write_ptr[gid]
+        if page >= self.pages_per_block:
+            raise RuntimeError(f"block {self.locate(gid)} is full")
+        self.page_lpns[gid, page] = lpn
+        self.valid_count[gid] += 1
+        self.write_ptr[gid] = page + 1
+        self.state[gid] = (
+            BlockState.FULL if page + 1 == self.pages_per_block else BlockState.OPEN
+        )
+        return page
+
+    def invalidate(self, gid: int, page: int) -> None:
+        """Mark the data at ``page`` of block ``gid`` invalid (an
+        out-of-place update)."""
+        if self.page_lpns[gid, page] == NO_LPN:
+            raise RuntimeError(
+                f"double invalidate of page {page} in block {self.locate(gid)}"
+            )
+        self.page_lpns[gid, page] = NO_LPN
+        self.valid_count[gid] -= 1
+
+    def valid_lpns(self, gid: int) -> List[Tuple[int, int]]:
+        """``(page, lpn)`` for every still-valid page of block ``gid``, in
+        page order, as Python ints."""
+        row = self.page_lpns[gid, : self.write_ptr[gid]]
+        pages = np.flatnonzero(row != NO_LPN)
+        return list(zip(pages.tolist(), row[pages].tolist()))
+
+    def erase(self, gid: int) -> None:
+        """Erase block ``gid``: FREE, no writer, HBT bit clear, one more
+        erase of wear.  Raises while it still holds valid pages."""
+        if self.valid_count[gid] != 0:
+            raise RuntimeError(
+                f"erasing block {self.locate(gid)} with "
+                f"{self.valid_count[gid]} valid pages"
+            )
+        self.state[gid] = BlockState.FREE
+        self.write_ptr[gid] = 0
+        self.page_lpns[gid].fill(NO_LPN)
+        self.writer[gid] = None
+        self.harvested[gid] = False
+        self.erase_count[gid] += 1
+
+    # -- many pages at once (the warm fill) ------------------------------
     def program_pages(
         self, gids: np.ndarray, pages: np.ndarray, lpns: np.ndarray
     ) -> None:
-        """``FlashBlock.program`` for many pages in one scatter.
+        """:meth:`program` for many pages in one scatter.
 
         ``pages`` must continue each block's write pointer without gaps;
         the caller (``VssdFtl.warm_fill``) derives them from it.
         """
         ppb = self.pages_per_block
         if len(pages) and pages.max() >= ppb:
-            full = self.blocks[int(gids[pages.argmax()])]
-            raise RuntimeError(f"block {full.block_id} is full")
+            full = int(gids[pages.argmax()])
+            raise RuntimeError(f"block {self.locate(full)} is full")
         self.page_lpns[gids, pages] = lpns
         for gid, n in self._pages_per_block(gids):
             self.valid_count[gid] += n
@@ -181,14 +244,14 @@ class BlockStore:
             )
 
     def invalidate_pages(self, gids: np.ndarray, pages: np.ndarray) -> None:
-        """``FlashBlock.invalidate`` for many distinct pages at once;
-        raises before changing anything if one is already invalid."""
+        """:meth:`invalidate` for many distinct pages at once; raises
+        before changing anything if one is already invalid."""
         stale = np.flatnonzero(self.page_lpns[gids, pages] == NO_LPN)
         if stale.size:
             first = int(stale[0])
             raise RuntimeError(
                 f"double invalidate of page {int(pages[first])} in block "
-                f"{self.blocks[int(gids[first])].block_id}"
+                f"{self.locate(int(gids[first]))}"
             )
         self.page_lpns[gids, pages] = NO_LPN
         for gid, n in self._pages_per_block(gids):

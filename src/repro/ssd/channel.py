@@ -18,12 +18,14 @@ accounting) for the duration of the migrate-and-erase sequence.
 
 Structure-of-arrays layout: every channel's busy horizons, effective
 timings, and fault state live in a device-shared
-:class:`repro.ssd.blockstate.ChannelArrays`, and its blocks' state in a
-device-shared :class:`repro.ssd.blockstate.BlockStore` (see that module
-for the layout and its rationale).  The methods below are the object API
-over those columns; hot loops in the FTL and dispatcher index the flat
-arrays directly.  A channel constructed standalone (tests) builds private
-arrays of the same shape, so the timing math is identical either way.
+:class:`repro.ssd.blockstate.ChannelArrays` (see that module for the
+layout and its rationale); its blocks are the gid range
+``[channel_id * blocks_per_channel, (channel_id + 1) * blocks_per_channel)``
+of the device's :class:`~repro.ssd.blockstate.BlockStore`.  The methods
+below are the object API over the timing columns; hot loops in the FTL
+and dispatcher index the flat arrays directly.  A channel constructed
+standalone (tests) builds private arrays of the same shape, so the timing
+math is identical either way.
 
 A channel keeps no counters.  Its state is its columns in those arrays
 plus the ``in_gc`` flag; backpressure is the bus busy horizon
@@ -36,20 +38,18 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import SSDConfig
-from repro.ssd.blockstate import BlockStore, ChannelArrays
-from repro.ssd.geometry import FlashBlock
+from repro.ssd.blockstate import ChannelArrays
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
 class Channel:
-    """One flash channel: its blocks, and the object API over its columns.
+    """One flash channel: the object API over its timing columns.
 
     Timing and fault state live in ``arrays`` at index ``channel_id``;
     the channel itself holds only the GC flag and the chip round-robin
-    used by unmapped reads.  ``gid_base`` is the gid of the channel's
-    first block in a device-shared ``store``.
+    used by unmapped reads.
     """
 
     def __init__(
@@ -57,9 +57,7 @@ class Channel:
         channel_id: int,
         config: SSDConfig,
         sim: "Simulator",
-        store: Optional[BlockStore] = None,
         arrays: Optional[ChannelArrays] = None,
-        gid_base: int = 0,
     ) -> None:
         self.channel_id = channel_id
         self.config = config
@@ -68,27 +66,6 @@ class Channel:
             arrays = ChannelArrays(config.num_channels, config.chips_per_channel)
         self.arrays = arrays
         self._chip_base = channel_id * config.chips_per_channel
-        blocks_per_channel = config.chips_per_channel * config.blocks_per_chip
-        if store is None:
-            store = BlockStore(blocks_per_channel, config.pages_per_block)
-            gid_base = 0
-        self.store = store
-        self.blocks: list[FlashBlock] = [
-            FlashBlock(
-                channel_id,
-                chip,
-                index,
-                config.pages_per_block,
-                store,
-                gid_base + chip * config.blocks_per_chip + index,
-            )
-            for chip in range(config.chips_per_channel)
-            for index in range(config.blocks_per_chip)
-        ]
-        # The store's gid→view list is appended in construction order;
-        # the device builds channels in channel_id order, so views land
-        # at their gid offsets.
-        store.blocks.extend(self.blocks)
         self._next_write_chip = 0
         self.in_gc = False
         self._gc_until = 0.0

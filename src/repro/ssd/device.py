@@ -5,9 +5,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.config import SSDConfig
-from repro.ssd.blockstate import BlockStore, ChannelArrays
+from repro.ssd.blockstate import BlockState, BlockStore, ChannelArrays
 from repro.ssd.channel import Channel
-from repro.ssd.geometry import BlockState, FlashBlock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -22,77 +21,77 @@ class Ssd:
 
     All per-block and per-channel mutable state lives in two device-wide
     structure-of-arrays stores (``store``/``arrays`` — see
-    :mod:`repro.ssd.blockstate`); channels and blocks are views over
-    them.  Block gids are channel-major, so one channel's blocks occupy
-    the contiguous gid range ``[c * bpc, (c + 1) * bpc)``.
+    :mod:`repro.ssd.blockstate`); a block is its gid in ``store`` and a
+    channel the object API over its ``arrays`` columns.  Gids are
+    channel-major, so one channel's blocks occupy the contiguous gid range
+    ``[c * bpc, (c + 1) * bpc)``; the allocators below scan those ranges
+    and hand out gids.
     """
 
     def __init__(self, config: SSDConfig, sim: "Simulator") -> None:
         self.config = config
         self.sim = sim
-        blocks_per_channel = config.chips_per_channel * config.blocks_per_chip
         self.store = BlockStore(
-            config.num_channels * blocks_per_channel, config.pages_per_block
+            config.num_channels,
+            config.chips_per_channel,
+            config.blocks_per_chip,
+            config.pages_per_block,
         )
         self.arrays = ChannelArrays(config.num_channels, config.chips_per_channel)
         self.channels = [
-            Channel(
-                c,
-                config,
-                sim,
-                store=self.store,
-                arrays=self.arrays,
-                gid_base=c * blocks_per_channel,
-            )
+            Channel(c, config, sim, arrays=self.arrays)
             for c in range(config.num_channels)
         ]
 
-    def close(self) -> None:
-        """Drop the store's gid → view list, whose views each hold the
-        store back.  Channels keep their own view lists.  Idempotent."""
-        self.store.blocks.clear()
+    def channel_gids(self, channel_id: int) -> range:
+        """The gids of ``channel_id``'s blocks, chip by chip."""
+        bpc = self.store.blocks_per_channel
+        return range(channel_id * bpc, (channel_id + 1) * bpc)
 
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
     def allocate_channels(self, vssd_id: int, channel_ids: Iterable[int]) -> list:
-        """Give every unowned block on the listed channels to ``vssd_id``."""
-        granted: list[FlashBlock] = []
+        """Give every unowned block on the listed channels to ``vssd_id``;
+        returns their gids."""
+        owner = self.store.owner
+        granted: list = []
         for channel_id in channel_ids:
-            for block in self.channels[channel_id].blocks:
-                if block.owner is None:
-                    block.owner = vssd_id
-                    granted.append(block)
+            for gid in self.channel_gids(channel_id):
+                if owner[gid] is None:
+                    owner[gid] = vssd_id
+                    granted.append(gid)
         return granted
 
     def allocate_blocks_striped(
         self, vssd_id: int, channel_ids: Iterable[int], blocks_per_channel: int
     ) -> list:
         """Give ``blocks_per_channel`` unowned blocks on each listed channel
-        to ``vssd_id``, spread evenly across chips.
+        to ``vssd_id``, spread evenly across chips; returns their gids.
 
         This is how software-isolated vSSDs share every channel: each
         tenant owns a slice of blocks on all channels and contends for the
         channels' bandwidth.
         """
-        granted: list[FlashBlock] = []
+        owner = self.store.owner
+        bpchip = self.store.blocks_per_chip
+        granted: list = []
         for channel_id in channel_ids:
-            channel = self.channels[channel_id]
             taken = 0
             # Round-robin chips so the slice exploits chip parallelism.
             by_chip: dict = {}
-            for block in channel.blocks:
-                if block.owner is None:
-                    by_chip.setdefault(block.chip_id, []).append(block)
+            for gid in self.channel_gids(channel_id):
+                if owner[gid] is None:
+                    by_chip.setdefault(gid // bpchip, []).append(gid)
             chips = sorted(by_chip)
             idx = 0
             while taken < blocks_per_channel and chips:
                 chip = chips[idx % len(chips)]
                 bucket = by_chip[chip]
                 if bucket:
-                    block = bucket.pop(0)
-                    block.owner = vssd_id
-                    granted.append(block)
+                    gid = bucket.pop(0)
+                    owner[gid] = vssd_id
+                    granted.append(gid)
                     taken += 1
                 else:
                     chips.remove(chip)
@@ -107,28 +106,30 @@ class Ssd:
 
     def release_all(self, vssd_id: int) -> int:
         """Drop ownership of all of ``vssd_id``'s blocks (deallocation)."""
+        owner = self.store.owner
         count = 0
-        for channel in self.channels:
-            for block in channel.blocks:
-                if block.owner == vssd_id:
-                    block.owner = None
-                    count += 1
+        for gid in range(self.store.n_blocks):
+            if owner[gid] == vssd_id:
+                owner[gid] = None
+                count += 1
         return count
 
     def channels_owned_by(self, vssd_id: int) -> list:
         """Channel ids on which ``vssd_id`` owns at least one block."""
+        owner = self.store.owner
         return [
             channel.channel_id
             for channel in self.channels
-            if any(block.owner == vssd_id for block in channel.blocks)
+            if any(owner[gid] == vssd_id for gid in self.channel_gids(channel.channel_id))
         ]
 
     def free_blocks_of(self, vssd_id: int, channel_id: int) -> list:
-        """FREE blocks owned by ``vssd_id`` on ``channel_id``."""
+        """Gids of the FREE blocks ``vssd_id`` owns on ``channel_id``."""
+        store = self.store
         return [
-            block
-            for block in self.channels[channel_id].blocks
-            if block.owner == vssd_id and block.state is BlockState.FREE
+            gid
+            for gid in self.channel_gids(channel_id)
+            if store.owner[gid] == vssd_id and store.state[gid] is BlockState.FREE
         ]
 
     # ------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.config import SSDConfig
 from repro.profiling import PROFILER
-from repro.ssd.geometry import BlockState, FlashBlock, PagePointer
+from repro.ssd.blockstate import BlockState
 from repro.ssd.region import WriteRegion
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,8 +88,7 @@ class VssdFtl:
         )
         # L2P mapping as parallel lists indexed by LPN (grown on demand).
         # Physical locations are block gids into the device's BlockStore
-        # (``_l2p_gid[lpn] < 0`` marks an unmapped LPN), so the hot paths
-        # never touch block objects.
+        # (``_l2p_gid[lpn] < 0`` marks an unmapped LPN).
         self._l2p_gid: list = []
         self._l2p_page: list = []
         self._mapped = 0
@@ -97,15 +96,13 @@ class VssdFtl:
         # lifetime; all mutated in place, never rebound).
         self._store = ssd.store
         self._arrays = ssd.arrays
-        self._blocks_per_channel = (
-            self.config.chips_per_channel * self.config.blocks_per_chip
-        )
+        self._blocks_per_channel = self._store.blocks_per_channel
         # Sorted own-region channel list for unmapped reads, keyed by the
         # region version (sorted() per unmapped read was measurable).
         self._unmapped_channels: list = []
         self._unmapped_version = -1
         self.own_region = WriteRegion(
-            f"own:{vssd_id}", kind="own",
+            f"own:{vssd_id}", self._store, kind="own",
             max_open_per_channel=self.config.chips_per_channel,
             wear_aware=self.config.wear_aware_allocation,
         )
@@ -129,23 +126,27 @@ class VssdFtl:
     # ------------------------------------------------------------------
     # Block population
     # ------------------------------------------------------------------
-    def adopt_blocks(self, blocks: Iterable[FlashBlock]) -> None:
+    def adopt_blocks(self, gids: Iterable[int]) -> None:
         """Add owned FREE blocks to the own region (initial allocation or
         blocks returned from a reclaimed gSB)."""
-        blocks = list(blocks)
-        for block in blocks:
-            if block.owner != self.vssd_id:
+        gids = list(gids)
+        owner = self._store.owner
+        bpc = self._blocks_per_channel
+        per_channel = self._own_blocks_per_channel
+        for gid in gids:
+            if owner[gid] != self.vssd_id:
                 raise ValueError(
-                    f"block {block.block_id} owned by {block.owner}, not {self.vssd_id}"
+                    f"block {self._store.locate(gid)} owned by {owner[gid]}, "
+                    f"not {self.vssd_id}"
                 )
-            per_channel = self._own_blocks_per_channel
-            per_channel[block.channel_id] = per_channel.get(block.channel_id, 0) + 1
-        self.own_region.add_blocks(blocks)
+            channel_id = gid // bpc
+            per_channel[channel_id] = per_channel.get(channel_id, 0) + 1
+        self.own_region.add_blocks(gids)
 
     def surrender_free_blocks(self, channel_id: int, count: int) -> list:
         """Give up FREE owned blocks on ``channel_id`` (gSB creation).
 
-        Returns the surrendered blocks; the caller transfers ownership.
+        Returns the surrendered gids; the caller transfers ownership.
         """
         taken = self.own_region.take_free_blocks(channel_id, count)
         if taken:
@@ -207,22 +208,6 @@ class VssdFtl:
         """Number of live logical pages (the vSSD's used capacity)."""
         return self._mapped
 
-    @property
-    def page_map(self) -> dict:
-        """The L2P mapping as ``{lpn: PagePointer}`` (built on demand).
-
-        Compatibility/introspection view over the array-backed mapping —
-        O(mapped pages) to build, so hot paths use the arrays directly.
-        """
-        gids = self._l2p_gid
-        pages = self._l2p_page
-        views = self._store.blocks
-        return {
-            lpn: PagePointer(views[gid], pages[lpn])
-            for lpn, gid in enumerate(gids)
-            if gid >= 0
-        }
-
     # ------------------------------------------------------------------
     # Warm-state snapshot/restore
     # ------------------------------------------------------------------
@@ -241,10 +226,11 @@ class VssdFtl:
     def snapshot(self) -> dict:
         """Capture this FTL's post-warm state as plain lists and ints.
 
-        Only supported before any gSB traffic: harvest regions hold
-        references to blocks shared with the gSB manager, which a cheap
-        columnar snapshot cannot re-link.  The warm-state cache only
-        snapshots right after build+warm, where no gSB can exist yet.
+        Only supported before any gSB traffic: a harvest region belongs to
+        a gSB, and the gSB manager's state (its pool, the gSB records and
+        their release hooks) is not part of this snapshot.  The warm-state
+        cache only snapshots right after build+warm, where no gSB can
+        exist yet.
         """
         if self.harvest_regions:
             raise ValueError(
@@ -283,7 +269,7 @@ class VssdFtl:
         self._own_blocks_per_channel = dict(snapshot["own_blocks_per_channel"])
         for name in self.STATS_FIELDS:
             setattr(self.stats, name, snapshot["stats"][name])
-        self.own_region.restore(snapshot["own_region"], self._store)
+        self.own_region.restore(snapshot["own_region"])
         self._in_gc = False
         self._slots_version = -1
         self._unmapped_version = -1
@@ -302,7 +288,7 @@ class VssdFtl:
         invalidate its previous copy, charge the channel a page program,
         check the GC trigger.  The steady state of each step — one turn of
         :meth:`_pick_frontier`'s round-robin, ``WriteRegion.frontier_block``,
-        ``FlashBlock.program`` / ``invalidate``, ``Channel.service_write`` —
+        ``BlockStore.program`` / ``invalidate``, ``Channel.service_write`` —
         is inlined against the structure-of-arrays columns: no method call,
         no per-page object.  A frontier refill calls ``frontier_block``; an
         exhausted channel, urgent GC and :class:`OutOfSpaceError` belong to
@@ -330,7 +316,8 @@ class VssdFtl:
         eff_write = arrays.eff_write_us
         eff_xfer = arrays.eff_xfer_us
         extra_lat = arrays.extra_latency_us
-        chips = self.config.chips_per_channel
+        bpc = store.blocks_per_channel
+        bpchip = store.blocks_per_chip
         ppb = self.config.pages_per_block
         full_state = BlockState.FULL
         open_state = BlockState.OPEN
@@ -362,7 +349,7 @@ class VssdFtl:
                 if self._slots_version != rv:
                     self._rebuild_slots()
                 slots = self._slots
-                block = None
+                gid = None
                 if slots:
                     n = len(slots)
                     start = self._write_rr
@@ -402,25 +389,23 @@ class VssdFtl:
                         and len(open_queue) >= region.max_open_per_channel
                     ):
                         head = open_queue[0]
-                        if state_col[head.gid] is not full_state:
+                        if state_col[head] is not full_state:
                             open_queue.rotate(-1)
-                            block = head
-                    if block is None:
-                        block = region.frontier_block(channel_id, vssd)
-                if block is None:
+                            gid = head
+                    if gid is None:
+                        gid = region.frontier_block(channel_id, vssd)
+                if gid is None:
                     # Channel exhausted or no slots: the full picking
                     # loop, then urgent GC, then out of space.
-                    block = self._frontier_or_urgent_gc()
-                gid = block.gid
-                channel_id = block.channel_id
-                chip_id = block.chip_id
+                    gid = self._frontier_or_urgent_gc()
+                channel_id = gid // bpc
                 # Read with the frontier in hand: urgent GC may move ``cur``.
                 old_gid = l2p_gid[cur]
                 old_page = l2p_page[cur]
-                # -- FlashBlock.program, inlined -----------------------
+                # -- BlockStore.program, inlined -----------------------
                 page = wp_col[gid]
                 if page >= ppb:
-                    raise RuntimeError(f"block {block.block_id} is full")
+                    raise RuntimeError(f"block {store.locate(gid)} is full")
                 lpns2d[gid, page] = cur
                 vc_col[gid] += 1
                 nxt = page + 1
@@ -429,11 +414,11 @@ class VssdFtl:
                 l2p_gid[cur] = gid
                 l2p_page[cur] = page
                 if old_gid >= 0:
-                    # -- FlashBlock.invalidate, inlined ----------------
+                    # -- BlockStore.invalidate, inlined ----------------
                     if lpns2d[old_gid, old_page] == -1:
                         raise RuntimeError(
                             f"double invalidate of page {old_page} in block "
-                            f"{store.blocks[old_gid].block_id}"
+                            f"{store.locate(old_gid)}"
                         )
                     lpns2d[old_gid, old_page] = -1
                     vc_col[old_gid] -= 1
@@ -453,7 +438,7 @@ class VssdFtl:
                     xs = now if now > b else b
                     xfer_done = xs + xfer
                     bus_busy[channel_id] = xfer_done
-                ci = channel_id * chips + chip_id
+                ci = gid // bpchip
                 ps = chip_busy[ci]
                 if xfer_done > ps:
                     ps = xfer_done
@@ -509,7 +494,8 @@ class VssdFtl:
         """
         store = self._store
         arrays = self._arrays
-        views = store.blocks
+        bpc = store.blocks_per_channel
+        bpchip = store.blocks_per_chip
         bus_busy = arrays.bus_busy
         chip_busy = arrays.chip_busy
         eff_read = arrays.eff_read_us
@@ -538,18 +524,17 @@ class VssdFtl:
                     channel = channels[channel_id]
                     chip_id = channel._next_write_chip
                     channel._next_write_chip = (chip_id + 1) % chips
+                    ci = channel_id * chips + chip_id
                     use_front = False
                     unmapped += 1
                 else:
-                    view = views[gid]
-                    channel_id = view.channel_id
-                    chip_id = view.chip_id
+                    channel_id = gid // bpc
+                    ci = gid // bpchip
                     use_front = front
                 # -- Channel.service_read, inlined ---------------------
                 read_us = eff_read[channel_id]
                 xfer = eff_xfer[channel_id]
                 extra = extra_lat[channel_id]
-                ci = channel_id * chips + chip_id
                 ss = chip_busy[ci]
                 if now > ss:
                     ss = now
@@ -586,15 +571,15 @@ class VssdFtl:
             self._unmapped_version = own.version
         return self._unmapped_channels
 
-    def page_location(self, lpn: int) -> Optional[PagePointer]:
-        """Physical location of ``lpn``, or None if never written."""
+    def page_location(self, lpn: int) -> Optional[tuple]:
+        """``(gid, page)`` where ``lpn`` lives, or None if never written."""
         l2p = self._l2p_gid
         if lpn >= len(l2p) or lpn < 0:
             return None
         gid = l2p[lpn]
         if gid < 0:
             return None
-        return PagePointer(self._store.blocks[gid], self._l2p_page[lpn])
+        return gid, self._l2p_page[lpn]
 
     def warm_fill(self, lpns: Iterable[int]) -> int:
         """Program pages without consuming simulated time.
@@ -627,9 +612,10 @@ class VssdFtl:
         empty is left to ``_allocate_and_program``, which owns channel
         exhaustion, urgent GC and :class:`OutOfSpaceError`.  The L2P
         lists are mirrored in numpy between such pages and written back
-        through a table of the block views' own ``gid`` ints: every entry
-        of a block shares one int object, as :meth:`write_span` stores it,
-        not a fresh one per LPN for each snapshot copy to keep alive.
+        through a table of one ``gid`` int per block: every entry of a
+        block shares one int object, as :meth:`write_span` stores its
+        region's, not a fresh one per LPN for each snapshot copy to keep
+        alive.
         The per-page loop this replaced is ``tests/ssd/warm_fill_oracle.py``.
         """
         todo = np.asarray(
@@ -648,7 +634,7 @@ class VssdFtl:
         l2p_gid = self._l2p_gid
         l2p_page = self._l2p_page
         # Indexed by gid; -1 (unmapped) wraps round to the trailing -1.
-        gid_ints = np.array([b.gid for b in store.blocks] + [-1], dtype=object)
+        gid_ints = np.array([*range(store.n_blocks), -1], dtype=object)
         # ``m_*[:length]`` mirror the L2P lists; past it, unmapped.
         m_gid = np.full(max(len(l2p_gid), int(todo.max(initial=-1)) + 1), -1, dtype=np.int64)
         m_page = np.zeros(len(m_gid), dtype=np.int64)
@@ -680,8 +666,7 @@ class VssdFtl:
                     take = total - count if visit else 0
                     rows = []
                     for v, (region, channel_id) in enumerate(visit[:take]):
-                        queue = region.refresh_frontier(channel_id, self.vssd_id)
-                        row = [b.gid for b in queue]
+                        row = list(region.refresh_frontier(channel_id, self.vssd_id))
                         room = min(
                             ((ppb - wp_col[gid]) * len(row) + j for j, gid in enumerate(row)),
                             default=0,
@@ -735,11 +720,11 @@ class VssdFtl:
         count = 0
         gids = self._l2p_gid
         pages = self._l2p_page
-        views = self._store.blocks
+        store = self._store
         for lpn, gid in enumerate(gids):
             if gid < 0:
                 continue
-            views[gid].invalidate(pages[lpn])
+            store.invalidate(gid, pages[lpn])
             gids[lpn] = -1
             count += 1
         self._mapped = 0
@@ -756,27 +741,28 @@ class VssdFtl:
             grow = lpn + 1 - len(l2p_gid)
             l2p_gid.extend([-1] * grow)
             self._l2p_page.extend([0] * grow)
-        block = self._frontier_or_urgent_gc()
+        gid = self._frontier_or_urgent_gc()
         # Read with the frontier in hand: urgent GC may move ``lpn``.
         old_gid = l2p_gid[lpn]
         old_page = self._l2p_page[lpn]
-        page = block.program(lpn)
-        l2p_gid[lpn] = block.gid
+        page = self._store.program(gid, lpn)
+        l2p_gid[lpn] = gid
         self._l2p_page[lpn] = page
         if old_gid >= 0:
-            self._store.blocks[old_gid].invalidate(old_page)
+            self._store.invalidate(old_gid, old_page)
         else:
             self._mapped += 1
 
-    def _frontier_or_urgent_gc(self) -> FlashBlock:
-        """The next frontier block, after urgent GC if need be, or raise."""
-        block = self._pick_frontier()
-        if block is None and not self._in_gc:
+    def _frontier_or_urgent_gc(self) -> int:
+        """The next frontier block's gid, after urgent GC if need be, or
+        raise."""
+        gid = self._pick_frontier()
+        if gid is None and not self._in_gc:
             self._urgent_gc()
-            block = self._pick_frontier()
-        if block is None:
+            gid = self._pick_frontier()
+        if gid is None:
             raise OutOfSpaceError(f"vSSD {self.vssd_id}: no programmable block available")
-        return block
+        return gid
 
     def _regions_version(self) -> int:
         version = self.own_region.version
@@ -795,7 +781,7 @@ class VssdFtl:
         self._slots = slots
         self._slots_version = self._regions_version()
 
-    def _pick_frontier(self) -> Optional[FlashBlock]:
+    def _pick_frontier(self) -> Optional[int]:
         """Round-robin over writable (region, channel) pairs, for host
         writes (GC copy-back picks its own destinations, :meth:`_relocate`).
 
@@ -849,9 +835,9 @@ class VssdFtl:
             else:
                 region, channel_id, k = choice
                 self._write_rr = start + k + 1
-            block = region.frontier_block(channel_id, self.vssd_id)
-            if block is not None:
-                return block
+            gid = region.frontier_block(channel_id, self.vssd_id)
+            if gid is not None:
+                return gid
         return None
 
     # ------------------------------------------------------------------
@@ -910,9 +896,8 @@ class VssdFtl:
             # re-add them to the wrong free pool.
             store = self._store
             vc_col = store.valid_count
-            views = store.blocks
             in_region = region.purpose == "capacity"
-            frontier = {block.gid for block in region._open.get(channel_id, ())}
+            frontier = set(region._open.get(channel_id, ()))
             base = channel_id * self._blocks_per_channel
             victims = [
                 gid
@@ -922,12 +907,12 @@ class VssdFtl:
                 and store.state[gid] is BlockState.FULL
                 and gid not in frontier
                 and not (in_region and vc_col[gid] >= store.pages_per_block)
-                and region.contains(views[gid])
+                and region.contains(gid)
             ]
             victims.sort(key=vc_col.__getitem__)  # stable: ties keep gid order
             for gid in victims[: self.GC_BATCH_BLOCKS]:
                 erased += self._collect_block(
-                    views[gid], region, region if in_region else None
+                    gid, region, region if in_region else None
                 )
             if erased:
                 self.stats.gc_runs += 1
@@ -936,8 +921,9 @@ class VssdFtl:
             PROFILER.count("ftl.gc_blocks_erased", erased)
         return erased
 
-    def _select_own_victim(self, channel_id: int) -> Optional[FlashBlock]:
-        """Best own-pool victim: HBT-flagged first, then fewest valid.
+    def _select_own_victim(self, channel_id: int) -> Optional[int]:
+        """Gid of the best own-pool victim: HBT-flagged first, then fewest
+        valid.
 
         Column scan over the channel's contiguous gid slice (blocks are
         gid-dense per channel), once per collected block.  The
@@ -954,7 +940,7 @@ class VssdFtl:
         ppb = store.pages_per_block
         base = channel_id * self._blocks_per_channel
         end = base + self._blocks_per_channel
-        frontier = {block.gid for block in self.own_region._open.get(channel_id, ())}
+        frontier = set(self.own_region._open.get(channel_id, ()))
         best = -1
         best_key = 2 * ppb + 2  # above any packed key: first hit wins
         for gid, state, valid in zip(
@@ -973,57 +959,61 @@ class VssdFtl:
             writer = store.writer[gid]
             if writer is None or writer == vssd:
                 best, best_key = gid, key
-        return store.blocks[best] if best >= 0 else None
+        return best if best >= 0 else None
 
-    def collect_blocks(self, blocks: list, region: WriteRegion) -> int:
+    def collect_blocks(self, gids: list, region: WriteRegion) -> int:
         """Force-collect specific region blocks (lazy gSB reclamation).
 
         Unlike threshold GC this also takes OPEN blocks, so a half-written
         write frontier cannot stall a reclaim forever.
         """
+        store = self._store
         collected = 0
-        for block in blocks:
-            if block.is_free:
+        for gid in gids:
+            if store.state[gid] is BlockState.FREE:
                 continue
-            if block.writer != self.vssd_id:
+            if store.writer[gid] != self.vssd_id:
                 raise ValueError(
-                    f"block {block.block_id} written by {block.writer}, "
+                    f"block {store.locate(gid)} written by {store.writer[gid]}, "
                     f"not by vSSD {self.vssd_id}"
                 )
-            collected += self._collect_block(block, region)
+            collected += self._collect_block(gid, region)
         return collected
 
     def _collect_block(
         self,
-        victim: FlashBlock,
+        victim: int,
         region: Optional[WriteRegion],
         target_region: Optional[WriteRegion] = None,
     ) -> int:
-        """Migrate valid pages out of ``victim``, erase it, route it.
+        """Migrate valid pages out of block ``victim``, erase it, route it.
 
         Valid data goes to this vSSD's own blocks (Figure 9) unless
         ``target_region`` pins it — capacity-region compaction stays
         inside its region.
         """
-        valid = victim.valid_lpns()
+        store = self._store
+        valid = store.valid_lpns(victim)
         if target_region is not None and target_region.free_pages() < len(valid):
             # In-region compaction needs somewhere inside the region to
             # put the data; bail out rather than deadlock.
             return 0
         if valid:
             self._relocate(valid, target_region)
-        channel = self.ssd.channels[victim.channel_id]
-        channel.occupy_for_gc(victim.chip_id, migrate_reads=len(valid), erases=1)
-        was_harvested = victim.harvested_flag
-        victim.erase()  # clears the HBT bit
+        channel_id, chip_id, _index = store.locate(victim)
+        self.ssd.channels[channel_id].occupy_for_gc(
+            chip_id, migrate_reads=len(valid), erases=1
+        )
+        was_harvested = store.harvested[victim]
+        store.erase(victim)  # clears the HBT bit
         self.stats.blocks_erased += 1
         if region is not None and region.kind == "harvest":
             if not region.reclaiming:
                 # Live gSB: keep the block harvestable for continued use.
-                victim.harvested_flag = True
+                store.harvested[victim] = True
             region.release_erased(victim)
         else:
-            if was_harvested and victim.owner != self.vssd_id:
+            if was_harvested and store.owner[victim] != self.vssd_id:
                 raise RuntimeError("own-region GC erased a foreign block")
             self.own_region._discard_open(victim)
             self.own_region.add_block(victim)
@@ -1036,7 +1026,7 @@ class VssdFtl:
         invalidate the old copy and charge the destination channel a
         background program — copy-back costs channel time like a host
         write, the interference the RL state's In_GC flag reports.
-        ``FlashBlock.program`` / ``invalidate`` and ``Channel.service_write``
+        ``BlockStore.program`` / ``invalidate`` and ``Channel.service_write``
         are inlined against the columns as in :meth:`write_span`.
 
         Each page goes to the own channel that can still write with the
@@ -1058,6 +1048,7 @@ class VssdFtl:
         l2p_gid = self._l2p_gid
         l2p_page = self._l2p_page
         ppb = store.pages_per_block
+        bpchip = store.blocks_per_chip
         full_state, open_state = BlockState.FULL, BlockState.OPEN
         now = self.ssd.sim.now
         own = target_region is None
@@ -1070,19 +1061,18 @@ class VssdFtl:
         for _page, lpn in valid:
             while heap:
                 channel_id = heap[0][1]
-                block = dest.frontier_block(channel_id, self.vssd_id)
-                if block is not None:
+                gid = dest.frontier_block(channel_id, self.vssd_id)
+                if gid is not None:
                     break
                 heappop(heap)
             else:
                 raise OutOfSpaceError(f"vSSD {self.vssd_id}: no programmable block available")
-            gid = block.gid
             old_gid = l2p_gid[lpn]
             old_page = l2p_page[lpn]
-            # -- FlashBlock.program, inlined ---------------------------
+            # -- BlockStore.program, inlined ---------------------------
             page = wp_col[gid]
             if page >= ppb:
-                raise RuntimeError(f"block {block.block_id} is full")
+                raise RuntimeError(f"block {store.locate(gid)} is full")
             lpns2d[gid, page] = lpn
             vc_col[gid] += 1
             wp_col[gid] = page + 1
@@ -1090,11 +1080,11 @@ class VssdFtl:
             l2p_gid[lpn] = gid
             l2p_page[lpn] = page
             if old_gid >= 0:
-                # -- FlashBlock.invalidate, inlined --------------------
+                # -- BlockStore.invalidate, inlined --------------------
                 if lpns2d[old_gid, old_page] == -1:
                     raise RuntimeError(
                         f"double invalidate of page {old_page} in block "
-                        f"{store.blocks[old_gid].block_id}"
+                        f"{store.locate(old_gid)}"
                     )
                 lpns2d[old_gid, old_page] = -1
                 vc_col[old_gid] -= 1
@@ -1105,7 +1095,7 @@ class VssdFtl:
             b = bus_busy[channel_id]
             xfer_done = (now if now > b else b) + xfer
             bus_busy[channel_id] = xfer_done
-            ci = channel_id * arrays.chips_per_channel + block.chip_id
+            ci = gid // bpchip
             write_us = arrays.eff_write_us[channel_id]
             extra = arrays.extra_latency_us[channel_id]
             ps = chip_busy[ci]

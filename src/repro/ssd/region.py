@@ -5,18 +5,17 @@ A :class:`~repro.ssd.ftl.VssdFtl` has one ``"own"`` region and one
 built and attached by the gSB manager or the ZNS adapter.  The frontier
 is on the write path, so the bookkeeping is O(1) per page: free blocks
 are per-channel deques (interleaved by chip so consecutive opens hit
-different chips) and open frontiers rotate per channel.
+different chips) and open frontiers rotate per channel.  Every queue and
+the member set hold block gids into the device's
+:class:`~repro.ssd.blockstate.BlockStore`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from repro.ssd.geometry import BlockState, FlashBlock
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.ssd.blockstate import BlockStore
+from repro.ssd.blockstate import BlockState, BlockStore
 
 
 class WriteRegion:
@@ -34,8 +33,9 @@ class WriteRegion:
     def __init__(
         self,
         region_id: str,
+        store: BlockStore,
         kind: str = "own",
-        on_block_released: Optional[Callable[[FlashBlock], None]] = None,
+        on_block_released: Optional[Callable[[int], None]] = None,
         max_open_per_channel: int = 4,
         purpose: str = "bandwidth",
         wear_aware: bool = False,
@@ -48,6 +48,7 @@ class WriteRegion:
         #: erase wear spreads evenly (FlashBlox's uniform-lifetime goal).
         self.wear_aware = wear_aware
         self.region_id = region_id
+        self.store = store
         self.kind = kind
         #: "bandwidth" regions recycle by copying data back to the
         #: harvester's own blocks (Figure 9); "capacity" regions hold
@@ -57,10 +58,10 @@ class WriteRegion:
         self.reclaiming = False
         self.on_block_released = on_block_released
         self.max_open_per_channel = max_open_per_channel
-        self._free: dict = {}   # channel -> deque[FlashBlock]
-        self._open: dict = {}   # channel -> deque[FlashBlock] (rotated)
+        self._free: dict = {}   # channel -> deque[gid]
+        self._open: dict = {}   # channel -> deque[gid] (rotated)
         self._channels: set = set()
-        #: Identity set of every block ever added and not yet routed away.
+        #: Gids of every block ever added and not yet routed away.
         #: Needed to scope GC: two harvest regions of the same vSSD can
         #: share a channel, and writer/HBT flags alone cannot tell their
         #: blocks apart.
@@ -71,27 +72,33 @@ class WriteRegion:
         self.version = 0
 
     # -- population ----------------------------------------------------
-    def add_block(self, block: FlashBlock) -> None:
+    def add_block(self, gid: int) -> None:
         """Add one FREE block to the region's free pool."""
-        if not block.is_free:
-            raise ValueError(f"region only accepts FREE blocks, got {block!r}")
-        queue = self._free.get(block.channel_id)
+        store = self.store
+        if store.state[gid] is not BlockState.FREE:
+            raise ValueError(
+                f"region only accepts FREE blocks, got block {store.locate(gid)} "
+                f"in state {store.state[gid].value}"
+            )
+        channel_id = gid // store.blocks_per_channel
+        queue = self._free.get(channel_id)
         if queue is None:
-            queue = self._free[block.channel_id] = deque()
+            queue = self._free[channel_id] = deque()
         # Interleave chips: append so that consecutive pops alternate chips
         # when blocks were adopted in chip-sorted batches.
-        queue.append(block)
-        self._channels.add(block.channel_id)
-        self._member_ids.add(id(block))
-        self._free_pages += block.pages_per_block
+        queue.append(gid)
+        self._channels.add(channel_id)
+        self._member_ids.add(gid)
+        self._free_pages += store.pages_per_block
         self.version += 1
 
-    def add_blocks(self, blocks: Iterable[FlashBlock]) -> None:
+    def add_blocks(self, gids: Iterable[int]) -> None:
         """Add FREE blocks, chip-interleaved for write parallelism."""
-        # Sort so chips interleave in the free queues.
-        ordered = sorted(blocks, key=lambda b: (b.index, b.chip_id, b.channel_id))
-        for block in ordered:
-            self.add_block(block)
+        # Sort by (index, chip, channel) so chips interleave in the free
+        # queues.
+        locate = self.store.locate
+        for gid in sorted(gids, key=lambda g: locate(g)[::-1]):
+            self.add_block(gid)
 
     # -- inspection ------------------------------------------------------
     def channels(self) -> list:
@@ -111,8 +118,10 @@ class WriteRegion:
 
     def free_pages(self) -> int:
         """Free (unprogrammed) pages in the region, including open space."""
+        ppb = self.store.pages_per_block
+        write_ptr = self.store.write_ptr
         open_space = sum(
-            block.free_pages for queue in self._open.values() for block in queue
+            ppb - write_ptr[gid] for queue in self._open.values() for gid in queue
         )
         return self._free_pages + open_space
 
@@ -125,9 +134,9 @@ class WriteRegion:
         queue = self._free.get(channel_id)
         return len(queue) if queue else 0
 
-    def contains(self, block: FlashBlock) -> bool:
-        """True while ``block`` belongs to this region (any state)."""
-        return id(block) in self._member_ids
+    def contains(self, gid: int) -> bool:
+        """True while block ``gid`` belongs to this region (any state)."""
+        return gid in self._member_ids
 
     def take_free_blocks(self, channel_id: int, count: int) -> list:
         """Remove up to ``count`` FREE blocks on ``channel_id`` from the
@@ -135,17 +144,17 @@ class WriteRegion:
         queue = self._free.get(channel_id)
         taken: list = []
         while queue and len(taken) < count:
-            block = queue.pop()
-            taken.append(block)
-            self._member_ids.discard(id(block))
-            self._free_pages -= block.pages_per_block
+            gid = queue.pop()
+            taken.append(gid)
+            self._member_ids.discard(gid)
+            self._free_pages -= self.store.pages_per_block
         if taken:
             self.version += 1
         return taken
 
     # -- frontier --------------------------------------------------------
-    def frontier_block(self, channel_id: int, writer: int) -> Optional[FlashBlock]:
-        """Return an OPEN block on ``channel_id`` to program next.
+    def frontier_block(self, channel_id: int, writer: int) -> Optional[int]:
+        """Return the gid of an OPEN block on ``channel_id`` to program next.
 
         Rotates across up to ``max_open_per_channel`` open blocks (one per
         chip in steady state) so writes within a channel pipeline across
@@ -157,16 +166,16 @@ class WriteRegion:
         # drop/refill bookkeeping — identical to falling through below.
         if not (
             open_queue
-            and open_queue[0].state is not BlockState.FULL
+            and self.store.state[open_queue[0]] is not BlockState.FULL
             and len(open_queue) >= self.max_open_per_channel
         ):
             open_queue = self.refresh_frontier(channel_id, writer)
             if not open_queue:
                 self.version += 1  # channel exhausted: striping order changed
                 return None
-        block = open_queue[0]
+        gid = open_queue[0]
         open_queue.rotate(-1)
-        return block
+        return gid
 
     def refresh_frontier(self, channel_id: int, writer: int) -> deque:
         """Drop filled frontier heads on ``channel_id``, open free blocks
@@ -176,47 +185,44 @@ class WriteRegion:
         it touches only this channel's two queues, so a caller that knows
         the channel's next program is imminent may run it ahead of time.
         """
+        store = self.store
+        state = store.state
         open_queue = self._open.get(channel_id)
         if open_queue is None:
             open_queue = self._open[channel_id] = deque()
-        while open_queue and open_queue[0].state is BlockState.FULL:
+        while open_queue and state[open_queue[0]] is BlockState.FULL:
             open_queue.popleft()
         free_queue = self._free.get(channel_id)
         while len(open_queue) < self.max_open_per_channel and free_queue:
             if self.wear_aware:
-                block = min(free_queue, key=lambda b: b.erase_count)
-                free_queue.remove(block)
+                # The first least-erased block in queue order.
+                gid = min(free_queue, key=store.erase_count.__getitem__)
+                free_queue.remove(gid)
             else:
-                block = free_queue.popleft()
-            self._free_pages -= block.pages_per_block
-            block.writer = writer
-            open_queue.append(block)
+                gid = free_queue.popleft()
+            self._free_pages -= store.pages_per_block
+            store.writer[gid] = writer
+            open_queue.append(gid)
         return open_queue
 
     def frontier_blocks(self) -> set:
-        """Identity set of currently open blocks (GC must skip them)."""
-        return {
-            id(block) for queue in self._open.values() for block in queue
-        }
+        """Gids of the currently open blocks (GC must skip them)."""
+        return {gid for queue in self._open.values() for gid in queue}
 
-    def release_erased(self, block: FlashBlock) -> None:
+    def release_erased(self, gid: int) -> None:
         """Route a freshly erased block per region policy."""
-        self._discard_open(block)
+        self._discard_open(gid)
         if self.kind == "harvest" and not self.reclaiming:
-            self.add_block(block)
+            self.add_block(gid)
         elif self.on_block_released is not None:
-            self._member_ids.discard(id(block))
-            self.on_block_released(block)
+            self._member_ids.discard(gid)
+            self.on_block_released(gid)
 
-    def _discard_open(self, block: FlashBlock) -> None:
-        # Identity scan, not ``deque.remove``: threshold-GC victims are
-        # never open, and a miss there formats the block into a ValueError.
-        queue = self._open.get(block.channel_id)
-        if queue:
-            for position, candidate in enumerate(queue):
-                if candidate is block:
-                    del queue[position]
-                    return
+    def _discard_open(self, gid: int) -> None:
+        # Threshold-GC victims are never open, so a miss is the common case.
+        queue = self._open.get(gid // self.store.blocks_per_channel)
+        if queue and gid in queue:
+            queue.remove(gid)
 
     def drain_free_blocks(self) -> list:
         """Remove and return every FREE block (used by gSB reclaim).
@@ -224,70 +230,55 @@ class WriteRegion:
         This includes blocks that were popped into an open-frontier queue
         but never programmed — they are still physically erased.
         """
+        store = self.store
         drained: list = []
         for queue in self._free.values():
             drained.extend(queue)
-            self._free_pages -= sum(b.pages_per_block for b in queue)
+            self._free_pages -= len(queue) * store.pages_per_block
             queue.clear()
         for open_queue in self._open.values():
-            untouched = [b for b in open_queue if b.is_free]
-            for block in untouched:
-                open_queue.remove(block)
-                block.writer = None
-                drained.append(block)
-        for block in drained:
-            self._member_ids.discard(id(block))
+            untouched = [g for g in open_queue if store.state[g] is BlockState.FREE]
+            for gid in untouched:
+                open_queue.remove(gid)
+                store.writer[gid] = None
+                drained.append(gid)
+        for gid in drained:
+            self._member_ids.discard(gid)
         self.version += 1
         return drained
 
     def snapshot(self) -> dict:
         """Capture membership and frontier order as plain gid lists.
 
-        Blocks are encoded by gid (their identity in the device's
-        :class:`~repro.ssd.blockstate.BlockStore`), preserving per-channel
-        deque order exactly — frontier rotation is order-sensitive, so a
-        restored region must pop and rotate the same blocks in the same
-        sequence.
+        Per-channel deque order is preserved exactly — frontier rotation
+        is order-sensitive, so a restored region must pop and rotate the
+        same blocks in the same sequence.  ``members`` also covers the
+        FULL blocks, which sit in neither queue.
         """
         return {
-            "free": {
-                channel: [block.gid for block in queue]
-                for channel, queue in self._free.items()
-            },
-            "open": {
-                channel: [block.gid for block in queue]
-                for channel, queue in self._open.items()
-            },
+            "free": {channel: list(queue) for channel, queue in self._free.items()},
+            "open": {channel: list(queue) for channel, queue in self._open.items()},
+            "members": sorted(self._member_ids),
             "channels": sorted(self._channels),
             "free_pages": self._free_pages,
             "version": self.version,
             "reclaiming": self.reclaiming,
         }
 
-    def restore(self, snapshot: dict, store: "BlockStore") -> None:
-        """Rebuild queues and the identity set from a :meth:`snapshot`.
+    def restore(self, snapshot: dict) -> None:
+        """Rebuild queues and the member set from a :meth:`snapshot`.
 
-        ``store.blocks`` views are identity-stable per gid, so the
-        rebuilt ``_member_ids`` set matches what incremental updates
-        would have produced.  Block *state* (writer, write pointer, page
-        map) is the store's to restore; this only rebuilds the region's
-        bookkeeping around it.
+        Block *state* (writer, write pointer, page map) is the store's to
+        restore; this only rebuilds the region's bookkeeping around it.
         """
-        views = store.blocks
         self._free = {
-            channel: deque(views[gid] for gid in gids)
-            for channel, gids in snapshot["free"].items()
+            channel: deque(gids) for channel, gids in snapshot["free"].items()
         }
         self._open = {
-            channel: deque(views[gid] for gid in gids)
-            for channel, gids in snapshot["open"].items()
+            channel: deque(gids) for channel, gids in snapshot["open"].items()
         }
         self._channels = set(snapshot["channels"])
-        self._member_ids = {
-            id(block)
-            for queue in list(self._free.values()) + list(self._open.values())
-            for block in queue
-        }
+        self._member_ids = set(snapshot["members"])
         self._free_pages = snapshot["free_pages"]
         self.version = snapshot["version"]
         self.reclaiming = snapshot["reclaiming"]

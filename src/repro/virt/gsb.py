@@ -1,7 +1,8 @@
 """Ghost superblocks (gSBs) and the gSB pool — Section 3.6.
 
 A gSB packages harvestable free blocks striped across one or more
-channels.  Its metadata mirrors Figure 7: channel count, capacity, the
+channels; it holds them as block gids.  Its metadata mirrors Figure 7:
+channel count, capacity, the
 home vSSD that gave up the resources, the harvesting vSSD (if any), and
 the in-use flag.  The pool keeps one list per channel-count, indexed and
 sorted by ``n_chls`` for best-fit search (the paper uses lock-free linked
@@ -23,14 +24,20 @@ _gsb_ids = itertools.count()
 class GhostSuperblock:
     """Metadata of one ghost superblock (Figure 7)."""
 
-    def __init__(self, n_chls: int, blocks: list, home_vssd: int) -> None:
+    def __init__(
+        self, n_chls: int, blocks: list, home_vssd: int, blocks_per_channel: int
+    ) -> None:
         if n_chls <= 0:
             raise ValueError("a gSB must stripe across at least one channel")
         if not blocks:
             raise ValueError("a gSB must contain blocks")
         self.gsb_id = next(_gsb_ids)
         self.n_chls = n_chls
+        #: Gids of the blocks currently belonging to the gSB.
         self.blocks = list(blocks)
+        #: The device's block layout, which places gid ``g`` on channel
+        #: ``g // blocks_per_channel``.
+        self.blocks_per_channel = blocks_per_channel
         self.home_vssd = home_vssd
         self.harvest_vssd: Optional[int] = None
         self.in_use = False
@@ -48,7 +55,8 @@ class GhostSuperblock:
     @property
     def channel_ids(self) -> list:
         """Distinct channels the gSB's blocks stripe across."""
-        return sorted({block.channel_id for block in self.blocks})
+        bpc = self.blocks_per_channel
+        return sorted({gid // bpc for gid in self.blocks})
 
     def capacity_bytes(self, block_size: int) -> int:
         """The gSB's capacity in bytes given a block size."""

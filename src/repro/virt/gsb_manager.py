@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.config import SSDConfig
+from repro.ssd.blockstate import BlockState
 from repro.ssd.region import WriteRegion
 from repro.virt.gsb import GhostSuperblock, GsbPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ssd.device import Ssd
-    from repro.ssd.geometry import FlashBlock
     from repro.virt.vssd import Vssd
 
 
@@ -50,6 +50,7 @@ class GsbManager:
 
     def __init__(self, ssd: "Ssd") -> None:
         self.ssd = ssd
+        self.store = ssd.store
         self.config: SSDConfig = ssd.config
         self.pool = GsbPool(self.config.num_channels)
         self.stats = GsbManagerStats()
@@ -91,9 +92,15 @@ class GsbManager:
             blocks.extend(taken)
         if not blocks:
             return None
-        for block in blocks:
-            block.harvested_flag = True
-        gsb = GhostSuperblock(n_chls=len(channels), blocks=blocks, home_vssd=home.vssd_id)
+        harvested = self.store.harvested
+        for gid in blocks:
+            harvested[gid] = True
+        gsb = GhostSuperblock(
+            n_chls=len(channels),
+            blocks=blocks,
+            home_vssd=home.vssd_id,
+            blocks_per_channel=self.store.blocks_per_channel,
+        )
         self.pool.insert(gsb)
         home.harvestable_gsbs.append(gsb)
         self.stats.gsbs_created += 1
@@ -149,9 +156,10 @@ class GsbManager:
         gsb.harvest_vssd = harvester.vssd_id
         region = WriteRegion(
             f"gsb:{gsb.gsb_id}",
+            self.store,
             kind="harvest",
             purpose=purpose,
-            on_block_released=lambda block, g=gsb: self._block_returned(g, block),
+            on_block_released=lambda gid, g=gsb: self._block_returned(g, gid),
         )
         region.add_blocks(gsb.blocks)
         gsb.region = region
@@ -208,8 +216,9 @@ class GsbManager:
 
     def _destroy_unused(self, home: "Vssd", gsb: GhostSuperblock) -> None:
         self.pool.remove(gsb)
-        for block in gsb.blocks:
-            block.harvested_flag = False
+        harvested = self.store.harvested
+        for gid in gsb.blocks:
+            harvested[gid] = False
         home.ftl.adopt_blocks(gsb.blocks)
         home.harvestable_gsbs.remove(gsb)
         self.stats.gsbs_destroyed_unused += 1
@@ -222,12 +231,12 @@ class GsbManager:
         self._reclaiming.append(gsb)
         # FREE blocks (including opened-but-unwritten frontiers) can go
         # home immediately.
-        for block in region.drain_free_blocks():
-            self._block_returned(gsb, block)
+        for gid in region.drain_free_blocks():
+            self._block_returned(gsb, gid)
         self.stats.gsbs_reclaimed_lazily += 1
         self.pump_reclaims()
 
-    def _block_returned(self, gsb: GhostSuperblock, block: "FlashBlock") -> None:
+    def _block_returned(self, gsb: GhostSuperblock, gid: int) -> None:
         """A reclaiming gSB's block is FREE again — send it home.
 
         The block leaves ``gsb.blocks`` so a later pump cannot touch it
@@ -235,14 +244,14 @@ class GsbManager:
         list empties, the reclaim finalizes.
         """
         home = self._vssd_of(gsb.home_vssd)
-        block.harvested_flag = False
+        self.store.harvested[gid] = False
         try:
-            gsb.blocks.remove(block)
+            gsb.blocks.remove(gid)
         except ValueError:
             raise RuntimeError(
-                f"block {block.block_id} returned to gSB {gsb.gsb_id} twice"
+                f"block {self.store.locate(gid)} returned to gSB {gsb.gsb_id} twice"
             )
-        home.ftl.adopt_blocks([block])
+        home.ftl.adopt_blocks([gid])
         self.stats.blocks_returned += 1
         if not gsb.blocks:
             self._finalize_reclaim(gsb)
@@ -271,12 +280,15 @@ class GsbManager:
         drain even if the harvester stopped writing to those channels.
         Returns blocks collected this pump.
         """
+        store = self.store
+        free = BlockState.FREE
         collected = 0
         for gsb in list(self._reclaiming):
             harvester = self._vssd_of(gsb.harvest_vssd)
             pending = [
-                b for b in gsb.blocks
-                if not b.is_free and b.writer == gsb.harvest_vssd
+                gid for gid in gsb.blocks
+                if store.state[gid] is not free
+                and store.writer[gid] == gsb.harvest_vssd
             ]
             if pending:
                 collected += harvester.ftl.collect_blocks(pending, gsb.region)

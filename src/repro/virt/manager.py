@@ -15,6 +15,7 @@ from repro.config import SSDConfig
 from repro.sched.dispatcher import IoDispatcher
 from repro.sched.policies import PriorityPolicy, SchedulingPolicy
 from repro.sim.engine import Simulator
+from repro.ssd.blockstate import BlockState
 from repro.ssd.device import Ssd
 from repro.ssd.ftl import VssdFtl
 from repro.virt.admission import AdmissionController
@@ -121,20 +122,21 @@ class StorageVirtualizer:
         self.dispatcher.unregister_vssd(vssd_id)
         vssd.ftl.trim_all()
         placeholder = self._ensure_placeholder()
+        store = self.ssd.store
         moved = []
-        for channel in self.ssd.channels:
-            for block in channel.blocks:
-                if block.owner == vssd_id:
-                    if block.valid_count:
-                        raise RuntimeError("trim_all left valid data behind")
-                    if not block.is_free:
-                        block.erase()
-                    block.harvested_flag = False
-                    block.owner = PLACEHOLDER_VSSD_ID
-                    moved.append(block)
+        for gid in range(store.n_blocks):
+            if store.owner[gid] == vssd_id:
+                if store.valid_count[gid]:
+                    raise RuntimeError("trim_all left valid data behind")
+                if store.state[gid] is not BlockState.FREE:
+                    store.erase(gid)
+                store.harvested[gid] = False
+                store.owner[gid] = PLACEHOLDER_VSSD_ID
+                moved.append(gid)
         placeholder.ftl.adopt_blocks(moved)
+        bpc = store.blocks_per_channel
         placeholder.channel_ids = sorted(
-            set(placeholder.channel_ids) | {b.channel_id for b in moved}
+            set(placeholder.channel_ids) | {gid // bpc for gid in moved}
         )
 
     def _ensure_placeholder(self) -> Vssd:
@@ -167,13 +169,11 @@ class StorageVirtualizer:
         """Sever the stack's back-edges so reference counting frees it.
 
         The engine drops its pending events, the dispatcher its
-        completion callbacks, the device its block views and the gSB
-        manager its harvest hooks.  Nothing may run on a closed stack.
-        Idempotent.
+        completion callbacks and the gSB manager its harvest hooks.
+        Nothing may run on a closed stack.  Idempotent.
         """
         self.sim.close()
         self.dispatcher.close()
-        self.ssd.close()
         self.gsb_manager.close()
 
     # ------------------------------------------------------------------

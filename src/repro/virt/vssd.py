@@ -72,7 +72,7 @@ class Vssd:
         for gsb in self.harvested_gsbs:
             region = gsb.region
             if region is not None and region.purpose == "capacity":
-                total += sum(block.pages_per_block for block in gsb.blocks)
+                total += len(gsb.blocks) * self.ftl.config.pages_per_block
         return total
 
     def usable_capacity_pages(self) -> int:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.ssd.blockstate import BlockState
 from repro.ssd.region import WriteRegion
 from repro.virt.gsb import GhostSuperblock, GsbPool
 from repro.zns.namespace import ZnsError, ZonedNamespace
 from repro.zns.zone import Zone, ZoneState
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.ssd.geometry import FlashBlock
     from repro.virt.vssd import Vssd
 
 
@@ -32,7 +32,12 @@ def zone_to_gsb(zone: Zone, home_id: int) -> GhostSuperblock:
     """Package an EMPTY zone's blocks as a one-channel ghost superblock."""
     if zone.state is not ZoneState.EMPTY:
         raise ZnsError(f"zone {zone.zone_id} is {zone.state}, not EMPTY")
-    return GhostSuperblock(n_chls=1, blocks=list(zone.blocks), home_vssd=home_id)
+    return GhostSuperblock(
+        n_chls=1,
+        blocks=list(zone.blocks),
+        home_vssd=home_id,
+        blocks_per_channel=zone.store.blocks_per_channel,
+    )
 
 
 class ZnsHarvestAdapter:
@@ -40,6 +45,7 @@ class ZnsHarvestAdapter:
 
     def __init__(self, namespace: ZonedNamespace, pool: GsbPool) -> None:
         self.namespace = namespace
+        self.store = namespace.store
         self.pool = pool
         #: gsb_id -> zone, for every zone currently lent out or pooled.
         self._lent: dict = {}
@@ -56,8 +62,8 @@ class ZnsHarvestAdapter:
         # The zoned host must not append while the zone is lent out; a
         # FULL zone rejects appends by the ZNS state machine itself.
         zone.finish()
-        for block in gsb.blocks:
-            block.harvested_flag = True
+        for gid in gsb.blocks:
+            self.store.harvested[gid] = True
         self.pool.insert(gsb)
         self._lent[gsb.gsb_id] = zone
         self.zones_offered += 1
@@ -94,8 +100,9 @@ class ZnsHarvestAdapter:
         gsb.harvest_vssd = harvester.vssd_id
         region = WriteRegion(
             f"zns-gsb:{gsb.gsb_id}",
+            self.store,
             kind="harvest",
-            on_block_released=lambda block, g=gsb: self._block_home(g, block),
+            on_block_released=lambda gid, g=gsb: self._block_home(g, gid),
         )
         region.add_blocks(gsb.blocks)
         gsb.region = region
@@ -117,8 +124,8 @@ class ZnsHarvestAdapter:
             raise ZnsError(f"gSB {gsb.gsb_id} is not a lent zone")
         if not gsb.in_use:
             self.pool.remove(gsb)
-            for block in gsb.blocks:
-                block.harvested_flag = False
+            for gid in gsb.blocks:
+                self.store.harvested[gid] = False
             gsb.blocks.clear()
             self._finish_return(gsb)
             return
@@ -126,9 +133,10 @@ class ZnsHarvestAdapter:
             raise ZnsError("reclaiming an in-use zone requires the harvester")
         gsb.reclaiming = True
         gsb.region.reclaiming = True
-        for block in gsb.region.drain_free_blocks():
-            self._block_home(gsb, block)
-        pending = [b for b in list(gsb.blocks) if not b.is_free]
+        for gid in gsb.region.drain_free_blocks():
+            self._block_home(gsb, gid)
+        state = self.store.state
+        pending = [gid for gid in gsb.blocks if state[gid] is not BlockState.FREE]
         if pending:
             harvester.ftl.collect_blocks(pending, gsb.region)
         if gsb.region in harvester.ftl.harvest_regions:
@@ -136,12 +144,14 @@ class ZnsHarvestAdapter:
         if gsb in harvester.harvested_gsbs:
             harvester.harvested_gsbs.remove(gsb)
 
-    def _block_home(self, gsb: GhostSuperblock, block: "FlashBlock") -> None:
-        block.harvested_flag = False
+    def _block_home(self, gsb: GhostSuperblock, gid: int) -> None:
+        self.store.harvested[gid] = False
         try:
-            gsb.blocks.remove(block)
+            gsb.blocks.remove(gid)
         except ValueError:
-            raise ZnsError(f"block {block.block_id} returned twice to zone-gSB")
+            raise ZnsError(
+                f"block {self.store.locate(gid)} returned twice to zone-gSB"
+            )
         if not gsb.blocks:
             self._finish_return(gsb)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.ssd.blockstate import BlockState
 from repro.zns.zone import Zone, ZoneState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,20 +47,18 @@ class ZonedNamespace:
         self.zones: list = []
         self.appends = 0
         self.reads = 0
+        store = ssd.store
+        self.store = store
         zone_id = 0
         for channel_id in channel_ids:
-            free = [
-                block
-                for block in ssd.channels[channel_id].blocks
-                if block.owner is None
-            ]
-            # Interleave chips within each zone.
-            free.sort(key=lambda b: (b.index, b.chip_id))
+            free = [gid for gid in ssd.channel_gids(channel_id) if store.owner[gid] is None]
+            # Interleave chips within each zone: sort by (index, chip).
+            free.sort(key=lambda g: store.locate(g)[:0:-1])
             for start in range(0, len(free) - blocks_per_zone + 1, blocks_per_zone):
                 blocks = free[start : start + blocks_per_zone]
-                for block in blocks:
-                    block.owner = owner_id
-                self.zones.append(Zone(zone_id, blocks))
+                for gid in blocks:
+                    store.owner[gid] = owner_id
+                self.zones.append(Zone(zone_id, blocks, store))
                 zone_id += 1
         if not self.zones:
             raise ZnsError("no unowned blocks available for any zone")
@@ -128,16 +127,18 @@ class ZonedNamespace:
         Block erases are charged on the zone's channel like GC erases.
         """
         zone = self.zone(zone_id)
-        erasable = [block for block in zone.blocks if not block.is_free]
+        store = self.store
+        erasable = [gid for gid in zone.blocks if store.state[gid] is not BlockState.FREE]
         zone.reset()
         done = self.ssd.sim.now
         channel = self.ssd.channels[zone.channel_id]
-        for block in erasable:
-            for page, lpn in block.valid_lpns():
-                block.invalidate(page)
-            finish = channel.occupy_for_gc(block.chip_id, migrate_reads=0, erases=1)
+        for gid in erasable:
+            for page, _lpn in store.valid_lpns(gid):
+                store.invalidate(gid, page)
+            _channel, chip_id, _index = store.locate(gid)
+            finish = channel.occupy_for_gc(chip_id, migrate_reads=0, erases=1)
             done = max(done, finish)
-            block.erase()
+            store.erase(gid)
         return done
 
     # ------------------------------------------------------------------
@@ -153,11 +154,13 @@ class ZonedNamespace:
             self.open_zone(zone_id)
         start_pointer = zone.write_pointer
         placements = zone.advance(pages)
+        store = self.store
         channel = self.ssd.channels[zone.channel_id]
         done = self.ssd.sim.now
-        for offset, (block, page) in enumerate(placements):
-            block.program(start_pointer + offset)
-            done = max(done, channel.service_write(block.chip_id, front=front))
+        for offset, (gid, _page) in enumerate(placements):
+            store.program(gid, start_pointer + offset)
+            _channel, chip_id, _index = store.locate(gid)
+            done = max(done, channel.service_write(chip_id, front=front))
         self.appends += pages
         return done
 
@@ -172,7 +175,8 @@ class ZonedNamespace:
         channel = self.ssd.channels[zone.channel_id]
         done = self.ssd.sim.now
         for offset in range(pages):
-            block, _page = zone.locate(page_index + offset)
-            done = max(done, channel.service_read(block.chip_id, front=front))
+            gid, _page = zone.locate(page_index + offset)
+            _channel, chip_id, _index = self.store.locate(gid)
+            done = max(done, channel.service_read(chip_id, front=front))
         self.reads += pages
         return done

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.ssd.blockstate import BlockStore
 
 
 class ZoneState(enum.Enum):
@@ -21,21 +25,24 @@ class ZoneError(RuntimeError):
 class Zone:
     """One zone: a fixed set of flash blocks written strictly in order.
 
-    The zone stripes across its blocks page-by-page (block i gets pages
-    i, i+n, i+2n, ...) so appends exploit chip parallelism the way the
-    FTL's superblocks do, while the host-visible semantics stay strictly
+    ``blocks`` are gids into ``store``, all on one channel.  The zone
+    stripes across them page-by-page (block i gets pages i, i+n, i+2n,
+    ...) so appends exploit chip parallelism the way the FTL's
+    superblocks do, while the host-visible semantics stay strictly
     sequential: one write pointer, append-only, reset-to-reuse.
     """
 
-    def __init__(self, zone_id: int, blocks: list) -> None:
+    def __init__(self, zone_id: int, blocks: list, store: "BlockStore") -> None:
         if not blocks:
             raise ValueError("a zone needs at least one block")
-        channels = {block.channel_id for block in blocks}
+        bpc = store.blocks_per_channel
+        channels = {gid // bpc for gid in blocks}
         if len(channels) != 1:
             raise ValueError("a zone's blocks must share one channel")
         self.zone_id = zone_id
         self.blocks = list(blocks)
-        self.channel_id = blocks[0].channel_id
+        self.store = store
+        self.channel_id = blocks[0] // bpc
         self.state = ZoneState.EMPTY
         self.write_pointer = 0  # pages appended so far
         self.resets = 0
@@ -43,7 +50,7 @@ class Zone:
     @property
     def capacity_pages(self) -> int:
         """Total pages the zone can hold before it is FULL."""
-        return sum(block.pages_per_block for block in self.blocks)
+        return len(self.blocks) * self.store.pages_per_block
 
     @property
     def remaining_pages(self) -> int:
@@ -51,13 +58,12 @@ class Zone:
         return self.capacity_pages - self.write_pointer
 
     def locate(self, page_index: int) -> tuple:
-        """(block, page-in-block) for zone-relative ``page_index``."""
+        """(gid, page-in-block) for zone-relative ``page_index``."""
         if not 0 <= page_index < self.capacity_pages:
             raise ZoneError(
                 f"zone {self.zone_id}: page {page_index} out of range"
             )
-        block = self.blocks[page_index % len(self.blocks)]
-        return block, page_index // len(self.blocks)
+        return self.blocks[page_index % len(self.blocks)], page_index // len(self.blocks)
 
     def open(self) -> None:
         """EMPTY/CLOSED -> OPEN."""

@@ -103,6 +103,33 @@ def test_restored_build_state_equals_cold_build(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "plans",
+    [PLANS, [VssdPlan("searchengine"), VssdPlan("terasort")]],
+    ids=["ycsb+terasort", "searchengine+terasort"],
+)
+@pytest.mark.parametrize("policy", ["hardware", "software", "adaptive", "ssdkeeper"])
+def test_restored_region_membership_equals_cold_build(policy, plans, monkeypatch):
+    """A region's members include its FULL blocks, which sit in neither
+    queue; a restored own region must claim exactly the cold build's."""
+    def members(exp):
+        return {
+            plan.name: set(exp.virt.vssd_by_name(plan.name).ftl.own_region._member_ids)
+            for plan in exp.plans
+        }
+
+    cold = members(_cold_build(monkeypatch, policy=policy, plans=plans))
+    _experiment(policy, plans=plans).build()  # miss: warms + captures
+    restored = _experiment(policy, plans=plans).build()
+    assert snapshots.STATS["hits"] == 1
+    assert members(restored) == cold
+    store = restored.virt.ssd.store
+    for plan in restored.plans:
+        ftl = restored.virt.vssd_by_name(plan.name).ftl
+        owned = {gid for gid in range(store.n_blocks) if store.owner[gid] == ftl.vssd_id}
+        assert cold[plan.name] == owned  # no gSB yet: members are the owned blocks
+
+
 def _run_windows_csv(tmp_path, tag, exp):
     exp.run(2.0, 0.5)
     histories = {

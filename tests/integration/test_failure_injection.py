@@ -48,16 +48,14 @@ def test_action_thrash_does_not_corrupt_state(fast_config):
         # b's 2048-page capacity so GC always has invalid pages to free).
         for i in range(20):
             b.ftl.write_span(int(rng.integers(0, 1200)), 1)
-    total_blocks = 4 * fast_config.blocks_per_channel
-    accounted = 0
-    for channel in virt.ssd.channels:
-        for block in channel.blocks:
-            assert block.owner in (a.vssd_id, b.vssd_id)
-            accounted += 1
-    assert accounted == total_blocks
+    store = virt.ssd.store
+    assert store.n_blocks == 4 * fast_config.blocks_per_channel
+    assert all(owner in (a.vssd_id, b.vssd_id) for owner in store.owner)
     # Harvester data stays readable.
-    for lpn, pointer in b.ftl.page_map.items():
-        assert pointer.block.page_lpns[pointer.page] == lpn
+    for lpn in range(len(b.ftl._l2p_gid)):
+        location = b.ftl.page_location(lpn)
+        if location is not None:
+            assert store.page_lpns[location] == lpn
 
 
 def test_harvester_survives_home_capacity_crunch(fast_config):
@@ -79,10 +77,11 @@ def test_harvester_survives_home_capacity_crunch(fast_config):
     virt.gsb_manager.reclaim_excess(home, 0)
     virt.gsb_manager.pump_reclaims()
     assert virt.gsb_manager.reclaiming_gsbs() == []
+    store = virt.ssd.store
     for lpn in lpns:
-        pointer = harvester.ftl.page_location(lpn)
-        assert pointer is not None
-        assert pointer.block.owner == harvester.vssd_id
+        location = harvester.ftl.page_location(lpn)
+        assert location is not None
+        assert store.owner[location[0]] == harvester.vssd_id
 
 
 def test_failed_request_reported_not_crashed(fast_config):

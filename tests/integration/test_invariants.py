@@ -107,17 +107,17 @@ def test_block_ownership_conserved_under_harvest_churn(actions, writes):
         virt.gsb_manager.pump_reclaims()
         for _ in range(writes // len(actions) + 1):
             vssds[int(rng.integers(2))].ftl.write_span(int(rng.integers(0, 300)), 1)
-    owners = {}
-    for channel in virt.ssd.channels:
-        for block in channel.blocks:
-            assert block.owner in (a.vssd_id, b.vssd_id)
-            owners[block.block_id] = block.owner
-    assert len(owners) == config.total_blocks
+    store = virt.ssd.store
+    assert store.n_blocks == config.total_blocks
+    assert all(owner in (a.vssd_id, b.vssd_id) for owner in store.owner)
     # Every mapped page of both tenants resolves to its own data.
     for vssd in vssds:
-        for lpn, pointer in vssd.ftl.page_map.items():
-            assert pointer.block.page_lpns[pointer.page] == lpn
-            assert pointer.block.writer == vssd.vssd_id
+        for lpn in range(len(vssd.ftl._l2p_gid)):
+            location = vssd.ftl.page_location(lpn)
+            if location is None:
+                continue
+            assert store.page_lpns[location] == lpn
+            assert store.writer[location[0]] == vssd.vssd_id
 
 
 def test_latency_never_below_service_floor():
@@ -163,8 +163,6 @@ def test_valid_pages_equal_mapped_pages_device_wide():
     for _ in range(600):
         vssd = (a, b)[int(rng.integers(2))]
         vssd.ftl.write_span(int(rng.integers(0, 250)), 1)
-    total_valid = sum(
-        block.valid_count for ch in virt.ssd.channels for block in ch.blocks
-    )
+    total_valid = sum(virt.ssd.store.valid_count)
     total_mapped = a.ftl.mapped_pages() + b.ftl.mapped_pages()
     assert total_valid == total_mapped

@@ -1,7 +1,7 @@
 """A finished cell frees its simulator by reference counting alone.
 
 A built experiment is cyclic (pending engine events, dispatcher
-completion callbacks, block views, harvest hooks).  The cell runner
+completion callbacks, harvest hooks).  The cell runner
 closes it in a ``finally``, so with the garbage collector disabled the
 whole stack must already be gone when ``run_cell`` returns, and a
 collection afterwards must find no ``repro`` object to free.
@@ -20,6 +20,7 @@ from repro.parallel import ExperimentCell, run_cell
 from repro.parallel import worker
 from repro.rl.nets import PolicyValueNet
 from repro.sim.engine import Simulator
+from repro.ssd import Ssd, VssdFtl
 
 #: The committed canonical policy net: with it the 8 s fleetio cell ends
 #: with a harvest region attached, the case whose hook closes a cycle.
@@ -118,6 +119,30 @@ def test_cell_whose_run_raises_is_still_closed(gc_off, captured, monkeypatch):
     assert not outcome.ok
     assert outcome.error["message"] == "engine fault"
     assert [ref() for ref in refs] == [None] * 5
+    assert _repro_garbage() == []
+
+
+def test_bare_device_is_freed_without_close(small_config, gc_off):
+    """A device holds blocks as gids, so nothing in it points back at its
+    store: once its FTLs have written and garbage-collected and the
+    engine has drained, dropping the last references frees it all."""
+    sim = Simulator()
+    ssd = Ssd(small_config, sim)
+    ftls = []
+    for vssd_id, channels in ((0, [0, 1]), (1, [2, 3])):
+        ftl = VssdFtl(vssd_id, ssd)
+        ftl.adopt_blocks(ssd.allocate_channels(vssd_id, channels))
+        ftls.append(ftl)
+    pages = 2 * small_config.blocks_per_channel * small_config.pages_per_block
+    for ftl in ftls:
+        for i in range(2 * pages):
+            ftl.write_span(i % (pages // 2), 1)
+        assert ftl.stats.blocks_erased > 0
+    sim.run()
+    refs = [weakref.ref(obj) for obj in (sim, ssd, ssd.store, *ssd.channels, *ftls)]
+    del sim, ssd, ftl, ftls
+    alive = [type(ref()).__name__ for ref in refs if ref() is not None]
+    assert alive == [], f"still referenced without a collection: {alive}"
     assert _repro_garbage() == []
 
 

@@ -4,9 +4,9 @@ This is the relocation ``VssdFtl._collect_block`` did before it ran a
 victim's valid pages against the block/channel columns in one fused pass
 (``VssdFtl._relocate``): per page, the GC legs of ``_pick_frontier`` (a
 sort of the writable own channels by ``busy_horizon_us``, or the pinned
-region's writable channels in id order), ``FlashBlock.program`` /
-``invalidate`` through the block views and ``Channel.service_write``
-through the channel object.  ``test_gc_differential.py`` puts it under one
+region's writable channels in id order), ``BlockStore.program`` /
+``invalidate`` one call per page and ``Channel.service_write`` through
+the channel object.  ``test_gc_differential.py`` puts it under one
 of two twin FTLs with :func:`use_per_page_gc` and requires identical state.
 """
 
@@ -16,13 +16,12 @@ from functools import partial
 from typing import Optional
 
 from repro.ssd.ftl import OutOfSpaceError, VssdFtl
-from repro.ssd.geometry import FlashBlock
 from repro.ssd.region import WriteRegion
 
 
 def _pick_gc_frontier(
     ftl: VssdFtl, target_region: Optional[WriteRegion]
-) -> Optional[FlashBlock]:
+) -> Optional[int]:
     """The ``target_region=`` and ``for_gc=True`` legs of ``_pick_frontier``."""
     if target_region is not None:
         for channel_id in target_region.writable_channels():
@@ -54,55 +53,58 @@ def _allocate_and_program_for_gc(
         ftl._l2p_page.extend([0] * grow)
     old_gid = l2p_gid[lpn]
     old_page = ftl._l2p_page[lpn]
-    block = _pick_gc_frontier(ftl, target_region)
-    if block is None:
+    gid = _pick_gc_frontier(ftl, target_region)
+    if gid is None:
         raise OutOfSpaceError(
             f"vSSD {ftl.vssd_id}: no programmable block available"
         )
-    page = block.program(lpn)
-    l2p_gid[lpn] = block.gid
+    store = ftl._store
+    page = store.program(gid, lpn)
+    l2p_gid[lpn] = gid
     ftl._l2p_page[lpn] = page
     if old_gid >= 0:
-        ftl._store.blocks[old_gid].invalidate(old_page)
+        store.invalidate(old_gid, old_page)
     else:
         ftl._mapped += 1
-    return block, page
+    return gid, page
 
 
 def collect_block_per_page(
     ftl: VssdFtl,
-    victim: FlashBlock,
+    victim: int,
     region: Optional[WriteRegion],
     target_region: Optional[WriteRegion] = None,
 ) -> int:
-    """Migrate valid pages out of ``victim``, erase it, route it."""
-    valid = victim.valid_lpns()
+    """Migrate valid pages out of block ``victim``, erase it, route it."""
+    store = ftl._store
+    valid = store.valid_lpns(victim)
     if target_region is not None and valid:
         # In-region compaction needs somewhere inside the region to
         # put the data; bail out rather than deadlock.
         if target_region.free_pages() < len(valid):
             return 0
-    channel = ftl.ssd.channels[victim.channel_id]
+    channel_id, chip_id, _index = store.locate(victim)
+    channel = ftl.ssd.channels[channel_id]
     for _page, lpn in valid:
-        dest_block, _dest_page = _allocate_and_program_for_gc(ftl, lpn, target_region)
+        dest_gid, _dest_page = _allocate_and_program_for_gc(ftl, lpn, target_region)
         # Copy-back programs consume destination channel time just
         # like host writes; this is the GC interference the RL state's
         # In_GC flag lets agents react to.
-        dest = ftl.ssd.channels[dest_block.channel_id]
-        dest.service_write(dest_block.chip_id, background=True)
+        dest_channel, dest_chip, _index = store.locate(dest_gid)
+        ftl.ssd.channels[dest_channel].service_write(dest_chip, background=True)
         ftl.stats.gc_reads += 1
         ftl.stats.gc_writes += 1
-    channel.occupy_for_gc(victim.chip_id, migrate_reads=len(valid), erases=1)
-    was_harvested = victim.harvested_flag
-    victim.erase()  # clears the HBT bit
+    channel.occupy_for_gc(chip_id, migrate_reads=len(valid), erases=1)
+    was_harvested = store.harvested[victim]
+    store.erase(victim)  # clears the HBT bit
     ftl.stats.blocks_erased += 1
     if region is not None and region.kind == "harvest":
         if not region.reclaiming:
             # Live gSB: keep the block harvestable for continued use.
-            victim.harvested_flag = True
+            store.harvested[victim] = True
         region.release_erased(victim)
     else:
-        if was_harvested and victim.owner != ftl.vssd_id:
+        if was_harvested and store.owner[victim] != ftl.vssd_id:
             raise RuntimeError("own-region GC erased a foreign block")
         ftl.own_region._discard_open(victim)
         ftl.own_region.add_block(victim)

@@ -3,7 +3,8 @@
 These are the ``VssdFtl.write_page`` / ``read_page`` methods (with their
 ``_maybe_gc`` and ``_read_unmapped`` halves) that ``VssdFtl.write_span`` /
 ``read_span`` replaced, as free functions composed from the object API:
-``WriteRegion.frontier_block``, ``FlashBlock.program`` / ``invalidate``,
+``WriteRegion.frontier_block``, ``BlockStore.program`` / ``invalidate`` /
+``locate``,
 ``Channel.has_capacity`` / ``busy_horizon_us`` / ``service_read`` /
 ``service_write`` and ``VssdFtl.free_fraction``.  They share with the
 spans only what has to be one thing for twin FTLs to stay comparable: the
@@ -19,10 +20,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ssd.ftl import OutOfSpaceError, VssdFtl
-from repro.ssd.geometry import FlashBlock
 
 
-def _pick_frontier(ftl: VssdFtl) -> Optional[FlashBlock]:
+def _pick_frontier(ftl: VssdFtl) -> Optional[int]:
     """Next round-robin slot whose channel has queue headroom, else the
     least busy one; retried while the chosen channel turns out exhausted
     (each miss bumps the region version, so the slot list shrinks)."""
@@ -44,20 +44,20 @@ def _pick_frontier(ftl: VssdFtl) -> Optional[FlashBlock]:
                 slots, key=lambda slot: channels[slot[1]].busy_horizon_us()
             )
             ftl._write_rr = start + 1
-        block = region.frontier_block(channel_id, ftl.vssd_id)
-        if block is not None:
-            return block
+        gid = region.frontier_block(channel_id, ftl.vssd_id)
+        if gid is not None:
+            return gid
     return None
 
 
-def _frontier_or_urgent_gc(ftl: VssdFtl) -> FlashBlock:
-    block = _pick_frontier(ftl)
-    if block is None and not ftl._in_gc:
+def _frontier_or_urgent_gc(ftl: VssdFtl) -> int:
+    gid = _pick_frontier(ftl)
+    if gid is None and not ftl._in_gc:
         ftl._urgent_gc()
-        block = _pick_frontier(ftl)
-    if block is None:
+        gid = _pick_frontier(ftl)
+    if gid is None:
         raise OutOfSpaceError(f"vSSD {ftl.vssd_id}: no programmable block available")
-    return block
+    return gid
 
 
 def _maybe_gc(ftl: VssdFtl, channel_id: int) -> None:
@@ -88,19 +88,20 @@ def write_page(ftl: VssdFtl, lpn: int, front: bool = False) -> float:
         grow = lpn + 1 - len(l2p_gid)
         l2p_gid.extend([-1] * grow)
         l2p_page.extend([0] * grow)
-    block = _frontier_or_urgent_gc(ftl)
+    store = ftl._store
+    gid = _frontier_or_urgent_gc(ftl)
     # Read with the frontier in hand: urgent GC may move ``lpn``.
     old_gid = l2p_gid[lpn]
     old_page = l2p_page[lpn]
-    page = block.program(lpn)
-    l2p_gid[lpn] = block.gid
+    page = store.program(gid, lpn)
+    l2p_gid[lpn] = gid
     l2p_page[lpn] = page
     if old_gid >= 0:
-        ftl._store.blocks[old_gid].invalidate(old_page)
+        store.invalidate(old_gid, old_page)
     else:
         ftl._mapped += 1
-    channel_id = block.channel_id
-    done = ftl.ssd.channels[channel_id].service_write(block.chip_id, front=front)
+    channel_id, chip_id, _index = store.locate(gid)
+    done = ftl.ssd.channels[channel_id].service_write(chip_id, front=front)
     ftl.stats.host_writes += 1
     _maybe_gc(ftl, channel_id)
     return done
@@ -124,11 +125,11 @@ def _read_unmapped(ftl: VssdFtl) -> float:
 
 def read_page(ftl: VssdFtl, lpn: int, front: bool = False) -> float:
     """Read one logical page; returns its completion time (us)."""
-    pointer = ftl.page_location(lpn)
-    if pointer is None:
+    location = ftl.page_location(lpn)
+    if location is None:
         return _read_unmapped(ftl)
-    block = pointer.block
-    done = ftl.ssd.channels[block.channel_id].service_read(block.chip_id, front=front)
+    channel_id, chip_id, _index = ftl._store.locate(location[0])
+    done = ftl.ssd.channels[channel_id].service_read(chip_id, front=front)
     ftl.stats.host_reads += 1
     return done
 

@@ -7,7 +7,8 @@ import pytest
 def test_allocate_channels_grants_all_blocks(ssd, small_config):
     blocks = ssd.allocate_channels(7, [0, 1])
     assert len(blocks) == 2 * small_config.blocks_per_channel
-    assert all(b.owner == 7 for b in blocks)
+    assert blocks == list(range(2 * small_config.blocks_per_channel))
+    assert all(ssd.store.owner[gid] == 7 for gid in blocks)
 
 
 def test_allocate_channels_skips_owned_blocks(ssd):
@@ -20,12 +21,12 @@ def test_striped_allocation_counts(ssd, small_config):
     blocks = ssd.allocate_blocks_striped(3, [0, 1, 2, 3], blocks_per_channel=4)
     assert len(blocks) == 16
     for channel_id in range(4):
-        assert sum(1 for b in blocks if b.channel_id == channel_id) == 4
+        assert sum(1 for gid in blocks if ssd.store.locate(gid)[0] == channel_id) == 4
 
 
 def test_striped_allocation_spreads_chips(ssd, small_config):
     blocks = ssd.allocate_blocks_striped(3, [0], blocks_per_channel=4)
-    chips = {b.chip_id for b in blocks}
+    chips = {ssd.store.locate(gid)[1] for gid in blocks}
     assert len(chips) == small_config.chips_per_channel
 
 
@@ -39,8 +40,8 @@ def test_two_tenants_share_a_channel(ssd, small_config):
     half = small_config.blocks_per_channel // 2
     a = ssd.allocate_blocks_striped(1, [0], blocks_per_channel=half)
     b = ssd.allocate_blocks_striped(2, [0], blocks_per_channel=half)
-    assert {blk.owner for blk in a} == {1}
-    assert {blk.owner for blk in b} == {2}
+    assert {ssd.store.owner[gid] for gid in a} == {1}
+    assert {ssd.store.owner[gid] for gid in b} == {2}
 
 
 def test_release_all(ssd):

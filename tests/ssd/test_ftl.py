@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SSDConfig
 from repro.sim import Simulator
-from repro.ssd import Ssd, VssdFtl
+from repro.ssd import BlockState, Ssd, VssdFtl
+from repro.ssd.blockstate import NO_LPN
 from repro.ssd.ftl import OutOfSpaceError
 from repro.ssd.region import WriteRegion
 from tests.test_hotpath_equivalence import _ftl_state
@@ -13,20 +14,32 @@ from tests.test_hotpath_equivalence import _ftl_state
 
 def _channels_of(ftl, lpns) -> set:
     """The channels the given LPNs are mapped to."""
-    return {ftl.page_location(lpn).block.channel_id for lpn in lpns}
+    return {ftl._store.locate(ftl.page_location(lpn)[0])[0] for lpn in lpns}
 
 
 def test_write_then_read_same_page(ftl):
     ftl.write_span(42, 1)
-    pointer = ftl.page_location(42)
-    assert pointer is not None
+    location = ftl.page_location(42)
+    assert location is not None
+    channel_id = ftl._store.locate(location[0])[0]
     bus_busy = ftl.ssd.arrays.bus_busy
     before = list(bus_busy)
     done = ftl.read_span(42, 1)
     # Only the page's own channel is charged, and the read ends its bus.
     moved = [c for c, horizon in enumerate(bus_busy) if horizon != before[c]]
-    assert moved == [pointer.block.channel_id]
-    assert done == bus_busy[pointer.block.channel_id]
+    assert moved == [channel_id]
+    assert done == bus_busy[channel_id]
+
+
+def test_page_location_is_gid_and_page(ftl):
+    """``page_location`` names a page by (gid, page): the block's row in
+    the store and the page within it, or None for an unmapped LPN."""
+    assert ftl.page_location(3) is None
+    assert ftl.page_location(-1) is None
+    ftl.write_span(3, 1)
+    gid, page = ftl.page_location(3)
+    assert ftl._store.page_lpns[gid, page] == 3
+    assert (gid, page) == (ftl._l2p_gid[3], ftl._l2p_page[3])
 
 
 def test_overwrite_invalidates_old_page(ftl):
@@ -35,7 +48,7 @@ def test_overwrite_invalidates_old_page(ftl):
     ftl.write_span(7, 1)
     new = ftl.page_location(7)
     assert new != old
-    assert old.block.page_lpns[old.page] is None
+    assert ftl._store.page_lpns[old] == NO_LPN
 
 
 def test_writes_stripe_across_channels(ftl):
@@ -46,7 +59,7 @@ def test_writes_stripe_across_channels(ftl):
 def test_writes_stripe_across_chips(ftl, ssd):
     for lpn in range(16):
         ftl.write_span(lpn, 1)
-    chips = {ftl.page_location(lpn).block.chip_id for lpn in range(16)}
+    chips = {ftl._store.locate(ftl.page_location(lpn)[0])[1] for lpn in range(16)}
     assert len(chips) == 2
 
 
@@ -79,7 +92,7 @@ def test_warm_fill_rejects_negative_lpn_before_touching_state(ftl):
     with pytest.raises(ValueError, match="negative LPN"):
         ftl.warm_fill([5, -1])
     assert _ftl_state(ftl) == before
-    assert ftl.page_location(5).block.page_lpns[ftl.page_location(5).page] == 5
+    assert ftl._store.page_lpns[ftl.page_location(5)] == 5
 
 
 def test_free_pages_decrease_with_writes(ftl, small_config):
@@ -123,7 +136,7 @@ def test_surrender_free_blocks(ftl, small_config):
     before = ftl.own_region.free_block_count_on(0)
     taken = ftl.surrender_free_blocks(0, 3)
     assert len(taken) == 3
-    assert all(b.channel_id == 0 for b in taken)
+    assert all(ftl._store.locate(gid)[0] == 0 for gid in taken)
     assert ftl.own_region.free_block_count_on(0) == before - 3
     # Surrendered blocks leave the ownership denominator too.
     assert ftl._own_blocks_per_channel[0] == before - 3
@@ -138,7 +151,7 @@ def test_surrender_more_than_available(ftl, small_config):
 def test_channel_count_includes_harvest_regions(ftl, ssd):
     assert ftl.channel_count() == 2
     blocks = ssd.allocate_channels(9, [2])
-    region = WriteRegion("gsb:test", kind="harvest")
+    region = WriteRegion("gsb:test", ssd.store, kind="harvest")
     region.add_blocks(blocks[:4])
     ftl.add_harvest_region(region)
     assert ftl.channel_count() == 3
@@ -148,7 +161,7 @@ def test_channel_count_includes_harvest_regions(ftl, ssd):
 
 def test_write_channels_reflects_harvest(ftl, ssd):
     blocks = ssd.allocate_channels(9, [3])
-    region = WriteRegion("gsb:test", kind="harvest")
+    region = WriteRegion("gsb:test", ssd.store, kind="harvest")
     region.add_blocks(blocks[:4])
     ftl.add_harvest_region(region)
     assert 3 in ftl.write_channels()
@@ -158,14 +171,15 @@ def test_write_channels_reflects_harvest(ftl, ssd):
 
 def test_writes_flow_into_harvest_region(ftl, ssd):
     blocks = ssd.allocate_channels(9, [3])
-    region = WriteRegion("gsb:test", kind="harvest")
+    region = WriteRegion("gsb:test", ssd.store, kind="harvest")
     region.add_blocks(blocks[:4])
     ftl.add_harvest_region(region)
     ftl.write_span(0, 30)
     assert 3 in _channels_of(ftl, range(30))
     # Data written into the harvest region carries the writer's id.
-    used = [b for b in blocks[:4] if not b.is_free]
-    assert used and all(b.writer == ftl.vssd_id for b in used)
+    store = ssd.store
+    used = [gid for gid in blocks[:4] if store.state[gid] is not BlockState.FREE]
+    assert used and all(store.writer[gid] == ftl.vssd_id for gid in used)
 
 
 def test_recycle_returns_blocks_to_their_own_region(ftl, ssd):
@@ -175,22 +189,23 @@ def test_recycle_returns_blocks_to_their_own_region(ftl, ssd):
     HBT flag set on the region's channels, so one region's recycle could
     erase the *other* region's block and re-add it to the wrong free pool.
     """
+    store = ssd.store
     blocks = ssd.allocate_channels(9, [3])
-    r1 = WriteRegion("gsb:1", kind="harvest")
+    r1 = WriteRegion("gsb:1", store, kind="harvest")
     r1.add_blocks(blocks[:2])
-    r2 = WriteRegion("gsb:2", kind="harvest")
+    r2 = WriteRegion("gsb:2", store, kind="harvest")
     r2.add_blocks(blocks[2:4])
-    for block in blocks[:4]:
-        block.harvested_flag = True
+    for gid in blocks[:4]:
+        store.harvested[gid] = True
     ftl.add_harvest_region(r1)
     ftl.add_harvest_region(r2)
     # Exhaust r1 on the shared channel, then invalidate everything so its
     # blocks become zero-cost GC victims.
     while True:
-        block = r1.frontier_block(3, writer=ftl.vssd_id)
-        if block is None:
+        gid = r1.frontier_block(3, writer=ftl.vssd_id)
+        if gid is None:
             break
-        block.invalidate(block.program(0))
+        store.invalidate(gid, store.program(gid, 0))
     erased = ftl.recycle_region(r1, 3)
     assert erased > 0
     assert r1.free_block_count_on(3) == erased
@@ -201,7 +216,7 @@ def test_recycle_returns_blocks_to_their_own_region(ftl, ssd):
 
 def test_reclaiming_region_not_written(ftl, ssd):
     blocks = ssd.allocate_channels(9, [3])
-    region = WriteRegion("gsb:test", kind="harvest")
+    region = WriteRegion("gsb:test", ssd.store, kind="harvest")
     region.add_blocks(blocks[:4])
     region.reclaiming = True
     ftl.add_harvest_region(region)
@@ -211,32 +226,30 @@ def test_reclaiming_region_not_written(ftl, ssd):
 
 class TestWriteRegion:
     def _region_with_blocks(self, ssd, n=4, channel=0):
-        blocks = [b for b in ssd.channels[channel].blocks[:n]]
-        region = WriteRegion("r", kind="own")
+        blocks = list(ssd.channel_gids(channel))[:n]
+        region = WriteRegion("r", ssd.store, kind="own")
         region.add_blocks(blocks)
         return region, blocks
 
     def test_rejects_non_free_block(self, ssd):
-        block = ssd.channels[0].blocks[0]
-        block.program(1)
-        region = WriteRegion("r")
+        ssd.store.program(0, 1)
+        region = WriteRegion("r", ssd.store)
         with pytest.raises(ValueError):
-            region.add_block(block)
+            region.add_block(0)
 
     def test_frontier_rotates_chips(self, ssd, small_config):
-        blocks = [ssd.channels[0].blocks[i] for i in (0, 8)]  # two chips
-        region = WriteRegion("r")
-        region.add_blocks(blocks)
+        region = WriteRegion("r", ssd.store)
+        region.add_blocks([0, 8])  # two chips
         first = region.frontier_block(0, writer=1)
         second = region.frontier_block(0, writer=1)
-        assert first is not second
-        assert first.chip_id != second.chip_id
+        assert first != second
+        assert ssd.store.locate(first)[1] != ssd.store.locate(second)[1]
 
     def test_exhausted_channel_returns_none(self, ssd, small_config):
         region, blocks = self._region_with_blocks(ssd, n=1)
         for _ in range(small_config.pages_per_block):
-            block = region.frontier_block(0, writer=1)
-            block.program(0)
+            gid = region.frontier_block(0, writer=1)
+            ssd.store.program(gid, 0)
         assert region.frontier_block(0, writer=1) is None
         assert not region.can_write(0)
 
@@ -244,7 +257,7 @@ class TestWriteRegion:
         region, _ = self._region_with_blocks(ssd, n=1)
         before = region.version
         for _ in range(small_config.pages_per_block):
-            region.frontier_block(0, writer=1).program(0)
+            ssd.store.program(region.frontier_block(0, writer=1), 0)
         region.frontier_block(0, writer=1)
         assert region.version > before
 
@@ -252,7 +265,7 @@ class TestWriteRegion:
         region, blocks = self._region_with_blocks(ssd, n=2)
         total = 2 * small_config.pages_per_block
         assert region.free_pages() == total
-        region.frontier_block(0, writer=1).program(0)
+        ssd.store.program(region.frontier_block(0, writer=1), 0)
         assert region.free_pages() == total - 1
 
     def test_take_free_blocks(self, ssd):
@@ -277,39 +290,33 @@ class TestWriteRegion:
         assert not any(region.contains(b) for b in drained)
 
     def test_release_erased_recycles_live_harvest(self, ssd):
-        blocks = [b for b in ssd.channels[0].blocks[:2]]
-        region = WriteRegion("r", kind="harvest")
-        region.add_blocks(blocks)
-        block = region.frontier_block(0, writer=1)
-        page = block.program(5)
-        block.invalidate(page)
-        for _ in range(block.free_pages):
-            block.program(6)
-            block.invalidate(block.write_ptr - 1)
-        block.erase()
+        store = ssd.store
+        region = WriteRegion("r", store, kind="harvest")
+        region.add_blocks([0, 1])
+        gid = region.frontier_block(0, writer=1)
+        while store.write_ptr[gid] < store.pages_per_block:
+            store.invalidate(gid, store.program(gid, 6))
+        store.erase(gid)
         before = region.free_block_count()
-        region.release_erased(block)
+        region.release_erased(gid)
         assert region.free_block_count() == before + 1
 
     def test_release_erased_reclaiming_calls_back(self, ssd):
         returned = []
-        blocks = [b for b in ssd.channels[0].blocks[:1]]
-        region = WriteRegion("r", kind="harvest", on_block_released=returned.append)
-        region.add_blocks(blocks)
-        block = region.frontier_block(0, writer=1)
-        region.reclaiming = True
-        region.release_erased(block)
-        assert returned == [block]
-
-    def test_discard_open_present_absent_and_empty_queue(self, ssd, monkeypatch):
-        region = WriteRegion("r", max_open_per_channel=2)
-        region.add_blocks(ssd.channels[0].blocks[:2])
-        outsider = ssd.channels[0].blocks[5]
-        # A miss must not cost a repr of the block (what ``deque.remove``
-        # pays to build its ValueError): GC discards per erased block.
-        monkeypatch.setattr(
-            type(outsider), "__repr__", lambda self: pytest.fail("formatted a block")
+        region = WriteRegion(
+            "r", ssd.store, kind="harvest", on_block_released=returned.append
         )
+        region.add_blocks([0])
+        gid = region.frontier_block(0, writer=1)
+        region.reclaiming = True
+        region.release_erased(gid)
+        assert returned == [gid]
+        assert not region.contains(gid)
+
+    def test_discard_open_present_absent_and_empty_queue(self, ssd):
+        region = WriteRegion("r", ssd.store, max_open_per_channel=2)
+        region.add_blocks([0, 1])
+        outsider = 5
         region._discard_open(outsider)  # no open queue on the channel yet
         first = region.frontier_block(0, writer=1)
         second = region.frontier_block(0, writer=1)
@@ -322,9 +329,26 @@ class TestWriteRegion:
         region._discard_open(first)  # queue now empty
         assert not region._open[0]
 
-    def test_unknown_kind_rejected(self):
+    def test_snapshot_restore_keeps_full_members(self, ssd, small_config):
+        """Membership covers FULL blocks, which sit in no queue; a restored
+        region must still claim them."""
+        store = ssd.store
+        blocks = [0, 1, 2, 3]
+        region = WriteRegion("r", store, kind="own", max_open_per_channel=1)
+        region.add_blocks(blocks)
+        gid = region.frontier_block(0, writer=1)
+        for lpn in range(small_config.pages_per_block):
+            store.program(gid, lpn)
+        region.frontier_block(0, writer=1)  # drops the FULL head
+        assert gid not in region.frontier_blocks()
+        twin = WriteRegion("r", store, kind="own", max_open_per_channel=1)
+        twin.restore(region.snapshot())
+        assert twin._member_ids == region._member_ids == set(blocks)
+        assert twin.snapshot() == region.snapshot()
+
+    def test_unknown_kind_rejected(self, ssd):
         with pytest.raises(ValueError):
-            WriteRegion("r", kind="weird")
+            WriteRegion("r", ssd.store, kind="weird")
 
 
 @settings(max_examples=25, deadline=None)
@@ -340,9 +364,8 @@ def test_page_map_invariant_under_random_writes(lpns):
     ftl.adopt_blocks(ssd.allocate_channels(0, [0, 1]))
     for lpn in lpns:
         ftl.write_span(lpn, 1)
-    for lpn, pointer in ftl.page_map.items():
-        assert pointer.block.page_lpns[pointer.page] == lpn
-    total_valid = sum(
-        b.valid_count for ch in ssd.channels for b in ch.blocks
-    )
-    assert total_valid == ftl.mapped_pages()
+    for lpn in range(len(ftl._l2p_gid)):
+        location = ftl.page_location(lpn)
+        if location is not None:
+            assert ssd.store.page_lpns[location] == lpn
+    assert sum(ssd.store.valid_count) == ftl.mapped_pages()

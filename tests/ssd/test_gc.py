@@ -4,10 +4,9 @@ import pytest
 
 from repro.config import SSDConfig
 from repro.sim import Simulator
-from repro.ssd import Ssd, VssdFtl
+from repro.ssd import BlockState, Ssd, VssdFtl
 from repro.ssd.region import WriteRegion
 from tests.ssd.span_oracle import write_page
-from repro.ssd.geometry import BlockState
 
 
 @pytest.fixture
@@ -50,9 +49,9 @@ def test_gc_preserves_data(gc_setup):
     _overwrite(ftl, working_set=ws, writes=total_pages * 3)
     # Every mapped page still resolves and block entries agree.
     for lpn in range(ws):
-        pointer = ftl.page_location(lpn)
-        assert pointer is not None
-        assert pointer.block.page_lpns[pointer.page] == lpn
+        location = ftl.page_location(lpn)
+        assert location is not None
+        assert ssd.store.page_lpns[location] == lpn
 
 
 def test_write_amplification_reported(gc_setup):
@@ -78,19 +77,21 @@ def test_victim_priority_prefers_hbt_flagged(gc_setup):
     config, sim, ssd, ftl = gc_setup
     # Create FULL blocks (striping opens 4 frontiers, so write enough to
     # fill several blocks): one regular with few valid pages, one flagged.
+    store = ssd.store
     ftl.warm_fill(range(config.pages_per_block * 8))
     full_blocks = [
-        b for ch in ssd.channels for b in ch.blocks if b.state is BlockState.FULL
+        gid for gid in range(store.n_blocks) if store.state[gid] is BlockState.FULL
     ]
     assert len(full_blocks) >= 2
     regular, flagged = full_blocks[0], full_blocks[1]
     # Invalidate most of the regular block (prime victim by valid count).
-    for page, lpn in regular.valid_lpns()[:-1]:
+    for page, lpn in store.valid_lpns(regular)[:-1]:
         ftl.write_span(lpn, 1)
-    flagged.harvested_flag = True
-    victim = ftl._select_own_victim(flagged.channel_id)
-    if victim is not None and victim.channel_id == flagged.channel_id:
-        assert victim.harvested_flag or victim is flagged
+    store.harvested[flagged] = True
+    flagged_channel = store.locate(flagged)[0]
+    victim = ftl._select_own_victim(flagged_channel)
+    if victim is not None and store.locate(victim)[0] == flagged_channel:
+        assert store.harvested[victim] or victim == flagged
 
 
 def test_gc_charges_channel_time(gc_setup):
@@ -121,10 +122,11 @@ def test_recycle_region_returns_blocks_to_gsb():
     ftl.adopt_blocks(ssd.allocate_channels(0, [0, 1]))
     donor_blocks = ssd.allocate_channels(9, [2])
     # Build a harvest region on channel 2 (owned by 9, written by 0).
-    region = WriteRegion("gsb:r", kind="harvest")
+    store = ssd.store
+    region = WriteRegion("gsb:r", store, kind="harvest")
     usable = donor_blocks[:2]
-    for b in usable:
-        b.harvested_flag = True
+    for gid in usable:
+        store.harvested[gid] = True
     region.add_blocks(usable)
     ftl.add_harvest_region(region)
     # Fill the region with data, then overwrite so it can be recycled.
@@ -132,10 +134,12 @@ def test_recycle_region_returns_blocks_to_gsb():
     wrote_region = False
     for lpn in lpns * 3:
         ftl.write_span(lpn, 1)
-        wrote_region = wrote_region or ftl.page_location(lpn).block.channel_id == 2
+        wrote_region = wrote_region or store.locate(ftl.page_location(lpn)[0])[0] == 2
     assert wrote_region
     # Recycled blocks stay in the gSB: flagged harvested or freshly free.
-    assert all(b.harvested_flag or b.is_free for b in usable)
+    assert all(
+        store.harvested[gid] or store.state[gid] is BlockState.FREE for gid in usable
+    )
     # And the region itself either has free blocks or open frontiers.
     assert region.can_write(2) or region.free_block_count() >= 0
 
@@ -143,10 +147,10 @@ def test_recycle_region_returns_blocks_to_gsb():
 def test_gc_victims_exclude_frontier_blocks(gc_setup):
     config, sim, ssd, ftl = gc_setup
     ftl.warm_fill(range(4))  # opens frontier blocks
-    frontier_ids = ftl.own_region.frontier_blocks()
+    frontier = ftl.own_region.frontier_blocks()
     victim = ftl._select_own_victim(0)
     if victim is not None:
-        assert id(victim) not in frontier_ids
+        assert victim not in frontier
 
 
 def test_urgent_gc_recovers_space(gc_setup):
@@ -178,14 +182,14 @@ def test_overwriting_an_lpn_that_urgent_gc_relocates(path):
     ftl.adopt_blocks(ssd.allocate_channels(0, [0]))
     ftl.warm_fill(list(range(12)) + [0, 1, 2, 3] + [4, 5, 12, 13])
     assert ftl.free_pages() == 0
-    home = ftl.page_location(6).block
-    assert home.valid_lpns() == [(2, 6), (3, 7)]
+    store = ssd.store
+    home, _page = ftl.page_location(6)
+    assert store.valid_lpns(home) == [(2, 6), (3, 7)]
     if path == "write_page":
         write_page(ftl, 6)  # the reference must get this right too
     else:
         ftl.write_span(6, 1)
-    assert home.is_free and ftl.stats.gc_writes == 2
-    pointer = ftl.page_location(6)
-    assert pointer.block.page_lpns[pointer.page] == 6
+    assert store.state[home] is BlockState.FREE and ftl.stats.gc_writes == 2
+    assert store.page_lpns[ftl.page_location(6)] == 6
     assert ftl.mapped_pages() == 14
-    assert sum(block.valid_count for block in ssd.channels[0].blocks) == 14
+    assert sum(store.valid_count) == 14

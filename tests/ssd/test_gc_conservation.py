@@ -13,9 +13,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.ssd.blockstate import NO_LPN
+from repro.ssd.blockstate import NO_LPN, BlockState
 from repro.ssd.ftl import OutOfSpaceError
-from repro.ssd.geometry import BlockState
 from tests.ssd.test_gc_differential import OWNED_PAGES, PAGES_PER_BLOCK, Twin
 
 
@@ -61,24 +60,23 @@ def _assert_conserved(twin: Twin) -> None:
     )
     # No block belongs to two regions, and a region's queues hold members.
     regions = [ftl.own_region] + [region for region, _blocks in twin.regions]
-    gid_of = {id(block): block.gid for block in store.blocks}
-    members = [gid_of[ident] for region in regions for ident in region._member_ids]
+    members = [gid for region in regions for gid in region._member_ids]
     assert len(members) == len(set(members))
     for region in regions:
         queued = [
-            block
+            gid
             for queues in (region._free, region._open)
             for queue in queues.values()
-            for block in queue
+            for gid in queue
         ]
-        assert len(queued) == len({id(block) for block in queued})
-        assert all(region.contains(block) for block in queued)
-        free = [block for queue in region._free.values() for block in queue]
-        assert all(block.is_free for block in free)
+        assert len(queued) == len(set(queued))
+        assert all(region.contains(gid) for gid in queued)
+        free = [gid for queue in region._free.values() for gid in queue]
+        assert all(store.state[gid] is BlockState.FREE for gid in free)
         assert region._free_pages == PAGES_PER_BLOCK * len(free)
     # Own blocks written by this vSSD stay its own; released gSB blocks
     # went home erased.
-    assert all(store.blocks[gid].is_free for gid in twin.released)
+    assert all(store.state[gid] is BlockState.FREE for gid in twin.released)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -101,8 +99,9 @@ def test_released_blocks_can_be_written_by_their_home_again():
     _assert_conserved(twin)
     store = twin.ftl._store
     for region, blocks in twin.regions:
-        assert all(block.is_free and block.writer is None for block in blocks)
-        assert not any(store.harvested[block.gid] for block in blocks)
-        assert sorted(block.gid for block in blocks) == sorted(
-            gid for gid in twin.released if store.blocks[gid] in blocks
+        assert all(
+            store.state[gid] is BlockState.FREE and store.writer[gid] is None
+            for gid in blocks
         )
+        assert not any(store.harvested[gid] for gid in blocks)
+        assert sorted(blocks) == sorted(gid for gid in twin.released if gid in blocks)

@@ -21,9 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SSDConfig
 from repro.sim import Simulator
-from repro.ssd import Ssd, VssdFtl
+from repro.ssd import BlockState, Ssd, VssdFtl
 from repro.ssd.region import WriteRegion
-from repro.ssd.geometry import BlockState
 from tests.ssd.gc_oracle import use_per_page_gc
 from tests.test_hotpath_equivalence import _bits, _ftl_state
 
@@ -63,11 +62,11 @@ class Twin:
                 ("gsb:late", "bandwidth", late[:4]),
             ):
                 region = WriteRegion(
-                    name, kind="harvest", purpose=purpose, max_open_per_channel=2,
-                    on_block_released=lambda block: self.released.append(block.gid),
+                    name, self.ssd.store, kind="harvest", purpose=purpose,
+                    max_open_per_channel=2, on_block_released=self.released.append,
                 )
-                for block in blocks:
-                    block.harvested_flag = True
+                for gid in blocks:
+                    self.ssd.store.harvested[gid] = True
                 region.add_blocks(blocks)
                 self.ftl.add_harvest_region(region)
                 self.regions.append((region, blocks))
@@ -87,12 +86,16 @@ class Twin:
         if not self.regions:
             return None
         region, blocks = self.regions[step[1]]
+        store = self.ssd.store
         if kind == "recycle":
-            return ftl.recycle_region(region, blocks[0].channel_id)
+            return ftl.recycle_region(region, store.locate(blocks[0])[0])
         if kind == "reclaim":
             region.reclaiming = True
         # What GsbManager.pump_reclaims collects: OPEN blocks included.
-        pending = [b for b in blocks if not b.is_free and b.writer == ftl.vssd_id]
+        pending = [
+            gid for gid in blocks
+            if store.state[gid] is not BlockState.FREE and store.writer[gid] == ftl.vssd_id
+        ]
         return ftl.collect_blocks(pending, region)
 
     def state(self) -> dict:
@@ -218,24 +221,29 @@ def test_nearly_full_device(steps, harvest):
 
 # -- directed cases: each names one rule and shows the suite reaches it ----
 
-def _own_full_block(twin: Twin, channel_id: int, invalidate: int):
+def _own_full_block(twin: Twin, channel_id: int, invalidate: int) -> int:
     """A FULL block on ``channel_id`` with its first pages overwritten."""
+    store = twin.ssd.store
     victim = next(
-        block for block in twin.ssd.channels[channel_id].blocks
-        if block.state is BlockState.FULL and block.valid_count == PAGES_PER_BLOCK
+        gid for gid in twin.ssd.channel_gids(channel_id)
+        if store.state[gid] is BlockState.FULL and store.valid_count[gid] == PAGES_PER_BLOCK
     )
-    twin.ftl.warm_fill([lpn for _page, lpn in victim.valid_lpns()[:invalidate]])
+    twin.ftl.warm_fill([lpn for _page, lpn in store.valid_lpns(victim)[:invalidate]])
     return victim
+
+
+def _channel_of(twin: Twin, lpn: int) -> int:
+    return twin.ssd.store.locate(twin.ftl.page_location(lpn)[0])[0]
 
 
 def test_copy_back_takes_the_least_busy_own_channel_ties_to_the_lowest_id():
     fast, ref, _ = _check([], setup=lambda twin: twin.ftl.warm_fill(range(120)))
     for twin in (fast, ref):
         victim = _own_full_block(twin, 0, invalidate=2)
-        lpns = [lpn for _page, lpn in victim.valid_lpns()]
+        lpns = [lpn for _page, lpn in twin.ssd.store.valid_lpns(victim)]
         twin.ftl._arrays.bus_busy[1] = twin.sim.now + 150.0  # one GC transfer is 120 us
         twin.ftl.collect_blocks([victim], twin.ftl.own_region)
-        landed = [twin.ftl.page_location(lpn).block.channel_id for lpn in lpns[:5]]
+        landed = [_channel_of(twin, lpn) for lpn in lpns[:5]]
         # Horizons (0, 150, 0) -> 0; (120, 150, 0) -> 2; (120, 150, 120)
         # -> 0 on the tie; (240, 150, 120) -> 2; (240, 150, 240) -> 1.
         assert landed == [0, 2, 0, 2, 1]
@@ -252,7 +260,10 @@ def test_an_own_channel_that_runs_dry_mid_relocation_falls_through():
         ftl.surrender_free_blocks(0, 100)
         offline = ftl._arrays.offline
         offline[1] = offline[2] = True
-        room = sum(block.free_pages for block in ftl.own_region._open[0])
+        store = ftl._store
+        room = sum(
+            store.pages_per_block - store.write_ptr[gid] for gid in ftl.own_region._open[0]
+        )
         ftl.warm_fill(range(1000, 1000 + room - 1))
         offline[1] = offline[2] = False
         ftl._arrays.bus_busy[1] = ftl._arrays.bus_busy[2] = twin.sim.now + 1e6
@@ -261,10 +272,10 @@ def test_an_own_channel_that_runs_dry_mid_relocation_falls_through():
     for twin in (fast, ref):
         own = twin.ftl.own_region
         victim = twin.victim
-        lpns = [lpn for _page, lpn in victim.valid_lpns()]
+        lpns = [lpn for _page, lpn in twin.ssd.store.valid_lpns(victim)]
         version = own.version
         assert twin.ftl.collect_blocks([victim], own) == 1
-        landed = [twin.ftl.page_location(lpn).block.channel_id for lpn in lpns]
+        landed = [_channel_of(twin, lpn) for lpn in lpns]
         assert landed[0] == 0 and 0 not in landed[1:]
         assert not own.can_write(0)
         # One bump for the exhausted channel, one for the re-added victim.
@@ -300,14 +311,15 @@ def test_capacity_region_compacts_in_place_or_bails_out_when_too_full():
     fast, ref, _ = _check([("write", 6000, 8, False)] * 3, harvest=True, setup=setup)
     _region, blocks = fast.regions[1]
     assert fast.ftl.stats.gc_writes == ref.ftl.stats.gc_writes > 0
-    assert all(fast.ftl.page_location(lpn).block in blocks for lpn in range(6000, 6008))
+    assert all(fast.ftl.page_location(lpn)[0] in blocks for lpn in range(6000, 6008))
     # All four blocks full, one page of one block invalid: seven pages to
     # move and nowhere inside the region to put them.
     steps = [("write", 6000, 16, False), ("write", 6016, 15, False), ("write", 6000, 1, False)]
     fast, ref, outcomes = _check(steps + [("recycle", 1)], harvest=True, setup=setup)
     _region, blocks = fast.regions[1]
-    assert sorted(block.valid_count for block in blocks) == [7, 8, 8, 8]
-    assert all(block.state is BlockState.FULL for block in blocks)
+    store = fast.ssd.store
+    assert sorted(store.valid_count[gid] for gid in blocks) == [7, 8, 8, 8]
+    assert all(store.state[gid] is BlockState.FULL for gid in blocks)
     assert outcomes[-1] == ("ok", 0)
     assert fast.ftl.stats.blocks_erased == 0
 
@@ -317,7 +329,9 @@ def test_collect_blocks_takes_open_victims_of_a_reclaiming_region():
     fast, ref, outcomes = _check(steps, harvest=True, setup=_churned(120))
     region, blocks = fast.regions[2]
     assert outcomes[-1][0] == "ok" and outcomes[-1][1] > 0
-    assert fast.released and all(block.is_free for block in blocks)
+    assert fast.released and all(
+        fast.ssd.store.state[gid] is BlockState.FREE for gid in blocks
+    )
     assert not any(region._open.values())
 
 

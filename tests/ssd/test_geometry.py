@@ -1,119 +1,166 @@
-"""Tests for flash blocks and page pointers."""
+"""Tests for the block layout and the per-block ``BlockStore`` methods.
+
+A block is its gid, ``channel * blocks_per_channel + chip *
+blocks_per_chip + index``, into the device's columns.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ssd.geometry import BlockState, FlashBlock, PagePointer
+from repro.config import SSDConfig
+from repro.sim import Simulator
+from repro.ssd import BlockState, BlockStore, Ssd
+from repro.ssd.blockstate import NO_LPN
+
+#: Block (channel 1, chip 2, index 3) of a 2 x 3 x 4 device.
+GID = 1 * 12 + 2 * 4 + 3
 
 
 @pytest.fixture
-def block():
-    return FlashBlock(channel_id=1, chip_id=2, index=3, pages_per_block=8)
+def store():
+    return BlockStore(num_channels=2, chips_per_channel=3, blocks_per_chip=4, pages_per_block=8)
 
 
-def test_new_block_is_free(block):
-    assert block.state is BlockState.FREE
-    assert block.valid_count == 0
-    assert block.free_pages == 8
+def test_new_block_is_free(store):
+    assert store.state[GID] is BlockState.FREE
+    assert store.valid_count[GID] == 0
+    assert store.write_ptr[GID] == 0
+    assert store.owner[GID] is None and store.writer[GID] is None
 
 
-def test_program_is_sequential(block):
-    assert block.program(100) == 0
-    assert block.program(101) == 1
-    assert block.state is BlockState.OPEN
+def test_program_is_sequential(store):
+    assert store.program(GID, 100) == 0
+    assert store.program(GID, 101) == 1
+    assert store.state[GID] is BlockState.OPEN
+    assert store.page_lpns[GID, :2].tolist() == [100, 101]
 
 
-def test_program_fills_block(block):
+def test_program_fills_block(store):
     for lpn in range(8):
-        block.program(lpn)
-    assert block.state is BlockState.FULL
-    assert block.free_pages == 0
+        store.program(GID, lpn)
+    assert store.state[GID] is BlockState.FULL
+    assert store.write_ptr[GID] == store.pages_per_block
 
 
-def test_program_full_block_raises(block):
+def test_program_full_block_raises(store):
     for lpn in range(8):
-        block.program(lpn)
-    with pytest.raises(RuntimeError):
-        block.program(99)
+        store.program(GID, lpn)
+    with pytest.raises(RuntimeError, match=r"block \(1, 2, 3\) is full"):
+        store.program(GID, 99)
 
 
-def test_invalidate_reduces_valid_count(block):
-    page = block.program(7)
-    block.invalidate(page)
-    assert block.valid_count == 0
-    assert block.page_lpns[page] is None
+def test_program_touches_only_its_block(store):
+    store.program(GID, 5)
+    assert sum(store.valid_count) == 1
+    assert sum(store.write_ptr) == 1
+    assert (store.page_lpns != NO_LPN).sum() == 1
 
 
-def test_double_invalidate_raises(block):
-    page = block.program(7)
-    block.invalidate(page)
-    with pytest.raises(RuntimeError):
-        block.invalidate(page)
+def test_invalidate_reduces_valid_count(store):
+    page = store.program(GID, 7)
+    store.invalidate(GID, page)
+    assert store.valid_count[GID] == 0
+    assert store.page_lpns[GID, page] == NO_LPN
 
 
-def test_valid_lpns_lists_live_pages(block):
-    p0 = block.program(10)
-    block.program(11)
-    block.invalidate(p0)
-    assert block.valid_lpns() == [(1, 11)]
+def test_double_invalidate_raises(store):
+    page = store.program(GID, 7)
+    store.invalidate(GID, page)
+    with pytest.raises(RuntimeError, match=r"double invalidate of page 0 in block \(1, 2, 3\)"):
+        store.invalidate(GID, page)
 
 
-def test_valid_lpns_skips_interleaved_invalid_pages_and_stops_at_write_ptr(block):
+def test_valid_lpns_lists_live_pages(store):
+    p0 = store.program(GID, 10)
+    store.program(GID, 11)
+    store.invalidate(GID, p0)
+    assert store.valid_lpns(GID) == [(1, 11)]
+
+
+def test_valid_lpns_skips_interleaved_invalid_pages_and_stops_at_write_ptr(store):
     for lpn in (10, 11, 12, 13, 14, 15):
-        block.program(lpn)
+        store.program(GID, lpn)
     for page in (0, 2, 3, 5):
-        block.invalidate(page)
-    live = block.valid_lpns()
+        store.invalidate(GID, page)
+    live = store.valid_lpns(GID)
     assert live == [(1, 11), (4, 14)]
     # Plain ints: the pairs go into list columns and f-strings.
     assert {type(value) for pair in live for value in pair} == {int}
-    block.invalidate(1)
-    block.invalidate(4)
-    assert block.valid_lpns() == []
+    store.invalidate(GID, 1)
+    store.invalidate(GID, 4)
+    assert store.valid_lpns(GID) == []
 
 
-def test_erase_requires_no_valid_data(block):
-    block.program(5)
-    with pytest.raises(RuntimeError):
-        block.erase()
+def test_erase_requires_no_valid_data(store):
+    store.program(GID, 5)
+    with pytest.raises(RuntimeError, match=r"erasing block \(1, 2, 3\) with 1 valid pages"):
+        store.erase(GID)
 
 
-def test_erase_resets_block(block):
-    page = block.program(5)
-    block.invalidate(page)
-    block.writer = 42
-    block.harvested_flag = True
-    block.erase()
-    assert block.state is BlockState.FREE
-    assert block.write_ptr == 0
-    assert block.writer is None
-    assert block.harvested_flag is False
-    assert block.erase_count == 1
+def test_erase_resets_block(store):
+    page = store.program(GID, 5)
+    store.invalidate(GID, page)
+    store.owner[GID] = 3
+    store.writer[GID] = 42
+    store.harvested[GID] = True
+    store.erase(GID)
+    assert store.state[GID] is BlockState.FREE
+    assert store.write_ptr[GID] == 0
+    assert store.writer[GID] is None
+    assert store.harvested[GID] is False
+    assert store.erase_count[GID] == 1
+    assert store.owner[GID] == 3  # ownership is the allocator's, not erase's
 
 
-def test_block_id_tuple(block):
-    assert block.block_id == (1, 2, 3)
+def test_block_id_tuple(store):
+    assert store.locate(GID) == (1, 2, 3)
 
 
-def test_page_pointer_equality(block):
-    a = PagePointer(block, 3)
-    b = PagePointer(block, 3)
-    c = PagePointer(block, 4)
-    assert a == b
-    assert a != c
-    assert hash(a) == hash(b)
+@pytest.mark.parametrize(
+    "config",
+    [
+        SSDConfig(),
+        SSDConfig(num_channels=3, chips_per_channel=2, blocks_per_chip=5, pages_per_block=4),
+    ],
+    ids=["default", "3x2x5"],
+)
+def test_layout_round_trips_and_names_the_chip_busy_slot(config):
+    """Every gid decodes to its (channel, chip, index), and ``gid //
+    blocks_per_chip`` is the ``chip_busy`` slot a program on that chip
+    charges."""
+    ssd = Ssd(config, Simulator())
+    store = ssd.store
+    bpchip = config.blocks_per_chip
+    assert store.n_blocks == config.num_channels * config.chips_per_channel * bpchip
+    gid = 0
+    for channel in range(config.num_channels):
+        assert list(ssd.channel_gids(channel)) == list(
+            range(gid, gid + config.chips_per_channel * bpchip)
+        )
+        for chip in range(config.chips_per_channel):
+            for index in range(bpchip):
+                assert store.locate(gid) == (channel, chip, index)
+                assert gid // store.blocks_per_channel == channel
+                gid += 1
+    chip_busy = ssd.arrays.chip_busy
+    for gid in range(0, store.n_blocks, bpchip):
+        channel, chip, _index = store.locate(gid)
+        before = list(chip_busy)
+        ssd.channels[channel].service_write(chip)
+        changed = [slot for slot, (a, b) in enumerate(zip(before, chip_busy)) if a != b]
+        assert changed == [gid // bpchip]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=999), min_size=1, max_size=16))
 def test_valid_count_matches_live_pages(lpns):
-    """Invariant: valid_count == number of non-None page entries."""
-    block = FlashBlock(0, 0, 0, pages_per_block=16)
+    """Invariant: valid_count == number of non-empty page entries."""
+    store = BlockStore(num_channels=1, chips_per_channel=1, blocks_per_chip=1, pages_per_block=16)
     for lpn in lpns:
-        block.program(lpn)
-    live = sum(1 for entry in block.page_lpns if entry is not None)
-    assert block.valid_count == live == len(lpns)
+        store.program(0, lpn)
+    live = int((store.page_lpns[0] != NO_LPN).sum())
+    assert store.valid_count[0] == live == len(lpns)
     # Invalidate every other written page and recheck.
     for page in range(0, len(lpns), 2):
-        block.invalidate(page)
-    live = sum(1 for entry in block.page_lpns if entry is not None)
-    assert block.valid_count == live
+        store.invalidate(0, page)
+    live = int((store.page_lpns[0] != NO_LPN).sum())
+    assert store.valid_count[0] == live == len(store.valid_lpns(0))

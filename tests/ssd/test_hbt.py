@@ -3,33 +3,30 @@
 The ``hbt`` fixture is the device's column itself, indexed by block gid.
 """
 
-from repro.ssd import Channel
+from repro.ssd import BlockStore, Channel
 
 
 def test_mark_harvested_sets_flag_and_tracks(hbt, ssd):
-    block = ssd.store.blocks[3]
-    block.harvested_flag = True
-    assert hbt[block.gid] is True
+    ssd.store.harvested[3] = True
+    assert hbt[3] is True
     assert sum(hbt) == 1
 
 
 def test_mark_regular_clears(hbt, ssd):
-    block = ssd.store.blocks[3]
-    block.harvested_flag = True
-    block.harvested_flag = False
-    assert hbt[block.gid] is False
+    ssd.store.harvested[3] = True
+    ssd.store.harvested[3] = False
+    assert hbt[3] is False
     assert sum(hbt) == 0
 
 
 def test_mark_regular_idempotent(hbt, ssd):
-    block = ssd.store.blocks[0]
-    block.harvested_flag = False
+    ssd.store.harvested[0] = False
     assert sum(hbt) == 0
 
 
 def test_mark_many(hbt, ssd):
-    for block in ssd.store.blocks[:5]:
-        block.harvested_flag = True
+    for gid in range(5):
+        ssd.store.harvested[gid] = True
     assert sum(hbt) == 5
     assert hbt[:6] == [True] * 5 + [False]
 
@@ -43,27 +40,28 @@ def test_footprint_is_one_bit_per_block(hbt, ssd):
 
 def test_erase_then_hbt_stays_consistent(hbt, ssd):
     """Erasing a block clears its bit (Figure 9)."""
-    block = ssd.store.blocks[2]
-    block.harvested_flag = True
-    block.erase()
-    assert hbt[block.gid] is False
+    ssd.store.harvested[2] = True
+    ssd.store.erase(2)
+    assert hbt[2] is False
     assert sum(hbt) == 0
 
 
 def test_store_restore_is_seen_by_the_table(hbt, ssd):
     snap = ssd.store.snapshot()
-    for block in ssd.store.blocks[:3]:
-        block.harvested_flag = True
+    for gid in range(3):
+        ssd.store.harvested[gid] = True
     ssd.store.restore(snap)
     assert sum(hbt) == 0
     assert hbt[0] is False
 
 
 def test_table_without_a_store_marks_blocks_and_reads_empty(hbt, small_config, sim):
-    """A standalone channel's blocks carry their bits in its private store;
-    marking one leaves the device's table empty."""
+    """A standalone channel has no blocks of its own: bits set in a
+    private store leave the device's table empty."""
     channel = Channel(0, small_config, sim)
-    block = channel.blocks[1]
-    block.harvested_flag = True
-    assert channel.store.harvested[block.gid] is True
+    assert not hasattr(channel, "blocks") and not hasattr(channel, "store")
+    private = BlockStore(1, small_config.chips_per_channel, small_config.blocks_per_chip,
+                         small_config.pages_per_block)
+    private.harvested[1] = True
+    assert sum(private.harvested) == 1
     assert sum(hbt) == 0

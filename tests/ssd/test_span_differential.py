@@ -164,7 +164,8 @@ def test_round_robin_resumes_where_the_last_span_stopped():
         setup=lambda twin: twin.ftl.warm_fill(range(1)),
     )
     # One warm page took channel 0; the spans carry on from channel 1.
-    channels = [fast.ftl.page_location(lpn).block.channel_id for lpn in range(7)]
+    locate = fast.ssd.store.locate
+    channels = [locate(fast.ftl.page_location(lpn)[0])[0] for lpn in range(7)]
     assert channels == [1, 2, 0, 1, 2, 0, 1]
     assert fast.ftl._write_rr == 8
 

@@ -48,9 +48,11 @@ def _attach_harvest_regions(ftl) -> None:
     """A live gSB on channel 2 and a reclaiming one on channel 3."""
     for channel_id, reclaiming in ((2, False), (3, True)):
         donated = ftl.ssd.allocate_channels(9, [channel_id])[:3]
-        region = WriteRegion(f"gsb:{channel_id}", kind="harvest", max_open_per_channel=2)
-        for block in donated:
-            block.harvested_flag = True
+        region = WriteRegion(
+            f"gsb:{channel_id}", ftl._store, kind="harvest", max_open_per_channel=2
+        )
+        for gid in donated:
+            ftl._store.harvested[gid] = True
         region.add_blocks(donated)
         region.reclaiming = reclaiming
         ftl.add_harvest_region(region)

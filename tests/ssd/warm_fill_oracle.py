@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.ssd.blockstate import BlockState
 from repro.ssd.ftl import OutOfSpaceError, VssdFtl
-from repro.ssd.geometry import BlockState
 
 
 def warm_fill_per_page(ftl: VssdFtl, lpns: Iterable[int]) -> int:
@@ -50,7 +50,7 @@ def warm_fill_per_page(ftl: VssdFtl, lpns: Iterable[int]) -> int:
         if ftl._slots_version != rv:
             ftl._rebuild_slots()
         slots = ftl._slots
-        block = None
+        gid = None
         if slots:
             n = len(slots)
             start = ftl._write_rr
@@ -89,28 +89,27 @@ def warm_fill_per_page(ftl: VssdFtl, lpns: Iterable[int]) -> int:
                 and len(open_queue) >= region.max_open_per_channel
             ):
                 head = open_queue[0]
-                if state_col[head.gid] is not full_state:
+                if state_col[head] is not full_state:
                     open_queue.rotate(-1)
-                    block = head
-            if block is None:
-                block = region.frontier_block(channel_id, vssd)
-        if block is None:
-            block = ftl._pick_frontier()
-            if block is None:
+                    gid = head
+            if gid is None:
+                gid = region.frontier_block(channel_id, vssd)
+        if gid is None:
+            gid = ftl._pick_frontier()
+            if gid is None:
                 if not ftl._in_gc:
                     ftl._urgent_gc()
-                    block = ftl._pick_frontier()
-                if block is None:
+                    gid = ftl._pick_frontier()
+                if gid is None:
                     raise OutOfSpaceError(
                         f"vSSD {ftl.vssd_id}: no programmable block available"
                     )
-        gid = block.gid
         # Read with the frontier in hand: urgent GC may have moved ``lpn``.
         old_gid = l2p_gid[lpn]
         old_page = l2p_page[lpn]
         page = wp_col[gid]
         if page >= ppb:
-            raise RuntimeError(f"block {block.block_id} is full")
+            raise RuntimeError(f"block {store.locate(gid)} is full")
         lpns2d[gid, page] = lpn
         vc_col[gid] += 1
         nxt = page + 1
@@ -122,7 +121,7 @@ def warm_fill_per_page(ftl: VssdFtl, lpns: Iterable[int]) -> int:
             if lpns2d[old_gid, old_page] == -1:
                 raise RuntimeError(
                     f"double invalidate of page {old_page} in block "
-                    f"{store.blocks[old_gid].block_id}"
+                    f"{store.locate(old_gid)}"
                 )
             lpns2d[old_gid, old_page] = -1
             vc_col[old_gid] -= 1

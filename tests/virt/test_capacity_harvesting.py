@@ -68,9 +68,9 @@ def test_capacity_region_holds_more_data_than_own_space(world):
     for lpn in range(working_set):
         harvester.ftl.write_span(lpn, 1)
     assert harvester.ftl.mapped_pages() == working_set
+    store = harvester.ftl._store
     for lpn in (0, working_set // 2, working_set - 1):
-        pointer = harvester.ftl.page_location(lpn)
-        assert pointer.block.page_lpns[pointer.page] == lpn
+        assert store.page_lpns[harvester.ftl.page_location(lpn)] == lpn
 
 
 def test_capacity_region_compacts_in_place(world):
@@ -89,11 +89,12 @@ def test_capacity_region_compacts_in_place(world):
     # Data written into the region stays in the region's channel space
     # for at least part of the set (compaction kept it there).
     region_channels = set(gsb.channel_ids)
+    store = harvester.ftl._store
+    gids = [harvester.ftl.page_location(lpn)[0] for lpn in lpns]
     in_region = sum(
         1
-        for lpn in lpns
-        if harvester.ftl.page_location(lpn).block.channel_id in region_channels
-        and harvester.ftl.page_location(lpn).block.harvested_flag
+        for gid in gids
+        if store.locate(gid)[0] in region_channels and store.harvested[gid]
     )
     assert in_region > 0
 
@@ -112,8 +113,9 @@ def test_capacity_exhaustion_raises(world):
             harvester.ftl.write_span(lpn, 1)
 
 
-def test_region_purpose_validation():
+def test_region_purpose_validation(world):
     from repro.ssd.region import WriteRegion
 
+    _config, manager, _home, _harvester = world
     with pytest.raises(ValueError):
-        WriteRegion("r", purpose="latency")
+        WriteRegion("r", manager.store, purpose="latency")

@@ -3,16 +3,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ssd.geometry import FlashBlock
 from repro.virt import GhostSuperblock, GsbPool
+
+#: Blocks per channel of the device the gSBs' gids index.
+BPC = 16
 
 
 def _blocks(n=4, channel=0):
-    return [FlashBlock(channel, 0, i, pages_per_block=4) for i in range(n)]
+    return [channel * BPC + i for i in range(n)]
 
 
 def _gsb(n_chls=1, home=0, n_blocks=4):
-    return GhostSuperblock(n_chls=n_chls, blocks=_blocks(n_blocks), home_vssd=home)
+    return GhostSuperblock(
+        n_chls=n_chls, blocks=_blocks(n_blocks), home_vssd=home, blocks_per_channel=BPC
+    )
 
 
 class TestGhostSuperblock:
@@ -30,17 +34,22 @@ class TestGhostSuperblock:
         assert gsb.capacity_bytes(block_size=1024) == 3072
 
     def test_channel_ids(self):
-        blocks = _blocks(2, channel=1) + _blocks(2, channel=3)
-        gsb = GhostSuperblock(n_chls=2, blocks=blocks, home_vssd=0)
+        blocks = _blocks(2, channel=3) + _blocks(2, channel=1)
+        gsb = GhostSuperblock(n_chls=2, blocks=blocks, home_vssd=0, blocks_per_channel=BPC)
         assert gsb.channel_ids == [1, 3]
+        # A channel drops out once its last block leaves the gSB.
+        gsb.blocks.remove(3 * BPC)
+        assert gsb.channel_ids == [1, 3]
+        gsb.blocks.remove(3 * BPC + 1)
+        assert gsb.channel_ids == [1]
 
     def test_requires_blocks(self):
         with pytest.raises(ValueError):
-            GhostSuperblock(n_chls=1, blocks=[], home_vssd=0)
+            GhostSuperblock(n_chls=1, blocks=[], home_vssd=0, blocks_per_channel=BPC)
 
     def test_requires_channels(self):
         with pytest.raises(ValueError):
-            GhostSuperblock(n_chls=0, blocks=_blocks(), home_vssd=0)
+            GhostSuperblock(n_chls=0, blocks=_blocks(), home_vssd=0, blocks_per_channel=BPC)
 
 
 class TestGsbPool:

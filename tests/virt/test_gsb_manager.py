@@ -50,7 +50,7 @@ def test_make_harvestable_creates_gsb(world):
     assert gsb is not None
     assert gsb.n_chls == 2
     assert gsb.capacity_blocks == 2 * config.min_superblock_blocks
-    assert all(b.harvested_flag for b in gsb.blocks)
+    assert all(manager.store.harvested[gid] for gid in gsb.blocks)
     assert gsb in home.harvestable_gsbs
     assert manager.pool.available() == 1
 
@@ -115,7 +115,7 @@ def test_reclaim_unused_returns_blocks_immediately(world):
     assert manager.pool.available() == 0
     assert home.harvestable_gsbs == []
     assert home.ftl.own_region.free_block_count() == free_before + gsb.capacity_blocks
-    assert all(not b.harvested_flag for b in gsb.blocks)
+    assert not any(manager.store.harvested[gid] for gid in gsb.blocks)
 
 
 def test_make_harvestable_smaller_target_reclaims(world):
@@ -136,11 +136,12 @@ def test_lazy_reclaim_of_in_use_gsb(world):
     gsb = manager.harvest(harvester, per + 1)
     # Harvester writes into the gSB.
     target_channel = gsb.channel_ids[0]
+    locate = manager.store.locate
     lpn = 50_000
     wrote = 0
     while wrote < config.pages_per_block:
         harvester.ftl.write_span(lpn, 1)
-        wrote += harvester.ftl.page_location(lpn).block.channel_id == target_channel
+        wrote += locate(harvester.ftl.page_location(lpn)[0])[0] == target_channel
         lpn += 1
     free_before = home.ftl.own_region.free_block_count()
     capacity = gsb.capacity_blocks
@@ -186,9 +187,11 @@ def test_lazy_reclaim_preserves_harvester_data(world):
     manager.reclaim_excess(home, 0)
     manager.pump_reclaims()
     for lpn in lpns:
-        pointer = harvester.ftl.page_location(lpn)
-        assert pointer is not None
-        assert pointer.block.page_lpns[pointer.page] == lpn
+        location = harvester.ftl.page_location(lpn)
+        assert location is not None
+        assert manager.store.page_lpns[location] == lpn
+        # Every copy now lives in the harvester's own blocks.
+        assert manager.store.owner[location[0]] == harvester.vssd_id
 
 
 def test_unregistered_vssd_raises(world):

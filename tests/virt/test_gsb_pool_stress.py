@@ -2,14 +2,15 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ssd.geometry import FlashBlock
 from repro.virt.gsb import GhostSuperblock, GsbPool
 
 
 def _gsb(n_chls, home, counter=[0]):
     counter[0] += 1
-    blocks = [FlashBlock(0, 0, counter[0] * 100 + i, 4) for i in range(2)]
-    return GhostSuperblock(n_chls=n_chls, blocks=blocks, home_vssd=home)
+    blocks = [counter[0] * 100 + i for i in range(2)]
+    return GhostSuperblock(
+        n_chls=n_chls, blocks=blocks, home_vssd=home, blocks_per_channel=1 << 30
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -26,7 +27,8 @@ def _gsb(n_chls, home, counter=[0]):
 )
 def test_pool_conserves_gsbs(ops):
     """gSBs never duplicate or vanish: pooled + acquired + removed ==
-    inserted, and an acquired gSB is never one of the requester's own."""
+    inserted, each block gid belongs to one gSB, and an acquired gSB is
+    never one of the requester's own."""
     pool = GsbPool(max_channels=8)
     pooled: list = []
     acquired: list = []
@@ -53,6 +55,9 @@ def test_pool_conserves_gsbs(ops):
                 removed.append(target)
         assert pool.available() == len(pooled)
         assert len(pooled) + len(acquired) + len(removed) == inserted
+        # Block gids move only with their gSB: none is in two gSBs.
+        gids = [gid for gsb in pooled + acquired + removed for gid in gsb.blocks]
+        assert len(gids) == len(set(gids)) == 2 * inserted
     # Everything still pooled is acquirable by a stranger.
     for _ in range(len(pooled)):
         assert pool.acquire(1, exclude_home=99) is not None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sched.policies import TokenBucketStridePolicy
+from repro.ssd import BlockState
 from repro.virt import PLACEHOLDER_VSSD_ID, StorageVirtualizer
 
 
@@ -53,9 +54,11 @@ def test_deallocation_moves_blocks_to_placeholder(virt, small_config):
     owned = sum(placeholder.ftl._own_blocks_per_channel.values())
     assert owned == 2 * small_config.blocks_per_channel
     # All data was erased before the transfer (security, Section 5).
-    for channel in virt.ssd.channels[:2]:
-        for block in channel.blocks:
-            assert block.is_free
+    store = virt.ssd.store
+    for channel_id in (0, 1):
+        for gid in virt.ssd.channel_gids(channel_id):
+            assert store.state[gid] is BlockState.FREE
+            assert store.owner[gid] == placeholder.vssd_id
 
 
 def test_deallocated_capacity_is_harvestable(virt, small_config):

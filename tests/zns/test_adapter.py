@@ -40,7 +40,7 @@ def test_offer_zone_pools_gsb_and_blocks_appends(world):
     gsb = adapter.offer_zone(0)
     assert pool.available() == 1
     assert ns.zone(0).state is ZoneState.FULL  # lent: host cannot append
-    assert all(block.harvested_flag for block in gsb.blocks)
+    assert all(ssd.store.harvested[gid] for gid in gsb.blocks)
     from repro.zns.zone import ZoneError
 
     with pytest.raises(ZoneError):
@@ -64,7 +64,8 @@ def test_harvest_installs_region(world):
     assert channel in harvester.ftl.write_channels()
     # The harvester's writes can land on the zoned tenant's channel.
     harvester.ftl.write_span(0, 40)
-    assert channel in {harvester.ftl.page_location(lpn).block.channel_id for lpn in range(40)}
+    locate = ssd.store.locate
+    assert channel in {locate(harvester.ftl.page_location(lpn)[0])[0] for lpn in range(40)}
 
 
 def test_reclaim_unused_resets_zone(world):
@@ -90,9 +91,10 @@ def test_reclaim_in_use_migrates_and_resets(world):
     assert adapter.zones_returned == 1
     # Harvester data migrated to its own blocks, intact.
     for lpn in lpns:
-        pointer = harvester.ftl.page_location(lpn)
-        assert pointer is not None
-        assert pointer.block.owner == harvester.vssd_id
+        location = harvester.ftl.page_location(lpn)
+        assert location is not None
+        assert ssd.store.owner[location[0]] == harvester.vssd_id
+        assert ssd.store.page_lpns[location] == lpn
 
 
 def test_reclaim_in_use_requires_harvester(world):
@@ -106,8 +108,9 @@ def test_reclaim_in_use_requires_harvester(world):
 def test_foreign_gsb_rejected(world):
     config, sim, ssd, ns, harvester, pool, adapter = world
     from repro.virt.gsb import GhostSuperblock
-    from repro.ssd.geometry import FlashBlock
 
-    foreign = GhostSuperblock(1, [FlashBlock(0, 0, 99, 8)], home_vssd=55)
+    foreign = GhostSuperblock(
+        1, [99], home_vssd=55, blocks_per_channel=ssd.store.blocks_per_channel
+    )
     with pytest.raises(ZnsError):
         adapter.reclaim(foreign)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SSDConfig
 from repro.sim import Simulator
-from repro.ssd import Ssd
+from repro.ssd import BlockState, Ssd
 from repro.zns import ZnsError, ZonedNamespace, ZoneState
 
 
@@ -25,11 +25,14 @@ def test_zone_carving(world):
     # 16 blocks per channel / 4 per zone = 4 zones per channel.
     assert len(ns.zones) == 8
     assert ns.zone_capacity_pages == 4 * config.pages_per_block
+    store = ssd.store
     for zone in ns.zones:
-        assert all(block.owner == 7 for block in zone.blocks)
-    # Zones stripe chips within their channel.
-    chips = {block.chip_id for block in ns.zones[0].blocks}
-    assert len(chips) == config.chips_per_channel
+        assert all(store.owner[gid] == 7 for gid in zone.blocks)
+        assert {store.locate(gid)[0] for gid in zone.blocks} == {zone.channel_id}
+    # Zones stripe chips within their channel, in (index, chip) order.
+    assert [store.locate(gid) for gid in ns.zones[0].blocks] == [
+        (0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)
+    ]
 
 
 def test_no_unowned_blocks_rejected(world):
@@ -103,7 +106,7 @@ def test_reset_erases_and_reuses(world):
     done = ns.reset_zone(0)
     assert done >= config.block_erase_us
     assert ns.zone(0).state is ZoneState.EMPTY
-    assert all(block.is_free for block in ns.zone(0).blocks)
+    assert all(ssd.store.state[gid] is BlockState.FREE for gid in ns.zone(0).blocks)
     # The zone is writable again.
     ns.append(0, pages=2)
     assert ns.zone(0).write_pointer == 2

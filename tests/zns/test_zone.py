@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.ssd.geometry import FlashBlock
+from repro.ssd import BlockStore
 from repro.zns.zone import Zone, ZoneError, ZoneState
 
 
+def _store(pages=4):
+    """Two channels of 2 chips x 4 blocks: channel 1 starts at gid 8."""
+    return BlockStore(num_channels=2, chips_per_channel=2, blocks_per_chip=4,
+                      pages_per_block=pages)
+
+
 def _zone(n_blocks=2, pages=4, channel=0):
-    blocks = [FlashBlock(channel, i % 2, i, pages) for i in range(n_blocks)]
-    return Zone(0, blocks)
+    # Alternate chips: gids 0, 4, 1, 5, ... of the channel.
+    blocks = [channel * 8 + (i % 2) * 4 + i // 2 for i in range(n_blocks)]
+    return Zone(0, blocks, _store(pages))
 
 
 def test_new_zone_empty():
@@ -20,14 +27,13 @@ def test_new_zone_empty():
 
 
 def test_zone_requires_single_channel():
-    blocks = [FlashBlock(0, 0, 0, 4), FlashBlock(1, 0, 1, 4)]
     with pytest.raises(ValueError):
-        Zone(0, blocks)
+        Zone(0, [0, 9], _store())
 
 
 def test_zone_requires_blocks():
     with pytest.raises(ValueError):
-        Zone(0, [])
+        Zone(0, [], _store())
 
 
 def test_open_close_cycle():
@@ -52,8 +58,8 @@ def test_advance_moves_pointer_and_stripes():
     placements = zone.advance(4)
     assert zone.write_pointer == 4
     # Pages stripe across the two blocks.
-    blocks_used = [block for block, _page in placements]
-    assert blocks_used[0] is not blocks_used[1]
+    blocks_used = [gid for gid, _page in placements]
+    assert blocks_used == [0, 4, 0, 4]
     assert placements[0][1] == 0 and placements[2][1] == 1
 
 
@@ -101,5 +107,5 @@ def test_locate_bounds():
     zone = _zone(n_blocks=2, pages=4)
     with pytest.raises(ZoneError):
         zone.locate(8)
-    block, page = zone.locate(7)
-    assert page == 3
+    gid, page = zone.locate(7)
+    assert (gid, page) == (4, 3)

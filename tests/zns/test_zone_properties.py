@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ssd.geometry import FlashBlock
+from repro.ssd import BlockState, BlockStore
 from repro.zns.zone import Zone, ZoneError, ZoneState
 
 COMMANDS = ("open", "close", "finish", "reset", "advance")
@@ -24,8 +24,9 @@ def test_state_machine_invariants(commands):
     * every block's programmed pages never exceed its capacity;
     * illegal transitions raise ZoneError and change nothing.
     """
-    blocks = [FlashBlock(0, i % 2, i, pages_per_block=4) for i in range(3)]
-    zone = Zone(0, blocks)
+    store = BlockStore(num_channels=1, chips_per_channel=2, blocks_per_chip=2,
+                       pages_per_block=4)
+    zone = Zone(0, [0, 2, 1], store)
     for command, arg in commands:
         before = (zone.state, zone.write_pointer, zone.resets)
         try:
@@ -39,16 +40,16 @@ def test_state_machine_invariants(commands):
                 if zone.state is not ZoneState.EMPTY:
                     # Blocks may hold programmed pages; emulate the
                     # namespace's erase step.
-                    for block in zone.blocks:
-                        for page, lpn in block.valid_lpns():
-                            block.invalidate(page)
-                        if not block.is_free:
-                            block.erase()
+                    for gid in zone.blocks:
+                        for page, _lpn in store.valid_lpns(gid):
+                            store.invalidate(gid, page)
+                        if store.state[gid] is not BlockState.FREE:
+                            store.erase(gid)
                 zone.reset()
             else:
                 placements = zone.advance(arg)
-                for index, (block, _page) in enumerate(placements):
-                    block.program(before[1] + index)
+                for index, (gid, page) in enumerate(placements):
+                    assert store.program(gid, before[1] + index) == page
         except ZoneError:
             after = (zone.state, zone.write_pointer, zone.resets)
             assert after == before  # failed commands are side-effect-free
@@ -58,5 +59,7 @@ def test_state_machine_invariants(commands):
             assert zone.write_pointer == zone.capacity_pages
         if zone.state is ZoneState.EMPTY:
             assert zone.write_pointer == 0
-        for block in zone.blocks:
-            assert block.write_ptr <= block.pages_per_block
+        for gid in zone.blocks:
+            assert store.write_ptr[gid] <= store.pages_per_block
+        # The zone's blocks are the only ones it programs.
+        assert sum(store.write_ptr) == sum(store.write_ptr[gid] for gid in zone.blocks)
