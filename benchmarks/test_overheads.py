@@ -111,6 +111,6 @@ def test_hbt_footprint(benchmark):
     # Checked under --benchmark-only too (which skips plain tests).
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     blocks = (1 << 40) // (4 << 20)
-    bits = blocks  # the BlockStore.harvested column: one bit per block
+    bits = blocks  # one bit per block: the sign of the BlockStore.gsb_of column
     print(f"\nHBT: {bits / 8 / (1 << 20):.3f} MB for a 1 TB device (paper: <= 0.5 MB)")
     assert bits / 8 <= 0.5 * (1 << 20)

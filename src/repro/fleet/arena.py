@@ -144,9 +144,9 @@ def encode_snapshot_entries(snap: dict) -> "tuple[dict, dict]":
     """Split a snapshot into ``(numpy entries, JSON-safe meta dict)``.
 
     The page->LPN matrix and L2P arrays dominate (one int32 per page);
-    they become named arrays, as do the own regions' member gids (one
-    int32 per block).  Everything structured-but-small (engine clock,
-    region deque orders, stats) rides in the meta dict.
+    they become named arrays, as does every per-block column.
+    Everything structured-but-small (engine clock, region deque orders,
+    stats) rides in the meta dict.
     """
     store = snap["store"]
     entries = {
@@ -157,7 +157,7 @@ def encode_snapshot_entries(snap: dict) -> "tuple[dict, dict]":
         ),
         "owner": _encode_optional(store["owner"]),
         "writer": _encode_optional(store["writer"]),
-        "harvested": np.array(store["harvested"], dtype=bool),
+        "gsb_of": np.array(store["gsb_of"], dtype=np.int32),
         "write_ptr": np.array(store["write_ptr"], dtype=np.int32),
         "valid_count": np.array(store["valid_count"], dtype=np.int32),
     }
@@ -167,8 +167,6 @@ def encode_snapshot_entries(snap: dict) -> "tuple[dict, dict]":
         ftl = dict(snap["ftls"][name])
         entries[f"l2p_gid_{index}"] = np.array(ftl.pop("l2p_gid"), dtype=np.int32)
         entries[f"l2p_page_{index}"] = np.array(ftl.pop("l2p_page"), dtype=np.int32)
-        region = ftl["own_region"] = dict(ftl["own_region"])
-        entries[f"members_{index}"] = np.array(region.pop("members"), dtype=np.int32)
         ftl_meta[name] = ftl
     meta = {
         "version": 1,
@@ -198,7 +196,7 @@ def decode_snapshot_entries(get, meta: dict, copy: bool = True) -> dict:
         "state": [_BLOCK_STATES[i] for i in get("state")],
         "owner": _decode_optional(get("owner")),
         "writer": _decode_optional(get("writer")),
-        "harvested": get("harvested").tolist(),
+        "gsb_of": get("gsb_of").tolist(),
         "write_ptr": get("write_ptr").tolist(),
         "valid_count": get("valid_count").tolist(),
     }
@@ -213,7 +211,6 @@ def decode_snapshot_entries(get, meta: dict, copy: bool = True) -> dict:
         region = ftl["own_region"]
         region["free"] = {int(ch): gids for ch, gids in region["free"].items()}
         region["open"] = {int(ch): gids for ch, gids in region["open"].items()}
-        region["members"] = get(f"members_{index}").tolist()
         ftl["l2p_gid"] = get(f"l2p_gid_{index}").tolist()
         ftl["l2p_page"] = get(f"l2p_page_{index}").tolist()
         ftls[name] = ftl

@@ -448,12 +448,11 @@ class Experiment:
     def close(self) -> None:
         """End the lifecycle (build → run → close): free the built stack.
 
-        A built stack is cyclic (pending events, completion callbacks,
-        harvest hooks), so without this it outlives the
-        run until a full garbage collection; closed, it dies with its
-        last reference.  Results and telemetry already taken stay
-        valid; ``build``/``run`` afterwards raise ``RuntimeError``.
-        Idempotent.
+        A built stack is cyclic (pending events, completion callbacks),
+        so without this it outlives the run until a full garbage
+        collection; closed, it dies with its last reference.  Results
+        and telemetry already taken stay valid; ``build``/``run``
+        afterwards raise ``RuntimeError``.  Idempotent.
         """
         self._closed = True
         if self.virt is not None:

@@ -4,7 +4,7 @@ A flash block is a row of device metadata, and a channel is its timing
 columns.  This module holds both, allocated once at device construction:
 
 * :class:`BlockStore` — per-block columns (state, owner, writer,
-  harvested bit, write pointer, valid-page count) plus a preallocated
+  owning gSB, write pointer, valid-page count) plus a preallocated
   ``(n_blocks, pages_per_block)`` page→LPN matrix and an erase-count
   vector.  A block is its dense global id (*gid*), laid out
   channel-major, chip-major::
@@ -81,9 +81,10 @@ class BlockStore:
     * ``writer`` — the vSSD whose data currently occupies the block.  For
       a block inside a harvested gSB this is the *harvest* vSSD; otherwise
       it equals ``owner``.
-    * ``harvested`` — the Harvested Block Table bit: set for blocks that
-      are harvested or reclaimed, which GC prioritizes as victims and
-      whose valid data is copied back to the writer's own blocks.
+    * ``gsb_of`` — the id of the ghost superblock the block belongs to,
+      ``-1`` for none.  ``gsb_of[gid] >= 0`` is the Harvested Block
+      Table bit: GC prioritizes such blocks as victims and copies their
+      valid data back to the writer's own blocks.
     """
 
     __slots__ = (
@@ -97,7 +98,7 @@ class BlockStore:
         "state",
         "owner",
         "writer",
-        "harvested",
+        "gsb_of",
         "write_ptr",
         "valid_count",
         "__weakref__",  # the teardown suite watches the store die with its cell
@@ -125,13 +126,12 @@ class BlockStore:
         self.state: List[BlockState] = [BlockState.FREE] * n_blocks
         self.owner: List[Optional[int]] = [None] * n_blocks
         self.writer: List[Optional[int]] = [None] * n_blocks
-        #: The Harvested Block Table (Section 3.7, Figure 9): one bit per
-        #: block, set for harvested or reclaimed blocks.  GC prefers set
-        #: blocks as victims and copies their valid data back to the
-        #: harvesting vSSD's own blocks; erasing a block clears its bit.
-        #: A device of ``n`` blocks spends ``n`` bits on it (0.5 MB for a
-        #: 1 TB SSD with 4 MB blocks).
-        self.harvested: List[bool] = [False] * n_blocks
+        #: The only record of gSB membership: the owning gSB's id, or -1.
+        #: Its sign is the Harvested Block Table (Section 3.7, Figure 9),
+        #: set from a gSB's creation until its block is sent home; GC
+        #: prefers set blocks as victims and copies their valid data back
+        #: to the harvesting vSSD's own blocks.  Erasing leaves it alone.
+        self.gsb_of: List[int] = [-1] * n_blocks
         self.write_ptr: List[int] = [0] * n_blocks
         self.valid_count: List[int] = [0] * n_blocks
 
@@ -144,7 +144,7 @@ class BlockStore:
     def snapshot(self) -> dict:
         """Copy every mutable column (cheap: two array copies + lists).
 
-        List elements are immutable (ints, bools, ``None``,
+        List elements are immutable (ints, ``None``,
         ``BlockState`` singletons), so shallow list copies fully detach
         the snapshot from the live store.
         """
@@ -154,7 +154,7 @@ class BlockStore:
             "state": list(self.state),
             "owner": list(self.owner),
             "writer": list(self.writer),
-            "harvested": list(self.harvested),
+            "gsb_of": list(self.gsb_of),
             "write_ptr": list(self.write_ptr),
             "valid_count": list(self.valid_count),
         }
@@ -171,7 +171,7 @@ class BlockStore:
         self.state[:] = snapshot["state"]
         self.owner[:] = snapshot["owner"]
         self.writer[:] = snapshot["writer"]
-        self.harvested[:] = snapshot["harvested"]
+        self.gsb_of[:] = snapshot["gsb_of"]
         self.write_ptr[:] = snapshot["write_ptr"]
         self.valid_count[:] = snapshot["valid_count"]
 
@@ -208,8 +208,9 @@ class BlockStore:
         return list(zip(pages.tolist(), row[pages].tolist()))
 
     def erase(self, gid: int) -> None:
-        """Erase block ``gid``: FREE, no writer, HBT bit clear, one more
-        erase of wear.  Raises while it still holds valid pages."""
+        """Erase block ``gid``: FREE, no writer, one more erase of wear
+        (its gSB, if any, keeps it).  Raises while it still holds valid
+        pages."""
         if self.valid_count[gid] != 0:
             raise RuntimeError(
                 f"erasing block {self.locate(gid)} with "
@@ -219,7 +220,6 @@ class BlockStore:
         self.write_ptr[gid] = 0
         self.page_lpns[gid].fill(NO_LPN)
         self.writer[gid] = None
-        self.harvested[gid] = False
         self.erase_count[gid] += 1
 
     # -- many pages at once (the warm fill) ------------------------------

@@ -16,11 +16,11 @@ GC copy-back are each held to a per-page twin under ``tests/ssd/``
 (``span_oracle.py``, ``warm_fill_oracle.py``, ``gc_oracle.py``).
 
 Garbage collection follows Figure 9: victim selection prioritizes
-harvested/reclaimed blocks (HBT bit = 1); their valid data is copied back
-to the harvesting vSSD's *own* blocks; the erased block is marked regular
-again.  Blocks of a *live* gSB are recycled back into the gSB so a
-harvested channel keeps providing write bandwidth, while blocks of a
-*reclaiming* gSB are handed back to their home vSSD.
+harvested/reclaimed blocks (HBT bit = 1: ``BlockStore.gsb_of >= 0``);
+their valid data is copied back to the harvesting vSSD's *own* blocks.
+Blocks of a *live* gSB are recycled back into the gSB so a harvested
+channel keeps providing write bandwidth, while blocks of a *reclaiming*
+gSB are handed back to their home vSSD, leaving the HBT as they go.
 
 The write path is on the simulator's critical path, so the FTL caches
 its channel round-robin list, rebuilding it only when a region's capacity
@@ -102,7 +102,7 @@ class VssdFtl:
         self._unmapped_channels: list = []
         self._unmapped_version = -1
         self.own_region = WriteRegion(
-            f"own:{vssd_id}", self._store, kind="own",
+            f"own:{vssd_id}", self._store,
             max_open_per_channel=self.config.chips_per_channel,
             wear_aware=self.config.wear_aware_allocation,
         )
@@ -156,7 +156,7 @@ class VssdFtl:
 
     def add_harvest_region(self, region: WriteRegion) -> None:
         """Attach a harvested gSB's blocks as a writable region."""
-        if region.kind != "harvest":
+        if region.gsb_id < 0:
             raise ValueError("add_harvest_region requires a harvest region")
         self.harvest_regions.append(region)
         self._slots_version = -1
@@ -227,10 +227,9 @@ class VssdFtl:
         """Capture this FTL's post-warm state as plain lists and ints.
 
         Only supported before any gSB traffic: a harvest region belongs to
-        a gSB, and the gSB manager's state (its pool, the gSB records and
-        their release hooks) is not part of this snapshot.  The warm-state
-        cache only snapshots right after build+warm, where no gSB can
-        exist yet.
+        a gSB, and the gSB manager's state (its pool and the gSB records)
+        is not part of this snapshot.  The warm-state cache only
+        snapshots right after build+warm, where no gSB can exist yet.
         """
         if self.harvest_regions:
             raise ValueError(
@@ -854,7 +853,7 @@ class VssdFtl:
         Victim priority (Figure 9): harvested/reclaimed blocks (HBT = 1)
         first, then regular blocks with the fewest valid pages.  Valid
         data is rewritten into this vSSD's own blocks; the erased block
-        is marked regular and returns to the own free pool.
+        returns to the own free pool.
 
         Returns the number of blocks erased.
         """
@@ -890,12 +889,13 @@ class VssdFtl:
         erased = 0
         try:
             # Column scan over the one channel's gid slice.  Membership
-            # must come from the region itself: two harvest regions of the
-            # same vSSD can share a channel, and writer/HBT flags alone
-            # would let one region's GC erase the other's blocks and
-            # re-add them to the wrong free pool.
+            # is the block's gSB id, not just its HBT bit: two harvest
+            # regions of the same vSSD can share a channel, and one
+            # region's GC must not erase the other's blocks and re-add
+            # them to the wrong free pool.
             store = self._store
             vc_col = store.valid_count
+            gsb_id = region.gsb_id
             in_region = region.purpose == "capacity"
             frontier = set(region._open.get(channel_id, ()))
             base = channel_id * self._blocks_per_channel
@@ -903,11 +903,10 @@ class VssdFtl:
                 gid
                 for gid in range(base, base + self._blocks_per_channel)
                 if store.writer[gid] == self.vssd_id
-                and store.harvested[gid]
+                and store.gsb_of[gid] == gsb_id
                 and store.state[gid] is BlockState.FULL
                 and gid not in frontier
                 and not (in_region and vc_col[gid] >= store.pages_per_block)
-                and region.contains(gid)
             ]
             victims.sort(key=vc_col.__getitem__)  # stable: ties keep gid order
             for gid in victims[: self.GC_BATCH_BLOCKS]:
@@ -934,7 +933,7 @@ class VssdFtl:
         writer, not an open frontier): most lose on the key alone.
         """
         store = self._store
-        harvested_col = store.harvested
+        gsb_col = store.gsb_of
         vssd = self.vssd_id
         full = BlockState.FULL  # an enum member lookup costs ~10 list reads
         ppb = store.pages_per_block
@@ -948,7 +947,9 @@ class VssdFtl:
         ):
             if state is not full:
                 continue
-            if harvested_col[gid]:
+            # Looked up for FULL blocks only: cheaper than zipping a
+            # fourth slice through every block of the channel.
+            if gsb_col[gid] >= 0:
                 key = valid
             elif valid < ppb:
                 key = ppb + 1 + valid
@@ -993,6 +994,9 @@ class VssdFtl:
         inside its region.
         """
         store = self._store
+        harvest = region is not None and region.gsb_id >= 0
+        if not harvest and store.gsb_of[victim] >= 0 and store.owner[victim] != self.vssd_id:
+            raise RuntimeError("own-region GC would erase a foreign block")
         valid = store.valid_lpns(victim)
         if target_region is not None and target_region.free_pages() < len(valid):
             # In-region compaction needs somewhere inside the region to
@@ -1004,17 +1008,11 @@ class VssdFtl:
         self.ssd.channels[channel_id].occupy_for_gc(
             chip_id, migrate_reads=len(valid), erases=1
         )
-        was_harvested = store.harvested[victim]
-        store.erase(victim)  # clears the HBT bit
+        store.erase(victim)  # the block stays in its gSB, if any
         self.stats.blocks_erased += 1
-        if region is not None and region.kind == "harvest":
-            if not region.reclaiming:
-                # Live gSB: keep the block harvestable for continued use.
-                store.harvested[victim] = True
+        if harvest:
             region.release_erased(victim)
         else:
-            if was_harvested and store.owner[victim] != self.vssd_id:
-                raise RuntimeError("own-region GC erased a foreign block")
             self.own_region._discard_open(victim)
             self.own_region.add_block(victim)
         return 1

@@ -5,15 +5,16 @@ A :class:`~repro.ssd.ftl.VssdFtl` has one ``"own"`` region and one
 built and attached by the gSB manager or the ZNS adapter.  The frontier
 is on the write path, so the bookkeeping is O(1) per page: free blocks
 are per-channel deques (interleaved by chip so consecutive opens hit
-different chips) and open frontiers rotate per channel.  Every queue and
-the member set hold block gids into the device's
-:class:`~repro.ssd.blockstate.BlockStore`.
+different chips) and open frontiers rotate per channel.  Every queue
+holds block gids into the device's
+:class:`~repro.ssd.blockstate.BlockStore`; which gSB a block belongs to
+is the store's ``gsb_of`` column, not the region's.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.ssd.blockstate import BlockState, BlockStore
 
@@ -21,10 +22,10 @@ from repro.ssd.blockstate import BlockState, BlockStore
 class WriteRegion:
     """A pool of programmable blocks grouped by channel.
 
-    ``kind`` is ``"own"`` for the vSSD's own blocks or ``"harvest"`` for a
-    harvested gSB's blocks.  A harvest region flips ``reclaiming`` when its
-    gSB is being lazily reclaimed; from then on erased blocks leave the
-    region through ``on_block_released`` instead of being recycled.
+    ``gsb_id`` is ``-1`` for the vSSD's own blocks, or the id of the
+    harvested gSB whose blocks the region writes.  A harvest region flips
+    ``reclaiming`` when its gSB is being lazily reclaimed; from then on
+    erased blocks queue for :meth:`take_released` instead of recycling.
 
     Within a channel up to ``chips_per_channel`` blocks are open at once,
     rotated per program so writes exploit chip parallelism.
@@ -34,14 +35,11 @@ class WriteRegion:
         self,
         region_id: str,
         store: BlockStore,
-        kind: str = "own",
-        on_block_released: Optional[Callable[[int], None]] = None,
+        gsb_id: int = -1,
         max_open_per_channel: int = 4,
         purpose: str = "bandwidth",
         wear_aware: bool = False,
     ) -> None:
-        if kind not in ("own", "harvest"):
-            raise ValueError(f"unknown region kind {kind!r}")
         if purpose not in ("bandwidth", "capacity"):
             raise ValueError(f"unknown region purpose {purpose!r}")
         #: Pick the least-erased free block when opening a frontier, so
@@ -49,23 +47,18 @@ class WriteRegion:
         self.wear_aware = wear_aware
         self.region_id = region_id
         self.store = store
-        self.kind = kind
+        self.gsb_id = gsb_id
         #: "bandwidth" regions recycle by copying data back to the
         #: harvester's own blocks (Figure 9); "capacity" regions hold
         #: data long-term, so their GC stays inside the region
         #: (Section 5's capacity-harvesting extension).
         self.purpose = purpose
         self.reclaiming = False
-        self.on_block_released = on_block_released
         self.max_open_per_channel = max_open_per_channel
         self._free: dict = {}   # channel -> deque[gid]
         self._open: dict = {}   # channel -> deque[gid] (rotated)
         self._channels: set = set()
-        #: Gids of every block ever added and not yet routed away.
-        #: Needed to scope GC: two harvest regions of the same vSSD can
-        #: share a channel, and writer/HBT flags alone cannot tell their
-        #: blocks apart.
-        self._member_ids: set = set()
+        self._released: list = []  # gids erased while reclaiming
         self._free_pages = 0
         #: Bumped whenever the set of writable channels may have changed;
         #: the FTL uses it to invalidate its cached striping order.
@@ -88,7 +81,6 @@ class WriteRegion:
         # when blocks were adopted in chip-sorted batches.
         queue.append(gid)
         self._channels.add(channel_id)
-        self._member_ids.add(gid)
         self._free_pages += store.pages_per_block
         self.version += 1
 
@@ -134,10 +126,6 @@ class WriteRegion:
         queue = self._free.get(channel_id)
         return len(queue) if queue else 0
 
-    def contains(self, gid: int) -> bool:
-        """True while block ``gid`` belongs to this region (any state)."""
-        return gid in self._member_ids
-
     def take_free_blocks(self, channel_id: int, count: int) -> list:
         """Remove up to ``count`` FREE blocks on ``channel_id`` from the
         region (used when carving a gSB out of a vSSD's free space)."""
@@ -146,7 +134,6 @@ class WriteRegion:
         while queue and len(taken) < count:
             gid = queue.pop()
             taken.append(gid)
-            self._member_ids.discard(gid)
             self._free_pages -= self.store.pages_per_block
         if taken:
             self.version += 1
@@ -210,13 +197,18 @@ class WriteRegion:
         return {gid for queue in self._open.values() for gid in queue}
 
     def release_erased(self, gid: int) -> None:
-        """Route a freshly erased block per region policy."""
+        """Route a freshly erased harvest-region block: back to the free
+        pool, or to :meth:`take_released` once reclaiming."""
         self._discard_open(gid)
-        if self.kind == "harvest" and not self.reclaiming:
+        if self.reclaiming:
+            self._released.append(gid)
+        else:
             self.add_block(gid)
-        elif self.on_block_released is not None:
-            self._member_ids.discard(gid)
-            self.on_block_released(gid)
+
+    def take_released(self) -> list:
+        """Remove and return the released gids, in release order."""
+        released, self._released = self._released, []
+        return released
 
     def _discard_open(self, gid: int) -> None:
         # Threshold-GC victims are never open, so a miss is the common case.
@@ -242,23 +234,19 @@ class WriteRegion:
                 open_queue.remove(gid)
                 store.writer[gid] = None
                 drained.append(gid)
-        for gid in drained:
-            self._member_ids.discard(gid)
         self.version += 1
         return drained
 
     def snapshot(self) -> dict:
-        """Capture membership and frontier order as plain gid lists.
+        """Capture the free and open queues as plain gid lists.
 
         Per-channel deque order is preserved exactly — frontier rotation
         is order-sensitive, so a restored region must pop and rotate the
-        same blocks in the same sequence.  ``members`` also covers the
-        FULL blocks, which sit in neither queue.
+        same blocks in the same sequence.
         """
         return {
             "free": {channel: list(queue) for channel, queue in self._free.items()},
             "open": {channel: list(queue) for channel, queue in self._open.items()},
-            "members": sorted(self._member_ids),
             "channels": sorted(self._channels),
             "free_pages": self._free_pages,
             "version": self.version,
@@ -266,7 +254,7 @@ class WriteRegion:
         }
 
     def restore(self, snapshot: dict) -> None:
-        """Rebuild queues and the member set from a :meth:`snapshot`.
+        """Rebuild the queues from a :meth:`snapshot`.
 
         Block *state* (writer, write pointer, page map) is the store's to
         restore; this only rebuilds the region's bookkeeping around it.
@@ -278,13 +266,12 @@ class WriteRegion:
             channel: deque(gids) for channel, gids in snapshot["open"].items()
         }
         self._channels = set(snapshot["channels"])
-        self._member_ids = set(snapshot["members"])
         self._free_pages = snapshot["free_pages"]
         self.version = snapshot["version"]
         self.reclaiming = snapshot["reclaiming"]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"WriteRegion({self.region_id}, kind={self.kind}, "
+            f"WriteRegion({self.region_id}, gsb_id={self.gsb_id}, "
             f"free_blocks={self.free_block_count()}, reclaiming={self.reclaiming})"
         )

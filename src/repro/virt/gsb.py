@@ -7,18 +7,18 @@ home vSSD that gave up the resources, the harvesting vSSD (if any), and
 the in-use flag.  The pool keeps one list per channel-count, indexed and
 sorted by ``n_chls`` for best-fit search (the paper uses lock-free linked
 lists for concurrency; a deque is the single-threaded equivalent).
+
+The pool also numbers the gSBs it is given: one pool per device, so the
+ids that ``BlockStore.gsb_of`` records are unique.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ssd.region import WriteRegion
-
-_gsb_ids = itertools.count()
 
 
 class GhostSuperblock:
@@ -31,7 +31,8 @@ class GhostSuperblock:
             raise ValueError("a gSB must stripe across at least one channel")
         if not blocks:
             raise ValueError("a gSB must contain blocks")
-        self.gsb_id = next(_gsb_ids)
+        #: Issued by the first :meth:`GsbPool.insert`; -1 until then.
+        self.gsb_id = -1
         self.n_chls = n_chls
         #: Gids of the blocks currently belonging to the gSB.
         self.blocks = list(blocks)
@@ -78,15 +79,20 @@ class GsbPool:
             raise ValueError("max_channels must be positive")
         self.max_channels = max_channels
         self._lists: dict = {n: deque() for n in range(1, max_channels + 1)}
+        self._next_id = 0
 
     def insert(self, gsb: GhostSuperblock) -> None:
-        """Add a free gSB at the head of its n_chls list."""
+        """Add a free gSB at the head of its n_chls list, issuing its
+        id on first insertion."""
         if gsb.in_use:
             raise ValueError("cannot pool an in-use gSB")
         if gsb.n_chls > self.max_channels:
             raise ValueError(
                 f"gSB spans {gsb.n_chls} channels, pool max is {self.max_channels}"
             )
+        if gsb.gsb_id < 0:
+            gsb.gsb_id = self._next_id
+            self._next_id += 1
         # New gSBs go to the head of their list (Section 3.6.2).
         self._lists[gsb.n_chls].appendleft(gsb)
 

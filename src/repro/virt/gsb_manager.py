@@ -92,9 +92,6 @@ class GsbManager:
             blocks.extend(taken)
         if not blocks:
             return None
-        harvested = self.store.harvested
-        for gid in blocks:
-            harvested[gid] = True
         gsb = GhostSuperblock(
             n_chls=len(channels),
             blocks=blocks,
@@ -102,6 +99,9 @@ class GsbManager:
             blocks_per_channel=self.store.blocks_per_channel,
         )
         self.pool.insert(gsb)
+        gsb_of = self.store.gsb_of
+        for gid in blocks:
+            gsb_of[gid] = gsb.gsb_id
         home.harvestable_gsbs.append(gsb)
         self.stats.gsbs_created += 1
         self.stats.blocks_offered += len(blocks)
@@ -155,11 +155,7 @@ class GsbManager:
         gsb.in_use = True
         gsb.harvest_vssd = harvester.vssd_id
         region = WriteRegion(
-            f"gsb:{gsb.gsb_id}",
-            self.store,
-            kind="harvest",
-            purpose=purpose,
-            on_block_released=lambda gid, g=gsb: self._block_returned(g, gid),
+            f"gsb:{gsb.gsb_id}", self.store, gsb_id=gsb.gsb_id, purpose=purpose
         )
         region.add_blocks(gsb.blocks)
         gsb.region = region
@@ -172,17 +168,6 @@ class GsbManager:
     def register_vssd(self, vssd: "Vssd") -> None:
         """Let the manager resolve vssd ids during reclamation."""
         self._vssd_by_id[vssd.vssd_id] = vssd
-
-    def close(self) -> None:
-        """Unhook every harvest region still attached.
-
-        A region's ``on_block_released`` hook holds this manager and its
-        gSB, and both lead back to the region (the manager through the
-        harvester's vSSD, the gSB through ``gsb.region``).  Idempotent.
-        """
-        for vssd in self._vssd_by_id.values():
-            for gsb in vssd.harvested_gsbs:
-                gsb.region.on_block_released = None
 
     def _healthy_gsb(self, gsb: GhostSuperblock) -> bool:
         """True when none of the gSB's channels carry an injected fault."""
@@ -216,9 +201,9 @@ class GsbManager:
 
     def _destroy_unused(self, home: "Vssd", gsb: GhostSuperblock) -> None:
         self.pool.remove(gsb)
-        harvested = self.store.harvested
+        gsb_of = self.store.gsb_of
         for gid in gsb.blocks:
-            harvested[gid] = False
+            gsb_of[gid] = -1
         home.ftl.adopt_blocks(gsb.blocks)
         home.harvestable_gsbs.remove(gsb)
         self.stats.gsbs_destroyed_unused += 1
@@ -239,18 +224,18 @@ class GsbManager:
     def _block_returned(self, gsb: GhostSuperblock, gid: int) -> None:
         """A reclaiming gSB's block is FREE again — send it home.
 
-        The block leaves ``gsb.blocks`` so a later pump cannot touch it
-        once it has moved on (e.g. into a freshly offered gSB); when the
-        list empties, the reclaim finalizes.
+        The block leaves the gSB (``gsb_of`` and ``gsb.blocks``) so a
+        later pump cannot touch it once it has moved on (e.g. into a
+        freshly offered gSB); when the list empties, the reclaim finalizes.
         """
         home = self._vssd_of(gsb.home_vssd)
-        self.store.harvested[gid] = False
-        try:
-            gsb.blocks.remove(gid)
-        except ValueError:
+        gsb_of = self.store.gsb_of
+        if gsb_of[gid] != gsb.gsb_id:
             raise RuntimeError(
                 f"block {self.store.locate(gid)} returned to gSB {gsb.gsb_id} twice"
             )
+        gsb_of[gid] = -1
+        gsb.blocks.remove(gid)
         home.ftl.adopt_blocks([gid])
         self.stats.blocks_returned += 1
         if not gsb.blocks:
@@ -261,9 +246,6 @@ class GsbManager:
         home = self._vssd_of(gsb.home_vssd)
         if gsb.region in harvester.ftl.harvest_regions:
             harvester.ftl.remove_harvest_region(gsb.region)
-        # The detached region releases nothing more; unhooked, it and
-        # its gSB are freed without a garbage collection.
-        gsb.region.on_block_released = None
         if gsb in harvester.harvested_gsbs:
             harvester.harvested_gsbs.remove(gsb)
         if gsb in home.harvestable_gsbs:
@@ -291,7 +273,12 @@ class GsbManager:
                 and store.writer[gid] == gsb.harvest_vssd
             ]
             if pending:
-                collected += harvester.ftl.collect_blocks(pending, gsb.region)
+                try:
+                    collected += harvester.ftl.collect_blocks(pending, gsb.region)
+                finally:
+                    # Blocks erased before an OutOfSpaceError go home too.
+                    for gid in gsb.region.take_released():
+                        self._block_returned(gsb, gid)
         return collected
 
     def reclaim_degraded(self) -> int:
@@ -329,14 +316,25 @@ class GsbManager:
         reclamation so the resources flow back to their home tenants.
         Returns the number of gSBs whose reclamation started.
         """
+        released = self._reclaim_harvested(harvester)
+        self.stats.gsbs_released_by_watchdog += released
+        return released
+
+    def _reclaim_harvested(self, harvester: "Vssd") -> int:
         released = 0
         for gsb in list(harvester.harvested_gsbs):
             if gsb.reclaiming:
                 continue
             self._start_lazy_reclaim(gsb)
             released += 1
-        self.stats.gsbs_released_by_watchdog += released
         return released
+
+    def settle(self, vssd: "Vssd") -> None:
+        """Reclaim every gSB ``vssd`` lends or harvests, to completion
+        unless a harvester runs out of space (deallocation)."""
+        self.reclaim_excess(vssd, 0)
+        self._reclaim_harvested(vssd)
+        self.pump_reclaims()
 
     def reclaiming_gsbs(self) -> list:
         """gSBs currently draining home through lazy reclamation."""

@@ -110,33 +110,35 @@ class StorageVirtualizer:
     def deallocate_vssd(self, vssd_id: int) -> None:
         """Tear down a vSSD; its resources go to the placeholder vSSD.
 
-        All data is invalidated and blocks are erased (the paper erases
+        Every gSB it lends or harvests is reclaimed first.  Then all data
+        is invalidated and blocks are erased (the paper erases
         harvested/reclaimed blocks before returning them; deallocation is
         the same security boundary), then ownership moves to a placeholder
         vSSD that offers the free capacity for harvesting.
         """
-        vssd = self.vssds.pop(vssd_id, None)
+        vssd = self.vssds.get(vssd_id)
         if vssd is None:
             raise KeyError(f"unknown vSSD {vssd_id}")
+        self.gsb_manager.settle(vssd)
+        store = self.ssd.store
+        owned = [gid for gid in range(store.n_blocks) if store.owner[gid] == vssd_id]
+        if vssd.harvested_gsbs or any(store.gsb_of[gid] >= 0 for gid in owned):
+            raise RuntimeError(f"vSSD {vssd_id} still lends or harvests gSB blocks")
+        del self.vssds[vssd_id]
         vssd.deallocated = True
         self.dispatcher.unregister_vssd(vssd_id)
         vssd.ftl.trim_all()
         placeholder = self._ensure_placeholder()
-        store = self.ssd.store
-        moved = []
-        for gid in range(store.n_blocks):
-            if store.owner[gid] == vssd_id:
-                if store.valid_count[gid]:
-                    raise RuntimeError("trim_all left valid data behind")
-                if store.state[gid] is not BlockState.FREE:
-                    store.erase(gid)
-                store.harvested[gid] = False
-                store.owner[gid] = PLACEHOLDER_VSSD_ID
-                moved.append(gid)
-        placeholder.ftl.adopt_blocks(moved)
+        for gid in owned:
+            if store.valid_count[gid]:
+                raise RuntimeError("trim_all left valid data behind")
+            if store.state[gid] is not BlockState.FREE:
+                store.erase(gid)
+            store.owner[gid] = PLACEHOLDER_VSSD_ID
+        placeholder.ftl.adopt_blocks(owned)
         bpc = store.blocks_per_channel
         placeholder.channel_ids = sorted(
-            set(placeholder.channel_ids) | {gid // bpc for gid in moved}
+            set(placeholder.channel_ids) | {gid // bpc for gid in owned}
         )
 
     def _ensure_placeholder(self) -> Vssd:
@@ -168,13 +170,12 @@ class StorageVirtualizer:
     def close(self) -> None:
         """Sever the stack's back-edges so reference counting frees it.
 
-        The engine drops its pending events, the dispatcher its
-        completion callbacks and the gSB manager its harvest hooks.
-        Nothing may run on a closed stack.  Idempotent.
+        The engine drops its pending events and the dispatcher its
+        completion callbacks.  Nothing may run on a closed stack.
+        Idempotent.
         """
         self.sim.close()
         self.dispatcher.close()
-        self.gsb_manager.close()
 
     # ------------------------------------------------------------------
     # Helpers

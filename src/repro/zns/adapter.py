@@ -5,9 +5,10 @@ natural harvestable unit is an **EMPTY zone**: it is erased, contiguous,
 and single-channel — exactly a one-channel superblock.  The adapter:
 
 * **offers** EMPTY zones: the zone is finished (so the zoned host cannot
-  append to it while it is lent out), its blocks get the HBT mark, and a
-  regular :class:`~repro.virt.gsb.GhostSuperblock` enters the shared
-  pool — FleetIO's admission control and RL actions need no changes;
+  append to it while it is lent out), a regular
+  :class:`~repro.virt.gsb.GhostSuperblock` enters the shared pool, and
+  its blocks' ``gsb_of`` entries (their HBT mark) name it — FleetIO's
+  admission control and RL actions need no changes;
 * lets a block-interface vSSD **harvest** such a gSB through the same
   write-region mechanism the FTL uses for any other gSB;
 * **reclaims** lazily: the harvester's GC copies its data home, erased
@@ -62,9 +63,10 @@ class ZnsHarvestAdapter:
         # The zoned host must not append while the zone is lent out; a
         # FULL zone rejects appends by the ZNS state machine itself.
         zone.finish()
-        for gid in gsb.blocks:
-            self.store.harvested[gid] = True
         self.pool.insert(gsb)
+        gsb_of = self.store.gsb_of
+        for gid in gsb.blocks:
+            gsb_of[gid] = gsb.gsb_id
         self._lent[gsb.gsb_id] = zone
         self.zones_offered += 1
         return gsb
@@ -98,12 +100,7 @@ class ZnsHarvestAdapter:
             return None
         gsb.in_use = True
         gsb.harvest_vssd = harvester.vssd_id
-        region = WriteRegion(
-            f"zns-gsb:{gsb.gsb_id}",
-            self.store,
-            kind="harvest",
-            on_block_released=lambda gid, g=gsb: self._block_home(g, gid),
-        )
+        region = WriteRegion(f"zns-gsb:{gsb.gsb_id}", self.store, gsb_id=gsb.gsb_id)
         region.add_blocks(gsb.blocks)
         gsb.region = region
         harvester.ftl.add_harvest_region(region)
@@ -124,34 +121,39 @@ class ZnsHarvestAdapter:
             raise ZnsError(f"gSB {gsb.gsb_id} is not a lent zone")
         if not gsb.in_use:
             self.pool.remove(gsb)
+            gsb_of = self.store.gsb_of
             for gid in gsb.blocks:
-                self.store.harvested[gid] = False
+                gsb_of[gid] = -1
             gsb.blocks.clear()
             self._finish_return(gsb)
             return
         if harvester is None:
             raise ZnsError("reclaiming an in-use zone requires the harvester")
         gsb.reclaiming = True
-        gsb.region.reclaiming = True
-        for gid in gsb.region.drain_free_blocks():
+        region = gsb.region
+        region.reclaiming = True
+        for gid in region.drain_free_blocks():
             self._block_home(gsb, gid)
         state = self.store.state
         pending = [gid for gid in gsb.blocks if state[gid] is not BlockState.FREE]
-        if pending:
-            harvester.ftl.collect_blocks(pending, gsb.region)
-        if gsb.region in harvester.ftl.harvest_regions:
-            harvester.ftl.remove_harvest_region(gsb.region)
+        try:
+            harvester.ftl.collect_blocks(pending, region)
+        finally:
+            for gid in region.take_released():
+                self._block_home(gsb, gid)
+        if region in harvester.ftl.harvest_regions:
+            harvester.ftl.remove_harvest_region(region)
         if gsb in harvester.harvested_gsbs:
             harvester.harvested_gsbs.remove(gsb)
 
     def _block_home(self, gsb: GhostSuperblock, gid: int) -> None:
-        self.store.harvested[gid] = False
-        try:
-            gsb.blocks.remove(gid)
-        except ValueError:
+        gsb_of = self.store.gsb_of
+        if gsb_of[gid] != gsb.gsb_id:
             raise ZnsError(
                 f"block {self.store.locate(gid)} returned twice to zone-gSB"
             )
+        gsb_of[gid] = -1
+        gsb.blocks.remove(gid)
         if not gsb.blocks:
             self._finish_return(gsb)
 

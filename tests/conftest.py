@@ -47,8 +47,8 @@ def ssd(small_config, sim) -> Ssd:
 
 @pytest.fixture
 def hbt(ssd) -> list:
-    """The device's Harvested Block Table: its ``harvested`` column."""
-    return ssd.store.harvested
+    """The device's Harvested Block Table: its ``gsb_of`` column."""
+    return ssd.store.gsb_of
 
 
 @pytest.fixture

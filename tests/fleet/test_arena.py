@@ -86,7 +86,7 @@ def test_arena_roundtrip_matches_capture(captured):
         assert np.array_equal(store["erase_count"], ref["erase_count"])
         # Zero-copy views must be read-only: restore copies *out*.
         assert not store["page_lpns"].flags.writeable
-        for name in ("state", "owner", "writer", "harvested", "write_ptr",
+        for name in ("state", "owner", "writer", "gsb_of", "write_ptr",
                      "valid_count"):
             assert store[name] == ref[name], name
     finally:

@@ -17,6 +17,7 @@ from repro.harness import snapshots
 from repro.harness.telemetry import windows_to_csv
 from repro.parallel import ExperimentCell, run_cell
 from repro.sim.engine import Simulator
+from repro.ssd import BlockState
 
 FAST = SSDConfig(
     num_channels=4,
@@ -83,7 +84,7 @@ def _assert_fingerprints_equal(a, b):
     assert a["arrays"] == b["arrays"]
     for name in ("page_lpns", "erase_count"):
         assert np.array_equal(a["store"][name], b["store"][name]), name
-    for name in ("state", "owner", "writer", "harvested", "write_ptr",
+    for name in ("state", "owner", "writer", "gsb_of", "write_ptr",
                  "valid_count"):
         assert a["store"][name] == b["store"][name], name
     assert a["ftls"] == b["ftls"]
@@ -110,13 +111,20 @@ def test_restored_build_state_equals_cold_build(monkeypatch):
 )
 @pytest.mark.parametrize("policy", ["hardware", "software", "adaptive", "ssdkeeper"])
 def test_restored_region_membership_equals_cold_build(policy, plans, monkeypatch):
-    """A region's members include its FULL blocks, which sit in neither
-    queue; a restored own region must claim exactly the cold build's."""
+    """An own region's members are the owned blocks in no gSB, FULL ones
+    included, which sit in neither queue; a restored region must hold
+    exactly the cold build's, queues and all."""
     def members(exp):
-        return {
-            plan.name: set(exp.virt.vssd_by_name(plan.name).ftl.own_region._member_ids)
-            for plan in exp.plans
-        }
+        store = exp.virt.ssd.store
+        out = {}
+        for plan in exp.plans:
+            ftl = exp.virt.vssd_by_name(plan.name).ftl
+            owned = {
+                gid for gid in range(store.n_blocks)
+                if store.owner[gid] == ftl.vssd_id and store.gsb_of[gid] < 0
+            }
+            out[plan.name] = (owned, ftl.own_region.snapshot())
+        return out
 
     cold = members(_cold_build(monkeypatch, policy=policy, plans=plans))
     _experiment(policy, plans=plans).build()  # miss: warms + captures
@@ -124,10 +132,14 @@ def test_restored_region_membership_equals_cold_build(policy, plans, monkeypatch
     assert snapshots.STATS["hits"] == 1
     assert members(restored) == cold
     store = restored.virt.ssd.store
+    assert all(gsb < 0 for gsb in store.gsb_of)  # no gSB yet
     for plan in restored.plans:
-        ftl = restored.virt.vssd_by_name(plan.name).ftl
-        owned = {gid for gid in range(store.n_blocks) if store.owner[gid] == ftl.vssd_id}
-        assert cold[plan.name] == owned  # no gSB yet: members are the owned blocks
+        owned, region = cold[plan.name]
+        queued = {gid for queues in (region["free"], region["open"])
+                  for gids in queues.values() for gid in gids}
+        # Every queued block is a member; the rest of the members are FULL.
+        assert queued <= owned
+        assert all(store.state[gid] is BlockState.FULL for gid in owned - queued)
 
 
 def _run_windows_csv(tmp_path, tag, exp):

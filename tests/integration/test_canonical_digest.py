@@ -8,6 +8,11 @@ for the ``cell_fleetio_mixed`` workload; this test puts it in
 ``pytest -x -q``.  When a change moves the digest on purpose (a sampler
 or policy-artifact change), update both places in the same commit and
 say why.
+
+None of the pinned workloads runs a lazy gSB reclaim, so a second cell
+holds that path to bytes too: vdi-web beside batchanalytics under the
+adaptive policy, seed 0, harvests three times, reclaims one in-use gSB
+lazily and returns 288 blocks home (12 drained free, 276 collected).
 """
 
 import json
@@ -22,6 +27,7 @@ REPO = Path(__file__).resolve().parents[2]
 POLICY_FIXTURE = REPO / "benchmarks" / "perf" / "fixtures" / "pretrained_canonical.npz"
 
 REFERENCE_DIGEST_PREFIX = "3636a8ff"
+RECLAIM_DIGEST_PREFIX = "dbb8130b"
 
 _SCRIPT = """
 import hashlib, json, shutil, sys
@@ -42,8 +48,21 @@ report["batched_decisions"] = outcome.profile["counters"].get("rl.batched_decisi
 print(json.dumps(report))
 """
 
+_RECLAIM_SCRIPT = """
+import hashlib, json
+from repro.parallel import ExperimentCell, run_cell
 
-def test_canonical_cell_telemetry_digest(tmp_path):
+cell = ExperimentCell(
+    "vdi-web+batchanalytics", ("vdi-web", "batchanalytics"), "adaptive", 0,
+    duration_s=8.0, measure_after_s=2.0,
+)
+outcome = run_cell(cell)
+assert outcome.ok, outcome.error
+print(json.dumps({"bare": hashlib.sha256(outcome.telemetry).hexdigest()}))
+"""
+
+
+def _run_child(tmp_path, script, *args):
     # A child with a private cache directory: the digest must not depend
     # on whatever policy artifact this host's ~/.cache/repro holds, nor
     # on snapshot-cache state earlier tests left in this process.
@@ -53,11 +72,15 @@ def test_canonical_cell_telemetry_digest(tmp_path):
         [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(POLICY_FIXTURE)],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_canonical_cell_telemetry_digest(tmp_path):
+    report = _run_child(tmp_path, _SCRIPT, str(POLICY_FIXTURE))
     assert report["bare"].startswith(REFERENCE_DIGEST_PREFIX), (
         f"telemetry digest {report['bare']} != reference "
         f"{REFERENCE_DIGEST_PREFIX}…: a change altered simulation behaviour"
@@ -67,3 +90,11 @@ def test_canonical_cell_telemetry_digest(tmp_path):
     # The agents' decisions went through the batched inference path —
     # otherwise the cell no longer exercises what the digest guards.
     assert report["batched_decisions"] > 0
+
+
+def test_reclaim_cell_telemetry_digest(tmp_path):
+    report = _run_child(tmp_path, _RECLAIM_SCRIPT)
+    assert report["bare"].startswith(RECLAIM_DIGEST_PREFIX), (
+        f"telemetry digest {report['bare']} != reference "
+        f"{RECLAIM_DIGEST_PREFIX}…: a change altered harvest/reclaim behaviour"
+    )

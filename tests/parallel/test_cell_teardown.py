@@ -1,10 +1,11 @@
 """A finished cell frees its simulator by reference counting alone.
 
 A built experiment is cyclic (pending engine events, dispatcher
-completion callbacks, harvest hooks).  The cell runner
-closes it in a ``finally``, so with the garbage collector disabled the
-whole stack must already be gone when ``run_cell`` returns, and a
-collection afterwards must find no ``repro`` object to free.
+completion callbacks).  The cell runner closes it in a ``finally``, so
+with the garbage collector disabled the whole stack must already be gone
+when ``run_cell`` returns, and a collection afterwards must find no
+``repro`` object to free.  A harvest region adds no cycle: it names its
+gSB by id, so ``close`` has no gSB state to unhook.
 """
 
 import gc
@@ -23,7 +24,8 @@ from repro.sim.engine import Simulator
 from repro.ssd import Ssd, VssdFtl
 
 #: The committed canonical policy net: with it the 8 s fleetio cell ends
-#: with a harvest region attached, the case whose hook closes a cycle.
+#: with a harvest region attached, which must die with its cell although
+#: ``close`` does not touch the gSB manager.
 POLICY_FIXTURE = (
     Path(__file__).resolve().parents[2]
     / "benchmarks" / "perf" / "fixtures" / "pretrained_canonical.npz"

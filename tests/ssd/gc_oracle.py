@@ -77,6 +77,9 @@ def collect_block_per_page(
 ) -> int:
     """Migrate valid pages out of block ``victim``, erase it, route it."""
     store = ftl._store
+    harvest = region is not None and region.gsb_id >= 0
+    if not harvest and store.gsb_of[victim] >= 0 and store.owner[victim] != ftl.vssd_id:
+        raise RuntimeError("own-region GC would erase a foreign block")
     valid = store.valid_lpns(victim)
     if target_region is not None and valid:
         # In-region compaction needs somewhere inside the region to
@@ -95,17 +98,11 @@ def collect_block_per_page(
         ftl.stats.gc_reads += 1
         ftl.stats.gc_writes += 1
     channel.occupy_for_gc(chip_id, migrate_reads=len(valid), erases=1)
-    was_harvested = store.harvested[victim]
-    store.erase(victim)  # clears the HBT bit
+    store.erase(victim)  # the block stays in its gSB, if any
     ftl.stats.blocks_erased += 1
-    if region is not None and region.kind == "harvest":
-        if not region.reclaiming:
-            # Live gSB: keep the block harvestable for continued use.
-            store.harvested[victim] = True
+    if harvest:
         region.release_erased(victim)
     else:
-        if was_harvested and store.owner[victim] != ftl.vssd_id:
-            raise RuntimeError("own-region GC erased a foreign block")
         ftl.own_region._discard_open(victim)
         ftl.own_region.add_block(victim)
     return 1

@@ -151,7 +151,7 @@ def test_surrender_more_than_available(ftl, small_config):
 def test_channel_count_includes_harvest_regions(ftl, ssd):
     assert ftl.channel_count() == 2
     blocks = ssd.allocate_channels(9, [2])
-    region = WriteRegion("gsb:test", ssd.store, kind="harvest")
+    region = WriteRegion("gsb:test", ssd.store, gsb_id=0)
     region.add_blocks(blocks[:4])
     ftl.add_harvest_region(region)
     assert ftl.channel_count() == 3
@@ -161,7 +161,7 @@ def test_channel_count_includes_harvest_regions(ftl, ssd):
 
 def test_write_channels_reflects_harvest(ftl, ssd):
     blocks = ssd.allocate_channels(9, [3])
-    region = WriteRegion("gsb:test", ssd.store, kind="harvest")
+    region = WriteRegion("gsb:test", ssd.store, gsb_id=0)
     region.add_blocks(blocks[:4])
     ftl.add_harvest_region(region)
     assert 3 in ftl.write_channels()
@@ -171,7 +171,7 @@ def test_write_channels_reflects_harvest(ftl, ssd):
 
 def test_writes_flow_into_harvest_region(ftl, ssd):
     blocks = ssd.allocate_channels(9, [3])
-    region = WriteRegion("gsb:test", ssd.store, kind="harvest")
+    region = WriteRegion("gsb:test", ssd.store, gsb_id=0)
     region.add_blocks(blocks[:4])
     ftl.add_harvest_region(region)
     ftl.write_span(0, 30)
@@ -188,35 +188,42 @@ def test_recycle_returns_blocks_to_their_own_region(ftl, ssd):
     Regression: victims used to be every block the vSSD wrote with the
     HBT flag set on the region's channels, so one region's recycle could
     erase the *other* region's block and re-add it to the wrong free pool.
+    The sibling's blocks are as cheap to collect and come first in gid
+    order, so only the gSB id keeps them out.
     """
     store = ssd.store
     blocks = ssd.allocate_channels(9, [3])
-    r1 = WriteRegion("gsb:1", store, kind="harvest")
-    r1.add_blocks(blocks[:2])
-    r2 = WriteRegion("gsb:2", store, kind="harvest")
-    r2.add_blocks(blocks[2:4])
-    for gid in blocks[:4]:
-        store.harvested[gid] = True
+    sibling = WriteRegion("gsb:2", store, gsb_id=2)
+    sibling.add_blocks(blocks[:2])
+    r1 = WriteRegion("gsb:1", store, gsb_id=1)
+    r1.add_blocks(blocks[2:4])
+    for gid in blocks[:2]:
+        store.gsb_of[gid] = 2
+    for gid in blocks[2:4]:
+        store.gsb_of[gid] = 1
+    ftl.add_harvest_region(sibling)
     ftl.add_harvest_region(r1)
-    ftl.add_harvest_region(r2)
-    # Exhaust r1 on the shared channel, then invalidate everything so its
-    # blocks become zero-cost GC victims.
-    while True:
-        gid = r1.frontier_block(3, writer=ftl.vssd_id)
-        if gid is None:
-            break
-        store.invalidate(gid, store.program(gid, 0))
+    # Exhaust both on the shared channel, invalidating everything so every
+    # block becomes a zero-cost GC victim.
+    for region in (sibling, r1):
+        while True:
+            gid = region.frontier_block(3, writer=ftl.vssd_id)
+            if gid is None:
+                break
+            store.invalidate(gid, store.program(gid, 0))
     erased = ftl.recycle_region(r1, 3)
     assert erased > 0
     assert r1.free_block_count_on(3) == erased
-    assert r2.free_block_count_on(3) == 2  # sibling untouched
-    assert all(r1.contains(b) for b in blocks[:2])
-    assert all(r2.contains(b) for b in blocks[2:4])
+    assert set(r1._free[3]) <= set(blocks[2:4])
+    # The sibling's blocks are untouched: still FULL, in no free queue.
+    assert sibling.free_block_count_on(3) == 0
+    assert all(store.state[gid] is BlockState.FULL for gid in blocks[:2])
+    assert all(store.gsb_of[gid] == 2 for gid in blocks[:2])
 
 
 def test_reclaiming_region_not_written(ftl, ssd):
     blocks = ssd.allocate_channels(9, [3])
-    region = WriteRegion("gsb:test", ssd.store, kind="harvest")
+    region = WriteRegion("gsb:test", ssd.store, gsb_id=0)
     region.add_blocks(blocks[:4])
     region.reclaiming = True
     ftl.add_harvest_region(region)
@@ -227,7 +234,7 @@ def test_reclaiming_region_not_written(ftl, ssd):
 class TestWriteRegion:
     def _region_with_blocks(self, ssd, n=4, channel=0):
         blocks = list(ssd.channel_gids(channel))[:n]
-        region = WriteRegion("r", ssd.store, kind="own")
+        region = WriteRegion("r", ssd.store)
         region.add_blocks(blocks)
         return region, blocks
 
@@ -282,16 +289,22 @@ class TestWriteRegion:
         assert region.free_pages() == 0
 
     def test_membership_tracking(self, ssd):
+        def queued(region):
+            snap = region.snapshot()
+            return {g for q in (snap["free"], snap["open"]) for gids in q.values() for g in gids}
+
         region, blocks = self._region_with_blocks(ssd, n=4)
-        assert all(region.contains(b) for b in blocks)
-        taken = region.take_free_blocks(0, 2)
-        assert not any(region.contains(b) for b in taken)
-        drained = region.drain_free_blocks()
-        assert not any(region.contains(b) for b in drained)
+        assert queued(region) == set(blocks)
+        taken = region.take_free_blocks(0, 1)
+        assert queued(region) == set(blocks) - set(taken)
+        region.frontier_block(0, writer=1)  # opens the rest, unwritten
+        drained = region.drain_free_blocks()  # open-but-unwritten included
+        assert sorted(taken + drained) == sorted(blocks)
+        assert queued(region) == set()
 
     def test_release_erased_recycles_live_harvest(self, ssd):
         store = ssd.store
-        region = WriteRegion("r", store, kind="harvest")
+        region = WriteRegion("r", store, gsb_id=0)
         region.add_blocks([0, 1])
         gid = region.frontier_block(0, writer=1)
         while store.write_ptr[gid] < store.pages_per_block:
@@ -301,17 +314,17 @@ class TestWriteRegion:
         region.release_erased(gid)
         assert region.free_block_count() == before + 1
 
-    def test_release_erased_reclaiming_calls_back(self, ssd):
-        returned = []
-        region = WriteRegion(
-            "r", ssd.store, kind="harvest", on_block_released=returned.append
-        )
-        region.add_blocks([0])
-        gid = region.frontier_block(0, writer=1)
+    def test_release_erased_reclaiming_lists_released(self, ssd):
+        region = WriteRegion("r", ssd.store, gsb_id=0)
+        region.add_blocks([0, 1])
+        first = region.frontier_block(0, writer=1)
+        second = region.frontier_block(0, writer=1)
         region.reclaiming = True
-        region.release_erased(gid)
-        assert returned == [gid]
-        assert not region.contains(gid)
+        region.release_erased(second)
+        region.release_erased(first)
+        assert region.take_released() == [second, first]  # release order
+        assert region.take_released() == []
+        assert region.free_block_count() == 0 and not region.frontier_blocks()
 
     def test_discard_open_present_absent_and_empty_queue(self, ssd):
         region = WriteRegion("r", ssd.store, max_open_per_channel=2)
@@ -329,26 +342,29 @@ class TestWriteRegion:
         region._discard_open(first)  # queue now empty
         assert not region._open[0]
 
-    def test_snapshot_restore_keeps_full_members(self, ssd, small_config):
-        """Membership covers FULL blocks, which sit in no queue; a restored
-        region must still claim them."""
+    def test_snapshot_restore_round_trips_past_a_full_block(self, ssd, small_config):
+        """A FULL block leaves the queues (its membership is the store's
+        ``owner``/``gsb_of``); a restored region continues identically."""
         store = ssd.store
         blocks = [0, 1, 2, 3]
-        region = WriteRegion("r", store, kind="own", max_open_per_channel=1)
+        region = WriteRegion("r", store, max_open_per_channel=1)
         region.add_blocks(blocks)
         gid = region.frontier_block(0, writer=1)
         for lpn in range(small_config.pages_per_block):
             store.program(gid, lpn)
         region.frontier_block(0, writer=1)  # drops the FULL head
         assert gid not in region.frontier_blocks()
-        twin = WriteRegion("r", store, kind="own", max_open_per_channel=1)
+        twin = WriteRegion("r", store, max_open_per_channel=1)
         twin.restore(region.snapshot())
-        assert twin._member_ids == region._member_ids == set(blocks)
+        assert twin.snapshot() == region.snapshot()
+        assert "members" not in twin.snapshot()
+        assert twin.frontier_block(0, writer=1) == region.frontier_block(0, writer=1)
         assert twin.snapshot() == region.snapshot()
 
-    def test_unknown_kind_rejected(self, ssd):
+    def test_add_harvest_region_rejects_own_region(self, ssd):
+        ftl = VssdFtl(0, ssd)
         with pytest.raises(ValueError):
-            WriteRegion("r", ssd.store, kind="weird")
+            ftl.add_harvest_region(WriteRegion("r", ssd.store))
 
 
 @settings(max_examples=25, deadline=None)

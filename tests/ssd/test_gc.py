@@ -87,11 +87,11 @@ def test_victim_priority_prefers_hbt_flagged(gc_setup):
     # Invalidate most of the regular block (prime victim by valid count).
     for page, lpn in store.valid_lpns(regular)[:-1]:
         ftl.write_span(lpn, 1)
-    store.harvested[flagged] = True
+    store.gsb_of[flagged] = 0
     flagged_channel = store.locate(flagged)[0]
     victim = ftl._select_own_victim(flagged_channel)
     if victim is not None and store.locate(victim)[0] == flagged_channel:
-        assert store.harvested[victim] or victim == flagged
+        assert store.gsb_of[victim] >= 0 or victim == flagged
 
 
 def test_gc_charges_channel_time(gc_setup):
@@ -123,10 +123,10 @@ def test_recycle_region_returns_blocks_to_gsb():
     donor_blocks = ssd.allocate_channels(9, [2])
     # Build a harvest region on channel 2 (owned by 9, written by 0).
     store = ssd.store
-    region = WriteRegion("gsb:r", store, kind="harvest")
+    region = WriteRegion("gsb:r", store, gsb_id=0)
     usable = donor_blocks[:2]
     for gid in usable:
-        store.harvested[gid] = True
+        store.gsb_of[gid] = 0
     region.add_blocks(usable)
     ftl.add_harvest_region(region)
     # Fill the region with data, then overwrite so it can be recycled.
@@ -136,12 +136,28 @@ def test_recycle_region_returns_blocks_to_gsb():
         ftl.write_span(lpn, 1)
         wrote_region = wrote_region or store.locate(ftl.page_location(lpn)[0])[0] == 2
     assert wrote_region
-    # Recycled blocks stay in the gSB: flagged harvested or freshly free.
-    assert all(
-        store.harvested[gid] or store.state[gid] is BlockState.FREE for gid in usable
-    )
+    # Recycled blocks stay in the gSB, erased or not.
+    assert all(store.gsb_of[gid] == 0 for gid in usable)
     # And the region itself either has free blocks or open frontiers.
     assert region.can_write(2) or region.free_block_count() >= 0
+
+
+def test_own_gc_refuses_a_foreign_gsb_block(gc_setup):
+    """A block another vSSD owns and lends through a gSB is never
+    collected into this vSSD's own pool: the guard fires before any
+    copy-back or erase."""
+    _config, _sim, ssd, ftl = gc_setup
+    store = ssd.store
+    # The small device has no spare channel: hand one of ftl's blocks to
+    # vSSD 9 and put it in a gSB.
+    gid = next(g for g in ssd.channel_gids(1) if store.state[g] is BlockState.FREE)
+    store.owner[gid] = 9
+    store.gsb_of[gid] = 0
+    page = store.program(gid, 7)
+    with pytest.raises(RuntimeError, match="foreign block"):
+        ftl._collect_block(gid, None)
+    assert store.state[gid] is BlockState.OPEN and store.valid_lpns(gid) == [(page, 7)]
+    assert store.erase_count[gid] == 0 and ftl.stats.blocks_erased == 0
 
 
 def test_gc_victims_exclude_frontier_blocks(gc_setup):

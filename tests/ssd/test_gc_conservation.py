@@ -58,10 +58,10 @@ def _assert_conserved(twin: Twin) -> None:
         states[BlockState.FREE] + states[BlockState.OPEN] + states[BlockState.FULL]
         == store.n_blocks
     )
-    # No block belongs to two regions, and a region's queues hold members.
+    # No block is queued in two regions, and a region queues only its
+    # members: its gSB's blocks, or (own) owned blocks in no gSB.
     regions = [ftl.own_region] + [region for region, _blocks in twin.regions]
-    members = [gid for region in regions for gid in region._member_ids]
-    assert len(members) == len(set(members))
+    all_queued = []
     for region in regions:
         queued = [
             gid
@@ -69,11 +69,19 @@ def _assert_conserved(twin: Twin) -> None:
             for queue in queues.values()
             for gid in queue
         ]
-        assert len(queued) == len(set(queued))
-        assert all(region.contains(gid) for gid in queued)
+        all_queued += queued
+        assert all(store.gsb_of[gid] == region.gsb_id for gid in queued)
+        if region is ftl.own_region:
+            assert all(store.owner[gid] == ftl.vssd_id for gid in queued)
         free = [gid for queue in region._free.values() for gid in queue]
         assert all(store.state[gid] is BlockState.FREE for gid in free)
         assert region._free_pages == PAGES_PER_BLOCK * len(free)
+    assert len(all_queued) == len(set(all_queued))
+    # A gSB block is in its gSB until released home, then in none.
+    released = set(twin.released)
+    for region, blocks in twin.regions:
+        for gid in blocks:
+            assert store.gsb_of[gid] == (-1 if gid in released else region.gsb_id)
     # Own blocks written by this vSSD stay its own; released gSB blocks
     # went home erased.
     assert all(store.state[gid] is BlockState.FREE for gid in twin.released)
@@ -90,7 +98,7 @@ def test_pages_blocks_and_membership_add_up_after_gc_churn(seed, harvest):
 
 
 def test_released_blocks_can_be_written_by_their_home_again():
-    """A reclaimed gSB's blocks come back FREE, unflagged and unwritten."""
+    """A reclaimed gSB's blocks come back FREE, in no gSB and unwritten."""
     twin = Twin(per_page_gc=False, harvest=True)
     _churn(twin, seed=11, writes=150)
     for index in range(3):
@@ -103,5 +111,5 @@ def test_released_blocks_can_be_written_by_their_home_again():
             store.state[gid] is BlockState.FREE and store.writer[gid] is None
             for gid in blocks
         )
-        assert not any(store.harvested[gid] for gid in blocks)
+        assert all(store.gsb_of[gid] == -1 for gid in blocks)
         assert sorted(blocks) == sorted(gid for gid in twin.released if gid in blocks)

@@ -10,8 +10,11 @@ each, and every operation must return or raise the same thing and leave
 *everything* mutable equal: ``_ftl_state`` (block columns, page matrix,
 L2P, region deque orders and versions, stats, and the float *bits* of
 ``bus_busy`` and ``chip_busy``) plus the channels' GC flags, the
-scheduled-event count and the blocks released to their home.  Example counts come from the active hypothesis
-profile (``--hypothesis-profile ci`` in CI: derandomized, 300 examples).
+scheduled-event count and the blocks released to their home.  Like the
+gSB manager, a twin takes each reclaiming region's released blocks after
+every operation and clears their ``gsb_of`` entry.  Example counts come
+from the active hypothesis profile (``--hypothesis-profile ci`` in CI:
+derandomized, 300 examples).
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ PAGES_PER_BLOCK = 8
 
 
 class Twin:
-    """One FTL, its harvest regions, and the blocks they released."""
+    """One FTL, its harvest regions (gSB ids 0-2), and the blocks they
+    released."""
 
     def __init__(self, per_page_gc: bool, harvest: bool, **config_overrides) -> None:
         config = SSDConfig(
@@ -56,22 +60,32 @@ class Twin:
             # side by side; channel 4 one that a "reclaim" step flips.
             shared = self.ssd.allocate_channels(9, [3])
             late = self.ssd.allocate_channels(9, [4])
-            for name, purpose, blocks in (
+            for gsb_id, (name, purpose, blocks) in enumerate((
                 ("gsb:bw", "bandwidth", shared[:4]),
                 ("gsb:cap", "capacity", shared[4:8]),
                 ("gsb:late", "bandwidth", late[:4]),
-            ):
+            )):
                 region = WriteRegion(
-                    name, self.ssd.store, kind="harvest", purpose=purpose,
-                    max_open_per_channel=2, on_block_released=self.released.append,
+                    name, self.ssd.store, gsb_id=gsb_id, purpose=purpose,
+                    max_open_per_channel=2,
                 )
                 for gid in blocks:
-                    self.ssd.store.harvested[gid] = True
+                    self.ssd.store.gsb_of[gid] = gsb_id
                 region.add_blocks(blocks)
                 self.ftl.add_harvest_region(region)
                 self.regions.append((region, blocks))
 
     def apply(self, step: tuple):
+        try:
+            return self._apply(step)
+        finally:
+            # Send released blocks "home", as GsbManager.pump_reclaims does.
+            for region, _blocks in self.regions:
+                for gid in region.take_released():
+                    self.ssd.store.gsb_of[gid] = -1
+                    self.released.append(gid)
+
+    def _apply(self, step: tuple):
         ftl = self.ftl
         kind = step[0]
         if kind == "write":

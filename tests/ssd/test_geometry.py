@@ -102,14 +102,15 @@ def test_erase_resets_block(store):
     store.invalidate(GID, page)
     store.owner[GID] = 3
     store.writer[GID] = 42
-    store.harvested[GID] = True
+    store.gsb_of[GID] = 5
     store.erase(GID)
     assert store.state[GID] is BlockState.FREE
     assert store.write_ptr[GID] == 0
     assert store.writer[GID] is None
-    assert store.harvested[GID] is False
     assert store.erase_count[GID] == 1
-    assert store.owner[GID] == 3  # ownership is the allocator's, not erase's
+    # Ownership is the allocator's, and gSB membership the gSB's, not erase's.
+    assert store.owner[GID] == 3
+    assert store.gsb_of[GID] == 5
 
 
 def test_block_id_tuple(store):

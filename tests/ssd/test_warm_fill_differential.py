@@ -49,10 +49,10 @@ def _attach_harvest_regions(ftl) -> None:
     for channel_id, reclaiming in ((2, False), (3, True)):
         donated = ftl.ssd.allocate_channels(9, [channel_id])[:3]
         region = WriteRegion(
-            f"gsb:{channel_id}", ftl._store, kind="harvest", max_open_per_channel=2
+            f"gsb:{channel_id}", ftl._store, gsb_id=channel_id, max_open_per_channel=2
         )
         for gid in donated:
-            ftl._store.harvested[gid] = True
+            ftl._store.gsb_of[gid] = channel_id
         region.add_blocks(donated)
         region.reclaiming = reclaiming
         ftl.add_harvest_region(region)

@@ -241,13 +241,12 @@ def _ftl_state(ftl):
         "state": list(store.state),
         "owner": list(store.owner),
         "writer": list(store.writer),
-        "harvested": list(store.harvested),
+        "gsb_of": list(store.gsb_of),
         "write_ptr": list(store.write_ptr),
         "valid_count": list(store.valid_count),
         "bus_busy": _bits(arrays.bus_busy),
         "chip_busy": _bits(arrays.chip_busy),
-        # Region snapshots: free/open deque orders, members, _free_pages,
-        # version.
+        # Region snapshots: free/open deque orders, _free_pages, version.
         "own_region": ftl.own_region.snapshot(),
         "harvest_regions": [region.snapshot() for region in ftl.harvest_regions],
         "mapped": ftl._mapped,

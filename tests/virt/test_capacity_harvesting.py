@@ -94,7 +94,7 @@ def test_capacity_region_compacts_in_place(world):
     in_region = sum(
         1
         for gid in gids
-        if store.locate(gid)[0] in region_channels and store.harvested[gid]
+        if store.locate(gid)[0] in region_channels and store.gsb_of[gid] == gsb.gsb_id
     )
     assert in_region > 0
 

@@ -8,6 +8,7 @@ import pytest
 from repro.config import SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
+from repro.ssd.ftl import OutOfSpaceError
 from repro.virt.gsb_manager import GsbManager
 from repro.virt.vssd import Vssd
 
@@ -50,7 +51,7 @@ def test_make_harvestable_creates_gsb(world):
     assert gsb is not None
     assert gsb.n_chls == 2
     assert gsb.capacity_blocks == 2 * config.min_superblock_blocks
-    assert all(manager.store.harvested[gid] for gid in gsb.blocks)
+    assert all(manager.store.gsb_of[gid] == gsb.gsb_id >= 0 for gid in gsb.blocks)
     assert gsb in home.harvestable_gsbs
     assert manager.pool.available() == 1
 
@@ -115,7 +116,7 @@ def test_reclaim_unused_returns_blocks_immediately(world):
     assert manager.pool.available() == 0
     assert home.harvestable_gsbs == []
     assert home.ftl.own_region.free_block_count() == free_before + gsb.capacity_blocks
-    assert not any(manager.store.harvested[gid] for gid in gsb.blocks)
+    assert all(manager.store.gsb_of[gid] == -1 for gid in gsb.blocks)
 
 
 def test_make_harvestable_smaller_target_reclaims(world):
@@ -169,8 +170,8 @@ def test_finalized_reclaim_frees_its_region_without_gc(world):
         manager.reclaim_excess(home, 0)
         assert manager.reclaiming_gsbs() == []
         del gsb
-        # The release hook held the gSB, and the gSB its region: once the
-        # reclaim finalizes nothing may keep that pair alive.
+        # Once the reclaim finalizes nothing may keep the region alive:
+        # it names its gSB by id and holds no hook into the manager.
         assert region() is None
     finally:
         gc.enable()
@@ -212,3 +213,65 @@ def test_stats_track_lifecycle(world):
     assert stats.gsbs_harvested == 1
     assert stats.gsbs_reclaimed_lazily == 1
     assert stats.blocks_returned == stats.blocks_offered
+
+
+def test_double_return_is_refused(world):
+    config, _sim, _ssd, manager, home, harvester = world
+    per = config.channel_write_bandwidth_mbps
+    manager.make_harvestable(home, per + 1)
+    gsb = manager.harvest(harvester, per + 1)
+    gid = gsb.blocks[0]
+    manager.reclaim_excess(home, 0)
+    assert manager.store.gsb_of[gid] == -1
+    with pytest.raises(RuntimeError, match="twice"):
+        manager._block_returned(gsb, gid)
+
+
+def test_blocks_erased_before_out_of_space_still_go_home(world, monkeypatch):
+    """A collection that dies part-way still sends home what it erased."""
+    config, _sim, _ssd, manager, home, harvester = world
+    per = config.channel_write_bandwidth_mbps
+    manager.make_harvestable(home, per + 1)
+    gsb = manager.harvest(harvester, per + 1)
+    for lpn in range(3 * config.pages_per_block):
+        harvester.ftl.write_span(lpn, 1)
+    store = manager.store
+    written = [gid for gid in gsb.blocks if store.writer[gid] == harvester.vssd_id]
+    assert len(written) >= 2
+    real = harvester.ftl._collect_block
+
+    def collect_one_then_run_out(victim, region, target_region=None):
+        if region._released:  # one block erased already
+            raise OutOfSpaceError("out of space mid-reclaim")
+        return real(victim, region, target_region)
+
+    monkeypatch.setattr(harvester.ftl, "_collect_block", collect_one_then_run_out)
+    with pytest.raises(OutOfSpaceError):
+        manager.reclaim_excess(home, 0)
+    sent = [gid for gid in written if store.gsb_of[gid] == -1]
+    assert len(sent) == 1
+    assert sent[0] in home.ftl.own_region._free[sent[0] // store.blocks_per_channel]
+    assert all(store.gsb_of[gid] == gsb.gsb_id for gid in gsb.blocks)
+    assert sent[0] not in gsb.blocks
+
+
+def test_reclaimed_blocks_reach_home_in_release_order(world):
+    """Each released block is adopted on its own, in release order: a
+    batch would be re-sorted by ``add_blocks`` and reorder the home's
+    free queue."""
+    config, _sim, _ssd, manager, home, harvester = world
+    per = config.channel_write_bandwidth_mbps
+    manager.make_harvestable(home, per + 1)
+    gsb = manager.harvest(harvester, per + 1)
+    store = manager.store
+    for lpn in range(4 * config.pages_per_block):
+        harvester.ftl.write_span(lpn, 1)
+    # Collection walks gsb.blocks in order; put a later-chip block first
+    # so release order differs from add_blocks' sorted order.
+    gsb.blocks.sort(key=lambda gid: store.locate(gid)[::-1], reverse=True)
+    pending = [gid for gid in gsb.blocks if store.writer[gid] == harvester.vssd_id]
+    assert len(pending) >= 2 and len(pending) == len(gsb.blocks)
+    channel = gsb.channel_ids[0]
+    manager.reclaim_excess(home, 0)
+    assert manager.reclaiming_gsbs() == []
+    assert list(home.ftl.own_region._free[channel])[-len(pending):] == pending

@@ -1,7 +1,12 @@
-"""Stress/property tests for the gSB pool under random operations."""
+"""Stress/property tests for the gSB pool under random operations, and
+for gSB block ownership across a whole virtualizer."""
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import SSDConfig
+from repro.ssd import BlockState
+from repro.ssd.ftl import OutOfSpaceError
+from repro.virt import StorageVirtualizer
 from repro.virt.gsb import GhostSuperblock, GsbPool
 
 
@@ -76,3 +81,129 @@ def test_acquire_exhausts_pool_exactly_once():
         assert id(got) not in seen
         seen.add(id(got))
     assert pool.acquire(1, exclude_home=1) is None
+
+
+# -- gSB ownership over a whole virtualizer --------------------------------
+
+#: 4 channels x 2 chips x 8 blocks x 16 pages; gSBs take 2 blocks per channel.
+OWNERSHIP_CONFIG = SSDConfig(
+    num_channels=4, chips_per_channel=2, blocks_per_chip=8, pages_per_block=16,
+    min_superblock_blocks=2,
+)
+#: Tenants 0-2 and their channels.
+TENANT_CHANNELS = ([0], [1], [2, 3])
+WORKING_SET = 96
+
+
+def _assert_one_owner(virt: StorageVirtualizer) -> None:
+    """``BlockStore.gsb_of`` is the only record of gSB membership, and
+    everything else agrees with it."""
+    store = virt.ssd.store
+    manager = virt.gsb_manager
+    # Every live gSB is on its home's list (pooled, lent, or reclaiming).
+    live = {
+        gsb.gsb_id: gsb
+        for vssd in manager._vssd_by_id.values()
+        for gsb in vssd.harvestable_gsbs
+    }
+    assert all(gsb.gsb_id in live for gsb in manager.pool.peek_all())
+    # gsb_of[gid] >= 0 exactly when the gid is in a live gSB's blocks.
+    expected = [-1] * store.n_blocks
+    for gsb_id, gsb in live.items():
+        for gid in gsb.blocks:
+            assert expected[gid] == -1, f"gid {gid} is in two gSBs"
+            expected[gid] = gsb_id
+    assert store.gsb_of == expected
+    tenants = list(virt.vssds.values())
+    if virt.placeholder is not None:
+        tenants.append(virt.placeholder)
+    all_queued: list = []
+    for vssd in tenants:
+        ftl = vssd.ftl
+        for region in [ftl.own_region] + ftl.harvest_regions:
+            queued = [
+                gid
+                for queues in (region._free, region._open)
+                for queue in queues.values()
+                for gid in queue
+            ]
+            all_queued += queued
+            assert region.take_released() == []  # every release went home
+            if region is ftl.own_region:
+                assert all(store.gsb_of[gid] == -1 for gid in queued)
+                assert all(store.owner[gid] == vssd.vssd_id for gid in queued)
+                continue
+            # An installed harvest region's blocks are exactly its gSB's:
+            # the queued ones plus the FULL ones it wrote.
+            gsb = live[region.gsb_id]
+            assert gsb.region is region and gsb.harvest_vssd == vssd.vssd_id
+            members = {gid for gid, g in enumerate(store.gsb_of) if g == region.gsb_id}
+            assert members == set(gsb.blocks)
+            assert set(queued) <= members
+            assert all(store.state[gid] is BlockState.FULL for gid in members - set(queued))
+    # No gid is queued in two regions (or twice in one).
+    assert len(all_queued) == len(set(all_queued))
+
+
+_TENANT = st.integers(0, len(TENANT_CHANNELS) - 1)
+
+
+@settings(deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("offer"), _TENANT, st.integers(0, 2)),
+            st.tuples(st.just("harvest"), _TENANT, st.integers(1, 2)),
+            st.tuples(st.just("write"), _TENANT, st.integers(0, WORKING_SET - 1),
+                      st.integers(1, 32)),
+            st.tuples(st.just("reclaim_excess"), _TENANT, st.integers(0, 1)),
+            st.tuples(st.just("release"), _TENANT),
+            st.tuples(st.just("degrade"), st.integers(0, 3), st.booleans()),
+            st.tuples(st.just("pump")),
+            st.tuples(st.just("deallocate"), _TENANT),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_gsb_ownership_is_one_column(ops):
+    """After any interleaving of offers, harvests, harvester writes,
+    reclaims, watchdog releases, fault-driven reclaims, pumps and
+    deallocations, the gSBs, the regions and ``gsb_of`` agree."""
+    virt = StorageVirtualizer(config=OWNERSHIP_CONFIG)
+    tenants = [
+        virt.create_vssd(f"t{index}", channels)
+        for index, channels in enumerate(TENANT_CHANNELS)
+    ]
+    manager = virt.gsb_manager
+    per = OWNERSHIP_CONFIG.channel_write_bandwidth_mbps
+    # Start with one gSB of tenant 0's lent to tenant 2 and written to,
+    # so every drawn sequence has a live harvest to reclaim.
+    prelude = [("offer", 0, 1), ("harvest", 2, 1), ("write", 2, 0, 32), ("write", 2, 32, 32)]
+    for op, *args in prelude + ops:
+        if op == "degrade":
+            channel, on = args
+            virt.ssd.channels[channel].set_fault(slowdown=3.0 if on else 1.0)
+            manager.reclaim_degraded()
+        elif op == "pump":
+            manager.pump_reclaims()
+        else:
+            vssd = tenants[args[0]]
+            if vssd.deallocated:
+                continue
+            try:
+                if op == "offer":
+                    manager.make_harvestable(vssd, args[1] * per + 1)
+                elif op == "harvest":
+                    manager.harvest(vssd, args[1] * per + 1)
+                elif op == "write":
+                    vssd.ftl.write_span(args[1], min(args[2], WORKING_SET - args[1]))
+                elif op == "reclaim_excess":
+                    manager.reclaim_excess(vssd, args[1])
+                elif op == "release":
+                    manager.release_harvested(vssd)
+                else:
+                    virt.deallocate_vssd(vssd.vssd_id)
+            except OutOfSpaceError:
+                pass  # a collection may die part-way; ownership must still add up
+        _assert_one_owner(virt)

@@ -92,3 +92,77 @@ def test_custom_scheduling_policy(small_config):
     virt = StorageVirtualizer(config=small_config, policy=policy)
     virt.create_vssd("a", [0])
     assert virt.dispatcher.policy is policy
+
+
+# -- deallocating a vSSD that lends or harvests gSBs ---------------------
+
+def _queued(ftl):
+    """Every gid queued in ``ftl``'s own and harvest regions."""
+    return [
+        gid
+        for region in [ftl.own_region] + ftl.harvest_regions
+        for queues in (region._free, region._open)
+        for queue in queues.values()
+        for gid in queue
+    ]
+
+
+def _lend_and_harvest(virt, small_config, write=True):
+    home = virt.create_vssd("home", [0, 1])
+    harvester = virt.create_vssd("harvester", [2, 3])
+    bw = small_config.channel_write_bandwidth_mbps + 1
+    gsb = virt.gsb_manager.make_harvestable(home, bw)
+    assert gsb is not None
+    lpns = list(range(5000, 5000 + 4 * small_config.pages_per_block))
+    if write:
+        assert virt.gsb_manager.harvest(harvester, bw) is gsb
+        for lpn in lpns:
+            harvester.ftl.write_span(lpn, 1)
+        store = virt.ssd.store
+        assert any(store.writer[gid] == harvester.vssd_id for gid in gsb.blocks)
+    return home, harvester, gsb, lpns
+
+
+def test_deallocating_a_home_with_a_pooled_gsb_takes_it_back(virt, small_config):
+    home, harvester, gsb, _lpns = _lend_and_harvest(virt, small_config, write=False)
+    blocks = list(gsb.blocks)
+    virt.deallocate_vssd(home.vssd_id)
+    store = virt.ssd.store
+    assert virt.gsb_manager.pool.available() == 0
+    assert all(store.gsb_of[gid] == -1 for gid in blocks)
+    assert all(store.owner[gid] == PLACEHOLDER_VSSD_ID for gid in blocks)
+    # The placeholder's capacity is offered and harvested once: no gid
+    # ends up queued in two regions.
+    virt.offer_placeholder_capacity()
+    bw = small_config.channel_write_bandwidth_mbps + 1
+    assert virt.gsb_manager.harvest(harvester, bw) is not None
+    queued = _queued(virt.placeholder.ftl) + _queued(harvester.ftl)
+    assert len(queued) == len(set(queued))
+
+
+def test_deallocating_a_home_with_an_in_use_gsb_keeps_harvester_data(virt, small_config):
+    home, harvester, gsb, lpns = _lend_and_harvest(virt, small_config)
+    blocks = list(gsb.blocks)
+    virt.deallocate_vssd(home.vssd_id)
+    store = virt.ssd.store
+    assert harvester.harvested_gsbs == [] and harvester.ftl.harvest_regions == []
+    assert all(store.gsb_of[gid] == -1 for gid in blocks)
+    assert all(store.owner[gid] == PLACEHOLDER_VSSD_ID for gid in blocks)
+    for lpn in lpns:
+        location = harvester.ftl.page_location(lpn)
+        assert location is not None
+        assert store.owner[location[0]] == harvester.vssd_id
+        assert store.page_lpns[location] == lpn
+
+
+def test_deallocating_a_harvester_sends_its_gsbs_home(virt, small_config):
+    home, harvester, gsb, _lpns = _lend_and_harvest(virt, small_config)
+    blocks = list(gsb.blocks)
+    free_before = home.ftl.own_region.free_block_count()
+    virt.deallocate_vssd(harvester.vssd_id)
+    store = virt.ssd.store
+    assert home.harvestable_gsbs == [] and virt.gsb_manager.reclaiming_gsbs() == []
+    assert all(store.gsb_of[gid] == -1 for gid in blocks)
+    assert all(store.state[gid] is BlockState.FREE for gid in blocks)
+    assert home.ftl.own_region.free_block_count() == free_before + len(blocks)
+    assert all(store.writer[gid] != harvester.vssd_id for gid in range(store.n_blocks))

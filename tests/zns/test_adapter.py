@@ -40,7 +40,7 @@ def test_offer_zone_pools_gsb_and_blocks_appends(world):
     gsb = adapter.offer_zone(0)
     assert pool.available() == 1
     assert ns.zone(0).state is ZoneState.FULL  # lent: host cannot append
-    assert all(ssd.store.harvested[gid] for gid in gsb.blocks)
+    assert all(ssd.store.gsb_of[gid] == gsb.gsb_id >= 0 for gid in gsb.blocks)
     from repro.zns.zone import ZoneError
 
     with pytest.raises(ZoneError):
