@@ -33,7 +33,7 @@ def main() -> None:
     monitors = {}
     for vssd in (premium, spot, standard):
         monitor = VssdMonitor(vssd)
-        virt.dispatcher.add_completion_callback(monitor.on_complete)
+        virt.dispatcher.add_completion_callback(monitor.on_complete, vssd_id=vssd.vssd_id)
         monitors[vssd.name] = monitor
 
     # Operator policy: spot tenants may offer but never harvest, and no
@@ -69,11 +69,12 @@ def main() -> None:
     # Enough overwrite traffic to exercise GC, then fleet-health reports.
     for lpn in range(110_000):
         standard.ftl.write_span(lpn % 40_000, 1)
-    for name, monitor in monitors.items():
-        monitor.snapshot_window(virt.sim.now_seconds + 1.0)
     workdir = Path(tempfile.mkdtemp(prefix="repro-ops-"))
     rows = windows_to_csv(
-        {name: m.window_history for name, m in monitors.items()},
+        {
+            name: [m.snapshot_window(virt.sim.now_seconds + 1.0)]
+            for name, m in monitors.items()
+        },
         workdir / "windows.csv",
     )
     wear = virt.ssd.wear_summary(vssd_id=standard.vssd_id)

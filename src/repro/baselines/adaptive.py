@@ -62,6 +62,7 @@ class AdaptiveManager:
         bw = {}
         for vssd_id, (vssd, monitor) in self.monitors.items():
             stats = monitor.snapshot_window(now_s)
+            monitor.window_history.append(stats)
             bw[vssd_id] = max(stats.avg_bw_mbps, 0.0)
         total_bw = sum(bw.values())
         total_channels = self.virt.config.num_channels

@@ -28,7 +28,6 @@ import numpy as np
 from repro.config import CLUSTER_ALPHAS, RLConfig
 from repro.core.actionspace import ActionSpace
 from repro.core.agent import FleetIoAgent
-from repro.core.monitor import VssdMonitor
 from repro.core.reward import multi_agent_rewards, single_agent_reward
 from repro.clustering.features import extract_features
 from repro.profiling import PROFILER
@@ -36,6 +35,7 @@ from repro.sched.request import Priority
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.clustering.classifier import WorkloadTypeClassifier
+    from repro.core.monitor import VssdMonitor
     from repro.faults.guardrails import Guardrails
     from repro.rl.nets import PolicyValueNet
     from repro.virt.manager import StorageVirtualizer
@@ -87,8 +87,11 @@ class FleetIoController:
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def register_vssd(self, vssd: "Vssd", alpha: Optional[float] = None) -> FleetIoAgent:
-        """Deploy an RL agent on a vSSD (Section 3.8: one per instance)."""
+    def register_vssd(
+        self, vssd: "Vssd", monitor: "VssdMonitor", alpha: Optional[float] = None
+    ) -> FleetIoAgent:
+        """Deploy an RL agent on a vSSD (Section 3.8: one per instance),
+        reading the windows of the vSSD's one (already wired) monitor."""
         agent = FleetIoAgent(
             vssd,
             self._pretrained.clone(),
@@ -98,10 +101,6 @@ class FleetIoController:
             rng=np.random.default_rng(self._rng.integers(2**63)),
             explore=self.explore,
             finetune=self.finetune,
-        )
-        monitor = VssdMonitor(vssd)
-        self.virt.dispatcher.add_completion_callback(
-            monitor.on_complete, vssd_id=vssd.vssd_id
         )
         self.agents[vssd.vssd_id] = agent
         self.monitors[vssd.vssd_id] = monitor

@@ -2,12 +2,11 @@
 
 Each vSSD's agent "will monitor the I/O traffic of the vSSD, extract the
 essential storage states (e.g., I/O latency, throughput, and queue delay),
-and transfer them into RL states" (Section 3.2).  The monitor hooks the
-dispatcher's completion callback, accumulates counters within the current
-decision window, and emits a :class:`WindowStats` snapshot per window.
-
-It also retains the full latency record (for end-of-run percentiles) and
-a bounded recent-request sample (for workload-type classification).
+and transfer them into RL states" (Section 3.2).  A vSSD has one monitor,
+fed by the dispatcher's completion callback for that vSSD: its windows
+(:class:`WindowStats`) and recent-request sample (for workload-type
+classification) are the agent's view, and its full latency record is the
+experiment's ground truth for end-of-run results.
 """
 
 from __future__ import annotations
@@ -51,11 +50,9 @@ class VssdMonitor:
     #: Recent requests retained for workload-type classification.
     TRACE_SAMPLE_SIZE = 10_000
 
-    def __init__(self, vssd: "Vssd", slo_latency_us: Optional[float] = None) -> None:
+    def __init__(self, vssd: "Vssd") -> None:
         self.vssd = vssd
-        self.slo_latency_us = (
-            slo_latency_us if slo_latency_us is not None else vssd.slo_latency_us
-        )
+        self.slo_latency_us = vssd.slo_latency_us
         # Window-scoped accumulators.
         self._window_start_s = 0.0
         self._bytes = 0
@@ -72,13 +69,14 @@ class VssdMonitor:
         self.completion_bytes: list = []
         self.total_bytes = 0
         self.total_completed = 0
-        self.window_history: list = []
         self.recent_trace: deque = deque(maxlen=self.TRACE_SAMPLE_SIZE)
         self.measure_from_s = 0.0
-        # Fault-injection hooks (repro.faults): ``dropout`` drops all
-        # completion events (windows with no stats); ``corrupt`` replaces
-        # every float field of the window snapshot with NaN (a misbehaving
-        # telemetry source feeding the RL agent).
+        #: Published windows; only the adaptive manager appends here.
+        self.window_history: list = []
+        # Fault-injection hooks (repro.faults), on the agent's view only:
+        # ``dropout`` keeps completions out of the windows and the recent
+        # trace; ``corrupt`` replaces every float field of the window
+        # snapshot with NaN (a misbehaving telemetry source).
         self.dropout = False
         self.corrupt = False
         self.dropped_completions = 0
@@ -88,10 +86,7 @@ class VssdMonitor:
     # ------------------------------------------------------------------
     def on_complete(self, request: IoRequest) -> None:
         """Dispatcher completion hook: fold one request into the counters."""
-        if request.vssd_id != self.vssd.vssd_id or request.failed:
-            return
-        if self.dropout:
-            self.dropped_completions += 1
+        if request.failed:
             return
         # Hot path (one call per completion): bind the request's derived
         # properties once instead of recomputing them per field below.
@@ -99,6 +94,18 @@ class VssdMonitor:
         latency = complete_time - request.submit_time  # == request.latency_us
         size_bytes = request.num_pages * request.page_size  # == request.size_bytes
         is_read = request.op == "read"
+        complete_s = complete_time / 1_000_000.0
+        if complete_s >= self.measure_from_s:
+            self.all_latencies.append(latency)
+            if is_read:
+                self.all_read_latencies.append(latency)
+            self.completion_times_s.append(complete_s)
+            self.completion_bytes.append(size_bytes)
+            self.total_bytes += size_bytes
+            self.total_completed += 1
+        if self.dropout:
+            self.dropped_completions += 1
+            return
         self._completed += 1
         self._bytes += size_bytes
         self._latency_sum += latency
@@ -109,18 +116,19 @@ class VssdMonitor:
             self._writes += 1
         if self.slo_latency_us is not None and latency > self.slo_latency_us:
             self._violations += 1
-        complete_s = complete_time / 1_000_000.0
-        if complete_s >= self.measure_from_s:
-            self.all_latencies.append(latency)
-            if is_read:
-                self.all_read_latencies.append(latency)
-            self.completion_times_s.append(complete_s)
-            self.completion_bytes.append(size_bytes)
-            self.total_bytes += size_bytes
-            self.total_completed += 1
         self.recent_trace.append(
             (complete_time, 1 if is_read else 0, request.lpn, request.num_pages)
         )
+
+    def reset_measurement(self, at_s: float) -> None:
+        """Restart the run-scoped records at ``at_s`` (windows carry on)."""
+        self.measure_from_s = at_s
+        self.all_latencies.clear()
+        self.all_read_latencies.clear()
+        self.completion_times_s.clear()
+        self.completion_bytes.clear()
+        self.total_bytes = 0
+        self.total_completed = 0
 
     # ------------------------------------------------------------------
     # Window snapshot
@@ -161,7 +169,6 @@ class VssdMonitor:
                 rw_ratio=float("nan"),
                 avail_capacity_frac=float("nan"),
             )
-        self.window_history.append(stats)
         self._window_start_s = now_s
         self._bytes = 0
         self._completed = 0

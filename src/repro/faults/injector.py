@@ -16,10 +16,14 @@ Supported kinds:
 * ``latency_spike`` — a constant extra service latency on a channel.
 * ``gc_storm`` — a vSSD's GC threshold jumps so garbage collection
   triggers near-continuously; urgent GC is kicked on all its channels.
-* ``monitor_dropout`` — a vSSD's monitor stops seeing completions, so
-  decision windows carry no stats (a stalled telemetry pipeline).
+* ``monitor_dropout`` — a vSSD's monitor keeps completions out of its
+  windows, so decision windows carry no stats (a stalled telemetry
+  pipeline).
 * ``agent_corruption`` — the monitor's window snapshots turn to NaN,
   feeding garbage observations to the RL agent.
+
+Both hit the agent's view only: the same monitor's run-scoped records,
+which the results read, keep every completion.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ def gc_storm(
 
 
 def monitor_dropout(vssd: str, start_s: float, duration_s: float) -> FaultSpec:
-    """``vssd``'s monitor sees no completions for the window."""
+    """``vssd``'s agent sees no completions for the window."""
     return FaultSpec("monitor_dropout", start_s, duration_s, vssd=vssd)
 
 

@@ -199,26 +199,10 @@ class Experiment:
                 vssd = self.virt.vssd_by_name(plan.name)
                 self.manager.register_vssd(vssd, self.monitors[plan.name])
         if self.faults:
-            self.injector = FaultInjector(self.virt, monitors=self._fault_monitors())
+            self.injector = FaultInjector(self.virt, monitors=self.monitors)
             self.injector.arm(self.faults)
         self._built = True
         return self
-
-    def _fault_monitors(self) -> dict:
-        """Name -> monitor map for monitor-targeted faults.
-
-        Under fleetio, monitor faults hit the *controller's* monitors —
-        the ones feeding RL observations — so corruption reaches the
-        agents while the harness metrics keep recording ground truth.
-        """
-        if self.controller is not None:
-            return {
-                plan.name: self.controller.monitors[
-                    self.virt.vssd_by_name(plan.name).vssd_id
-                ]
-                for plan in self.plans
-            }
-        return dict(self.monitors)
 
     def _plan_isolation(self, plan: VssdPlan) -> str:
         if self.policy == "software":
@@ -356,9 +340,7 @@ class Experiment:
         )
         for plan in self.plans:
             vssd = self.virt.vssd_by_name(plan.name)
-            # The controller's own monitor drives RL state; the harness
-            # monitor (already registered) keeps result metrics separate.
-            self.controller.register_vssd(vssd)
+            self.controller.register_vssd(vssd, self.monitors[plan.name])
 
     def _device_bw_bytes_per_us(self) -> float:
         mbps = self.virt_total_bandwidth_mbps()
@@ -434,13 +416,7 @@ class Experiment:
         def do_reset() -> None:
             """Clear accumulated metrics and restart measurement here."""
             for monitor in self.monitors.values():
-                monitor.measure_from_s = at_s
-                monitor.all_latencies.clear()
-                monitor.all_read_latencies.clear()
-                monitor.completion_times_s.clear()
-                monitor.completion_bytes.clear()
-                monitor.total_bytes = 0
-                monitor.total_completed = 0
+                monitor.reset_measurement(at_s)
             self._measure_start_s = at_s
 
         self.virt.sim.schedule_at(at_s * 1_000_000.0, do_reset)

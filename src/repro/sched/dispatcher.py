@@ -92,14 +92,10 @@ class IoDispatcher:
     ) -> None:
         """``callback(request)`` fires when a request completes.
 
-        ``vssd_id`` keys the callback to one tenant's completions —
-        monitors and workload drivers only ever care about their own
-        vSSD, and with several tenants registered the blanket fan-out
-        (every callback invoked for every completion, each filtering
-        internally) dominated ``_notify``.  ``None`` keeps the original
-        fire-on-everything behaviour.  Relative order among the callbacks
-        that observe a given request is registration order, exactly as
-        before — the skipped calls were no-ops.
+        ``vssd_id`` keys the callback to one tenant's completions, which
+        is all the filtering a monitor gets; ``None`` fires it for every
+        tenant.  Callbacks observing one request fire in registration
+        order.
         """
         self._completion_callbacks.append((vssd_id, callback))
         self._notify_cache.clear()

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Optional
-
-_request_ids = itertools.count()
 
 
 class Priority(enum.IntEnum):
@@ -26,10 +23,12 @@ class IoRequest:
     pipeline: ``submit_time`` (enters the vSSD's virtual queue),
     ``dispatch_time`` (leaves the queue for the flash channels), and
     ``complete_time`` (all page operations finished).
+
+    A request is plain data, not re-checked: its producers (the drivers,
+    and replay behind ``load_trace``'s row checks) make it valid.
     """
 
     __slots__ = (
-        "req_id",
         "vssd_id",
         "op",
         "lpn",
@@ -50,13 +49,6 @@ class IoRequest:
         page_size: int,
         submit_time: float,
     ) -> None:
-        if op not in ("read", "write"):
-            raise ValueError(f"op must be 'read' or 'write', got {op!r}")
-        if num_pages <= 0:
-            raise ValueError("num_pages must be positive")
-        if lpn < 0:
-            raise ValueError("lpn must be non-negative")
-        self.req_id = next(_request_ids)
         self.vssd_id = vssd_id
         self.op = op
         self.lpn = lpn
@@ -92,7 +84,4 @@ class IoRequest:
         return self.dispatch_time - self.submit_time
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"IoRequest(#{self.req_id}, vssd={self.vssd_id}, {self.op} "
-            f"lpn={self.lpn} x{self.num_pages})"
-        )
+        return f"IoRequest(vssd={self.vssd_id}, {self.op} lpn={self.lpn} x{self.num_pages})"

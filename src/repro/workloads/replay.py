@@ -89,7 +89,8 @@ def save_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path) -> Trace:
-    """Read a Trace written by :func:`save_trace`."""
+    """Read a Trace written by :func:`save_trace`, checking every row once
+    (replayed requests are then taken as valid)."""
     path = Path(path)
     with path.open(newline="") as handle:
         rows = list(csv.reader(handle))
@@ -98,6 +99,9 @@ def load_trace(path) -> Trace:
     name = rows[0][1]
     page_size = int(rows[0][3])
     body = rows[2:]
+    for number, row in enumerate(body, start=3):  # after the two header rows
+        if int(row[1]) not in (0, 1) or int(row[3]) <= 0 or int(row[2]) < 0:
+            raise ValueError(f"{path}: row {number} {row!r} needs op 0/1, pages > 0, lpn >= 0")
     times = np.asarray([float(r[0]) for r in body])
     return Trace(
         name=name,

@@ -16,7 +16,7 @@ def world(small_config):
     for name, channels in (("busy", [0, 1]), ("idle", [2, 3])):
         vssd = virt.create_vssd(name, channels)
         monitor = VssdMonitor(vssd)
-        virt.dispatcher.add_completion_callback(monitor.on_complete)
+        virt.dispatcher.add_completion_callback(monitor.on_complete, vssd_id=vssd.vssd_id)
         manager.register_vssd(vssd, monitor)
         vssds[name] = vssd
     return virt, manager, vssds

@@ -5,9 +5,17 @@ import pytest
 
 from repro.core.actionspace import ActionSpace
 from repro.core.controller import FleetIoController
+from repro.core.monitor import VssdMonitor
 from repro.rl import PolicyValueNet
 from repro.sched import IoRequest
 from repro.virt import StorageVirtualizer
+
+
+def _monitored(virt, vssd):
+    """The vSSD's one monitor, wired to its completions as the harness does."""
+    monitor = VssdMonitor(vssd)
+    virt.dispatcher.add_completion_callback(monitor.on_complete, vssd_id=vssd.vssd_id)
+    return monitor
 
 
 @pytest.fixture
@@ -20,8 +28,8 @@ def world(small_config, tiny_rl_config):
     )
     a = virt.create_vssd("a", [0, 1], slo_latency_us=2000.0)
     b = virt.create_vssd("b", [2, 3], slo_latency_us=50_000.0)
-    controller.register_vssd(a)
-    controller.register_vssd(b)
+    controller.register_vssd(a, _monitored(virt, a))
+    controller.register_vssd(b, _monitored(virt, b))
     return virt, controller, a, b
 
 
@@ -64,7 +72,7 @@ def test_guaranteed_bandwidth_software_share(small_config, tiny_rl_config):
     space = ActionSpace(small_config.channel_write_bandwidth_mbps)
     net = PolicyValueNet(tiny_rl_config.state_dim, space.num_actions, (8, 8))
     controller = FleetIoController(virt, net, rl_config=tiny_rl_config)
-    controller.register_vssd(a)
+    controller.register_vssd(a, _monitored(virt, a))
     expected = 4 * 0.5 * small_config.channel_write_bandwidth_mbps
     assert controller.guaranteed_bandwidth(a.vssd_id) == pytest.approx(expected)
 
@@ -89,9 +97,9 @@ def test_classifier_assigns_cluster_and_alpha(small_config, tiny_rl_config):
         explore=True, finetune=False,
     )
     a = virt.create_vssd("a", [0, 1], slo_latency_us=2000.0)
-    agent = controller.register_vssd(a)
+    monitor = _monitored(virt, a)
+    agent = controller.register_vssd(a, monitor)
     # Feed a YCSB-like trace through the monitor.
-    monitor = controller.monitors[a.vssd_id]
     rng = np.random.default_rng(0)
     t = 0.0
     for _ in range(controller.CLASSIFY_MIN_REQUESTS):

@@ -12,7 +12,7 @@ def world(small_config):
     virt = StorageVirtualizer(config=small_config)
     vssd = virt.create_vssd("v", [0, 1], slo_latency_us=1000.0)
     monitor = VssdMonitor(vssd)
-    virt.dispatcher.add_completion_callback(monitor.on_complete)
+    virt.dispatcher.add_completion_callback(monitor.on_complete, vssd_id=vssd.vssd_id)
     return virt, vssd, monitor
 
 
@@ -89,12 +89,15 @@ def test_failed_requests_ignored(world):
     assert monitor.total_completed == 0
 
 
-def test_other_vssd_requests_ignored(world):
+def test_other_vssd_requests_never_reach_the_monitor(world):
+    """The dispatcher routes a completion to its own tenant's callbacks
+    only, so the monitor needs no vSSD check of its own."""
     virt, vssd, monitor = world
-    other = IoRequest(99, "write", 0, 1, virt.config.page_size, 0.0)
-    other.dispatch_time = other.complete_time = 1.0
-    monitor.on_complete(other)
+    other = virt.create_vssd("w", [2, 3])
+    _run_io(virt, other, n=10)
     assert monitor.total_completed == 0
+    _run_io(virt, vssd, n=3)
+    assert monitor.total_completed == 3
 
 
 def test_recent_trace_collected(world):

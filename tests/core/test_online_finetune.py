@@ -11,6 +11,7 @@ import pytest
 from repro.config import RLConfig, SSDConfig
 from repro.core.actionspace import ActionSpace
 from repro.core.controller import FleetIoController
+from repro.core.monitor import VssdMonitor
 from repro.rl import PolicyValueNet
 from repro.sched import IoRequest
 from repro.virt import StorageVirtualizer
@@ -32,8 +33,12 @@ def world():
     )
     a = virt.create_vssd("a", [0, 1], slo_latency_us=2000.0)
     b = virt.create_vssd("b", [2, 3], slo_latency_us=2000.0)
-    agent_a = controller.register_vssd(a)
-    agent_b = controller.register_vssd(b)
+    agents = []
+    for vssd in (a, b):
+        monitor = VssdMonitor(vssd)
+        virt.dispatcher.add_completion_callback(monitor.on_complete, vssd_id=vssd.vssd_id)
+        agents.append(controller.register_vssd(vssd, monitor))
+    agent_a, agent_b = agents
     return config, virt, controller, net, agent_a, agent_b
 
 

@@ -31,7 +31,7 @@ def monitor_map(virt):
     monitors = {}
     for vssd in virt.vssds.values():
         monitor = VssdMonitor(vssd)
-        virt.dispatcher.add_completion_callback(monitor.on_complete)
+        virt.dispatcher.add_completion_callback(monitor.on_complete, vssd_id=vssd.vssd_id)
         monitors[vssd.name] = monitor
     return monitors
 

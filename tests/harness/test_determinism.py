@@ -57,9 +57,10 @@ def _run(tmp_path, tag, with_faults=False):
     )
     result = exp.run(4.0, 1.0)
     histories = {
-        plan.name: exp.controller.monitors[
-            exp.virt.vssd_by_name(plan.name).vssd_id
-        ].window_history
+        plan.name: [
+            entry["stats"][exp.virt.vssd_by_name(plan.name).vssd_id]
+            for entry in exp.controller.window_log
+        ]
         for plan in plans
     }
     windows = tmp_path / f"windows-{tag}.csv"

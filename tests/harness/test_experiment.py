@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.config import SSDConfig
+from repro.config import RLConfig, SSDConfig
+from repro.core.actionspace import ActionSpace
+from repro.core.monitor import VssdMonitor
+from repro.faults import monitor_dropout
 from repro.harness import Experiment, VssdPlan, plans_for_pair
+from repro.rl import PolicyValueNet
 
 
 @pytest.fixture
@@ -111,3 +115,43 @@ def test_reset_measurement(fast_config):
     exp.reset_measurement_at(1.5)
     result = exp.run(duration_s=2.0, measure_after_s=0.2)
     assert result.measure_start_s == pytest.approx(1.5)
+
+
+def test_fleetio_agents_read_the_one_monitor_per_vssd(fast_config):
+    """Each vSSD has one monitor callback, which its agent reads.  A
+    dropout blinds the agent's windows (``completed == 0``) while the
+    run-scoped records keep counting every completion."""
+    rl = RLConfig(decision_interval_s=0.25, batch_size=8)
+    space = ActionSpace(fast_config.channel_write_bandwidth_mbps)
+    exp = Experiment(
+        plans_for_pair("ycsb", "terasort"),
+        "fleetio",
+        ssd_config=fast_config,
+        rl_config=rl,
+        pretrained_net=PolicyValueNet(rl.state_dim, space.num_actions, (8, 8)),
+        fleetio_kwargs={"unified_alpha_only": True},
+        faults=[monitor_dropout("ycsb", start_s=1.0, duration_s=1.0)],
+    )
+    exp.build()
+    monitor_callbacks = [
+        (vssd_id, callback.__self__)
+        for vssd_id, callback in exp.virt.dispatcher._completion_callbacks
+        if isinstance(getattr(callback, "__self__", None), VssdMonitor)
+    ]
+    assert monitor_callbacks == [
+        (monitor.vssd.vssd_id, monitor) for monitor in exp.monitors.values()
+    ]
+    assert list(exp.controller.monitors.values()) == list(exp.monitors.values())
+
+    exp.run(3.0, 0.5)
+    monitor = exp.monitors["ycsb"]
+    windows = [entry["stats"][monitor.vssd.vssd_id] for entry in exp.controller.window_log]
+    blind = [w for w in windows if 1.0 <= w.window_start_s and w.window_end_s <= 2.0]
+    seeing = [w for w in windows if w.window_end_s <= 1.0 or w.window_start_s >= 2.0]
+    assert len(blind) == 4 and all(w.completed == 0 for w in blind)
+    assert all(w.completed > 0 for w in seeing)
+    assert monitor.dropped_completions > 0
+    assert monitor.dropped_completions == sum(
+        1.0 <= t < 2.0 for t in monitor.completion_times_s
+    )
+    exp.close()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.actionspace import ActionSpace
 from repro.core.controller import FleetIoController
+from repro.core.monitor import VssdMonitor
 from repro.harness.telemetry import controller_actions_to_csv, windows_to_csv
 from repro.rl import PolicyValueNet
 from repro.sched import IoRequest
@@ -22,8 +23,10 @@ def run(small_config, tiny_rl_config):
     )
     a = virt.create_vssd("a", [0, 1], slo_latency_us=2000.0)
     b = virt.create_vssd("b", [2, 3], slo_latency_us=2000.0)
-    controller.register_vssd(a)
-    controller.register_vssd(b)
+    for vssd in (a, b):
+        monitor = VssdMonitor(vssd)
+        virt.dispatcher.add_completion_callback(monitor.on_complete, vssd_id=vssd.vssd_id)
+        controller.register_vssd(vssd, monitor)
     controller.start()
     for i in range(40):
         virt.dispatcher.submit(
@@ -36,8 +39,8 @@ def run(small_config, tiny_rl_config):
 def test_windows_to_csv(run, tmp_path):
     virt, controller, a, b = run
     histories = {
-        "a": controller.monitors[a.vssd_id].window_history,
-        "b": controller.monitors[b.vssd_id].window_history,
+        "a": [entry["stats"][a.vssd_id] for entry in controller.window_log],
+        "b": [entry["stats"][b.vssd_id] for entry in controller.window_log],
     }
     path = tmp_path / "windows.csv"
     rows = windows_to_csv(histories, path)
@@ -56,7 +59,7 @@ def test_windows_to_csv(run, tmp_path):
 
 def test_window_csv_reads_writes_roundtrip(run, tmp_path):
     virt, controller, a, _b = run
-    history = controller.monitors[a.vssd_id].window_history
+    history = [entry["stats"][a.vssd_id] for entry in controller.window_log]
     path = tmp_path / "windows.csv"
     windows_to_csv({"a": history}, path)
     with path.open() as handle:

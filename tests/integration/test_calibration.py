@@ -42,7 +42,7 @@ def des_windows():
             lambda r, d=driver, vid=vssd.vssd_id: d.on_complete(r) if r.vssd_id == vid else None
         )
         monitor = VssdMonitor(vssd)
-        virt.dispatcher.add_completion_callback(monitor.on_complete)
+        virt.dispatcher.add_completion_callback(monitor.on_complete, vssd_id=vssd.vssd_id)
         monitors[name] = (vssd, monitor)
         driver.start()
     windows = {name: [] for name in monitors}

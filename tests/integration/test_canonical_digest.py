@@ -13,6 +13,11 @@ None of the pinned workloads runs a lazy gSB reclaim, so a second cell
 holds that path to bytes too: vdi-web beside batchanalytics under the
 adaptive policy, seed 0, harvests three times, reclaims one in-use gSB
 lazily and returns 288 blocks home (12 drained free, 276 collected).
+
+A third cell holds the monitor faults to bytes: the canonical pair under
+FleetIO with guardrails on, the first half of the channels slowed 6x
+from 3 s to 7 s and ycsb's agent fed NaN windows from 4 s to 6 s.  Its
+digest covers the results CSV and the fault/guardrail event CSV.
 """
 
 import json
@@ -28,6 +33,7 @@ POLICY_FIXTURE = REPO / "benchmarks" / "perf" / "fixtures" / "pretrained_canonic
 
 REFERENCE_DIGEST_PREFIX = "3636a8ff"
 RECLAIM_DIGEST_PREFIX = "dbb8130b"
+FAULTED_DIGEST_PREFIX = "cb3d1322"
 
 _SCRIPT = """
 import hashlib, json, shutil, sys
@@ -59,6 +65,32 @@ cell = ExperimentCell(
 outcome = run_cell(cell)
 assert outcome.ok, outcome.error
 print(json.dumps({"bare": hashlib.sha256(outcome.telemetry).hexdigest()}))
+"""
+
+_FAULTED_SCRIPT = """
+import hashlib, json, shutil, sys
+from pathlib import Path
+from repro.faults import slowdown_corruption_scenario
+from repro.harness import Experiment, events_to_csv, plans_for_pair
+from repro.harness.pretrained import pretrained_cache_path
+from repro.harness.report import results_csv_bytes
+
+shutil.copyfile(sys.argv[1], pretrained_cache_path())
+experiment = Experiment(
+    plans_for_pair("ycsb", "terasort"), "fleetio", seed=0,
+    faults=slowdown_corruption_scenario(
+        "ycsb", list(range(8)), slowdown_factor=6.0,
+        fault_start_s=3.0, fault_duration_s=4.0,
+        corruption_start_s=4.0, corruption_duration_s=2.0,
+    ),
+    guardrails=True,
+)
+result = experiment.run(8.0, 2.0)
+experiment.close()
+events = Path(sys.argv[2])
+events_to_csv(result.fault_events + result.guardrail_events, events)
+blob = results_csv_bytes({"fleetio": result}) + events.read_bytes()
+print(json.dumps({"bare": hashlib.sha256(blob).hexdigest()}))
 """
 
 
@@ -97,4 +129,14 @@ def test_reclaim_cell_telemetry_digest(tmp_path):
     assert report["bare"].startswith(RECLAIM_DIGEST_PREFIX), (
         f"telemetry digest {report['bare']} != reference "
         f"{RECLAIM_DIGEST_PREFIX}…: a change altered harvest/reclaim behaviour"
+    )
+
+
+def test_faulted_fleetio_cell_digest(tmp_path):
+    report = _run_child(
+        tmp_path, _FAULTED_SCRIPT, str(POLICY_FIXTURE), str(tmp_path / "events.csv")
+    )
+    assert report["bare"].startswith(FAULTED_DIGEST_PREFIX), (
+        f"results+events digest {report['bare']} != reference "
+        f"{FAULTED_DIGEST_PREFIX}…: a change altered fault or guardrail behaviour"
     )

@@ -6,6 +6,7 @@ import pytest
 from repro.config import RLConfig, SSDConfig
 from repro.core.actionspace import ActionSpace
 from repro.core.controller import FleetIoController
+from repro.core.monitor import VssdMonitor
 from repro.harness import Experiment, plans_for_pair
 from repro.rl import PolicyValueNet
 from repro.sched.request import Priority
@@ -70,7 +71,9 @@ def test_fleetio_controller_full_loop(fast_config):
     rng = np.random.default_rng(1)
     for name, channels, workload in (("lat", [0, 1], "ycsb"), ("bw", [2, 3], "batchanalytics")):
         vssd = virt.create_vssd(name, channels, slo_latency_us=5000.0)
-        controller.register_vssd(vssd)
+        monitor = VssdMonitor(vssd)
+        virt.dispatcher.add_completion_callback(monitor.on_complete, vssd_id=vssd.vssd_id)
+        controller.register_vssd(vssd, monitor)
         model = WorkloadModel(get_spec(workload), rng, 2000)
         driver = make_driver(model, vssd.vssd_id, virt.sim, virt.dispatcher.submit, fast_config.page_size)
         virt.dispatcher.add_completion_callback(

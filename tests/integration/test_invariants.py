@@ -43,10 +43,9 @@ def _check_completes_exactly_once(ops, shared: bool) -> None:
     """Conservation: submissions == completions, no double-delivery, and
     once the device drains every tenant's in-flight budget is whole."""
     config, virt, a, b = _small_world(shared)
-    seen = {}
-    virt.dispatcher.add_completion_callback(
-        lambda r: seen.__setitem__(r.req_id, seen.get(r.req_id, 0) + 1)
-    )
+    # Holding every completed request keeps each id() distinct.
+    seen = []
+    virt.dispatcher.add_completion_callback(seen.append)
     submitted = 0
     for vssd_index, is_read, lpn, pages in ops:
         vssd = (a, b)[vssd_index]
@@ -63,7 +62,7 @@ def _check_completes_exactly_once(ops, shared: bool) -> None:
         submitted += 1
     virt.sim.run()
     assert len(seen) == submitted
-    assert all(count == 1 for count in seen.values())
+    assert len({id(request) for request in seen}) == submitted
     inflight = virt.dispatcher._inflight_pages
     assert all(inflight.get(v.vssd_id, 0) == 0 for v in (a, b)), inflight
 

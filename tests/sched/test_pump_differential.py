@@ -44,6 +44,7 @@ from repro.sched import (
 )
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
+from repro.ssd.region import WriteRegion
 from tests.sched.pump_oracle import use_always_pump
 
 VSSDS = (0, 1, 2)
@@ -115,14 +116,14 @@ class Twin:
         elif pump is not None:
             self.dispatcher._pump = lambda: pump(self.dispatcher)
         self.requests: list = []
-        self.index: dict = {}  # req_id -> position in self.requests
+        self.index: dict = {}  # id(request) -> position in self.requests
         self.dispatched: list = []
         self.completed: list = []
         self.resubmitted: set = set()
         dispatch = self.dispatcher._dispatch
 
         def logged_dispatch(request: IoRequest) -> None:
-            self.dispatched.append((self.index[request.req_id], _bits(self.sim.now)))
+            self.dispatched.append((self.index[id(request)], _bits(self.sim.now)))
             dispatch(request)
 
         self.dispatcher._dispatch = logged_dispatch
@@ -130,13 +131,13 @@ class Twin:
 
     def _submit(self, vssd_id: int, op: str, lpn: int, pages: int) -> None:
         request = IoRequest(vssd_id, op, lpn, pages, PAGE, self.sim.now)
-        self.index[request.req_id] = len(self.requests)
+        self.index[id(request)] = len(self.requests)
         self.requests.append(request)
         self.dispatcher.submit(request)
 
     def _on_complete(self, request: IoRequest) -> None:
         self.check_queued()
-        position = self.index[request.req_id]
+        position = self.index[id(request)]
         self.completed.append(position)
         if request.failed and position not in self.resubmitted:
             # Out of space: the tenant retries a smaller write — from
@@ -175,7 +176,7 @@ class Twin:
             ],
             "now": _bits(self.sim.now),
             "queues": {
-                vssd_id: [self.index[r.req_id] for r in queue]
+                vssd_id: [self.index[id(r)] for r in queue]
                 for vssd_id, queue in dispatcher.queues.items()
             },
             "inflight": dict(dispatcher._inflight_pages),
@@ -329,3 +330,38 @@ def test_blocked_pump_leaves_no_trace(policy):
     assert twin.sim.events_processed == 0 and twin.sim.now > 0
     twin.dispatcher._pump()
     assert _trace(twin) == before
+
+
+
+def _lend_channel_2(twin: Twin, borrower: int) -> None:
+    """Install tenant 2's free blocks on channel 2 as a harvest region of
+    ``borrower``, as a gSB harvest does: the borrower's channel count, and
+    with it its in-flight budget, doubles between two completions."""
+    store = twin.ssd.store
+    gids = twin.dispatcher.ftls[2].surrender_free_blocks(2, 2)
+    for gid in gids:
+        store.gsb_of[gid] = 0
+    region = WriteRegion("lent", store, gsb_id=0)
+    region.add_blocks(gids)
+    twin.dispatcher.ftls[borrower].add_harvest_region(region)
+
+
+@pytest.mark.parametrize("policy", ("fifo", "priority"))
+def test_a_grown_budget_is_used_at_the_next_completion_of_any_tenant(policy):
+    """Tenant 0's second 3-page write waits on its 4-page in-flight budget.
+    A harvest then doubles that budget, and tenant 1's one-page write is
+    the next to complete.  The always-pump oracle dispatches the waiting
+    write right there, so the gated twin must pump on a completion whose
+    own tenant has nothing queued, at least after a budget grew: skipping
+    it moves the write to tenant 0's own completion."""
+    burst = [(0, "write", 0, 3), (0, "write", 4, 3), (1, "write", 0, 1)]
+    twins = (Twin(policy, oracle=False), Twin(policy, oracle=True))
+    for twin in twins:
+        twin.apply(("submit", burst))
+        assert twin.requests[1].dispatch_time is None
+        _lend_channel_2(twin, 0)
+        twin.apply(("advance", 50_000.0))
+    fast, ref = twins
+    assert fast.state() == ref.state()
+    first, second, other = fast.requests
+    assert second.dispatch_time == other.complete_time < first.complete_time

@@ -22,21 +22,6 @@ def test_is_read():
     assert not _req(op="write").is_read
 
 
-def test_invalid_op_rejected():
-    with pytest.raises(ValueError):
-        _req(op="erase")
-
-
-def test_invalid_pages_rejected():
-    with pytest.raises(ValueError):
-        _req(num_pages=0)
-
-
-def test_negative_lpn_rejected():
-    with pytest.raises(ValueError):
-        _req(lpn=-1)
-
-
 def test_latency_requires_completion():
     request = _req(submit_time=100.0)
     with pytest.raises(RuntimeError):
@@ -50,10 +35,6 @@ def test_latency_requires_completion():
 def test_queue_delay_requires_dispatch():
     with pytest.raises(RuntimeError):
         _ = _req().queue_delay_us
-
-
-def test_request_ids_unique():
-    assert _req().req_id != _req().req_id
 
 
 def test_priority_ordering():

@@ -78,6 +78,21 @@ def test_load_trace_rejects_other_csv(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [("sizes_pages", 0), ("sizes_pages", -2), ("ops", 2), ("lpns", -1)],
+)
+def test_load_trace_rejects_an_invalid_row(tmp_path, column, value):
+    """A saved trace is outside input: a bad row fails at load, naming
+    the file and the row, not later inside the replay."""
+    trace = synthesize_trace(get_spec("ycsb"), np.random.default_rng(0), 5)
+    getattr(trace, column)[3] = value
+    path = tmp_path / "trace.csv"
+    save_trace(trace, path)
+    with pytest.raises(ValueError, match=r"trace\.csv: row 6 "):
+        load_trace(path)
+
+
 def test_trace_summary():
     trace = synthesize_trace(get_spec("terasort"), np.random.default_rng(0), 500)
     summary = trace_summary(trace)
