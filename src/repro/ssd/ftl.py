@@ -366,17 +366,7 @@ class VssdFtl:
                             choice = (region, channel_id, k)
                             break
                     if choice is None:
-                        best = slots[0]
-                        best_key = bus_busy[best[1]] - now
-                        if best_key < 0.0:
-                            best_key = 0.0
-                        for slot in slots:
-                            horizon = bus_busy[slot[1]] - now
-                            if horizon < 0.0:
-                                horizon = 0.0
-                            if horizon < best_key:
-                                best, best_key = slot, horizon
-                        region, channel_id = best
+                        region, channel_id = self._least_busy_slot(slots)
                         self._write_rr = start + 1
                     else:
                         region, channel_id, k = choice
@@ -657,7 +647,7 @@ class VssdFtl:
                     visit = [ring[k] for k in offsets]
                     stride = n
                     if slots and not visit:
-                        visit = [min(slots, key=lambda s: max(0.0, bus_busy[s[1]] - now))]
+                        visit = [self._least_busy_slot(slots)]
                         offsets, stride = [0], 1
                     width = len(visit)
                     # Slot v takes min_j(free pages of queue[j] * depth + j)
@@ -780,6 +770,17 @@ class VssdFtl:
         self._slots = slots
         self._slots_version = self._regions_version()
 
+    def _least_busy_slot(self, slots: list) -> tuple:
+        """The slot whose channel has the least bus work queued,
+        ``max(0, bus_busy - now)``, ties to the lowest slot index.  An
+        offline channel accepts no new dispatch, so its slots count only
+        when no slot is online."""
+        offline = self._arrays.offline
+        bus_busy = self._arrays.bus_busy
+        now = self.ssd.sim.now
+        online = [slot for slot in slots if not offline[slot[1]]]
+        return min(online or slots, key=lambda slot: max(0.0, bus_busy[slot[1]] - now))
+
     def _pick_frontier(self) -> Optional[int]:
         """Round-robin over writable (region, channel) pairs, for host
         writes (GC copy-back picks its own destinations, :meth:`_relocate`).
@@ -803,8 +804,8 @@ class VssdFtl:
             # headroom; loading a channel past its horizon would let one
             # tenant build unbounded backlog behind which collocated
             # readers stall.  If every channel is at its horizon, take the
-            # least busy one so dispatches approved by the scheduler still
-            # make progress.
+            # least busy one (an offline one only if none is online) so
+            # dispatches approved by the scheduler still make progress.
             n = len(slots)
             start = self._write_rr
             choice = None
@@ -826,10 +827,7 @@ class VssdFtl:
                     choice = (region, channel_id, k)
                     break
             if choice is None:
-                region, channel_id = min(
-                    slots,
-                    key=lambda slot: self.ssd.channels[slot[1]].busy_horizon_us(),
-                )
+                region, channel_id = self._least_busy_slot(slots)
                 self._write_rr = start + 1
             else:
                 region, channel_id, k = choice
@@ -1031,7 +1029,9 @@ class VssdFtl:
         least bus work queued, ``max(0, bus_busy - now)``, ties to the
         lowest id; a copy-back pushes its channel out by one GC transfer,
         so a batch spreads over the channels.  A ``target_region`` pins
-        pages to its first writable channel in id order instead.  Nothing
+        pages to its first writable channel in id order instead.  Either
+        way an offline channel comes after every online one: it takes
+        copy-backs only once no online channel can.  Nothing
         here moves the clock or adds blocks to a region, so one heap of
         ``(horizon, channel)`` per victim holds the candidates, and a
         channel whose frontier comes back empty leaves it.
@@ -1051,14 +1051,19 @@ class VssdFtl:
         now = self.ssd.sim.now
         own = target_region is None
         dest = self.own_region if target_region is None else target_region
+        offline = arrays.offline
         heap = [
-            (max(0.0, bus_busy[channel_id] - now) if own else 0.0, channel_id)
+            (
+                offline[channel_id],
+                max(0.0, bus_busy[channel_id] - now) if own else 0.0,
+                channel_id,
+            )
             for channel_id in dest.writable_channels()
         ]
         heapify(heap)
         for _page, lpn in valid:
             while heap:
-                channel_id = heap[0][1]
+                channel_id = heap[0][2]
                 gid = dest.frontier_block(channel_id, self.vssd_id)
                 if gid is not None:
                     break
@@ -1101,4 +1106,4 @@ class VssdFtl:
             self.stats.gc_reads += 1
             self.stats.gc_writes += 1
             if own:
-                heapreplace(heap, (max(0.0, xfer_done - now), channel_id))
+                heapreplace(heap, (heap[0][0], max(0.0, xfer_done - now), channel_id))

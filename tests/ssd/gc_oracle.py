@@ -23,19 +23,25 @@ def _pick_gc_frontier(
     ftl: VssdFtl, target_region: Optional[WriteRegion]
 ) -> Optional[int]:
     """The ``target_region=`` and ``for_gc=True`` legs of ``_pick_frontier``."""
+    channels = ftl.ssd.channels
     if target_region is not None:
-        for channel_id in target_region.writable_channels():
+        # Id order, an offline channel only after every online one.
+        pinned = sorted(
+            target_region.writable_channels(), key=lambda ch: channels[ch].offline
+        )
+        for channel_id in pinned:
             block = target_region.frontier_block(channel_id, ftl.vssd_id)
             if block is not None:
                 return block
         return None
     # Copy-back writes spread across the least-busy own channels
-    # so a GC batch does not bury one channel in backlog.
-    channels = sorted(
+    # so a GC batch does not bury one channel in backlog; an offline
+    # channel takes them only once no online one can.
+    ranked = sorted(
         ftl.own_region.writable_channels(),
-        key=lambda ch: ftl.ssd.channels[ch].busy_horizon_us(),
+        key=lambda ch: (channels[ch].offline, channels[ch].busy_horizon_us()),
     )
-    for channel_id in channels:
+    for channel_id in ranked:
         block = ftl.own_region.frontier_block(channel_id, ftl.vssd_id)
         if block is not None:
             return block

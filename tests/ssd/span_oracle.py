@@ -24,7 +24,7 @@ from repro.ssd.ftl import OutOfSpaceError, VssdFtl
 
 def _pick_frontier(ftl: VssdFtl) -> Optional[int]:
     """Next round-robin slot whose channel has queue headroom, else the
-    least busy one; retried while the chosen channel turns out exhausted
+    least busy one (an offline one only when none is online); retried while the chosen channel turns out exhausted
     (each miss bumps the region version, so the slot list shrinks)."""
     channels = ftl.ssd.channels
     for _ in range(4 * ftl.config.num_channels + 8):
@@ -40,8 +40,9 @@ def _pick_frontier(ftl: VssdFtl) -> Optional[int]:
                 ftl._write_rr = start + k + 1
                 break
         else:
+            online = [slot for slot in slots if not channels[slot[1]].offline]
             region, channel_id = min(
-                slots, key=lambda slot: channels[slot[1]].busy_horizon_us()
+                online or slots, key=lambda slot: channels[slot[1]].busy_horizon_us()
             )
             ftl._write_rr = start + 1
         gid = region.frontier_block(channel_id, ftl.vssd_id)

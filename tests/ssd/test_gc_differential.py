@@ -264,6 +264,28 @@ def test_copy_back_takes_the_least_busy_own_channel_ties_to_the_lowest_id():
     assert fast.state() == ref.state()
 
 
+def test_copy_back_takes_an_offline_own_channel_only_when_none_is_online():
+    fast, ref, _ = _check([], setup=lambda twin: twin.ftl.warm_fill(range(120)))
+    for twin in (fast, ref):
+        own = twin.ftl.own_region
+        bus_busy = twin.ftl._arrays.bus_busy
+        victim = _own_full_block(twin, 0, invalidate=2)
+        lpns = [lpn for _page, lpn in twin.ssd.store.valid_lpns(victim)]
+        twin.ssd.channels[1].set_fault(offline=True)  # idle, but offline
+        bus_busy[0] = twin.sim.now + 1e4
+        bus_busy[2] = twin.sim.now + 1e4 + 60.0
+        twin.ftl.collect_blocks([victim], own)
+        assert [_channel_of(twin, lpn) for lpn in lpns] == [0, 2, 0, 2, 0, 2]
+        # With every own channel offline the least busy one takes them.
+        twin.ssd.channels[0].set_fault(offline=True)
+        twin.ssd.channels[2].set_fault(offline=True)
+        victim = _own_full_block(twin, 2, invalidate=7)
+        lpns = [lpn for _page, lpn in twin.ssd.store.valid_lpns(victim)]
+        twin.ftl.collect_blocks([victim], own)
+        assert [_channel_of(twin, lpn) for lpn in lpns] == [1]
+    assert fast.state() == ref.state()
+
+
 def test_an_own_channel_that_runs_dry_mid_relocation_falls_through():
     def setup(twin: Twin) -> None:
         ftl = twin.ftl

@@ -24,7 +24,9 @@ from repro.config import SSDConfig
 from repro.sim import Simulator
 from repro.ssd import Ssd, VssdFtl
 from tests.ssd import span_oracle
-from tests.ssd.test_gc_differential import OWNED_PAGES, Twin, _churned, _fill_own
+from tests.ssd.test_gc_differential import (
+    OWNED_PAGES, Twin, _channel_of, _churned, _fill_own,
+)
 from tests.test_hotpath_equivalence import _bits
 
 
@@ -190,6 +192,26 @@ def test_gc_triggers_strictly_below_the_threshold():
     assert fast.ftl.stats.gc_runs == 0
     fast, _ref, _ = _check(steps, setup=setup, gc_free_block_threshold=1 / 3)
     assert fast.ftl.stats.gc_runs == 1 and fast.ftl.stats.blocks_erased == 2
+
+
+def test_an_offline_channel_takes_host_writes_only_when_none_is_online():
+    """``Channel.set_fault``: offline accepts no new dispatch.  With every
+    online channel past the queue-depth bound the least-busy pick passes
+    over the idle offline channel; once no channel is online it is the
+    least busy of them all."""
+    def setup(twin: SpanTwin) -> None:
+        _churned(120)(twin)
+        twin.ssd.channels[0].set_fault(offline=True)
+        for channel_id in (1, 2):
+            twin.ftl._arrays.bus_busy[channel_id] = twin.sim.now + 20 * 240.0
+
+    steps = [
+        ("write", 0, 3, False), ("offline", 1, True), ("offline", 2, True),
+        ("write", 3, 2, False),
+    ]
+    fast, _ref, _ = _check(steps, setup=setup)
+    # 1 and 2 tie at 20 pages of backlog: 1, then 2, then 1 on the tie.
+    assert [_channel_of(fast, lpn) for lpn in range(5)] == [1, 2, 1, 0, 0]
 
 
 def test_unmapped_reads_rotate_own_channels_and_chips_and_ignore_front():

@@ -68,15 +68,14 @@ def warm_fill_per_page(ftl: VssdFtl, lpns: Iterable[int]) -> int:
                     choice = (region, channel_id, k)
                     break
             if choice is None:
-                best = slots[0]
-                best_key = bus_busy[best[1]] - now
-                if best_key < 0.0:
-                    best_key = 0.0
-                for slot in slots:
+                # The least busy slot, offline ones only when none is online.
+                online = [slot for slot in slots if not offline[slot[1]]]
+                best = None
+                for slot in online or slots:
                     horizon = bus_busy[slot[1]] - now
                     if horizon < 0.0:
                         horizon = 0.0
-                    if horizon < best_key:
+                    if best is None or horizon < best_key:
                         best, best_key = slot, horizon
                 region, channel_id = best
                 ftl._write_rr = start + 1
