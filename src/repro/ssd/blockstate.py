@@ -30,7 +30,12 @@ write pointers, valid counts, block state) are therefore Python lists;
 the page→LPN matrix (the dominant per-page memory) and the erase-count
 vector (wear summaries) are numpy.  Both representations are
 preallocated once and mutated in place, so hot loops can hoist a local
-reference and never see a rebind.
+reference and never see a rebind.  The per-page paths reach the matrix
+through its 2-D memoryview, ``page_lpns.data``: the same buffer, with a
+Python int per element.  Measured on Python 3.11 (2-core host): a set
+costs 130 ns through the view against 184 ns through the array, a
+get-and-compare 146 ns against 354 ns.  ``VssdFtl`` takes the view once;
+:meth:`BlockStore.restore` copies into the buffer, so it never detaches.
 
 Two paths handle enough same-shaped work per call to cross the boundary
 in bulk instead.  ``VssdFtl.warm_fill`` places a whole striping epoch
@@ -43,9 +48,9 @@ and back with ``np.array`` / ``ndarray.tolist``.  Per-request paths
 (``write_span``, ``read_span``) and GC copy-back (``VssdFtl._relocate``,
 a few to a few dozen pages per victim, each choosing its destination
 from the horizons the previous one moved) inline :meth:`BlockStore.program`
-and :meth:`BlockStore.invalidate` on the lists; GC crosses in bulk only
-to read a victim's row (:meth:`BlockStore.valid_lpns`: one
-``flatnonzero`` + ``tolist``).
+and :meth:`BlockStore.invalidate` on the lists and the matrix view; GC
+crosses in bulk only to read a victim's row (:meth:`BlockStore.valid_lpns`:
+one ``flatnonzero`` + ``tolist``).
 """
 
 from __future__ import annotations

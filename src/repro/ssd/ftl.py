@@ -22,13 +22,22 @@ Blocks of a *live* gSB are recycled back into the gSB so a harvested
 channel keeps providing write bandwidth, while blocks of a *reclaiming*
 gSB are handed back to their home vSSD, leaving the HBT as they go.
 
-The write path is on the simulator's critical path, so the FTL caches
-its channel round-robin list, rebuilding it only when a region's capacity
-shape changes, and :class:`repro.ssd.region.WriteRegion` is O(1) per page.
+The write path is on the simulator's critical path, so a written page
+costs its placement and nothing more.  The FTL caches its striping slots
+with what the page loop reads per slot and per channel — the slot
+channels, the open-queue references, the own and harvest FREE queues and
+the GC trigger's per-channel bound — keyed on the regions version and
+``gc_threshold`` (:meth:`VssdFtl._rebuild_slots`).  Within a span the
+round-robin keeps the still-eligible slots sorted and the least-busy
+fallback a lazy heap (:meth:`VssdFtl.write_span`); the page matrix is
+indexed through its memoryview, and :class:`repro.ssd.region.WriteRegion`
+is O(1) per page.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -68,6 +77,22 @@ class FtlStats:
         return (self.host_writes + self.gc_writes) / self.host_writes
 
 
+def _gc_free_bound(owned: int, threshold: float) -> float:
+    """The fewest FREE blocks of ``owned`` at which ``free / owned <
+    threshold`` is false: the GC trigger fires exactly below it.  0 when
+    nothing is owned or nothing triggers; infinite when everything does."""
+    if owned <= 0 or not threshold > 0.0:
+        return 0
+    if threshold == math.inf:
+        return math.inf
+    free = int(threshold * owned)
+    while free and not (free - 1) / owned < threshold:
+        free -= 1
+    while free / owned < threshold:
+        free += 1
+    return free
+
+
 class VssdFtl:
     """Flash translation layer for one vSSD."""
 
@@ -97,6 +122,9 @@ class VssdFtl:
         self._store = ssd.store
         self._arrays = ssd.arrays
         self._blocks_per_channel = self._store.blocks_per_channel
+        # The page matrix's 2-D memoryview: the same buffer (restores copy
+        # into it), a Python int per element access, no numpy scalar.
+        self._page_lpns = self._store.page_lpns.data
         # Sorted own-region channel list for unmapped reads, keyed by the
         # region version (sorted() per unmapped read was measurable).
         self._unmapped_channels: list = []
@@ -112,9 +140,21 @@ class VssdFtl:
         self._unmapped_rr = 0
         self._own_blocks_per_channel: dict = {}
         self._in_gc = False
-        # Cached striping order: list of (region, channel_id).
+        # Cached striping order, a list of (region, channel_id), and the
+        # per-slot and per-channel caches the write path reads with it
+        # (see _rebuild_slots), keyed by the regions version and
+        # gc_threshold.
         self._slots: list = []
+        self._slot_channel: list = []
+        self._slot_open: list = []
+        self._slot_max_open: list = []
+        self._channel_slots: list = []
+        self._gc_bound: list = []
+        self._gc_free_queue: list = []
+        self._recycle_queues: list = []
+        self._live_regions: Optional[list] = None
         self._slots_version = -1
+        self._gc_threshold_key: Optional[float] = None
         # Cached channel_count(), keyed by the same regions version the
         # striping cache uses (the dispatcher calls it per admission check).
         self._chan_count = 1
@@ -142,6 +182,7 @@ class VssdFtl:
             channel_id = gid // bpc
             per_channel[channel_id] = per_channel.get(channel_id, 0) + 1
         self.own_region.add_blocks(gids)
+        self._invalidate_slots()
 
     def surrender_free_blocks(self, channel_id: int, count: int) -> list:
         """Give up FREE owned blocks on ``channel_id`` (gSB creation).
@@ -152,6 +193,7 @@ class VssdFtl:
         if taken:
             per_channel = self._own_blocks_per_channel
             per_channel[channel_id] = per_channel.get(channel_id, 0) - len(taken)
+            self._invalidate_slots()
         return taken
 
     def add_harvest_region(self, region: WriteRegion) -> None:
@@ -159,12 +201,12 @@ class VssdFtl:
         if region.gsb_id < 0:
             raise ValueError("add_harvest_region requires a harvest region")
         self.harvest_regions.append(region)
-        self._slots_version = -1
+        self._invalidate_slots()
 
     def remove_harvest_region(self, region: WriteRegion) -> None:
         """Detach a harvest region (after its gSB is reclaimed)."""
         self.harvest_regions.remove(region)
-        self._slots_version = -1
+        self._invalidate_slots()
 
     # ------------------------------------------------------------------
     # Capacity / state inspection
@@ -270,7 +312,7 @@ class VssdFtl:
             setattr(self.stats, name, snapshot["stats"][name])
         self.own_region.restore(snapshot["own_region"])
         self._in_gc = False
-        self._slots_version = -1
+        self._invalidate_slots()
         self._unmapped_version = -1
         self._chan_count_version = -1
 
@@ -283,15 +325,28 @@ class VssdFtl:
         Returns the completion time of the slowest page (us).  ``front``
         requests priority bus arbitration (Set_Priority HIGH).
 
-        Per page: pick a frontier block, program it, remap the LPN and
-        invalidate its previous copy, charge the channel a page program,
-        check the GC trigger.  The steady state of each step — one turn of
-        :meth:`_pick_frontier`'s round-robin, ``WriteRegion.frontier_block``,
-        ``BlockStore.program`` / ``invalidate``, ``Channel.service_write`` —
-        is inlined against the structure-of-arrays columns: no method call,
-        no per-page object.  A frontier refill calls ``frontier_block``; an
-        exhausted channel, urgent GC and :class:`OutOfSpaceError` belong to
-        :meth:`_frontier_or_urgent_gc`.
+        Per page: pick a striping slot, program its frontier block, remap
+        the LPN and invalidate its previous copy, charge the channel a page
+        program, check the GC trigger.  Every step is inlined against the
+        structure-of-arrays columns — ``WriteRegion.frontier_block``'s
+        steady state, ``BlockStore.program`` / ``invalidate`` (the page
+        matrix through its memoryview), ``Channel.service_write`` — so a
+        page costs its placement and nothing more.  A frontier refill
+        calls ``frontier_block``; an exhausted channel, urgent GC and
+        :class:`OutOfSpaceError` belong to :meth:`_frontier_or_urgent_gc`.
+
+        The pick is :meth:`_pick_frontier`'s rule, kept span-scoped.  The
+        clock is fixed within a span and bus horizons only grow, so a slot
+        that stops being eligible (offline, or its channel holding
+        ``max_queue_depth`` transfers of bus work) stays so.  The slot in
+        turn is tested directly; when it fails, the span's ascending list
+        of eligible slot indices, built by the first turn that needs it,
+        gives the next one by ``bisect``, and a channel the turn finds past
+        the bound leaves the list with all its slots.  Once the list is
+        empty every page takes the least busy slot from a lazily refreshed
+        heap of ``(clamped horizon, slot index)`` (:meth:`_fallback_heap`).
+        A GC or a slow-path pick may move any horizon, queue or slot, so
+        the page after one derives this state afresh.
 
         GC trigger, after every page unless a collection is already
         running: if this vSSD owns blocks on the page's channel and fewer
@@ -299,6 +354,10 @@ class VssdFtl:
         Otherwise (a harvested channel, or an own one not below threshold)
         the first live harvest region on that channel with no FREE block
         left is recycled, so the harvested channel keeps taking writes.
+        The test is one comparison against a cached per-channel count
+        (``_gc_bound``, see :meth:`_rebuild_slots`), and a channel whose
+        test held is not tested again until a frontier refill on it takes
+        a FREE block: nothing else between collections changes the counts.
 
         Held to the per-page twin in ``tests/ssd/span_oracle.py`` by
         ``tests/ssd/test_span_differential.py``.
@@ -308,7 +367,7 @@ class VssdFtl:
         state_col = store.state
         wp_col = store.write_ptr
         vc_col = store.valid_count
-        lpns2d = store.page_lpns
+        lpns2d = self._page_lpns
         bus_busy = arrays.bus_busy
         chip_busy = arrays.chip_busy
         offline = arrays.offline
@@ -324,11 +383,8 @@ class VssdFtl:
         # events, and schedule() never advances the clock.
         now = self.ssd.sim.now
         bound = self._qd_bound_us
-        own_region = self.own_region
-        own_free = own_region._free
-        own_bpc = self._own_blocks_per_channel
-        gc_threshold = self.gc_threshold
-        harvest_regions = self.harvest_regions
+        # GC restores the flag before it returns, so it holds all span.
+        in_gc = self._in_gc
         vssd = self.vssd_id
         l2p_gid = self._l2p_gid
         l2p_page = self._l2p_page
@@ -338,63 +394,107 @@ class VssdFtl:
             l2p_gid.extend([-1] * grow)
             l2p_page.extend([0] * grow)
         done = now
-        host_writes = 0
+        placed = lpn - 1  # the last page charged to its channel
+        mapped = 0
+        rr = self._write_rr
+        rr_live = True  # False while the slow path owns ``_write_rr``
+        stale = True
         try:
             for cur in range(lpn, end):
-                # -- _pick_frontier's round-robin, inlined -------------
-                rv = own_region.version
-                for hregion in harvest_regions:
-                    rv += hregion.version + (1000003 if hregion.reclaiming else 0)
-                if self._slots_version != rv:
-                    self._rebuild_slots()
-                slots = self._slots
-                gid = None
-                if slots:
+                if stale:
+                    # -- the span's picker state (docstring) -----------
+                    slots = self._refresh_slots()
                     n = len(slots)
-                    start = self._write_rr
-                    idx = start % n
-                    choice = None
-                    for k in range(n):
-                        region, channel_id = slots[idx]
-                        idx += 1
-                        if idx == n:
-                            idx = 0
-                        if (
-                            not offline[channel_id]
-                            and bus_busy[channel_id] - now < bound
-                        ):
-                            choice = (region, channel_id, k)
-                            break
-                    if choice is None:
-                        region, channel_id = self._least_busy_slot(slots)
-                        self._write_rr = start + 1
+                    slot_channel = self._slot_channel
+                    slot_open = self._slot_open
+                    slot_max_open = self._slot_max_open
+                    channel_slots = self._channel_slots
+                    gc_bound = self._gc_bound
+                    gc_free = self._gc_free_queue
+                    recycle_queues = self._recycle_queues
+                    # The eligible slots, ascending, built by the first
+                    # turn that needs them.  An entry may outlive its
+                    # channel crossing the bound; the turn that meets one
+                    # drops that channel's slots.
+                    eligible = None
+                    heap = None
+                    # A channel whose GC trigger was tested and held stays
+                    # quiet until a frontier refill takes one of its FREE
+                    # blocks; GC and the slow path end the epoch.
+                    quiet = [in_gc] * len(gc_bound)
+                    stale = False
+                if n:
+                    # -- one round-robin turn (docstring) --------------
+                    i = pos = rr % n
+                    channel_id = slot_channel[i]
+                    if not offline[channel_id] and bus_busy[channel_id] - now < bound:
+                        rr += 1
                     else:
-                        region, channel_id, k = choice
-                        self._write_rr = start + k + 1
+                        if eligible is None:
+                            eligible = self._eligible_slots(now)
+                        while eligible:
+                            j = bisect_left(eligible, pos)
+                            i = eligible[j] if j < len(eligible) else eligible[0]
+                            channel_id = slot_channel[i]
+                            if bus_busy[channel_id] - now < bound:
+                                break
+                            for k in channel_slots[channel_id]:
+                                eligible.remove(k)
+                        if eligible:
+                            rr += (i - pos) % n + 1
+                        else:
+                            if heap is None:
+                                heap = self._fallback_heap(now)
+                            while True:
+                                key, i = heap[0]
+                                horizon = bus_busy[slot_channel[i]] - now
+                                if horizon <= key:
+                                    break
+                                heapreplace(heap, (horizon, i))
+                            channel_id = slot_channel[i]
+                            rr += 1
                     # -- frontier_block steady state, inlined ----------
-                    open_queue = region._open.get(channel_id)
+                    # (a head block is FULL exactly when its write
+                    # pointer is at the end)
+                    queue = slot_open[i]
                     if (
-                        open_queue
-                        and len(open_queue) >= region.max_open_per_channel
+                        len(queue) >= slot_max_open[i]
+                        and (page := wp_col[(gid := queue[0])]) < ppb
                     ):
-                        head = open_queue[0]
-                        if state_col[head] is not full_state:
-                            open_queue.rotate(-1)
-                            gid = head
-                    if gid is None:
+                        queue.rotate(-1)
+                    else:
+                        region = slots[i][0]
+                        quiet[channel_id] = False  # a refill may open a FREE block
                         gid = region.frontier_block(channel_id, vssd)
+                        if gid is not None:
+                            slot_open[i] = region._open[channel_id]
+                            page = wp_col[gid]
+                            if page >= ppb:
+                                raise RuntimeError(f"block {store.locate(gid)} is full")
+                else:
+                    gid = None
                 if gid is None:
                     # Channel exhausted or no slots: the full picking
                     # loop, then urgent GC, then out of space.
+                    self._write_rr = rr
+                    rr_live = False
                     gid = self._frontier_or_urgent_gc()
-                channel_id = gid // bpc
+                    rr = self._write_rr
+                    rr_live = True
+                    stale = True
+                    channel_id = gid // bpc
+                    page = wp_col[gid]
+                    if page >= ppb:
+                        raise RuntimeError(f"block {store.locate(gid)} is full")
+                    self._refresh_slots()
+                    gc_bound = self._gc_bound
+                    gc_free = self._gc_free_queue
+                    recycle_queues = self._recycle_queues
+                    quiet = [in_gc] * len(gc_bound)
                 # Read with the frontier in hand: urgent GC may move ``cur``.
                 old_gid = l2p_gid[cur]
                 old_page = l2p_page[cur]
                 # -- BlockStore.program, inlined -----------------------
-                page = wp_col[gid]
-                if page >= ppb:
-                    raise RuntimeError(f"block {store.locate(gid)} is full")
                 lpns2d[gid, page] = cur
                 vc_col[gid] += 1
                 nxt = page + 1
@@ -412,58 +512,53 @@ class VssdFtl:
                     lpns2d[old_gid, old_page] = -1
                     vc_col[old_gid] -= 1
                 else:
-                    self._mapped += 1
+                    mapped += 1
                 # -- Channel.service_write, inlined --------------------
-                xfer = eff_xfer[channel_id]
                 b = bus_busy[channel_id]
                 if front:
+                    xfer = eff_xfer[channel_id]
                     nx = now + xfer
                     bus_available = b if b < nx else nx
                     m = now if now > bus_available else bus_available
                     xfer_done = m + xfer
-                    nb = b if b > now else now
-                    bus_busy[channel_id] = nb + xfer
+                    bus_busy[channel_id] = (b if b > now else now) + xfer
                 else:
-                    xs = now if now > b else b
-                    xfer_done = xs + xfer
+                    xfer_done = (now if now > b else b) + eff_xfer[channel_id]
                     bus_busy[channel_id] = xfer_done
                 ci = gid // bpchip
                 ps = chip_busy[ci]
                 if xfer_done > ps:
                     ps = xfer_done
-                write_us = eff_write[channel_id]
-                extra = extra_lat[channel_id]
-                fin = ps + write_us + extra
+                fin = ps + eff_write[channel_id] + extra_lat[channel_id]
                 chip_busy[ci] = fin
                 if fin > done:
                     done = fin
-                host_writes += 1
+                placed = cur
                 # -- GC trigger (policy in the docstring) --------------
-                if not self._in_gc:
-                    owned = own_bpc.get(channel_id, 0)
-                    ran_gc = False
-                    if owned > 0:
-                        queue = own_free.get(channel_id)
-                        free = len(queue) if queue else 0
-                        if free / owned < gc_threshold:
-                            self.run_gc(channel_id)
-                            ran_gc = True
-                    if not ran_gc:
-                        for hregion in harvest_regions:
-                            if (
-                                not hregion.reclaiming
-                                and channel_id in hregion._channels
-                                and hregion.free_block_count_on(channel_id) == 0
-                            ):
-                                self.recycle_region(hregion, channel_id)
-                                break
+                if not quiet[channel_id]:
+                    free_bound = gc_bound[channel_id]
+                    if free_bound and len(gc_free[channel_id]) < free_bound:
+                        self.run_gc(channel_id)
+                        stale = True
+                        continue
+                    for hregion, free_queue in recycle_queues[channel_id]:
+                        if not free_queue:
+                            self.recycle_region(hregion, channel_id)
+                            stale = True
+                            break
+                    else:
+                        quiet[channel_id] = True
         finally:
-            # Host-write counters are read only at window boundaries, so
-            # one exact integer add per span replaces one per page; the
+            # The counters are read only at window boundaries, so one
+            # exact integer add per span replaces one per page; the
             # finally keeps the pages a span placed before it ran out of
             # space counted.
-            if host_writes:
-                self.stats.host_writes += host_writes
+            if rr_live:
+                self._write_rr = rr
+            if placed >= lpn:
+                self.stats.host_writes += placed - lpn + 1
+            if mapped:
+                self._mapped += mapped
         return done
 
     def read_span(self, lpn: int, num_pages: int, front: bool = False) -> float:
@@ -615,11 +710,8 @@ class VssdFtl:
             raise ValueError(f"vSSD {self.vssd_id}: negative LPN in warm fill")
         store = self._store
         wp_col = store.write_ptr
-        bus_busy = self._arrays.bus_busy
-        offline = self._arrays.offline
         ppb = self.config.pages_per_block
         now = self.ssd.sim.now
-        bound = self._qd_bound_us
         l2p_gid = self._l2p_gid
         l2p_page = self._l2p_page
         # Indexed by gid; -1 (unmapped) wraps round to the trailing -1.
@@ -634,20 +726,16 @@ class VssdFtl:
             m_page[:length] = l2p_page
             try:
                 while count < total:
-                    if self._slots_version != self._regions_version():
-                        self._rebuild_slots()
-                    slots = self._slots
+                    slots = self._refresh_slots()
                     n = len(slots)
                     start = self._write_rr
-                    ring = [slots[(start + k) % n] for k in range(n)]
-                    offsets = [
-                        k for k, (_, channel_id) in enumerate(ring)
-                        if not offline[channel_id] and bus_busy[channel_id] - now < bound
-                    ]
-                    visit = [ring[k] for k in offsets]
+                    pos = start % n if n else 0
+                    # Eligible slots in round-robin order from ``start``.
+                    offsets = sorted((i - pos) % n for i in self._eligible_slots(now))
+                    visit = [slots[(pos + k) % n] for k in offsets]
                     stride = n
                     if slots and not visit:
-                        visit = [self._least_busy_slot(slots)]
+                        visit = [slots[self._fallback_heap(now)[0][1]]]
                         offsets, stride = [0], 1
                     width = len(visit)
                     # Slot v takes min_j(free pages of queue[j] * depth + j)
@@ -759,35 +847,117 @@ class VssdFtl:
             version += region.version + (1000003 if region.reclaiming else 0)
         return version
 
-    def _rebuild_slots(self) -> None:
-        slots = [
-            (self.own_region, ch) for ch in self.own_region.writable_channels()
-        ]
-        for region in self.harvest_regions:
-            if region.reclaiming:
-                continue
-            slots.extend((region, ch) for ch in region.writable_channels())
-        self._slots = slots
-        self._slots_version = self._regions_version()
+    def _refresh_slots(self) -> list:
+        """The striping slots, with every cache of :meth:`_rebuild_slots`
+        current for the regions version and ``gc_threshold``."""
+        if (
+            self._slots_version != self._regions_version()
+            or self._gc_threshold_key != self.gc_threshold
+        ):
+            self._rebuild_slots()
+        return self._slots
 
-    def _least_busy_slot(self, slots: list) -> tuple:
-        """The slot whose channel has the least bus work queued,
-        ``max(0, bus_busy - now)``, ties to the lowest slot index.  An
-        offline channel accepts no new dispatch, so its slots count only
-        when no slot is online."""
+    def _invalidate_slots(self) -> None:
+        """Make the next :meth:`_refresh_slots` rebuild every cache: the
+        regions, their queue objects or the owned block counts changed."""
+        self._slots_version = -1
+        self._live_regions = None
+
+    def _rebuild_slots(self) -> None:
+        """Rebuild the striping order and the caches the write path reads.
+
+        Per slot (a writable ``(region, channel)``, own region first):
+        its channel, its region's open queue for that channel and that
+        region's open-block count.  Per channel: the slots on it, the own
+        region's FREE queue, the GC trigger's bound and the live harvest
+        regions' FREE queues, in ``harvest_regions`` order, for recycling.
+        ``_gc_bound[ch]`` is the fewest FREE blocks that does not trigger
+        GC, from the exact ``free / owned < gc_threshold`` test; 0 where
+        this vSSD owns no block.  An open queue a region has not made yet
+        is filled in by the first write that makes it.
+
+        Most version bumps are a GC victim erased back into its pool: the
+        slots and the live regions come out the same, and so does every
+        cache (queue objects and owned counts change only through
+        :meth:`_invalidate_slots`), so only the version key moves.
+        """
+        own = self.own_region
+        live = [own] + [region for region in self.harvest_regions if not region.reclaiming]
+        slots = [(region, ch) for region in live for ch in region.writable_channels()]
+        threshold = self.gc_threshold
+        if (
+            slots == self._slots
+            and live == self._live_regions
+            and threshold == self._gc_threshold_key
+        ):
+            self._slots_version = self._regions_version()
+            return
+        self._slots = slots
+        self._live_regions = live
+        self._slot_channel = [ch for _region, ch in slots]
+        self._slot_open = [region._open.get(ch, ()) for region, ch in slots]
+        # At least 1, so a queue that long is never empty.
+        self._slot_max_open = [max(region.max_open_per_channel, 1) for region, _ch in slots]
+        channels = range(self.config.num_channels)
+        self._channel_slots = [[] for _ch in channels]
+        for i, ch in enumerate(self._slot_channel):
+            self._channel_slots[ch].append(i)
+        owned = self._own_blocks_per_channel
+        self._gc_bound = [_gc_free_bound(owned.get(ch, 0), threshold) for ch in channels]
+        self._gc_free_queue = [own._free.get(ch, ()) for ch in channels]
+        self._recycle_queues = [
+            tuple(
+                (region, region._free.get(ch, ()))
+                for region in live[1:] if ch in region._channels
+            )
+            for ch in channels
+        ]
+        self._slots_version = self._regions_version()
+        self._gc_threshold_key = threshold
+
+    def _eligible_slots(self, now: float) -> list:
+        """Ascending indices of the slots whose channel is online and has
+        headroom: ``Channel.has_capacity`` against the flat arrays, where
+        ``max(0, busy - now) < bound`` reduces to ``busy - now < bound``
+        because the bound is positive."""
         offline = self._arrays.offline
         bus_busy = self._arrays.bus_busy
-        now = self.ssd.sim.now
-        online = [slot for slot in slots if not offline[slot[1]]]
-        return min(online or slots, key=lambda slot: max(0.0, bus_busy[slot[1]] - now))
+        bound = self._qd_bound_us
+        return [
+            i for i, ch in enumerate(self._slot_channel)
+            if not offline[ch] and bus_busy[ch] - now < bound
+        ]
+
+    def _fallback_heap(self, now: float) -> list:
+        """The least-busy rule, as a heap of ``(max(0, bus_busy - now),
+        slot index)``: its head is the slot with the least bus work queued,
+        ties to the lowest index.  An offline channel accepts no new
+        dispatch, so its slots are candidates only when no slot is online.
+        """
+        offline = self._arrays.offline
+        bus_busy = self._arrays.bus_busy
+        slot_channel = self._slot_channel
+        online = [i for i, ch in enumerate(slot_channel) if not offline[ch]]
+        heap = [
+            (max(0.0, bus_busy[slot_channel[i]] - now), i)
+            for i in online or range(len(slot_channel))
+        ]
+        heapify(heap)
+        return heap
 
     def _pick_frontier(self) -> Optional[int]:
         """Round-robin over writable (region, channel) pairs, for host
         writes (GC copy-back picks its own destinations, :meth:`_relocate`).
 
-        The slow-path picker: :meth:`write_span` inlines one turn of the
-        round-robin below and comes here, through
-        :meth:`_frontier_or_urgent_gc`, when that turn found no block.
+        The slow-path picker: :meth:`write_span` runs the same turn
+        inline and comes here, through :meth:`_frontier_or_urgent_gc`,
+        when its turn found no block.  A turn takes the next slot in
+        round-robin order from ``_write_rr`` that still has queue headroom
+        (:meth:`_eligible_slots`); loading a channel past its horizon would
+        let one tenant build unbounded backlog behind which collocated
+        readers stall.  With none, it takes the least busy slot
+        (:meth:`_fallback_heap`) so dispatches approved by the scheduler
+        still make progress.
         """
         # Each miss bumps the region version (the channel exhausted), so
         # the rebuild-and-retry loop strictly shrinks the slot list and
@@ -795,43 +965,22 @@ class VssdFtl:
         guard = 4 * self.config.num_channels + 8
         while guard > 0:
             guard -= 1
-            if self._slots_version != self._regions_version():
-                self._rebuild_slots()
-            slots = self._slots
+            slots = self._refresh_slots()
             if not slots:
                 return None
-            # Prefer the next round-robin channel that still has queue
-            # headroom; loading a channel past its horizon would let one
-            # tenant build unbounded backlog behind which collocated
-            # readers stall.  If every channel is at its horizon, take the
-            # least busy one (an offline one only if none is online) so
-            # dispatches approved by the scheduler still make progress.
             n = len(slots)
-            start = self._write_rr
-            choice = None
-            # Channel.has_capacity() against the flat channel arrays:
-            # max(0, busy - now) < bound reduces to busy - now < bound
-            # because bound > 0.
-            arrays = self._arrays
-            bus_busy = arrays.bus_busy
-            offline = arrays.offline
             now = self.ssd.sim.now
-            bound = self._qd_bound_us
-            idx = start % n
-            for k in range(n):
-                region, channel_id = slots[idx]
-                idx += 1
-                if idx == n:
-                    idx = 0
-                if not offline[channel_id] and bus_busy[channel_id] - now < bound:
-                    choice = (region, channel_id, k)
-                    break
-            if choice is None:
-                region, channel_id = self._least_busy_slot(slots)
-                self._write_rr = start + 1
+            start = self._write_rr
+            pos = start % n
+            eligible = self._eligible_slots(now)
+            if eligible:
+                j = bisect_left(eligible, pos)
+                i = eligible[j] if j < len(eligible) else eligible[0]
+                self._write_rr = start + (i - pos) % n + 1
             else:
-                region, channel_id, k = choice
-                self._write_rr = start + k + 1
+                i = self._fallback_heap(now)[0][1]
+                self._write_rr = start + 1
+            region, channel_id = slots[i]
             gid = region.frontier_block(channel_id, self.vssd_id)
             if gid is not None:
                 return gid
@@ -1022,8 +1171,10 @@ class VssdFtl:
         invalidate the old copy and charge the destination channel a
         background program — copy-back costs channel time like a host
         write, the interference the RL state's In_GC flag reports.
-        ``BlockStore.program`` / ``invalidate`` and ``Channel.service_write``
-        are inlined against the columns as in :meth:`write_span`.
+        ``WriteRegion.frontier_block``'s steady state, ``BlockStore.program``
+        / ``invalidate`` and ``Channel.service_write`` are inlined against
+        the columns as in :meth:`write_span`, and the GC counters are added
+        once per victim.
 
         Each page goes to the own channel that can still write with the
         least bus work queued, ``max(0, bus_busy - now)``, ties to the
@@ -1031,27 +1182,34 @@ class VssdFtl:
         so a batch spreads over the channels.  A ``target_region`` pins
         pages to its first writable channel in id order instead.  Either
         way an offline channel comes after every online one: it takes
-        copy-backs only once no online channel can.  Nothing
-        here moves the clock or adds blocks to a region, so one heap of
-        ``(horizon, channel)`` per victim holds the candidates, and a
-        channel whose frontier comes back empty leaves it.
+        copy-backs only once no online channel can.  Nothing here moves
+        the clock or adds blocks to a region, so one heap of ``(offline,
+        horizon, channel)`` per victim holds the candidates, and a channel
+        whose frontier comes back empty leaves it.
         """
         store = self._store
+        state_col = store.state
         wp_col = store.write_ptr
         vc_col = store.valid_count
-        lpns2d = store.page_lpns
+        lpns2d = self._page_lpns
         arrays = self._arrays
         bus_busy = arrays.bus_busy
         chip_busy = arrays.chip_busy
+        eff_gc_xfer = arrays.eff_gc_xfer_us
+        eff_write = arrays.eff_write_us
+        extra_lat = arrays.extra_latency_us
+        offline = arrays.offline
         l2p_gid = self._l2p_gid
         l2p_page = self._l2p_page
         ppb = store.pages_per_block
         bpchip = store.blocks_per_chip
         full_state, open_state = BlockState.FULL, BlockState.OPEN
         now = self.ssd.sim.now
+        vssd = self.vssd_id
         own = target_region is None
         dest = self.own_region if target_region is None else target_region
-        offline = arrays.offline
+        open_queues = dest._open
+        max_open = dest.max_open_per_channel
         heap = [
             (
                 offline[channel_id],
@@ -1061,49 +1219,64 @@ class VssdFtl:
             for channel_id in dest.writable_channels()
         ]
         heapify(heap)
-        for _page, lpn in valid:
-            while heap:
-                channel_id = heap[0][2]
-                gid = dest.frontier_block(channel_id, self.vssd_id)
-                if gid is not None:
-                    break
-                heappop(heap)
-            else:
-                raise OutOfSpaceError(f"vSSD {self.vssd_id}: no programmable block available")
-            old_gid = l2p_gid[lpn]
-            old_page = l2p_page[lpn]
-            # -- BlockStore.program, inlined ---------------------------
-            page = wp_col[gid]
-            if page >= ppb:
-                raise RuntimeError(f"block {store.locate(gid)} is full")
-            lpns2d[gid, page] = lpn
-            vc_col[gid] += 1
-            wp_col[gid] = page + 1
-            store.state[gid] = full_state if page + 1 == ppb else open_state
-            l2p_gid[lpn] = gid
-            l2p_page[lpn] = page
-            if old_gid >= 0:
-                # -- BlockStore.invalidate, inlined --------------------
-                if lpns2d[old_gid, old_page] == -1:
-                    raise RuntimeError(
-                        f"double invalidate of page {old_page} in block "
-                        f"{store.locate(old_gid)}"
-                    )
-                lpns2d[old_gid, old_page] = -1
-                vc_col[old_gid] -= 1
-            else:
-                self._mapped += 1
-            # -- Channel.service_write(background=True), inlined -------
-            xfer = arrays.eff_gc_xfer_us[channel_id]
-            b = bus_busy[channel_id]
-            xfer_done = (now if now > b else b) + xfer
-            bus_busy[channel_id] = xfer_done
-            ci = gid // bpchip
-            write_us = arrays.eff_write_us[channel_id]
-            extra = arrays.extra_latency_us[channel_id]
-            ps = chip_busy[ci]
-            chip_busy[ci] = (xfer_done if xfer_done > ps else ps) + write_us + extra
-            self.stats.gc_reads += 1
-            self.stats.gc_writes += 1
-            if own:
-                heapreplace(heap, (heap[0][0], max(0.0, xfer_done - now), channel_id))
+        copied = 0
+        try:
+            for _page, lpn in valid:
+                while heap:
+                    channel_id = heap[0][2]
+                    # -- frontier_block steady state, inlined ----------
+                    queue = open_queues.get(channel_id)
+                    if (
+                        queue
+                        and len(queue) >= max_open
+                        and state_col[queue[0]] is not full_state
+                    ):
+                        gid = queue[0]
+                        queue.rotate(-1)
+                        break
+                    gid = dest.frontier_block(channel_id, vssd)
+                    if gid is not None:
+                        break
+                    heappop(heap)
+                else:
+                    raise OutOfSpaceError(f"vSSD {vssd}: no programmable block available")
+                old_gid = l2p_gid[lpn]
+                old_page = l2p_page[lpn]
+                # -- BlockStore.program, inlined -----------------------
+                page = wp_col[gid]
+                if page >= ppb:
+                    raise RuntimeError(f"block {store.locate(gid)} is full")
+                lpns2d[gid, page] = lpn
+                vc_col[gid] += 1
+                wp_col[gid] = page + 1
+                state_col[gid] = full_state if page + 1 == ppb else open_state
+                l2p_gid[lpn] = gid
+                l2p_page[lpn] = page
+                if old_gid >= 0:
+                    # -- BlockStore.invalidate, inlined ----------------
+                    if lpns2d[old_gid, old_page] == -1:
+                        raise RuntimeError(
+                            f"double invalidate of page {old_page} in block "
+                            f"{store.locate(old_gid)}"
+                        )
+                    lpns2d[old_gid, old_page] = -1
+                    vc_col[old_gid] -= 1
+                else:
+                    self._mapped += 1
+                # -- Channel.service_write(background=True), inlined ---
+                b = bus_busy[channel_id]
+                xfer_done = (now if now > b else b) + eff_gc_xfer[channel_id]
+                bus_busy[channel_id] = xfer_done
+                ci = gid // bpchip
+                ps = chip_busy[ci]
+                chip_busy[ci] = (
+                    (xfer_done if xfer_done > ps else ps)
+                    + eff_write[channel_id] + extra_lat[channel_id]
+                )
+                copied += 1
+                if own:
+                    heapreplace(heap, (heap[0][0], max(0.0, xfer_done - now), channel_id))
+        finally:
+            if copied:
+                self.stats.gc_reads += copied
+                self.stats.gc_writes += copied

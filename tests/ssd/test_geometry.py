@@ -4,6 +4,7 @@ A block is its gid, ``channel * blocks_per_channel + chip *
 blocks_per_chip + index``, into the device's columns.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -165,3 +166,59 @@ def test_valid_count_matches_live_pages(lpns):
         store.invalidate(0, page)
     live = int((store.page_lpns[0] != NO_LPN).sum())
     assert store.valid_count[0] == live == len(store.valid_lpns(0))
+
+
+def test_a_hoisted_page_matrix_view_sees_every_restore(store, monkeypatch, tmp_path):
+    """``VssdFtl`` reads the page matrix through ``page_lpns.data``, taken
+    once: a restore copies into the one buffer, so the view never
+    detaches — neither under ``BlockStore.restore`` nor on the fleet
+    arena's zero-copy path, which restores from read-only views."""
+    view = store.page_lpns.data
+    assert view.obj is store.page_lpns and view.shape == store.page_lpns.shape
+    store.program(GID, 100)
+    snap = store.snapshot()
+    store.program(GID, 101)
+    assert view[GID, 1] == 101
+    store.restore(snap)
+    assert (view[GID, 0], view[GID, 1]) == (100, NO_LPN)
+
+    from repro.fleet.arena import decode_snapshot_entries, encode_snapshot_entries
+    from repro.harness import snapshots
+    from repro.harness.experiment import Experiment
+    from repro.parallel.matrix import plans_for
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_SNAPSHOTS", raising=False)
+    config = SSDConfig(
+        num_channels=4, chips_per_channel=2, blocks_per_chip=16,
+        pages_per_block=32, min_superblock_blocks=4,
+    )
+
+    def probe():
+        return Experiment(plans_for(("ycsb", "terasort")), "hardware", ssd_config=config, seed=3)
+
+    snapshots.clear_memory_cache()
+    try:
+        warm = probe().build()
+        captured = snapshots.capture_experiment(warm)
+        entries, meta = encode_snapshot_entries(captured)
+        attached = {}
+        for name, array in entries.items():
+            attached[name] = array.copy()
+            attached[name].flags.writeable = False  # as mapped from a segment
+        decoded = decode_snapshot_entries(attached.__getitem__, meta, copy=False)
+        assert decoded["store"]["page_lpns"] is attached["page_lpns"]
+        snapshots.install(snapshots.warm_cache_key(warm, warm._plan_allocation()), decoded)
+        snapshots.reset_stats()
+        restored = probe().build()
+        assert snapshots.STATS["hits"] == 1
+    finally:
+        snapshots.clear_memory_cache()
+    matrix = restored.virt.ssd.store.page_lpns
+    assert np.array_equal(matrix, captured["store"]["page_lpns"])
+    for plan in restored.plans:
+        ftl = restored.virt.vssd_by_name(plan.name).ftl
+        assert ftl._page_lpns.obj is matrix
+        assert np.array_equal(np.asarray(ftl._page_lpns), matrix)
+    warm.close()
+    restored.close()

@@ -214,6 +214,108 @@ def test_an_offline_channel_takes_host_writes_only_when_none_is_online():
     assert [_channel_of(fast, lpn) for lpn in range(5)] == [1, 2, 1, 0, 0]
 
 
+# -- the span-scoped picker (``VssdFtl.write_span``'s docstring) -------------
+# The queue-depth bound is 16 transfers of 240 us: 3 840 us of bus work.
+
+def _landed(twin: SpanTwin, lpns) -> list:
+    return [_channel_of(twin, lpn) for lpn in lpns]
+
+
+def _backlog(twin: SpanTwin, *backlogs: float) -> None:
+    """Bus work queued on channels 0, 1, ... (us ahead of now)."""
+    for channel_id, backlog in enumerate(backlogs):
+        twin.ftl._arrays.bus_busy[channel_id] = twin.sim.now + backlog
+
+
+def test_a_span_whose_eligible_slots_run_out_takes_the_least_busy_for_the_rest():
+    """Each page pushes its channel 240 us out: channel 1 leaves the
+    round-robin after one page, 0 after two and 2 after four, and the last
+    three pages of the span take the least busy channel, 1, 2, then 0."""
+    def setup(twin: SpanTwin) -> None:
+        _backlog(twin, 3500.0, 3700.0, 3000.0)
+        twin.ftl._write_rr = 0
+
+    fast, _ref, _ = _check([("write", 0, 10, False)], setup=setup)
+    assert _landed(fast, range(10)) == [0, 1, 2, 0, 2, 2, 2, 1, 2, 0]
+    # Seven turns over 3 slots that skipped 5 ineligible ones, then 3 more.
+    assert fast.ftl._write_rr == 15
+
+
+def test_the_two_harvest_regions_on_channel_3_leave_the_round_robin_together():
+    """Slots 3 and 4, the bandwidth and capacity gSBs, share channel 3.  Its
+    first page crosses the bound, so the next turn may not take slot 4:
+    nothing is eligible, and the least busy channel, 4 (slot 5, the late
+    gSB), goes first, then channel 3 again on its lower slot."""
+    def setup(twin: SpanTwin) -> None:
+        _backlog(twin, 5000.0, 5100.0, 5200.0, 3700.0, 3900.0)
+        twin.ftl._write_rr = 3
+
+    fast, _ref, _ = _check([("write", 0, 3, False)], harvest=True, setup=setup)
+    assert _landed(fast, range(3)) == [3, 4, 3]
+    gsb_of = fast.ssd.store.gsb_of
+    assert [gsb_of[fast.ftl.page_location(lpn)[0]] for lpn in range(3)] == [0, 2, 0]
+
+
+def test_equal_clamped_horizons_go_to_the_lowest_slot():
+    """Past the bound at one horizon, or (every channel offline) idle since
+    different instants, which clamp to the same zero: either way the
+    least-busy pick is the lowest slot, wherever the round-robin stood."""
+    def past_the_bound(twin: SpanTwin) -> None:
+        _backlog(twin, 5000.0, 5000.0, 5000.0)
+        twin.ftl._write_rr = 2
+
+    def idle_and_offline(twin: SpanTwin) -> None:
+        twin.sim.now += 1000.0
+        _backlog(twin, -100.0, -500.0, -50.0)
+        for channel in twin.ssd.channels[:3]:
+            channel.set_fault(offline=True)
+        twin.ftl._write_rr = 2
+
+    for setup in (past_the_bound, idle_and_offline):
+        fast, _ref, _ = _check([("write", 0, 4, False)], setup=setup)
+        assert _landed(fast, range(4)) == [0, 1, 2, 0], setup.__name__
+        assert fast.ftl._write_rr == 6
+
+
+def test_a_collection_mid_span_rederives_the_picker():
+    """Channels 0 and 1 each hold 4 of 12 blocks FREE, the GC bound at a
+    third, and open blocks with one page left.  Page 4 of the span opens
+    two more on channel 0 and collects there; the copy-back goes to idle
+    channel 1 and opens two of its blocks.  Channel 1 was tested at the
+    bound on pages 1 and 3, so the span must test it afresh and collect it
+    on page 5; and channel 0's collection put it past the bound, so the
+    rest of the span goes to channel 1."""
+    def warm(twin: SpanTwin, channel_id: int, lpns: list) -> None:
+        offline = twin.ftl._arrays.offline
+        for other in range(5):
+            offline[other] = other != channel_id
+        twin.ftl.warm_fill(lpns)
+        for other in range(5):
+            offline[other] = False
+
+    def setup(twin: SpanTwin) -> None:
+        warm(twin, 0, list(range(62)))
+        # Overwriting LPNs 0-3 from channel 1 leaves channel 0's first
+        # block half valid: the victim, with pages to copy back.
+        warm(twin, 1, list(range(4)) + list(range(1000, 1058)))
+        twin.ssd.channels[2].set_fault(offline=True)
+        _backlog(twin, 2000.0)
+        twin.ftl._write_rr = 0
+        if not twin.per_page:
+            run_gc = twin.ftl.run_gc
+            twin.ftl.run_gc = lambda channel_id, urgent=False: (
+                collected.append(channel_id) or run_gc(channel_id, urgent)
+            )
+
+    collected: list = []
+    fast, _ref, _ = _check(
+        [("write", 2000, 8, False)], setup=setup, gc_free_block_threshold=1 / 3
+    )
+    assert collected[:2] == [0, 1]
+    assert fast.ftl.stats.gc_writes > 0
+    assert _landed(fast, range(2000, 2008)) == [0, 1, 0, 1, 0, 1, 1, 1]
+
+
 def test_unmapped_reads_rotate_own_channels_and_chips_and_ignore_front():
     def setup(twin: SpanTwin) -> None:
         twin.ftl._arrays.bus_busy[0] = twin.sim.now + 2400.0  # a backlog to jump
@@ -238,6 +340,9 @@ def test_a_span_that_runs_out_of_space_keeps_the_pages_it_placed():
         assert twin.ftl.stats.host_writes == 3
         assert twin.ftl.mapped_pages() == OWNED_PAGES
         assert len(twin.ftl._l2p_gid) == 5020
+    # The slow path's retries moved the round-robin on; the span hands it
+    # back as the oracle leaves it.
+    assert fast.ftl._write_rr == ref.ftl._write_rr > 3
 
 
 def test_an_ftl_without_channels_cannot_read():
@@ -297,6 +402,23 @@ def test_the_drawn_steps_reach_the_uncommon_paths():
     ref = SpanTwin(True, True)
     for twin in (fast, ref):
         setup(twin)
+    # Whether a span's first page was already placed when the least-busy
+    # heap was first built: eligible slots that ran out mid-span.
+    first_page: list = []
+    ran_out_mid_span = []
+    write_span, fallback_heap = fast.ftl.write_span, fast.ftl._fallback_heap
+
+    def tracking_span(lpn, num_pages, front=False):
+        first_page[:] = [lpn, fast.ftl.page_location(lpn)]
+        return write_span(lpn, num_pages, front=front)
+
+    def tracking_heap(now):
+        lpn, before = first_page
+        ran_out_mid_span.append(fast.ftl.page_location(lpn) != before)
+        return fallback_heap(now)
+
+    fast.ftl.write_span = tracking_span
+    fast.ftl._fallback_heap = tracking_heap
     stats = fast.ftl.stats
     urgent_runs = []
     urgent_gc = fast.ftl._urgent_gc
@@ -311,3 +433,4 @@ def test_the_drawn_steps_reach_the_uncommon_paths():
     assert dry  # a host write found an own channel dry
     assert urgent_runs  # ... and some of those went on to urgent GC
     assert cut_short  # out of space with part of the span already placed
+    assert any(ran_out_mid_span)  # round-robin pages, then least-busy ones
