@@ -10,6 +10,7 @@ and hotspot mixtures.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_right
 
 import numpy as np
 
@@ -61,10 +62,13 @@ class ZipfPattern(AddressPattern):
         self._probs = weights / weights.sum()
         # Precomputed inverse-CDF: Generator.choice rebuilds this cumsum
         # (1024 elements) and re-validates p on *every* draw; hoisting it
-        # and sampling via one uniform + searchsorted is bit-identical
-        # (same cdf, same single rng.random() stream consumption).
-        self._cdf = self._probs.cumsum()
-        self._cdf /= self._cdf[-1]
+        # and sampling via one uniform + ``searchsorted(u, side="right")``
+        # is bit-identical (same cdf, same single rng.random() stream
+        # consumption), and ``bisect_right`` over the same floats as a
+        # list is that search without the numpy call.
+        cdf = self._probs.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
         shuffle_rng = np.random.default_rng(seed)
         self._bucket_order = shuffle_rng.permutation(self.BUCKETS)
         self._bucket_pages = max(working_set_pages // self.BUCKETS, 1)
@@ -73,7 +77,7 @@ class ZipfPattern(AddressPattern):
 
     def sample(self, rng: np.random.Generator, num_pages: int) -> int:
         """Zipf-weighted bucket, uniform offset within it."""
-        base = self._bucket_base[self._cdf.searchsorted(rng.random(), side="right")]
+        base = self._bucket_base[bisect_right(self._cdf, rng.random())]
         lpn = base + int(rng.integers(0, self._bucket_pages))
         limit = self.working_set_pages - num_pages
         return min(lpn, limit) if limit > 0 else 0

@@ -9,6 +9,7 @@ clustering pipeline consumes (Section 3.4).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -30,10 +31,13 @@ class WorkloadModel:
         # Precomputed inverse-CDF for sample_size_pages: exactly the
         # cdf Generator.choice builds per call (cumsum then normalize),
         # hoisted out of the per-request path.  One uniform draw +
-        # searchsorted replicates choice's sampling bit-for-bit while
-        # skipping its per-call p validation and cumsum.
-        self._size_cdf = self._size_probs.cumsum()
-        self._size_cdf /= self._size_cdf[-1]
+        # ``searchsorted(u, side="right")`` replicates choice's sampling
+        # bit-for-bit while skipping its per-call p validation and cumsum;
+        # ``bisect_right`` over the same floats as a list is that search
+        # without the numpy call.
+        cdf = self._size_probs.cumsum()
+        cdf /= cdf[-1]
+        self._size_cdf = cdf.tolist()
         # Per-request constants bound once (the spec is frozen).
         self._read_ratio = spec.read_ratio
         self._base_iops = spec.base_iops
@@ -44,9 +48,7 @@ class WorkloadModel:
 
     def sample_size_pages(self) -> int:
         """Draw a request size from the spec's distribution."""
-        return self._size_pages[
-            self._size_cdf.searchsorted(self.rng.random(), side="right")
-        ]
+        return self._size_pages[bisect_right(self._size_cdf, self.rng.random())]
 
     def sample_lpn(self, num_pages: int) -> int:
         """Draw a starting address from the spec's pattern."""
@@ -63,7 +65,7 @@ class WorkloadModel:
         rng = self.rng
         random = rng.random
         op = "read" if random() < self._read_ratio else "write"
-        pages = self._size_pages[self._size_cdf.searchsorted(random(), side="right")]
+        pages = self._size_pages[bisect_right(self._size_cdf, random())]
         return op, self.pattern.sample(rng, pages), pages
 
     def interarrival_us(self, time_s: float) -> float:

@@ -17,6 +17,7 @@ an idle ``scale == 0`` phase, and a running arrival clock.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ def _ref_clamp(pattern, lpn: int, num_pages: int) -> int:
 def _ref_address(pattern, rng, num_pages: int, cursor: list) -> int:
     """``pattern.sample`` as it was; ``cursor`` is the sequential twin's."""
     if isinstance(pattern, ZipfPattern):
-        rank = pattern._cdf.searchsorted(rng.random(), side="right")
+        rank = np.searchsorted(pattern._cdf, rng.random(), side="right")
         bucket = int(pattern._bucket_order[rank])
         offset = int(rng.integers(0, pattern._bucket_pages))
         return _ref_clamp(pattern, bucket * pattern._bucket_pages + offset, num_pages)
@@ -186,6 +187,46 @@ def test_addresses_match_the_clamp_method_form(name, working_set):
         assert lpn == _ref_address(pattern, rng, pages, cursor)
         assert 0 <= lpn <= max(working_set - pages, 0)
     assert fast.rng.bit_generator.state == rng.bit_generator.state
+
+
+def _searchsorted_probes(cdf) -> list:
+    """Every CDF entry with the floats on either side, plus 0 and the
+    largest uniform draw below 1."""
+    probes = [0.0, float(np.nextafter(1.0, 0.0))]
+    for entry in cdf:
+        probes += [float(np.nextafter(entry, -np.inf)), float(entry),
+                   float(np.nextafter(entry, np.inf))]
+    return probes
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_bisect_over_the_cdf_lists_equals_searchsorted(name):
+    """The samplers search their CDFs with ``bisect_right`` over plain
+    lists; the rank must be the ``searchsorted(u, side="right")`` of the
+    cumsum-and-normalize array ``Generator.choice`` builds, at every
+    entry and at its neighbouring floats."""
+    spec = get_spec(name)
+    model = WorkloadModel(spec, np.random.default_rng(SEED), WORKING_SET)
+    size_cdf = np.asarray(spec.io_size_probs, dtype=np.float64).cumsum()
+    size_cdf /= size_cdf[-1]
+    searched = [(model._size_cdf, size_cdf)]
+    if isinstance(model.pattern, ZipfPattern):
+        zipf_cdf = model.pattern._probs.cumsum()
+        zipf_cdf /= zipf_cdf[-1]
+        searched.append((model.pattern._cdf, zipf_cdf))
+    for listed, reference in searched:
+        assert {type(entry) for entry in listed} == {float}
+        for u in _searchsorted_probes(reference):
+            assert bisect_right(listed, u) == int(reference.searchsorted(u, side="right")), u
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.99, 1.5, 3.0])
+def test_zipf_bisect_equals_searchsorted_at_every_entry(theta):
+    pattern = ZipfPattern(WORKING_SET, theta=theta)
+    reference = pattern._probs.cumsum()
+    reference /= reference[-1]
+    for u in _searchsorted_probes(reference):
+        assert bisect_right(pattern._cdf, u) == int(reference.searchsorted(u, side="right")), u
 
 
 @pytest.mark.parametrize("name", SPECS)
