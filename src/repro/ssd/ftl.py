@@ -1224,18 +1224,22 @@ class VssdFtl:
             for _page, lpn in valid:
                 while heap:
                     channel_id = heap[0][2]
-                    # -- frontier_block steady state, inlined ----------
+                    # -- frontier_block steady state, inlined (a head
+                    # block is FULL exactly when its write pointer is at
+                    # the end) ------------------------------------------
                     queue = open_queues.get(channel_id)
                     if (
                         queue
                         and len(queue) >= max_open
-                        and state_col[queue[0]] is not full_state
+                        and (page := wp_col[(gid := queue[0])]) < ppb
                     ):
-                        gid = queue[0]
                         queue.rotate(-1)
                         break
                     gid = dest.frontier_block(channel_id, vssd)
                     if gid is not None:
+                        page = wp_col[gid]
+                        if page >= ppb:
+                            raise RuntimeError(f"block {store.locate(gid)} is full")
                         break
                     heappop(heap)
                 else:
@@ -1243,9 +1247,6 @@ class VssdFtl:
                 old_gid = l2p_gid[lpn]
                 old_page = l2p_page[lpn]
                 # -- BlockStore.program, inlined -----------------------
-                page = wp_col[gid]
-                if page >= ppb:
-                    raise RuntimeError(f"block {store.locate(gid)} is full")
                 lpns2d[gid, page] = lpn
                 vc_col[gid] += 1
                 wp_col[gid] = page + 1
@@ -1275,7 +1276,8 @@ class VssdFtl:
                 )
                 copied += 1
                 if own:
-                    heapreplace(heap, (heap[0][0], max(0.0, xfer_done - now), channel_id))
+                    # xfer_done >= now: the new horizon needs no clamp.
+                    heapreplace(heap, (heap[0][0], xfer_done - now, channel_id))
         finally:
             if copied:
                 self.stats.gc_reads += copied
