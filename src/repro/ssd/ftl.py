@@ -28,8 +28,8 @@ with what the page loop reads per slot and per channel — the slot
 channels, the open-queue references, the own and harvest FREE queues and
 the GC trigger's per-channel bound — keyed on the regions version and
 ``gc_threshold`` (:meth:`VssdFtl._rebuild_slots`).  Within a span the
-round-robin keeps the still-eligible slots sorted and the least-busy
-fallback a lazy heap (:meth:`VssdFtl.write_span`); the page matrix is
+round-robin stops scanning once no slot is eligible, and the least-busy
+fallback is a lazy heap (:meth:`VssdFtl.write_span`); the page matrix is
 indexed through its memoryview, and :class:`repro.ssd.region.WriteRegion`
 is O(1) per page.
 """
@@ -37,7 +37,6 @@ is O(1) per page.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -148,7 +147,6 @@ class VssdFtl:
         self._slot_channel: list = []
         self._slot_open: list = []
         self._slot_max_open: list = []
-        self._channel_slots: list = []
         self._gc_bound: list = []
         self._gc_free_queue: list = []
         self._recycle_queues: list = []
@@ -339,14 +337,13 @@ class VssdFtl:
         clock is fixed within a span and bus horizons only grow, so a slot
         that stops being eligible (offline, or its channel holding
         ``max_queue_depth`` transfers of bus work) stays so.  The slot in
-        turn is tested directly; when it fails, the span's ascending list
-        of eligible slot indices, built by the first turn that needs it,
-        gives the next one by ``bisect``, and a channel the turn finds past
-        the bound leaves the list with all its slots.  Once the list is
-        empty every page takes the least busy slot from a lazily refreshed
-        heap of ``(clamped horizon, slot index)`` (:meth:`_fallback_heap`).
-        A GC or a slow-path pick may move any horizon, queue or slot, so
-        the page after one derives this state afresh.
+        turn is tested directly and, when it fails, the turn scans on to
+        the next eligible one.  A turn that finds none marks the span
+        exhausted: from then on every page takes the least busy slot from a
+        lazily refreshed heap of ``(clamped horizon, slot index)``
+        (:meth:`_fallback_heap`), with no scan.  A GC or a slow-path pick
+        may move any horizon, queue or slot, so the page after one derives
+        this state afresh.
 
         GC trigger, after every page unless a collection is already
         running: if this vSSD owns blocks on the page's channel and fewer
@@ -408,15 +405,12 @@ class VssdFtl:
                     slot_channel = self._slot_channel
                     slot_open = self._slot_open
                     slot_max_open = self._slot_max_open
-                    channel_slots = self._channel_slots
                     gc_bound = self._gc_bound
                     gc_free = self._gc_free_queue
                     recycle_queues = self._recycle_queues
-                    # The eligible slots, ascending, built by the first
-                    # turn that needs them.  An entry may outlive its
-                    # channel crossing the bound; the turn that meets one
-                    # drops that channel's slots.
-                    eligible = None
+                    # Set by the first turn that finds no slot eligible:
+                    # none can become so again within the epoch.
+                    exhausted = False
                     heap = None
                     # A channel whose GC trigger was tested and held stays
                     # quiet until a frontier refill takes one of its FREE
@@ -430,19 +424,18 @@ class VssdFtl:
                     if not offline[channel_id] and bus_busy[channel_id] - now < bound:
                         rr += 1
                     else:
-                        if eligible is None:
-                            eligible = self._eligible_slots(now)
-                        while eligible:
-                            j = bisect_left(eligible, pos)
-                            i = eligible[j] if j < len(eligible) else eligible[0]
-                            channel_id = slot_channel[i]
-                            if bus_busy[channel_id] - now < bound:
-                                break
-                            for k in channel_slots[channel_id]:
-                                eligible.remove(k)
-                        if eligible:
-                            rr += (i - pos) % n + 1
-                        else:
+                        if not exhausted:
+                            for k in range(1, n):
+                                i = pos + k
+                                if i >= n:
+                                    i -= n
+                                channel_id = slot_channel[i]
+                                if not offline[channel_id] and bus_busy[channel_id] - now < bound:
+                                    rr += k + 1
+                                    break
+                            else:
+                                exhausted = True
+                        if exhausted:
                             if heap is None:
                                 heap = self._fallback_heap(now)
                             while True:
@@ -868,8 +861,8 @@ class VssdFtl:
 
         Per slot (a writable ``(region, channel)``, own region first):
         its channel, its region's open queue for that channel and that
-        region's open-block count.  Per channel: the slots on it, the own
-        region's FREE queue, the GC trigger's bound and the live harvest
+        region's open-block count.  Per channel: the own region's FREE
+        queue, the GC trigger's bound and the live harvest
         regions' FREE queues, in ``harvest_regions`` order, for recycling.
         ``_gc_bound[ch]`` is the fewest FREE blocks that does not trigger
         GC, from the exact ``free / owned < gc_threshold`` test; 0 where
@@ -899,9 +892,6 @@ class VssdFtl:
         # At least 1, so a queue that long is never empty.
         self._slot_max_open = [max(region.max_open_per_channel, 1) for region, _ch in slots]
         channels = range(self.config.num_channels)
-        self._channel_slots = [[] for _ch in channels]
-        for i, ch in enumerate(self._slot_channel):
-            self._channel_slots[ch].append(i)
         owned = self._own_blocks_per_channel
         self._gc_bound = [_gc_free_bound(owned.get(ch, 0), threshold) for ch in channels]
         self._gc_free_queue = [own._free.get(ch, ()) for ch in channels]
@@ -974,8 +964,7 @@ class VssdFtl:
             pos = start % n
             eligible = self._eligible_slots(now)
             if eligible:
-                j = bisect_left(eligible, pos)
-                i = eligible[j] if j < len(eligible) else eligible[0]
+                i = next((j for j in eligible if j >= pos), eligible[0])
                 self._write_rr = start + (i - pos) % n + 1
             else:
                 i = self._fallback_heap(now)[0][1]

@@ -194,26 +194,6 @@ def test_gc_triggers_strictly_below_the_threshold():
     assert fast.ftl.stats.gc_runs == 1 and fast.ftl.stats.blocks_erased == 2
 
 
-def test_an_offline_channel_takes_host_writes_only_when_none_is_online():
-    """``Channel.set_fault``: offline accepts no new dispatch.  With every
-    online channel past the queue-depth bound the least-busy pick passes
-    over the idle offline channel; once no channel is online it is the
-    least busy of them all."""
-    def setup(twin: SpanTwin) -> None:
-        _churned(120)(twin)
-        twin.ssd.channels[0].set_fault(offline=True)
-        for channel_id in (1, 2):
-            twin.ftl._arrays.bus_busy[channel_id] = twin.sim.now + 20 * 240.0
-
-    steps = [
-        ("write", 0, 3, False), ("offline", 1, True), ("offline", 2, True),
-        ("write", 3, 2, False),
-    ]
-    fast, _ref, _ = _check(steps, setup=setup)
-    # 1 and 2 tie at 20 pages of backlog: 1, then 2, then 1 on the tie.
-    assert [_channel_of(fast, lpn) for lpn in range(5)] == [1, 2, 1, 0, 0]
-
-
 # -- the span-scoped picker (``VssdFtl.write_span``'s docstring) -------------
 # The queue-depth bound is 16 transfers of 240 us: 3 840 us of bus work.
 
@@ -225,6 +205,25 @@ def _backlog(twin: SpanTwin, *backlogs: float) -> None:
     """Bus work queued on channels 0, 1, ... (us ahead of now)."""
     for channel_id, backlog in enumerate(backlogs):
         twin.ftl._arrays.bus_busy[channel_id] = twin.sim.now + backlog
+
+
+def test_an_offline_channel_takes_host_writes_only_when_none_is_online():
+    """``Channel.set_fault``: offline accepts no new dispatch.  With every
+    online channel past the queue-depth bound the least-busy pick passes
+    over the idle offline channel; once no channel is online it is the
+    least busy of them all."""
+    def setup(twin: SpanTwin) -> None:
+        _churned(120)(twin)
+        twin.ssd.channels[0].set_fault(offline=True)
+        _backlog(twin, 0.0, 20 * 240.0, 20 * 240.0)
+
+    steps = [
+        ("write", 0, 3, False), ("offline", 1, True), ("offline", 2, True),
+        ("write", 3, 2, False),
+    ]
+    fast, _ref, _ = _check(steps, setup=setup)
+    # 1 and 2 tie at 20 pages of backlog: 1, then 2, then 1 on the tie.
+    assert _landed(fast, range(5)) == [1, 2, 1, 0, 0]
 
 
 def test_a_span_whose_eligible_slots_run_out_takes_the_least_busy_for_the_rest():
@@ -314,6 +313,36 @@ def test_a_collection_mid_span_rederives_the_picker():
     assert collected[:2] == [0, 1]
     assert fast.ftl.stats.gc_writes > 0
     assert _landed(fast, range(2000, 2008)) == [0, 1, 0, 1, 0, 1, 1, 1]
+
+
+def test_urgent_gc_mid_span_rederives_the_picker():
+    """Threshold 0, so only urgent GC collects.  Channels 0 and 1 sit past
+    the bound with two pages of room each; channel 2 is full and idle,
+    two of its blocks all-invalid.  The span runs 0 and 1 dry on their
+    least-busy turns, urgent GC frees channel 2, and the page after the
+    slow path must find channel 2 eligible again: no slot's ineligibility
+    outlives the epoch it was found in."""
+    def warm(twin: SpanTwin, channel_id: int, lpns: list) -> None:
+        offline = twin.ftl._arrays.offline
+        for other in range(5):
+            offline[other] = other != channel_id
+        twin.ftl.warm_fill(lpns)
+        for other in range(5):
+            offline[other] = False
+
+    def setup(twin: SpanTwin) -> None:
+        warm(twin, 2, list(range(96)))
+        # LPNs 0-15 filled two of channel 2's blocks; 300-315 two of 0's.
+        warm(twin, 0, list(range(16)) + list(range(300, 376)))
+        warm(twin, 1, list(range(300, 316)) + list(range(400, 476)))
+        _backlog(twin, 5000.0, 5100.0, 0.0)
+        twin.ftl._write_rr = 0
+
+    fast, _ref, _ = _check(
+        [("write", 500, 10, False)], setup=setup, gc_free_block_threshold=0.0
+    )
+    assert _landed(fast, range(500, 510)) == [0, 1, 0, 1, 0, 1, 0, 1, 2, 2]
+    assert fast.ftl.stats.blocks_erased == 4
 
 
 def test_unmapped_reads_rotate_own_channels_and_chips_and_ignore_front():
