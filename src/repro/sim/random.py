@@ -3,11 +3,22 @@
 Every stochastic component (each workload generator, the RL policy, GC
 victim tie-breaking, ...) draws from its own named stream so that changing
 one component's consumption pattern does not perturb the others.
+
+:class:`ExactDraws` is the per-draw path of the workload samplers: the
+same bits as ``Generator.random()`` and ``Generator.integers(0, n)``,
+read from the bit generator's own C entry points without numpy's
+per-call argument handling.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+
+#: ``below(n)`` is exact for ``1 <= n <= BELOW_LIMIT``: numpy's 32-bit
+#: bounded path.  A larger ``n`` would take numpy's 64-bit path.
+BELOW_LIMIT = 1 << 32
 
 
 class RandomStreams:
@@ -55,6 +66,62 @@ class RandomStreams:
             name: dict(gen.bit_generator.state)
             for name, gen in self._streams.items()
         }
+
+
+class ExactDraws:
+    """``Generator.random()`` and ``Generator.integers(0, n)``, bit for bit,
+    from the bit generator's C entry points.
+
+    ``uniform()`` is ``next_double``, a :func:`functools.partial` over the
+    generator's ctypes state, so a draw costs one foreign call.
+    ``below(n)`` is numpy's 32-bit Lemire draw for ``integers(0, n)`` over
+    ``next_uint32`` words bound the same way, rejection loop included: 0
+    without drawing for ``n == 1``, and exact for ``1 < n <= 2**32``.  Draws
+    through this object and through the generator itself interleave
+    freely: both advance the one ``bit_generator`` state, its buffered
+    ``has_uint32``/``uinteger`` half-word included, so the state after any
+    mix equals the state after the same calls made on the generator.
+
+    The ctypes state is a raw address into the bit generator, and the
+    bound callables do not keep it alive: this object holds the generator
+    (``generator``) for as long as it exists, so keep it, not a callable
+    taken off it.  A caller that may see an ``n`` above ``2**32`` must
+    refuse it before drawing (the address patterns refuse working sets of
+    ``2**32`` pages or more); ``below`` raises for it, but only after it
+    has drawn.
+
+    >>> draws = ExactDraws(np.random.default_rng(3))
+    >>> twin = np.random.default_rng(3)
+    >>> draws.uniform() == twin.random(), draws.below(10) == int(twin.integers(0, 10))
+    (True, True)
+    """
+
+    __slots__ = ("generator", "uniform", "below")
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        self.generator = generator
+        entry = generator.bit_generator.ctypes
+        self.uniform = partial(entry.next_double, entry.state)
+        uint32 = partial(entry.next_uint32, entry.state)
+
+        def below(n: int) -> int:
+            """``int(Generator.integers(0, n))`` for ``1 <= n <= 2**32``."""
+            if n <= 1:
+                if n == 1:
+                    return 0
+                raise ValueError(f"below() needs n >= 1, got {n}")
+            m = uint32() * n
+            if m & 0xFFFFFFFF < n:
+                # Only here can a draw be biased (or n be out of range:
+                # for n > 2**32 the low word is always below n).
+                if n > BELOW_LIMIT:
+                    raise ValueError(f"below() is exact only up to 2**32, got {n}")
+                threshold = (BELOW_LIMIT - n) % n
+                while m & 0xFFFFFFFF < threshold:
+                    m = uint32() * n
+            return m >> 32
+
+        self.below = below
 
 
 def _stable_hash(text: str) -> int:

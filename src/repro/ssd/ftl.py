@@ -153,10 +153,9 @@ class VssdFtl:
         self._live_regions: Optional[list] = None
         self._slots_version = -1
         self._gc_threshold_key: Optional[float] = None
-        # Cached channel_count(), keyed by the same regions version the
-        # striping cache uses (the dispatcher calls it per admission check).
+        # channel_count(), kept current by _invalidate_slots (the
+        # dispatcher reads it per admission check).
         self._chan_count = 1
-        self._chan_count_version = -1
         # Queue-depth busy-horizon bound, hoisted off the per-page frontier
         # scan (the SSD config is fixed for the device's lifetime).
         self._qd_bound_us = self.config.max_queue_depth * self.config.bus_transfer_us
@@ -206,6 +205,14 @@ class VssdFtl:
         self.harvest_regions.remove(region)
         self._invalidate_slots()
 
+    def start_reclaim(self, region: WriteRegion) -> None:
+        """Flip an attached harvest region to reclaiming (lazy gSB
+        reclaim): it takes no more host writes, stops counting toward
+        :meth:`channel_count`, and queues its erased blocks for
+        ``take_released``."""
+        region.reclaiming = True
+        self._invalidate_slots()
+
     # ------------------------------------------------------------------
     # Capacity / state inspection
     # ------------------------------------------------------------------
@@ -222,15 +229,13 @@ class VssdFtl:
         return self.own_region.free_pages()
 
     def channel_count(self) -> int:
-        """Channels this vSSD currently touches (own + live harvested)."""
-        version = self._regions_version()
-        if version != self._chan_count_version:
-            count = len(self.own_region._channels)
-            for region in self.harvest_regions:
-                if not region.reclaiming:
-                    count += len(region._channels)
-            self._chan_count = max(count, 1)
-            self._chan_count_version = version
+        """Channels this vSSD currently touches (own + live harvested),
+        at least 1.
+
+        A region's channel set only grows through ``adopt_blocks`` or
+        before it is attached, so the count can change only where
+        :meth:`_invalidate_slots` runs, which recounts it.
+        """
         return self._chan_count
 
     def free_fraction(self, channel_id: Optional[int] = None) -> float:
@@ -312,7 +317,6 @@ class VssdFtl:
         self._in_gc = False
         self._invalidate_slots()
         self._unmapped_version = -1
-        self._chan_count_version = -1
 
     # ------------------------------------------------------------------
     # Host I/O: the fused spans are the only way a host page reaches flash
@@ -835,9 +839,10 @@ class VssdFtl:
         return gid
 
     def _regions_version(self) -> int:
+        # A reclaim flip needs no term here: start_reclaim invalidates.
         version = self.own_region.version
         for region in self.harvest_regions:
-            version += region.version + (1000003 if region.reclaiming else 0)
+            version += region.version
         return version
 
     def _refresh_slots(self) -> list:
@@ -852,9 +857,15 @@ class VssdFtl:
 
     def _invalidate_slots(self) -> None:
         """Make the next :meth:`_refresh_slots` rebuild every cache: the
-        regions, their queue objects or the owned block counts changed."""
+        regions, their queue objects, the owned block counts or a region's
+        reclaim flag changed.  Recounts :meth:`channel_count` now."""
         self._slots_version = -1
         self._live_regions = None
+        count = len(self.own_region._channels)
+        for region in self.harvest_regions:
+            if not region.reclaiming:
+                count += len(region._channels)
+        self._chan_count = max(count, 1)
 
     def _rebuild_slots(self) -> None:
         """Rebuild the striping order and the caches the write path reads.

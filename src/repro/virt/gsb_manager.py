@@ -212,7 +212,7 @@ class GsbManager:
     def _start_lazy_reclaim(self, gsb: GhostSuperblock) -> None:
         gsb.reclaiming = True
         region = gsb.region
-        region.reclaiming = True
+        self._vssd_of(gsb.harvest_vssd).ftl.start_reclaim(region)
         self._reclaiming.append(gsb)
         # FREE blocks (including opened-but-unwritten frontiers) can go
         # home immediately.

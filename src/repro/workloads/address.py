@@ -5,6 +5,14 @@ entropy of the logical-page-address distribution.  These patterns span
 that axis: uniform (maximum entropy), Zipf (tunable skew; YCSB-B's low
 entropy comes from a steep Zipf), sequential runs (scan-like batch jobs),
 and hotspot mixtures.
+
+Every pattern draws through :class:`~repro.sim.random.ExactDraws`:
+``draws.uniform()`` is ``Generator.random()`` and ``draws.below(n)`` is
+``Generator.integers(0, n)``, bit for bit, and both advance the one
+generator's state exactly as those calls would.  ``below`` is exact for
+``n <= 2**32``, and every bounded draw here is below the working set, so
+a working set of ``2**32`` pages or more is refused when the pattern is
+built.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ from bisect import bisect_right
 
 import numpy as np
 
+from repro.sim.random import BELOW_LIMIT, ExactDraws
+
 
 class AddressPattern(abc.ABC):
     """Samples starting LPNs for requests within a working set."""
@@ -21,10 +31,14 @@ class AddressPattern(abc.ABC):
     def __init__(self, working_set_pages: int) -> None:
         if working_set_pages <= 0:
             raise ValueError("working_set_pages must be positive")
+        if working_set_pages >= BELOW_LIMIT:
+            raise ValueError(
+                f"working_set_pages must be below 2**32, got {working_set_pages}"
+            )
         self.working_set_pages = working_set_pages
 
     @abc.abstractmethod
-    def sample(self, rng: np.random.Generator, num_pages: int) -> int:
+    def sample(self, draws: ExactDraws, num_pages: int) -> int:
         """Return a starting LPN such that the request stays in bounds.
 
         In bounds means ``min(lpn, max(working_set_pages - num_pages, 0))``;
@@ -36,10 +50,9 @@ class AddressPattern(abc.ABC):
 class UniformPattern(AddressPattern):
     """Uniform random addresses — maximum LPA entropy."""
 
-    def sample(self, rng: np.random.Generator, num_pages: int) -> int:
+    def sample(self, draws: ExactDraws, num_pages: int) -> int:
         """Uniform LPN over the working set."""
-        upper = max(self.working_set_pages - num_pages, 1)
-        return int(rng.integers(0, upper))
+        return draws.below(max(self.working_set_pages - num_pages, 1))
 
 
 class ZipfPattern(AddressPattern):
@@ -63,7 +76,7 @@ class ZipfPattern(AddressPattern):
         # Precomputed inverse-CDF: Generator.choice rebuilds this cumsum
         # (1024 elements) and re-validates p on *every* draw; hoisting it
         # and sampling via one uniform + ``searchsorted(u, side="right")``
-        # is bit-identical (same cdf, same single rng.random() stream
+        # is bit-identical (same cdf, same single random() stream
         # consumption), and ``bisect_right`` over the same floats as a
         # list is that search without the numpy call.
         cdf = self._probs.cumsum()
@@ -75,10 +88,10 @@ class ZipfPattern(AddressPattern):
         #: First page of each rank's bucket, as Python ints.
         self._bucket_base = (self._bucket_order * self._bucket_pages).tolist()
 
-    def sample(self, rng: np.random.Generator, num_pages: int) -> int:
+    def sample(self, draws: ExactDraws, num_pages: int) -> int:
         """Zipf-weighted bucket, uniform offset within it."""
-        base = self._bucket_base[bisect_right(self._cdf, rng.random())]
-        lpn = base + int(rng.integers(0, self._bucket_pages))
+        base = self._bucket_base[bisect_right(self._cdf, draws.uniform())]
+        lpn = base + draws.below(self._bucket_pages)
         limit = self.working_set_pages - num_pages
         return min(lpn, limit) if limit > 0 else 0
 
@@ -97,10 +110,10 @@ class SequentialPattern(AddressPattern):
         self.reseek_prob = reseek_prob
         self._cursor = 0
 
-    def sample(self, rng: np.random.Generator, num_pages: int) -> int:
+    def sample(self, draws: ExactDraws, num_pages: int) -> int:
         """Advance the cursor; reseek with the configured probability."""
-        if self._cursor + num_pages > self.working_set_pages or rng.random() < self.reseek_prob:
-            self._cursor = int(rng.integers(0, max(self.working_set_pages - num_pages, 1)))
+        if self._cursor + num_pages > self.working_set_pages or draws.uniform() < self.reseek_prob:
+            self._cursor = draws.below(max(self.working_set_pages - num_pages, 1))
         lpn = self._cursor
         self._cursor += num_pages
         limit = self.working_set_pages - num_pages
@@ -125,12 +138,13 @@ class HotspotPattern(AddressPattern):
         self.hot_probability = hot_probability
         self._hot_pages = max(int(working_set_pages * hot_fraction), 1)
 
-    def sample(self, rng: np.random.Generator, num_pages: int) -> int:
+    def sample(self, draws: ExactDraws, num_pages: int) -> int:
         """Hot region with the configured probability, else the cold rest."""
         hot_pages = self._hot_pages
         limit = self.working_set_pages - num_pages
-        if rng.random() < self.hot_probability:
-            lpn = int(rng.integers(0, max(hot_pages - num_pages, 1)))
+        if draws.uniform() < self.hot_probability:
+            lpn = draws.below(max(hot_pages - num_pages, 1))
         else:
-            lpn = int(rng.integers(hot_pages, max(limit, hot_pages + 1)))
+            # integers(hot_pages, high) is hot_pages + integers(0, high - hot_pages).
+            lpn = hot_pages + draws.below(max(limit - hot_pages, 1))
         return min(lpn, limit) if limit > 0 else 0

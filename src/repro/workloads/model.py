@@ -5,6 +5,13 @@ into concrete samples (op, size, address).  It is shared by the
 discrete-event drivers (:mod:`repro.workloads.drivers`) and by
 :func:`synthesize_trace`, which produces the block-level traces the
 clustering pipeline consumes (Section 3.4).
+
+Every per-request draw goes through one :class:`~repro.sim.random.ExactDraws`
+bound to the model's generator: the same bits, in the same order, ending
+in the same ``bit_generator.state``, as ``Generator.random()`` and
+``Generator.integers(0, n)`` would give, at about half the cost of a numpy
+call.  The interarrival draw stays ``Generator.exponential`` (numpy does
+not expose its ziggurat tables) on the same generator.
 """
 
 from __future__ import annotations
@@ -15,15 +22,25 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.sim.random import ExactDraws
 from repro.workloads.spec import WorkloadSpec
 
 
 class WorkloadModel:
-    """Samples I/O characteristics for one workload instance."""
+    """Samples I/O characteristics for one workload instance.
+
+    ``rng`` is the model's one generator; ``draws`` reads it through its
+    C entry points and holds it alive, so the bound callables stay valid
+    for the model's lifetime even when the caller drops the generator.
+    The pattern refuses a working set of ``2**32`` pages or more, past
+    which a bounded draw would leave numpy's 32-bit path.
+    """
 
     def __init__(self, spec: WorkloadSpec, rng: np.random.Generator, working_set_pages: int) -> None:
         self.spec = spec
         self.rng = rng
+        self.draws = ExactDraws(rng)
+        self._uniform = self.draws.uniform
         self.working_set_pages = working_set_pages
         self.pattern = spec.pattern_factory(working_set_pages)
         self._size_pages = tuple(int(size) for size in spec.io_sizes_pages)
@@ -44,15 +61,15 @@ class WorkloadModel:
 
     def sample_op(self) -> str:
         """Draw 'read' or 'write' per the spec's read ratio."""
-        return "read" if self.rng.random() < self._read_ratio else "write"
+        return "read" if self._uniform() < self._read_ratio else "write"
 
     def sample_size_pages(self) -> int:
         """Draw a request size from the spec's distribution."""
-        return self._size_pages[bisect_right(self._size_cdf, self.rng.random())]
+        return self._size_pages[bisect_right(self._size_cdf, self._uniform())]
 
     def sample_lpn(self, num_pages: int) -> int:
         """Draw a starting address from the spec's pattern."""
-        return self.pattern.sample(self.rng, num_pages)
+        return self.pattern.sample(self.draws, num_pages)
 
     def sample_request(self) -> tuple:
         """Return (op, lpn, num_pages).
@@ -62,11 +79,10 @@ class WorkloadModel:
         on the one generator (``tests/workloads/test_draw_order.py``
         holds this to the composed public samplers bit for bit).
         """
-        rng = self.rng
-        random = rng.random
-        op = "read" if random() < self._read_ratio else "write"
-        pages = self._size_pages[bisect_right(self._size_cdf, random())]
-        return op, self.pattern.sample(rng, pages), pages
+        uniform = self._uniform
+        op = "read" if uniform() < self._read_ratio else "write"
+        pages = self._size_pages[bisect_right(self._size_cdf, uniform())]
+        return op, self.pattern.sample(self.draws, pages), pages
 
     def interarrival_us(self, time_s: float) -> float:
         """Exponential interarrival at the phase-scaled rate.

@@ -131,7 +131,7 @@ class ZnsHarvestAdapter:
             raise ZnsError("reclaiming an in-use zone requires the harvester")
         gsb.reclaiming = True
         region = gsb.region
-        region.reclaiming = True
+        harvester.ftl.start_reclaim(region)
         for gid in region.drain_free_blocks():
             self._block_home(gsb, gid)
         state = self.store.state

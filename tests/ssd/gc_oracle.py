@@ -6,8 +6,11 @@ victim's valid pages against the block/channel columns in one fused pass
 sort of the writable own channels by ``busy_horizon_us``, or the pinned
 region's writable channels in id order), ``BlockStore.program`` /
 ``invalidate`` one call per page and ``Channel.service_write`` through
-the channel object.  ``test_gc_differential.py`` puts it under one
-of two twin FTLs with :func:`use_per_page_gc` and requires identical state.
+the channel object.  Victim choice is the Figure 9 rule as a plain
+tuple-key ``min`` (:func:`select_own_victim`), not the production
+column scan with its packed key.  ``test_gc_differential.py`` puts both
+under one of two twin FTLs with :func:`use_per_page_gc` and requires
+identical state.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
+from repro.ssd.blockstate import BlockState
 from repro.ssd.ftl import OutOfSpaceError, VssdFtl
 from repro.ssd.region import WriteRegion
 
@@ -114,7 +118,35 @@ def collect_block_per_page(
     return 1
 
 
+def select_own_victim(ftl: VssdFtl, channel_id: int) -> Optional[int]:
+    """Figure 9's own-pool victim on ``channel_id``, or None.
+
+    Candidates are the channel's FULL blocks owned by this vSSD, outside
+    the own frontier, written by nobody or by this vSSD; a fully valid
+    block outside every gSB frees nothing and is never one.  Harvested
+    (HBT = 1, ``gsb_of >= 0``) blocks go first, then the fewest valid
+    pages; ties go to the first gid.
+    """
+    store = ftl._store
+    ppb = store.pages_per_block
+    bpc = store.blocks_per_channel
+    frontier = ftl.own_region._open.get(channel_id, ())
+    candidates = [
+        gid for gid in range(channel_id * bpc, (channel_id + 1) * bpc)
+        if store.state[gid] is BlockState.FULL
+        and store.owner[gid] == ftl.vssd_id
+        and gid not in frontier
+        and store.writer[gid] in (None, ftl.vssd_id)
+        and not (store.gsb_of[gid] < 0 and store.valid_count[gid] == ppb)
+    ]
+    if not candidates:
+        return None
+    return min(candidates, key=lambda gid: (store.gsb_of[gid] < 0, store.valid_count[gid]))
+
+
 def use_per_page_gc(ftl: VssdFtl) -> None:
     """Route every collection of ``ftl`` — ``run_gc``, ``recycle_region``,
-    ``collect_blocks``, urgent GC — through the per-page loop above."""
+    ``collect_blocks``, urgent GC — through the per-page loop above, and
+    every own-pool victim choice through :func:`select_own_victim`."""
     ftl._collect_block = partial(collect_block_per_page, ftl)  # type: ignore[method-assign]
+    ftl._select_own_victim = partial(select_own_victim, ftl)  # type: ignore[method-assign]

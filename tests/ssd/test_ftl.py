@@ -155,7 +155,8 @@ def test_channel_count_includes_harvest_regions(ftl, ssd):
     region.add_blocks(blocks[:4])
     ftl.add_harvest_region(region)
     assert ftl.channel_count() == 3
-    region.reclaiming = True
+    ftl.start_reclaim(region)
+    assert region.reclaiming
     assert ftl.channel_count() == 2
 
 

@@ -104,7 +104,7 @@ class Twin:
         if kind == "recycle":
             return ftl.recycle_region(region, store.locate(blocks[0])[0])
         if kind == "reclaim":
-            region.reclaiming = True
+            ftl.start_reclaim(region)
         # What GsbManager.pump_reclaims collects: OPEN blocks included.
         pending = [
             gid for gid in blocks
@@ -248,6 +248,33 @@ def _own_full_block(twin: Twin, channel_id: int, invalidate: int) -> int:
 
 def _channel_of(twin: Twin, lpn: int) -> int:
     return twin.ssd.store.locate(twin.ftl.page_location(lpn)[0])[0]
+
+
+def test_victims_are_harvested_first_then_fewest_valid_ties_to_the_first_gid():
+    """Figure 9's victim rule, production column scan and oracle ``min``
+    alike: a fully valid block marked harvested goes before a regular one
+    with two invalid pages; equal keys go to the first gid; a fully valid
+    regular block is never a victim."""
+    fast, ref, _ = _check([], setup=lambda twin: twin.ftl.warm_fill(range(120)))
+    for twin in (fast, ref):
+        store = twin.ssd.store
+        frontier = twin.ftl.own_region._open[0]
+        full = [
+            gid for gid in twin.ssd.channel_gids(0)
+            if store.state[gid] is BlockState.FULL and gid not in frontier
+        ]
+        assert len(full) >= 3
+        assert twin.ftl._select_own_victim(0) is None  # all fully valid
+        first, second, harvested = full[0], full[1], full[-1]
+        for victim in (second, first):  # same valid count, later gid first
+            twin.ftl.warm_fill([lpn for _page, lpn in store.valid_lpns(victim)[:2]])
+        store.gsb_of[harvested] = 7
+        assert twin.ftl._select_own_victim(0) == harvested
+        assert twin.ftl.run_gc(0) == 1
+        assert twin.ftl._select_own_victim(0) == first
+        assert twin.ftl.run_gc(0) == 1
+        assert twin.ftl._select_own_victim(0) == second
+    assert fast.state() == ref.state()
 
 
 def test_copy_back_takes_the_least_busy_own_channel_ties_to_the_lowest_id():

@@ -46,7 +46,7 @@ def warm_fill_per_page(ftl: VssdFtl, lpns: Iterable[int]) -> int:
             l2p_page.extend([0] * grow)
         rv = own_region.version
         for hregion in harvest_regions:
-            rv += hregion.version + (1000003 if hregion.reclaiming else 0)
+            rv += hregion.version
         if ftl._slots_version != rv:
             ftl._rebuild_slots()
         slots = ftl._slots

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.nets import PolicyValueNet
 from repro.rl.policy import CategoricalPolicy
-from repro.sim import Simulator
+from repro.sim import ExactDraws, Simulator
 from repro.workloads.address import ZipfPattern
 from repro.workloads.catalog import get_spec
 from repro.workloads.model import WorkloadModel
@@ -191,8 +191,9 @@ def test_zipf_sample_matches_generator_choice():
     pattern = ZipfPattern(working_set_pages=1 << 16)
     rng_fast = np.random.default_rng(123)
     rng_ref = np.random.default_rng(123)
+    draws = ExactDraws(rng_fast)
     for _ in range(2000):
-        lpn = pattern.sample(rng_fast, 1)
+        lpn = pattern.sample(draws, 1)
         bucket = int(pattern._bucket_order[rng_ref.choice(pattern.BUCKETS, p=pattern._probs)])
         offset = int(rng_ref.integers(0, pattern._bucket_pages))
         assert lpn == min(bucket * pattern._bucket_pages + offset, (1 << 16) - 1)

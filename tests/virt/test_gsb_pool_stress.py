@@ -147,34 +147,43 @@ def _assert_one_owner(virt: StorageVirtualizer) -> None:
 
 _TENANT = st.integers(0, len(TENANT_CHANNELS) - 1)
 
-
-@settings(deadline=None)
-@given(
-    ops=st.lists(
-        st.one_of(
-            st.tuples(st.just("offer"), _TENANT, st.integers(0, 2)),
-            st.tuples(st.just("harvest"), _TENANT, st.integers(1, 2)),
-            st.tuples(st.just("write"), _TENANT, st.integers(0, WORKING_SET - 1),
-                      st.integers(1, 32)),
-            st.tuples(st.just("reclaim_excess"), _TENANT, st.integers(0, 1)),
-            st.tuples(st.just("release"), _TENANT),
-            st.tuples(st.just("degrade"), st.integers(0, 3), st.booleans()),
-            st.tuples(st.just("pump")),
-            st.tuples(st.just("deallocate"), _TENANT),
-        ),
-        min_size=1,
-        max_size=40,
-    )
+#: Any interleaving of offers, harvests, harvester writes, reclaims,
+#: watchdog releases, fault-driven reclaims, pumps and deallocations.
+_RULES = st.lists(
+    st.one_of(
+        st.tuples(st.just("offer"), _TENANT, st.integers(0, 2)),
+        st.tuples(st.just("harvest"), _TENANT, st.integers(1, 2)),
+        st.tuples(st.just("write"), _TENANT, st.integers(0, WORKING_SET - 1),
+                  st.integers(1, 32)),
+        st.tuples(st.just("reclaim_excess"), _TENANT, st.integers(0, 1)),
+        st.tuples(st.just("release"), _TENANT),
+        st.tuples(st.just("degrade"), st.integers(0, 3), st.booleans()),
+        st.tuples(st.just("pump")),
+        st.tuples(st.just("deallocate"), _TENANT),
+    ),
+    min_size=1,
+    max_size=40,
 )
-def test_gsb_ownership_is_one_column(ops):
-    """After any interleaving of offers, harvests, harvester writes,
-    reclaims, watchdog releases, fault-driven reclaims, pumps and
-    deallocations, the gSBs, the regions and ``gsb_of`` agree."""
+
+
+def _run_rules(ops, check, on_collect=None) -> None:
+    """Apply ``ops`` to a fresh three-tenant virtualizer, calling
+    ``check(virt)`` after every rule and, given ``on_collect``, also
+    ``on_collect(virt)`` as every ``collect_blocks`` call starts."""
     virt = StorageVirtualizer(config=OWNERSHIP_CONFIG)
     tenants = [
         virt.create_vssd(f"t{index}", channels)
         for index, channels in enumerate(TENANT_CHANNELS)
     ]
+    if on_collect is not None:
+        for vssd in tenants:
+            collect = vssd.ftl.collect_blocks
+
+            def checked(gids, region, collect=collect):
+                on_collect(virt)
+                return collect(gids, region)
+
+            vssd.ftl.collect_blocks = checked
     manager = virt.gsb_manager
     per = OWNERSHIP_CONFIG.channel_write_bandwidth_mbps
     # Start with one gSB of tenant 0's lent to tenant 2 and written to,
@@ -206,4 +215,36 @@ def test_gsb_ownership_is_one_column(ops):
                     virt.deallocate_vssd(vssd.vssd_id)
             except OutOfSpaceError:
                 pass  # a collection may die part-way; ownership must still add up
-        _assert_one_owner(virt)
+        check(virt)
+
+
+@settings(deadline=None)
+@given(ops=_RULES)
+def test_gsb_ownership_is_one_column(ops):
+    """After any interleaving of offers, harvests, harvester writes,
+    reclaims, watchdog releases, fault-driven reclaims, pumps and
+    deallocations, the gSBs, the regions and ``gsb_of`` agree."""
+    _run_rules(ops, _assert_one_owner)
+
+
+def recounted_channels(ftl) -> int:
+    """``channel_count`` recounted from the regions: own plus live-harvest
+    channels, at least 1."""
+    count = len(ftl.own_region._channels) + sum(
+        len(region._channels) for region in ftl.harvest_regions if not region.reclaiming
+    )
+    return max(count, 1)
+
+
+def _assert_channel_counts(virt: StorageVirtualizer) -> None:
+    for vssd in virt.vssds.values():
+        assert vssd.ftl.channel_count() == recounted_channels(vssd.ftl), vssd.name
+
+
+@settings(deadline=None)
+@given(ops=_RULES)
+def test_channel_count_is_a_fresh_recount_after_every_rule(ops):
+    """The count the dispatcher's admission gate reads is kept, not
+    recomputed; after every rule it equals a recount, and so it does
+    as a lazy reclaim starts collecting (its region just flipped)."""
+    _run_rules(ops, _assert_channel_counts, on_collect=_assert_channel_counts)

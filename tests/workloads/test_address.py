@@ -1,10 +1,16 @@
-"""Tests for address patterns."""
+"""Tests for address patterns.
+
+A pattern draws through :class:`~repro.sim.random.ExactDraws`; that those
+draws are ``Generator.random()`` and ``Generator.integers()`` bit for bit
+is ``tests/workloads/test_exact_draws.py``'s to show.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.features import lpa_entropy
+from repro.sim.random import ExactDraws
 from repro.workloads import (
     HotspotPattern,
     SequentialPattern,
@@ -12,7 +18,7 @@ from repro.workloads import (
     ZipfPattern,
 )
 
-RNG = lambda seed=0: np.random.default_rng(seed)
+RNG = lambda seed=0: ExactDraws(np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize(
@@ -92,6 +98,8 @@ def test_hotspot_concentrates():
 def test_invalid_working_set_rejected():
     with pytest.raises(ValueError):
         UniformPattern(0)
+    with pytest.raises(ValueError):
+        UniformPattern(1 << 32)  # past the 32-bit bounded draw
 
 
 def test_invalid_zipf_theta_rejected():

@@ -80,7 +80,8 @@ def _ref_clamp(pattern, lpn: int, num_pages: int) -> int:
 
 
 def _ref_address(pattern, rng, num_pages: int, cursor: list) -> int:
-    """``pattern.sample`` as it was; ``cursor`` is the sequential twin's."""
+    """``pattern.sample`` as it was, on ``Generator.random`` and
+    ``Generator.integers``; ``cursor`` is the sequential twin's."""
     if isinstance(pattern, ZipfPattern):
         rank = np.searchsorted(pattern._cdf, rng.random(), side="right")
         bucket = int(pattern._bucket_order[rank])
@@ -101,7 +102,8 @@ def _ref_address(pattern, rng, num_pages: int, cursor: list) -> int:
         else:
             lpn = int(rng.integers(hot_pages, max(ws - num_pages, hot_pages + 1)))
         return _ref_clamp(pattern, lpn, num_pages)
-    return pattern.sample(rng, num_pages)  # uniform: untouched, no clamp
+    # Uniform: no clamp.
+    return int(rng.integers(0, max(pattern.working_set_pages - num_pages, 1)))
 
 
 # -- time sweeps -------------------------------------------------------------

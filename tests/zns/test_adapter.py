@@ -97,6 +97,31 @@ def test_reclaim_in_use_migrates_and_resets(world):
         assert ssd.store.page_lpns[location] == lpn
 
 
+def test_channel_count_drops_when_a_zns_reclaim_starts(world):
+    """A lazy reclaim stops the zone counting toward the harvester's
+    channels the moment it starts (the collection that follows sees the
+    smaller count), and the count equals a recount throughout."""
+    from tests.virt.test_gsb_pool_stress import recounted_channels
+
+    config, sim, ssd, ns, harvester, pool, adapter = world
+    ftl = harvester.ftl
+    gsb = adapter.offer_zone(0)
+    adapter.harvest(harvester)
+    assert ftl.channel_count() == recounted_channels(ftl) == 2
+    ftl.write_span(5000, 2 * config.pages_per_block)
+    seen = []
+    collect_blocks = ftl.collect_blocks
+
+    def counting(gids, region):
+        seen.append((ftl.channel_count(), recounted_channels(ftl)))
+        return collect_blocks(gids, region)
+
+    ftl.collect_blocks = counting
+    adapter.reclaim(gsb, harvester)
+    assert seen == [(1, 1)]
+    assert ftl.channel_count() == recounted_channels(ftl) == 1
+
+
 def test_reclaim_in_use_requires_harvester(world):
     config, sim, ssd, ns, harvester, pool, adapter = world
     gsb = adapter.offer_zone(0)
