@@ -20,6 +20,7 @@ from benchmarks.common import (
     print_expectation,
     print_header,
 )
+from repro.config import RLConfig
 from repro.harness import Experiment, plans_for_pair
 
 #: A subset of pairs keeps the ablation affordable; both latency
@@ -30,12 +31,14 @@ ABLATION_PAIRS = (
     ("ycsb", "terasort"),
 )
 
-#: variant -> (pretrained-net variant, controller kwargs).  The ablated
+#: variant -> (pretrained-net variant, experiment kwargs).  The ablated
 #: reward must shape *training*, not just deployment crediting, so each
 #: variant deploys a policy pre-trained under its own reward.
 VARIANTS = {
-    "fleetio-custom-local": ("custom-local", {"beta": 1.0}),
-    "fleetio-unified-global": ("unified-global", {"unified_alpha_only": True}),
+    "fleetio-custom-local": ("custom-local", {"rl_config": RLConfig(beta=1.0)}),
+    "fleetio-unified-global": (
+        "unified-global", {"fleetio_kwargs": {"unified_alpha_only": True}}
+    ),
 }
 
 
@@ -60,7 +63,7 @@ def ablation():
                 "fleetio",
                 seed=SEED,
                 pretrained_net=get_pretrained_net(variant=net_variant),
-                fleetio_kwargs=kwargs,
+                **kwargs,
             )
             row[variant] = experiment.run(DURATION_S, MEASURE_AFTER_S)
         rows[pair] = row

@@ -8,7 +8,7 @@ Commands:
 * ``classify`` — synthesize a trace for a workload and classify its type.
 * ``pretrain`` — (re)build the cached pre-trained policy.
 * ``overheads`` — print the Section 4.7 overhead microbenchmarks.
-* ``profile`` — run one policy with the profiler counters on.
+* ``profile`` — ``run`` with the profiler counters on.
 * ``sweep`` — fan a policies × seeds matrix across worker processes.
 * ``adversarial`` — regret-driven scenario search (policy hardening).
 * ``lint`` — fleetlint determinism & unit-safety static analysis.
@@ -21,11 +21,12 @@ import argparse
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union, cast
 
 from repro.config import RLConfig, SSDConfig
 from repro.harness import POLICIES, Experiment, run_policy_comparison, snapshots
-from repro.parallel.matrix import plans_for
+from repro.parallel.matrix import ExperimentCell, plans_for
+from repro.parallel.worker import run_cell
 from repro.workloads import WORKLOAD_CATALOG, get_spec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,10 +82,6 @@ def _config_from(args: argparse.Namespace) -> SSDConfig:
     return SSDConfig(num_channels=args.channels)
 
 
-def _plans_from(names: Sequence[str]) -> list:
-    return plans_for(names)
-
-
 def _print_result(policy: str, result: "ExperimentResult") -> None:
     print(f"\n== {policy}: SSD utilization {result.avg_utilization:.2%} "
           f"(P95 {result.p95_utilization:.2%})")
@@ -96,17 +93,50 @@ def _print_result(policy: str, result: "ExperimentResult") -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Run one policy over one collocation."""
-    experiment = Experiment(
-        _plans_from(args.workloads),
+    """Run one policy over one collocation as one experiment cell.
+
+    ``profile`` is this command with the profiler counters on: it also
+    prints them and, under ``--json``, writes them with the wall time.
+    """
+    import json
+
+    from repro.profiling import format_profile
+
+    profile = args.command == "profile"
+    cell = ExperimentCell(
+        "+".join(args.workloads),
+        tuple(args.workloads),
         args.policy,
-        ssd_config=_config_from(args),
-        seed=args.seed,
+        args.seed,
+        duration_s=args.duration,
+        measure_after_s=args.warmup,
+        num_channels=args.channels,
     )
-    started = time.time()
-    result = experiment.run(args.duration, args.warmup)
-    _print_result(args.policy, result)
-    print(f"\n({args.duration:.0f} simulated seconds in {time.time() - started:.1f} wall seconds)")
+    outcome = run_cell(cell, profile=profile)
+    error = outcome.error
+    if error is not None:
+        if error["type"] == "KeyError":  # an unknown name: no traceback
+            print(f"error: {error['message']}", file=sys.stderr)
+            return 2
+        print(error["traceback"], file=sys.stderr)
+        return 1
+    _print_result(args.policy, cast("ExperimentResult", outcome.result))
+    if profile:
+        print()
+        print(format_profile(outcome.profile))
+    print(f"\n({args.duration:.0f} simulated seconds in {outcome.wall_s:.1f} wall seconds)")
+    if profile and args.json:
+        payload = {
+            "workloads": list(args.workloads),
+            "policy": args.policy,
+            "seed": args.seed,
+            "duration_s": args.duration,
+            "wall_s": outcome.wall_s,
+            "profile": outcome.profile,
+        }
+        with open(args.json, "w") as handle:
+            json.dump(payload, handle, indent=2)
+        print(f"wrote profile to {args.json}")
     return 0
 
 
@@ -114,7 +144,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """Run several policies over one collocation."""
     policies = tuple(args.policies.split(",")) if args.policies else POLICIES
     results = run_policy_comparison(
-        _plans_from(args.workloads),
+        plans_for(args.workloads),
         policies=policies,
         duration_s=args.duration,
         measure_after_s=args.warmup,
@@ -131,7 +161,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import scenario_phases, slowdown_corruption_scenario
     from repro.harness import events_to_csv
 
-    plans = _plans_from(args.workloads)
+    plans = plans_for(args.workloads)
     config = _config_from(args)
     target = plans[0].name
     # Under the default equal-split allocation the first plan owns the
@@ -157,21 +187,24 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
     label = "fleetio+guardrails" if args.guardrails else "fleetio (raw)"
     started = time.time()
-    result = experiment.run(args.duration, args.warmup)
-    _print_result(label, result)
+    try:
+        result = experiment.run(args.duration, args.warmup)
+        _print_result(label, result)
 
-    phases = scenario_phases(
-        experiment._measure_start_s, args.fault_start, fault_end_s, args.duration
-    )
-    print("\nP99 latency by phase (ms):")
-    print(f"{'vssd':>14s} {'pre':>9s} {'during':>9s} {'post':>9s}")
-    for plan in plans:
-        monitor = experiment.monitors[plan.name]
-        row = f"{plan.name:>14s}"
-        for start_s, end_s in phases.values():
-            p99 = monitor.latency_percentile_between(start_s, end_s, 99)
-            row += "       n/a" if p99 is None else f" {p99 / 1000.0:9.2f}"
-        print(row)
+        phases = scenario_phases(
+            experiment._measure_start_s, args.fault_start, fault_end_s, args.duration
+        )
+        print("\nP99 latency by phase (ms):")
+        print(f"{'vssd':>14s} {'pre':>9s} {'during':>9s} {'post':>9s}")
+        for plan in plans:
+            monitor = experiment.monitors[plan.name]
+            row = f"{plan.name:>14s}"
+            for start_s, end_s in phases.values():
+                p99 = monitor.latency_percentile_between(start_s, end_s, 99)
+                row += "       n/a" if p99 is None else f" {p99 / 1000.0:9.2f}"
+            print(row)
+    finally:
+        experiment.close()
 
     events = sorted(
         result.fault_events + result.guardrail_events, key=lambda e: e.time_s
@@ -281,44 +314,6 @@ def cmd_overheads(_args: argparse.Namespace) -> int:
     )
     print(f"model footprint:  {net.size_bytes() / (1 << 20):.2f} MB, "
           f"{net.num_parameters()} parameters (paper: 2.2 MB, ~9K)")
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Run one policy with the profiler counters on, then print them
-    and the run's wall time."""
-    import json
-
-    from repro.profiling import PROFILER, format_profile
-
-    experiment = Experiment(
-        _plans_from(args.workloads),
-        args.policy,
-        ssd_config=_config_from(args),
-        seed=args.seed,
-    )
-    started = time.time()
-    PROFILER.reset()
-    with PROFILER.enabled_scope():
-        result = experiment.run(args.duration, args.warmup)
-    wall_s = time.time() - started
-    snapshot = PROFILER.snapshot()
-    _print_result(args.policy, result)
-    print()
-    print(format_profile(snapshot))
-    print(f"\n({args.duration:.0f} simulated seconds in {wall_s:.1f} wall seconds)")
-    if args.json:
-        payload = {
-            "workloads": list(args.workloads),
-            "policy": args.policy,
-            "seed": args.seed,
-            "duration_s": args.duration,
-            "wall_s": wall_s,
-            "profile": snapshot,
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"wrote profile to {args.json}")
     return 0
 
 
@@ -732,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(POLICIES) + ["mixed", "fleetio-mixed"],
     )
     profile.add_argument("--json", default=None, help="also write the counters as JSON")
-    profile.set_defaults(func=cmd_profile)
+    profile.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser(
         "sweep", help="fan a policies x seeds matrix across worker processes"

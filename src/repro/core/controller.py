@@ -56,7 +56,6 @@ class FleetIoController:
         classifier: Optional["WorkloadTypeClassifier"] = None,
         explore: bool = False,
         finetune: bool = True,
-        beta: Optional[float] = None,
         unified_alpha_only: bool = False,
         seed: int = 0,
         guardrails: Optional["Guardrails"] = None,
@@ -69,8 +68,6 @@ class FleetIoController:
         self.guardrails = guardrails
         self.explore = explore
         self.finetune = finetune
-        #: Eq. 2 blend coefficient; overridable for the Fig. 15 ablation.
-        self.beta = beta if beta is not None else self.rl_config.beta
         #: Fig. 15's FleetIO-Unified-Global: skip per-cluster alphas.
         self.unified_alpha_only = unified_alpha_only
         self._pretrained = pretrained_net
@@ -237,7 +234,7 @@ class FleetIoController:
                 alpha=agent.alpha,
                 slo_violation_guarantee=self.rl_config.slo_violation_guarantee,
             )
-        blended = multi_agent_rewards(singles, self.beta)
+        blended = multi_agent_rewards(singles, self.rl_config.beta)
         for vssd_id, agent in self.agents.items():
             agent.observe_reward(blended[vssd_id])
 

@@ -29,9 +29,9 @@ Rollouts can be collected two ways:
 Both engines sample with ``rng.random()`` plus an inverse CDF, which is
 bit-identical to ``rng.choice(A, p=probs)`` and several times cheaper.
 
-``pretrain_best`` fans its seed search across worker processes (crash
-isolation and deterministic matrix-order selection via
-:mod:`repro.parallel`) when asked for ``workers > 1``.
+``pretrain_best`` runs its seed search as one pre-training cell per seed
+(:mod:`repro.parallel`): in-process, or across worker processes (crash
+isolation, seed-order selection) when asked for ``workers > 1``.
 """
 
 from __future__ import annotations
@@ -329,7 +329,6 @@ def pretrain(
     rollout_batch: int = 512,
     learning_rate: Optional[float] = 5e-4,
     interference_schedule: Tuple[Tuple[float, float], ...] = ((0.5, 3.0), (1.0, 7.0)),
-    beta: Optional[float] = None,
     alpha_override: Optional[float] = None,
     envs: int = 1,
     verbose: bool = False,
@@ -372,8 +371,6 @@ def pretrain(
     rl_config = rl_config or RLConfig()
     if learning_rate is not None:
         rl_config = _replace(rl_config, learning_rate=learning_rate)
-    if beta is not None:
-        rl_config = _replace(rl_config, beta=beta)
     ssd_config = ssd_config or SSDConfig()
     rng = np.random.default_rng(seed)
     sample_state_dim = rl_config.state_dim
@@ -454,56 +451,42 @@ def pretrain_best(
     this with a 2,000-iteration Ray run, we side-step it by selecting
     across a few shorter runs with the fixed-scenario greedy evaluation.
 
-    ``workers > 1`` fans the seeds across worker processes (one process
-    per seed, crash-isolated, reusing :mod:`repro.parallel`); selection
-    happens in seed order, so the winner is identical to the serial
-    search no matter which worker finishes first.  Extra keyword
-    arguments (``envs=...``, ``rl_config=...``) pass through to
-    :func:`pretrain` on both paths.
+    Each seed is one :class:`~repro.parallel.matrix.PretrainCell`.  With
+    ``workers > 1`` the cells fan out over the persistent worker pool
+    (crash-isolated, reusing :mod:`repro.parallel`); otherwise they run
+    in-process through :func:`~repro.parallel.runner.run_serial`.
+    Selection happens in seed order either way, so the winner is the
+    same no matter which worker finishes first.  A failed seed (a raising
+    run, or a worker crash) is skipped; only a search in which every
+    seed fails raises ``RuntimeError``.  Extra keyword arguments
+    (``envs=...``, ``rl_config=...``) pass through to :func:`pretrain`.
     """
-    seeds = tuple(seeds)
-    if workers is not None and workers > 1 and len(seeds) > 1:
-        return _pretrain_best_parallel(seeds, iterations, workers, kwargs)
-    best: Optional[PretrainResult] = None
-    for seed in seeds:
-        result = pretrain(iterations=iterations, seed=seed, **kwargs)  # type: ignore[arg-type]
-        if best is None or result.best_reward > best.best_reward:
-            best = result
-    assert best is not None  # seeds is non-empty
-    return best
-
-
-def _pretrain_best_parallel(
-    seeds: Tuple[int, ...],
-    iterations: int,
-    workers: int,
-    kwargs: Dict[str, object],
-) -> PretrainResult:
-    """Process-per-seed fan-out of the seed search.
-
-    Failed seeds (a worker crash or a raising run) are skipped with the
-    surviving seeds still compared in seed order; only a fully failed
-    search raises.
-    """
+    # Deferred: repro.parallel imports the harness, which imports this
+    # module through repro.harness.pretrained.
     from repro.parallel.matrix import PretrainCell
-    from repro.parallel.runner import CellFailure, ParallelRunner
+    from repro.parallel.runner import CellFailure, ParallelRunner, run_serial
 
+    seeds = tuple(seeds)
     options = tuple(sorted(kwargs.items(), key=lambda item: item[0]))
     cells = [
         PretrainCell(seed=seed, iterations=iterations, options=options)
         for seed in seeds
     ]
-    # Persistent pool: with more seeds than workers, a long-lived worker
-    # runs several seeds, paying process startup and the training-stack
-    # import once instead of per seed.  Selection stays seed-ordered, so
-    # the winner is unchanged.
-    sweep = ParallelRunner(workers=workers).run(cells)
+    if workers is not None and workers > 1 and len(seeds) > 1:
+        # Persistent pool: with more seeds than workers, a long-lived
+        # worker runs several seeds, paying process startup and the
+        # training-stack import once instead of per seed.
+        sweep = ParallelRunner(workers=workers).run(cells)
+    else:
+        # In-process, the profiler counts (or not) as the caller set it.
+        sweep = run_serial(cells, profile=False)
     best: Optional[PretrainResult] = None
     for outcome in sweep.outcomes:
         if isinstance(outcome, CellFailure):
             continue
-        # Fold each worker's counters into this process, so a profiled
-        # parallel search reports like a serial one.
+        # Fold a worker's counters into this process, so a profiled
+        # pooled search reports like a serial one (a serial outcome
+        # carries none: its counts already landed here).
         PROFILER.absorb(outcome.profile)
         result = outcome.result
         assert isinstance(result, PretrainResult)

@@ -2,8 +2,9 @@
 
 The ROADMAP's north star is a *fleet*: hundreds of simulated SSDs per
 run, not a handful of collocated vSSDs on one device.  A fleet device is
-an experiment cell (:meth:`~repro.fleet.spec.DeviceSpec.cell`); this
-package only decides how many of them share a worker and a warm state:
+an experiment cell (:func:`~repro.fleet.runner.build_fleet` returns one
+per device, and a device's fleet index is its position); this package
+only decides how many of them share a worker and a warm state:
 
 * :class:`~repro.fleet.runner.FleetShardRunner` deals devices
   round-robin into shards, runs each shard as one work cell on the
@@ -31,8 +32,7 @@ says how many workers attached the segment, and ``snapshot.hits`` /
 
 from repro.fleet.arena import ArenaManifest, SharedArena, leaked_segments
 from repro.fleet.runner import FleetResult, FleetShardRunner, build_fleet, run_fleet_serial
-from repro.fleet.shard import run_fleet_shard
-from repro.fleet.spec import DeviceSpec, FleetShardCell
+from repro.fleet.shard import FleetShardCell, run_fleet_shard
 
 __all__ = [
     "ArenaManifest",
@@ -43,6 +43,5 @@ __all__ = [
     "build_fleet",
     "run_fleet_serial",
     "run_fleet_shard",
-    "DeviceSpec",
     "FleetShardCell",
 ]

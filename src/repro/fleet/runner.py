@@ -1,15 +1,14 @@
 """Parent-side fleet orchestration.
 
 :class:`FleetShardRunner` is the fleet counterpart of
-:class:`repro.parallel.runner.ParallelRunner`: it slices N device specs
-round-robin into K :class:`~repro.fleet.spec.FleetShardCell` work units,
+:class:`repro.parallel.runner.ParallelRunner`: it slices N device cells
+round-robin into K :class:`~repro.fleet.shard.FleetShardCell` work units,
 publishes the warm-state arena (unless ``arena=False``), runs the shards
 on the persistent worker pool, and merges the per-device telemetry each
 shard sends back **in device-index order**.  Every device runs through
 the one experiment cell runner, so the merged bytes are identical to
-:func:`run_fleet_serial` over the same specs, which is itself just
-:func:`~repro.parallel.runner.run_serial` over :meth:`DeviceSpec.cell`
-of each device.
+:func:`run_fleet_serial` over the same cells, which is itself just
+:func:`~repro.parallel.runner.run_serial` over them.
 
 The arena segment is parent-owned: created before the fan-out and
 unlinked in a ``finally`` (with an ``atexit`` backstop inside
@@ -24,8 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fleet.arena import SharedArena
-from repro.fleet.spec import DeviceSpec, FleetShardCell
+from repro.fleet.shard import FleetShardCell
 from repro.harness import snapshots
+from repro.parallel.matrix import ExperimentCell
 from repro.parallel.policy_cache import warm_policy_cache
 from repro.parallel.runner import CellOutcome, ParallelRunner, run_serial, usable_cores
 from repro.parallel.worker import experiment_for
@@ -39,11 +39,15 @@ def build_fleet(
     duration_s: float = 4.0,
     measure_after_s: float = 1.0,
     num_channels: Optional[int] = None,
-) -> List[DeviceSpec]:
-    """A homogeneous fleet: same workloads/policy, per-device seeds."""
+) -> List[ExperimentCell]:
+    """A homogeneous fleet: same workloads/policy, per-device seeds.
+
+    One experiment cell per device; a device's fleet index is its
+    position in the list.
+    """
     return [
-        DeviceSpec(
-            index=i,
+        ExperimentCell(
+            scenario="+".join(workloads),
             workloads=tuple(workloads),
             policy=policy,
             seed=base_seed + i,
@@ -59,7 +63,8 @@ def build_fleet(
 class FleetResult:
     """Merged outcome of one fleet run."""
 
-    specs: List[DeviceSpec] = field(default_factory=list)
+    #: The fleet's device cells, fleet order.
+    specs: List[ExperimentCell] = field(default_factory=list)
     shards: int = 1
     workers: int = 1
     mode: str = "serial"
@@ -98,7 +103,7 @@ class FleetResult:
 
 
 def run_fleet_serial(
-    specs: Sequence[DeviceSpec], profile: bool = True
+    specs: Sequence[ExperimentCell], profile: bool = True
 ) -> FleetResult:
     """The reference output: a serial loop of per-device experiments.
 
@@ -109,12 +114,12 @@ def run_fleet_serial(
     """
     started = time.perf_counter()
     specs = list(specs)
-    sweep = run_serial([spec.cell() for spec in specs], profile=profile)
+    sweep = run_serial(specs, profile=profile)
     device_telemetry: Dict[int, bytes] = {}
     errors: List[str] = []
-    for spec, outcome in zip(specs, sweep.outcomes):
+    for index, outcome in enumerate(sweep.outcomes):
         if isinstance(outcome, CellOutcome) and outcome.ok:
-            device_telemetry[spec.index] = outcome.telemetry
+            device_telemetry[index] = outcome.telemetry
         else:
             errors.append(outcome.describe())
     return FleetResult(
@@ -157,7 +162,7 @@ class FleetShardRunner:
         self.profile = profile
 
     # -- arena ----------------------------------------------------------
-    def _publish_arena(self, spec: DeviceSpec) -> Optional[SharedArena]:
+    def _publish_arena(self, spec: ExperimentCell) -> Optional[SharedArena]:
         """Build one probe device in the parent and publish its warm
         columns as a shared segment.
 
@@ -166,7 +171,7 @@ class FleetShardRunner:
         segment, keyed by ``warm_cache_key``, serves every device of the
         homogeneous fleet regardless of per-device seeds.
         """
-        probe = experiment_for(spec.cell()).build()
+        probe = experiment_for(spec).build()
         try:
             snap = snapshots.capture_experiment(probe)
             if snap is None:
@@ -177,7 +182,7 @@ class FleetShardRunner:
         return SharedArena(key, snap)
 
     # -- run -------------------------------------------------------------
-    def run(self, specs: Sequence[DeviceSpec]) -> FleetResult:
+    def run(self, specs: Sequence[ExperimentCell]) -> FleetResult:
         started = time.perf_counter()
         specs = list(specs)
         if not specs:
@@ -185,6 +190,7 @@ class FleetShardRunner:
         cores = usable_cores()
         shard_count = self.shards or min(len(specs), max(cores - 1, 1))
         shard_count = max(1, min(shard_count, len(specs)))
+        indexed = list(enumerate(specs))
 
         arena_obj: Optional[SharedArena] = None
         arena_stats: dict = {"mode": "shm" if self.arena else "off", "published": False}
@@ -203,14 +209,14 @@ class FleetShardRunner:
             cells = [
                 FleetShardCell(
                     shard_index=k,
-                    devices=tuple(specs[k::shard_count]),
+                    devices=tuple(indexed[k::shard_count]),
                     arena=arena_obj.manifest if arena_obj is not None else None,
                 )
                 for k in range(shard_count)
             ]
             # FleetIO policies need the pre-trained net + classifier; warm
             # once in the parent so fork children inherit the memo caches.
-            warm_policy_cache([spec.cell() for spec in specs])
+            warm_policy_cache(specs)
             runner = ParallelRunner(
                 workers=self.workers or shard_count,
                 profile=self.profile,

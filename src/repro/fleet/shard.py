@@ -1,12 +1,17 @@
-"""Worker-side shard executor.
+"""Shard cells and their worker-side executor.
 
-Runs one :class:`~repro.fleet.spec.FleetShardCell` — a device-ordered
-slice of the fleet — inside a pool worker.  A fleet device is an
-experiment cell: each one goes through the registered ``experiment``
-runner, the same function :func:`~repro.parallel.runner.run_serial` (and
-so :func:`~repro.fleet.runner.run_fleet_serial`) runs, which is what
-makes sharded bytes equal serial bytes by construction.  Per-device
-telemetry rides home in the outcome's ``result`` over the result pipe.
+A fleet run is N experiment cells, one simulated SSD each, dealt
+round-robin into K :class:`FleetShardCell` work units that the
+persistent pool of ``repro.parallel`` executes like any other cell.  A
+device's fleet index is its position in the fleet list; a shard carries
+``(index, cell)`` pairs in device order.
+
+:func:`run_fleet_shard` runs one shard inside a pool worker.  Each
+device goes through the registered ``experiment`` runner, the same
+function :func:`~repro.parallel.runner.run_serial` (and so
+:func:`~repro.fleet.runner.run_fleet_serial`) runs, which is what makes
+sharded bytes equal serial bytes by construction.  Per-device telemetry
+rides home in the outcome's ``result`` over the result pipe.
 
 If the cell carries an arena manifest the worker attaches it first and
 installs the shared segment's snapshot into its snapshot store, so its
@@ -24,11 +29,31 @@ so a pool worker always has the runner before ``run_cell`` looks it up.
 from __future__ import annotations
 
 import time
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
-from repro.fleet.arena import install_manifest
-from repro.fleet.spec import DeviceSpec, FleetShardCell
+from repro.fleet.arena import ArenaManifest, install_manifest
+from repro.parallel.matrix import ExperimentCell
 from repro.parallel.worker import RUNNERS, CellOutcome, register_runner
+
+
+@dataclass(frozen=True)
+class FleetShardCell:
+    """One shard: a worker-sized slice of the fleet, in device order."""
+
+    shard_index: int
+    #: ``(fleet index, device cell)`` pairs — the index is the merge key
+    #: that makes sharded telemetry byte-identical to a serial loop.
+    devices: Tuple[Tuple[int, ExperimentCell], ...]
+    #: Shared warm-state arena (None: regular snapshot path).
+    arena: Optional[ArenaManifest] = None
+    #: Name of the registered cell runner (``repro.parallel.worker``).
+    runner: str = "fleet_shard"
+
+    @property
+    def cell_id(self) -> str:
+        """Stable human-readable identity, e.g. ``fleet/shard3(x8)``."""
+        return f"fleet/shard{self.shard_index}(x{len(self.devices)})"
 
 
 def run_fleet_shard(cell: FleetShardCell) -> CellOutcome:
@@ -42,27 +67,21 @@ def run_fleet_shard(cell: FleetShardCell) -> CellOutcome:
     arena_attached = cell.arena is not None and install_manifest(cell.arena)
     telemetry: Dict[int, bytes] = {}
     device_wall_s: Dict[int, float] = {}
-    for spec in cell.devices:
+    for index, device in cell.devices:
         started = time.perf_counter()
-        device = spec.cell()
-        telemetry[spec.index] = RUNNERS[device.runner](device).telemetry
-        device_wall_s[spec.index] = time.perf_counter() - started
+        telemetry[index] = RUNNERS[device.runner](device).telemetry
+        device_wall_s[index] = time.perf_counter() - started
     return CellOutcome(
         cell=cell,
         ok=True,
         result={
             "shard": cell.shard_index,
-            "devices": [spec.index for spec in cell.devices],
+            "devices": [index for index, _ in cell.devices],
             "arena_attached": arena_attached,
             "telemetry": telemetry,
             "device_wall_s": device_wall_s,
         },
     )
-
-
-def shard_device_count(devices: List[DeviceSpec], shards: int) -> List[int]:
-    """Round-robin shard sizes (diagnostic helper for sizing docs)."""
-    return [len(devices[k::shards]) for k in range(max(shards, 1))]
 
 
 register_runner("fleet_shard", run_fleet_shard)

@@ -488,18 +488,16 @@ def run_policy_comparison(
     ssd_config: Optional[SSDConfig] = None,
     rl_config: Optional[RLConfig] = None,
     seed: int = 0,
-    calibrate_slo: bool = True,
     fleetio_kwargs: Optional[dict] = None,
 ) -> dict:
     """Run every policy over one plan; returns {policy: ExperimentResult}.
 
-    When ``calibrate_slo`` is set, the hardware-isolation run executes
-    first and each vSSD's SLO defaults to its P99 latency under hardware
-    isolation (Section 3.3.1), as in the paper.
+    The hardware-isolation run executes first, and each vSSD's SLO
+    defaults to its P99 latency under hardware isolation (Section
+    3.3.1), as in the paper.
     """
     results: dict = {}
     ordered = ["hardware"] + [p for p in policies if p != "hardware"]
-    ordered = [p for p in ordered if p in policies or p == "hardware"]
     for policy in ordered:
         experiment = Experiment(
             plans,
@@ -509,9 +507,11 @@ def run_policy_comparison(
             seed=seed,
             fleetio_kwargs=fleetio_kwargs if policy.startswith("fleetio") else None,
         )
-        results[policy] = experiment.run(duration_s, measure_after_s)
-        experiment.close()
-        if policy == "hardware" and calibrate_slo:
+        try:
+            results[policy] = experiment.run(duration_s, measure_after_s)
+        finally:
+            experiment.close()
+        if policy == "hardware":
             for plan in plans:
                 if plan.slo_latency_us is None:
                     plan.slo_latency_us = results["hardware"].vssd(plan.name).p99_latency_us

@@ -39,7 +39,7 @@ _classifier_cache: dict = {}
 #: alpha = 0.01 for every workload.
 VARIANT_KWARGS = {
     "default": {},
-    "custom-local": {"beta": 1.0},
+    "custom-local": {"rl_config": RLConfig(beta=1.0)},
     "unified-global": {"alpha_override": 0.01},
 }
 

@@ -31,7 +31,7 @@ from repro.parallel.matrix import AdversarialCell, ExperimentCell, PretrainCell
 from repro.profiling import PROFILER
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fleet.spec import FleetShardCell
+    from repro.fleet.shard import FleetShardCell
 
 #: Anything the runner registry can execute: every cell type exposes
 #: ``cell_id`` and ``runner``.  ``FleetShardCell`` is a forward

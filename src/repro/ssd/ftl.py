@@ -98,18 +98,12 @@ class VssdFtl:
     #: Max victims reclaimed per GC invocation, bounding GC stall length.
     GC_BATCH_BLOCKS = 2
 
-    def __init__(
-        self,
-        vssd_id: int,
-        ssd: "Ssd",
-        gc_threshold: Optional[float] = None,
-    ) -> None:
+    def __init__(self, vssd_id: int, ssd: "Ssd") -> None:
         self.vssd_id = vssd_id
         self.ssd = ssd
         self.config: SSDConfig = ssd.config
-        self.gc_threshold = (
-            gc_threshold if gc_threshold is not None else self.config.gc_free_block_threshold
-        )
+        # The GC trigger; the ``gc_storm`` fault rewrites it.
+        self.gc_threshold: float = self.config.gc_free_block_threshold
         # L2P mapping as parallel lists indexed by LPN (grown on demand).
         # Physical locations are block gids into the device's BlockStore
         # (``_l2p_gid[lpn] < 0`` marks an unmapped LPN).

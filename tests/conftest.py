@@ -18,6 +18,13 @@ else:
     settings.register_profile("ci", max_examples=300, deadline=None, derandomize=True)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--digest-matrix", action="store_true",
+        help="check every seed of tests/integration/digests.json, not only seed 0",
+    )
+
+
 @pytest.fixture
 def small_config() -> SSDConfig:
     """A small SSD: 4 channels x 2 chips x 8 blocks x 16 pages."""

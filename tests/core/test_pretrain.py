@@ -264,6 +264,18 @@ def test_pretrain_rejects_bad_envs():
         pretrain(iterations=1, envs=0)
 
 
+def test_pretrain_best_fails_alike_in_process_and_pooled():
+    """A raising seed is skipped on both paths, so a search in which
+    every seed raises ends in the same ``RuntimeError`` either way."""
+    messages = []
+    for workers in (None, 2):
+        with pytest.raises(RuntimeError, match="all pre-training seeds failed") as info:
+            pretrain_best(seeds=(0, 1), iterations=1, workers=workers, envs=0)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "envs must be >= 1" in messages[0]
+
+
 def test_pretrain_best_parallel_matches_serial():
     """The process fan-out selects the identical winner (same params)."""
     kwargs = dict(rollout_batch=32, episode_windows=3)

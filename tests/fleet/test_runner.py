@@ -14,14 +14,14 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import (
-    DeviceSpec,
     FleetShardCell,
     FleetShardRunner,
     build_fleet,
     leaked_segments,
     run_fleet_serial,
 )
-from repro.fleet.shard import run_fleet_shard, shard_device_count
+from repro.fleet.shard import run_fleet_shard
+from repro.parallel import ExperimentCell
 from repro.parallel.runner import CellFailure
 from repro.parallel.worker import RUNNERS, run_cell
 
@@ -43,16 +43,8 @@ def serial():
 
 
 def test_build_fleet_is_homogeneous_with_per_device_seeds():
-    assert [spec.index for spec in SPECS] == [0, 1, 2, 3]
     assert [spec.seed for spec in SPECS] == [11, 12, 13, 14]
     assert {spec.workloads for spec in SPECS} == {("ycsb",)}
-    assert SPECS[2].device_id == "dev002/ycsb/hardware/s13"
-
-
-def test_shard_device_count_round_robin():
-    assert shard_device_count(SPECS, 3) == [2, 1, 1]
-    assert shard_device_count(SPECS, 1) == [4]
-    assert shard_device_count(SPECS, 8) == [1, 1, 1, 1, 0, 0, 0, 0]
 
 
 def test_sharded_fleet_matches_serial_arena_off(serial):
@@ -100,16 +92,16 @@ def test_snapshots_off_publishes_nothing_and_restores_nothing(serial, monkeypatc
 
 def test_shard_devices_run_through_the_cell_runner():
     """In-process: a shard's per-device bytes are the cell runner's."""
-    cell = FleetShardCell(shard_index=0, devices=tuple(SPECS[1::2]))
+    cell = FleetShardCell(shard_index=0, devices=tuple(enumerate(SPECS))[1::2])
     outcome = run_fleet_shard(cell)
     assert outcome.ok and outcome.telemetry == b""
     assert outcome.result["devices"] == [1, 3]
     assert not outcome.result["arena_attached"]
     assert set(outcome.result["device_wall_s"]) == {1, 3}
-    for spec in cell.devices:
-        reference = run_cell(spec.cell(), profile=False)
+    for index, spec in cell.devices:
+        reference = run_cell(spec, profile=False)
         assert reference.ok
-        assert outcome.result["telemetry"][spec.index] == reference.telemetry
+        assert outcome.result["telemetry"][index] == reference.telemetry
 
 
 @pytest.mark.parametrize("shards, expected", [(3, 3), (9, 5)])
@@ -229,4 +221,4 @@ def test_fleet_respects_device_spec_immutability():
     spec = SPECS[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.seed = 99
-    assert isinstance(spec, DeviceSpec)
+    assert isinstance(spec, ExperimentCell)
