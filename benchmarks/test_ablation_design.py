@@ -35,9 +35,11 @@ def _fleetio_run(ssd_config, plans):
             for inner in plans:
                 inner.slo_latency_us = hw.vssd(inner.name).p99_latency_us
             break
-    return Experiment(plans, "fleetio", ssd_config=ssd_config, seed=SEED).run(
-        DURATION_S, MEASURE_AFTER_S
-    )
+    experiment = Experiment(plans, "fleetio", ssd_config=ssd_config, seed=SEED)
+    try:
+        return experiment.run(DURATION_S, MEASURE_AFTER_S)
+    finally:
+        experiment.close()
 
 
 @pytest.fixture(scope="module")
@@ -89,12 +91,15 @@ def test_ablation_priority_arbitration(benchmark):
 
     def run(strip_priority):
         experiment = Experiment(plans, "fleetio", seed=SEED)
-        experiment.build()
-        if strip_priority:
-            experiment.virt.admission.add_policy(
-                lambda action, vssd: not isinstance(action, SetPriorityAction)
-            )
-        return experiment.run(DURATION_S, MEASURE_AFTER_S)
+        try:
+            experiment.build()
+            if strip_priority:
+                experiment.virt.admission.add_policy(
+                    lambda action, vssd: not isinstance(action, SetPriorityAction)
+                )
+            return experiment.run(DURATION_S, MEASURE_AFTER_S)
+        finally:
+            experiment.close()
 
     def regenerate():
         with_priority = run(strip_priority=False)

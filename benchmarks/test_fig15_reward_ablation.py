@@ -65,7 +65,10 @@ def ablation():
                 pretrained_net=get_pretrained_net(variant=net_variant),
                 **kwargs,
             )
-            row[variant] = experiment.run(DURATION_S, MEASURE_AFTER_S)
+            try:
+                row[variant] = experiment.run(DURATION_S, MEASURE_AFTER_S)
+            finally:
+                experiment.close()
         rows[pair] = row
     return rows
 

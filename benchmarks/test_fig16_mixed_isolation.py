@@ -28,21 +28,23 @@ def _plans():
     ]
 
 
+def _run(plans, policy):
+    experiment = Experiment(plans, policy, seed=SEED)
+    try:
+        return experiment.run(DURATION_S, MEASURE_AFTER_S)
+    finally:
+        experiment.close()
+
+
 @pytest.fixture(scope="module")
 def results():
     out = {}
     plans = _plans()
-    out["mixed"] = Experiment(plans, "mixed", seed=SEED).run(
-        DURATION_S, MEASURE_AFTER_S
-    )
+    out["mixed"] = _run(plans, "mixed")
     for plan in plans:
         plan.slo_latency_us = out["mixed"].vssd(plan.name).p99_latency_us
-    out["fleetio"] = Experiment(plans, "fleetio-mixed", seed=SEED).run(
-        DURATION_S, MEASURE_AFTER_S
-    )
-    out["software"] = Experiment(plans, "software", seed=SEED).run(
-        DURATION_S, MEASURE_AFTER_S
-    )
+    out["fleetio"] = _run(plans, "fleetio-mixed")
+    out["software"] = _run(plans, "software")
     return out
 
 

@@ -39,10 +39,13 @@ def _run_transfer(steady, initial, switched, steady_is_bw, seed=SEED):
         if plan.slo_latency_us is None:
             plan.slo_latency_us = hw.vssd(plan.name).p99_latency_us
     experiment = Experiment(plans, "fleetio", seed=seed)
-    experiment.build()
-    experiment.schedule_workload_switch(switch_name, switched, at_s=SWITCH_S)
-    experiment.reset_measurement_at(SWITCH_S + 2.0)
-    return experiment.run(TOTAL_S, measure_after_s=2.0), plans
+    try:
+        experiment.build()
+        experiment.schedule_workload_switch(switch_name, switched, at_s=SWITCH_S)
+        experiment.reset_measurement_at(SWITCH_S + 2.0)
+        return experiment.run(TOTAL_S, measure_after_s=2.0), plans
+    finally:
+        experiment.close()
 
 
 def _run_pretrained(steady, switched, steady_is_bw, slo_plans, seed=SEED):
@@ -56,7 +59,10 @@ def _run_pretrained(steady, switched, steady_is_bw, slo_plans, seed=SEED):
     for plan, src in zip(plans, slo_plans):
         plan.slo_latency_us = src.slo_latency_us
     experiment = Experiment(plans, "fleetio", seed=seed)
-    return experiment.run(TOTAL_S, measure_after_s=SWITCH_S + 2.0)
+    try:
+        return experiment.run(TOTAL_S, measure_after_s=SWITCH_S + 2.0)
+    finally:
+        experiment.close()
 
 
 @pytest.fixture(scope="module")

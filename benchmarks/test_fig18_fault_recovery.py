@@ -83,28 +83,31 @@ def _recovery_run(guardrails, slos):
         plans, "fleetio", rl_config=RL, seed=RUN_SEED,
         faults=faults, guardrails=guardrails,
     )
-    result = exp.run(DURATION_S, MEASURE_AFTER_S)
-    monitor = exp.monitors["ycsb"]
-    phases = scenario_phases(
-        MEASURE_AFTER_S, FAULT_START_S, FAULT_END_S, DURATION_S
-    )
-    bandwidth_vssd = exp.virt.vssd_by_name("terasort")
-    return {
-        "p99": {
-            name: monitor.latency_percentile_between(start, end, 99)
-            for name, (start, end) in phases.items()
-        },
-        "nan_rewards": _nan_rewards(exp),
-        "watchdog": [
-            e.phase for e in result.guardrail_events if e.kind == "watchdog"
-        ],
-        "guardrail_events": len(result.guardrail_events),
-        "fault_events": [(e.kind, e.phase) for e in result.fault_events],
-        "ts_post_bw": exp.monitors["terasort"].bandwidth_between(
-            FAULT_END_S + 2.0, DURATION_S
-        ),
-        "ts_tail": exp.controller.agents[bandwidth_vssd.vssd_id].actions_taken[-8:],
-    }
+    try:
+        result = exp.run(DURATION_S, MEASURE_AFTER_S)
+        monitor = exp.monitors["ycsb"]
+        phases = scenario_phases(
+            MEASURE_AFTER_S, FAULT_START_S, FAULT_END_S, DURATION_S
+        )
+        bandwidth_vssd = exp.virt.vssd_by_name("terasort")
+        return {
+            "p99": {
+                name: monitor.latency_percentile_between(start, end, 99)
+                for name, (start, end) in phases.items()
+            },
+            "nan_rewards": _nan_rewards(exp),
+            "watchdog": [
+                e.phase for e in result.guardrail_events if e.kind == "watchdog"
+            ],
+            "guardrail_events": len(result.guardrail_events),
+            "fault_events": [(e.kind, e.phase) for e in result.fault_events],
+            "ts_post_bw": exp.monitors["terasort"].bandwidth_between(
+                FAULT_END_S + 2.0, DURATION_S
+            ),
+            "ts_tail": exp.controller.agents[bandwidth_vssd.vssd_id].actions_taken[-8:],
+        }
+    finally:
+        exp.close()
 
 
 def _harm_run(guardrails):
@@ -122,19 +125,22 @@ def _harm_run(guardrails):
         faults=[agent_corruption("terasort", 4.0, 1.5)],
         guardrails=guardrails,
     )
-    exp.build()
-    home = exp.virt.vssd_by_name("ycsb")
-    assert exp.virt.gsb_manager.make_harvestable(
-        home, FAST.channel_write_bandwidth_mbps + 1.0
-    ) is not None
-    exp.run(16.0, 2.0)
-    monitor = exp.monitors["ycsb"]
-    return {
-        "pre": monitor.latency_percentile_between(2.0, 4.0, 99),
-        "post": monitor.latency_percentile_between(6.0, 16.0, 99),
-        "nan_rewards": _nan_rewards(exp),
-        "harvested": exp.virt.gsb_manager.stats.gsbs_harvested,
-    }
+    try:
+        exp.build()
+        home = exp.virt.vssd_by_name("ycsb")
+        assert exp.virt.gsb_manager.make_harvestable(
+            home, FAST.channel_write_bandwidth_mbps + 1.0
+        ) is not None
+        exp.run(16.0, 2.0)
+        monitor = exp.monitors["ycsb"]
+        return {
+            "pre": monitor.latency_percentile_between(2.0, 4.0, 99),
+            "post": monitor.latency_percentile_between(6.0, 16.0, 99),
+            "nan_rewards": _nan_rewards(exp),
+            "harvested": exp.virt.gsb_manager.stats.gsbs_harvested,
+        }
+    finally:
+        exp.close()
 
 
 @pytest.fixture(scope="module")

@@ -25,21 +25,24 @@ def main() -> None:
 
     print("\nRunning FleetIO (pre-training is cached after the first call)...")
     experiment = Experiment(plans, "fleetio")
-    result = experiment.run(duration_s=20.0, measure_after_s=6.0)
-    for name, vssd in result.vssds.items():
-        print(f"  {vssd.summary_row()}")
+    try:
+        result = experiment.run(duration_s=20.0, measure_after_s=6.0)
+        for name, vssd in result.vssds.items():
+            print(f"  {vssd.summary_row()}")
 
-    print("\nWhat the RL agents decided, window by window:")
-    controller = experiment.controller
-    for plan in plans:
-        vssd = experiment.virt.vssd_by_name(plan.name)
-        agent = controller.agents[vssd.vssd_id]
-        actions = Counter(
-            controller.action_space.describe(a) for a in agent.actions_taken
-        )
-        print(f"  {plan.name:>10s} (cluster {agent.cluster}, alpha={agent.alpha}):")
-        for action, count in actions.most_common(4):
-            print(f"      {count:2d}x {action}")
+        print("\nWhat the RL agents decided, window by window:")
+        controller = experiment.controller
+        for plan in plans:
+            vssd = experiment.virt.vssd_by_name(plan.name)
+            agent = controller.agents[vssd.vssd_id]
+            actions = Counter(
+                controller.action_space.describe(a) for a in agent.actions_taken
+            )
+            print(f"  {plan.name:>10s} (cluster {agent.cluster}, alpha={agent.alpha}):")
+            for action, count in actions.most_common(4):
+                print(f"      {count:2d}x {action}")
+    finally:
+        experiment.close()
 
     hw_util, fl_util = baseline.avg_utilization, result.avg_utilization
     tera_gain = (

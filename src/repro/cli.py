@@ -433,12 +433,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run N simulated devices as K shards over the worker pool."""
-    from repro.fleet import (
-        FleetShardRunner,
-        build_fleet,
-        leaked_segments,
-        run_fleet_serial,
-    )
+    from repro.fleet import FleetShardRunner, build_fleet, run_fleet_serial
 
     specs = build_fleet(
         args.devices,
@@ -452,20 +447,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     runner = FleetShardRunner(
         shards=args.shards,
         workers=args.workers,
-        arena=args.arena == "shm",
         join_timeout_s=args.cell_timeout,
         max_attempts=args.retries + 1,
     )
     fleet = runner.run(specs)
-    arena_note = fleet.arena.get("mode", "off")
-    if fleet.arena.get("published"):
-        arena_note += (
-            f" ({fleet.arena['payload_nbytes'] / (1 << 20):.1f} MB shared, "
-            f"{fleet.arena.get('attached_shards', 0)} shards attached)"
-        )
     print(
         f"fleet: {len(specs)} devices x {args.policy}, "
-        f"{fleet.shards} shards [{fleet.mode}], arena {arena_note}"
+        f"{fleet.shards} shards [{fleet.mode}]"
     )
     print(f"\n{'shard':>20s} {'status':>8s} {'devices':>8s} {'wall(s)':>8s}")
     for outcome in fleet.outcomes:
@@ -485,16 +473,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         fleet,
         f"fleet wall: {fleet.wall_s:.1f}s  {fleet.devices_per_sec:.2f} devices/s",
         note=(
-            f"state plane: arena.attach={counters.get('arena.attach', 0)} "
-            f"snapshot.hits={counters.get('snapshot.hits', 0)} "
+            f"state plane: snapshot.hits={counters.get('snapshot.hits', 0)} "
             f"snapshot.misses={counters.get('snapshot.misses', 0)}"
         ),
         telemetry_name="fleet telemetry",
     )
-    leaked = leaked_segments()
-    if leaked:
-        print(f"error: leaked shared-memory segments: {leaked}", file=sys.stderr)
-        return 1
     return _verify_serial(args, fleet, lambda: run_fleet_serial(specs), "sharded")
 
 
@@ -760,8 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="run N simulated devices as K shards with the shared-memory "
-             "state plane",
+        help="run N simulated devices as K shards over the worker pool",
     )
     fleet.add_argument(
         "workloads", nargs="*", default=["ycsb", "terasort"],
@@ -790,11 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--channels", type=int, default=None,
         help="total SSD channels per device (default: 16, Table 3)",
-    )
-    fleet.add_argument(
-        "--arena", default="shm", choices=("shm", "off"),
-        help="warm-state arena: shm = one shared segment (default), "
-             "off = per-worker snapshots (the reference path)",
     )
     _add_pool_run_args(fleet)
     fleet.set_defaults(func=cmd_fleet)

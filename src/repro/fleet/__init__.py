@@ -14,29 +14,29 @@ only decides how many of them share a worker and a warm state:
   cell runner as a sweep, so the merged fleet telemetry is byte-identical
   to a serial loop over the same devices
   (:func:`~repro.fleet.runner.run_fleet_serial`).
-* :class:`~repro.fleet.arena.SharedArena` places the warm-snapshot numpy
-  columns (``BlockStore.page_lpns``/``erase_count``, ``ChannelArrays``
-  horizons, L2P tables) into a named ``multiprocessing.shared_memory``
-  segment under the seed-free warm cache key, so one probe build in the
-  parent serves every device of a homogeneous fleet; a shard worker
-  installs the zero-copy view into its snapshot store and its devices
-  hit it like any other entry (on by default;
+* The runner primes the shared warm state with one probe build in the
+  parent: the build leaves the warm snapshot in the parent's snapshot
+  store under the seed-free warm cache key, and the pool forks its
+  workers after it, so every shard worker inherits the entry and every
+  device of a homogeneous fleet is a cache hit (on by default;
   ``FleetShardRunner(arena=False)`` is the reference path it is tested
   byte-equal against).
 
 Each shard's result carries per-device wall seconds
-(``device_wall_s``); in the merged profile the ``arena.attach`` counter
-says how many workers attached the segment, and ``snapshot.hits`` /
-``snapshot.misses`` how the devices were built.
+(``device_wall_s``); in the merged profile ``snapshot.hits`` /
+``snapshot.misses`` say how the devices were built.
 """
 
-from repro.fleet.arena import ArenaManifest, SharedArena, leaked_segments
-from repro.fleet.runner import FleetResult, FleetShardRunner, build_fleet, run_fleet_serial
+from repro.fleet.runner import (
+    FleetResult,
+    FleetShardRunner,
+    build_fleet,
+    leaked_segments,
+    run_fleet_serial,
+)
 from repro.fleet.shard import FleetShardCell, run_fleet_shard
 
 __all__ = [
-    "ArenaManifest",
-    "SharedArena",
     "leaked_segments",
     "FleetResult",
     "FleetShardRunner",

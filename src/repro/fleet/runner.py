@@ -3,26 +3,30 @@
 :class:`FleetShardRunner` is the fleet counterpart of
 :class:`repro.parallel.runner.ParallelRunner`: it slices N device cells
 round-robin into K :class:`~repro.fleet.shard.FleetShardCell` work units,
-publishes the warm-state arena (unless ``arena=False``), runs the shards
+primes the shared warm state (unless ``arena=False``), runs the shards
 on the persistent worker pool, and merges the per-device telemetry each
 shard sends back **in device-index order**.  Every device runs through
 the one experiment cell runner, so the merged bytes are identical to
 :func:`run_fleet_serial` over the same cells, which is itself just
 :func:`~repro.parallel.runner.run_serial` over them.
 
-The arena segment is parent-owned: created before the fan-out and
-unlinked in a ``finally`` (with an ``atexit`` backstop inside
-:class:`~repro.fleet.arena.SharedArena`), so worker crashes and watchdog
-kills cannot leak ``/dev/shm`` entries.
+Priming is one probe build in the parent: ``Experiment.build`` leaves
+the warm snapshot in the parent's snapshot store under the seed-free
+:func:`~repro.harness.snapshots.warm_cache_key`, and the pool forks its
+workers after it, so every shard worker inherits the entry and each of
+its devices is a cache hit: the warm state crosses no process boundary
+but the fork itself.  Under ``spawn`` (no platform the pool supports
+picks it) a worker inherits nothing and cold-builds its first device
+instead; the bytes are the same.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.fleet.arena import SharedArena
 from repro.fleet.shard import FleetShardCell
 from repro.harness import snapshots
 from repro.parallel.matrix import ExperimentCell
@@ -74,8 +78,9 @@ class FleetResult:
     device_telemetry: Dict[int, bytes] = field(default_factory=dict)
     wall_s: float = 0.0
     profile: dict = field(default_factory=dict)
-    #: Arena diagnostics: mode, whether a segment was published, its
-    #: key/size, and how many shards installed it into their store.
+    #: Warm-state sharing: ``mode`` (``inherit``, or ``off`` for the
+    #: reference path) and ``published``, whether the parent's probe
+    #: build primed its snapshot store before the pool forked.
     arena: dict = field(default_factory=dict)
     #: Human-readable reconstruction/shard failures.
     errors: List[str] = field(default_factory=list)
@@ -152,34 +157,15 @@ class FleetShardRunner:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
         self.workers = workers
-        #: Publish the warm state as a shared segment that pre-fills each
-        #: worker's snapshot store.  ``False`` is the reference path the
-        #: arena is tested byte-equal against: a worker's store holds
-        #: only what it inherited or built itself.
+        #: Prime the parent's snapshot store with one probe build before
+        #: the pool forks, so every worker inherits the warm state.
+        #: ``False`` is the reference path priming is tested byte-equal
+        #: against: a worker's store holds only what it inherited from
+        #: earlier parent builds or built itself.
         self.arena = arena
         self.join_timeout_s = join_timeout_s
         self.max_attempts = max_attempts
         self.profile = profile
-
-    # -- arena ----------------------------------------------------------
-    def _publish_arena(self, spec: ExperimentCell) -> Optional[SharedArena]:
-        """Build one probe device in the parent and publish its warm
-        columns as a shared segment.
-
-        The warm state is seed-independent (deterministic sequential
-        warm fill, no engine events or RNG draws before capture), so the
-        segment, keyed by ``warm_cache_key``, serves every device of the
-        homogeneous fleet regardless of per-device seeds.
-        """
-        probe = experiment_for(spec).build()
-        try:
-            snap = snapshots.capture_experiment(probe)
-            if snap is None:
-                return None
-            key = snapshots.warm_cache_key(probe, probe._plan_allocation())
-        finally:
-            probe.close()
-        return SharedArena(key, snap)
 
     # -- run -------------------------------------------------------------
     def run(self, specs: Sequence[ExperimentCell]) -> FleetResult:
@@ -192,43 +178,34 @@ class FleetShardRunner:
         shard_count = max(1, min(shard_count, len(specs)))
         indexed = list(enumerate(specs))
 
-        arena_obj: Optional[SharedArena] = None
-        arena_stats: dict = {"mode": "shm" if self.arena else "off", "published": False}
-        try:
-            # With snapshots off no build looks anything up: nothing
-            # would read the segment.
-            if self.arena and snapshots.snapshots_enabled():
-                arena_obj = self._publish_arena(specs[0])
-                if arena_obj is not None:
-                    arena_stats.update(
-                        published=True,
-                        key=arena_obj.manifest.columns_key,
-                        payload_nbytes=arena_obj.manifest.payload_nbytes,
-                        segment=arena_obj.manifest.name,
-                    )
-            cells = [
-                FleetShardCell(
-                    shard_index=k,
-                    devices=tuple(indexed[k::shard_count]),
-                    arena=arena_obj.manifest if arena_obj is not None else None,
-                )
-                for k in range(shard_count)
-            ]
-            # FleetIO policies need the pre-trained net + classifier; warm
-            # once in the parent so fork children inherit the memo caches.
-            warm_policy_cache(specs)
-            runner = ParallelRunner(
-                workers=self.workers or shard_count,
-                profile=self.profile,
-                join_timeout_s=self.join_timeout_s,
-                max_attempts=self.max_attempts,
-            )
-            sweep = runner.run(cells)
-        finally:
-            if arena_obj is not None:
-                arena_obj.unlink()
-        device_telemetry, errors, attached = self._merge(sweep.outcomes)
-        arena_stats["attached_shards"] = attached
+        priming: dict = {"mode": "inherit" if self.arena else "off", "published": False}
+        # With snapshots off no build looks anything up: a probe would
+        # only add a cold build.
+        if self.arena and snapshots.snapshots_enabled():
+            # The warm state is seed-independent, so the one entry this
+            # build leaves in the store serves every device of the
+            # homogeneous fleet; the pool below forks after it.
+            probe = experiment_for(specs[0])
+            try:
+                probe.build()
+            finally:
+                probe.close()
+            priming["published"] = True
+        cells = [
+            FleetShardCell(shard_index=k, devices=tuple(indexed[k::shard_count]))
+            for k in range(shard_count)
+        ]
+        # FleetIO policies need the pre-trained net + classifier; warm
+        # once in the parent so fork children inherit the memo caches.
+        warm_policy_cache(specs)
+        runner = ParallelRunner(
+            workers=self.workers or shard_count,
+            profile=self.profile,
+            join_timeout_s=self.join_timeout_s,
+            max_attempts=self.max_attempts,
+        )
+        sweep = runner.run(cells)
+        device_telemetry, errors = self._merge(sweep.outcomes)
         return FleetResult(
             specs=specs,
             shards=shard_count,
@@ -238,20 +215,30 @@ class FleetShardRunner:
             device_telemetry=device_telemetry,
             wall_s=time.perf_counter() - started,
             profile=sweep.profile,
-            arena=arena_stats,
+            arena=priming,
             errors=errors,
         )
 
     # -- merge -----------------------------------------------------------
-    def _merge(self, outcomes: list) -> Tuple[Dict[int, bytes], List[str], int]:
+    def _merge(self, outcomes: list) -> Tuple[Dict[int, bytes], List[str]]:
         """Per-device telemetry in shard order; failed shards by name."""
         device_telemetry: Dict[int, bytes] = {}
         errors: List[str] = []
-        attached = 0
         for outcome in outcomes:
             if isinstance(outcome, CellOutcome) and outcome.ok:
                 device_telemetry.update(outcome.result["telemetry"])
-                attached += bool(outcome.result["arena_attached"])
             else:
                 errors.append(outcome.describe())
-        return device_telemetry, errors, attached
+        return device_telemetry, errors
+
+
+def leaked_segments(shm_dir: str = "/dev/shm") -> List[str]:
+    """Names of ``repro_``-prefixed shared-memory entries on the host.
+
+    No code in this package creates one; the fleet tests and the
+    benchmark assert the list stays empty.
+    """
+    root = Path(shm_dir)
+    if not root.is_dir():  # pragma: no cover - non-tmpfs platforms
+        return []
+    return sorted(entry.name for entry in root.iterdir() if entry.name.startswith("repro_"))

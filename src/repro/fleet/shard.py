@@ -13,10 +13,8 @@ function :func:`~repro.parallel.runner.run_serial` (and so
 sharded bytes equal serial bytes by construction.  Per-device telemetry
 rides home in the outcome's ``result`` over the result pipe.
 
-If the cell carries an arena manifest the worker attaches it first and
-installs the shared segment's snapshot into its snapshot store, so its
-devices hit it; a failed attach leaves the store as it was (at worst a
-cold build+warm).
+A worker's snapshot store is the one it forked with: when the fleet
+runner primed it, every device of the shard is a cache hit.
 A device that raises fails its whole shard: the exception propagates to
 :func:`~repro.parallel.worker.run_cell`, which reports it as a
 deterministic, not-retried failure.
@@ -30,9 +28,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.fleet.arena import ArenaManifest, install_manifest
 from repro.parallel.matrix import ExperimentCell
 from repro.parallel.worker import RUNNERS, CellOutcome, register_runner
 
@@ -45,8 +42,6 @@ class FleetShardCell:
     #: ``(fleet index, device cell)`` pairs — the index is the merge key
     #: that makes sharded telemetry byte-identical to a serial loop.
     devices: Tuple[Tuple[int, ExperimentCell], ...]
-    #: Shared warm-state arena (None: regular snapshot path).
-    arena: Optional[ArenaManifest] = None
     #: Name of the registered cell runner (``repro.parallel.worker``).
     runner: str = "fleet_shard"
 
@@ -60,11 +55,10 @@ def run_fleet_shard(cell: FleetShardCell) -> CellOutcome:
     """Run every device of the shard through the experiment cell runner.
 
     The outcome's ``result`` is a plain dict: ``shard``, ``devices``
-    (fleet indices, shard order), ``arena_attached``, ``telemetry``
-    (device index → results CSV + window CSV bytes) and
-    ``device_wall_s`` (device index → seconds).
+    (fleet indices, shard order), ``telemetry`` (device index → results
+    CSV + window CSV bytes) and ``device_wall_s`` (device index →
+    seconds).
     """
-    arena_attached = cell.arena is not None and install_manifest(cell.arena)
     telemetry: Dict[int, bytes] = {}
     device_wall_s: Dict[int, float] = {}
     for index, device in cell.devices:
@@ -77,7 +71,6 @@ def run_fleet_shard(cell: FleetShardCell) -> CellOutcome:
         result={
             "shard": cell.shard_index,
             "devices": [index for index, _ in cell.devices],
-            "arena_attached": arena_attached,
             "telemetry": telemetry,
             "device_wall_s": device_wall_s,
         },

@@ -30,8 +30,9 @@ The cache is on or off, by the ``REPRO_SNAPSHOTS`` environment variable
 * on (``1``/``on``/``yes``/``true``/``mem``; the default when unset) —
   one in-process dict, bounded at 16 entries with the oldest-inserted
   evicted first; hits come from repeated cells inside one process
-  (serial sweeps, persistent pool workers) and from the fleet arena's
-  pre-fill.
+  (serial sweeps, persistent pool workers) and from entries a forked
+  pool worker inherits (the fleet runner's probe build primes the
+  parent's store before the fork).
 * off (``0``/``off``/``no``/``false``) — every build is a cold
   build+warm (the escape hatch behind ``repro sweep --snapshots off``).
 
@@ -46,9 +47,9 @@ derived warm spec (workload, name, channel allocation, isolation,
 blocks-per-channel).  The root seed is absent; a seeded allocator
 (``ssdkeeper``) reaches the key through the hashed channels.  Policies
 that derive identical allocations (hardware/adaptive/fleetio over the
-same plans, at any seed) share one snapshot, and the fleet's
-shared-memory arena (``repro.fleet.arena``) is a transport that fills
-this same store under this same key.
+same plans, at any seed) share one snapshot, which is why one probe
+build in the fleet runner's parent serves every device of a homogeneous
+fleet.
 """
 
 from __future__ import annotations
@@ -211,15 +212,9 @@ def cache_get(key: str) -> Optional[dict]:
 
 def cache_put(key: str, snap: dict) -> None:
     """Store a just-captured warm snapshot."""
-    install(key, snap)
-    _bump("stores")
-
-
-def install(key: str, snap: dict) -> None:
-    """Put ``snap`` in the bounded store without counting a ``stores``
-    event (the fleet arena's pre-fill: nothing was captured)."""
     # Pool workers fill and evict their fork-private copy of the store;
     # its contents are deterministic per key, so nothing merges back.
     if key not in _MEMORY_CACHE and len(_MEMORY_CACHE) >= _MEMORY_CACHE_MAX:
         _MEMORY_CACHE.pop(next(iter(_MEMORY_CACHE)))
     _MEMORY_CACHE[key] = snap
+    _bump("stores")

@@ -72,7 +72,7 @@ def experiment_for(cell: ExperimentCell) -> Experiment:
     """The (unbuilt) harness experiment an experiment cell describes.
 
     The one place a cell becomes an :class:`Experiment`: the cell runner
-    below and the fleet runner's arena probe both come through here.
+    below and the fleet runner's priming probe both come through here.
     """
     config = (
         SSDConfig(num_channels=cell.num_channels)

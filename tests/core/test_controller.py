@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.config import RLConfig
 from repro.core.actionspace import ActionSpace
 from repro.core.controller import FleetIoController
 from repro.core.monitor import VssdMonitor
+from repro.core.reward import multi_agent_rewards, single_agent_reward
+from repro.faults.guardrails import Guardrails
 from repro.rl import PolicyValueNet
 from repro.sched import IoRequest
 from repro.virt import StorageVirtualizer
@@ -134,3 +137,70 @@ def test_window_log_records(world):
     assert controller.window_log
     entry = controller.window_log[0]
     assert set(entry["actions"]) == {a.vssd_id, b.vssd_id}
+
+
+@pytest.mark.parametrize("beta", [0.6, 1.0])
+def test_every_agent_receives_the_eq2_blend(small_config, beta):
+    """Eq. 2: each agent is credited ``multi_agent_rewards(singles, beta)``
+    at the configured ``beta``, with the singles (Eq. 1) recomputed from
+    the same window's sanitized stats (``window_log``)."""
+    virt = StorageVirtualizer(config=small_config)
+    space = ActionSpace(small_config.channel_write_bandwidth_mbps)
+    rl_config = RLConfig(decision_interval_s=0.1, batch_size=8, beta=beta)
+    net = PolicyValueNet(rl_config.state_dim, space.num_actions, (8, 8))
+    controller = FleetIoController(
+        virt, net, rl_config=rl_config, explore=True, finetune=False,
+        guardrails=Guardrails(),
+    )
+    # Unequal load and SLOs, so the agents' own rewards differ.
+    load = {}
+    for name, channels, slo_us, pages in (
+        ("a", [0], 300.0, 1), ("b", [1], 50_000.0, 4), ("c", [2, 3], 2_000.0, 2),
+    ):
+        vssd = virt.create_vssd(name, channels, slo_latency_us=slo_us)
+        controller.register_vssd(vssd, _monitored(virt, vssd))
+        load[vssd.vssd_id] = pages
+    credited = []
+    for vssd_id, agent in controller.agents.items():
+        def observe(reward, vssd_id=vssd_id, agent=agent, inner=agent.observe_reward):
+            credited.append((
+                controller._window_index, vssd_id, reward,
+                agent.alpha, controller.guaranteed_bandwidth(vssd_id),
+            ))
+            inner(reward)
+        agent.observe_reward = observe
+
+    def tick(lpn=0):
+        for vssd_id, pages in load.items():
+            for _ in range(pages):
+                virt.dispatcher.submit(IoRequest(
+                    vssd_id, "write", lpn % 32, 1, virt.config.page_size, virt.sim.now,
+                ))
+                lpn += 1
+        virt.sim.schedule(5_000.0, tick, lpn)
+
+    controller.start()
+    tick()
+    virt.sim.run_until_seconds(0.65)
+    windows = controller._window_index
+    assert windows >= 6
+    assert len(credited) == windows * len(load)
+    blended_away = 0
+    for window in range(windows):
+        stats = controller.window_log[window]["stats"]
+        rows = [row for row in credited if row[0] == window]
+        singles = {
+            vssd_id: single_agent_reward(
+                stats[vssd_id].avg_bw_mbps,
+                stats[vssd_id].slo_violation_frac,
+                guaranteed_bw_mbps=guaranteed,
+                alpha=alpha,
+                slo_violation_guarantee=rl_config.slo_violation_guarantee,
+            )
+            for _window, vssd_id, _reward, alpha, guaranteed in rows
+        }
+        expected = multi_agent_rewards(singles, beta)
+        assert {vssd_id: reward for _w, vssd_id, reward, _a, _g in rows} == expected
+        blended_away += sum(expected[v] != singles[v] for v in singles)
+    # Only a beta below 1 moves a reward off the agent's own.
+    assert (blended_away > 0) == (beta < 1.0)

@@ -1,8 +1,8 @@
 """Fleet runner: sharded telemetry byte-equality, degradation, healing.
 
 The fleet contract in one line: however the devices are executed —
-serial loop, sharded pool, arena on or off, any shard count, a shard
-worker crashing and being retried — the merged telemetry is
+serial loop, sharded pool, warm state primed or not, any shard count, a
+shard worker crashing and being retried — the merged telemetry is
 byte-identical and ``/dev/shm`` ends empty.
 """
 
@@ -21,6 +21,7 @@ from repro.fleet import (
     run_fleet_serial,
 )
 from repro.fleet.shard import run_fleet_shard
+from repro.harness import snapshots
 from repro.parallel import ExperimentCell
 from repro.parallel.runner import CellFailure
 from repro.parallel.worker import RUNNERS, run_cell
@@ -52,9 +53,7 @@ def test_sharded_fleet_matches_serial_arena_off(serial):
     assert fleet.ok, fleet.errors
     assert fleet.shards == 2
     assert fleet.telemetry == serial.telemetry
-    assert fleet.arena == {"mode": "off", "published": False,
-                           "attached_shards": 0}
-    assert fleet.profile["counters"].get("arena.attach", 0) == 0
+    assert fleet.arena == {"mode": "off", "published": False}
     assert leaked_segments() == []
 
 
@@ -62,10 +61,8 @@ def test_sharded_fleet_matches_serial_arena_on(serial):
     fleet = FleetShardRunner(shards=2, arena=True).run(SPECS)
     assert fleet.ok, fleet.errors
     assert fleet.telemetry == serial.telemetry
-    assert fleet.arena["published"]
-    assert fleet.arena["attached_shards"] == 2
-    assert fleet.profile["counters"]["arena.attach"] >= 1
-    # Every device of every shard hit the store the arena filled.
+    assert fleet.arena == {"mode": "inherit", "published": True}
+    # Every device of every shard hit the store its worker inherited.
     assert fleet.profile["counters"].get("snapshot.misses", 0) == 0
     assert fleet.profile["counters"]["snapshot.hits"] == len(SPECS)
     assert leaked_segments() == []
@@ -77,14 +74,12 @@ def test_sharded_fleet_matches_serial_arena_on(serial):
 
 
 def test_snapshots_off_publishes_nothing_and_restores_nothing(serial, monkeypatch):
-    """``REPRO_SNAPSHOTS=off`` is the escape hatch for the arena too: no
-    segment, every device a cold build+warm, same bytes."""
+    """``REPRO_SNAPSHOTS=off`` is the escape hatch for priming too: no
+    probe build, every device a cold build+warm, same bytes."""
     monkeypatch.setenv("REPRO_SNAPSHOTS", "off")
     fleet = FleetShardRunner(shards=2, arena=True).run(SPECS)
     assert fleet.ok, fleet.errors
-    assert fleet.arena["mode"] == "shm"
-    assert fleet.arena["published"] is False
-    assert fleet.arena["attached_shards"] == 0
+    assert fleet.arena == {"mode": "inherit", "published": False}
     assert fleet.profile["counters"].get("snapshot.hits", 0) == 0
     assert fleet.telemetry == serial.telemetry
     assert leaked_segments() == []
@@ -96,12 +91,34 @@ def test_shard_devices_run_through_the_cell_runner():
     outcome = run_fleet_shard(cell)
     assert outcome.ok and outcome.telemetry == b""
     assert outcome.result["devices"] == [1, 3]
-    assert not outcome.result["arena_attached"]
     assert set(outcome.result["device_wall_s"]) == {1, 3}
     for index, spec in cell.devices:
         reference = run_cell(spec, profile=False)
         assert reference.ok
         assert outcome.result["telemetry"][index] == reference.telemetry
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the primed warm state reaches the workers by fork inheritance",
+)
+@pytest.mark.parametrize("arena", [True, False])
+def test_priming_alone_serves_every_device(serial, arena):
+    """With the parent's store cleared first, only the probe build can
+    leave an entry for the workers to inherit: primed, every device is
+    a hit; unprimed, each worker's first device misses."""
+    snapshots.clear_memory_cache()
+    fleet = FleetShardRunner(shards=2, arena=arena).run(SPECS)
+    assert fleet.ok, fleet.errors
+    assert fleet.telemetry == serial.telemetry
+    counters = fleet.profile["counters"]
+    if arena:
+        assert counters["snapshot.hits"] == len(SPECS)
+        assert counters.get("snapshot.misses", 0) == 0
+    else:
+        assert counters["snapshot.misses"] == fleet.workers
+        assert counters["snapshot.hits"] == len(SPECS) - fleet.workers
+    assert leaked_segments() == []
 
 
 @pytest.mark.parametrize("shards, expected", [(3, 3), (9, 5)])

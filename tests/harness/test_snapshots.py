@@ -345,6 +345,6 @@ def test_engine_restore_rejects_pending_events():
 
 def test_memory_cache_bounded():
     for i in range(snapshots._MEMORY_CACHE_MAX + 4):
-        snapshots.install(f"key{i}", {"i": i})
+        snapshots.cache_put(f"key{i}", {"i": i})
     assert len(snapshots._MEMORY_CACHE) == snapshots._MEMORY_CACHE_MAX
     assert "key0" not in snapshots._MEMORY_CACHE  # oldest-inserted goes first

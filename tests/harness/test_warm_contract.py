@@ -1,9 +1,10 @@
 """The warm fill's contract, asserted instead of commented.
 
-The seed-free ``warm_cache_key`` (one snapshot, and one arena segment,
-for every seed of a fleet) rests on "the warm fill draws nothing and
-schedules nothing": the post-warm columns depend on the plans and the
-device, not on the seed or on anything that ran before.
+The seed-free ``warm_cache_key`` (one snapshot for every seed of a
+fleet, primed by one probe build in the fleet runner's parent) rests on
+"the warm fill draws nothing and schedules nothing": the post-warm
+columns depend on the plans and the device, not on the seed or on
+anything that ran before.
 ``capture_experiment`` makes the same stream comparison before it caches
 a build.  Checked here after a cold ``Experiment.build()`` on the
 full-size device, for the four policies the benchmark runs, together

@@ -171,8 +171,8 @@ def test_valid_count_matches_live_pages(lpns):
 def test_a_hoisted_page_matrix_view_sees_every_restore(store, monkeypatch, tmp_path):
     """``VssdFtl`` reads the page matrix through ``page_lpns.data``, taken
     once: a restore copies into the one buffer, so the view never
-    detaches — neither under ``BlockStore.restore`` nor on the fleet
-    arena's zero-copy path, which restores from read-only views."""
+    detaches — neither under ``BlockStore.restore`` nor when a build
+    restores a warm snapshot from the store."""
     view = store.page_lpns.data
     assert view.obj is store.page_lpns and view.shape == store.page_lpns.shape
     store.program(GID, 100)
@@ -182,7 +182,6 @@ def test_a_hoisted_page_matrix_view_sees_every_restore(store, monkeypatch, tmp_p
     store.restore(snap)
     assert (view[GID, 0], view[GID, 1]) == (100, NO_LPN)
 
-    from repro.fleet.arena import decode_snapshot_entries, encode_snapshot_entries
     from repro.harness import snapshots
     from repro.harness.experiment import Experiment
     from repro.parallel.matrix import plans_for
@@ -201,14 +200,7 @@ def test_a_hoisted_page_matrix_view_sees_every_restore(store, monkeypatch, tmp_p
     try:
         warm = probe().build()
         captured = snapshots.capture_experiment(warm)
-        entries, meta = encode_snapshot_entries(captured)
-        attached = {}
-        for name, array in entries.items():
-            attached[name] = array.copy()
-            attached[name].flags.writeable = False  # as mapped from a segment
-        decoded = decode_snapshot_entries(attached.__getitem__, meta, copy=False)
-        assert decoded["store"]["page_lpns"] is attached["page_lpns"]
-        snapshots.install(snapshots.warm_cache_key(warm, warm._plan_allocation()), decoded)
+        snapshots.cache_put(snapshots.warm_cache_key(warm, warm._plan_allocation()), captured)
         snapshots.reset_stats()
         restored = probe().build()
         assert snapshots.STATS["hits"] == 1
