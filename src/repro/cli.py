@@ -10,6 +10,7 @@ Commands:
 * ``overheads`` — print the Section 4.7 overhead microbenchmarks.
 * ``profile`` — ``run`` with the profiler counters on.
 * ``sweep`` — fan a policies × seeds matrix across worker processes.
+* ``fleet`` — run N simulated devices, one pool cell each.
 * ``adversarial`` — regret-driven scenario search (policy hardening).
 * ``lint`` — fleetlint determinism & unit-safety static analysis.
 * ``detsan`` — compare determinism-sanitizer traces; localize divergence.
@@ -21,7 +22,7 @@ import argparse
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union, cast
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, cast
 
 from repro.config import RLConfig, SSDConfig
 from repro.harness import POLICIES, Experiment, run_policy_comparison, snapshots
@@ -30,7 +31,6 @@ from repro.parallel.worker import run_cell
 from repro.workloads import WORKLOAD_CATALOG, get_spec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fleet import FleetResult
     from repro.harness.metrics import ExperimentResult
     from repro.parallel import SweepResult
 
@@ -319,7 +319,7 @@ def cmd_overheads(_args: argparse.Namespace) -> int:
 
 def _print_pool_totals(
     args: argparse.Namespace,
-    result: "Union[SweepResult, FleetResult]",
+    result: "SweepResult",
     totals: str,
     note: str = "",
     telemetry_name: str = "telemetry",
@@ -343,10 +343,26 @@ def _print_pool_totals(
         print(f"wrote merged {telemetry_name} to {args.telemetry_out}")
 
 
+def _print_outcomes(result: "SweepResult") -> None:
+    """One row per cell (status, wall, utilization), then each failure."""
+    print(f"\n{'cell':>32s} {'status':>8s} {'wall(s)':>8s} {'util':>7s}")
+    for outcome in result.outcomes:
+        if hasattr(outcome, "ok") and outcome.ok:
+            print(
+                f"{outcome.cell.cell_id:>32s} {'ok':>8s} "
+                f"{outcome.wall_s:8.1f} "
+                f"{outcome.result.avg_utilization:7.1%}"
+            )
+        else:
+            print(f"{outcome.cell.cell_id:>32s} {'FAILED':>8s}")
+    for failure in result.failures:
+        print(f"  {failure.describe()}")
+
+
 def _verify_serial(
     args: argparse.Namespace,
-    result: "Union[SweepResult, FleetResult]",
-    rerun_serial: Callable[[], "Union[SweepResult, FleetResult]"],
+    result: "SweepResult",
+    rerun_serial: Callable[[], "SweepResult"],
     versus: str,
 ) -> int:
     """Under ``--verify-serial`` re-run serially and require byte-equal
@@ -410,18 +426,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"snapshots {'on' if snapshots_on else 'off'}"
     )
     sweep = runner.run(cells)
-    print(f"\n{'cell':>32s} {'status':>8s} {'wall(s)':>8s} {'util':>7s}")
-    for outcome in sweep.outcomes:
-        if hasattr(outcome, "ok") and outcome.ok:
-            print(
-                f"{outcome.cell.cell_id:>32s} {'ok':>8s} "
-                f"{outcome.wall_s:8.1f} "
-                f"{outcome.result.avg_utilization:7.1%}"
-            )
-        else:
-            print(f"{outcome.cell.cell_id:>32s} {'FAILED':>8s}")
-    for failure in sweep.failures:
-        print(f"  {failure.describe()}")
+    _print_outcomes(sweep)
     _print_pool_totals(args, sweep, f"parallel wall: {sweep.wall_s:.1f}s")
     if args.detsan:
         from repro.analysis.detsan import write_traces
@@ -432,7 +437,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """Run N simulated devices as K shards over the worker pool."""
+    """Run N simulated devices, one pool cell each."""
     from repro.fleet import FleetShardRunner, build_fleet, run_fleet_serial
 
     specs = build_fleet(
@@ -445,7 +450,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         num_channels=args.channels,
     )
     runner = FleetShardRunner(
-        shards=args.shards,
         workers=args.workers,
         join_timeout_s=args.cell_timeout,
         max_attempts=args.retries + 1,
@@ -453,32 +457,21 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     fleet = runner.run(specs)
     print(
         f"fleet: {len(specs)} devices x {args.policy}, "
-        f"{fleet.shards} shards [{fleet.mode}]"
+        f"{fleet.workers} workers [{fleet.mode}]"
     )
-    print(f"\n{'shard':>20s} {'status':>8s} {'devices':>8s} {'wall(s)':>8s}")
-    for outcome in fleet.outcomes:
-        if hasattr(outcome, "ok") and outcome.ok:
-            walls = (outcome.result or {}).get("device_wall_s", {})
-            print(
-                f"{outcome.cell.cell_id:>20s} {'ok':>8s} "
-                f"{len(outcome.cell.devices):>8d} {sum(walls.values()):8.1f}"
-            )
-        else:
-            print(f"{outcome.cell.cell_id:>20s} {'FAILED':>8s}")
-    for error in fleet.errors:
-        print(f"  {error}")
+    _print_outcomes(fleet)
     counters = fleet.profile.get("counters", {})
     _print_pool_totals(
         args,
         fleet,
-        f"fleet wall: {fleet.wall_s:.1f}s  {fleet.devices_per_sec:.2f} devices/s",
+        f"fleet wall: {fleet.wall_s:.1f}s  {len(specs) / fleet.wall_s:.2f} devices/s",
         note=(
             f"state plane: snapshot.hits={counters.get('snapshot.hits', 0)} "
             f"snapshot.misses={counters.get('snapshot.misses', 0)}"
         ),
         telemetry_name="fleet telemetry",
     )
-    return _verify_serial(args, fleet, lambda: run_fleet_serial(specs), "sharded")
+    return _verify_serial(args, fleet, lambda: run_fleet_serial(specs), "pooled")
 
 
 def cmd_adversarial(args: argparse.Namespace) -> int:
@@ -743,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet",
-        help="run N simulated devices as K shards over the worker pool",
+        help="run N simulated devices, one cell each, over the worker pool",
     )
     fleet.add_argument(
         "workloads", nargs="*", default=["ycsb", "terasort"],
@@ -753,12 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--devices", type=int, default=8, help="fleet size (one SSD each)"
     )
     fleet.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count (default: cores - 1, capped at the fleet size)",
-    )
-    fleet.add_argument(
         "--workers", type=int, default=None,
-        help="pool worker processes (default: one per shard, capped at cores)",
+        help="pool worker processes (default: cores - 1)",
     )
     fleet.add_argument(
         "--policy", default="adaptive",

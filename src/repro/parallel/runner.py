@@ -7,6 +7,8 @@ Design notes:
   pipe; the parent hands out the next cell, in matrix order, as workers
   free up.  A worker outlives its cells, so its in-process caches — the
   warm-state snapshot cache above all — serve every cell it runs.
+  Sweeps, searches and fleets (``repro.fleet``: one device per cell)
+  all run on it.
 * **Crash isolation.**  The parent owns the queue, so a worker that
   segfaults, OOMs, or calls ``os._exit`` takes down only the cell it
   was running: it leaves the pool, a replacement starts while work
@@ -208,7 +210,12 @@ def run_serial(
 
 
 class ParallelRunner:
-    """Fans cells across a persistent worker pool with crash isolation."""
+    """Fans cells across a persistent worker pool with crash isolation.
+
+    The one scheduler: ``repro sweep``, the pre-training seed search, the
+    adversarial search and :class:`repro.fleet.FleetShardRunner` each
+    hand it a list of cells.
+    """
 
     def __init__(
         self,

@@ -20,7 +20,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.analysis.detsan import DetsanRecorder, detsan_enabled
 from repro.config import SSDConfig
@@ -30,15 +30,9 @@ from repro.harness.telemetry import windows_csv_bytes
 from repro.parallel.matrix import AdversarialCell, ExperimentCell, PretrainCell
 from repro.profiling import PROFILER
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.fleet.shard import FleetShardCell
-
 #: Anything the runner registry can execute: every cell type exposes
-#: ``cell_id`` and ``runner``.  ``FleetShardCell`` is a forward
-#: reference: ``repro.fleet`` imports this module for
-#: :func:`register_runner`, and unpickling a fleet cell in a pool worker
-#: imports the ``repro.fleet`` package, which registers its runner.
-WorkCell = Union[ExperimentCell, PretrainCell, AdversarialCell, "FleetShardCell"]
+#: ``cell_id`` and ``runner``.
+WorkCell = Union[ExperimentCell, PretrainCell, AdversarialCell]
 
 
 @dataclass
@@ -192,20 +186,6 @@ RUNNERS: Dict[str, Callable[..., CellOutcome]] = {
     "hang": _hang_cell,
     "flaky": _flaky_cell,
 }
-
-
-def register_runner(name: str, fn: Callable[..., CellOutcome]) -> None:
-    """Register (or replace) a cell runner under ``name``.
-
-    Extension point for cell types defined outside this module
-    (``repro.fleet``): the defining package calls this at import time,
-    and because unpickling a cell imports its class's package, a pool
-    worker that receives such a cell always has the runner registered
-    before :func:`run_cell` looks it up.
-    """
-    # An import-time write, deterministic per module: each worker fills
-    # its own copy when it unpickles the cell, so nothing merges back.
-    RUNNERS[name] = fn
 
 
 def _profile_delta(before: dict, after: dict) -> dict:

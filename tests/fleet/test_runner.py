@@ -1,8 +1,8 @@
-"""Fleet runner: sharded telemetry byte-equality, degradation, healing.
+"""Fleet runner: per-device telemetry byte-equality, degradation, healing.
 
 The fleet contract in one line: however the devices are executed —
-serial loop, sharded pool, warm state primed or not, any shard count, a
-shard worker crashing and being retried — the merged telemetry is
+serial loop, worker pool of any size, warm state primed or not, a
+device's worker crashing and being retried — the merged telemetry is
 byte-identical and ``/dev/shm`` ends empty.
 """
 
@@ -14,17 +14,15 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import (
-    FleetShardCell,
     FleetShardRunner,
     build_fleet,
     leaked_segments,
     run_fleet_serial,
 )
-from repro.fleet.shard import run_fleet_shard
 from repro.harness import snapshots
 from repro.parallel import ExperimentCell
-from repro.parallel.runner import CellFailure
-from repro.parallel.worker import RUNNERS, run_cell
+from repro.parallel.runner import CellFailure, usable_cores
+from repro.parallel.worker import RUNNERS
 
 SPECS = build_fleet(
     4,
@@ -35,12 +33,23 @@ SPECS = build_fleet(
     measure_after_s=0.1,
 )
 
+#: The real experiment runner, for the fault-injecting wrappers below.
+_RUN_EXPERIMENT = RUNNERS["experiment"]
+
+
+def _describe(result):
+    return [failure.describe() for failure in result.failures]
+
 
 @pytest.fixture(scope="module")
 def serial():
     result = run_fleet_serial(SPECS)
-    assert result.ok, result.errors
+    assert result.ok, _describe(result)
     return result
+
+
+def _serial_bytes(serial, indices):
+    return b"".join(serial.outcomes[index].telemetry for index in indices)
 
 
 def test_build_fleet_is_homogeneous_with_per_device_seeds():
@@ -49,53 +58,38 @@ def test_build_fleet_is_homogeneous_with_per_device_seeds():
 
 
 def test_sharded_fleet_matches_serial_arena_off(serial):
-    fleet = FleetShardRunner(shards=2, arena=False).run(SPECS)
-    assert fleet.ok, fleet.errors
-    assert fleet.shards == 2
+    fleet = FleetShardRunner(workers=2, arena=False).run(SPECS)
+    assert fleet.ok, _describe(fleet)
+    assert fleet.mode.startswith("fleet/pool/")
     assert fleet.telemetry == serial.telemetry
     assert fleet.arena == {"mode": "off", "published": False}
     assert leaked_segments() == []
 
 
 def test_sharded_fleet_matches_serial_arena_on(serial):
-    fleet = FleetShardRunner(shards=2, arena=True).run(SPECS)
-    assert fleet.ok, fleet.errors
+    fleet = FleetShardRunner(workers=2, arena=True).run(SPECS)
+    assert fleet.ok, _describe(fleet)
     assert fleet.telemetry == serial.telemetry
     assert fleet.arena == {"mode": "inherit", "published": True}
-    # Every device of every shard hit the store its worker inherited.
+    # Every device hit the store its worker inherited.
     assert fleet.profile["counters"].get("snapshot.misses", 0) == 0
     assert fleet.profile["counters"]["snapshot.hits"] == len(SPECS)
     assert leaked_segments() == []
-    # Each shard reports a wall time for every device it ran.
-    for outcome in fleet.outcomes:
-        wall_s = outcome.result["device_wall_s"]
-        assert sorted(wall_s) == sorted(outcome.result["devices"])
-        assert all(seconds > 0 for seconds in wall_s.values())
+    # One outcome per device, fleet order, each with its own wall time.
+    assert [outcome.cell for outcome in fleet.outcomes] == SPECS
+    assert all(outcome.wall_s > 0 for outcome in fleet.outcomes)
 
 
 def test_snapshots_off_publishes_nothing_and_restores_nothing(serial, monkeypatch):
     """``REPRO_SNAPSHOTS=off`` is the escape hatch for priming too: no
     probe build, every device a cold build+warm, same bytes."""
     monkeypatch.setenv("REPRO_SNAPSHOTS", "off")
-    fleet = FleetShardRunner(shards=2, arena=True).run(SPECS)
-    assert fleet.ok, fleet.errors
+    fleet = FleetShardRunner(workers=2, arena=True).run(SPECS)
+    assert fleet.ok, _describe(fleet)
     assert fleet.arena == {"mode": "inherit", "published": False}
     assert fleet.profile["counters"].get("snapshot.hits", 0) == 0
     assert fleet.telemetry == serial.telemetry
     assert leaked_segments() == []
-
-
-def test_shard_devices_run_through_the_cell_runner():
-    """In-process: a shard's per-device bytes are the cell runner's."""
-    cell = FleetShardCell(shard_index=0, devices=tuple(enumerate(SPECS))[1::2])
-    outcome = run_fleet_shard(cell)
-    assert outcome.ok and outcome.telemetry == b""
-    assert outcome.result["devices"] == [1, 3]
-    assert set(outcome.result["device_wall_s"]) == {1, 3}
-    for index, spec in cell.devices:
-        reference = run_cell(spec, profile=False)
-        assert reference.ok
-        assert outcome.result["telemetry"][index] == reference.telemetry
 
 
 @pytest.mark.skipif(
@@ -108,8 +102,8 @@ def test_priming_alone_serves_every_device(serial, arena):
     leave an entry for the workers to inherit: primed, every device is
     a hit; unprimed, each worker's first device misses."""
     snapshots.clear_memory_cache()
-    fleet = FleetShardRunner(shards=2, arena=arena).run(SPECS)
-    assert fleet.ok, fleet.errors
+    fleet = FleetShardRunner(workers=2, arena=arena).run(SPECS)
+    assert fleet.ok, _describe(fleet)
     assert fleet.telemetry == serial.telemetry
     counters = fleet.profile["counters"]
     if arena:
@@ -121,9 +115,9 @@ def test_priming_alone_serves_every_device(serial, arena):
     assert leaked_segments() == []
 
 
-@pytest.mark.parametrize("shards, expected", [(3, 3), (9, 5)])
-def test_uneven_and_surplus_shards_match_serial(shards, expected):
-    """5 devices over 3 shards (2+2+1), and more shards than devices."""
+@pytest.mark.parametrize("workers", [1, 2, 9])
+def test_pooled_fleet_matches_serial(workers):
+    """5 devices on 1 worker, on 2, and on more workers than devices."""
     specs = build_fleet(
         5,
         workloads=("ycsb",),
@@ -133,31 +127,46 @@ def test_uneven_and_surplus_shards_match_serial(shards, expected):
         measure_after_s=0.1,
     )
     serial = run_fleet_serial(specs, profile=False)
-    assert serial.ok, serial.errors
-    fleet = FleetShardRunner(shards=shards, arena=True).run(specs)
-    assert fleet.ok, fleet.errors
-    assert fleet.shards == expected
-    assert sorted(fleet.device_telemetry) == [0, 1, 2, 3, 4]
+    assert serial.ok, _describe(serial)
+    fleet = FleetShardRunner(workers=workers, arena=True).run(specs)
+    assert fleet.ok, _describe(fleet)
+    assert fleet.workers == min(workers, usable_cores())
+    assert [outcome.cell for outcome in fleet.outcomes] == specs
     assert fleet.telemetry == serial.telemetry
     assert leaked_segments() == []
 
 
-def test_raising_device_fails_its_shard_without_retry(serial):
-    """An unknown workload on device 1: shard 1 (devices 1, 3) is a
-    deterministic failure, shard 0 (devices 0, 2) still merges."""
+def test_raising_device_fails_alone_without_retry(serial):
+    """An unknown workload on device 1: that device is a deterministic
+    failure, and devices 0, 2 and 3 still merge."""
     specs = list(SPECS)
     specs[1] = dataclasses.replace(specs[1], workloads=("no-such-workload",))
-    fleet = FleetShardRunner(shards=2, arena=True, max_attempts=3).run(specs)
+    fleet = FleetShardRunner(workers=2, arena=True, max_attempts=3).run(specs)
     assert not fleet.ok
     failed = fleet.outcomes[1]
     assert isinstance(failed, CellFailure)
     assert failed.attempts == 1 and failed.exitcode is None
     assert failed.error is not None and "no-such-workload" in failed.error["message"]
-    assert fleet.errors == [failed.describe()]
-    assert "fleet/shard1(x2)" in fleet.errors[0]
-    assert sorted(fleet.device_telemetry) == [0, 2]
-    for index in (0, 2):
-        assert fleet.device_telemetry[index] == serial.device_telemetry[index]
+    assert fleet.failures == [failed]
+    assert failed.cell.cell_id in failed.describe()
+    assert fleet.telemetry == _serial_bytes(serial, (0, 2, 3))
+    assert leaked_segments() == []
+
+
+def test_unbuildable_probe_device_fails_only_itself(serial):
+    """Device 0 is the priming probe: its build raising primes nothing,
+    and its own cell reports the error while devices 1-3 still run."""
+    specs = list(SPECS)
+    specs[0] = dataclasses.replace(specs[0], workloads=("no-such-workload",))
+    fleet = FleetShardRunner(workers=2, arena=True).run(specs)
+    assert not fleet.ok
+    assert fleet.arena == {"mode": "inherit", "published": False}
+    failed = fleet.outcomes[0]
+    assert isinstance(failed, CellFailure)
+    assert "no-such-workload" in failed.error["message"]
+    assert fleet.failures == [failed]
+    for index in (1, 2, 3):
+        assert fleet.outcomes[index].telemetry == serial.outcomes[index].telemetry
     assert leaked_segments() == []
 
 
@@ -174,28 +183,28 @@ def test_empty_fleet_is_ok():
     assert leaked_segments() == []
 
 
-def _flaky_fleet_shard(cell):
-    """Crash the whole worker once per shard, then run the real thing."""
-    marker = Path(os.environ["REPRO_TEST_FLAKY_DIR"]) / f"shard{cell.shard_index}"
+def _flaky_device(cell):
+    """Crash the whole worker once per device, then run the real thing."""
+    marker = Path(os.environ["REPRO_TEST_FLAKY_DIR"]) / f"seed{cell.seed}"
     if not marker.exists():
         marker.write_text("crashed-once\n")
         os._exit(13)
-    return run_fleet_shard(cell)
+    return _RUN_EXPERIMENT(cell)
 
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="the flaky runner is injected via fork inheritance",
 )
-def test_crashed_shard_retried_byte_identical_and_leak_free(
+def test_crashed_device_retried_byte_identical_and_leak_free(
     serial, tmp_path, monkeypatch
 ):
-    """Every shard worker dies once mid-run; the retried attempt's
+    """Every device's worker dies once mid-run; the retried attempts'
     merged bytes still equal serial."""
     monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
-    monkeypatch.setitem(RUNNERS, "fleet_shard", _flaky_fleet_shard)
-    fleet = FleetShardRunner(shards=2, arena=True, max_attempts=2).run(SPECS)
-    assert fleet.ok, fleet.errors
+    monkeypatch.setitem(RUNNERS, "experiment", _flaky_device)
+    fleet = FleetShardRunner(workers=2, arena=True, max_attempts=2).run(SPECS)
+    assert fleet.ok, _describe(fleet)
     assert fleet.telemetry == serial.telemetry
     assert all(outcome.attempts == 2 for outcome in fleet.outcomes)
     assert leaked_segments() == []
@@ -209,22 +218,25 @@ def test_crashing_every_attempt_reports_errors_without_leaks(monkeypatch):
     def _always_crash(cell):
         os._exit(13)
 
-    monkeypatch.setitem(RUNNERS, "fleet_shard", _always_crash)
-    fleet = FleetShardRunner(shards=2, arena=True, max_attempts=2).run(SPECS)
+    monkeypatch.setitem(RUNNERS, "experiment", _always_crash)
+    fleet = FleetShardRunner(workers=2, arena=True, max_attempts=2).run(SPECS)
     assert not fleet.ok
-    assert fleet.errors
-    assert fleet.device_telemetry == {}
+    assert len(fleet.failures) == len(SPECS)
+    assert all(
+        failure.exitcode == 13 and failure.attempts == 2 for failure in fleet.failures
+    )
+    assert fleet.telemetry == b""
     assert leaked_segments() == []
 
 
 def test_default_shard_count_follows_cpu_affinity(monkeypatch, serial):
-    """Pinned to one core of a 64-core host, the default is one shard on
-    one worker — not 63 workers time-slicing that core."""
+    """Pinned to one core of a 64-core host, the default is one worker —
+    not 63 workers time-slicing that core."""
     monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
     fleet = FleetShardRunner().run(SPECS)
-    assert fleet.ok, fleet.errors
-    assert (fleet.shards, fleet.workers) == (1, 1)
+    assert fleet.ok, _describe(fleet)
+    assert fleet.workers == 1
     assert fleet.telemetry == serial.telemetry
     assert leaked_segments() == []
 
@@ -232,6 +244,13 @@ def test_default_shard_count_follows_cpu_affinity(monkeypatch, serial):
 def test_rejects_bad_shard_count():
     with pytest.raises(ValueError):
         FleetShardRunner(shards=0)
+
+
+def test_shards_is_only_an_alias_of_workers():
+    assert FleetShardRunner(shards=1).pool.workers == 1
+    assert FleetShardRunner(shards=1, workers=1).pool.workers == 1
+    with pytest.raises(ValueError, match="shards"):
+        FleetShardRunner(shards=2, workers=1)
 
 
 def test_fleet_respects_device_spec_immutability():

@@ -67,7 +67,7 @@ def fleet(seed):
                     duration_s=0.8, measure_after_s=0.2),
         profile=False,
     )
-    assert result.ok, result.errors
+    assert result.ok, [failure.describe() for failure in result.failures]
     return result.telemetry
 
 def faulted(seed):

@@ -119,7 +119,7 @@ def test_parser_covers_all_commands():
     names = set(sub.choices)
     assert {
         "run", "compare", "faults", "workloads", "classify", "pretrain",
-        "overheads", "sweep", "adversarial", "lint",
+        "overheads", "sweep", "fleet", "adversarial", "lint",
     } <= names
 
 
@@ -164,3 +164,36 @@ def test_sweep_rejects_the_retired_disk_mode(monkeypatch):
     monkeypatch.setenv("REPRO_SNAPSHOTS", "disk")
     with pytest.raises(ValueError, match="REPRO_SNAPSHOTS"):
         main(_TINY_SWEEP)
+
+
+_TINY_FLEET = ["--duration", "0.3", "--warmup", "0.1"]
+
+
+def _rows(out, status):
+    """Cell ids of the outcome table's rows with ``status``."""
+    return [
+        line.split()[0]
+        for line in out.splitlines()
+        if line.split()[1:2] == [status]
+    ]
+
+
+def test_fleet_command_prints_one_row_per_device(capsys):
+    code = main(
+        ["fleet", "ycsb", "--devices", "3", "--workers", "2", "--verify-serial"]
+        + _TINY_FLEET
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert _rows(out, "ok") == [f"ycsb/adaptive/s{seed}" for seed in (42, 43, 44)]
+    assert "telemetry byte-equal: True" in out
+
+
+def test_fleet_with_an_unknown_workload_fails_every_device(capsys):
+    code = main(["fleet", "no-such-workload", "--devices", "2"] + _TINY_FLEET)
+    assert code == 1
+    out = capsys.readouterr().out
+    assert _rows(out, "FAILED") == [
+        f"no-such-workload/adaptive/s{seed}" for seed in (42, 43)
+    ]
+    assert _rows(out, "ok") == []

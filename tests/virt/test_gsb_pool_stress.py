@@ -148,9 +148,15 @@ def _assert_one_owner(virt: StorageVirtualizer) -> None:
 _TENANT = st.integers(0, len(TENANT_CHANNELS) - 1)
 
 #: Any interleaving of offers, harvests, harvester writes, reclaims,
-#: watchdog releases, fault-driven reclaims, pumps and deallocations.
+#: watchdog releases, fault-driven reclaims, pumps, deallocations and
+#: starvations.  ``("starve", tenant)`` makes that tenant's next
+#: ``collect_blocks`` raise ``OutOfSpaceError`` before it relocates
+#: anything, as a collection that finds no free own page does; the
+#: reclaim it was pumping stays started, attached and reclaiming across
+#: the rules that follow.
 _RULES = st.lists(
     st.one_of(
+        st.tuples(st.just("starve"), _TENANT),
         st.tuples(st.just("offer"), _TENANT, st.integers(0, 2)),
         st.tuples(st.just("harvest"), _TENANT, st.integers(1, 2)),
         st.tuples(st.just("write"), _TENANT, st.integers(0, WORKING_SET - 1),
@@ -166,41 +172,48 @@ _RULES = st.lists(
 )
 
 
-def _run_rules(ops, check, on_collect=None) -> None:
+def _run_rules(ops, check, on_collect=None) -> StorageVirtualizer:
     """Apply ``ops`` to a fresh three-tenant virtualizer, calling
     ``check(virt)`` after every rule and, given ``on_collect``, also
-    ``on_collect(virt)`` as every ``collect_blocks`` call starts."""
+    ``on_collect(virt)`` as every ``collect_blocks`` call starts.
+    Returns the virtualizer."""
     virt = StorageVirtualizer(config=OWNERSHIP_CONFIG)
     tenants = [
         virt.create_vssd(f"t{index}", channels)
         for index, channels in enumerate(TENANT_CHANNELS)
     ]
-    if on_collect is not None:
-        for vssd in tenants:
-            collect = vssd.ftl.collect_blocks
+    starved: set = set()  # tenants whose next collection runs out of space
+    for index, vssd in enumerate(tenants):
+        collect = vssd.ftl.collect_blocks
 
-            def checked(gids, region, collect=collect):
+        def checked(gids, region, collect=collect, index=index):
+            if on_collect is not None:
                 on_collect(virt)
-                return collect(gids, region)
+            if index in starved:
+                starved.discard(index)
+                raise OutOfSpaceError("starved: no free own page to relocate into")
+            return collect(gids, region)
 
-            vssd.ftl.collect_blocks = checked
+        vssd.ftl.collect_blocks = checked
     manager = virt.gsb_manager
     per = OWNERSHIP_CONFIG.channel_write_bandwidth_mbps
     # Start with one gSB of tenant 0's lent to tenant 2 and written to,
     # so every drawn sequence has a live harvest to reclaim.
     prelude = [("offer", 0, 1), ("harvest", 2, 1), ("write", 2, 0, 32), ("write", 2, 32, 32)]
     for op, *args in prelude + ops:
-        if op == "degrade":
-            channel, on = args
-            virt.ssd.channels[channel].set_fault(slowdown=3.0 if on else 1.0)
-            manager.reclaim_degraded()
-        elif op == "pump":
-            manager.pump_reclaims()
-        else:
-            vssd = tenants[args[0]]
-            if vssd.deallocated:
-                continue
-            try:
+        try:
+            if op == "starve":
+                starved.add(args[0])
+            elif op == "degrade":
+                channel, on = args
+                virt.ssd.channels[channel].set_fault(slowdown=3.0 if on else 1.0)
+                manager.reclaim_degraded()
+            elif op == "pump":
+                manager.pump_reclaims()
+            else:
+                vssd = tenants[args[0]]
+                if vssd.deallocated:
+                    continue
                 if op == "offer":
                     manager.make_harvestable(vssd, args[1] * per + 1)
                 elif op == "harvest":
@@ -213,9 +226,10 @@ def _run_rules(ops, check, on_collect=None) -> None:
                     manager.release_harvested(vssd)
                 else:
                     virt.deallocate_vssd(vssd.vssd_id)
-            except OutOfSpaceError:
-                pass  # a collection may die part-way; ownership must still add up
+        except OutOfSpaceError:
+            pass  # a collection may die part-way; ownership must still add up
         check(virt)
+    return virt
 
 
 @settings(deadline=None)
@@ -248,3 +262,35 @@ def test_channel_count_is_a_fresh_recount_after_every_rule(ops):
     recomputed; after every rule it equals a recount, and so it does
     as a lazy reclaim starts collecting (its region just flipped)."""
     _run_rules(ops, _assert_channel_counts, on_collect=_assert_channel_counts)
+
+
+def _assert_consistent(virt: StorageVirtualizer) -> None:
+    _assert_one_owner(virt)
+    _assert_channel_counts(virt)
+
+
+def test_a_starved_reclaim_stays_open_until_a_later_pump():
+    """Tenant 2 releases the gSB it harvested, but its first collection
+    starves: after the rule the reclaim is still started, attached and
+    reclaiming, and a later pump returns every block home."""
+    virt = _run_rules([("starve", 2), ("release", 2)], _assert_consistent)
+    manager = virt.gsb_manager
+    (gsb,) = manager.reclaiming_gsbs()
+    harvester = virt.vssds[gsb.harvest_vssd]
+    home = virt.vssds[gsb.home_vssd]
+    assert gsb.reclaiming and gsb.region.reclaiming
+    assert gsb.region in harvester.ftl.harvest_regions
+    assert gsb in harvester.harvested_gsbs and gsb in home.harvestable_gsbs
+    lent = list(gsb.blocks)
+    assert lent, "the starved reclaim has written blocks still to collect"
+    store = virt.ssd.store
+    assert all(store.gsb_of[gid] == gsb.gsb_id for gid in lent)
+
+    assert manager.pump_reclaims() > 0
+    assert manager.reclaiming_gsbs() == []
+    assert gsb.blocks == []
+    assert gsb.region not in harvester.ftl.harvest_regions
+    assert gsb not in harvester.harvested_gsbs and gsb not in home.harvestable_gsbs
+    assert all(store.gsb_of[gid] == -1 for gid in lent)
+    assert all(store.owner[gid] == home.vssd_id for gid in lent)
+    _assert_consistent(virt)
